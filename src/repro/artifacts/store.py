@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -285,8 +285,12 @@ class ArtifactStore:
         network: RoadNetwork,
         host: "DistanceOracle | None" = None,
         content_hash: str | None = None,
+        build: "Callable[[], DistanceBackend] | None" = None,
     ) -> "tuple[DistanceBackend, bool]":
         """Serve ``name`` from the store, building (and saving) on miss.
+
+        ``build`` replaces the from-scratch ``make_backend`` on a miss — the
+        oracle passes its in-place repair after a live network update.
 
         Returns ``(backend, loaded_from_store)``. Invalid cache entries are
         rebuilt and overwritten rather than propagated.
@@ -302,7 +306,7 @@ class ArtifactStore:
             cached = None
         if cached is not None:
             return cached, True
-        built = make_backend(name, network, host)
+        built = build() if build is not None else make_backend(name, network, host)
         self.save_backend(network, built, content_hash=content_hash)
         return built, False
 

@@ -104,9 +104,9 @@ def make_shard_oracle(instance, config, num_shards: int):
     When the instance oracle carries a content-addressed artifact store, the
     shard-local oracle shares its root: cold starts warm-load preprocessed
     backends, and — crucially for live network updates — a worker-side
-    ``refresh_topology`` after the instance oracle already rebuilt (and
-    saved) the mutated topology warm-starts from the store instead of
-    rebuilding per shard.
+    ``refresh_topology`` after the instance oracle already repaired or
+    rebuilt (and saved) the mutated topology warm-starts from the store
+    instead of redoing that work per shard.
     """
     mode = config.shard_oracle_backend
     if mode == "shared":

@@ -26,6 +26,18 @@ outcomes — the property tests and ``benchmarks/bench_oracle.py`` assert it):
 Only the Dijkstra backend uses the oracle's distance LRU; the precomputed
 backends bypass it, which the cache statistics report honestly as
 ``"bypassed (<backend>)"`` instead of a misleading 0.0 hit rate.
+
+**Live network updates** (:meth:`DistanceOracle.refresh_topology
+<repro.network.oracle.DistanceOracle.refresh_topology>` after a street
+closure or reopening) cost, per backend:
+
+* ``"apsp"``       — **delta repair** (:meth:`APSPBackend.refresh`,
+  :mod:`repro.network.apsp_repair`): the table is fixed in place, touching
+  only the cells the changed edges can affect, bit-identical to a fresh
+  build; deltas the repair does not cover fall back to the full build.
+* ``"ch"`` / ``"hub_labels"`` — full rebuild (their indexes have no
+  incremental form here).
+* ``"dijkstra"``   — nothing to rebuild; the oracle drops its caches.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.exceptions import DisconnectedError
+from repro.network.apsp_repair import repair_apsp
 from repro.network.ch import ContractionHierarchy, build_contraction_hierarchy
 from repro.network.graph import RoadNetwork, Vertex
 from repro.network.hub_labeling import HubLabels, build_hub_labels
@@ -128,7 +141,11 @@ class DistanceBackend(Protocol):
 
 
 class APSPBackend:
-    """Dense all-pairs matrix: one Dijkstra per row at build, O(1) lookups."""
+    """Dense all-pairs matrix: one Dijkstra per row at build, O(1) lookups.
+
+    A matrix handed in (the artifact store does) is adopted, not copied;
+    :meth:`refresh` then repairs it in place.
+    """
 
     name = "apsp"
     uses_distance_cache = False
@@ -137,15 +154,49 @@ class APSPBackend:
         started = time.perf_counter()
         csr = network.csr
         self._csr = csr
-        if matrix is None:
-            n = csr.num_vertices
-            matrix = np.empty((n, n), dtype=np.float64)
-            vertex_ids = csr.vertex_ids_list
-            for row in range(n):
-                matrix[row] = single_source_distances_array(network, vertex_ids[row])
-        self.matrix = matrix
+        self.matrix = matrix if matrix is not None else self._build_matrix(network)
         self.vertex_index = csr.position
         self.build_seconds = time.perf_counter() - started
+        self.repairs = 0
+        self.full_rebuilds = 0
+        self.repaired_rows = 0
+        self.repaired_cells = 0
+        self.repair_seconds = 0.0
+
+    @staticmethod
+    def _build_matrix(network: RoadNetwork) -> np.ndarray:
+        csr = network.csr
+        n = csr.num_vertices
+        matrix = np.empty((n, n), dtype=np.float64)
+        vertex_ids = csr.vertex_ids_list
+        for row in range(n):
+            matrix[row] = single_source_distances_array(network, vertex_ids[row])
+        return matrix
+
+    def refresh(self, network: RoadNetwork) -> None:
+        """Re-derive the table for ``network``'s current topology.
+
+        Edge removals or additions over an unchanged vertex set are repaired
+        in place (:func:`~repro.network.apsp_repair.repair_apsp`,
+        bit-identical to a fresh build); any other delta takes the full
+        build the constructor runs.
+        """
+        started = time.perf_counter()
+        csr = network.csr
+        if not self.matrix.flags.writeable:
+            self.matrix = self.matrix.copy()
+        repaired = repair_apsp(self.matrix, self._csr, csr)
+        if repaired is None:
+            self.matrix = self._build_matrix(network)
+            self.full_rebuilds += 1
+        else:
+            rows, cells = repaired
+            self.repairs += 1
+            self.repaired_rows += rows
+            self.repaired_cells += cells
+            self.repair_seconds = time.perf_counter() - started
+        self._csr = csr
+        self.vertex_index = csr.position
 
     def distance(self, u: Vertex, v: Vertex) -> float:
         return float(self.matrix[self.vertex_index[u], self.vertex_index[v]])
@@ -172,6 +223,11 @@ class APSPBackend:
             "vertices": float(self.matrix.shape[0]),
             "matrix_bytes": float(self.matrix.nbytes),
             "build_seconds": self.build_seconds,
+            "repairs": float(self.repairs),
+            "full_rebuilds": float(self.full_rebuilds),
+            "repaired_rows": float(self.repaired_rows),
+            "repaired_cells": float(self.repaired_cells),
+            "repair_seconds": self.repair_seconds,
         }
 
 

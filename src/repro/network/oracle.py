@@ -572,34 +572,50 @@ class DistanceOracle:
         self.reset_counters()
 
     def refresh_topology(self) -> None:
-        """Rebuild the distance backend after a road-network mutation.
+        """Bring the distance backend up to date after a road-network mutation.
 
         Street closures/reopenings (``RoadNetwork.remove_edge`` /
-        ``add_edge``) invalidate every precomputed distance: the backend is
-        rebuilt against the mutated network (same backend kind), the CSR
-        snapshot is re-taken, and both LRU caches are dropped. With an
-        artifact store attached, the content hash is recomputed first so the
-        rebuilt backend is stored/loaded under the *new* topology's key.
+        ``add_edge``) invalidate precomputed distances. What the update costs
+        depends on the backend (the backend kind never changes):
 
-        Query counters keep accumulating across the refresh — a mid-run
-        closure should not zero the run's reported query counts. A landmark
-        index, whose precomputed distances are no longer admissible bounds on
-        the new topology, is detached.
+        * ``apsp`` — the table is **repaired in place**
+          (:meth:`~repro.network.backends.APSPBackend.refresh`): only the
+          cells a closed or reopened street can change are re-settled,
+          bit-identical to a fresh build and typically milliseconds. A delta
+          the repair does not cover (vertex set changed, a batch that both
+          removes and adds edges, a zero-cost edge) takes the full build.
+        * ``ch`` / ``hub_labels`` — full rebuild against the new topology.
+        * ``dijkstra`` — nothing precomputed; only the caches are dropped.
+
+        With an artifact store attached, the content hash is recomputed and
+        the *new* topology's key is looked up first (a close/reopen
+        round-trip loads the original table back); on a miss the backend is
+        repaired or rebuilt as above and then persisted under the new key.
+
+        The CSR snapshot is re-taken and both LRU caches are dropped. Query
+        counters keep accumulating across the refresh — a mid-run closure
+        should not zero the run's reported query counts. A landmark index,
+        whose precomputed distances are no longer admissible bounds on the
+        new topology, is detached.
         """
         network = self.network
         self._csr = network.csr  # lazy property: rebuilds for the new topology
-        backend_name = self._backend.name
+        previous = self._backend
+
+        def rebuild() -> DistanceBackend:
+            if isinstance(previous, APSPBackend):
+                previous.refresh(network)
+                return previous
+            return make_backend(previous.name, network, self)
+
         if self.artifact_store is not None:
             self.content_hash = network_content_hash(network)
-            if backend_name in PERSISTABLE_BACKENDS:
-                self._backend, self.artifact_loaded = self.artifact_store.load_or_build(
-                    backend_name, network, self, content_hash=self.content_hash
-                )
-            else:
-                self._backend = make_backend(backend_name, network, self)
-                self.artifact_loaded = False
+        if self.artifact_store is not None and previous.name in PERSISTABLE_BACKENDS:
+            self._backend, self.artifact_loaded = self.artifact_store.load_or_build(
+                previous.name, network, self, content_hash=self.content_hash, build=rebuild
+            )
         else:
-            self._backend = make_backend(backend_name, network, self)
+            self._backend = rebuild()
             self.artifact_loaded = False
         self._landmarks = None
         self._distance_cache.clear()

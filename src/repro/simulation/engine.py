@@ -303,8 +303,12 @@ class EventEngine:
         1. the whole fleet is materialised to the current clock, so every
            worker sits on a concrete vertex and no cached concrete path is
            walked across the mutation boundary;
-        2. the instance oracle rebuilds its backend against the new topology
-           (:meth:`~repro.network.oracle.DistanceOracle.refresh_topology`);
+        2. the instance oracle brings its backend up to date
+           (:meth:`~repro.network.oracle.DistanceOracle.refresh_topology`):
+           an APSP table is repaired in place (only the cells the closed or
+           reopened streets can change; milliseconds), a contraction
+           hierarchy or hub labelling is rebuilt in full, the Dijkstra
+           backend only drops its caches;
         3. every non-idle route is rebuilt from its surviving stops — fresh
            :class:`~repro.core.route.Route` objects drop cached concrete
            paths and per-request direct distances, and ``replace_route``

@@ -17,15 +17,29 @@ The properties gated here:
 * the replica ordinal cursor is exactly-once: a duplicated update command is
   refused, never silently re-applied;
 * update telemetry flows end to end (dispatcher counters → snapshot →
-  ``SimulationResult.extra``).
+  ``SimulationResult.extra``);
+* a replica brings its APSP tables up to date by in-place repair, and the
+  repaired tables equal fresh builds of the topology whose hash it echoes.
 """
 
+import pickle
+
+import numpy as np
 import pytest
 
-from repro.cluster.messages import NetworkUpdateCommand, UpdateReply
+from repro.artifacts import network_content_hash
+from repro.cluster.messages import (
+    NetworkUpdate,
+    NetworkUpdateCommand,
+    ShardInit,
+    UpdateReply,
+)
 from repro.cluster.recovery import ShardHealth
 from repro.cluster.service import ClusterMatchingService
+from repro.cluster.worker import ShardWorkerRuntime
 from repro.dispatch import DispatcherConfig
+from repro.network.backends import APSPBackend
+from repro.sharding.partitioner import SpatialPartitioner
 from repro.workloads.scenarios import build_instance
 
 from tests.cluster.chaos import (
@@ -181,3 +195,58 @@ def test_worker_rejects_duplicate_update():
         reply = handle.connection.recv()
         assert isinstance(reply, UpdateReply)
         assert reply.error is not None and "out of sync" in reply.error
+
+
+# ------------------------------------------------------- replica table repair
+
+
+def test_replica_repairs_shard_local_tables_exactly():
+    """A replica replaying an update repairs both of its APSP tables in place.
+
+    The worker state machine is driven in-process (same code the forked
+    worker runs) so the test can read the replica's matrices: after each
+    update they must equal fresh builds, and the content hash the replica
+    echoes must equal the authoritative network's — the barrier's criterion.
+    """
+    authoritative = build_instance(DEFAULT_SCENARIO)
+    config = DispatcherConfig(
+        grid_cell_metres=DEFAULT_SCENARIO.grid_km * 1000.0,
+        shard_oracle_backend="apsp",
+    )
+    partition = SpatialPartitioner(2, "grid").partition(authoritative.network)
+    membership = {
+        worker.id: partition.shard_of_vertex(worker.initial_location)
+        for worker in authoritative.workers
+    }
+    # the replica owns a pickled copy of the instance, as across the fork
+    runtime = ShardWorkerRuntime(pickle.loads(pickle.dumps(ShardInit(
+        shard_id=0, num_shards=2, inner="pruneGreedyDP", config=config,
+        partition=partition, instance=authoritative, membership=membership,
+        seed=DEFAULT_SCENARIO.seed,
+    ))))
+    tables = (runtime.instance.oracle.backend, runtime.shard_oracle.backend)
+    assert all(isinstance(backend, APSPBackend) for backend in tables)
+
+    network = authoritative.network
+    streets = sorted(network.edges(), key=lambda edge: (edge.u, edge.v))[:2]
+    for ordinal, close in enumerate((True, False)):
+        network.begin_mutation_capture()
+        for edge in streets:
+            if close:
+                network.remove_edge(edge.u, edge.v)
+            else:
+                network.add_edge(edge.u, edge.v, length=edge.length,
+                                 speed=edge.speed, road_class=edge.road_class)
+        update = NetworkUpdate(
+            ordinal=ordinal, clock=float(ordinal),
+            mutations=network.end_mutation_capture(),
+            content_hash=network_content_hash(network),
+        )
+        reply = runtime.handle_network_update(NetworkUpdateCommand(update.clock, update))
+        assert reply.error is None
+        assert reply.content_hash == update.content_hash
+        fresh = APSPBackend(network).matrix
+        for backend in tables:
+            assert np.array_equal(backend.matrix, fresh)
+    assert (runtime.instance.oracle.backend, runtime.shard_oracle.backend) == tables
+    assert [(b.repairs, b.full_rebuilds) for b in tables] == [(2, 0), (2, 0)]

@@ -154,6 +154,40 @@ class TestShardOracleBackends:
         oracles = {id(shard.oracle) for shard in dispatcher._shards}
         assert len(oracles) == 1
 
+    def test_live_update_repairs_shard_local_tables_exactly(self):
+        from repro.network.backends import APSPBackend
+        from repro.service.facade import MatchingService
+
+        instance = build_instance(_CONFIG)
+        dispatcher = make_dispatcher(
+            "sharded:pruneGreedyDP",
+            DispatcherConfig(
+                grid_cell_metres=_CONFIG.grid_km * 1000.0,
+                num_shards=2,
+                shard_oracle_backend="apsp",
+            ),
+        )
+        service = MatchingService(instance, dispatcher)
+        for request in instance.requests[:20]:
+            service.submit(request)
+        shard_oracle = dispatcher._shard_oracles["apsp"]
+        tables = (instance.oracle.backend, shard_oracle.backend)
+        edge = next(iter(instance.network.edges()))
+        removed = service.close_edge(edge.u, edge.v)
+        for reopen in (False, True):
+            if reopen:
+                service.reopen_edge(removed)
+            fresh = APSPBackend(instance.network).matrix
+            for backend in tables:
+                assert np.array_equal(backend.matrix, fresh)
+                assert backend._csr is instance.network.csr
+        # the shared and the shard-local table were each repaired, never rebuilt
+        assert (instance.oracle.backend, shard_oracle.backend) == tables
+        assert [(b.repairs, b.full_rebuilds) for b in tables] == [(2, 0), (2, 0)]
+        for request in instance.requests[20:]:
+            service.submit(request)
+        assert service.drain().total_requests == len(instance.requests)
+
     def test_auto_mode_respects_the_apsp_size_limit(self):
         # auto must size the backend by the network the index is built on
         # (the full city), not the shard's slice of it
