@@ -184,7 +184,7 @@ class ShardWorkerRuntime:
                 )
                 for record in plan.records
             }
-            state.online = plan.online
+            self.fleet.set_online(plan.worker_id, plan.online)
             state.plan_version = plan.plan_version
 
     def _apply_moves(self, moves) -> None:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.route import Route
+from repro.core.route import Route, RouteBlock
 from repro.core.types import Request
 from repro.network.oracle import DistanceOracle
 
@@ -162,192 +162,133 @@ def euclidean_idle_lower_bounds(
 
 
 def euclidean_insertion_lower_bounds(
-    routes: Sequence[Route],
+    routes: "Sequence[Route] | RouteBlock",
     request: Request,
     oracle: DistanceOracle,
     direct_distance: float,
 ) -> np.ndarray:
     """Vectorized :func:`euclidean_insertion_lower_bound` over a candidate set.
 
-    Computes ``LB_{Δ*}`` for every route in ``routes`` in one pass: a single
-    batched :meth:`~repro.network.oracle.DistanceOracle.euclidean_lower_bounds`
-    call answers all stop-to-endpoint bounds, and the relaxed DP of Eq. (15)-
-    (17) runs column-by-column over a padded ``(candidates, stops)`` matrix —
-    the loop is over route *positions* (short), not candidates (wide).
+    Computes ``LB_{Δ*}`` for every candidate in one pass: a single batched
+    :meth:`~repro.network.oracle.DistanceOracle.euclidean_lower_bounds` call
+    answers all stop-to-endpoint bounds, and the relaxed DP of Eq. (15)-(17)
+    runs column-by-column over padded ``(candidates, stops)`` matrices — the
+    loop is over route *positions* (short), not candidates (wide).
+
+    ``routes`` is either a :class:`~repro.core.route.RouteBlock` — the
+    decision phase passes rows gathered from the fleet's route table — or a
+    plain sequence of routes, which is copied into a block first. Stale
+    routes of such a sequence are refreshed in order, exactly as the scalar
+    loop would, so exact-query counters are unaffected by batching.
 
     Returns a float64 array aligned with ``routes``; every element equals the
     scalar function's result bit for bit (same IEEE operations in the same
-    order), with ``inf`` marking candidates without a relaxed insertion. Stale
-    candidate routes are refreshed in order, exactly as the scalar loop would,
-    so exact-query counters are unaffected by batching.
+    order), with ``inf`` marking candidates without a relaxed insertion.
     """
     total = len(routes)
+    if isinstance(routes, RouteBlock):
+        fits = np.flatnonzero(routes.capacity >= request.capacity)
+        block = routes if fits.size == total else routes.take(fits)
+    else:
+        fitting: list[int] = []
+        for index, route in enumerate(routes):
+            if request.capacity > route.worker.capacity:
+                continue
+            if len(route.arr) != route.num_stops + 1:
+                route.refresh(oracle)
+            fitting.append(index)
+        block = RouteBlock.from_routes([routes[index] for index in fitting])
+        fits = np.asarray(fitting, dtype=np.int64)
     bounds = np.full(total, INFINITY, dtype=np.float64)
-    rows: list[int] = []
-    for index, route in enumerate(routes):
-        if request.capacity > route.worker.capacity:
-            continue
-        if len(route.arr) != route.num_stops + 1:
-            route.refresh(oracle)
-        rows.append(index)
-    if not rows:
-        return bounds
+    if fits.size:
+        bounds[fits] = _relaxed_dp(block, request, oracle, direct_distance)
+    return bounds
 
-    # one fused pass over the candidates gathers every flat array the DP
-    # needs, with idle workers (the typical majority) split off: an empty
-    # route collapses Eq. (15) to one closed-form branch at j = 0
-    empty_rows: list[int] = []
-    empty_vertices: list[int] = []
-    empty_start: list[float] = []
-    busy_rows: list[int] = []
-    flat_vertices: list[int] = []
-    flat_arr: list[float] = []
-    flat_slack: list[float] = []
-    flat_picked: list[int] = []
-    counts_list: list[int] = []
-    capacities: list[int] = []
-    for index in rows:
-        route = routes[index]
-        stops = route.stops
-        if not stops:
-            empty_rows.append(index)
-            empty_vertices.append(route.origin)
-            empty_start.append(route.arr[0])
-            continue
-        busy_rows.append(index)
-        counts_list.append(len(stops) + 1)
-        capacities.append(route.worker.capacity)
-        flat_vertices.append(route.origin)
-        for stop in stops:
-            flat_vertices.append(stop.vertex)
-        flat_arr.extend(route.arr)
-        flat_slack.extend(route.slack)
-        flat_picked.extend(route.picked)
 
-    if empty_rows:
-        # empty route: only branch j = 0 = n of Eq. (15) applies — delegate
-        # to the shared closed form (capacity was already filtered above)
-        bounds[empty_rows] = euclidean_idle_lower_bounds(
-            empty_vertices,
-            np.asarray(empty_start, dtype=np.float64),
-            request,
-            oracle,
-            direct_distance,
-        )
-    if not busy_rows:
-        return bounds
+def _relaxed_dp(
+    block: RouteBlock, request: Request, oracle: DistanceOracle, direct_distance: float
+) -> np.ndarray:
+    """The relaxed DP over a non-empty block whose workers all fit the request.
 
-    count = len(busy_rows)
-    counts = np.asarray(counts_list, dtype=np.int64)
-    ns = counts - 1
+    Every matrix below is stop-major like the block, ``(j, candidate)``: the
+    DP's ``j`` and ``j + 1`` views are contiguous row slices, and the one
+    sequential recurrence (``Dio``) walks ``j`` with one vector operation over
+    all candidates per stop. An empty route (``count == 1``) needs no special
+    case: only the branch ``j = 0 = n`` of Eq. (15) applies, which the
+    matrices reduce to the closed form of :func:`euclidean_idle_lower_bounds`.
+    """
+    candidates = len(block)
+    ns = block.count - 1
     width = int(ns.max()) + 1
-    # one batched lower-bound pass answers both endpoints for every stop
+    # one batched lower-bound pass answers both endpoints for every stop; the
+    # padding stays 0 and the spare stop keeps every j+1 read in range
+    valid = np.arange(width + 1)[:, None] <= ns
     flat_origin, flat_destination = oracle.euclidean_lower_bounds(
-        flat_vertices, request.origin, request.destination
+        block.vertex[: width + 1][valid], request.origin, request.destination
     )
-
-    # padded (candidate, stop) matrices, built with one flat scatter each; one
-    # spare column keeps every j+1 read in range
-    row_of = np.repeat(np.arange(count), counts)
-    col_of = np.arange(row_of.size) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-    )
-    flat_index = row_of * (width + 1) + col_of
-
-    def scatter(values: np.ndarray) -> np.ndarray:
-        matrix = np.zeros(count * (width + 1), dtype=np.float64)
-        matrix[flat_index] = values
-        return matrix.reshape(count, width + 1)
-
-    lb_origin = scatter(flat_origin)
-    lb_destination = scatter(flat_destination)
-    arr = scatter(np.asarray(flat_arr, dtype=np.float64))
-    slack = scatter(np.asarray(flat_slack, dtype=np.float64))
-    picked = scatter(np.asarray(flat_picked, dtype=np.float64))
-
-    free_capacity = (
-        np.asarray(capacities, dtype=np.float64) - request.capacity
-    )[:, None]
+    lb_origin = np.zeros((width + 1, candidates), dtype=np.float64)
+    lb_origin[valid] = flat_origin
+    lb_destination = np.zeros((width + 1, candidates), dtype=np.float64)
+    lb_destination[valid] = flat_destination
     deadline = request.deadline
     direct = direct_distance
-    columns = np.arange(width)
-    ns_column = ns[:, None]
 
-    # static per-(candidate, j) quantities of the relaxed DP
-    lb_o = lb_origin[:, :width]
-    lb_o_next = lb_origin[:, 1 : width + 1]
-    lb_d = lb_destination[:, :width]
-    lb_d_next = lb_destination[:, 1 : width + 1]
-    arr_j = arr[:, :width]
-    leg = arr[:, 1 : width + 1] - arr[:, :width]
-    slack_tol = slack[:, :width] + 1e-9
-    capacity_ok = picked[:, :width] <= free_capacity
-    is_last = columns[None, :] == ns_column
-    in_route = columns[None, :] <= ns_column
+    # static per-(j, candidate) quantities of the relaxed DP
+    lb_o = lb_origin[:width]
+    lb_d = lb_destination[:width]
+    lb_d_next = lb_destination[1:]
+    arr_j = block.arr[:width]
+    leg = block.arr[1 : width + 1] - arr_j
+    slack_tol = block.slack[:width] + 1e-9
+    capacity_ok = block.picked[:width] <= block.capacity - request.capacity
+    in_route = valid[:width]
+    has_next = valid[1:]
+    is_last = in_route & ~has_next
     # the conservative early exit evaluates branches at the first j whose
     # arrival exceeds the deadline, then breaks: arrivals are non-decreasing,
-    # so the scanned prefix is exactly {arr[j'] <= deadline for all j' < j}
+    # so j is scanned exactly when arr[j - 1] <= deadline
     not_exceeded = arr_j <= deadline
-    scanned = in_route & np.logical_and.accumulate(
-        np.concatenate((np.ones((count, 1), dtype=bool), not_exceeded[:, :-1]), axis=1),
-        axis=1,
-    )
+    scanned = in_route.copy()
+    scanned[1:] &= not_exceeded[:-1]
+    open_j = scanned & capacity_ok
 
-    # Dio^euc of Eq. (16): prefix-min with capacity resets over the pickup
-    # detours; the only truly sequential recurrence, run column-wise
-    extendable = scanned & not_exceeded & (columns[None, :] < ns_column)
-    detour_origin = np.maximum(lb_o + lb_o_next - leg, 0.0)
-    candidate_valo = np.where(
-        extendable & capacity_ok & (detour_origin <= slack_tol),
-        detour_origin,
-        INFINITY,
+    # Dio^euc of Eq. (16): prefix-min over the pickup detours, restarted where
+    # the load leaves no room (the scalar walk sets it back to inf there);
+    # dio[j] is the value *entering* iteration j (i < j)
+    extendable = scanned & not_exceeded & has_next
+    detour_origin = np.maximum(lb_o + lb_origin[1:] - leg, 0.0)
+    pickup = np.where(
+        extendable & capacity_ok & (detour_origin <= slack_tol), detour_origin, INFINITY
     )
     resets = extendable & ~capacity_ok
-    dio = np.empty((count, width), dtype=np.float64)
-    # without resets the recurrence is a plain prefix-min, one accumulate;
-    # rows that do hit a capacity reset (rare) replay the scan column-wise
-    dio[:, 0] = INFINITY
-    if width > 1:
-        dio[:, 1:] = np.minimum.accumulate(candidate_valo, axis=1)[:, :-1]
-    reset_rows = np.flatnonzero(resets.any(axis=1))
-    for row in reset_rows:
-        running = INFINITY
-        valo_row = candidate_valo[row]
-        resets_row = resets[row]
-        for j in range(width):
-            dio[row, j] = running  # value *entering* iteration j (i < j)
-            if resets_row[j]:
-                running = INFINITY
-            value = valo_row[j]
-            if value < running:
-                running = value
+    dio = np.empty((width, candidates), dtype=np.float64)
+    running = dio[0]
+    running.fill(INFINITY)
+    for j in range(width - 1):
+        running = np.minimum(running, pickup[j], out=dio[j + 1])
+        running[resets[j]] = INFINITY
 
     # special cases i = j (Eq. 15, first two branches)
     candidate_same = np.maximum(
         np.where(is_last, lb_o + direct, lb_o + direct + lb_d_next - leg), 0.0
     )
     feasible_same = (
-        scanned
-        & capacity_ok
+        open_j
         & (arr_j + lb_o + direct <= deadline + 1e-9)
         & (candidate_same <= slack_tol)
     )
-    best_same = np.where(feasible_same, candidate_same, INFINITY).min(axis=1)
+    best_same = np.where(feasible_same, candidate_same, INFINITY).min(axis=0)
 
-    # general case i < j (Eq. 17, third branch)
+    # general case i < j (Eq. 17, third branch); dio[0] = inf rules out j = 0,
+    # and an infinite dio fails the deadline test or yields an infinite bound
     detour_destination = np.maximum(
         np.where(is_last, lb_d, lb_d + lb_d_next - leg), 0.0
     )
-    candidate_split = detour_destination + dio
     feasible_split = (
-        scanned
-        & (columns[None, :] > 0)
-        & (dio < INFINITY)
-        & capacity_ok
+        open_j
         & (arr_j + dio + lb_d <= deadline + 1e-9)
         & (dio + detour_destination <= slack_tol)
     )
-    best_split = np.where(feasible_split, candidate_split, INFINITY).min(axis=1)
+    best_split = np.where(feasible_split, detour_destination + dio, INFINITY).min(axis=0)
 
-    bounds[busy_rows] = np.minimum(best_same, best_split)
-    return bounds
+    return np.minimum(best_same, best_split)

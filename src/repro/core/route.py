@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.types import Request, Stop, StopKind, Worker, dropoff_stop, pickup_stop
 from repro.exceptions import InfeasibleRouteError
@@ -358,3 +361,78 @@ class Route:
 def empty_route(worker: Worker, start_time: float = 0.0) -> Route:
     """A route with no pending stop for ``worker`` at its initial location."""
     return Route(worker=worker, origin=worker.initial_location, start_time=start_time)
+
+
+class RouteBlock:
+    """Padded struct-of-arrays copy of many routes, one *row* (record) each.
+
+    Row ``r`` holds a route's ``l_0..l_n``: ``count[r] = n + 1``, the
+    worker's ``capacity[r]``, and in the stop-major matrices ``vertex``
+    (``l_0`` is the worker's position), ``arr``, ``slack`` and ``picked`` the
+    values ``matrix[0..n, r]`` exactly as on the :class:`Route`. Stop-major
+    means ``matrix[j]`` is contiguous over the rows — the axis the relaxed DP
+    of the decision phase vectorises over. Entries at and past ``count[r]``
+    are padding: finite leftovers no reader may interpret. The block always
+    keeps one spare stop past the longest route, so ``j + 1`` reads stay in
+    range.
+
+    The array-native decision phase reads routes through blocks instead of
+    walking ``Route`` objects; :meth:`write_route` is the only place that
+    knows how a route maps onto a row.
+    """
+
+    #: the per-stop matrices, in the order :meth:`write_route` fills them
+    MATRICES = ("vertex", "arr", "slack", "picked")
+
+    def __init__(self, capacities: Sequence[int], depth: int = 8) -> None:
+        rows = len(capacities)
+        self.capacity = np.asarray(capacities, dtype=np.int64)
+        self.count = np.ones(rows, dtype=np.int64)
+        self.vertex = np.zeros((depth, rows), dtype=np.int64)
+        self.arr = np.zeros((depth, rows), dtype=np.float64)
+        self.slack = np.zeros((depth, rows), dtype=np.float64)
+        self.picked = np.zeros((depth, rows), dtype=np.int64)
+
+    @classmethod
+    def from_routes(cls, routes: Sequence[Route]) -> "RouteBlock":
+        """A block holding ``routes`` (with fresh auxiliary arrays) in order."""
+        depth = max((len(route.arr) for route in routes), default=1) + 1
+        block = cls([route.worker.capacity for route in routes], depth)
+        for row, route in enumerate(routes):
+            block.write_route(row, route)
+        return block
+
+    def __len__(self) -> int:
+        return self.count.size
+
+    @property
+    def depth(self) -> int:
+        """Stops the matrices can hold (longest route plus at least one spare)."""
+        return self.arr.shape[0]
+
+    def write_route(self, row: int, route: Route) -> None:
+        """Overwrite ``row`` with ``route``, whose auxiliary arrays are fresh."""
+        count = len(route.arr)
+        if count >= self.depth:
+            self._deepen(2 * count)
+        self.count[row] = count
+        self.vertex[:count, row] = [route.origin, *[stop.vertex for stop in route.stops]]
+        self.arr[:count, row] = route.arr
+        self.slack[:count, row] = route.slack
+        self.picked[:count, row] = route.picked
+
+    def _deepen(self, depth: int) -> None:
+        grow = depth - self.depth
+        for name in self.MATRICES:
+            matrix = getattr(self, name)
+            padding = np.zeros((grow, matrix.shape[1]), dtype=matrix.dtype)
+            setattr(self, name, np.concatenate((matrix, padding), axis=0))
+
+    def take(self, rows: np.ndarray) -> "RouteBlock":
+        """The given rows as a new block, trimmed to their longest route."""
+        block = RouteBlock(self.capacity[rows], depth=0)
+        block.count = self.count[rows]
+        depth = int(block.count.max()) + 1 if rows.size else 1
+        for name in self.MATRICES:
+            setattr(block, name, getattr(self, name)[:depth].take(rows, axis=1))
+        return block

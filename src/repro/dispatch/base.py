@@ -22,6 +22,8 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar
 
+import numpy as np
+
 from repro.core.instance import URPSMInstance
 from repro.core.types import Request
 from repro.index.grid import GridIndex
@@ -281,26 +283,29 @@ class Dispatcher(abc.ABC):
         good candidates break deterministically regardless of grid iteration
         order.
         """
+        assert self.fleet is not None
+        return self.fleet.table.ids[self.candidate_rows(request, now)].tolist()
+
+    def candidate_rows(self, request: Request, now: float) -> np.ndarray:
+        """:meth:`candidate_worker_ids` as ascending rows of the fleet's route table."""
         assert self.grid is not None and self.oracle is not None and self.fleet is not None
+        table = self.fleet.table
         budget_seconds = request.deadline - now
         if budget_seconds <= 0:
-            return []
+            return np.empty(0, dtype=np.int64)
         network = self.oracle.network
         radius_metres = budget_seconds * network.max_speed
         slack_metres = self.fleet.position_slack_metres(network.max_speed)
         if slack_metres > 0.0:
             radius_metres += slack_metres + self.grid.geometry.cell_metres
-        candidates = self.grid.members_near_vertex(request.origin, radius_metres)
-        is_available = self.fleet.is_available
-        available = [worker_id for worker_id in candidates if is_available(worker_id)]
-        if not available:
+        rows = table.rows_of(self.grid.members_near_vertex(request.origin, radius_metres))
+        rows = rows[table.online[rows]]
+        if not rows.size:
             # degenerate grids (single cell) or stale entries: fall back to all
-            available = [
-                state.worker.id
-                for state in self.fleet
-                if self.fleet.is_available(state.worker.id)
-            ]
-        return sorted(available)
+            rows = table.rows_of([state.worker.id for state in self.fleet])
+            rows = rows[table.online[rows]]
+        rows.sort()  # table rows ascend with worker ids
+        return rows
 
     def memory_estimate_bytes(self) -> int:
         """Memory footprint of the dispatcher's index structures."""

@@ -75,43 +75,37 @@ class _GreedyDPBase(Dispatcher):
         self.sync_grid()
         alpha = self.instance.objective.alpha
 
-        candidate_ids = self.candidate_worker_ids(request, now)
-        if not candidate_ids:
+        candidate_rows = self.candidate_rows(request, now)
+        candidates = int(candidate_rows.size)
+        if not candidates:
             return DispatchOutcome(request=request, served=False, decision_rejected=True)
 
         # ---------------- decision phase (Algorithm 4)
         direct = self.oracle.distance(request.origin, request.destination)
         if self.vectorized:
-            lower_bounds = self._decision_bounds_batched(request, candidate_ids, direct)
+            bounds, worker_ids = self._decision_bounds_batched(request, candidate_rows, direct)
         else:
-            lower_bounds = self._decision_bounds_scalar(request, candidate_ids, direct)
-
-        if not lower_bounds:
-            return DispatchOutcome(
-                request=request,
-                served=False,
-                candidates_considered=len(candidate_ids),
-                decision_rejected=True,
+            bounds, worker_ids = self._decision_bounds_scalar(
+                request, self.fleet.table.ids[candidate_rows].tolist(), direct
             )
-        min_lower_bound = min(bound for bound, _ in lower_bounds)
-        if request.penalty < alpha * min_lower_bound:
+
+        # under Lemma 8 the bounds arrive pre-ordered: the first is the minimum
+        if not bounds or request.penalty < alpha * (
+            bounds[0] if self.use_pruning else min(bounds)
+        ):
             return DispatchOutcome(
                 request=request,
                 served=False,
-                candidates_considered=len(candidate_ids),
+                candidates_considered=candidates,
                 decision_rejected=True,
             )
 
         # ---------------- planning phase (Algorithm 5, lines 5-11)
-        if self.use_pruning and not self.vectorized:
-            # the batched path pre-orders via argsort; the scalar walk sorts here
-            lower_bounds.sort(key=lambda item: item[0])
-
         best_delta = INFINITY
         best_worker_id: int | None = None
         best_route = None
         insertions = 0
-        for bound, worker_id in lower_bounds:
+        for bound, worker_id in zip(bounds, worker_ids):
             if self.use_pruning and best_delta < bound:
                 break  # Lemma 8: later candidates cannot beat the current best
             state = self.fleet.state_of(worker_id)
@@ -132,7 +126,7 @@ class _GreedyDPBase(Dispatcher):
             return DispatchOutcome(
                 request=request,
                 served=False,
-                candidates_considered=len(candidate_ids),
+                candidates_considered=candidates,
                 insertions_evaluated=insertions,
             )
 
@@ -140,7 +134,7 @@ class _GreedyDPBase(Dispatcher):
             return DispatchOutcome(
                 request=request,
                 served=False,
-                candidates_considered=len(candidate_ids),
+                candidates_considered=candidates,
                 insertions_evaluated=insertions,
                 decision_rejected=True,
             )
@@ -153,25 +147,27 @@ class _GreedyDPBase(Dispatcher):
             served=True,
             worker_id=best_worker_id,
             increased_cost=best_delta,
-            candidates_considered=len(candidate_ids),
+            candidates_considered=candidates,
             insertions_evaluated=insertions,
         )
 
     # ------------------------------------------------------- decision phase
 
     def _decision_bounds_batched(
-        self, request: Request, candidate_ids: list[int], direct: float
-    ) -> list[tuple[float, int]]:
+        self, request: Request, candidate_rows: np.ndarray, direct: float
+    ) -> tuple[list[float], list[int]]:
         """All candidate lower bounds as one numpy reduction (Algorithm 4).
 
-        Idle candidates are answered straight from the fleet's idle snapshot
-        (an idle worker waits in place — its materialisation is a pure clock
-        bump, so the closed-form empty-route bound needs no state touch at
-        all); busy candidates are materialised and fed through the padded-
-        matrix DP. One batched oracle pass per group answers every bound;
-        under Lemma 8 a single stable argsort pre-orders the finite bounds
-        for the pruning scan. Values, ordering and tie-breaks match the
-        scalar walk exactly.
+        Reads the fleet's route table, not its ``Route`` objects. Idle
+        candidates are answered straight from their rows (an idle worker
+        waits in place — its materialisation is a pure clock bump, so the
+        closed-form empty-route bound needs no state touch at all); busy
+        candidates are materialised — only those whose advance would change
+        anything, see :meth:`FleetState.states_of` — and their rows fed
+        through the padded-matrix DP. One batched oracle pass per group
+        answers every bound; under Lemma 8 a single stable argsort pre-orders
+        the finite bounds for the pruning scan. Values, ordering and
+        tie-breaks match the scalar walk exactly.
 
         The batched path also needs no per-route L seeding (the planning loop
         seeds the few candidates it actually evaluates), which keeps every
@@ -180,6 +176,8 @@ class _GreedyDPBase(Dispatcher):
         """
         fleet = self.fleet
         assert fleet is not None and self.oracle is not None
+        table = fleet.table
+        candidate_ids = table.ids[candidate_rows]
         if not (fleet.lazy and fleet.materialise_fast_path):
             # eager fleets may hold idle routes materialised at times other
             # than ``now``; take the uniform route-based path
@@ -187,46 +185,38 @@ class _GreedyDPBase(Dispatcher):
             bounds = euclidean_insertion_lower_bounds(routes, request, self.oracle, direct)
             return self._order_bounds(bounds, candidate_ids)
 
-        candidate_array = np.asarray(candidate_ids, dtype=np.int64)
-        bounds = np.full(candidate_array.size, INFINITY, dtype=np.float64)
-        idle_mask, idle_origins, busy_ids_array = fleet.idle_partition(candidate_array)
-        busy_ids = busy_ids_array.tolist()
-        busy_mask = ~idle_mask
+        bounds = np.full(candidate_rows.size, INFINITY, dtype=np.float64)
+        idle_mask, idle_origins, busy_rows = fleet.idle_partition(candidate_rows)
         if idle_origins.size:
             # an idle worker's materialisation would set arr[0] to the fleet
             # clock, which is exactly ``now`` during a dispatch; the capacity
             # mask is skipped when every fleet capacity fits the request
             capacities = None
             if not (self._min_capacity is not None and request.capacity <= self._min_capacity):
-                idle = fleet.idle_snapshot
-                capacities = [
-                    idle[worker_id][1]
-                    for worker_id in candidate_array[idle_mask].tolist()
-                ]
+                capacities = table.capacity[candidate_rows[idle_mask]]
             bounds[idle_mask] = euclidean_idle_lower_bounds(
                 idle_origins, fleet.clock, request, self.oracle, direct,
                 capacities=capacities,
             )
-        if busy_ids:
-            routes = [state.route for state in fleet.states_of(busy_ids)]
-            bounds[busy_mask] = euclidean_insertion_lower_bounds(
-                routes, request, self.oracle, direct
+        if busy_rows.size:
+            fleet.states_of(table.ids[busy_rows])  # brings their rows up to the clock
+            bounds[~idle_mask] = euclidean_insertion_lower_bounds(
+                table.take(busy_rows), request, self.oracle, direct
             )
         return self._order_bounds(bounds, candidate_ids)
 
     def _order_bounds(
-        self, bounds: np.ndarray, candidate_ids: list[int]
-    ) -> list[tuple[float, int]]:
+        self, bounds: np.ndarray, candidate_ids: np.ndarray
+    ) -> tuple[list[float], list[int]]:
         """Filter the finite bounds and argsort them for the Lemma 8 scan."""
         finite = np.flatnonzero(bounds < INFINITY)
         if self.use_pruning and finite.size:
             finite = finite[np.argsort(bounds[finite], kind="stable")]
-        values = bounds.tolist()
-        return [(values[index], candidate_ids[index]) for index in finite.tolist()]
+        return bounds[finite].tolist(), candidate_ids[finite].tolist()
 
     def _decision_bounds_scalar(
         self, request: Request, candidate_ids: list[int], direct: float
-    ) -> list[tuple[float, int]]:
+    ) -> tuple[list[float], list[int]]:
         """The per-candidate scalar walk (equivalence baseline)."""
         assert self.fleet is not None and self.oracle is not None
         lower_bounds: list[tuple[float, int]] = []
@@ -236,7 +226,10 @@ class _GreedyDPBase(Dispatcher):
             bound = euclidean_insertion_lower_bound(state.route, request, self.oracle, direct)
             if bound < INFINITY:
                 lower_bounds.append((bound, worker_id))
-        return lower_bounds
+        if self.use_pruning:
+            # the batched path pre-orders via argsort; the scalar walk sorts here
+            lower_bounds.sort(key=lambda item: item[0])
+        return [bound for bound, _ in lower_bounds], [worker for _, worker in lower_bounds]
 
 
 class GreedyDP(_GreedyDPBase):

@@ -306,7 +306,7 @@ class MatchingService:
             algorithm=self.dispatcher.name,
             workers_total=len(fleet),
             workers_online=online,
-            workers_idle=len(fleet.idle_snapshot),
+            workers_idle=int(fleet.table.idle.sum()),
             requests_submitted=self._submitted,
             decisions_pending=len(self._deferred_open) + len(self._undelivered),
             served=live.served_requests,

@@ -23,9 +23,9 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.network.graph import Vertex
     from repro.network.oracle import DistanceOracle
     from repro.simulation.fleet import FleetState, WorkerState
+    from repro.simulation.route_table import RouteTable
 
 
 class ShardFleetView:
@@ -81,9 +81,9 @@ class ShardFleetView:
         return self._oracle if self._oracle is not None else self._fleet.oracle
 
     @property
-    def idle_snapshot(self) -> dict[int, tuple["Vertex", int]]:
-        """The fleet-wide idle snapshot (candidate ids already shard-local)."""
-        return self._fleet.idle_snapshot
+    def table(self) -> "RouteTable":
+        """The fleet-wide route table (candidate rows already shard-local)."""
+        return self._fleet.table
 
     # ----------------------------------------------------- delegated accessors
 
@@ -91,7 +91,7 @@ class ShardFleetView:
         """Materialised state of one worker (delegates to the shared fleet)."""
         return self._fleet.state_of(worker_id)
 
-    def states_of(self, worker_ids: list[int]) -> list["WorkerState"]:
+    def states_of(self, worker_ids: "list[int] | np.ndarray") -> list["WorkerState"]:
         """Materialised states of many workers (delegates to the shared fleet)."""
         return self._fleet.states_of(worker_ids)
 
@@ -99,9 +99,9 @@ class ShardFleetView:
         """Non-advancing state accessor (delegates to the shared fleet)."""
         return self._fleet.peek_state(worker_id)
 
-    def idle_partition(self, worker_ids: np.ndarray):
-        """Idle/busy split of candidate ids (delegates to the shared fleet)."""
-        return self._fleet.idle_partition(worker_ids)
+    def idle_partition(self, rows: np.ndarray):
+        """Idle/busy split of candidate rows (delegates to the shared fleet)."""
+        return self._fleet.idle_partition(rows)
 
     def is_available(self, worker_id: int) -> bool:
         """Shift status of one worker (delegates to the shared fleet)."""

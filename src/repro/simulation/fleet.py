@@ -19,6 +19,37 @@ Two advancement regimes are supported:
   costs. Deliveries completed during lazy advances are buffered and drained by
   the engine (:meth:`FleetState.drain_completions`).
 
+The route table
+---------------
+
+Beside the ``WorkerState`` objects the fleet keeps one struct-of-arrays mirror
+of every planned route, :attr:`FleetState.table`
+(:class:`~repro.simulation.route_table.RouteTable`): per worker row the stop
+count, the padded ``vertex`` / ``arr`` / ``slack`` / ``picked`` arrays, the
+capacity, the shift flag and the *no-op window* of the recorded concrete path.
+The decision phase reads it instead of walking Python routes: candidate
+filtering by the ``online`` column, the idle/busy split by ``count == 1``,
+the position-staleness bound by the busy rows' ``arr[0]``, the relaxed DP by
+one fancy index per array, and :meth:`FleetState.states_of` /
+:meth:`FleetState.advance_all` by the window.
+
+* **Single writer.** ``WorkerState.route`` stays authoritative; a row is
+  rewritten by :meth:`FleetState._mirror` only, which ``replace_route`` (every
+  re-planning: insertion, cancellation, re-optimisation, network re-timing,
+  replica plan sync), ``advance_to`` (whenever it replaced the route or
+  recorded a path on it) and ``add_worker`` call. The one in-place edit that
+  is not a rewrite — an idle worker's clock bump — updates ``arr[0]`` through
+  :meth:`RouteTable.bump_idle`. ``online`` is written by
+  :meth:`FleetState.set_online` only.
+* **Window invariant.** For every busy row, ``first_edge_cost`` is the live
+  cost of the first edge of ``route.concrete_path`` or ``-inf`` when no usable
+  path is recorded, and ``arr[0]``/``arr[1]`` equal the route's. Whenever
+  :meth:`RouteTable.due` reports a row as not due, ``advance_to(clock)`` on
+  that worker returns without any side effect (no movement, no completion, no
+  oracle query, no path recorded) — so lazy materialisation skips the call.
+  Edge costs only change under a live network update, which re-plans every
+  busy route onto a fresh ``Route`` without a recorded path.
+
 The fleet also tracks, for the event kernel:
 
 * **plan versions** — :attr:`WorkerState.plan_version` increments on every
@@ -47,6 +78,7 @@ from repro.core.types import Request, StopKind, Worker
 from repro.exceptions import DispatchError
 from repro.network.graph import Vertex
 from repro.network.oracle import DistanceOracle
+from repro.simulation.route_table import RouteTable
 
 INFINITY = math.inf
 
@@ -193,6 +225,8 @@ class WorkerState:
         """
         completed: list[ServiceRecord] = []
         oracle = self._oracle
+        entered_with = self.route
+        bumped = recorded = False  # in-place edits of a surviving route object
         while True:
             route = self.route
             if route.is_empty:
@@ -200,6 +234,7 @@ class WorkerState:
                 if now > route.start_time:
                     route.start_time = now
                     route.refresh(oracle)
+                    bumped = True
                 break
             if len(route.arr) != route.num_stops + 1:
                 route.refresh(oracle)
@@ -288,7 +323,13 @@ class WorkerState:
                 # remember the freshly derived path even when the budget was
                 # too small to pass a vertex
                 route.concrete_path = tuple(path)
+                recorded = True
             break
+        if self._fleet is not None:
+            if recorded or self.route is not entered_with:
+                self._fleet._mirror(self)
+            elif bumped:
+                self._fleet.table.bump_idle(self.worker.id, now)
         return completed
 
     def finish_route(self) -> list[ServiceRecord]:
@@ -335,14 +376,6 @@ class FleetState:
         self._completions: list[ServiceRecord] = []
         self._dirty_plans: set[int] = set()
         self._moved: set[int] = set()
-        #: worker id -> position_time, for workers with pending stops.
-        self._moving: dict[int, float] = {}
-        #: worker id -> (vertex, capacity) for workers whose route was empty
-        #: at their last materialisation. An idle worker stays put and only
-        #: gains stops through ``adopt_route`` (which evicts it here), so the
-        #: snapshot lets the batched decision phase answer idle candidates
-        #: without touching their state at all.
-        self._idle: dict[int, tuple[Vertex, int]] = {}
         #: request id -> worker id of the (probable) current assignee; kept as
         #: a hint — re-optimisation passes may move requests between workers
         #: behind the fleet's back, so :meth:`find_assignment` verifies and
@@ -351,21 +384,8 @@ class FleetState:
         self.states: dict[int, WorkerState] = {
             worker.id: WorkerState(worker, oracle, fleet=self) for worker in workers
         }
-        for state in self.states.values():
-            self._idle[state.worker.id] = (state.route.origin, state.worker.capacity)
-        # dense array mirror of the idle snapshot for the batched decision
-        # phase (worker ids are near-dense in every generator); None disables
-        # the array path and callers fall back to the dict snapshot
-        max_id = max(self.states)
-        if max_id < 4 * len(self.states):
-            self._idle_mask: "np.ndarray | None" = np.zeros(max_id + 1, dtype=bool)
-            self._idle_origin_table = np.zeros(max_id + 1, dtype=np.int64)
-            for worker_id, (origin, _) in self._idle.items():
-                self._idle_mask[worker_id] = True
-                self._idle_origin_table[worker_id] = origin
-        else:
-            self._idle_mask = None
-            self._idle_origin_table = np.empty(0, dtype=np.int64)
+        #: struct-of-arrays mirror of every route (see the module docstring).
+        self.table = RouteTable(workers)
 
     def __iter__(self):
         if self.lazy:
@@ -392,68 +412,46 @@ class FleetState:
             self._materialise(state)
         return state
 
-    def states_of(self, worker_ids: list[int]) -> list[WorkerState]:
+    def states_of(self, worker_ids: "list[int] | np.ndarray") -> list[WorkerState]:
         """Materialised states of many workers (the decision phase's accessor).
 
-        Equivalent to ``[state_of(w) for w in worker_ids]`` without the
-        per-call lazy-mode branching — candidate sets touch hundreds of
-        workers per event.
+        Equivalent to ``[state_of(w) for w in worker_ids]``. A lazy fleet asks
+        the route table which of the workers an ``advance_to(clock)`` would
+        change and materialises only those: candidate sets touch hundreds of
+        workers per event, nearly all of them mid-edge.
         """
         states = self.states
+        as_list = worker_ids.tolist() if isinstance(worker_ids, np.ndarray) else worker_ids
+        try:
+            result = [states[worker_id] for worker_id in as_list]
+        except KeyError as exc:
+            raise DispatchError(f"unknown worker {exc.args[0]}") from exc
         if not self.lazy:
-            try:
-                return [states[worker_id] for worker_id in worker_ids]
-            except KeyError as exc:
-                raise DispatchError(f"unknown worker {exc.args[0]}") from exc
-        result: list[WorkerState] = []
-        append = result.append
-        materialise = self._materialise
-        for worker_id in worker_ids:
-            try:
-                state = states[worker_id]
-            except KeyError as exc:
-                raise DispatchError(f"unknown worker {worker_id}") from exc
-            materialise(state)
-            append(state)
+            return result
+        if not self.materialise_fast_path:
+            for state in result:
+                self._materialise(state)
+            return result
+        due = self.table.due(self.table.rows_of(worker_ids), self.clock)
+        for index in np.flatnonzero(due).tolist():
+            self._materialise(result[index])
         return result
 
-    @property
-    def idle_snapshot(self) -> dict[int, tuple[Vertex, int]]:
-        """``worker id -> (vertex, capacity)`` of workers idle since their
-        last materialisation.
-
-        Valid at the current clock without touching any state: an idle worker
-        waits in place and can only gain stops through a re-planning, which
-        evicts it from the snapshot. Workers busy at their last touch are
-        *not* listed even if their route has since completed — callers must
-        materialise those through :meth:`state_of` / :meth:`states_of`.
-        """
-        return self._idle
-
     def idle_partition(
-        self, worker_ids: np.ndarray
+        self, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split candidate ids into idle and busy workers.
+        """Split candidate table rows into idle and busy workers.
 
-        Returns ``(idle_mask, idle_origins, busy_ids)`` with ``idle_mask``
-        aligned to ``worker_ids``. Uses the dense array mirror when worker
-        ids are near-dense; the dict snapshot otherwise — same result either
-        way.
+        Returns ``(idle_mask, idle_origins, busy_rows)`` with ``idle_mask``
+        aligned to ``rows``. Valid at the current clock without touching any
+        state: an idle worker waits in place and can only gain stops through
+        a re-planning, which rewrites its row. Workers busy at their last
+        touch count as busy even if their route has since completed — callers
+        materialise those through :meth:`states_of`.
         """
-        if self._idle_mask is not None:
-            mask = self._idle_mask[worker_ids]
-            return mask, self._idle_origin_table[worker_ids[mask]], worker_ids[~mask]
-        idle = self._idle
-        mask = np.fromiter(
-            (int(worker_id) in idle for worker_id in worker_ids),
-            dtype=bool,
-            count=len(worker_ids),
-        )
-        origins = np.asarray(
-            [idle[int(worker_id)][0] for worker_id in worker_ids[mask]],
-            dtype=np.int64,
-        )
-        return mask, origins, worker_ids[~mask]
+        table = self.table
+        mask = table.count[rows] == 1
+        return mask, table.vertex[0, rows[mask]], rows[~mask]
 
     def peek_state(self, worker_id: int) -> WorkerState:
         """State accessor that never advances (event-engine bookkeeping)."""
@@ -468,10 +466,9 @@ class FleetState:
         """Add a new worker to the live fleet (online fleet growth).
 
         The worker appears idle at its initial location at ``at_time``
-        (default: the fleet clock) and is registered in the idle snapshot —
-        and, when the dense mirror is active, in the idle arrays, growing them
-        as needed. The caller (engine / service) is responsible for indexing
-        the worker in the dispatcher's grid.
+        (default: the fleet clock) and gets its own route-table row. The
+        caller (engine / service) is responsible for indexing the worker in
+        the dispatcher's grid.
         """
         if worker.id in self.states:
             raise DispatchError(f"worker {worker.id} is already in the fleet")
@@ -482,25 +479,8 @@ class FleetState:
             state.route.start_time = at_time
             state.route.arr[0] = at_time
         self.states[worker.id] = state
-        self._idle[worker.id] = (state.route.origin, worker.capacity)
-        if self._idle_mask is not None:
-            if worker.id >= len(self._idle_mask):
-                if worker.id < 4 * len(self.states):
-                    grow = worker.id + 1 - len(self._idle_mask)
-                    self._idle_mask = np.concatenate(
-                        [self._idle_mask, np.zeros(grow, dtype=bool)]
-                    )
-                    self._idle_origin_table = np.concatenate(
-                        [self._idle_origin_table, np.zeros(grow, dtype=np.int64)]
-                    )
-                else:
-                    # ids became sparse: drop the dense mirror, callers fall
-                    # back to the dict snapshot (same results)
-                    self._idle_mask = None
-                    self._idle_origin_table = np.empty(0, dtype=np.int64)
-            if self._idle_mask is not None:
-                self._idle_mask[worker.id] = True
-                self._idle_origin_table[worker.id] = state.route.origin
+        self.table.add_row(worker)
+        self._mirror(state)
         return state
 
     # ---------------------------------------------------------- availability
@@ -512,6 +492,7 @@ class FleetState:
     def set_online(self, worker_id: int, online: bool) -> None:
         """Toggle a worker's shift status (event-kernel worker dynamics)."""
         self.peek_state(worker_id).online = online
+        self.table.online[self.table.row_of(worker_id)] = online
 
     # ------------------------------------------------------------- execution
 
@@ -521,12 +502,23 @@ class FleetState:
             self.clock = now
 
     def advance_all(self, now: float) -> list[ServiceRecord]:
-        """Advance every worker to time ``now``; returns completed deliveries."""
+        """Advance every worker to time ``now``; returns completed deliveries.
+
+        A lazy fleet skips the workers whose route-table window shows the
+        advance would change nothing (fleet order is kept for the others, so
+        completions are reported in the same order either way).
+        """
         self.set_clock(now)
         completed: list[ServiceRecord] = []
-        for state in self.states.values():
-            completed.extend(state.advance_to(now))
-            self._note_motion(state)
+        states = self.states
+        worker_ids = list(states)
+        if self.lazy and self.materialise_fast_path:
+            table = self.table
+            due = set(table.ids[table.due(slice(None), now)].tolist())
+            worker_ids = [worker_id for worker_id in worker_ids if worker_id in due]
+        for worker_id in worker_ids:
+            completed.extend(states[worker_id].advance_to(now))
+            self._moved.add(worker_id)
         return completed
 
     def finish_all(self) -> list[ServiceRecord]:
@@ -534,7 +526,7 @@ class FleetState:
         completed: list[ServiceRecord] = []
         for state in self.states.values():
             completed.extend(state.finish_route())
-            self._note_motion(state)
+            self._moved.add(state.worker.id)
         return completed
 
     def _materialise(self, state: WorkerState) -> None:
@@ -542,24 +534,21 @@ class FleetState:
         route = state.route
         clock = self.clock
         if self.materialise_fast_path:
-            if route.start_time >= clock:
-                if not route.stops:
-                    return
-                # already materialised at this clock and no stop is due yet:
-                # an advance_to(clock) would be a no-op walk — skip it. The
-                # hot decision phase touches every candidate once per event;
-                # only the first touch pays for real advancement.
-                arr = route.arr
-                if len(arr) == len(route.stops) + 1 and arr[1] > clock + 1e-9:
-                    return
-            elif not route.stops:
+            if not route.stops:
                 # idle clock bump: the worker waits in place, so advancing is
                 # just arr[0] = start_time = clock — no movement, no resync
-                route.start_time = clock
-                if len(route.arr) == 1:
-                    route.arr[0] = clock
-                else:
-                    route.refresh(self.oracle)
+                if route.start_time < clock:
+                    route.start_time = clock
+                    if len(route.arr) == 1:
+                        route.arr[0] = clock
+                    else:
+                        route.refresh(self.oracle)
+                    self.table.bump_idle(state.worker.id, clock)
+                return
+            # the hot decision phase touches every candidate once per event
+            # and most sit mid-edge: when the route table's window shows an
+            # advance_to(clock) would be a no-op walk, skip it
+            if not self.table.is_due(state.worker.id, clock):
                 return
         elif route.start_time >= clock and route.is_empty:
             return
@@ -569,36 +558,21 @@ class FleetState:
         self.materialisation_seconds += _time.perf_counter() - started
         if completed:
             self._completions.extend(completed)
-        moved = not self.materialise_fast_path or state.route.origin != position_before
-        self._note_motion(state, moved=moved)
+        if not self.materialise_fast_path or state.route.origin != position_before:
+            # the position vertex changed: the grid needs a resync for it
+            self._moved.add(state.worker.id)
 
     # ------------------------------------------------------- change tracking
 
     def _note_plan_change(self, state: WorkerState) -> None:
         worker_id = state.worker.id
         self._dirty_plans.add(worker_id)
-        self._note_motion(state)
+        self._moved.add(worker_id)
+        self._mirror(state)
 
-    def _note_motion(self, state: WorkerState, moved: bool = True) -> None:
-        """Track motion bookkeeping after an advance or re-planning.
-
-        ``moved=False`` records only the staleness bookkeeping (the worker's
-        position vertex is unchanged, so the grid needs no resync for it).
-        """
-        worker_id = state.worker.id
-        if state.route.is_empty:
-            self._moving.pop(worker_id, None)
-            self._idle[worker_id] = (state.route.origin, state.worker.capacity)
-            if self._idle_mask is not None:
-                self._idle_mask[worker_id] = True
-                self._idle_origin_table[worker_id] = state.route.origin
-        else:
-            self._moving[worker_id] = state.position_time
-            self._idle.pop(worker_id, None)
-            if self._idle_mask is not None:
-                self._idle_mask[worker_id] = False
-        if moved:
-            self._moved.add(worker_id)
+    def _mirror(self, state: WorkerState) -> None:
+        """Rewrite the worker's route-table row from ``state.route``."""
+        self.table.write(state.worker.id, state.route, self.oracle.network)
 
     def drain_dirty_plans(self) -> list[int]:
         """Workers re-planned since the last drain (engine event scheduling)."""
@@ -629,9 +603,13 @@ class FleetState:
         Returns 0 in eager mode, where positions are materialised before every
         dispatch.
         """
-        if not self.lazy or not self._moving:
+        if not self.lazy:
             return 0.0
-        oldest = min(self._moving.values())
+        table = self.table
+        busy = table.count > 1
+        if not busy.any():
+            return 0.0
+        oldest = float(table.arr[0, busy].min())
         return max(self.clock - oldest, 0.0) * max_speed
 
     # -------------------------------------------------------------- metrics
