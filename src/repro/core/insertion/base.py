@@ -17,6 +17,22 @@ Operator              Time complexity            Module
 
 All three return the same minimal increased cost (property-tested); they differ
 only in running time and in the number of shortest-distance queries issued.
+
+Two entry points
+----------------
+
+:meth:`InsertionOperator.best_insertion` answers one route. The planners that
+evaluate *every* candidate of a request (``batch``, ``tshare``, ``GreedyDP`` —
+through :meth:`repro.dispatch.base.Dispatcher.plan_over_all`) call the block
+entry point :meth:`InsertionOperator.best_insertions` instead: all candidate
+routes at once, one :class:`BlockInsertions` back. Its default loops
+``best_insertion`` over the routes, which is what ``BasicInsertion`` and
+``NaiveDPInsertion`` (ablation operators) use; ``LinearDPInsertion`` overrides
+it with one array kernel over the candidates' rows of the fleet route table.
+Planners that stop early by design — pruneGreedyDP's Lemma 8 scan, ``nearest``'s
+first-feasible walk, the kinetic tree and the re-optimiser — keep calling the
+scalar entry point: a block past their cut would issue exactly the distance
+queries the cut exists to save.
 """
 
 from __future__ import annotations
@@ -24,8 +40,11 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
-from repro.core.route import Route
+import numpy as np
+
+from repro.core.route import Route, RouteBlock
 from repro.core.types import Request
 from repro.network.oracle import DistanceOracle
 
@@ -62,6 +81,25 @@ class InsertionResult:
         )
 
 
+class BlockInsertions(NamedTuple):
+    """Best insertion of one request into each of many routes (arrays aligned
+    with the routes): ``delta`` is ``inf`` and both indices ``-1`` where no
+    feasible insertion exists."""
+
+    delta: np.ndarray
+    pickup_index: np.ndarray
+    dropoff_index: np.ndarray
+
+    @classmethod
+    def infeasible(cls, count: int) -> "BlockInsertions":
+        """``count`` routes without a feasible insertion, for the caller to fill in."""
+        return cls(
+            np.full(count, INFINITY, dtype=np.float64),
+            np.full(count, -1, dtype=np.int64),
+            np.full(count, -1, dtype=np.int64),
+        )
+
+
 class InsertionOperator(abc.ABC):
     """Abstract best-insertion search over a single worker's route."""
 
@@ -78,6 +116,40 @@ class InsertionOperator(abc.ABC):
         :meth:`repro.core.route.Route.refresh` after any modification); the
         operator itself never mutates ``route``.
         """
+
+    def best_insertions(
+        self,
+        routes: Sequence[Route],
+        request: Request,
+        oracle: DistanceOracle,
+        direct: float,
+        block: RouteBlock | None = None,
+    ) -> BlockInsertions:
+        """:meth:`best_insertion` of ``request`` into every route of ``routes``.
+
+        Args:
+            routes: the candidate routes, auxiliary arrays up to date.
+            direct: ``L = dis(o_r, d_r)``, queried once by the caller.
+            block: the same routes as rows of a
+                :class:`~repro.core.route.RouteBlock`, when the caller has
+                them (the fleet route table does); array kernels read it
+                instead of the route objects.
+
+        The default is the scalar loop. ``L`` is lent to each route for the
+        duration of its evaluation only — the memo of a route that is merely
+        *evaluated* must not grow, every successor route inherits it.
+        """
+        del block
+        found = BlockInsertions.infeasible(len(routes))
+        for index, route in enumerate(routes):
+            route.remember_direct_distance(request, direct)
+            result = self.best_insertion(route, request, oracle)
+            route.forget_direct_distance(request)
+            if result.feasible:
+                found.delta[index] = result.delta
+                found.pickup_index[index] = result.pickup_index
+                found.dropoff_index[index] = result.dropoff_index
+        return found
 
     def insert(
         self, route: Route, request: Request, oracle: DistanceOracle

@@ -19,17 +19,52 @@ Deviation from the paper's pseudo-code: the early-exit of line 8
 ``arr[j] > e_r`` (any later drop-off happens after visiting ``l_j``). The
 paper's more aggressive break is available via ``aggressive_break=True`` and is
 exercised by the ablation benchmarks.
+
+Two entry points, one algorithm
+-------------------------------
+
+:meth:`LinearDPInsertion.best_insertion` is the scalar walk over one route. It
+serves the planners that stop early by design — pruneGreedyDP's Lemma 8 scan,
+``nearest``'s first-feasible walk, the kinetic tree and the re-optimiser — for
+which evaluating candidates past the cut would issue exactly the queries the
+cut saves.
+
+:meth:`LinearDPInsertion.best_insertions` evaluates Algorithm 3 for all rows of
+a :class:`~repro.core.route.RouteBlock` at once and serves the planners that
+evaluate every candidate anyway (``batch``, ``tshare``, ``GreedyDP``, through
+:meth:`repro.dispatch.base.Dispatcher.plan_over_all`). The static
+``(j, row)`` matrices come from :class:`~repro.core.insertion.block.BlockScan`
+— the preparation the relaxed DP of Lemma 7 runs on as well; ``Dio``/``Plc``
+and the best ``(i, j)`` are running minima along the short stop axis, written
+in the scalar walk's float association, with its strict ``<`` on ``Dio`` and
+its ``< best - 1e-9`` update order (same-branch before split-branch at each
+``j``), so ``delta``, ``pickup_index`` and ``dropoff_index`` equal the scalar
+walk's bit for bit (property-tested in ``tests/core/test_block_linear_dp.py``).
+
+Query count of the block kernel: one ``oracle.endpoint_distances`` gather over
+the stops the scans *reach* — every scanned stop and the stop after it — so
+``2 * popcount(reached)`` exact queries per request, and none for rows whose
+worker cannot carry the request. The scalar walk prefetches the scanned stops
+only and reads the successor of the last one lazily (and only its
+``to_destination``, and only when a branch needs it), so per route the kernel
+issues at most two queries more than the walk and never fewer.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from repro.core.insertion.base import (
     INFINITY,
+    BlockInsertions,
     InsertionOperator,
     InsertionResult,
     _PairwiseDistances,
 )
-from repro.core.route import Route
+from repro.core.insertion.block import BlockScan, fitting_rows
+from repro.core.route import Route, RouteBlock
 from repro.core.types import Request
 from repro.network.oracle import DistanceOracle
 
@@ -40,11 +75,15 @@ class LinearDPInsertion(InsertionOperator):
     Args:
         aggressive_break: use the paper's stronger (but potentially lossy)
             early-exit condition instead of the conservative one.
-        prefetch: batch the stop-to-endpoint distances of the whole scan range
-            into one grouped oracle call (the early-exit index is computable
-            from ``arr`` up front, so the batch covers exactly the indices the
-            lazy walk would touch — values and query counters are identical).
-            Disable to reproduce the scalar per-stop query pattern.
+        prefetch: (scalar walk only) batch the stop-to-endpoint distances of
+            the scanned stops into one grouped oracle call. The early-exit
+            index is computable from ``arr`` up front; the lazy walk reads
+            both distances of every scanned stop, so the batch adds no query.
+            Past the batch the walk still reads lazily
+            ``to_destination(scan_stop + 1)`` when a branch is open at the
+            break (the ``i = j`` test holds or ``Dio`` is finite there) —
+            values and query counters are identical either way. Disable to
+            reproduce the scalar per-stop query pattern.
     """
 
     name = "linear-dp"
@@ -152,6 +191,111 @@ class LinearDPInsertion(InsertionOperator):
             dropoff_index=best_pair[1],
             distance_queries=distances.queries,
         )
+
+    # ---------------------------------------------------------- block kernel
+
+    def best_insertions(
+        self,
+        routes: Sequence[Route],
+        request: Request,
+        oracle: DistanceOracle,
+        direct: float,
+        block: RouteBlock | None = None,
+    ) -> BlockInsertions:
+        """Algorithm 3 for every route at once (see the module docstring)."""
+        found = BlockInsertions.infeasible(len(routes))
+        fitting, fits = fitting_rows(routes if block is None else block, request, oracle)
+        if fits.size:
+            found.delta[fits], found.pickup_index[fits], found.dropoff_index[fits] = (
+                self._block_dp(fitting, request, oracle, direct)
+            )
+        return found
+
+    def _block_dp(
+        self, block: RouteBlock, request: Request, oracle: DistanceOracle, direct: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The exact DP over a non-empty block whose workers all fit the request."""
+        scan = BlockScan(
+            block, request, break_margin=direct if self.aggressive_break else 0.0
+        )
+        width = scan.width
+        rows = len(block)
+        # the scan reads both endpoint distances of every stop it evaluates
+        # and of the stop after it; the rest stays 0 and is masked out below
+        reached = scan.in_route.copy()
+        reached[1:] &= scan.scanned[:-1]
+        flat_origin, flat_destination = oracle.endpoint_distances(
+            block.vertex[:width][reached], request.origin, request.destination
+        )
+        to_origin = scan.scatter(reached, flat_origin)
+        to_destination = scan.scatter(reached, flat_destination)
+        dist_origin = to_origin[:width]
+        dist_destination = to_destination[:width]
+        next_destination = to_destination[1:]
+        arr_j, leg, slack_tol = scan.arr, scan.leg, scan.slack_tol
+        is_last, open_j = scan.is_last, scan.open
+        deadline_tol = request.deadline + 1e-9
+
+        # Dio[j] / Plc[j] of Eq. (11)-(12) *entering* iteration j: a running
+        # minimum under the walk's strict ``<`` (the first of equal detours
+        # keeps the pickup), back to inf where the vehicle is full. Plc is
+        # only read beside a finite Dio, which always brings its own.
+        detour_origin = dist_origin + to_origin[1:] - leg
+        pickup = np.where(
+            scan.extendable & scan.capacity_ok & (detour_origin <= slack_tol),
+            detour_origin,
+            INFINITY,
+        )
+        resets = scan.resets
+        dio = np.empty((width, rows), dtype=np.float64)
+        plc = np.empty((width, rows), dtype=np.int64)
+        dio[0] = INFINITY
+        plc[0] = -1
+        for j in range(width - 1):
+            plc[j + 1] = np.where(pickup[j] < dio[j], j, plc[j])
+            np.minimum(dio[j], pickup[j], out=dio[j + 1])
+            dio[j + 1][resets[j]] = INFINITY
+
+        # special cases i = j (Fig. 2a when j = n, Fig. 2b otherwise)
+        origin_direct = dist_origin + direct
+        delta_same = np.where(is_last, origin_direct, origin_direct + next_destination - leg)
+        feasible_same = (
+            open_j
+            & (arr_j + dist_origin + direct <= deadline_tol)
+            & (delta_same <= slack_tol)
+        )
+
+        # general case i < j (Corollary 1); dio[0] = inf rules out j = 0, and
+        # an infinite dio fails the deadline test or yields an infinite delta
+        detour_destination = np.where(
+            is_last, dist_destination, dist_destination + next_destination - leg
+        )
+        delta_split = detour_destination + dio
+        feasible_split = (
+            open_j
+            & (arr_j + dio + dist_destination <= deadline_tol)
+            & (dio + detour_destination <= slack_tol)
+        )
+
+        # the walk's ``delta < best - 1e-9`` scan in its own order: along j,
+        # the i = j branch before the i < j branch (row 2j, then row 2j + 1)
+        deltas = np.empty((2 * width, rows), dtype=np.float64)
+        deltas[0::2] = np.where(feasible_same, delta_same, INFINITY)
+        deltas[1::2] = np.where(feasible_split, delta_split, INFINITY)
+        best = np.full(rows, INFINITY, dtype=np.float64)
+        chosen = np.full(rows, -1, dtype=np.int64)
+        for k in np.flatnonzero((deltas < INFINITY).any(axis=1)).tolist():
+            take = deltas[k] < best - 1e-9
+            best = np.where(take, deltas[k], best)
+            chosen = np.where(take, k, chosen)
+
+        dropoff_index = chosen >> 1  # -1 stays -1
+        pickup_index = dropoff_index.copy()
+        split = np.flatnonzero((chosen >= 0) & ((chosen & 1) == 1))
+        pickup_index[split] = plc[dropoff_index[split], split]
+        return best, pickup_index, dropoff_index
+
+    # ------------------------------------------------ scalar walk's prefetch
 
     def _scan_stop_index(
         self, arr: list[float], n: int, deadline: float, direct: float

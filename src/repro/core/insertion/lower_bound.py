@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.insertion.block import BlockScan, fitting_rows
 from repro.core.route import Route, RouteBlock
 from repro.core.types import Request
 from repro.network.oracle import DistanceOracle
@@ -185,21 +186,8 @@ def euclidean_insertion_lower_bounds(
     scalar function's result bit for bit (same IEEE operations in the same
     order), with ``inf`` marking candidates without a relaxed insertion.
     """
-    total = len(routes)
-    if isinstance(routes, RouteBlock):
-        fits = np.flatnonzero(routes.capacity >= request.capacity)
-        block = routes if fits.size == total else routes.take(fits)
-    else:
-        fitting: list[int] = []
-        for index, route in enumerate(routes):
-            if request.capacity > route.worker.capacity:
-                continue
-            if len(route.arr) != route.num_stops + 1:
-                route.refresh(oracle)
-            fitting.append(index)
-        block = RouteBlock.from_routes([routes[index] for index in fitting])
-        fits = np.asarray(fitting, dtype=np.int64)
-    bounds = np.full(total, INFINITY, dtype=np.float64)
+    block, fits = fitting_rows(routes, request, oracle)
+    bounds = np.full(len(routes), INFINITY, dtype=np.float64)
     if fits.size:
         bounds[fits] = _relaxed_dp(block, request, oracle, direct_distance)
     return bounds
@@ -210,58 +198,42 @@ def _relaxed_dp(
 ) -> np.ndarray:
     """The relaxed DP over a non-empty block whose workers all fit the request.
 
-    Every matrix below is stop-major like the block, ``(j, candidate)``: the
-    DP's ``j`` and ``j + 1`` views are contiguous row slices, and the one
-    sequential recurrence (``Dio``) walks ``j`` with one vector operation over
-    all candidates per stop. An empty route (``count == 1``) needs no special
-    case: only the branch ``j = 0 = n`` of Eq. (15) applies, which the
-    matrices reduce to the closed form of :func:`euclidean_idle_lower_bounds`.
+    The static ``(j, candidate)`` matrices come from :class:`BlockScan` (shared
+    with the exact kernel of the planning phase); the one sequential
+    recurrence (``Dio``) walks ``j`` with one vector operation over all
+    candidates per stop. An empty route reduces to the closed form of
+    :func:`euclidean_idle_lower_bounds`.
     """
-    candidates = len(block)
-    ns = block.count - 1
-    width = int(ns.max()) + 1
+    scan = BlockScan(block, request, break_margin=0.0)  # conservative early exit
+    width = scan.width
     # one batched lower-bound pass answers both endpoints for every stop; the
     # padding stays 0 and the spare stop keeps every j+1 read in range
-    valid = np.arange(width + 1)[:, None] <= ns
+    valid = scan.valid
     flat_origin, flat_destination = oracle.euclidean_lower_bounds(
         block.vertex[: width + 1][valid], request.origin, request.destination
     )
-    lb_origin = np.zeros((width + 1, candidates), dtype=np.float64)
-    lb_origin[valid] = flat_origin
-    lb_destination = np.zeros((width + 1, candidates), dtype=np.float64)
-    lb_destination[valid] = flat_destination
+    lb_origin = scan.scatter(valid, flat_origin)
+    lb_destination = scan.scatter(valid, flat_destination)
     deadline = request.deadline
     direct = direct_distance
 
-    # static per-(j, candidate) quantities of the relaxed DP
     lb_o = lb_origin[:width]
     lb_d = lb_destination[:width]
     lb_d_next = lb_destination[1:]
-    arr_j = block.arr[:width]
-    leg = block.arr[1 : width + 1] - arr_j
-    slack_tol = block.slack[:width] + 1e-9
-    capacity_ok = block.picked[:width] <= block.capacity - request.capacity
-    in_route = valid[:width]
-    has_next = valid[1:]
-    is_last = in_route & ~has_next
-    # the conservative early exit evaluates branches at the first j whose
-    # arrival exceeds the deadline, then breaks: arrivals are non-decreasing,
-    # so j is scanned exactly when arr[j - 1] <= deadline
-    not_exceeded = arr_j <= deadline
-    scanned = in_route.copy()
-    scanned[1:] &= not_exceeded[:-1]
-    open_j = scanned & capacity_ok
+    arr_j, leg, slack_tol = scan.arr, scan.leg, scan.slack_tol
+    is_last, open_j = scan.is_last, scan.open
 
     # Dio^euc of Eq. (16): prefix-min over the pickup detours, restarted where
     # the load leaves no room (the scalar walk sets it back to inf there);
     # dio[j] is the value *entering* iteration j (i < j)
-    extendable = scanned & not_exceeded & has_next
     detour_origin = np.maximum(lb_o + lb_origin[1:] - leg, 0.0)
     pickup = np.where(
-        extendable & capacity_ok & (detour_origin <= slack_tol), detour_origin, INFINITY
+        scan.extendable & scan.capacity_ok & (detour_origin <= slack_tol),
+        detour_origin,
+        INFINITY,
     )
-    resets = extendable & ~capacity_ok
-    dio = np.empty((width, candidates), dtype=np.float64)
+    resets = scan.resets
+    dio = np.empty((width, len(block)), dtype=np.float64)
     running = dio[0]
     running.fill(INFINITY)
     for j in range(width - 1):

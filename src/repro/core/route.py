@@ -133,6 +133,10 @@ class Route:
         """Seed the direct-distance cache (used when the caller already knows ``L``)."""
         self._direct_distances[request.id] = distance
 
+    def forget_direct_distance(self, request: Request) -> None:
+        """Drop a seeded ``L`` of a request the route does not (yet) serve."""
+        self._direct_distances.pop(request.id, None)
+
     # -------------------------------------------------------------- refresh
 
     #: benchmark ablation switch (class-wide): route every refresh through

@@ -14,23 +14,33 @@ engine (:meth:`Dispatcher.bind_flush_scheduler`).
 Every dispatcher reports a :class:`DispatchOutcome` per request so the metrics
 collector can compute the unified cost, served rate and per-request work
 (candidates considered, insertions evaluated).
+
+The planners that evaluate *every* candidate of a request (``batch``,
+``tshare``, ``GreedyDP``) share one planning phase,
+:meth:`Dispatcher.plan_over_all`: the candidates' rows of the fleet route
+table go through the insertion operator's block entry point in one call.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar
 
 import numpy as np
 
+from repro.core.insertion.base import InsertionOperator
 from repro.core.instance import URPSMInstance
+from repro.core.route import Route
 from repro.core.types import Request
 from repro.index.grid import GridIndex
 from repro.network.oracle import DistanceOracle, OracleCounters
 
 if TYPE_CHECKING:  # imported lazily to avoid a dispatch <-> simulation cycle
     from repro.simulation.fleet import FleetState
+
+INFINITY = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +119,10 @@ class Dispatcher(abc.ABC):
     #: ones read the live network directly, and the cluster dispatcher
     #: broadcasts the mutations to its worker replicas.
     supports_network_updates: ClassVar[bool] = True
+
+    #: the insertion operator of the planning phase; set by the constructors
+    #: of the dispatchers that plan through one
+    insertion: InsertionOperator
 
     def __init__(self, config: DispatcherConfig | None = None) -> None:
         self.config = config or DispatcherConfig()
@@ -306,6 +320,54 @@ class Dispatcher(abc.ABC):
             rows = rows[table.online[rows]]
         rows.sort()  # table rows ascend with worker ids
         return rows
+
+    def plan_over_all(
+        self, request: Request, rows: np.ndarray, direct: float
+    ) -> tuple[float, int | None, Route | None]:
+        """Planning over *every* candidate: the cheapest feasible insertion.
+
+        Algorithm 5 without the Lemma 8 cut, in one pass: the candidates
+        (``rows`` of the fleet's route table, in candidate order) are brought
+        up to the clock (:meth:`FleetState.states_of`), their rows taken from
+        the table and handed to the insertion
+        operator's block entry point
+        (:meth:`~repro.core.insertion.base.InsertionOperator.best_insertions`)
+        in one call. The few finite deltas are scanned in candidate order —
+        a later candidate wins only when cheaper by more than ``1e-9`` — and
+        the new route is built for the winner alone. ``direct`` is
+        ``L = dis(o_r, d_r)``; it is seeded on that new route only, so the
+        direct-distance memo every successor route inherits grows with the
+        requests a worker *serves*, not with those it was evaluated for.
+
+        Returns ``(increased cost, worker id, new route)``, or
+        ``(inf, None, None)`` when no candidate admits a feasible insertion.
+        """
+        assert self.fleet is not None and self.oracle is not None
+        table = self.fleet.table
+        routes = [state.route for state in self.fleet.states_of(table.ids[rows])]
+        found = self.insertion.best_insertions(
+            routes, request, self.oracle, direct, block=table.take(rows)
+        )
+        best_delta = INFINITY
+        winner = -1
+        deltas = found.delta
+        for index in np.flatnonzero(deltas < INFINITY).tolist():
+            delta = deltas.item(index)
+            if delta < best_delta - 1e-9:
+                best_delta = delta
+                winner = index
+        if winner < 0:
+            return INFINITY, None, None
+        route = routes[winner].with_insertion(
+            request,
+            found.pickup_index.item(winner),
+            found.dropoff_index.item(winner),
+            self.oracle,
+            refresh=False,
+        )
+        route.remember_direct_distance(request, direct)
+        route.refresh(self.oracle)
+        return best_delta, route.worker.id, route
 
     def memory_estimate_bytes(self) -> int:
         """Memory footprint of the dispatcher's index structures."""

@@ -16,7 +16,10 @@ stops scanning as soon as the best actual increase found so far is below the
 next candidate's lower bound (Lemma 8, *pre-ordered pruning*) — this is what
 saves the billions of shortest-distance queries reported in Section 6.
 ``GreedyDP`` is the ablation without the pruning rule: it evaluates the exact
-insertion for every candidate.
+insertion for every candidate — in one pass, through
+:meth:`~repro.dispatch.base.Dispatcher.plan_over_all` and the linear DP's
+block kernel. ``pruneGreedyDP``'s scan stops after a handful of candidates by
+design and keeps the scalar operator.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.core.insertion.lower_bound import (
     euclidean_insertion_lower_bound,
     euclidean_insertion_lower_bounds,
 )
+from repro.core.route import Route
 from repro.core.types import Request
 from repro.dispatch.base import Dispatcher, DispatcherConfig, DispatchOutcome
 
@@ -101,26 +105,16 @@ class _GreedyDPBase(Dispatcher):
             )
 
         # ---------------- planning phase (Algorithm 5, lines 5-11)
-        best_delta = INFINITY
-        best_worker_id: int | None = None
-        best_route = None
-        insertions = 0
-        for bound, worker_id in zip(bounds, worker_ids):
-            if self.use_pruning and best_delta < bound:
-                break  # Lemma 8: later candidates cannot beat the current best
-            state = self.fleet.state_of(worker_id)
-            # the batched decision phase defers seeding L = dis(o_r, d_r) to
-            # the candidates actually evaluated (idempotent for the scalar
-            # walk, which seeded every candidate already)
-            state.route.remember_direct_distance(request, direct)
-            result = self.insertion.best_insertion(state.route, request, self.oracle)
-            insertions += 1
-            if result.feasible and result.delta < best_delta - 1e-9:
-                best_delta = result.delta
-                best_worker_id = worker_id
-                best_route = state.route.with_insertion(
-                    request, result.pickup_index, result.dropoff_index, self.oracle
-                )
+        if self.use_pruning:
+            best_delta, best_worker_id, best_route, insertions = self._plan_pruned(
+                request, bounds, worker_ids, direct
+            )
+        else:
+            # no cut to respect: every finite-bound candidate in one pass
+            insertions = len(worker_ids)
+            best_delta, best_worker_id, best_route = self.plan_over_all(
+                request, self.fleet.table.rows_of(worker_ids), direct
+            )
 
         if best_worker_id is None or best_route is None:
             return DispatchOutcome(
@@ -150,6 +144,36 @@ class _GreedyDPBase(Dispatcher):
             candidates_considered=candidates,
             insertions_evaluated=insertions,
         )
+
+    def _plan_pruned(
+        self, request: Request, bounds: list[float], worker_ids: list[int], direct: float
+    ) -> tuple[float, int | None, Route | None, int]:
+        """The Lemma 8 scan: candidates in bound order, one scalar insertion
+        each, until the best found beats the next bound. It stops after a
+        handful of candidates by design, so it keeps the scalar operator — a
+        block past the cut would issue exactly the queries the cut saves."""
+        assert self.fleet is not None and self.oracle is not None
+        best_delta = INFINITY
+        best_worker_id: int | None = None
+        best_route = None
+        insertions = 0
+        for bound, worker_id in zip(bounds, worker_ids):
+            if best_delta < bound:
+                break  # Lemma 8: later candidates cannot beat the current best
+            state = self.fleet.state_of(worker_id)
+            # the batched decision phase defers seeding L = dis(o_r, d_r) to
+            # the candidates actually evaluated (idempotent for the scalar
+            # walk, which seeded every candidate already)
+            state.route.remember_direct_distance(request, direct)
+            result = self.insertion.best_insertion(state.route, request, self.oracle)
+            insertions += 1
+            if result.feasible and result.delta < best_delta - 1e-9:
+                best_delta = result.delta
+                best_worker_id = worker_id
+                best_route = state.route.with_insertion(
+                    request, result.pickup_index, result.dropoff_index, self.oracle
+                )
+        return best_delta, best_worker_id, best_route, insertions
 
     # ------------------------------------------------------- decision phase
 

@@ -11,11 +11,15 @@ T-Share answers each request in two steps:
    lowest served rate for tshare.
 2. **Scheduling**: for every surviving candidate, run the basic (exhaustive)
    insertion and pick the worker with the minimal increased distance.
+
+Scheduling evaluates all survivors, so it is one call of
+:meth:`~repro.dispatch.base.Dispatcher.plan_over_all`. With the default
+``BasicInsertion`` (no block kernel) that is the scalar loop behind
+:meth:`~repro.core.insertion.base.InsertionOperator.best_insertions`; handed a
+``LinearDPInsertion`` the survivors are evaluated by its array kernel.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.core.insertion.base import InsertionOperator
 from repro.core.insertion.basic import BasicInsertion
@@ -23,8 +27,6 @@ from repro.core.instance import URPSMInstance
 from repro.core.types import Request
 from repro.dispatch.base import Dispatcher, DispatcherConfig, DispatchOutcome
 from repro.index.tshare_grid import TShareGridIndex
-
-INFINITY = math.inf
 
 
 class TShare(Dispatcher):
@@ -74,28 +76,16 @@ class TShare(Dispatcher):
             if self.fleet.is_available(int(worker_id))
         ]
 
-        best_delta = INFINITY
-        best_worker_id: int | None = None
-        best_route = None
-        insertions = 0
-        for worker_id in candidate_ids:
-            state = self.fleet.state_of(worker_id)
-            state.route.remember_direct_distance(request, direct)
-            result = self.insertion.best_insertion(state.route, request, self.oracle)
-            insertions += 1
-            if result.feasible and result.delta < best_delta - 1e-9:
-                best_delta = result.delta
-                best_worker_id = worker_id
-                best_route = state.route.with_insertion(
-                    request, result.pickup_index, result.dropoff_index, self.oracle
-                )
-
+        candidates = len(candidate_ids)
+        best_delta, best_worker_id, best_route = self.plan_over_all(
+            request, self.fleet.table.rows_of(candidate_ids), direct
+        )
         if best_worker_id is None or best_route is None:
             return DispatchOutcome(
                 request=request,
                 served=False,
-                candidates_considered=len(candidate_ids),
-                insertions_evaluated=insertions,
+                candidates_considered=candidates,
+                insertions_evaluated=candidates,
             )
         state = self.fleet.state_of(best_worker_id)
         state.adopt_route(best_route, request=request)
@@ -105,6 +95,6 @@ class TShare(Dispatcher):
             served=True,
             worker_id=best_worker_id,
             increased_cost=best_delta,
-            candidates_considered=len(candidate_ids),
-            insertions_evaluated=insertions,
+            candidates_considered=candidates,
+            insertions_evaluated=candidates,
         )
