@@ -117,6 +117,9 @@ class _ShardHandle:
     alive: bool = True
     #: sync cursor: worker id -> (plan_version, online) as last shipped.
     cursor: dict[int, tuple[int, bool]] = field(default_factory=dict)
+    #: workers whose stamp may differ from ``cursor`` — the only ones the
+    #: next ``ClusterDispatcher._sync_payload`` compares, and then forgets.
+    stale: set[int] = field(default_factory=set)
     #: mirror of the shard's BatchDispatcher window (None = no pending flush).
     next_flush: float | None = None
     #: the shard's open batch window, buffered front-door side until flush.
@@ -659,6 +662,11 @@ class ClusterDispatcher(Dispatcher):
         handle.health = ShardHealth.UP
         handle.last_error = None
         handle.cursor.clear()
+        handle.stale = {
+            worker_id
+            for worker_id, shard_id in self._membership.items()
+            if shard_id == handle.shard_id
+        }
         handle.pending_moves.clear()
         handle.pending_clocks.clear()
         handle.pending_acks = 0
@@ -719,13 +727,15 @@ class ClusterDispatcher(Dispatcher):
         The exact mirror of ``ShardedDispatcher._resync``, computed on the
         authoritative fleet at the same decision points (dispatch and flush),
         so replica membership never depends on replica-side advancement. The
-        deltas ride on each shard's next command of any kind.
+        deltas ride on each shard's next command of any kind; a shard serving
+        in-process gets the worker's grid cell refreshed right here.
         """
         fleet = self.fleet
         partition = self.partition
         assert fleet is not None and partition is not None
         for worker_id in fleet.drain_moved():
-            shard_id = partition.shard_of_vertex(fleet.peek_state(worker_id).position)
+            position = fleet.peek_state(worker_id).position
+            shard_id = partition.shard_of_vertex(position)
             previous = self._membership[worker_id]
             if shard_id != previous:
                 self._membership[worker_id] = shard_id
@@ -734,11 +744,15 @@ class ClusterDispatcher(Dispatcher):
                 # while it belonged elsewhere; forget its cursor stamp so the
                 # current snapshot ships together with the move
                 self._handles[shard_id].cursor.pop(worker_id, None)
+                self._handles[shard_id].stale.add(worker_id)
                 for handle in self._handles:
                     if handle.alive:
                         handle.pending_moves.append((worker_id, shard_id))
                     elif handle.degraded is not None:
                         handle.degraded.apply_move(worker_id, previous, shard_id)
+            degraded = self._handles[shard_id].degraded
+            if degraded is not None:
+                degraded.inner.grid.update(worker_id, position)
 
     def _take_moves(self, handle: _ShardHandle) -> tuple[tuple[int, int], ...]:
         """Membership deltas to piggyback on ``handle``'s next command."""
@@ -777,14 +791,21 @@ class ClusterDispatcher(Dispatcher):
         never touch other shards' workers), so each plan change crosses one
         pipe, not K — a worker migrating in gets its snapshot shipped with
         the move because ``_resync_membership`` dropped its cursor stamp.
+        Only workers the fleet reported as re-planned or re-shifted since
+        (``drain_restamped``, filed under the shard that owns them now) are
+        compared against the cursor, in fleet order.
         """
         fleet = self.fleet
         assert fleet is not None
         membership = self._membership
+        for worker_id in fleet.drain_restamped():
+            owner = membership.get(worker_id)
+            if owner is not None:
+                self._handles[owner].stale.add(worker_id)
         shard_id = handle.shard_id
         changed: list[WorkerPlan] = []
         cursor = handle.cursor
-        for worker_id in fleet.states:
+        for worker_id in fleet.in_fleet_order(handle.stale):
             if membership.get(worker_id) != shard_id:
                 continue
             state = fleet.peek_state(worker_id)
@@ -792,6 +813,7 @@ class ClusterDispatcher(Dispatcher):
             if cursor.get(worker_id) != stamp:
                 cursor[worker_id] = stamp
                 changed.append(plan_snapshot(state))
+        handle.stale.clear()
         return tuple(changed)
 
     def _own_request(self, shipped: Request) -> Request:

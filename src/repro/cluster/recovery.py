@@ -141,25 +141,11 @@ class DegradedShard:
         self.inner = make_dispatcher(dispatcher.inner, dispatcher.config)
         self.inner.setup(dispatcher.instance, self.view)
 
-    def sync(self) -> None:
-        """Refresh member grid cells from the (already materialised) fleet.
-
-        Mirrors the worker replica's ``_advance_members``: the engine advanced
-        the authoritative fleet to the decision clock before calling the
-        dispatcher (``requires_exact_positions``), so positions are exact.
-        """
-        grid = self.inner.grid
-        fleet = self.view.fleet
-        for worker_id in sorted(self.view.members):
-            grid.update(worker_id, fleet.state_of(worker_id).position)
-
     def dispatch(self, request: "Request", now: float) -> "DispatchOutcome":
-        self.sync()
         return self.inner.dispatch(request, now)
 
     def flush(self, deferrals, now: float) -> "list[DispatchOutcome]":
         """Replay a buffered window and flush — the mirror of ``handle_flush``."""
-        self.sync()
         for request, clock in deferrals:
             self.inner.dispatch(request, clock)
         return self.inner.flush(now)
@@ -173,7 +159,7 @@ class DegradedShard:
             self.view.members.discard(worker_id)
             self.inner.grid.remove(worker_id)
         elif shard_id == self.shard_id and previous != self.shard_id:
-            self.view.members.add(worker_id)  # grid cell set on the next sync
+            self.view.members.add(worker_id)  # the caller sets the grid cell
 
     def add_member(self, worker_id: int, position: int) -> None:
         if worker_id in self.view.members:

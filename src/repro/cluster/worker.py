@@ -25,27 +25,43 @@ deterministic:
    membership never depends on replica-side advancement; and
 3. **member advancement**: before a decision, the replica advances *its own
    members* through the authoritative ``advance_all`` clock sequence the
-   command carries, then to the command clock, and refreshes its grid with
-   their exact positions. Advancement must replay the exact clock *sequence*,
-   not just the final clock: partial advancement between stops computes
+   command carries, then to the command clock, and refreshes the grid cells
+   of the members that moved. What is replayed per clock is one
+   ``FleetState.advance_rows`` over the member rows — the very routine the
+   front door's ``advance_all`` runs over all rows — so per clock only the
+   **busy, due** members are walked (``RouteTable.busy_due``): for every
+   other busy member ``advance_to(clock)`` has no side effect (the route
+   table's window invariant), and an *idle* member needs no replay at all —
+   it does not move, and its clock bump is idempotent (``start_time =
+   clock``; no float accumulates), so it happens when something reads the
+   worker (``state_of`` / ``states_of``), on either side, with the same
+   result. The busy members must see the exact clock *sequence*, not just
+   the final clock: partial advancement between stops computes
    ``start_time = arr[0] + moved_cost``, associating edge costs by
    advancement step, so advancing straight to ``t2`` can differ in the last
    ULP from advancing via an intermediate ``t1`` — and the authoritative
-   engine advances the whole fleet at *every* arrival (deferred ones
-   included) and flush. Replaying that sequence keeps replica anchors
-   bit-identical to the authoritative fleet's, which is what makes cluster
-   replays bit-identical to in-process sharded runs at K>1 (at K=1 the
-   in-process wrapper stays lazy, a different — equally valid — float
-   association, and metrics agree to ~1e-9 relative instead). Per-command replica
-   work stays proportional to the shard (not the fleet): only members walk,
-   and cancellations touch no positions at all, exactly like their
-   in-process counterparts.
+   engine advances the fleet at *every* arrival (deferred ones included) and
+   flush. Replaying that sequence keeps replica anchors bit-identical to the
+   authoritative fleet's, which is what makes cluster replays bit-identical
+   to in-process sharded runs at K>1 (at K=1 the in-process wrapper stays
+   lazy, a different — equally valid — float association, and metrics agree
+   to ~1e-9 relative instead). One gap remains: the engine also touches a
+   *single* worker between two sequence clocks (a cancellation that comes
+   too late to drop, a shift start); that regrouping is not replayed, so
+   that worker's replica anchor may sit one ULP off until its plan is next
+   shipped — which is why the front door keeps its own anchor bits when it
+   adopts a replica's plan. Per clock the replica pays one vector comparison
+   over its member rows plus a walk per member that actually moves — not a
+   Python visit per member, let alone per worker of the fleet; cancellations
+   touch no positions at all, exactly like their in-process counterparts.
 """
 
 from __future__ import annotations
 
 import random
 import traceback
+
+import numpy as np
 
 from repro.cluster.messages import (
     AckReply,
@@ -140,7 +156,6 @@ class ShardWorkerRuntime:
         # door cleared this shard's sync cursor at adoption)
         for worker, clock in init.extra_workers:
             self.fleet.add_worker(worker, at_time=clock)
-        self.fleet.drain_moved()
         # network-update cursor: ``init.applied_updates`` are already baked
         # into the pickled instance (the respawn snapshot is taken from the
         # live, mutated network), so the replica only records how many it has
@@ -159,6 +174,9 @@ class ShardWorkerRuntime:
         from repro.sharding.fleet_view import ShardFleetView
 
         self.view = ShardFleetView(self.fleet, init.shard_id, members, oracle=self.shard_oracle)
+        #: sorted route-table rows of the members; ``None`` after a membership
+        #: move or a new table row (see :meth:`_member_rows`).
+        self._rows: np.ndarray | None = None
         self.inner = make_dispatcher(init.inner, init.config)
         self.inner.setup(self.instance, self.view)
 
@@ -192,6 +210,8 @@ class ShardWorkerRuntime:
         grid = self.inner.grid
         members = self.view.members
         mine = self.shard_id
+        if moves:
+            self._rows = None
         for worker_id, shard_id in moves:
             previous = self.membership.get(worker_id, shard_id)
             self.membership[worker_id] = shard_id
@@ -201,52 +221,51 @@ class ShardWorkerRuntime:
             elif shard_id == mine and previous != mine:
                 members.add(worker_id)
 
-    def _advance_members(self) -> None:
-        """Advance this shard's members to the clock; refresh their grid cells.
+    def _member_rows(self) -> np.ndarray:
+        """Route-table rows of this shard's members, cached between moves."""
+        if self._rows is None:
+            self._rows = np.sort(self.fleet.table.rows_of(list(self.view.members)))
+        return self._rows
 
-        The discarded drains mirror the bookkeeping the authoritative engine
-        performs after its own advancement — replicas have no event heap, so
-        completions, dirty plans and motion marks are simply consumed.
+    def _advance_members(self, clocks) -> None:
+        """Advance this shard's members through ``clocks``; re-cell the moved ones.
+
+        ``clocks`` is the authoritative ``advance_all`` sequence the command
+        carries followed by the command clock. Each clock is one
+        ``FleetState.advance_rows`` over the member rows — the routine the
+        front door's ``advance_all`` runs over every row — so only busy, due
+        members are walked. The grid then takes the position of every member
+        marked moved since the last advancement: by these walks, by a plan
+        snapshot, or during the previous decision. Completions and dirty
+        plans are consumed — replicas have no event heap and no metrics.
         """
         fleet = self.fleet
-        grid = self.inner.grid
-        for worker_id in sorted(self.view.members):
-            state = fleet.state_of(worker_id)
-            grid.update(worker_id, state.position)
-        fleet.drain_completions()
-        fleet.drain_dirty_plans()
-        fleet.drain_moved()
-
-    def _replay_advances(self, clocks) -> None:
-        """Advance members through the authoritative ``advance_all`` sequence.
-
-        Mirrors ``FleetState.advance_all`` restricted to this shard's members:
-        direct ``advance_to`` per clock, completions consumed (replicas have
-        no metrics). Clocks at or before a member's current anchor are no-ops,
-        so plan snapshots applied just before (which are materialised at the
-        command clock) are never rewound.
-        """
-        fleet = self.fleet
-        states = fleet.states
+        rows = self._member_rows()
         for clock in clocks:
-            fleet.set_clock(clock)
-            for worker_id in sorted(self.view.members):
-                states[worker_id].advance_to(clock)
+            fleet.advance_rows(rows, clock)
+        grid = self.inner.grid
+        members = self.view.members
+        for worker_id in fleet.drain_moved():
+            if worker_id in members:
+                grid.update(worker_id, fleet.peek_state(worker_id).position)
+        self._housekeeping()
 
     def _prepare(self, command, advance: bool) -> None:
         self._apply_moves(command.moves)
         self._apply_plans(command.plans)
         if advance:
-            self._replay_advances(getattr(command, "advance_clocks", ()))
-        self.fleet.set_clock(command.clock)
-        if advance:
-            self._advance_members()
+            self._advance_members((*command.advance_clocks, command.clock))
+        else:
+            self.fleet.set_clock(command.clock)
 
     def _housekeeping(self) -> None:
-        """Consume fleet change-tracking after an inner-dispatcher call."""
+        """Consume fleet change-tracking the replica has no use for.
+
+        Motion marks are *not* consumed here: they wait for the next
+        :meth:`_advance_members`, which turns them into grid updates.
+        """
         self.fleet.drain_completions()
         self.fleet.drain_dirty_plans()
-        self.fleet.drain_moved()
 
     def _travelled_baseline(self) -> dict[int, float]:
         """Members' travelled costs before the inner call (see ``walked_cost``)."""
@@ -334,7 +353,7 @@ class ShardWorkerRuntime:
         if shard_id == self.shard_id:
             self.view.members.add(worker.id)
             self.inner.grid.insert(worker.id, state.position)
-        self.fleet.drain_moved()
+        self._rows = None  # the new table row shifted the ones behind it
         return AckReply(next_flush=self.inner.next_flush_time())
 
     def handle_network_update(self, command: NetworkUpdateCommand) -> UpdateReply:
@@ -371,9 +390,7 @@ class ShardWorkerRuntime:
                 "out of sync with the front-door journal"
             )
         self._apply_moves(command.moves)
-        self._replay_advances(command.advance_clocks)
-        self.fleet.set_clock(command.clock)
-        self._advance_members()
+        self._advance_members((*command.advance_clocks, command.clock))
         for mutation in update.mutations:
             mutation.apply(self.instance.network)
         self.instance.oracle.refresh_topology()

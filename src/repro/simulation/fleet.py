@@ -10,14 +10,25 @@ vertices and exact distances.
 Two advancement regimes are supported:
 
 * **eager** (the seed behaviour, used by the legacy request-loop): the caller
-  advances the whole fleet explicitly via :meth:`FleetState.advance_all`;
+  advances the whole fleet explicitly via :meth:`FleetState.advance_all`,
+  which walks every worker (as it does on a lazy fleet whose
+  ``materialise_fast_path`` a benchmark switched off);
 * **lazy** (used by the event kernel): the fleet keeps a global ``clock`` and
   materialises a worker's progress only when that worker is *touched* — read
-  through :meth:`FleetState.state_of` or iterated. Untouched workers keep an
-  older materialisation; since a planned route fixes arrival times in absolute
-  terms, late materialisation yields the exact same stop times and travel
-  costs. Deliveries completed during lazy advances are buffered and drained by
-  the engine (:meth:`FleetState.drain_completions`).
+  through :meth:`FleetState.state_of` / :meth:`FleetState.states_of` or
+  iterated. Untouched workers keep an older materialisation; since a planned
+  route fixes arrival times in absolute terms, late materialisation yields the
+  exact same stop times and travel costs. Deliveries completed during lazy
+  advances are buffered and drained by the engine
+  (:meth:`FleetState.drain_completions`). Dispatchers that need exact
+  positions (sharded, cluster, ``tshare``) still call ``advance_all`` before
+  every decision; on a lazy fleet that is :meth:`FleetState.advance_rows`
+  over every route-table row — **advance only what moves**: the busy workers
+  the table's window reports as due are walked, every other busy worker is
+  provably untouched by ``advance_to(clock)``, and an idle worker gets *no
+  eager clock at all*: it waits in place, and its ``start_time`` moves when
+  something reads it. A shard replica runs the same routine over its member
+  rows, once per clock the front door ships.
 
 The route table
 ---------------
@@ -31,7 +42,7 @@ The decision phase reads it instead of walking Python routes: candidate
 filtering by the ``online`` column, the idle/busy split by ``count == 1``,
 the position-staleness bound by the busy rows' ``arr[0]``, the relaxed DP by
 one fancy index per array, and :meth:`FleetState.states_of` /
-:meth:`FleetState.advance_all` by the window.
+:meth:`FleetState.advance_rows` by the window.
 
 * **Single writer.** ``WorkerState.route`` stays authoritative; a row is
   rewritten by :meth:`FleetState._mirror` only, which ``replace_route`` (every
@@ -48,7 +59,14 @@ one fancy index per array, and :meth:`FleetState.states_of` /
   that worker returns without any side effect (no movement, no completion, no
   oracle query, no path recorded) — so lazy materialisation skips the call.
   Edge costs only change under a live network update, which re-plans every
-  busy route onto a fresh ``Route`` without a recorded path.
+  busy route onto a fresh ``Route`` without a recorded path. For an *idle*
+  row, ``arr[0]`` (equal to the route's ``start_time``) is a **lower bound**
+  on the worker's clock until it is touched: ``arr[0] <= clock`` always, and
+  a touch sets both to the clock — an idempotent write that accumulates no
+  float, which is why nothing has to replay it. Readers that take an idle
+  ``arr[0]`` from the table (the block kernels) go through ``states_of``,
+  whose :meth:`RouteTable.due` still reports a lagging idle row; advancement
+  reads nothing and asks :meth:`RouteTable.busy_due`.
 
 The fleet also tracks, for the event kernel:
 
@@ -57,8 +75,11 @@ The fleet also tracks, for the event kernel:
   :class:`~repro.simulation.events.StopCompletion` events;
 * **dirty plans** — which workers were re-planned since the engine last
   looked (:meth:`FleetState.drain_dirty_plans`);
-* **moved positions** — which workers' materialised vertex changed since the
-  dispatcher's grid was last synced (:meth:`FleetState.drain_moved`);
+* **moved positions** — which workers' materialised vertex changed (or whose
+  plan was replaced) since the dispatcher's grid was last synced
+  (:meth:`FleetState.drain_moved`); a worker that merely waits never shows up;
+* **re-stamped plans** — whose ``(plan_version, online)`` changed since the
+  cluster front door last shipped plans (:meth:`FleetState.drain_restamped`);
 * **position staleness** — an upper bound on how far a moving worker may have
   travelled past its materialised position
   (:meth:`FleetState.position_slack_metres`), which the candidate filter adds
@@ -376,6 +397,7 @@ class FleetState:
         self._completions: list[ServiceRecord] = []
         self._dirty_plans: set[int] = set()
         self._moved: set[int] = set()
+        self._restamped: set[int] = set()
         #: request id -> worker id of the (probable) current assignee; kept as
         #: a hint — re-optimisation passes may move requests between workers
         #: behind the fleet's back, so :meth:`find_assignment` verifies and
@@ -383,6 +405,11 @@ class FleetState:
         self._assignment_hint: dict[int, int] = {}
         self.states: dict[int, WorkerState] = {
             worker.id: WorkerState(worker, oracle, fleet=self) for worker in workers
+        }
+        #: worker id -> place in fleet (insertion) order: table rows are
+        #: ordered by id, completions are reported in fleet order.
+        self._order: dict[int, int] = {
+            worker_id: place for place, worker_id in enumerate(self.states)
         }
         #: struct-of-arrays mirror of every route (see the module docstring).
         self.table = RouteTable(workers)
@@ -453,6 +480,10 @@ class FleetState:
         mask = table.count[rows] == 1
         return mask, table.vertex[0, rows[mask]], rows[~mask]
 
+    def in_fleet_order(self, worker_ids) -> list[int]:
+        """``worker_ids`` sorted by fleet (insertion) order, the order of iteration."""
+        return sorted(worker_ids, key=self._order.__getitem__)
+
     def peek_state(self, worker_id: int) -> WorkerState:
         """State accessor that never advances (event-engine bookkeeping)."""
         try:
@@ -479,6 +510,7 @@ class FleetState:
             state.route.start_time = at_time
             state.route.arr[0] = at_time
         self.states[worker.id] = state
+        self._order[worker.id] = len(self._order)
         self.table.add_row(worker)
         self._mirror(state)
         return state
@@ -493,6 +525,7 @@ class FleetState:
         """Toggle a worker's shift status (event-kernel worker dynamics)."""
         self.peek_state(worker_id).online = online
         self.table.online[self.table.row_of(worker_id)] = online
+        self._restamped.add(worker_id)
 
     # ------------------------------------------------------------- execution
 
@@ -502,23 +535,43 @@ class FleetState:
             self.clock = now
 
     def advance_all(self, now: float) -> list[ServiceRecord]:
-        """Advance every worker to time ``now``; returns completed deliveries.
+        """Advance the fleet to time ``now``; returns completed deliveries.
 
-        A lazy fleet skips the workers whose route-table window shows the
-        advance would change nothing (fleet order is kept for the others, so
-        completions are reported in the same order either way).
+        A lazy fleet advances what the route table's window reports as moving
+        (:meth:`advance_rows` over every row); an eager or
+        ``materialise_fast_path=False`` fleet walks every worker.
+        """
+        if self.lazy and self.materialise_fast_path:
+            return self.advance_rows(slice(None), now)
+        self.set_clock(now)
+        self._moved.update(self.states)
+        return [record for state in self.states.values() for record in state.advance_to(now)]
+
+    def advance_rows(self, rows: "np.ndarray | slice", now: float) -> list[ServiceRecord]:
+        """Advance the busy, due workers among table ``rows`` to time ``now``.
+
+        The fleet's one table-driven advancement routine: the front door runs
+        it over every row (:meth:`advance_all`), a shard replica over its
+        member rows once per shipped clock. Only rows
+        :meth:`RouteTable.busy_due` reports are walked — for every other busy
+        row ``advance_to(now)`` has no side effect (the window invariant) and
+        an idle row's clock is left to the next touch. Deliveries come back in
+        fleet order, and only workers whose vertex changed are marked moved.
         """
         self.set_clock(now)
+        table = self.table
+        due = table.ids[rows][table.busy_due(rows, now)]
         completed: list[ServiceRecord] = []
-        states = self.states
-        worker_ids = list(states)
-        if self.lazy and self.materialise_fast_path:
-            table = self.table
-            due = set(table.ids[table.due(slice(None), now)].tolist())
-            worker_ids = [worker_id for worker_id in worker_ids if worker_id in due]
-        for worker_id in worker_ids:
-            completed.extend(states[worker_id].advance_to(now))
-            self._moved.add(worker_id)
+        for worker_id in self.in_fleet_order(due.tolist()):
+            completed.extend(self._advance(self.states[worker_id], now))
+        return completed
+
+    def _advance(self, state: WorkerState, now: float) -> list[ServiceRecord]:
+        """``advance_to(now)``, marking the worker moved when its vertex changed."""
+        position_before = state.route.origin
+        completed = state.advance_to(now)
+        if state.route.origin != position_before:
+            self._moved.add(state.worker.id)
         return completed
 
     def finish_all(self) -> list[ServiceRecord]:
@@ -553,13 +606,11 @@ class FleetState:
         elif route.start_time >= clock and route.is_empty:
             return
         started = _time.perf_counter()
-        position_before = route.origin
-        completed = state.advance_to(clock)
+        completed = self._advance(state, clock)
         self.materialisation_seconds += _time.perf_counter() - started
         if completed:
             self._completions.extend(completed)
-        if not self.materialise_fast_path or state.route.origin != position_before:
-            # the position vertex changed: the grid needs a resync for it
+        if not self.materialise_fast_path:
             self._moved.add(state.worker.id)
 
     # ------------------------------------------------------- change tracking
@@ -568,6 +619,7 @@ class FleetState:
         worker_id = state.worker.id
         self._dirty_plans.add(worker_id)
         self._moved.add(worker_id)
+        self._restamped.add(worker_id)
         self._mirror(state)
 
     def _mirror(self, state: WorkerState) -> None:
@@ -578,6 +630,13 @@ class FleetState:
         """Workers re-planned since the last drain (engine event scheduling)."""
         drained = sorted(self._dirty_plans)
         self._dirty_plans.clear()
+        return drained
+
+    def drain_restamped(self) -> set[int]:
+        """Workers whose ``(plan_version, online)`` changed since the last drain
+        (the cluster front door ships exactly those plans to the replicas)."""
+        drained = self._restamped
+        self._restamped = set()
         return drained
 
     def drain_completions(self) -> list[ServiceRecord]:

@@ -108,8 +108,19 @@ class RouteTable(RouteBlock):
 
     # --------------------------------------------------------------- reading
 
+    def _window(
+        self, rows: "np.ndarray | slice", clock: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(anchored, busy, skippable)`` of ``rows`` — the window, evaluated once."""
+        anchored = self.arr[0, rows]
+        budget = clock - anchored
+        skippable = (self.arr[1, rows] > clock + 1e-9) & (
+            (budget <= 1e-9) | (self.first_edge_cost[rows] > budget + 1e-9)
+        )
+        return anchored, self.count[rows] > 1, skippable
+
     def due(self, rows: "np.ndarray | slice", clock: float) -> np.ndarray:
-        """Which of ``rows`` an ``advance_to(clock)`` would change.
+        """Which of ``rows`` a *read* at ``clock`` has to bring up to date.
 
         A busy worker is skippable when its next stop is not reached
         (``arr[1] > clock + 1e-9``) and either no time has passed since its
@@ -117,14 +128,25 @@ class RouteTable(RouteBlock):
         elapsed budget — exactly the comparisons ``advance_to`` walks
         through before breaking without a side effect. With no recorded
         path ``advance_to`` would query (and record) one, so the row is due.
-        An idle worker is due when its clock would be bumped.
+        An idle worker is due when its clock lags: nothing about it can
+        change but ``arr[0] = start_time = clock``, which whoever reads the
+        row (the block kernels take an idle ``arr[0]`` from the table) must
+        see — so ``state_of`` / ``states_of`` ask this, while fleet
+        advancement, which reads nothing, asks :meth:`busy_due`.
         """
-        anchored = self.arr[0, rows]
-        budget = clock - anchored
-        skippable = (self.arr[1, rows] > clock + 1e-9) & (
-            (budget <= 1e-9) | (self.first_edge_cost[rows] > budget + 1e-9)
-        )
-        return np.where(self.count[rows] > 1, ~skippable, anchored < clock)
+        anchored, busy, skippable = self._window(rows, clock)
+        return np.where(busy, ~skippable, anchored < clock)
+
+    def busy_due(self, rows: "np.ndarray | slice", clock: float) -> np.ndarray:
+        """The busy workers among ``rows`` an ``advance_to(clock)`` would move.
+
+        :meth:`due` without the idle clock bump — the only rows on which
+        advancing has an effect that a later advance could not reproduce
+        (an idle bump is idempotent: ``start_time = clock``, no float
+        accumulates, so it is left to the next touch).
+        """
+        _, busy, skippable = self._window(rows, clock)
+        return busy & ~skippable
 
     def is_due(self, worker_id: int, clock: float) -> bool:
         """:meth:`due` for one worker, evaluated on Python floats."""

@@ -1,0 +1,461 @@
+"""Replica advancement through the due window stays bit-locked to the front door.
+
+Two contracts:
+
+* **Pinned end to end.** ``cluster:`` and ``sharded:`` replays of five stress
+  programs (closures that reopen, cancellations, shifts, surges) at K=2 give
+  the per-request assignments and service times, ``unified_cost`` and
+  ``served_requests`` of the commit *before* fleet advancement went through
+  the route table's due window — literals recorded on that commit.
+* **Replica == front door after every command.** A real ``ClusterDispatcher``
+  drives two ``ShardWorkerRuntime`` objects *in this process* (the code a
+  forked shard worker runs, on a pickled copy of the instance) through stress
+  programs with fleet growth mixed in. Whenever a replica has brought its
+  members to a command's clock — before the decision, the one point where both
+  sides describe the same instant — every member's route, service records,
+  grid cell and route-table row must equal the authoritative fleet's, bit for
+  bit; idle members only owe ``start_time <= clock`` until something touches
+  them, and read ``start_time == clock`` once it does.
+
+One exemption, found by this test and older than it: the engine touches a
+*single* worker between two ``advance_all`` clocks when a cancellation comes
+too late to drop (the pickup already happened) or a shift starts. That partial
+advance regroups the anchor sum ``arr[0] + moved_cost`` on the front door only
+— the replica replays ``advance_all`` clocks, not touches — so such a worker's
+anchor may sit one ULP off until its plan is next shipped (``_apply_plan``
+keeps the authoritative bits for exactly this reason). Those workers are held
+to 1e-9 instead; the service times the replica stamps meanwhile and its
+travelled cost, which sums the same groups, keep the ULP for good.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import pickle
+import types
+from collections import deque
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+import repro.cluster.dispatcher as dispatcher_module
+from repro.cluster.messages import (
+    AckReply,
+    AddWorkerCommand,
+    CancelCommand,
+    DispatchCommand,
+    FlushCommand,
+    NetworkUpdateCommand,
+    ShutdownCommand,
+    StatsCommand,
+)
+from repro.cluster.worker import ShardWorkerRuntime
+from repro.core.types import Worker
+from repro.dispatch.registry import DispatcherSpec
+from repro.scenarios.compile import compile_program
+from repro.scenarios.runner import _build_service, run_program
+from repro.scenarios.stress import generate_stress_scenario
+from repro.service.spec import PlatformSpec
+
+from tests.simulation.test_route_table import check_table
+
+# ------------------------------------------------------- pinned on the parent
+
+#: ``(dispatcher, stress program of master seed 2018)`` ->
+#: ``(sha256 of the sorted (request, worker, pickup_time, dropoff_time) list,
+#: deliveries, unified_cost, served_requests)`` at K=2, recorded on the commit
+#: before this advancement change (b6b4801).
+_PARENT = {
+    ("cluster:pruneGreedyDP", 0): ("d0e5ea471268859c", 78, 17222.527472527465, 78),
+    ("cluster:pruneGreedyDP", 2): ("4010b59dd349e048", 37, 11612.637362637364, 37),
+    ("cluster:pruneGreedyDP", 7): ("8a34c0b36be15e23", 10, 543153.9750315963, 10),
+    ("cluster:pruneGreedyDP", 13): ("de5689068ba261c1", 44, 344805.72770621616, 44),
+    ("cluster:pruneGreedyDP", 16): ("02564b8467fb5716", 81, 45640.109890109896, 81),
+    ("cluster:batch", 0): ("77b7b63a46ee6f26", 75, 21159.340659340654, 75),
+    ("cluster:batch", 2): ("986603ef63a4ea04", 33, 19093.406593406595, 33),
+    ("cluster:batch", 7): ("c37534c70c7a9853", 9, 544947.4372425945, 9),
+    ("cluster:batch", 13): ("c9b7154936536eb2", 41, 355796.4184464605, 41),
+    ("cluster:batch", 16): ("8ec46c75a4e6d807", 78, 58560.43956043956, 78),
+    ("sharded:pruneGreedyDP", 0): ("d0e5ea471268859c", 78, 17222.527472527465, 78),
+    ("sharded:pruneGreedyDP", 2): ("4010b59dd349e048", 37, 11612.637362637364, 37),
+    ("sharded:pruneGreedyDP", 7): ("8a34c0b36be15e23", 10, 543153.9750315963, 10),
+    ("sharded:pruneGreedyDP", 13): ("de5689068ba261c1", 44, 344805.72770621616, 44),
+    ("sharded:pruneGreedyDP", 16): ("02564b8467fb5716", 81, 45640.109890109896, 81),
+    ("sharded:tshare", 0): ("23ee0b88fd2e3e54", 78, 17321.428571428565, 78),
+    ("sharded:tshare", 2): ("c7bf8e788961a316", 36, 13681.318681318682, 36),
+    ("sharded:tshare", 7): ("4f08cbdf6bbb3899", 6, 553262.502952205, 6),
+    ("sharded:tshare", 13): ("aa93cba50cc62db6", 40, 365017.9437542835, 40),
+    ("sharded:tshare", 16): ("728fad6c04c6aa43", 81, 45771.97802197803, 81),
+}
+
+
+def _spec(dispatcher_name: str, index: int):
+    config, program = generate_stress_scenario(2018, index)
+    spec = PlatformSpec(
+        scenario=config, dispatcher=DispatcherSpec.parse(dispatcher_name, num_shards=2)
+    )
+    return spec, program
+
+
+def _fingerprint(completions, result):
+    services = sorted(
+        (record.request.id, record.worker_id, record.pickup_time, record.dropoff_time)
+        for record in completions
+    )
+    digest = hashlib.sha256(repr(services).encode()).hexdigest()[:16]
+    return digest, len(services), result.unified_cost, result.served_requests
+
+
+@pytest.mark.parametrize(("dispatcher_name", "index"), sorted(_PARENT))
+def test_replays_equal_the_parent_commit(dispatcher_name, index):
+    outcome = run_program(*_spec(dispatcher_name, index))
+    assert _fingerprint(outcome.completions, outcome.result) == _PARENT[dispatcher_name, index]
+
+
+# ----------------------------------------------- shard workers in this process
+
+
+class _Replica:
+    """Both pipe ends and the process of one shard worker, run synchronously.
+
+    ``send`` runs the command through the ``ShardWorkerRuntime`` handler a
+    forked worker would pick and queues the reply for ``recv``. The runtime is
+    built from a pickled copy of the init payload, as across a fork.
+    """
+
+    def __init__(self, harness: "_Harness") -> None:
+        self.harness = harness
+        self.runtime: ShardWorkerRuntime | None = None
+        self.replies: deque = deque()
+        self.alive = False
+        self.updating = False
+
+    # the multiprocessing.Process surface the front door uses
+    def boot(self, init) -> None:
+        runtime = self.runtime = ShardWorkerRuntime(pickle.loads(pickle.dumps(init)))
+        advance = runtime._advance_members
+
+        def advance_then_check(clocks):
+            advance(clocks)
+            if not self.updating:
+                self.harness.check_members(runtime)
+
+        runtime._advance_members = advance_then_check
+        self.handlers = {
+            DispatchCommand: runtime.handle_dispatch,
+            FlushCommand: runtime.handle_flush,
+            CancelCommand: runtime.handle_cancel,
+            AddWorkerCommand: runtime.handle_add_worker,
+            NetworkUpdateCommand: runtime.handle_network_update,
+            StatsCommand: runtime.handle_stats,
+        }
+        self.alive = True
+        self.replies.append(AckReply())  # ready
+
+    def is_alive(self) -> bool:
+        return self.alive
+
+    def join(self, timeout=None) -> None:
+        pass
+
+    def terminate(self) -> None:
+        self.alive = False
+
+    # the multiprocessing.Connection surface
+    def send(self, command) -> None:
+        if isinstance(command, ShutdownCommand):
+            self.alive = False
+            self.replies.append(AckReply())
+            return
+        # an update advances on the old map while the front door has already
+        # re-timed its routes on the new one: compare once the handler is done
+        # (minus the recorded paths: the replica's grid rebuild touches every
+        # member and records a path the front door derives at its next advance)
+        self.updating = isinstance(command, NetworkUpdateCommand)
+        self.harness.jumped.update(
+            worker_id for worker_id, _ in getattr(command, "moves", ())
+        )
+        if hasattr(command, "plans"):
+            self.harness.check_nothing_left_to_ship(self.runtime.shard_id)
+        # a shipped plan carries the authoritative anchor bits
+        shipped = {plan.worker_id for plan in getattr(command, "plans", ())}
+        self.harness.loose -= shipped
+        self.harness.jumped |= shipped
+        reply = self.handlers[type(command)](command)
+        assert getattr(reply, "error", None) is None
+        if self.updating:
+            self.updating = False
+            self.harness.check_members(self.runtime, paths=False)
+        self.harness.check_idle_and_table(self.runtime)
+        self.harness.commands[type(command).__name__] += 1
+        self.replies.append(reply)
+
+    def poll(self, timeout=0.0) -> bool:
+        return bool(self.replies)
+
+    def recv(self):
+        return self.replies.popleft()
+
+    def close(self) -> None:
+        pass
+
+
+class _InProcessContext:
+    """Stands in for the ``fork`` multiprocessing context."""
+
+    def __init__(self, harness: "_Harness") -> None:
+        self.harness = harness
+
+    def Pipe(self, duplex=True):  # noqa: N802 - multiprocessing's name
+        replica = _Replica(self.harness)
+        self.harness.replicas.append(replica)
+        return replica, replica
+
+    def Process(self, target, args, name, daemon):  # noqa: N802
+        replica, init = args
+        return types.SimpleNamespace(
+            start=lambda: replica.boot(init), is_alive=replica.is_alive,
+            join=replica.join, terminate=replica.terminate,
+        )
+
+
+class _Harness:
+    """Holds the front door and compares every replica against it."""
+
+    def __init__(self, touch_phase: int) -> None:
+        self.front = None
+        self.replicas: list[_Replica] = []
+        self.commands = {name: 0 for name in (
+            "DispatchCommand", "FlushCommand", "CancelCommand", "AddWorkerCommand",
+            "NetworkUpdateCommand", "StatsCommand",
+        )}
+        self.touch_phase = touch_phase
+        self.member_checks = self.busy_checks = self.travel_checks = self.idle_touches = 0
+        #: clocks of the authoritative ``advance_all`` sequence
+        self.sequence: set[float] = set()
+        #: busy workers the engine touched between two of those clocks (module
+        #: docstring) whose plan has not been shipped since
+        self.loose: set[int] = set()
+        #: ... and every worker that ever was in ``loose``
+        self.drifted: set[int] = set()
+        #: workers that ever changed shard or were shipped a plan: a replica
+        #: accumulates travelled cost only over what it walks itself — not
+        #: while the worker is another shard's, nor up to a shipped anchor
+        self.jumped: set[int] = set()
+
+    def watch(self, front) -> None:
+        """Record the clock sequence and the off-sequence partial advances."""
+        self.front = front
+        fleet = front.fleet
+        note, materialise = front._note_advance_clock, fleet._materialise
+
+        def noting(now):
+            self.sequence.add(now)
+            note(now)
+
+        def watching(state):
+            before = state.route
+            materialise(state)
+            after = state.route
+            if (
+                after is not before
+                and after.stops
+                and len(after.stops) == len(before.stops)
+                and fleet.clock not in self.sequence
+            ):
+                self.loose.add(state.worker.id)
+                self.drifted.add(state.worker.id)
+
+        front._note_advance_clock, fleet._materialise = noting, watching
+
+    def context(self):
+        return types.SimpleNamespace(
+            get_all_start_methods=lambda: ["fork"],
+            get_context=lambda *_: _InProcessContext(self),
+        )
+
+    def check_nothing_left_to_ship(self, shard_id: int) -> None:
+        """What a scan of the whole fleet would find after a plan sync: every
+        member's ``(plan_version, online)`` is the one on the shard's cursor."""
+        handle, fleet = self.front._handles[shard_id], self.front.fleet
+        for worker_id, owner in self.front._membership.items():
+            if owner == shard_id:
+                state = fleet.peek_state(worker_id)
+                assert handle.cursor.get(worker_id) == (state.plan_version, state.online), (
+                    f"worker {worker_id}: plan change never reached shard {shard_id}"
+                )
+
+    def check_members(self, runtime: ShardWorkerRuntime, paths: bool = True) -> None:
+        front, replica = self.front.fleet, runtime.fleet
+        membership = self.front._membership
+        members = {w for w, shard in membership.items() if shard == runtime.shard_id}
+        assert runtime.view.members == members
+        assert replica.clock == front.clock
+        grid = runtime.inner.grid
+        clock = replica.clock
+        self.member_checks += 1
+        for worker_id in sorted(members):
+            ours, theirs = replica.peek_state(worker_id), front.peek_state(worker_id)
+            mine, truth = ours.route, theirs.route
+            assert mine.origin == truth.origin, worker_id
+            assert _stops(mine) == _stops(truth), worker_id
+            assert ours.online == theirs.online
+            if worker_id in self.drifted:
+                assert _flat(_records(ours)) == pytest.approx(_flat(_records(theirs)), abs=1e-9)
+            else:
+                assert _records(ours) == _records(theirs), worker_id
+            assert worker_id in grid.members_in_cell(grid.cell_of_vertex(truth.origin)), (
+                f"worker {worker_id}: replica grid cell is stale"
+            )
+            if not truth.stops:
+                assert mine.start_time <= clock and truth.start_time <= clock
+                self.loose.discard(worker_id)
+                continue
+            if worker_id in self.loose:
+                assert mine.arr == pytest.approx(truth.arr, rel=0, abs=1e-9), worker_id
+                continue
+            self.busy_checks += 1
+            assert mine.start_time == truth.start_time, worker_id
+            assert mine.arr == truth.arr, worker_id
+            if paths:
+                assert mine.concrete_path == truth.concrete_path, worker_id
+            ours_row, theirs_row = replica.table.row_of(worker_id), front.table.row_of(worker_id)
+            for name in ("vertex", "arr", "slack", "picked"):
+                assert np.array_equal(
+                    getattr(replica.table, name)[: len(truth.arr), ours_row],
+                    getattr(front.table, name)[: len(truth.arr), theirs_row],
+                ), (worker_id, name)
+            if paths:
+                assert (
+                    replica.table.first_edge_cost[ours_row]
+                    == front.table.first_edge_cost[theirs_row]
+                )
+            if worker_id not in self.jumped and worker_id not in self.drifted:
+                self.travel_checks += 1
+                assert ours.travelled_cost == theirs.travelled_cost, worker_id
+            assert ours.travelled_cost <= theirs.travelled_cost + 1e-6
+
+    def check_idle_and_table(self, runtime: ShardWorkerRuntime) -> None:
+        """After any command: rows mirror routes, idle clocks never lead, and
+        a touched idle member reads the clock."""
+        replica = runtime.fleet
+        check_table(replica, only=runtime.view.members)
+        clock = replica.clock
+        for worker_id in sorted(runtime.view.members):
+            state = replica.peek_state(worker_id)
+            if state.route.stops:
+                continue
+            assert state.route.start_time <= clock
+            if (worker_id + self.touch_phase + sum(self.commands.values())) % 3 == 0:
+                touched = replica.state_of(worker_id)
+                if not touched.route.stops:
+                    self.idle_touches += 1
+                    assert touched.route.start_time == clock
+                    assert touched.route.arr == [clock]
+                    assert replica.table.arr[0, replica.table.row_of(worker_id)] == clock
+
+
+def _stops(route):
+    return [(stop.vertex, stop.request.id, stop.kind) for stop in route.stops]
+
+
+def _records(state):
+    return {
+        request_id: (record.pickup_time, record.dropoff_time)
+        for request_id, record in state.assigned_requests.items()
+    }
+
+
+def _flat(records):
+    """Record times as one list, ``None`` (not yet) as -1."""
+    return [
+        -1.0 if time is None else time
+        for request_id in sorted(records)
+        for time in (request_id, *records[request_id])
+    ]
+
+
+def _drive(monkeypatch, inner: str, index: int, growth, touch_phase: int = 0):
+    """Replay stress program ``index`` on in-process replicas, checking throughout.
+
+    ``growth`` maps a request's position in the stream to ``(worker id, vertex
+    draw)`` of a worker joining the live fleet right before it.
+    """
+    harness = _Harness(touch_phase)
+    monkeypatch.setattr(dispatcher_module, "multiprocessing", harness.context())
+    spec, program = _spec(f"cluster:{inner}", index)
+    compiled = compile_program(spec.scenario, program.validate())
+    service = _build_service(spec, compiled)
+    harness.watch(service.dispatcher)
+    completions = []
+    service._backend.on_completion = lambda record, now: completions.append(record)
+    vertices = sorted(compiled.instance.network.vertices())
+    timeline = deque(compiled.timeline)
+
+    def run_timeline(until: float) -> None:
+        while timeline and timeline[0].time <= until:
+            action = timeline.popleft()
+            service.advance_to(action.time)
+            service.apply_network_update(action.apply)
+
+    try:
+        for position, request in enumerate(compiled.instance.requests):
+            run_timeline(request.release_time)
+            if position in growth:
+                worker_id, draw = growth[position]
+                service.add_worker(
+                    Worker(id=worker_id, initial_location=vertices[draw % len(vertices)], capacity=3)
+                )
+            service.submit(request)
+        run_timeline(float("inf"))
+        result = service.drain()
+    finally:
+        service.close()
+    return harness, _fingerprint(completions, result)
+
+
+#: joins between existing ids are impossible on a dense 0..n-1 fleet, so the
+#: sparse id comes first and the later joins land *between* ids
+_GROWTH = {5: (10_001, 3), 12: (500, 11), 20: (9_000, 29)}
+
+
+class TestReplicaEqualsFrontDoorAfterEveryCommand:
+    @pytest.mark.parametrize("inner", ["pruneGreedyDP", "batch"])
+    @pytest.mark.parametrize("index", [0, 2, 7, 13, 16])
+    def test_without_growth_the_checked_run_is_the_pinned_run(self, monkeypatch, inner, index):
+        """In-process replicas, the per-command checks and the idle touches
+        they make change nothing: the run is still the parent's."""
+        harness, fingerprint = _drive(monkeypatch, inner, index, growth={})
+        assert fingerprint == _PARENT[f"cluster:{inner}", index]
+        assert harness.member_checks > 20 and harness.busy_checks > 20
+        assert harness.travel_checks > 0 and harness.idle_touches > 0
+
+    def test_the_programs_cover_every_command_kind(self, monkeypatch):
+        seen = {}
+        for inner, index in (("batch", 0), ("pruneGreedyDP", 16)):
+            harness, _ = _drive(monkeypatch, inner, index, growth=_GROWTH)
+            for name, count in harness.commands.items():
+                seen[name] = seen.get(name, 0) + count
+        assert seen["DispatchCommand"] > 50 and seen["FlushCommand"] > 10
+        assert seen["NetworkUpdateCommand"] >= 4  # two shards x close, reopen
+        assert seen["AddWorkerCommand"] == 2 * 2 * len(_GROWTH)
+
+    @given(
+        index=st.sampled_from([0, 2, 3, 4, 7, 9, 13, 16, 18, 20, 22]),
+        inner=st.sampled_from(["pruneGreedyDP", "batch", "tshare"]),
+        joins=st.lists(
+            st.tuples(st.integers(0, 29), st.integers(20, 10_001), st.integers(0, 10_000)),
+            max_size=4, unique_by=(lambda join: join[0], lambda join: join[1]),
+        ),
+        touch_phase=st.integers(0, 2),
+    )
+    @settings(max_examples=10, deadline=None, suppress_health_check=list(HealthCheck))
+    def test_members_match_through_growth_shifts_cancellations_and_closures(
+        self, monkeypatch, index, inner, joins, touch_phase
+    ):
+        growth = {position: (worker_id, draw) for position, worker_id, draw in joins}
+        harness, _ = _drive(monkeypatch, inner, index, growth, touch_phase)
+        assert harness.member_checks > 0
+        assert harness.commands["AddWorkerCommand"] == 2 * len(growth)

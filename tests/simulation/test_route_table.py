@@ -73,12 +73,18 @@ def probe_advance(state: WorkerState, oracle, clock: float) -> None:
         assert getattr(oracle.counters, name) == getattr(counters, name), name
 
 
-def check_table(fleet: FleetState) -> None:
-    """Every row equals a from-scratch rebuild; the window only skips no-ops."""
+def check_table(fleet: FleetState, only: "set[int] | None" = None) -> None:
+    """Every row equals a from-scratch rebuild; the window only skips no-ops.
+
+    ``only`` restricts the rows to those workers (a shard replica keeps the
+    routes of its own members current, nobody else's).
+    """
     table, network, clock = fleet.table, fleet.oracle.network, fleet.clock
     assert table.ids.tolist() == sorted(fleet.states)
     due = table.due(slice(None), clock)
     for row, worker_id in enumerate(table.ids.tolist()):
+        if only is not None and worker_id not in only:
+            continue
         state = fleet.states[worker_id]
         route = state.route
         count = route.num_stops + 1
