@@ -3,8 +3,8 @@
 Every benchmark appends its run entries to a ``BENCH_*.json`` document of the
 shape ``{"benchmark": <name>, "runs": [...]}`` so successive PRs can track
 performance over time. The append/load logic used to be copy-pasted across
-``bench_hot_path.py``, ``bench_sharding.py`` and ``bench_oracle.py``; this
-module is the single implementation.
+``bench_sharding.py`` and ``bench_oracle.py``; this module is the single
+implementation.
 """
 
 from __future__ import annotations

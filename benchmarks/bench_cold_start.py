@@ -53,7 +53,7 @@ from repro.dispatch import DispatcherConfig  # noqa: E402
 from repro.dispatch.greedy_dp import PruneGreedyDP  # noqa: E402
 from repro.network.backends import APSP_VERTEX_LIMIT  # noqa: E402
 from repro.network.oracle import DistanceOracle  # noqa: E402
-from repro.simulation.simulator import Simulator  # noqa: E402
+from repro.service import MatchingService  # noqa: E402
 from repro.workloads.scenarios import (  # noqa: E402
     ScenarioConfig,
     build_instance,
@@ -129,7 +129,7 @@ def simulate(config, network, canonical, oracle) -> dict:
         dynamics=canonical.dynamics,
     )
     dispatcher = PruneGreedyDP(DispatcherConfig(grid_cell_metres=config.grid_km * 1000.0))
-    return fingerprint(Simulator(instance, dispatcher).run())
+    return fingerprint(MatchingService(instance, dispatcher).replay())
 
 
 def backends_for(network) -> list[str]:

@@ -54,7 +54,7 @@ from repro.dispatch import DispatcherConfig  # noqa: E402
 from repro.dispatch.greedy_dp import PruneGreedyDP  # noqa: E402
 from repro.network.backends import APSP_VERTEX_LIMIT, BACKEND_NAMES  # noqa: E402
 from repro.network.oracle import DistanceOracle  # noqa: E402
-from repro.simulation.simulator import Simulator  # noqa: E402
+from repro.service import MatchingService  # noqa: E402
 from repro.workloads.scenarios import (  # noqa: E402
     ScenarioConfig,
     build_instance,
@@ -106,9 +106,9 @@ def simulate(config, network, canonical, oracle):
         dynamics=canonical.dynamics,
     )
     dispatcher = PruneGreedyDP(DispatcherConfig(grid_cell_metres=config.grid_km * 1000.0))
-    simulator = Simulator(instance, dispatcher)
+    service = MatchingService(instance, dispatcher)
     started = time.perf_counter()
-    result = simulator.run()
+    result = service.replay()
     wall = time.perf_counter() - started
     return wall, result, oracle.counters.snapshot()
 

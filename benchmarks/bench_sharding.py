@@ -40,6 +40,7 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from _trajectory import append_trajectory  # noqa: E402
 from repro.dispatch import DispatcherConfig, make_dispatcher  # noqa: E402
+from repro.service import MatchingService  # noqa: E402
 from repro.workloads.scenarios import (  # noqa: E402
     ScenarioConfig,
     build_instance,
@@ -47,7 +48,6 @@ from repro.workloads.scenarios import (  # noqa: E402
     make_oracle,
     paper_default_scenario,
 )
-from repro.simulation.simulator import Simulator  # noqa: E402
 
 #: named benchmark scenarios; "standard" is the paper-default city at the
 #: fleet size where candidate sets get large, "smoke" fits a CI minute.
@@ -73,9 +73,9 @@ def run_once(config, network, shards: int, strategy: str):
     )
     name = "pruneGreedyDP" if shards == 0 else "sharded:pruneGreedyDP"
     dispatcher = make_dispatcher(name, dispatcher_config)
-    simulator = Simulator(instance, dispatcher)
+    service = MatchingService(instance, dispatcher)
     started = time.perf_counter()
-    result = simulator.run()
+    result = service.replay()
     wall = time.perf_counter() - started
     return wall, result
 

@@ -81,7 +81,7 @@ from repro.service import (
     ServiceSnapshot,
     replay_workload,
 )
-from repro.simulation import SimulationResult, Simulator, run_simulation
+from repro.simulation import SimulationResult
 from repro.workloads import ScenarioConfig, build_instance, paper_default_scenario
 
 __version__ = "1.0.0"
@@ -133,8 +133,6 @@ __all__ = [
     "ServiceSnapshot",
     "replay_workload",
     "SimulationResult",
-    "Simulator",
-    "run_simulation",
     "ScenarioConfig",
     "build_instance",
     "paper_default_scenario",

@@ -70,7 +70,6 @@ from repro.experiments.tables import table4_datasets, table5_parameters
 from repro.service.facade import MatchingService
 from repro.service.spec import PlatformSpec
 from repro.sharding.partitioner import STRATEGIES
-from repro.simulation.simulator import ENGINES
 from repro.workloads.scenarios import CITY_BUILDERS, FILE_CITY_PREFIX, ScenarioConfig
 
 
@@ -283,13 +282,9 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                              "hierarchy, flat hub labels, or cached Dijkstra; 'auto' "
                              "picks by network size (all are value-exact)")
     parser.add_argument("--cancellation-rate", type=float, default=0.0,
-                        help="per-request rider-cancellation probability (event engine only)")
+                        help="per-request rider-cancellation probability")
     parser.add_argument("--shift-hours", type=float, default=0.0,
-                        help="staggered worker duty-window length in hours; 0 = always on "
-                             "(event engine only)")
-    parser.add_argument("--engine", default="event", choices=sorted(ENGINES),
-                        help="simulation engine: the event-driven kernel (default) or the "
-                             "legacy request-stream loop")
+                        help="staggered worker duty-window length in hours; 0 = always on")
     parser.add_argument("--shards", type=int, default=0,
                         help="spatial shards for the sharded dispatcher; 0 = unsharded, "
                              "1 = sharded wrapper reproducing the unsharded run exactly")
@@ -340,7 +335,6 @@ def _platform_from_args(
     return PlatformSpec(
         scenario=_scenario_from_args(args),
         dispatcher=_dispatcher_spec_from_args(args, algorithm),
-        engine=args.engine,
         cluster=getattr(args, "cluster", False),
         cluster_max_pending=getattr(args, "max_pending", 1024),
         cluster_retry_attempts=getattr(args, "retry_attempts", 3),
@@ -380,7 +374,7 @@ def command_serve_replay(args: argparse.Namespace) -> int:
         requests = requests[: args.max_requests]
     print(
         f"serving {len(requests)} requests through {service.dispatcher.name} "
-        f"on {spec.scenario.city} ({spec.engine} engine)"
+        f"on {spec.scenario.city}"
     )
     on_decision = None if args.quiet else (lambda decision: print(decision.describe()))
     result = service.replay(requests, on_decision=on_decision)

@@ -2,7 +2,7 @@
 
 The cluster facade *is* a :class:`~repro.service.facade.MatchingService`: the
 same submit / cancel / advance_to / drain / snapshot session API, the same
-typed responses, the same event-engine backend — the only difference is the
+typed responses, the same event kernel behind it — the only difference is the
 dispatcher, a :class:`~repro.cluster.dispatcher.ClusterDispatcher` delegating
 each shard's matching work to a long-lived worker process.
 
@@ -42,19 +42,14 @@ class ClusterMatchingService(MatchingService):
         instance: URPSMInstance,
         dispatcher: ClusterDispatcher,
         *,
-        engine: str = "event",
         collect_completions: bool = True,
     ) -> None:
-        if engine != "event":
-            raise ConfigurationError("cluster serving requires engine='event'")
         if not isinstance(dispatcher, ClusterDispatcher):
             raise ConfigurationError(
                 "ClusterMatchingService requires a ClusterDispatcher; got "
                 f"{type(dispatcher).__name__}"
             )
-        super().__init__(
-            instance, dispatcher, engine=engine, collect_completions=collect_completions
-        )
+        super().__init__(instance, dispatcher, collect_completions=collect_completions)
 
     # ------------------------------------------------------------ construction
 
@@ -111,8 +106,6 @@ class ClusterMatchingService(MatchingService):
         doubles as the worker-process layout; ``spec.dispatcher.algorithm``
         is the per-shard inner algorithm.
         """
-        if spec.engine != "event":
-            raise ConfigurationError("cluster serving requires engine='event'")
         spec.validate()
         instance = spec.build_instance(network=network, oracle=oracle)
         dispatcher = ClusterDispatcher(

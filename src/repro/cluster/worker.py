@@ -150,7 +150,7 @@ class ShardWorkerRuntime:
         # from streams fully determined by the platform seed and shard id.
         random.seed(init.seed)
         self.rng = make_rng(init.seed)
-        self.fleet = FleetState(self.instance.workers, self.instance.oracle, lazy=True)
+        self.fleet = FleetState(self.instance.workers, self.instance.oracle)
         # a respawned replica replays workers added after the original fork;
         # their exact member state arrives with the first command (the front
         # door cleared this shard's sync cursor at adoption)

@@ -271,18 +271,12 @@ class Dispatcher(abc.ABC):
     def sync_grid(self) -> None:
         """Refresh the grid index with the fleet's materialised positions.
 
-        With a lazy fleet only the workers that actually moved since the last
-        sync are touched (the others' grid entries are already current); with
-        an eager fleet every entry is rewritten, matching the seed behaviour
-        even for callers that mutate routes behind the fleet's back.
+        Only the workers that moved since the last sync are touched (the
+        others' grid entries are already current).
         """
         assert self.grid is not None and self.fleet is not None
-        if self.fleet.lazy:
-            for worker_id in self.fleet.drain_moved():
-                self.grid.update(worker_id, self.fleet.peek_state(worker_id).position)
-            return
-        for state in self.fleet:
-            self.grid.update(state.worker.id, state.position)
+        for worker_id in self.fleet.drain_moved():
+            self.grid.update(worker_id, self.fleet.peek_state(worker_id).position)
 
     def candidate_worker_ids(self, request: Request, now: float) -> list[int]:
         """Workers that could possibly reach the request's origin in time.

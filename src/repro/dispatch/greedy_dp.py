@@ -58,7 +58,7 @@ class _GreedyDPBase(Dispatcher):
         lower-bound reduction over all candidates, argsorted for the Lemma 8
         scan); ``False`` keeps the scalar per-candidate walk — both produce
         identical outcomes and exact-query counters, so the scalar path serves
-        as the equivalence baseline of ``benchmarks/bench_hot_path.py``."""
+        as the equivalence baseline of the vectorized one."""
         super().__init__(config)
         self.insertion = insertion or LinearDPInsertion()
         self.vectorized = vectorized
@@ -202,13 +202,6 @@ class _GreedyDPBase(Dispatcher):
         assert fleet is not None and self.oracle is not None
         table = fleet.table
         candidate_ids = table.ids[candidate_rows]
-        if not (fleet.lazy and fleet.materialise_fast_path):
-            # eager fleets may hold idle routes materialised at times other
-            # than ``now``; take the uniform route-based path
-            routes = [state.route for state in fleet.states_of(candidate_ids)]
-            bounds = euclidean_insertion_lower_bounds(routes, request, self.oracle, direct)
-            return self._order_bounds(bounds, candidate_ids)
-
         bounds = np.full(candidate_rows.size, INFINITY, dtype=np.float64)
         idle_mask, idle_origins, busy_rows = fleet.idle_partition(candidate_rows)
         if idle_origins.size:

@@ -47,7 +47,6 @@ class SweepTask:
     replicate: int
     algorithm: str
     config: ScenarioConfig
-    engine: str = "event"
     dispatcher_config: DispatcherConfig = field(default_factory=DispatcherConfig)
     #: force the sharded wrapper even at num_shards=1 (the exactness wrapper);
     #: carried separately because DispatcherConfig has no such flag.
@@ -58,8 +57,8 @@ class SweepTask:
 def run_sweep_task(task: SweepTask) -> SimulationResult:
     """Execute one sweep task (module level so process pools can pickle it).
 
-    Each worker process keeps one :class:`ScenarioRunner` per (engine,
-    dispatcher config), so network and oracle construction is memoized per
+    Each worker process keeps one :class:`ScenarioRunner` per dispatcher
+    configuration, so network and oracle construction is memoized per
     city *across* the tasks the process executes. The memoized oracle's LRU
     caches are cleared before the run: a task's reported cache hit rates must
     not depend on which tasks happened to share its process earlier.
@@ -74,7 +73,6 @@ _PROCESS_RUNNERS: dict[tuple, ScenarioRunner] = {}
 
 def _process_runner(task: SweepTask) -> ScenarioRunner:
     key = (
-        task.engine,
         astuple(task.dispatcher_config),
         task.sharded,
         task.collect_completions,
@@ -86,7 +84,6 @@ def _process_runner(task: SweepTask) -> ScenarioRunner:
                 dispatcher=DispatcherSpec.from_config(
                     task.dispatcher_config, sharded=task.sharded
                 ),
-                engine=task.engine,
                 collect_completions=task.collect_completions,
             )
         )
@@ -117,31 +114,19 @@ class ParallelSweepRunner:
     """Fans independent sweep tasks out over a process pool.
 
     Args:
-        dispatcher_config: knobs shared by every dispatcher.
-        engine: simulation engine to drive.
         jobs: worker processes; 1 runs everything inline, ``None`` uses the
             machine's CPU count.
-        platform: alternative to (dispatcher_config, engine): take both from
-            a :class:`~repro.service.spec.PlatformSpec`.
+        platform: the platform spec (default: ``PlatformSpec()``) supplying
+            the dispatcher knobs, the sharded flag and completion tracking.
     """
 
     def __init__(
-        self,
-        dispatcher_config: DispatcherConfig | None = None,
-        engine: str = "event",
-        jobs: int | None = None,
-        *,
-        platform: PlatformSpec | None = None,
+        self, jobs: int | None = None, *, platform: PlatformSpec | None = None
     ) -> None:
-        self.sharded = False
-        self.collect_completions = True
-        if platform is not None:
-            dispatcher_config = platform.dispatcher_config()
-            engine = platform.engine
-            self.sharded = platform.dispatcher.sharded
-            self.collect_completions = platform.collect_completions
-        self.dispatcher_config = dispatcher_config or DispatcherConfig()
-        self.engine = engine
+        platform = platform or PlatformSpec()
+        self.dispatcher_config = platform.dispatcher_config()
+        self.sharded = platform.dispatcher.sharded
+        self.collect_completions = platform.collect_completions
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
 
     # --------------------------------------------------------------- planning
@@ -192,7 +177,6 @@ class ParallelSweepRunner:
                             replicate=replicate,
                             algorithm=algorithm,
                             config=point_config,
-                            engine=self.engine,
                             dispatcher_config=self.dispatcher_config,
                             sharded=self.sharded,
                             collect_completions=self.collect_completions,

@@ -9,21 +9,16 @@ algorithm) pair.
 Every run is executed by replaying the workload through a
 :class:`~repro.service.facade.MatchingService` built from the runner's
 :class:`~repro.service.spec.PlatformSpec` — batch experiments exercise exactly
-the online-serving code path. The pre-service constructor signature
-(``ScenarioRunner(dispatcher_config, engine=...)``) still works but is
-deprecated in favour of ``ScenarioRunner(platform=PlatformSpec(...))``.
+the online-serving code path.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.core.instance import URPSMInstance
-from repro.dispatch.base import DispatcherConfig
 from repro.dispatch.registry import DispatcherSpec
-from repro.exceptions import ConfigurationError
 from repro.network.graph import RoadNetwork
 from repro.network.oracle import DistanceOracle
 from repro.service.facade import MatchingService
@@ -55,67 +50,24 @@ class SweepPoint:
 class ScenarioRunner:
     """Builds instances (caching the city) and runs algorithm comparisons.
 
-    Preferred construction::
-
-        ScenarioRunner(platform=PlatformSpec(dispatcher=..., engine=...))
-
     The platform spec supplies the dispatcher knobs (sharding layout, batch
-    window, ...) and the engine; each :meth:`compare` call supplies the
-    scenario and the algorithm names.
+    window, ...); each :meth:`compare` call supplies the scenario and the
+    algorithm names.
 
     Args:
-        dispatcher_config: *(deprecated)* knobs shared by every dispatcher.
-        engine: *(deprecated)* simulation engine to drive.
-        platform: the platform spec; scenario fields of the spec are ignored
-            (scenarios are per-call), dispatcher + engine fields apply.
+        platform: the platform spec (default: ``PlatformSpec()``); scenario
+            fields of the spec are ignored (scenarios are per-call), the
+            dispatcher and completion-tracking fields apply.
     """
 
-    def __init__(
-        self,
-        dispatcher_config: DispatcherConfig | None = None,
-        engine: str | None = None,
-        *,
-        platform: PlatformSpec | None = None,
-    ) -> None:
-        if platform is not None and (dispatcher_config is not None or engine is not None):
-            raise ConfigurationError(
-                "pass either platform= or the deprecated (dispatcher_config, engine) "
-                "pair, not both"
-            )
-        if platform is None:
-            if dispatcher_config is not None or engine is not None:
-                warnings.warn(
-                    "ScenarioRunner(dispatcher_config=..., engine=...) is deprecated; "
-                    "construct with ScenarioRunner(platform=PlatformSpec(dispatcher="
-                    "DispatcherSpec(...), engine=...))",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            dispatcher = (
-                DispatcherSpec.from_config(dispatcher_config)
-                if dispatcher_config is not None
-                else DispatcherSpec()
-            )
-            platform = PlatformSpec(dispatcher=dispatcher, engine=engine or "event")
-        self.platform = platform.validate()
+    def __init__(self, *, platform: PlatformSpec | None = None) -> None:
+        self.platform = (platform or PlatformSpec()).validate()
         self._network_cache: dict[tuple[str, int], RoadNetwork] = {}
         self._oracle_cache: dict[tuple, DistanceOracle] = {}
         #: how many times each (city, city seed) was actually *built* — sweeps
         #: assert this stays at one build per distinct city.
         self.network_builds: dict[tuple[str, int], int] = {}
         self.oracle_builds: dict[tuple, int] = {}
-
-    # ------------------------------------------------------------ back-compat
-
-    @property
-    def engine(self) -> str:
-        """Simulation engine driven by every run (from the platform spec)."""
-        return self.platform.engine
-
-    @property
-    def dispatcher_config(self) -> DispatcherConfig:
-        """Materialised dispatcher knobs (from the platform spec)."""
-        return self.platform.dispatcher_config()
 
     # --------------------------------------------------------------- caches
 
@@ -200,7 +152,6 @@ class ScenarioRunner:
             service = MatchingService(
                 instance,
                 spec.build(config=dispatcher_config),
-                engine=self.platform.engine,
                 collect_completions=self.platform.collect_completions,
             )
             results.append(service.replay())

@@ -42,6 +42,7 @@ closure or reopening) cost, per backend:
 
 from __future__ import annotations
 
+import mmap
 import time
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
@@ -167,7 +168,14 @@ class APSPBackend:
     def _build_matrix(network: RoadNetwork) -> np.ndarray:
         csr = network.csr
         n = csr.num_vertices
-        matrix = np.empty((n, n), dtype=np.float64)
+        # the table gets its own private anonymous mapping, not a chunk of the
+        # allocator's heap: dropping a backend unmaps it at once, so a freed
+        # table never leaves a table-sized hole that the next cold build
+        # fails to reuse (peak memory stays one table per live backend);
+        # private keeps forked shard workers copy-on-write, as heap memory is
+        flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+        buffer = mmap.mmap(-1, max(n * n, 1) * 8, **flags)
+        matrix = np.frombuffer(buffer, dtype=np.float64, count=n * n).reshape(n, n)
         vertex_ids = csr.vertex_ids_list
         for row in range(n):
             matrix[row] = single_source_distances_array(network, vertex_ids[row])

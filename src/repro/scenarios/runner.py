@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.exceptions import ConfigurationError
 from repro.network.graph import RoadNetwork
 from repro.network.oracle import DistanceOracle
 from repro.scenarios.compile import BASE_CLASS, CompiledScenario, compile_program
@@ -36,8 +35,7 @@ class ScenarioRunResult:
         result: the standard aggregated simulation result.
         compiled: the compiled scenario that was driven (instance, timeline,
             class labels).
-        completions: per-request service records, in completion order
-            (event engine only; empty under the legacy engine).
+        completions: per-request service records, in completion order.
         class_stats: per fleet/workload-class aggregates keyed by label.
     """
 
@@ -58,44 +56,33 @@ def run_program(
     """Compile ``program`` onto ``spec`` and replay it end to end.
 
     Args:
-        spec: the platform (scenario config + dispatcher + engine).
+        spec: the platform (scenario config + dispatcher + serving path).
         program: the scenario program; ``None``/empty reproduces the plain run.
         network, oracle: optional pre-built city (sweep reuse). Disruption
             programs mutate the network and dirty the oracle — do not share
             them across disruption runs.
         on_completion: optional observer invoked as ``(record, now)`` for
-            every completed/expired service record (event engine only).
+            every completed/expired service record.
 
     Disruption programs run on every serving path, including ``cluster:``
     specs — the front door broadcasts each timed closure/reopening to its
     shard worker processes via the replica-sync update protocol, so cluster
     replays stay bit-identical to the in-process ``sharded:`` path at K>1.
-
-    Raises:
-        ConfigurationError: disruption programs on the legacy engine (it
-            snapshots distances up front).
     """
     program = (program or ScenarioProgram(name="baseline")).validate()
     spec.validate()
-    if program.disruptions and spec.engine != "event":
-        raise ConfigurationError(
-            "network disruptions require engine='event'; the legacy loop "
-            "snapshots distances up front"
-        )
 
     compiled = compile_program(spec.scenario, program, network=network, oracle=oracle)
     service = _build_service(spec, compiled)
 
     completions: list[ServiceRecord] = []
-    backend = service._backend
-    if hasattr(backend, "on_completion"):
 
-        def _observe(record: ServiceRecord, now: float) -> None:
-            completions.append(record)
-            if on_completion is not None:
-                on_completion(record, now)
+    def _observe(record: ServiceRecord, now: float) -> None:
+        completions.append(record)
+        if on_completion is not None:
+            on_completion(record, now)
 
-        backend.on_completion = _observe
+    service._backend.on_completion = _observe
 
     timeline = list(compiled.timeline)
     cursor = 0
@@ -150,7 +137,6 @@ def _build_service(spec: PlatformSpec, compiled: CompiledScenario) -> MatchingSe
     return MatchingService(
         compiled.instance,
         spec.build_dispatcher(),
-        engine=spec.engine,
         collect_completions=spec.collect_completions,
     )
 

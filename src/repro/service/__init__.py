@@ -9,7 +9,7 @@ that way:
   typed decisions;
 * :class:`~repro.service.spec.PlatformSpec` — one declarative, serialisable
   configuration composing city, workload, oracle, dispatcher, sharding and
-  engine settings;
+  cluster settings;
 * :func:`~repro.service.facade.replay_workload` — the batch entry point,
   which simply streams a generated workload through a service session (batch
   and online runs are the same code path, metric-identical by construction

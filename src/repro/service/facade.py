@@ -2,8 +2,8 @@
 
 :class:`MatchingService` inverts the batch-simulator architecture: instead of
 a runner that owns a whole workload and replays it, the *service* owns the
-simulation backend (event kernel or legacy loop), the fleet, the dispatcher
-and the clock, and exposes an online session API:
+event kernel (:class:`~repro.simulation.engine.EventEngine`), the fleet, the
+dispatcher and the clock, and exposes an online session API:
 
 * :meth:`MatchingService.submit` — one request in, one typed
   :class:`~repro.service.responses.AssignmentDecision` out;
@@ -19,9 +19,9 @@ and the clock, and exposes an online session API:
 
 Offline batch runs are the same code path: :meth:`MatchingService.replay`
 submits an instance's request stream one by one and drains — and is
-metric-identical (served rate, unified cost, oracle counters) to the direct
-:class:`~repro.simulation.simulator.Simulator` run on both engines, which the
-service test-suite enforces for every registered dispatcher.
+metric-identical (served rate, unified cost, oracle counters) to the kernel's
+own batch replay (:meth:`~repro.simulation.engine.EventEngine.run`), which
+the service test-suite enforces for every registered dispatcher.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 from repro.core.instance import URPSMInstance
 from repro.core.types import Request, Worker
 from repro.dispatch.base import Dispatcher, DispatchOutcome
-from repro.exceptions import ConfigurationError, DispatchError
+from repro.exceptions import DispatchError
 from repro.network.graph import RoadNetwork
 from repro.network.oracle import DistanceOracle
 from repro.service.responses import (
@@ -44,7 +44,6 @@ from repro.service.responses import (
 from repro.service.spec import PlatformSpec
 from repro.simulation.engine import EventEngine
 from repro.simulation.metrics import SimulationResult
-from repro.simulation.simulator import ENGINES, LegacyLoop
 
 
 class MatchingService:
@@ -54,8 +53,6 @@ class MatchingService:
         instance: the URPSM instance providing network, oracle, fleet and —
             for replay sessions — the request stream.
         dispatcher: the matching algorithm.
-        engine: ``"event"`` (default; required for cancellations, shifts and
-            live fleet events) or ``"legacy"`` (the seed's request loop).
         collect_completions: track waits / detour ratios of completions.
     """
 
@@ -64,23 +61,13 @@ class MatchingService:
         instance: URPSMInstance,
         dispatcher: Dispatcher,
         *,
-        engine: str = "event",
         collect_completions: bool = True,
     ) -> None:
-        if engine not in ENGINES:
-            raise ConfigurationError(f"unknown engine {engine!r}; available: {ENGINES}")
-        self.engine = engine
-        if engine == "event":
-            self._backend = EventEngine(
-                instance, dispatcher, collect_completions=collect_completions
-            )
-        else:
-            self._backend = LegacyLoop(
-                instance, dispatcher, collect_completions=collect_completions
-            )
+        self._backend = EventEngine(
+            instance, dispatcher, collect_completions=collect_completions
+        )
         self._backend.on_outcome = self._note_outcome
-        if engine == "event":
-            self._backend.on_cancellation = self._note_cancellation
+        self._backend.on_cancellation = self._note_cancellation
         #: decisions produced but not yet handed to the caller (flush-resolved
         #: deferrals, plus the current submission until ``submit`` pops it).
         self._undelivered: dict[int, AssignmentDecision] = {}
@@ -116,7 +103,6 @@ class MatchingService:
         return cls(
             instance,
             spec.build_dispatcher(),
-            engine=spec.engine,
             collect_completions=spec.collect_completions,
         )
 
@@ -175,17 +161,8 @@ class MatchingService:
         return drained
 
     def cancel(self, request_id: int) -> CancellationOutcome:
-        """Cancel a submitted request; returns what the cancellation achieved.
-
-        Requires the event engine (the legacy loop has no cancellation
-        semantics).
-        """
+        """Cancel a submitted request; returns what the cancellation achieved."""
         self._ensure_open()
-        if self.engine != "event":
-            raise ConfigurationError(
-                "online cancellation requires engine='event'; the legacy loop "
-                "replays dynamics-free streams only"
-            )
         status = CancellationStatus(self._backend.cancel_request(request_id))
         return CancellationOutcome(
             request_id=request_id, status=status, cancelled_at=self.clock
@@ -218,18 +195,12 @@ class MatchingService:
         ``mutate`` receives the live :class:`~repro.network.graph.RoadNetwork`.
         The engine re-derives every distance-dependent structure afterwards —
         oracle backend, worker routes, dispatcher spatial index — so the
-        session keeps serving on the new topology. Requires the event
-        engine. On the cluster path, the recorded edge mutations are
-        additionally broadcast to every shard worker process under a barrier
-        acknowledgement (see
+        session keeps serving on the new topology. On the cluster path, the
+        recorded edge mutations are additionally broadcast to every shard
+        worker process under a barrier acknowledgement (see
         :meth:`~repro.cluster.dispatcher.ClusterDispatcher.apply_network_update`).
         """
         self._ensure_open()
-        if self.engine != "event":
-            raise ConfigurationError(
-                "live network updates require engine='event'; the legacy loop "
-                "snapshots distances up front"
-            )
         self._backend.apply_network_update(mutate)
         self._network_updates_applied += 1
 
@@ -302,7 +273,6 @@ class MatchingService:
         online = sum(1 for state in fleet.states.values() if state.online)
         return ServiceSnapshot(
             clock=self.clock,
-            engine=self.engine,
             algorithm=self.dispatcher.name,
             workers_total=len(fleet),
             workers_online=online,
@@ -312,7 +282,7 @@ class MatchingService:
             served=live.served_requests,
             rejected=live.rejected_requests,
             cancelled=live.cancelled_requests,
-            events_processed=getattr(self._backend, "events_processed", 0),
+            events_processed=self._backend.events_processed,
             requests_inflight=self._requests_inflight(),
             queue_depth=self._queue_depth(),
             network_updates_applied=self._network_updates_applied,

@@ -194,7 +194,6 @@ class ServiceSnapshot:
     """
 
     clock: float
-    engine: str
     algorithm: str
     workers_total: int
     workers_online: int

@@ -1,14 +1,15 @@
 """Declarative platform configuration: :class:`PlatformSpec`.
 
 One validated value composes everything that used to be smeared across
-``ScenarioConfig`` kwargs, ``DispatcherConfig`` knobs, engine strings and
+``ScenarioConfig`` kwargs, ``DispatcherConfig`` knobs and
 ``"sharded:<inner>"`` registry-name parsing:
 
 * the **scenario** — city, workload, oracle acceleration, dynamics
   (:class:`~repro.workloads.scenarios.ScenarioConfig`);
 * the **dispatcher** — algorithm, its knobs and the sharding layout
   (:class:`~repro.dispatch.registry.DispatcherSpec`);
-* the **engine** — event kernel or the legacy request-stream loop.
+* the **serving path** — the in-process facade or the shard-worker cluster,
+  with the cluster's self-healing knobs.
 
 A spec can be built fluently (:meth:`PlatformSpec.builder`), from plain data
 (:meth:`PlatformSpec.from_dict`) or from a JSON/TOML file
@@ -30,7 +31,6 @@ from typing import Any
 from repro.dispatch.base import DispatcherConfig
 from repro.dispatch.registry import DispatcherSpec, unknown_fields_error
 from repro.exceptions import ConfigurationError
-from repro.simulation.simulator import ENGINES as _ENGINES
 from repro.workloads.scenarios import CITY_BUILDERS, FILE_CITY_PREFIX, ScenarioConfig
 
 #: shared "unknown field(s) ... did you mean" error builder.
@@ -52,12 +52,11 @@ class PlatformSpec:
     Attributes:
         scenario: city + workload + oracle settings.
         dispatcher: algorithm + knobs + sharding layout.
-        engine: ``"event"`` (default) or ``"legacy"``.
         collect_completions: track waiting times / detour ratios of completed
             requests.
         cluster: serve through the multiprocess shard-worker cluster
             (:class:`~repro.cluster.service.ClusterMatchingService`) instead
-            of the in-process facade; requires ``engine="event"``.
+            of the in-process facade.
         cluster_max_pending: bounded-queue backpressure — deferred requests
             tolerated per shard worker before new requests are
             admission-rejected as ``saturated``.
@@ -76,7 +75,6 @@ class PlatformSpec:
 
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     dispatcher: DispatcherSpec = field(default_factory=DispatcherSpec)
-    engine: str = "event"
     collect_completions: bool = True
     cluster: bool = False
     cluster_max_pending: int = 1024
@@ -90,10 +88,6 @@ class PlatformSpec:
 
     def validate(self) -> "PlatformSpec":
         """Check the composition; returns ``self`` so calls can be chained."""
-        if self.engine not in _ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; available: {_ENGINES}"
-            )
         city = self.scenario.city
         if city.startswith(FILE_CITY_PREFIX):
             if not city[len(FILE_CITY_PREFIX):]:
@@ -110,16 +104,7 @@ class PlatformSpec:
                 f"or '{FILE_CITY_PREFIX}<path>' for a GeoJSON/CSV extract{hint}"
             )
         self.dispatcher.validate()
-        if self.engine == "legacy" and (
-            self.scenario.cancellation_rate > 0.0 or self.scenario.shift_hours > 0.0
-        ):
-            raise ConfigurationError(
-                "scenario dynamics (cancellation_rate, shift_hours) require "
-                "engine='event'"
-            )
         if self.cluster or self.dispatcher.cluster:
-            if self.engine != "event":
-                raise ConfigurationError("cluster serving requires engine='event'")
             if self.cluster_max_pending < 1:
                 raise ConfigurationError(
                     f"cluster_max_pending must be >= 1, got {self.cluster_max_pending}"
@@ -159,7 +144,7 @@ class PlatformSpec:
         return PlatformSpecBuilder()
 
     def with_overrides(self, **kwargs: Any) -> "PlatformSpec":
-        """Copy with top-level fields replaced (``scenario=``, ``engine=``...)."""
+        """Copy with top-level fields replaced (``scenario=``, ``cluster=``...)."""
         return replace(self, **kwargs).validate()
 
     def with_scenario(self, **scenario_fields: Any) -> "PlatformSpec":
@@ -203,7 +188,6 @@ class PlatformSpec:
         return {
             "scenario": dataclasses.asdict(self.scenario),
             "dispatcher": self.dispatcher.to_dict(),
-            "engine": self.engine,
             "collect_completions": self.collect_completions,
             "cluster": self.cluster,
             "cluster_max_pending": self.cluster_max_pending,
@@ -220,7 +204,6 @@ class PlatformSpec:
         known = {
             "scenario",
             "dispatcher",
-            "engine",
             "collect_completions",
             "cluster",
             "cluster_max_pending",
@@ -242,7 +225,6 @@ class PlatformSpec:
         return cls(
             scenario=_scenario_from_dict(scenario_data),
             dispatcher=DispatcherSpec.from_dict(dispatcher_data),
-            engine=data.get("engine", "event"),
             collect_completions=data.get("collect_completions", True),
             cluster=data.get("cluster", False),
             cluster_max_pending=data.get("cluster_max_pending", 1024),
@@ -291,7 +273,6 @@ class PlatformSpecBuilder:
                 .workload(num_workers=50, num_requests=300)
                 .dispatcher("pruneGreedyDP", batch_interval=4.0)
                 .sharding(num_shards=4, strategy="kd")
-                .engine("event")
                 .build())
     """
 
@@ -299,7 +280,6 @@ class PlatformSpecBuilder:
         self._scenario: dict[str, Any] = {}
         self._dispatcher: dict[str, Any] = {}
         self._algorithm: str | None = None
-        self._engine = "event"
         self._collect_completions = True
         self._cluster = False
         self._cluster_max_pending = 1024
@@ -387,11 +367,6 @@ class PlatformSpecBuilder:
 
     # ---------------------------------------------------------------- platform
 
-    def engine(self, name: str) -> "PlatformSpecBuilder":
-        """Select the simulation engine (``"event"`` or ``"legacy"``)."""
-        self._engine = name
-        return self
-
     def cluster(
         self,
         num_shards: int | None = None,
@@ -446,7 +421,6 @@ class PlatformSpecBuilder:
         return PlatformSpec(
             scenario=ScenarioConfig(**self._scenario),
             dispatcher=dispatcher,
-            engine=self._engine,
             collect_completions=self._collect_completions,
             cluster=self._cluster,
             cluster_max_pending=self._cluster_max_pending,

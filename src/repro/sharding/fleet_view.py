@@ -61,16 +61,6 @@ class ShardFleetView:
         return self._fleet
 
     @property
-    def lazy(self) -> bool:
-        """Advancement regime of the underlying fleet."""
-        return self._fleet.lazy
-
-    @property
-    def materialise_fast_path(self) -> bool:
-        """Whether the underlying fleet skips no-op materialisations."""
-        return self._fleet.materialise_fast_path
-
-    @property
     def clock(self) -> float:
         """The shared fleet clock."""
         return self._fleet.clock

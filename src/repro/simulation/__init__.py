@@ -12,11 +12,9 @@ from repro.simulation.events import (
 )
 from repro.simulation.fleet import FleetState, ServiceRecord, WorkerState
 from repro.simulation.metrics import MetricsCollector, SimulationResult
-from repro.simulation.simulator import ENGINES, Simulator, run_simulation
 
 __all__ = [
     "BatchFlush",
-    "ENGINES",
     "Event",
     "EventEngine",
     "FleetState",
@@ -25,10 +23,8 @@ __all__ = [
     "RequestCancellation",
     "ServiceRecord",
     "SimulationResult",
-    "Simulator",
     "StopCompletion",
     "WorkerOffline",
     "WorkerOnline",
     "WorkerState",
-    "run_simulation",
 ]

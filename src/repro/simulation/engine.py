@@ -1,10 +1,14 @@
 """Event-driven simulation kernel for the online URPSM setting.
 
-The seed reproduction replayed the request stream with one hard-coded loop:
-advance every worker at every release time (``O(|W|)`` per request), probe
-batch dispatchers via ``getattr``, and drain pending batches in a final loop
-that could spin forever. This module replaces that loop with a heap-ordered
-event kernel:
+The kernel implements the online protocol of Section 6.1 of the paper:
+requests become known only at their release time; between two events every
+worker moves along its planned route; the dispatcher either assigns a new
+request (updating one worker's route) or rejects it, and rejections are
+irrevocable; batch-style dispatchers may defer requests until their next
+flush; at the end of the stream all pending stops are completed and the
+unified cost is evaluated over the full executed plan. Wall-clock dispatcher
+time is measured per request to reproduce the paper's *response time*
+metric. The kernel is heap-ordered:
 
 * every moment of interest is a typed :mod:`~repro.simulation.events` event —
   request arrivals, batch-window expiries, workers reaching stops, workers
@@ -22,9 +26,8 @@ event kernel:
   productivity guard bounds the final drain so a misbehaving dispatcher
   raises instead of hanging the simulation.
 
-:class:`~repro.simulation.simulator.Simulator` remains the public entry point
-and delegates here by default; results on dynamics-free instances are
-metric-identical (served rate, unified cost) to the legacy loop.
+The public entry point is the service facade
+(:class:`~repro.service.facade.MatchingService`), which drives this kernel.
 
 Incremental protocol
 --------------------
@@ -40,7 +43,7 @@ to (and through) that arrival. Because event types are totally ordered by
 ``(time, priority, seq)`` and priorities disambiguate all cross-type ties, the
 incremental drive processes events in the *same order* as the batch replay —
 which is what makes service-driven runs metric-identical to
-:func:`~repro.simulation.simulator.run_simulation`.
+:meth:`EventEngine.run`.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class EventEngine:
         self.instance = instance
         self.dispatcher = dispatcher
         self.collect_completions = collect_completions
-        self.fleet = FleetState(instance.workers, instance.oracle, lazy=True)
+        self.fleet = FleetState(instance.workers, instance.oracle)
         self.metrics = MetricsCollector(
             algorithm=dispatcher.name,
             instance_name=instance.name,
@@ -485,9 +488,9 @@ class EventEngine:
         """Run ``call`` measuring dispatcher time net of lazy materialisation.
 
         Lazy advancement happens *inside* dispatcher calls (``state_of``
-        materialises candidates on access) but is fleet-execution work the
-        legacy loop performs outside its timer — exclude it so the paper's
-        response-time metric measures the same thing on both engines.
+        materialises candidates on access) but is fleet-execution work, not
+        matching work — exclude it, because the paper's response time is the
+        dispatcher's time per request, not the time workers take to move.
         """
         fleet = self.fleet
         materialisation_before = fleet.materialisation_seconds

@@ -7,28 +7,22 @@ snapped to the last road-network vertex it passed on the concrete shortest
 path towards its next stop, so insertion operators always work with graph
 vertices and exact distances.
 
-Two advancement regimes are supported:
-
-* **eager** (the seed behaviour, used by the legacy request-loop): the caller
-  advances the whole fleet explicitly via :meth:`FleetState.advance_all`,
-  which walks every worker (as it does on a lazy fleet whose
-  ``materialise_fast_path`` a benchmark switched off);
-* **lazy** (used by the event kernel): the fleet keeps a global ``clock`` and
-  materialises a worker's progress only when that worker is *touched* — read
-  through :meth:`FleetState.state_of` / :meth:`FleetState.states_of` or
-  iterated. Untouched workers keep an older materialisation; since a planned
-  route fixes arrival times in absolute terms, late materialisation yields the
-  exact same stop times and travel costs. Deliveries completed during lazy
-  advances are buffered and drained by the engine
-  (:meth:`FleetState.drain_completions`). Dispatchers that need exact
-  positions (sharded, cluster, ``tshare``) still call ``advance_all`` before
-  every decision; on a lazy fleet that is :meth:`FleetState.advance_rows`
-  over every route-table row — **advance only what moves**: the busy workers
-  the table's window reports as due are walked, every other busy worker is
-  provably untouched by ``advance_to(clock)``, and an idle worker gets *no
-  eager clock at all*: it waits in place, and its ``start_time`` moves when
-  something reads it. A shard replica runs the same routine over its member
-  rows, once per clock the front door ships.
+Advancement is lazy. The fleet keeps a global ``clock`` (moved forward by the
+event kernel) and materialises a worker's progress only when that worker is
+*touched* — read through :meth:`FleetState.state_of` /
+:meth:`FleetState.states_of` or iterated. Untouched workers keep an older
+materialisation; since a planned route fixes arrival times in absolute terms,
+late materialisation yields the exact same stop times and travel costs.
+Deliveries completed during lazy advances are buffered and drained by the
+engine (:meth:`FleetState.drain_completions`). Dispatchers that need exact
+positions (sharded, cluster, ``tshare``) still call ``advance_all`` before
+every decision; that is :meth:`FleetState.advance_rows` over every
+route-table row — **advance only what moves**: the busy workers the table's
+window reports as due are walked, every other busy worker is provably
+untouched by ``advance_to(clock)``, and an idle worker gets *no eager clock
+at all*: it waits in place, and its ``start_time`` moves when something reads
+it. A shard replica runs the same routine over its member rows, once per
+clock the front door ships.
 
 The route table
 ---------------
@@ -367,32 +361,24 @@ class WorkerState:
 class FleetState:
     """The collection of all worker states plus convenience accessors.
 
+    Workers materialise their progress up to :attr:`clock` when accessed
+    through :meth:`state_of`, :meth:`states_of` or iteration; completions
+    observed during those advances are buffered for :meth:`drain_completions`.
+
     Args:
         workers: the fleet.
         oracle: shared distance oracle.
-        lazy: enable lazy advancement — workers materialise their progress up
-            to :attr:`clock` when accessed through :meth:`state_of` or
-            iteration; completions observed during those advances are buffered
-            for :meth:`drain_completions`. With ``lazy=False`` (the default,
-            matching the seed) accessors never mutate state and the caller
-            drives advancement explicitly via :meth:`advance_all`.
     """
 
-    def __init__(self, workers: list[Worker], oracle: DistanceOracle, lazy: bool = False) -> None:
+    def __init__(self, workers: list[Worker], oracle: DistanceOracle) -> None:
         if not workers:
             raise DispatchError("a fleet needs at least one worker")
         self.oracle = oracle
-        self.lazy = lazy
-        #: skip no-op advances when a worker is already materialised at the
-        #: clock (behaviour-identical; benchmarks flip this off to reconstruct
-        #: the pre-optimisation touch cost as their scalar baseline).
-        self.materialise_fast_path: bool = True
         #: current simulated time; advanced by the engine / ``advance_all``.
         self.clock: float = 0.0
         #: wall-clock seconds spent materialising lazy progress; the event
-        #: engine subtracts this from its dispatch timer so the response-time
-        #: metric measures the same work as the legacy loop (which advances
-        #: the fleet outside its timer).
+        #: engine subtracts this from its dispatch timer, so the paper's
+        #: response-time metric measures dispatcher work, not fleet movement.
         self.materialisation_seconds: float = 0.0
         self._completions: list[ServiceRecord] = []
         self._dirty_plans: set[int] = set()
@@ -415,9 +401,8 @@ class FleetState:
         self.table = RouteTable(workers)
 
     def __iter__(self):
-        if self.lazy:
-            for state in self.states.values():
-                self._materialise(state)
+        for state in self.states.values():
+            self._materialise(state)
         return iter(self.states.values())
 
     def __len__(self) -> int:
@@ -428,22 +413,21 @@ class FleetState:
     def state_of(self, worker_id: int) -> WorkerState:
         """State of the worker with identifier ``worker_id``.
 
-        In lazy mode the worker is first advanced to :attr:`clock`, so callers
-        always observe positions and arrival arrays as of "now".
+        The worker is first advanced to :attr:`clock`, so callers always
+        observe positions and arrival arrays as of "now".
         """
         try:
             state = self.states[worker_id]
         except KeyError as exc:
             raise DispatchError(f"unknown worker {worker_id}") from exc
-        if self.lazy:
-            self._materialise(state)
+        self._materialise(state)
         return state
 
     def states_of(self, worker_ids: "list[int] | np.ndarray") -> list[WorkerState]:
         """Materialised states of many workers (the decision phase's accessor).
 
-        Equivalent to ``[state_of(w) for w in worker_ids]``. A lazy fleet asks
-        the route table which of the workers an ``advance_to(clock)`` would
+        Equivalent to ``[state_of(w) for w in worker_ids]``, but asks the
+        route table which of the workers an ``advance_to(clock)`` would
         change and materialises only those: candidate sets touch hundreds of
         workers per event, nearly all of them mid-edge.
         """
@@ -453,12 +437,6 @@ class FleetState:
             result = [states[worker_id] for worker_id in as_list]
         except KeyError as exc:
             raise DispatchError(f"unknown worker {exc.args[0]}") from exc
-        if not self.lazy:
-            return result
-        if not self.materialise_fast_path:
-            for state in result:
-                self._materialise(state)
-            return result
         due = self.table.due(self.table.rows_of(worker_ids), self.clock)
         for index in np.flatnonzero(due).tolist():
             self._materialise(result[index])
@@ -537,15 +515,10 @@ class FleetState:
     def advance_all(self, now: float) -> list[ServiceRecord]:
         """Advance the fleet to time ``now``; returns completed deliveries.
 
-        A lazy fleet advances what the route table's window reports as moving
-        (:meth:`advance_rows` over every row); an eager or
-        ``materialise_fast_path=False`` fleet walks every worker.
+        Advances what the route table's window reports as moving
+        (:meth:`advance_rows` over every row).
         """
-        if self.lazy and self.materialise_fast_path:
-            return self.advance_rows(slice(None), now)
-        self.set_clock(now)
-        self._moved.update(self.states)
-        return [record for state in self.states.values() for record in state.advance_to(now)]
+        return self.advance_rows(slice(None), now)
 
     def advance_rows(self, rows: "np.ndarray | slice", now: float) -> list[ServiceRecord]:
         """Advance the busy, due workers among table ``rows`` to time ``now``.
@@ -586,32 +559,27 @@ class FleetState:
         """Advance ``state`` to the fleet clock, buffering completions."""
         route = state.route
         clock = self.clock
-        if self.materialise_fast_path:
-            if not route.stops:
-                # idle clock bump: the worker waits in place, so advancing is
-                # just arr[0] = start_time = clock — no movement, no resync
-                if route.start_time < clock:
-                    route.start_time = clock
-                    if len(route.arr) == 1:
-                        route.arr[0] = clock
-                    else:
-                        route.refresh(self.oracle)
-                    self.table.bump_idle(state.worker.id, clock)
-                return
-            # the hot decision phase touches every candidate once per event
-            # and most sit mid-edge: when the route table's window shows an
-            # advance_to(clock) would be a no-op walk, skip it
-            if not self.table.is_due(state.worker.id, clock):
-                return
-        elif route.start_time >= clock and route.is_empty:
+        if not route.stops:
+            # idle clock bump: the worker waits in place, so advancing is
+            # just arr[0] = start_time = clock — no movement, no resync
+            if route.start_time < clock:
+                route.start_time = clock
+                if len(route.arr) == 1:
+                    route.arr[0] = clock
+                else:
+                    route.refresh(self.oracle)
+                self.table.bump_idle(state.worker.id, clock)
+            return
+        # the hot decision phase touches every candidate once per event and
+        # most sit mid-edge: when the route table's window shows an
+        # advance_to(clock) would be a no-op walk, skip it
+        if not self.table.is_due(state.worker.id, clock):
             return
         started = _time.perf_counter()
         completed = self._advance(state, clock)
         self.materialisation_seconds += _time.perf_counter() - started
         if completed:
             self._completions.extend(completed)
-        if not self.materialise_fast_path:
-            self._moved.add(state.worker.id)
 
     # ------------------------------------------------------- change tracking
 
@@ -659,11 +627,7 @@ class FleetState:
         ``(clock - position_time) * max_speed`` metres since. The candidate
         filter adds this slack to its reachability radius so that lazy
         advancement can only *widen* (never narrow) the candidate superset.
-        Returns 0 in eager mode, where positions are materialised before every
-        dispatch.
         """
-        if not self.lazy:
-            return 0.0
         table = self.table
         busy = table.count > 1
         if not busy.any():
@@ -679,10 +643,7 @@ class FleetState:
 
     def positions(self) -> dict[int, int]:
         """Current vertex of every worker, keyed by worker id."""
-        if self.lazy:
-            for state in self.states.values():
-                self._materialise(state)
-        return {worker_id: state.position for worker_id, state in self.states.items()}
+        return {state.worker.id: state.position for state in self}
 
     def find_assignment(self, request_id: int) -> WorkerState | None:
         """Worker currently holding ``request_id``, if any (cancellation path).

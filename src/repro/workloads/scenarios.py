@@ -288,7 +288,7 @@ def _build_dynamics(config: ScenarioConfig, workers, requests) -> InstanceDynami
             seed=derive_seed(config.seed, "shifts"),
         )
     # degenerate knobs (rate 0 draws, horizon-covering shifts) yield no actual
-    # dynamics; keep such instances runnable on either engine
+    # dynamics; such instances stay dynamics-free
     return None if dynamics.is_empty else dynamics
 
 

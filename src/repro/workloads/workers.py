@@ -76,7 +76,7 @@ def staggered_shifts(
         shift_seconds: duty-window length; values at or above the horizon
             mean every worker is always on duty, which is the same as having
             no shifts at all — an empty list is returned so such instances
-            stay dynamics-free (and keep working on the legacy engine).
+            stay dynamics-free.
         seed: RNG seed for the jitter.
 
     Returns:

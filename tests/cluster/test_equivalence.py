@@ -25,7 +25,7 @@ at 1e-9 relative.
 import pytest
 
 from repro.dispatch import DispatcherConfig, make_dispatcher
-from repro.simulation.simulator import Simulator
+from repro.simulation.engine import EventEngine
 from repro.workloads.scenarios import ScenarioConfig, build_instance
 
 _CONFIG = ScenarioConfig(city="small-grid", num_workers=14, num_requests=80, seed=2018)
@@ -38,7 +38,7 @@ def _fingerprint(algorithm: str, shards: int) -> dict:
     )
     dispatcher = make_dispatcher(algorithm, config)
     try:
-        result = Simulator(instance, dispatcher).run()
+        result = EventEngine(instance, dispatcher).run()
     finally:
         close = getattr(dispatcher, "close", None)
         if close is not None:

@@ -35,14 +35,11 @@ class TestSpecRouting:
         assert restored.cluster_max_pending == 7
         assert restored.cluster_dispatch_timeout == 12.5
 
-    def test_cluster_spec_rejects_legacy_engine(self):
-        with pytest.raises(ConfigurationError):
-            (PlatformSpec.builder()
-             .city(_SCENARIO.city, seed=_SCENARIO.seed)
-             .workload(num_workers=4, num_requests=10)
-             .cluster(num_shards=2)
-             .engine("legacy")
-             .build())
+    def test_cluster_spec_dict_with_engine_key_fails_typed(self):
+        # a cluster spec saved while specs still carried an engine
+        stale = {**_cluster_spec().to_dict(), "engine": "event"}
+        with pytest.raises(ConfigurationError, match="'engine'"):
+            PlatformSpec.from_dict(stale)
 
     def test_cluster_spec_rejects_bad_backpressure_limit(self):
         with pytest.raises(ConfigurationError):

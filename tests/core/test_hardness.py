@@ -12,7 +12,7 @@ from repro.core.hardness import (
     optimal_cost,
 )
 from repro.dispatch import DispatcherConfig, PruneGreedyDP
-from repro.simulation.simulator import run_simulation
+from repro.service import MatchingService
 from repro.utils.rng import make_rng
 
 
@@ -57,7 +57,7 @@ class TestInstanceGenerators:
 
 class TestEmpiricalRatio:
     def _run(self, instance):
-        result = run_simulation(instance, PruneGreedyDP(DispatcherConfig(grid_cell_metres=50.0)))
+        result = MatchingService(instance, PruneGreedyDP(DispatcherConfig(grid_cell_metres=50.0))).replay()
         return result.unified_cost, result.served_requests
 
     def test_lemma1_ratio_grows_with_vertices(self):

@@ -8,7 +8,7 @@ from repro.core.insertion.linear_dp import LinearDPInsertion
 from repro.core.route import empty_route
 from repro.dispatch import DispatcherConfig, PruneGreedyDP
 from repro.network.oracle import DistanceOracle
-from repro.simulation.simulator import run_simulation
+from repro.service import MatchingService
 
 
 class TestExampleNetwork:
@@ -49,7 +49,7 @@ class TestExampleInstance:
 
     def test_full_simulation_serves_all_requests(self):
         instance = example_instance()
-        result = run_simulation(instance, PruneGreedyDP(DispatcherConfig(grid_cell_metres=20.0)))
+        result = MatchingService(instance, PruneGreedyDP(DispatcherConfig(grid_cell_metres=20.0))).replay()
         assert result.served_rate == pytest.approx(1.0)
         assert result.deadline_violations == 0
         # unified cost equals the travelled time (no penalties incurred)

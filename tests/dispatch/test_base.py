@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.route import Route
 from repro.dispatch import ALGORITHMS, DispatcherConfig, make_dispatcher
 from repro.dispatch.greedy_dp import PruneGreedyDP
 from tests.conftest import make_request
@@ -56,9 +57,12 @@ class TestCandidateFiltering:
     def test_sync_grid_follows_worker_movement(self, small_instance, fleet):
         dispatcher = PruneGreedyDP(DispatcherConfig(grid_cell_metres=500.0))
         dispatcher.setup(small_instance, fleet)
-        # teleport a worker by mutating its route origin, then re-sync
+        # teleport a worker through a re-plan (the fleet notes the move), then re-sync
         state = fleet.state_of(0)
-        state.route.origin = small_instance.workers[3].initial_location
+        state.replace_route(
+            Route(worker=state.worker, origin=small_instance.workers[3].initial_location,
+                  start_time=0.0)
+        )
         dispatcher.sync_grid()
         cell = dispatcher.grid.cell_of_vertex(small_instance.workers[3].initial_location)
         assert 0 in dispatcher.grid.members_in_cell(cell)

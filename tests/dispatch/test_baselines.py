@@ -5,8 +5,8 @@ import pytest
 from repro.core.insertion.basic import BasicInsertion
 from repro.dispatch import Batch, DispatcherConfig, Kinetic, NearestWorker, TShare
 from repro.index.tshare_grid import TShareGridIndex
+from repro.service import MatchingService
 from repro.simulation.fleet import FleetState
-from repro.simulation.simulator import run_simulation
 from tests.conftest import make_request
 
 
@@ -41,7 +41,8 @@ class TestTShare:
         assert outcome.candidates_considered <= len(small_instance.workers)
 
     def test_full_simulation_runs(self, small_instance):
-        result = run_simulation(small_instance, TShare(DispatcherConfig(grid_cell_metres=500.0)))
+        dispatcher = TShare(DispatcherConfig(grid_cell_metres=500.0))
+        result = MatchingService(small_instance, dispatcher).replay()
         assert result.total_requests == len(small_instance.requests)
         assert result.deadline_violations == 0
 
@@ -146,9 +147,9 @@ class TestBatch:
         assert not outcomes[0].served
 
     def test_full_simulation_resolves_every_request(self, small_instance):
-        result = run_simulation(
+        result = MatchingService(
             small_instance, Batch(DispatcherConfig(grid_cell_metres=500.0, batch_interval=6.0))
-        )
+        ).replay()
         assert result.total_requests == len(small_instance.requests)
         assert result.served_requests + result.rejected_requests == result.total_requests
 
@@ -171,5 +172,6 @@ class TestNearest:
             assert chosen_distance <= other_distance + 1e-6 or worker.id != outcome.worker_id
 
     def test_full_simulation_runs(self, small_instance):
-        result = run_simulation(small_instance, NearestWorker(DispatcherConfig(grid_cell_metres=500.0)))
+        dispatcher = NearestWorker(DispatcherConfig(grid_cell_metres=500.0))
+        result = MatchingService(small_instance, dispatcher).replay()
         assert result.total_requests == len(small_instance.requests)

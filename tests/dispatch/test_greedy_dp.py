@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.objective import ObjectiveConfig, PenaltyPolicy
 from repro.dispatch import DispatcherConfig, GreedyDP, PruneGreedyDP
+from repro.service import MatchingService
 from repro.simulation.fleet import FleetState
-from repro.simulation.simulator import run_simulation
 from tests.conftest import make_request
 
 
@@ -99,9 +99,9 @@ class TestPruningEquivalence:
         oracle = small_instance.oracle
         queries = {}
         for cls in (GreedyDP, PruneGreedyDP):
-            result = run_simulation(
+            result = MatchingService(
                 small_instance, cls(DispatcherConfig(grid_cell_metres=500.0))
-            )
+            ).replay()
             queries[cls.__name__] = result.distance_queries
         assert queries["PruneGreedyDP"] <= queries["GreedyDP"]
 
@@ -122,7 +122,8 @@ class TestObjectiveSpecialCases:
             objective=objective,
             name="alpha-zero",
         )
-        result = run_simulation(instance, PruneGreedyDP(DispatcherConfig(grid_cell_metres=500.0)))
+        dispatcher = PruneGreedyDP(DispatcherConfig(grid_cell_metres=500.0))
+        result = MatchingService(instance, dispatcher).replay()
         assert result.served_requests == 1
         assert result.decision_rejections == 0
 

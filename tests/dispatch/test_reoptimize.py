@@ -6,8 +6,8 @@ from repro.core.route import empty_route
 from repro.core.types import StopKind
 from repro.dispatch import DispatcherConfig, PruneGreedyDP, PruneGreedyDPReopt
 from repro.dispatch.reoptimize import reinsertion_improvement, remove_request
+from repro.service import MatchingService
 from repro.simulation.fleet import FleetState
-from repro.simulation.simulator import run_simulation
 from tests.conftest import make_request, make_worker, route_with_requests
 
 
@@ -108,21 +108,21 @@ class TestReinsertionImprovement:
 
 class TestReoptimizingDispatcher:
     def test_registered_and_runs_end_to_end(self, small_instance):
-        result = run_simulation(
+        result = MatchingService(
             small_instance,
             PruneGreedyDPReopt(DispatcherConfig(grid_cell_metres=500.0), reoptimize_every=2),
-        )
+        ).replay()
         assert result.total_requests == len(small_instance.requests)
         assert result.deadline_violations == 0
 
     def test_never_worse_than_plain_prune_greedy_dp(self, small_instance):
-        plain = run_simulation(
+        plain = MatchingService(
             small_instance, PruneGreedyDP(DispatcherConfig(grid_cell_metres=500.0))
-        )
-        reopt = run_simulation(
+        ).replay()
+        reopt = MatchingService(
             small_instance,
             PruneGreedyDPReopt(DispatcherConfig(grid_cell_metres=500.0), reoptimize_every=2),
-        )
+        ).replay()
         assert reopt.served_requests >= plain.served_requests - 1
         assert reopt.unified_cost <= plain.unified_cost * 1.05
 
@@ -130,6 +130,6 @@ class TestReoptimizingDispatcher:
         dispatcher = PruneGreedyDPReopt(
             DispatcherConfig(grid_cell_metres=500.0), reoptimize_every=0
         )
-        result = run_simulation(small_instance, dispatcher)
+        result = MatchingService(small_instance, dispatcher).replay()
         assert dispatcher.total_moves == 0
         assert result.total_requests == len(small_instance.requests)

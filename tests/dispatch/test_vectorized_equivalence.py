@@ -1,10 +1,11 @@
 """The array-native decision phase must be behaviourally invisible.
 
 End-to-end equivalence between the vectorized hot path (batched lower
-bounds, argsorted Lemma 8 scan, prefetching linear DP, fleet fast paths) and
-the scalar walk it replaces: identical served requests, unified cost and
-exact-query counters on full simulations, for both GreedyDP (no pruning) and
-pruneGreedyDP (pre-ordered pruning).
+bounds, argsorted Lemma 8 scan, prefetching linear DP) and the scalar walk it
+replaces: identical served requests, unified cost and exact-query counters on
+full simulations, for both GreedyDP (no pruning) and pruneGreedyDP
+(pre-ordered pruning). The fleet's due window is held to the seed loop's full
+walk on the same scenario.
 """
 
 import pytest
@@ -12,13 +13,14 @@ import pytest
 from repro.core.insertion.linear_dp import LinearDPInsertion
 from repro.core.route import Route
 from repro.dispatch import DispatcherConfig, GreedyDP, PruneGreedyDP
-from repro.simulation.simulator import Simulator
+from repro.simulation.engine import EventEngine
 from repro.workloads.scenarios import (
     ScenarioConfig,
     build_instance,
     build_network,
     make_oracle,
 )
+from tests.simulation.seed_loop import run_seed_loop
 
 _CONFIG = ScenarioConfig(
     city="small-grid", num_workers=20, num_requests=120, seed=2018
@@ -26,7 +28,7 @@ _CONFIG = ScenarioConfig(
 _NETWORK = build_network(_CONFIG)
 
 
-def _run(dispatcher_class, vectorized: bool, legacy_fleet: bool = False):
+def _run(dispatcher_class, vectorized: bool, seed_loop: bool = False):
     oracle = make_oracle(_NETWORK, _CONFIG)
     instance = build_instance(_CONFIG, network=_NETWORK, oracle=oracle)
     dispatcher = dispatcher_class(
@@ -34,11 +36,9 @@ def _run(dispatcher_class, vectorized: bool, legacy_fleet: bool = False):
         insertion=LinearDPInsertion(prefetch=vectorized),
         vectorized=vectorized,
     )
-    simulator = Simulator(instance, dispatcher)
-    if legacy_fleet:
-        simulator.fleet.materialise_fast_path = False
-    result = simulator.run()
-    return result, oracle.counters
+    if seed_loop:
+        return run_seed_loop(instance, dispatcher), oracle.counters
+    return EventEngine(instance, dispatcher).run(), oracle.counters
 
 
 @pytest.mark.parametrize(
@@ -57,14 +57,10 @@ class TestVectorizedEquivalence:
         assert vector_counters.dijkstra_runs == scalar_counters.dijkstra_runs
 
     def test_fleet_fast_path_is_behaviour_neutral(self, dispatcher_class):
-        fast_result, fast_counters = _run(dispatcher_class, vectorized=True)
-        slow_result, slow_counters = _run(
-            dispatcher_class, vectorized=True, legacy_fleet=True
-        )
-        assert fast_result.served_requests == slow_result.served_requests
-        assert fast_result.unified_cost == slow_result.unified_cost
-        assert fast_counters.distance_queries == slow_counters.distance_queries
-        assert fast_counters.dijkstra_runs == slow_counters.dijkstra_runs
+        fast_result, _ = _run(dispatcher_class, vectorized=True)
+        walked_result, _ = _run(dispatcher_class, vectorized=True, seed_loop=True)
+        assert fast_result.served_requests == walked_result.served_requests
+        assert fast_result.unified_cost == walked_result.unified_cost
 
 
 class TestLegacyReconstruction:
@@ -78,11 +74,10 @@ class TestLegacyReconstruction:
             insertion=LinearDPInsertion(prefetch=False),
             vectorized=False,
         )
-        simulator = Simulator(instance, dispatcher)
-        simulator.fleet.materialise_fast_path = False
+        engine = EventEngine(instance, dispatcher)
         Route.legacy_refresh = True
         try:
-            legacy_result = simulator.run()
+            legacy_result = engine.run()
         finally:
             Route.legacy_refresh = False
         legacy_counters = oracle.counters

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exceptions import ConfigurationError
 
 
 class TestParser:
@@ -39,6 +40,12 @@ class TestParser:
     def test_sweep_rejects_unknown_parameter(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--parameter", "magic", "--values", "1"])
+
+    def test_retired_engine_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--engine", "legacy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine legacy" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -164,7 +171,6 @@ class TestOnlineCommands:
             "scenario": {"city": "small-grid", "num_workers": 6,
                          "num_requests": 8, "seed": 3},
             "dispatcher": {"algorithm": "nearest"},
-            "engine": "event",
         }), encoding="utf-8")
         exit_code = main(["serve-replay", "--spec", str(spec_path)])
         captured = capsys.readouterr().out
@@ -192,3 +198,14 @@ class TestOnlineCommands:
 
         assert "GreedyDP" in from_spec
         assert deterministic(from_spec) == deterministic(from_flags)
+
+    @pytest.mark.parametrize("command", ["simulate", "serve-replay"])
+    def test_spec_file_with_retired_engine_key_fails_typed(self, command, tmp_path):
+        spec_path = tmp_path / "platform.json"
+        spec_path.write_text(json.dumps({
+            "scenario": {"city": "small-grid", "num_workers": 6,
+                         "num_requests": 8, "seed": 3},
+            "engine": "event",
+        }), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=r"unknown platform spec field\(s\): 'engine'"):
+            main([command, "--spec", str(spec_path)])

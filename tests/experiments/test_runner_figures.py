@@ -5,10 +5,12 @@ module stays fast while exercising the full sweep machinery end to end.
 """
 
 import math
+import warnings
 
 import pytest
 
-from repro.dispatch.base import DispatcherConfig
+from repro.dispatch import DispatcherConfig, make_dispatcher
+from repro.dispatch.registry import DispatcherSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FIGURES, figure3_workers, figure6_deadline
 from repro.experiments.reporting import (
@@ -19,7 +21,8 @@ from repro.experiments.reporting import (
 )
 from repro.experiments.runner import ScenarioRunner
 from repro.experiments.tables import table4_datasets, table5_parameters
-from repro.workloads.scenarios import ScenarioConfig
+from repro.service import MatchingService, PlatformSpec
+from repro.workloads.scenarios import ScenarioConfig, build_instance
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +37,7 @@ def experiment():
 
 @pytest.fixture(scope="module")
 def runner():
-    return ScenarioRunner(DispatcherConfig())
+    return ScenarioRunner()
 
 
 class TestScenarioRunner:
@@ -56,6 +59,66 @@ class TestScenarioRunner:
         assert all(point.parameter == "num_workers" for point in points)
         assert all(point.result_for("pruneGreedyDP") is not None for point in points)
         assert points[0].result_for("missing") is None
+
+
+class TestConstruction:
+    """The runner is built from a :class:`PlatformSpec` only."""
+
+    def test_default_construction_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runner = ScenarioRunner()
+        assert runner.platform == PlatformSpec()
+
+    def test_platform_construction_does_not_warn(self):
+        platform = PlatformSpec(dispatcher=DispatcherSpec(algorithm="batch", batch_interval=4.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runner = ScenarioRunner(platform=platform)
+        assert runner.platform is platform
+
+    def test_positional_dispatcher_config_is_refused(self):
+        # the old ``ScenarioRunner(dispatcher_config, engine)`` signature
+        with pytest.raises(TypeError):
+            ScenarioRunner(DispatcherConfig(batch_interval=3.0))
+
+    def test_platform_dispatcher_knobs_reach_every_run(self):
+        # a 60 s batch window changes both cost and waits on this scenario
+        # against the 6 s default, so a dropped knob cannot pass unnoticed
+        config = DispatcherConfig(grid_cell_metres=2000.0, batch_interval=60.0)
+        runner = ScenarioRunner(
+            platform=PlatformSpec(dispatcher=DispatcherSpec.from_config(config))
+        )
+        scenario = ScenarioConfig(city="small-grid", num_workers=8, num_requests=40, seed=3)
+        via_runner = runner.compare(scenario, ["batch"], grid_cell_metres=2000.0)[0]
+        direct = MatchingService(
+            build_instance(scenario), make_dispatcher("batch", config)
+        ).replay()
+        default = ScenarioRunner().compare(scenario, ["batch"], grid_cell_metres=2000.0)[0]
+        assert default.mean_wait_seconds != direct.mean_wait_seconds
+        assert (via_runner.served_requests, via_runner.unified_cost) == (
+            direct.served_requests,
+            direct.unified_cost,
+        )
+        assert via_runner.mean_wait_seconds == direct.mean_wait_seconds
+        assert via_runner.distance_queries == direct.distance_queries
+
+
+class TestCompareSpecSemantics:
+    def test_explicit_spec_keeps_its_pinned_grid_cell(self):
+        runner = ScenarioRunner()
+        pinned = DispatcherSpec(algorithm="nearest", grid_cell_metres=500.0)
+        unpinned = DispatcherSpec(algorithm="nearest")
+        config = ScenarioConfig(city="small-grid", num_workers=8, num_requests=40, seed=3)
+        pinned_result, unpinned_result, named_result = runner.compare(
+            config, [pinned, unpinned, "nearest"]
+        )
+        # grid memory scales with the cell count, so a 500 m cell over the
+        # same city yields a strictly larger index than the 2 km scenario cell
+        assert pinned_result.index_memory_bytes > unpinned_result.index_memory_bytes
+        # an unpinned spec and a bare name both derive the scenario cell
+        assert unpinned_result.index_memory_bytes == named_result.index_memory_bytes
+        assert unpinned_result.unified_cost == named_result.unified_cost
 
 
 class TestFigures:

@@ -12,7 +12,7 @@ These tests assert the qualitative findings of Section 6 at a miniature scale:
 import pytest
 
 from repro.dispatch import ALGORITHMS, DispatcherConfig, make_dispatcher
-from repro.simulation.simulator import run_simulation
+from repro.service import MatchingService
 from repro.workloads.scenarios import ScenarioConfig, build_instance, build_network, make_oracle
 
 _CONFIG = ScenarioConfig(
@@ -31,7 +31,7 @@ _PAPER_ALGORITHMS = ["pruneGreedyDP", "GreedyDP", "tshare", "kinetic", "batch"]
 def _run(algorithm: str, config: ScenarioConfig = _CONFIG):
     instance = build_instance(config, network=_NETWORK, oracle=_ORACLE)
     dispatcher = make_dispatcher(algorithm, DispatcherConfig(grid_cell_metres=config.grid_km * 1000))
-    return run_simulation(instance, dispatcher)
+    return MatchingService(instance, dispatcher).replay()
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ from repro.core.objective import (
     platform_revenue,
 )
 from repro.dispatch import DispatcherConfig, PruneGreedyDP
-from repro.simulation.simulator import run_simulation
+from repro.service import MatchingService
 from repro.workloads.requests import RequestGeneratorConfig, generate_requests
 from repro.workloads.scenarios import ScenarioConfig, build_network, make_oracle
 from repro.workloads.workers import WorkerGeneratorConfig, generate_workers
@@ -49,7 +49,8 @@ def _instance(objective, num_workers=10, num_requests=50, deadline_seconds=600.0
 
 
 def _run(instance):
-    return run_simulation(instance, PruneGreedyDP(DispatcherConfig(grid_cell_metres=1000.0)))
+    dispatcher = PruneGreedyDP(DispatcherConfig(grid_cell_metres=1000.0))
+    return MatchingService(instance, dispatcher).replay()
 
 
 class TestMaxServedRequests:
@@ -112,9 +113,6 @@ def _rejected_requests(instance, result):
     # matching total penalty: rejected requests have penalty = fare * direct.
     # For the identity test we only need the *served* direct distances, so we
     # re-simulate cheaply to collect outcomes.
-    from repro.simulation.simulator import Simulator
-    from repro.dispatch import PruneGreedyDP, DispatcherConfig
-
-    simulator = Simulator(instance, PruneGreedyDP(DispatcherConfig(grid_cell_metres=1000.0)))
-    simulator.run()
-    return simulator.metrics.rejected_requests
+    service = MatchingService(instance, PruneGreedyDP(DispatcherConfig(grid_cell_metres=1000.0)))
+    service.replay()
+    return service.metrics.rejected_requests

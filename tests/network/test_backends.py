@@ -9,6 +9,7 @@ must pick the expected backend per city size / query volume.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.exceptions import DisconnectedError
 from repro.network.backends import (
     APSP_VERTEX_LIMIT,
     CH_VERTEX_LIMIT,
+    APSPBackend,
     select_backend_name,
 )
 from repro.network.ch import build_contraction_hierarchy
@@ -325,3 +327,18 @@ class TestHubLabelQueryMany:
         labels = build_hub_labels(network)
         result = labels.query_many(sorted(network.vertices())[0], np.empty(0, dtype=np.int64))
         assert result.size == 0
+
+
+class TestAPSPTableMapping:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="shard workers fork only where fork exists")
+    def test_a_forked_worker_writes_its_own_copy(self):
+        """Shard workers are forked from the front door: a replica writing its
+        table (a live-update repair) must not reach the parent's."""
+        backend = APSPBackend(grid_city(rows=4, columns=4, block_metres=150.0, seed=1))
+        before = backend.matrix.copy()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child only writes and exits
+            backend.matrix[:] = -1.0
+            os._exit(0)
+        os.waitpid(pid, 0)
+        assert np.array_equal(backend.matrix, before)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.dispatch.registry import DispatcherSpec
-from repro.exceptions import ConfigurationError, UnsupportedNetworkUpdateError
+from repro.exceptions import UnsupportedNetworkUpdateError
 from repro.scenarios import (
     NetworkDisruption,
     ScenarioProgram,
@@ -66,11 +66,6 @@ class TestDisruptionRuns:
         assert first.unified_cost == second.unified_cost
         assert first.total_travel_cost == second.total_travel_cost
         assert first.served_requests == second.served_requests
-
-    def test_legacy_engine_rejected(self, config):
-        legacy_spec = PlatformSpec(scenario=config, engine="legacy")
-        with pytest.raises(ConfigurationError, match="legacy"):
-            run_program(legacy_spec, get_preset("street-closures"))
 
 
 class TestClassStats:

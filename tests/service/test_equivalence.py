@@ -2,18 +2,20 @@
 
 Replaying the standard scenario through :class:`MatchingService` (incremental
 submit/drain) must reproduce the direct engine drive
-(:class:`~repro.simulation.simulator.Simulator` — batch-seeded event heap /
-the seed request loop) **bit for bit** on served rate, unified cost,
-distance queries and Dijkstra runs, for every registry dispatcher and a
-sharded variant, on both engines.
+(:meth:`~repro.simulation.engine.EventEngine.run` — the batch-seeded event
+heap) **bit for bit** on served rate, unified cost, distance queries and
+Dijkstra runs, and the decisions and costs of the seed's request loop
+(``tests/simulation/seed_loop.py``), for every registry dispatcher and a
+sharded variant.
 """
 
 import pytest
 
 from repro.dispatch import ALGORITHMS, DispatcherConfig, make_dispatcher
 from repro.service import MatchingService
-from repro.simulation.simulator import Simulator
+from repro.simulation.engine import EventEngine
 from repro.workloads.scenarios import ScenarioConfig, build_instance
+from tests.simulation.seed_loop import run_seed_loop
 
 #: the repo's standard equivalence scenario (mirrors tests/sharding).
 _STANDARD = ScenarioConfig(city="small-grid", num_workers=14, num_requests=80, seed=2018)
@@ -51,17 +53,37 @@ def _fingerprint(result, instance):
     }
 
 
-@pytest.mark.parametrize("engine", ["event", "legacy"])
+def _outcomes(result):
+    return (
+        result.total_requests,
+        result.served_requests,
+        result.rejected_requests,
+        result.unified_cost,
+        result.total_travel_cost,
+        result.total_penalty,
+    )
+
+
 @pytest.mark.parametrize("algorithm", _VARIANTS)
-def test_service_replay_matches_direct_engine_drive(algorithm, engine):
+def test_service_replay_matches_direct_engine_drive(algorithm):
     direct_instance = build_instance(_STANDARD)
-    direct = Simulator(direct_instance, _dispatcher(algorithm), engine=engine).run()
+    direct = EventEngine(direct_instance, _dispatcher(algorithm)).run()
 
     service_instance = build_instance(_STANDARD)
-    service = MatchingService(service_instance, _dispatcher(algorithm), engine=engine)
+    service = MatchingService(service_instance, _dispatcher(algorithm))
     replayed = service.replay()
 
     assert _fingerprint(replayed, service_instance) == _fingerprint(direct, direct_instance)
+
+
+@pytest.mark.parametrize("algorithm", _VARIANTS)
+def test_service_replay_matches_the_seed_loop(algorithm):
+    """The seed loop walks every worker at every release, so oracle counters
+    (batch flushes query from exact positions) and the summation order of
+    completion means may differ — the decisions and their cost may not."""
+    seed = run_seed_loop(build_instance(_STANDARD), _dispatcher(algorithm))
+    replayed = MatchingService(build_instance(_STANDARD), _dispatcher(algorithm)).replay()
+    assert _outcomes(replayed) == _outcomes(seed)
 
 
 @pytest.mark.parametrize("backend", ["dijkstra", "apsp", "ch", "hub_labels"])
@@ -69,7 +91,7 @@ def test_service_replay_matches_direct_drive_under_every_backend(backend):
     """The oracle backend must never change what the service replays."""
     scenario = _STANDARD.with_overrides(oracle_backend=backend)
     direct_instance = build_instance(scenario)
-    direct = Simulator(direct_instance, _dispatcher("pruneGreedyDP")).run()
+    direct = EventEngine(direct_instance, _dispatcher("pruneGreedyDP")).run()
 
     service_instance = build_instance(scenario)
     service = MatchingService(service_instance, _dispatcher("pruneGreedyDP"))

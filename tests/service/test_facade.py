@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.types import Request, Worker
-from repro.exceptions import ConfigurationError, DispatchError
+from repro.exceptions import DispatchError
 from repro.service import (
     CancellationStatus,
     DecisionStatus,
@@ -16,13 +16,12 @@ from repro.workloads.scenarios import ScenarioConfig, build_instance
 _SCENARIO = ScenarioConfig(city="small-grid", num_workers=8, num_requests=40, seed=3)
 
 
-def _service(algorithm: str = "pruneGreedyDP", engine: str = "event", **knobs):
+def _service(algorithm: str = "pruneGreedyDP", **knobs):
     spec = (PlatformSpec.builder()
             .city(_SCENARIO.city, seed=_SCENARIO.seed)
             .workload(num_workers=_SCENARIO.num_workers,
                       num_requests=_SCENARIO.num_requests)
             .dispatcher(algorithm, **knobs)
-            .engine(engine)
             .build())
     return MatchingService.from_spec(spec)
 
@@ -102,10 +101,9 @@ class TestDecisions:
         with pytest.raises(DispatchError, match="duplicate request id"):
             service.submit(clone)
 
-    @pytest.mark.parametrize("engine", ["event", "legacy"])
-    def test_resubmitting_the_same_request_object_raises(self, engine):
+    def test_resubmitting_the_same_request_object_raises(self):
         # a client retry must not double-dispatch the request
-        service = _service(engine=engine)
+        service = _service()
         request = service.instance.requests[0]
         assert service.submit(request).accepted
         with pytest.raises(DispatchError, match="duplicate request id"):
@@ -191,12 +189,6 @@ class TestCancellation:
         submitted = {request.id for request in service.instance.requests}
         assert set(terminal) == submitted
 
-    def test_cancel_requires_event_engine(self):
-        service = _service(engine="legacy")
-        service.submit(service.instance.requests[0])
-        with pytest.raises(ConfigurationError, match="event"):
-            service.cancel(service.instance.requests[0].id)
-
 
 class TestFleetEvents:
     def test_retire_all_workers_rejects_subsequent_requests(self):
@@ -272,14 +264,6 @@ class TestFleetEvents:
         with pytest.raises(DispatchError, match="drained"):
             service.reinstate_worker(worker_id)
 
-    def test_fleet_events_work_on_legacy_engine_too(self):
-        service = _service(engine="legacy")
-        for worker in service.instance.workers:
-            service.retire_worker(worker.id)
-        request = service.instance.requests[0]
-        service.add_worker(Worker(id=10_001, initial_location=request.origin, capacity=4))
-        assert service.submit(request).accepted
-
 
 class TestLifecycle:
     def test_advance_to_moves_the_clock(self):
@@ -294,7 +278,6 @@ class TestLifecycle:
             service.submit(request)
         snapshot = service.snapshot()
         assert snapshot.algorithm == "batch"
-        assert snapshot.engine == "event"
         assert snapshot.workers_total == _SCENARIO.num_workers
         assert snapshot.workers_online == _SCENARIO.num_workers
         assert snapshot.requests_submitted == 3
@@ -334,13 +317,10 @@ class TestLifecycle:
         )
         assert service.submit(instance.requests[0]).accepted
 
-    def test_unknown_engine_rejected(self):
+    def test_engine_keyword_is_refused(self):
+        # the event kernel is the only engine; there is nothing to choose
         from repro.dispatch import DispatcherConfig, PruneGreedyDP
 
         instance = build_instance(_SCENARIO)
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            MatchingService(
-                instance,
-                PruneGreedyDP(DispatcherConfig()),
-                engine="warp",
-            )
+        with pytest.raises(TypeError, match="engine"):
+            MatchingService(instance, PruneGreedyDP(DispatcherConfig()), engine="event")

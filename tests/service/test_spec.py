@@ -1,6 +1,5 @@
 """PlatformSpec: builder, validation, serialisation round-trips."""
 
-import dataclasses
 import json
 
 import pytest
@@ -19,7 +18,6 @@ class TestBuilder:
                 .oracle(precompute="apsp")
                 .dispatcher("batch", batch_interval=12.0)
                 .sharding(num_shards=4, strategy="kd", escalate_k=3)
-                .engine("event")
                 .build())
         assert spec.scenario.city == "nyc-like"
         assert spec.scenario.seed == 7 and spec.scenario.city_seed == 11
@@ -31,7 +29,6 @@ class TestBuilder:
         assert spec.dispatcher.shard_strategy == "kd"
         assert spec.dispatcher.is_sharded
         assert spec.dispatcher.name == "sharded:batch"
-        assert spec.engine == "event"
 
     def test_builder_accepts_sharded_names(self):
         spec = PlatformSpec.builder().dispatcher("sharded:tshare").build()
@@ -53,10 +50,6 @@ class TestBuilder:
 
 
 class TestValidation:
-    def test_unknown_engine(self):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            PlatformSpec(engine="warp").validate()
-
     def test_unknown_city_with_suggestion(self):
         spec = PlatformSpec(scenario=ScenarioConfig(city="nyc-lik"))
         with pytest.raises(ConfigurationError, match="did you mean 'nyc-like'"):
@@ -65,13 +58,6 @@ class TestValidation:
     def test_unknown_algorithm_with_suggestion(self):
         with pytest.raises(ConfigurationError, match="did you mean"):
             PlatformSpec(dispatcher=DispatcherSpec(algorithm="pruneGreedy")).validate()
-
-    def test_legacy_engine_rejects_dynamics(self):
-        spec = PlatformSpec(
-            scenario=ScenarioConfig(cancellation_rate=0.1), engine="legacy"
-        )
-        with pytest.raises(ConfigurationError, match="require"):
-            spec.validate()
 
     def test_dispatcher_config_derives_grid_cell_from_scenario(self):
         spec = PlatformSpec(scenario=ScenarioConfig(grid_km=3.0))
@@ -92,7 +78,6 @@ class TestSerialisation:
                 .workload(num_workers=9, num_requests=40)
                 .dispatcher("batch", batch_interval=9.0)
                 .sharding(num_shards=2)
-                .engine("legacy")
                 .build())
 
     def test_dict_round_trip(self):
@@ -100,8 +85,8 @@ class TestSerialisation:
         assert PlatformSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_rejects_unknown_top_level_key(self):
-        with pytest.raises(ConfigurationError, match="engine"):
-            PlatformSpec.from_dict({"engin": "event"})
+        with pytest.raises(ConfigurationError, match="did you mean 'cluster'"):
+            PlatformSpec.from_dict({"clustr": True})
 
     def test_from_dict_rejects_unknown_scenario_key(self):
         with pytest.raises(ConfigurationError, match="did you mean 'num_workers'"):
@@ -121,8 +106,6 @@ class TestSerialisation:
         path = tmp_path / "platform.toml"
         path.write_text(
             """
-engine = "event"
-
 [scenario]
 city = "small-grid"
 num_workers = 9
@@ -138,7 +121,7 @@ sharded = true
             encoding="utf-8",
         )
         loaded = PlatformSpec.from_file(path)
-        expected = dataclasses.replace(self._spec(), engine="event")
+        expected = self._spec()
         assert loaded == expected
         # TOML and JSON payloads describing the same platform agree
         assert loaded.to_dict() == expected.to_dict()
@@ -147,6 +130,29 @@ sharded = true
         path = tmp_path / "platform.yaml"
         path.write_text("{}", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="use .json or .toml"):
+            PlatformSpec.from_file(path)
+
+
+class TestRetiredEngineKey:
+    """Spec files from before the event kernel became the only engine fail
+    typed, naming the field, instead of silently dropping it."""
+
+    _MATCH = r"unknown platform spec field\(s\): 'engine'"
+
+    def test_from_dict_names_the_engine_field(self):
+        with pytest.raises(ConfigurationError, match=self._MATCH):
+            PlatformSpec.from_dict({"engine": "event"})
+
+    def test_json_file_with_engine_key(self, tmp_path):
+        path = tmp_path / "platform.json"
+        path.write_text(json.dumps({"engine": "legacy", "scenario": {}}), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=self._MATCH):
+            PlatformSpec.from_file(path)
+
+    def test_toml_file_with_engine_key(self, tmp_path):
+        path = tmp_path / "platform.toml"
+        path.write_text('engine = "event"\n\n[scenario]\nnum_workers = 9\n', encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=self._MATCH):
             PlatformSpec.from_file(path)
 
 

@@ -4,7 +4,7 @@ These are the acceptance tests of the sharding subsystem:
 
 * with one shard the wrapper is pure plumbing — served rate, unified cost and
   every oracle counter must reproduce the unsharded dispatcher bit for bit,
-  on both simulation engines and for immediate *and* batch inner algorithms;
+  for immediate *and* batch inner algorithms;
 * with K>1 dispatching is local-first, which may trade assignment quality for
   locality; on the smoke scenario the served rate must stay within a
   documented tolerance of the unsharded baseline (the same tolerance
@@ -14,8 +14,9 @@ These are the acceptance tests of the sharding subsystem:
 import pytest
 
 from repro.dispatch import DispatcherConfig, make_dispatcher
-from repro.simulation.simulator import run_simulation
+from repro.service import MatchingService
 from repro.workloads.scenarios import ScenarioConfig, build_instance
+from tests.simulation.seed_loop import run_seed_loop
 
 #: maximum served-rate degradation tolerated at K>1 on the smoke scenario.
 #: Local-first dispatch with escalation considers every worker before
@@ -42,17 +43,18 @@ def _fingerprint(result):
     }
 
 
-def _run(algorithm: str, engine: str = "event", shards: int | None = None,
-         strategy: str = "grid", config: ScenarioConfig = _SMOKE):
+def _run(algorithm: str, shards: int | None = None, strategy: str = "grid",
+         config: ScenarioConfig = _SMOKE, seed_loop: bool = False):
     dispatcher_config = DispatcherConfig(
         grid_cell_metres=config.grid_km * 1000.0,
         num_shards=shards or 1,
         shard_strategy=strategy,
     )
     name = algorithm if shards is None else f"sharded:{algorithm}"
-    return run_simulation(
-        build_instance(config), make_dispatcher(name, dispatcher_config), engine=engine
-    )
+    instance, dispatcher = build_instance(config), make_dispatcher(name, dispatcher_config)
+    if seed_loop:
+        return run_seed_loop(instance, dispatcher)
+    return MatchingService(instance, dispatcher).replay()
 
 
 class TestK1Exactness:
@@ -63,9 +65,10 @@ class TestK1Exactness:
         assert _fingerprint(sharded) == _fingerprint(baseline)
 
     @pytest.mark.parametrize("algorithm", ["pruneGreedyDP", "batch"])
-    def test_legacy_engine_bit_identical(self, algorithm):
-        baseline = _run(algorithm, engine="legacy")
-        sharded = _run(algorithm, engine="legacy", shards=1)
+    def test_seed_loop_bit_identical(self, algorithm):
+        # under the seed loop's full walk the wrapper is still pure plumbing
+        baseline = _run(algorithm, seed_loop=True)
+        sharded = _run(algorithm, shards=1, seed_loop=True)
         assert _fingerprint(sharded) == _fingerprint(baseline)
 
     def test_tshare_bit_identical(self):
@@ -92,10 +95,20 @@ class TestEngineIdentity:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_event_and_legacy_agree_at_k_greater_one(self, shards):
         # shard routing materialises exact positions, so the advancement
-        # regime (lazy event kernel vs eager legacy loop) must not leak into
-        # the metrics — the same contract the unsharded dispatchers honour
-        event = _run("pruneGreedyDP", engine="event", shards=shards)
-        legacy = _run("pruneGreedyDP", engine="legacy", shards=shards)
+        # regime (lazy event kernel vs the seed loop's full walk) must not
+        # leak into the metrics — the same contract the unsharded
+        # dispatchers honour
+        event = _run("pruneGreedyDP", shards=shards)
+        legacy = _run("pruneGreedyDP", shards=shards, seed_loop=True)
+        assert event.served_rate == legacy.served_rate
+        assert event.unified_cost == pytest.approx(legacy.unified_cost, abs=1e-9)
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_kd_shards_agree_with_the_seed_loop(self, shards):
+        # the same contract under the kd-tree partition, whose shard
+        # boundaries do not follow the grid cells
+        event = _run("pruneGreedyDP", shards=shards, strategy="kd")
+        legacy = _run("pruneGreedyDP", shards=shards, strategy="kd", seed_loop=True)
         assert event.served_rate == legacy.served_rate
         assert event.unified_cost == pytest.approx(legacy.unified_cost, abs=1e-9)
 

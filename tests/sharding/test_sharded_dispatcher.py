@@ -10,8 +10,8 @@ from repro.dispatch import DispatcherConfig, make_dispatcher
 from repro.exceptions import ConfigurationError
 from repro.network.generators import grid_city
 from repro.network.oracle import DistanceOracle, OracleCounters
+from repro.service import MatchingService
 from repro.sharding.dispatcher import ShardedDispatcher
-from repro.simulation.simulator import run_simulation
 from repro.workloads.scenarios import ScenarioConfig, build_instance
 
 _CONFIG = ScenarioConfig(city="small-grid", num_workers=10, num_requests=40, seed=13)
@@ -21,9 +21,9 @@ def _run(algorithm: str, shards: int, **dispatcher_overrides):
     dispatcher_config = DispatcherConfig(
         grid_cell_metres=_CONFIG.grid_km * 1000.0, num_shards=shards, **dispatcher_overrides
     )
-    return run_simulation(
+    return MatchingService(
         build_instance(_CONFIG), make_dispatcher(algorithm, dispatcher_config)
-    )
+    ).replay()
 
 
 class TestConstruction:
@@ -148,7 +148,7 @@ class TestShardOracleBackends:
                 shard_oracle_backend="apsp",
             ),
         )
-        run_simulation(build_instance(_CONFIG), dispatcher)
+        MatchingService(build_instance(_CONFIG), dispatcher).replay()
         # four shards, one dense matrix — not four
         assert list(dispatcher._shard_oracles) == ["apsp"]
         oracles = {id(shard.oracle) for shard in dispatcher._shards}
@@ -254,7 +254,7 @@ class TestEscalation:
             "sharded:pruneGreedyDP",
             DispatcherConfig(grid_cell_metres=1000.0, num_shards=4),
         )
-        result = run_simulation(instance, dispatcher)
+        result = MatchingService(instance, dispatcher).replay()
         # the first requests' origin shard holds no workers, so they can only
         # be served by escalating into the workers' corner (later requests
         # may become local hits once workers have migrated north-east)
@@ -273,7 +273,7 @@ class TestEscalation:
             "sharded:pruneGreedyDP",
             DispatcherConfig(grid_cell_metres=1000.0, num_shards=4),
         )
-        result = run_simulation(instance, dispatcher)
+        result = MatchingService(instance, dispatcher).replay()
         # serving the far corner forces workers across shard borders
         assert result.extra["sharding_cross_shard_moves"] > 0
         # membership stayed consistent: every worker is in exactly one view
@@ -295,9 +295,9 @@ class TestBatchProtocol:
         dispatcher_config = DispatcherConfig(
             grid_cell_metres=config.grid_km * 1000.0, num_shards=4
         )
-        result = run_simulation(
+        result = MatchingService(
             build_instance(config), make_dispatcher("sharded:batch", dispatcher_config)
-        )
+        ).replay()
         assert result.total_requests == config.num_requests
 
     def test_memory_estimate_sums_shard_grids(self):
@@ -305,7 +305,7 @@ class TestBatchProtocol:
             "sharded:pruneGreedyDP",
             DispatcherConfig(grid_cell_metres=_CONFIG.grid_km * 1000.0, num_shards=4),
         )
-        run_simulation(build_instance(_CONFIG), dispatcher)
+        MatchingService(build_instance(_CONFIG), dispatcher).replay()
         total = sum(
             shard.dispatcher.memory_estimate_bytes() for shard in dispatcher._shards
         )

@@ -2,30 +2,38 @@
 
 Covers the acceptance criteria of the kernel refactor:
 
-* metric identity with the legacy request-stream loop on dynamics-free
-  instances, per algorithm;
+* metric identity with the seed's request loop (the test-only reference in
+  ``tests/simulation/seed_loop.py``) on dynamics-free instances, per
+  algorithm;
 * batch-flush edge cases (window expiring exactly at a release time, empty
   flushes, batches resolved after the last arrival);
 * the bounded final drain (a dispatcher whose ``next_flush_time`` never
   returns ``None`` raises instead of hanging);
-* rider cancellations and staggered worker shifts, which only run on the
-  event kernel.
+* rider cancellations and staggered worker shifts.
 """
 
 import pytest
 
 from repro.core.instance import Cancellation, InstanceDynamics, URPSMInstance, WorkerShift
 from repro.core.objective import ObjectiveConfig, PenaltyPolicy
-from repro.dispatch import Batch, DispatcherConfig, GreedyDP, NearestWorker, PruneGreedyDP
+from repro.dispatch import (
+    Batch,
+    DispatcherConfig,
+    GreedyDP,
+    NearestWorker,
+    PruneGreedyDP,
+    make_dispatcher,
+)
 from repro.dispatch.base import Dispatcher
 from repro.exceptions import ConfigurationError, DispatchError
+from repro.service import MatchingService
 from repro.simulation.engine import EventEngine
 from repro.simulation.fleet import FleetState
-from repro.simulation.simulator import Simulator, run_simulation
 from repro.workloads.requests import sample_cancellations
 from repro.workloads.scenarios import ScenarioConfig, build_instance
 from repro.workloads.workers import staggered_shifts
 from tests.conftest import make_request, make_worker, route_with_requests
+from tests.simulation.seed_loop import run_seed_loop
 
 
 def _instance(network, oracle, requests, workers=None, alpha=1.0, dynamics=None):
@@ -41,11 +49,15 @@ def _instance(network, oracle, requests, workers=None, alpha=1.0, dynamics=None)
     )
 
 
+def _run_event(instance, dispatcher):
+    return EventEngine(instance, dispatcher).run()
+
+
 # --------------------------------------------------------------------- A / B
 
 
 class TestMetricIdentity:
-    """The event kernel must reproduce the legacy loop's metrics exactly."""
+    """The event kernel must reproduce the seed loop's metrics exactly."""
 
     @pytest.mark.parametrize(
         "make_dispatcher",
@@ -54,12 +66,18 @@ class TestMetricIdentity:
             lambda: GreedyDP(DispatcherConfig(grid_cell_metres=500.0)),
             lambda: Batch(DispatcherConfig(grid_cell_metres=500.0, batch_interval=6.0)),
             lambda: NearestWorker(DispatcherConfig(grid_cell_metres=500.0)),
+            lambda: make_dispatcher("tshare", DispatcherConfig(grid_cell_metres=500.0)),
+            lambda: make_dispatcher("kinetic", DispatcherConfig(grid_cell_metres=500.0)),
+            lambda: make_dispatcher(
+                "pruneGreedyDP+reopt", DispatcherConfig(grid_cell_metres=500.0)
+            ),
         ],
-        ids=["pruneGreedyDP", "GreedyDP", "batch", "nearest"],
+        ids=["pruneGreedyDP", "GreedyDP", "batch", "nearest", "tshare", "kinetic",
+             "pruneGreedyDP+reopt"],
     )
     def test_engines_agree_on_small_instance(self, small_instance, make_dispatcher):
-        legacy = run_simulation(small_instance, make_dispatcher(), engine="legacy")
-        event = run_simulation(small_instance, make_dispatcher(), engine="event")
+        legacy = run_seed_loop(small_instance, make_dispatcher())
+        event = _run_event(small_instance, make_dispatcher())
         assert event.served_requests == legacy.served_requests
         assert event.rejected_requests == legacy.rejected_requests
         assert event.total_requests == legacy.total_requests
@@ -72,27 +90,19 @@ class TestMetricIdentity:
     def test_engines_agree_on_generated_scenario(self):
         config = ScenarioConfig(city="small-grid", num_workers=8, num_requests=40, seed=13)
         results = {}
-        for engine in ("legacy", "event"):
+        for engine, run in (("legacy", run_seed_loop), ("event", _run_event)):
             instance = build_instance(config)
             dispatcher = PruneGreedyDP(DispatcherConfig(grid_cell_metres=1000.0))
-            results[engine] = run_simulation(instance, dispatcher, engine=engine)
+            results[engine] = run(instance, dispatcher)
         assert results["event"].served_requests == results["legacy"].served_requests
         assert results["event"].unified_cost == pytest.approx(results["legacy"].unified_cost)
 
     def test_event_engine_is_deterministic(self, small_instance):
-        first = run_simulation(
-            small_instance, Batch(DispatcherConfig(grid_cell_metres=500.0)), engine="event"
-        )
-        second = run_simulation(
-            small_instance, Batch(DispatcherConfig(grid_cell_metres=500.0)), engine="event"
-        )
+        first = _run_event(small_instance, Batch(DispatcherConfig(grid_cell_metres=500.0)))
+        second = _run_event(small_instance, Batch(DispatcherConfig(grid_cell_metres=500.0)))
         assert first.served_requests == second.served_requests
         assert first.unified_cost == second.unified_cost
         assert first.total_travel_cost == second.total_travel_cost
-
-    def test_unknown_engine_rejected(self, small_instance):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            Simulator(small_instance, GreedyDP(), engine="quantum")
 
 
 # ------------------------------------------------------------- batch windows
@@ -124,7 +134,7 @@ class TestBatchFlushEdgeCases:
         ]
         instance = _instance(line_network, line_oracle, requests)
         dispatcher = _RecordingBatch(DispatcherConfig(grid_cell_metres=200.0, batch_interval=6.0))
-        result = run_simulation(instance, dispatcher, engine="event")
+        result = _run_event(instance, dispatcher)
         assert result.total_requests == 2
         assert dispatcher.log == [
             ("dispatch", 0.0, 0),
@@ -147,17 +157,17 @@ class TestBatchFlushEdgeCases:
         ]
         instance = _instance(line_network, line_oracle, requests)
         dispatcher = _RecordingBatch(DispatcherConfig(grid_cell_metres=200.0, batch_interval=500.0))
-        result = run_simulation(instance, dispatcher, engine="event")
+        result = _run_event(instance, dispatcher)
         assert result.total_requests == 2
         assert dispatcher.log[-1] == ("flush", 500.0, (0, 1))
 
     def test_final_drain_matches_legacy(self, line_network, line_oracle):
         requests = [make_request(0, 1, 2, release=0.0), make_request(1, 3, 4, release=5.0)]
         results = {}
-        for engine in ("legacy", "event"):
+        for engine, run in (("legacy", run_seed_loop), ("event", _run_event)):
             instance = _instance(line_network, line_oracle, requests)
             dispatcher = Batch(DispatcherConfig(grid_cell_metres=200.0, batch_interval=500.0))
-            results[engine] = run_simulation(instance, dispatcher, engine=engine)
+            results[engine] = run(instance, dispatcher)
         assert results["event"].served_requests == results["legacy"].served_requests
         assert results["event"].unified_cost == pytest.approx(results["legacy"].unified_cost)
 
@@ -165,8 +175,8 @@ class TestBatchFlushEdgeCases:
 class _NeverDrains(Dispatcher):
     """Pathological batch dispatcher: next_flush_time() never returns None.
 
-    The seed loop's ``_final_flush`` spun forever on this; both engines must
-    now raise instead.
+    The seed loop's final flush spun forever on this; the kernel must raise
+    instead.
     """
 
     name = "never-drains"
@@ -186,12 +196,19 @@ class _NeverDrains(Dispatcher):
 
 
 class TestBoundedFinalDrain:
-    @pytest.mark.parametrize("engine", ["legacy", "event"])
-    def test_non_terminating_batch_dispatcher_raises(self, line_network, line_oracle, engine):
+    def test_non_terminating_batch_dispatcher_raises(self, line_network, line_oracle):
         requests = [make_request(0, 1, 2, release=0.0)]
         instance = _instance(line_network, line_oracle, requests)
         with pytest.raises(DispatchError, match="does not terminate"):
-            run_simulation(instance, _NeverDrains(), engine=engine)
+            _run_event(instance, _NeverDrains())
+
+    def test_service_drain_raises_too(self, line_network, line_oracle):
+        # the facade drives the same kernel incrementally and drains it on
+        # replay, so an online client sees the same bounded drain
+        requests = [make_request(0, 1, 2, release=0.0)]
+        instance = _instance(line_network, line_oracle, requests)
+        with pytest.raises(DispatchError, match="does not terminate"):
+            MatchingService(instance, _NeverDrains()).replay()
 
 
 # ------------------------------------------------------------- cancellations
@@ -203,8 +220,8 @@ class TestCancellations:
         requests = [make_request(0, 4, 5, release=0.0)]
         dynamics = InstanceDynamics(cancellations=[Cancellation(request_id=0, time=10.0)])
         instance = _instance(line_network, line_oracle, requests, dynamics=dynamics)
-        simulator = Simulator(instance, GreedyDP(DispatcherConfig(grid_cell_metres=200.0)))
-        result = simulator.run()
+        engine = EventEngine(instance, GreedyDP(DispatcherConfig(grid_cell_metres=200.0)))
+        result = engine.run()
         assert result.cancelled_requests == 1
         assert result.served_requests == 0
         assert result.rejected_requests == 0
@@ -212,14 +229,14 @@ class TestCancellations:
         assert result.total_penalty == 0.0
         # the worker drove towards the pickup for 10 seconds, then stopped
         assert result.total_travel_cost == pytest.approx(10.0)
-        assert all(state.is_idle for state in simulator.fleet)
+        assert all(state.is_idle for state in engine.fleet)
 
     def test_cancellation_after_pickup_is_ignored(self, line_network, line_oracle):
         # pickup happens at t=40; the cancellation at t=45 arrives too late
         requests = [make_request(0, 4, 5, release=0.0)]
         dynamics = InstanceDynamics(cancellations=[Cancellation(request_id=0, time=45.0)])
         instance = _instance(line_network, line_oracle, requests, dynamics=dynamics)
-        result = run_simulation(instance, GreedyDP(DispatcherConfig(grid_cell_metres=200.0)))
+        result = _run_event(instance, GreedyDP(DispatcherConfig(grid_cell_metres=200.0)))
         assert result.cancelled_requests == 0
         assert result.served_requests == 1
         assert result.total_travel_cost == pytest.approx(50.0)
@@ -228,20 +245,13 @@ class TestCancellations:
         requests = [make_request(0, 1, 2, release=0.0)]
         dynamics = InstanceDynamics(cancellations=[Cancellation(request_id=0, time=3.0)])
         instance = _instance(line_network, line_oracle, requests, dynamics=dynamics)
-        result = run_simulation(
+        result = _run_event(
             instance, Batch(DispatcherConfig(grid_cell_metres=200.0, batch_interval=6.0))
         )
         assert result.cancelled_requests == 1
         assert result.served_requests == 0
         assert result.total_requests == 1
         assert result.total_travel_cost == pytest.approx(0.0)
-
-    def test_legacy_engine_refuses_dynamics(self, line_network, line_oracle):
-        requests = [make_request(0, 1, 2, release=0.0)]
-        dynamics = InstanceDynamics(cancellations=[Cancellation(request_id=0, time=3.0)])
-        instance = _instance(line_network, line_oracle, requests, dynamics=dynamics)
-        with pytest.raises(ConfigurationError, match="require the event engine"):
-            run_simulation(instance, GreedyDP(), engine="legacy")
 
     def test_sample_cancellations_rate_and_window(self, line_network, line_oracle):
         requests = [
@@ -278,7 +288,7 @@ class TestWorkerShifts:
 
     def test_shift_covering_the_horizon_means_no_dynamics(self):
         """Always-on shifts are the same as no shifts: the instance must stay
-        dynamics-free (and therefore legacy-engine compatible)."""
+        dynamics-free (and therefore runnable on the seed-loop reference)."""
         workers = [make_worker(0, 0)]
         assert staggered_shifts(workers, horizon_seconds=3600.0, shift_seconds=7200.0, seed=3) == []
         config = ScenarioConfig(
@@ -286,7 +296,7 @@ class TestWorkerShifts:
         )
         instance = build_instance(config)
         assert instance.dynamics is None
-        run_simulation(instance, GreedyDP(DispatcherConfig(grid_cell_metres=1000.0)), engine="legacy")
+        run_seed_loop(instance, GreedyDP(DispatcherConfig(grid_cell_metres=1000.0)))
 
     def test_multiple_shifts_per_worker_rejected(self, line_network, line_oracle):
         requests = [make_request(0, 1, 2, release=0.0)]
@@ -351,14 +361,14 @@ class TestWorkerShifts:
         instance = build_instance(config)
         assert instance.dynamics is not None
         assert instance.dynamics.cancellations and instance.dynamics.shifts
-        result = run_simulation(instance, PruneGreedyDP(DispatcherConfig(grid_cell_metres=1000.0)))
+        result = _run_event(instance, PruneGreedyDP(DispatcherConfig(grid_cell_metres=1000.0)))
         assert result.total_requests == 60
         assert (
             result.served_requests + result.rejected_requests + result.cancelled_requests == 60
         )
         assert result.cancelled_requests > 0
         # determinism of the dynamic run
-        again = run_simulation(
+        again = _run_event(
             build_instance(config), PruneGreedyDP(DispatcherConfig(grid_cell_metres=1000.0))
         )
         assert again.unified_cost == result.unified_cost
@@ -371,7 +381,7 @@ class TestWorkerShifts:
 class TestLazyFleet:
     def test_state_of_materialises_to_clock(self, line_oracle):
         worker = make_worker(0, 0)
-        fleet = FleetState([worker], line_oracle, lazy=True)
+        fleet = FleetState([worker], line_oracle)
         request = make_request(0, 3, 5)
         route = route_with_requests(worker, line_oracle, [request])
         fleet.peek_state(0).adopt_route(route, request=request)
@@ -383,7 +393,7 @@ class TestLazyFleet:
 
     def test_position_slack_reflects_staleness(self, line_oracle):
         worker = make_worker(0, 0)
-        fleet = FleetState([worker], line_oracle, lazy=True)
+        fleet = FleetState([worker], line_oracle)
         request = make_request(0, 3, 5)
         route = route_with_requests(worker, line_oracle, [request])
         fleet.peek_state(0).adopt_route(route, request=request)
@@ -392,14 +402,15 @@ class TestLazyFleet:
         # 5 seconds of unobserved motion at 10 m/s
         assert fleet.position_slack_metres(10.0) == pytest.approx(50.0)
 
-    def test_eager_fleet_has_no_slack(self, line_oracle):
-        worker = make_worker(0, 0)
-        fleet = FleetState([worker], line_oracle)
+    def test_idle_workers_add_no_slack(self, line_oracle):
+        # an idle worker never materialised since t=0 cannot have drifted
+        fleet = FleetState([make_worker(0, 0), make_worker(1, 4)], line_oracle)
+        fleet.set_clock(1_000.0)
         assert fleet.position_slack_metres(10.0) == 0.0
 
     def test_lazy_completions_are_buffered(self, line_oracle):
         worker = make_worker(0, 0)
-        fleet = FleetState([worker], line_oracle, lazy=True)
+        fleet = FleetState([worker], line_oracle)
         request = make_request(0, 1, 2)
         route = route_with_requests(worker, line_oracle, [request])
         fleet.peek_state(0).adopt_route(route, request=request)

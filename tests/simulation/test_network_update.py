@@ -23,9 +23,8 @@ def config():
                           horizon_hours=1.0, seed=5)
 
 
-def _service(config, dispatcher="pruneGreedyDP", engine="event"):
-    spec = PlatformSpec(scenario=config, dispatcher=DispatcherSpec.parse(dispatcher),
-                        engine=engine)
+def _service(config, dispatcher="pruneGreedyDP"):
+    spec = PlatformSpec(scenario=config, dispatcher=DispatcherSpec.parse(dispatcher))
     return MatchingService.from_spec(spec)
 
 
@@ -155,12 +154,6 @@ class TestMidRunClosure:
 
 
 class TestRefusalPaths:
-    def test_legacy_engine_refuses(self, config):
-        service = _service(config, engine="legacy")
-        edge = next(iter(service.instance.network.edges()))
-        with pytest.raises(ConfigurationError, match="legacy"):
-            service.close_edge(edge.u, edge.v)
-
     def test_drained_engine_refuses(self, config):
         service = _service(config)
         service.drain()

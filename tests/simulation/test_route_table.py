@@ -111,14 +111,14 @@ def check_table(fleet: FleetState, only: "set[int] | None" = None) -> None:
 class TestTableMechanics:
     def test_rows_follow_worker_ids_not_fleet_order(self, line_oracle):
         workers = [make_worker(7, 3), make_worker(2, 1), make_worker(40, 5)]
-        fleet = FleetState(workers, line_oracle, lazy=True)
+        fleet = FleetState(workers, line_oracle)
         assert fleet.table.ids.tolist() == [2, 7, 40]
         assert fleet.table.rows_of([40, 2]).tolist() == [2, 0]
         assert fleet.table.vertex[0].tolist() == [1, 3, 5]
         check_table(fleet)
 
     def test_unknown_worker_is_rejected(self, line_oracle):
-        fleet = FleetState([make_worker(2, 1), make_worker(9, 4)], line_oracle, lazy=True)
+        fleet = FleetState([make_worker(2, 1), make_worker(9, 4)], line_oracle)
         for missing in (0, 5, 10):
             with pytest.raises(DispatchError, match=f"unknown worker {missing}"):
                 fleet.table.rows_of([2, missing])
@@ -126,7 +126,7 @@ class TestTableMechanics:
             fleet.states_of([2, 5])
 
     def test_long_route_deepens_every_matrix(self, line_oracle):
-        fleet = FleetState([make_worker(0, 0), make_worker(1, 5)], line_oracle, lazy=True)
+        fleet = FleetState([make_worker(0, 0), make_worker(1, 5)], line_oracle)
         depth = fleet.table.depth
         requests = [
             make_request(index, origin=index % 5, destination=index % 5 + 1, deadline=1e6)
@@ -144,7 +144,7 @@ class TestTableMechanics:
         check_table(fleet)
 
     def test_set_online_writes_the_column(self, line_oracle):
-        fleet = FleetState([make_worker(0, 0), make_worker(1, 5)], line_oracle, lazy=True)
+        fleet = FleetState([make_worker(0, 0), make_worker(1, 5)], line_oracle)
         fleet.set_online(1, False)
         assert fleet.table.online.tolist() == [True, False]
         assert not fleet.is_available(1)
@@ -174,7 +174,7 @@ class TestWindowBoundaries:
     @pytest.fixture()
     def fleet(self, line_oracle):
         # 10-second edges; worker 0 heads 0 -> 4 -> 5 and has walked one edge
-        fleet = FleetState([make_worker(0, 0), make_worker(1, 5)], line_oracle, lazy=True)
+        fleet = FleetState([make_worker(0, 0), make_worker(1, 5)], line_oracle)
         request = make_request(1, origin=4, destination=5, deadline=1e6)
         state = fleet.state_of(0)
         state.adopt_route(route_with_requests(state.worker, line_oracle, [request]), request=request)
@@ -328,7 +328,7 @@ class TestRewriteSites:
 
     def test_reoptimisation_moves_rewrite_both_rows(self, line_oracle):
         far, near = make_worker(0, 0), make_worker(1, 4)
-        fleet = FleetState([far, near], line_oracle, lazy=True)
+        fleet = FleetState([far, near], line_oracle)
         request = make_request(7, origin=4, destination=5, deadline=10_000.0)
         fleet.state_of(0).adopt_route(
             route_with_requests(far, line_oracle, [request]), request=request
