@@ -30,9 +30,10 @@ routes at once, one :class:`BlockInsertions` back. Its default loops
 ``NaiveDPInsertion`` (ablation operators) use; ``LinearDPInsertion`` overrides
 it with one array kernel over the candidates' rows of the fleet route table.
 Planners that stop early by design — pruneGreedyDP's Lemma 8 scan, ``nearest``'s
-first-feasible walk, the kinetic tree and the re-optimiser — keep calling the
-scalar entry point: a block past their cut would issue exactly the distance
-queries the cut exists to save.
+first-feasible walk and the re-optimiser — keep calling the scalar entry point:
+a block past their cut would issue exactly the distance queries the cut exists
+to save. Like the default loop, they lend ``L`` to each route only while it is
+evaluated and seed it on the winner's new route alone.
 """
 
 from __future__ import annotations
@@ -173,11 +174,7 @@ class _PairwiseDistances:
     """Per-call memo of the distances between route stops and o_r / d_r.
 
     Caching these keeps the DP operators at the 2n+1 exact queries of Lemma 9
-    instead of re-querying the oracle for every (i, j) pair. On top of the
-    lazy memo, :meth:`prefetch` answers a whole index range with two grouped
-    :meth:`~repro.network.oracle.DistanceOracle.distances_many` calls, so the
-    linear DP issues one batched oracle round-trip per insertion instead of
-    ~2n scalar calls — with exactly the same values and counter increments.
+    instead of re-querying the oracle for every (i, j) pair.
     """
 
     def __init__(self, route: Route, request: Request, oracle: DistanceOracle) -> None:
@@ -190,33 +187,6 @@ class _PairwiseDistances:
         # L = dis(o_r, d_r): exactly one query, shared with ddl computations.
         self.direct = route.direct_distance(request, oracle)
         self.queries += 1
-
-    def prefetch(self, last_index: int) -> None:
-        """Batch-fetch ``dis(l_k, o_r)`` and ``dis(l_k, d_r)`` for ``k <= last_index``.
-
-        The caller passes the last stop index its scan can reach (the DP's
-        early-exit position, computable from ``arr`` without any query), so
-        the grouped fetch issues exactly the queries the lazy scalar walk
-        would have issued — the oracle counters stay identical.
-        """
-        route = self._route
-        missing = [k for k in range(last_index + 1) if k not in self._to_origin]
-        if not missing:
-            return
-        vertices = [route.vertex_at(k) for k in missing]
-        to_origin, to_destination = self._oracle.endpoint_distances(
-            vertices, self._request.origin, self._request.destination
-        )
-        self.queries += 2 * len(missing)
-        to_origin_memo = self._to_origin
-        to_destination_memo = self._to_destination
-        # .tolist() unboxes to plain floats once; the DP's arithmetic on
-        # numpy scalars would pay boxing on every operation otherwise
-        for k, value_origin, value_destination in zip(
-            missing, to_origin.tolist(), to_destination.tolist()
-        ):
-            to_origin_memo[k] = value_origin
-            to_destination_memo[k] = value_destination
 
     def to_origin(self, index: int) -> float:
         """dis(l_index, o_r)."""

@@ -25,9 +25,14 @@ Two entry points, one algorithm
 
 :meth:`LinearDPInsertion.best_insertion` is the scalar walk over one route. It
 serves the planners that stop early by design — pruneGreedyDP's Lemma 8 scan,
-``nearest``'s first-feasible walk, the kinetic tree and the re-optimiser — for
-which evaluating candidates past the cut would issue exactly the queries the
-cut saves.
+``nearest``'s first-feasible walk and the re-optimiser — for which evaluating
+candidates past the cut would issue exactly the queries the cut saves. The
+early exit is known from ``arr`` alone, so the walk reads the endpoint
+distances of the stops it will scan into two plain lists up front (scalar
+calls below four stops, one ``endpoint_distances`` call from four) and
+``dis(l_{k+1}, d_r)`` of the stop after them only when a branch is open at
+the break — exactly the values and queries of reading each distance on
+demand (property-tested in ``tests/core/test_linear_dp_walk.py``).
 
 :meth:`LinearDPInsertion.best_insertions` evaluates Algorithm 3 for all rows of
 a :class:`~repro.core.route.RouteBlock` at once and serves the planners that
@@ -44,10 +49,8 @@ walk's bit for bit (property-tested in ``tests/core/test_block_linear_dp.py``).
 Query count of the block kernel: one ``oracle.endpoint_distances`` gather over
 the stops the scans *reach* — every scanned stop and the stop after it — so
 ``2 * popcount(reached)`` exact queries per request, and none for rows whose
-worker cannot carry the request. The scalar walk prefetches the scanned stops
-only and reads the successor of the last one lazily (and only its
-``to_destination``, and only when a branch needs it), so per route the kernel
-issues at most two queries more than the walk and never fewer.
+worker cannot carry the request — per route at most two queries more than
+the scalar walk (the successor of the last scanned stop) and never fewer.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from repro.core.insertion.base import (
     BlockInsertions,
     InsertionOperator,
     InsertionResult,
-    _PairwiseDistances,
 )
 from repro.core.insertion.block import BlockScan, fitting_rows
 from repro.core.route import Route, RouteBlock
@@ -75,22 +77,12 @@ class LinearDPInsertion(InsertionOperator):
     Args:
         aggressive_break: use the paper's stronger (but potentially lossy)
             early-exit condition instead of the conservative one.
-        prefetch: (scalar walk only) batch the stop-to-endpoint distances of
-            the scanned stops into one grouped oracle call. The early-exit
-            index is computable from ``arr`` up front; the lazy walk reads
-            both distances of every scanned stop, so the batch adds no query.
-            Past the batch the walk still reads lazily
-            ``to_destination(scan_stop + 1)`` when a branch is open at the
-            break (the ``i = j`` test holds or ``Dio`` is finite there) —
-            values and query counters are identical either way. Disable to
-            reproduce the scalar per-stop query pattern.
     """
 
     name = "linear-dp"
 
-    def __init__(self, aggressive_break: bool = False, prefetch: bool = True) -> None:
+    def __init__(self, aggressive_break: bool = False) -> None:
         self.aggressive_break = aggressive_break
-        self.prefetch = prefetch
 
     def best_insertion(
         self, route: Route, request: Request, oracle: DistanceOracle
@@ -105,15 +97,24 @@ class LinearDPInsertion(InsertionOperator):
         arr, slack, picked = route.arr, route.slack, route.picked
         free_capacity = worker.capacity - request.capacity
         deadline = request.deadline
+        destination = request.destination
+        direct = route.direct_distance(request, oracle)
 
-        distances = _PairwiseDistances(route, request, oracle)
-        direct = distances.direct
-        if self.prefetch:
-            scan_stop = self._scan_stop_index(arr, n, deadline, direct)
-            # below ~4 stops the numpy round-trip costs more than the lazy
-            # scalar walk; the query count is identical either way
-            if scan_stop >= 4:
-                distances.prefetch(scan_stop)
+        # the scan visits l_0..l_last and reads both endpoint distances of
+        # each: read them up front, as plain floats — one grouped call from 4
+        # stops on; below that the numpy round trip costs more than the
+        # scalar calls
+        last = self._scan_stop_index(arr, n, deadline, direct)
+        vertices = [route.origin, *[stop.vertex for stop in route.stops[:last]]]
+        if last >= 4:
+            found_origin, found_destination = oracle.endpoint_distances(
+                vertices, request.origin, destination
+            )
+            to_origin, to_destination = found_origin.tolist(), found_destination.tolist()
+        else:
+            to_origin = [oracle.distance(vertex, request.origin) for vertex in vertices]
+            to_destination = [oracle.distance(vertex, destination) for vertex in vertices]
+        queries = 1 + 2 * len(vertices)  # L counts as one, as in Lemma 9
 
         best_delta = INFINITY
         best_pair: tuple[int, int] | None = None
@@ -124,35 +125,39 @@ class LinearDPInsertion(InsertionOperator):
         dio = INFINITY
         plc = -1
 
-        for j in range(n + 1):
-            dist_j_origin = distances.to_origin(j)
-            dist_j_destination = distances.to_destination(j)
+        for j in range(last + 1):
+            dist_j_origin = to_origin[j]
+            dist_j_destination = to_destination[j]
+            same_open = (
+                picked[j] <= free_capacity
+                and arr[j] + dist_j_origin + direct <= deadline + 1e-9
+            )
+            split_open = j > 0 and dio < INFINITY
+            if j < n and (same_open or split_open):
+                leg = arr[j + 1] - arr[j]
+                if j < last:
+                    next_destination = to_destination[j + 1]
+                else:
+                    # past the scanned prefix: read only when a branch needs it
+                    next_destination = oracle.distance(route.stops[j].vertex, destination)
+                    queries += 1
 
             # ---- special cases i = j (Fig. 2a when j = n, Fig. 2b otherwise)
-            if picked[j] <= free_capacity and arr[j] + dist_j_origin + direct <= deadline + 1e-9:
+            if same_open:
                 if j == n:
                     delta_same = dist_j_origin + direct
                 else:
-                    delta_same = (
-                        dist_j_origin
-                        + direct
-                        + distances.to_destination(j + 1)
-                        - distances.leg(j)
-                    )
+                    delta_same = dist_j_origin + direct + next_destination - leg
                 if delta_same <= slack[j] + 1e-9 and delta_same < best_delta - 1e-9:
                     best_delta = delta_same
                     best_pair = (j, j)
 
             # ---- general case i < j via the DP state (Corollary 1)
-            if j > 0 and dio < INFINITY:
+            if split_open:
                 if j == n:
                     detour_destination = dist_j_destination
                 else:
-                    detour_destination = (
-                        dist_j_destination
-                        + distances.to_destination(j + 1)
-                        - distances.leg(j)
-                    )
+                    detour_destination = dist_j_destination + next_destination - leg
                 capacity_ok = picked[j] <= free_capacity
                 deadline_ok = arr[j] + dio + dist_j_destination <= deadline + 1e-9
                 slack_ok = dio + detour_destination <= slack[j] + 1e-9
@@ -162,34 +167,26 @@ class LinearDPInsertion(InsertionOperator):
                         best_delta = delta_split
                         best_pair = (plc, j)
 
-            # ---- early exit (line 8 of Algorithm 3)
-            if self.aggressive_break:
-                if arr[j] + direct > deadline:
-                    break
-            elif arr[j] > deadline:
-                break
-
-            # ---- extend the DP state to j + 1 (Eq. 11-12)
-            if j < n:
+            # ---- extend the DP state to j + 1 (Eq. 11-12); the scan ends at
+            # ``last`` (line 8 of Algorithm 3 fires there, or it is l_n)
+            if j < last:
                 if picked[j] > free_capacity:
                     dio = INFINITY
                     plc = -1
                 else:
-                    detour_origin = (
-                        dist_j_origin + distances.to_origin(j + 1) - distances.leg(j)
-                    )
+                    detour_origin = dist_j_origin + to_origin[j + 1] - (arr[j + 1] - arr[j])
                     if detour_origin <= slack[j] + 1e-9 and detour_origin < dio:
                         dio = detour_origin
                         plc = j
 
         if best_pair is None:
-            return InsertionResult.infeasible(distance_queries=distances.queries)
+            return InsertionResult.infeasible(distance_queries=queries)
         return InsertionResult(
             feasible=True,
             delta=best_delta,
             pickup_index=best_pair[0],
             dropoff_index=best_pair[1],
-            distance_queries=distances.queries,
+            distance_queries=queries,
         )
 
     # ---------------------------------------------------------- block kernel
@@ -295,24 +292,19 @@ class LinearDPInsertion(InsertionOperator):
         pickup_index[split] = plc[dropoff_index[split], split]
         return best, pickup_index, dropoff_index
 
-    # ------------------------------------------------ scalar walk's prefetch
+    # ----------------------------------------------------- scalar walk's scan
 
     def _scan_stop_index(
         self, arr: list[float], n: int, deadline: float, direct: float
     ) -> int:
-        """Last stop index the DP scan visits before its early exit fires.
+        """Last stop index the DP scan visits: where its early exit fires
+        (line 8 of Algorithm 3, or the conservative variant), else ``n``.
 
-        Mirrors the break condition of the main loop (line 8 of Algorithm 3,
-        or the conservative variant) using only the ``arr`` array — no oracle
-        queries — so :meth:`_PairwiseDistances.prefetch` can batch exactly
-        the distances the scan will read.
+        Uses only the ``arr`` array — no oracle query — so the walk can read
+        exactly the distances the scan needs before it starts.
         """
-        if self.aggressive_break:
-            for j in range(n + 1):
-                if arr[j] + direct > deadline:
-                    return j
-        else:
-            for j in range(n + 1):
-                if arr[j] > deadline:
-                    return j
+        margin = direct if self.aggressive_break else 0.0
+        for j in range(n + 1):
+            if arr[j] + margin > deadline:
+                return j
         return n

@@ -15,10 +15,14 @@ Every dispatcher reports a :class:`DispatchOutcome` per request so the metrics
 collector can compute the unified cost, served rate and per-request work
 (candidates considered, insertions evaluated).
 
-The planners that evaluate *every* candidate of a request (``batch``,
-``tshare``, ``GreedyDP``) share one planning phase,
-:meth:`Dispatcher.plan_over_all`: the candidates' rows of the fleet route
-table go through the insertion operator's block entry point in one call.
+Candidates travel as rows of the fleet's route table: the grid answers in
+rows (:meth:`Dispatcher.candidate_rows`), ``FleetState.states_of`` takes
+them, and the planners that evaluate *every* candidate of a request
+(``batch``, ``tshare``, ``GreedyDP``) share one planning phase,
+:meth:`Dispatcher.plan_over_all`: the candidates' rows go through the
+insertion operator's block entry point in one call. Whichever planner picks
+the winner, :meth:`Dispatcher._inserted` builds its new route — the only
+route ``L`` is seeded on.
 """
 
 from __future__ import annotations
@@ -157,12 +161,15 @@ class Dispatcher(abc.ABC):
         fleet.drain_moved()  # setup positions are now reflected in the grid
 
     def _build_grid(self, instance: URPSMInstance) -> GridIndex:
-        """Build the worker grid index; overridden by tshare to build its variant."""
-        return GridIndex(
+        """Build the worker grid index, answering in rows of the fleet's route
+        table; overridden by tshare to build its variant."""
+        grid = GridIndex(
             instance.network,
             self.config.grid_cell_metres,
             vertex_cells=self.shared_vertex_cells,
         )
+        grid.align_rows(self.fleet.table)
+        return grid
 
     def oracle_counter_totals(self) -> "OracleCounters | None":
         """Complete oracle-counter totals, or ``None`` when the instance's
@@ -295,7 +302,8 @@ class Dispatcher(abc.ABC):
         return self.fleet.table.ids[self.candidate_rows(request, now)].tolist()
 
     def candidate_rows(self, request: Request, now: float) -> np.ndarray:
-        """:meth:`candidate_worker_ids` as ascending rows of the fleet's route table."""
+        """:meth:`candidate_worker_ids` as ascending rows of the fleet's route
+        table — what the grid answers in, with no id in between."""
         assert self.grid is not None and self.oracle is not None and self.fleet is not None
         table = self.fleet.table
         budget_seconds = request.deadline - now
@@ -306,13 +314,13 @@ class Dispatcher(abc.ABC):
         slack_metres = self.fleet.position_slack_metres(network.max_speed)
         if slack_metres > 0.0:
             radius_metres += slack_metres + self.grid.geometry.cell_metres
-        rows = table.rows_of(self.grid.members_near_vertex(request.origin, radius_metres))
+        rows = self.grid.members_near_vertex(request.origin, radius_metres)
         rows = rows[table.online[rows]]
         if not rows.size:
             # degenerate grids (single cell) or stale entries: fall back to all
             rows = table.rows_of([state.worker.id for state in self.fleet])
             rows = rows[table.online[rows]]
-        rows.sort()  # table rows ascend with worker ids
+            rows.sort()  # fleet order is not id order once workers join
         return rows
 
     def plan_over_all(
@@ -323,8 +331,7 @@ class Dispatcher(abc.ABC):
         Algorithm 5 without the Lemma 8 cut, in one pass: the candidates
         (``rows`` of the fleet's route table, in candidate order) are brought
         up to the clock (:meth:`FleetState.states_of`), their rows taken from
-        the table and handed to the insertion
-        operator's block entry point
+        the table and handed to the insertion operator's block entry point
         (:meth:`~repro.core.insertion.base.InsertionOperator.best_insertions`)
         in one call. The few finite deltas are scanned in candidate order —
         a later candidate wins only when cheaper by more than ``1e-9`` — and
@@ -337,10 +344,9 @@ class Dispatcher(abc.ABC):
         ``(inf, None, None)`` when no candidate admits a feasible insertion.
         """
         assert self.fleet is not None and self.oracle is not None
-        table = self.fleet.table
-        routes = [state.route for state in self.fleet.states_of(table.ids[rows])]
+        routes = [state.route for state in self.fleet.states_of(rows)]
         found = self.insertion.best_insertions(
-            routes, request, self.oracle, direct, block=table.take(rows)
+            routes, request, self.oracle, direct, block=self.fleet.table.take(rows)
         )
         best_delta = INFINITY
         winner = -1
@@ -352,16 +358,23 @@ class Dispatcher(abc.ABC):
                 winner = index
         if winner < 0:
             return INFINITY, None, None
-        route = routes[winner].with_insertion(
+        route = self._inserted(
+            routes[winner],
             request,
             found.pickup_index.item(winner),
             found.dropoff_index.item(winner),
-            self.oracle,
-            refresh=False,
+            direct,
         )
-        route.remember_direct_distance(request, direct)
-        route.refresh(self.oracle)
         return best_delta, route.worker.id, route
+
+    def _inserted(self, route: Route, request: Request, i: int, j: int, direct: float) -> Route:
+        """The winner's new route: ``route`` with ``request`` inserted at
+        ``(i, j)``, ``L`` seeded on it (the only route that keeps it),
+        auxiliary arrays fresh. No live route is written."""
+        inserted = route.with_insertion(request, i, j, self.oracle, refresh=False)
+        inserted.remember_direct_distance(request, direct)
+        inserted.refresh(self.oracle)
+        return inserted
 
     def memory_estimate_bytes(self) -> int:
         """Memory footprint of the dispatcher's index structures."""

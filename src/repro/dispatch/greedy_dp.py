@@ -18,8 +18,13 @@ saves the billions of shortest-distance queries reported in Section 6.
 ``GreedyDP`` is the ablation without the pruning rule: it evaluates the exact
 insertion for every candidate — in one pass, through
 :meth:`~repro.dispatch.base.Dispatcher.plan_over_all` and the linear DP's
-block kernel. ``pruneGreedyDP``'s scan stops after a handful of candidates by
-design and keeps the scalar operator.
+block kernel.
+
+Both phases work in rows of the fleet's route table: the decision phase
+hands the planning phase the finite bounds and their rows, in scan order, as
+two arrays. ``pruneGreedyDP``'s Lemma 8 scan stops after a handful of
+candidates by design, so it keeps the scalar operator and reads the arrays
+one entry at a time.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ import numpy as np
 
 from repro.core.insertion.base import InsertionOperator
 from repro.core.insertion.linear_dp import LinearDPInsertion
+# all three bound functions stay importable from this module, where the
+# serving benchmark's tracer patches them (the scalar one is not called here)
 from repro.core.insertion.lower_bound import (
     euclidean_idle_lower_bounds,
-    euclidean_insertion_lower_bound,
+    euclidean_insertion_lower_bound,  # noqa: F401
     euclidean_insertion_lower_bounds,
 )
 from repro.core.route import Route
@@ -52,16 +59,9 @@ class _GreedyDPBase(Dispatcher):
         self,
         config: DispatcherConfig | None = None,
         insertion: InsertionOperator | None = None,
-        vectorized: bool = True,
     ) -> None:
-        """``vectorized`` selects the array-native decision phase (one batched
-        lower-bound reduction over all candidates, argsorted for the Lemma 8
-        scan); ``False`` keeps the scalar per-candidate walk — both produce
-        identical outcomes and exact-query counters, so the scalar path serves
-        as the equivalence baseline of the vectorized one."""
         super().__init__(config)
         self.insertion = insertion or LinearDPInsertion()
-        self.vectorized = vectorized
         #: smallest worker capacity in the fleet (set at setup); requests at
         #: or below it can skip the per-candidate capacity mask
         self._min_capacity: int | None = None
@@ -86,16 +86,11 @@ class _GreedyDPBase(Dispatcher):
 
         # ---------------- decision phase (Algorithm 4)
         direct = self.oracle.distance(request.origin, request.destination)
-        if self.vectorized:
-            bounds, worker_ids = self._decision_bounds_batched(request, candidate_rows, direct)
-        else:
-            bounds, worker_ids = self._decision_bounds_scalar(
-                request, self.fleet.table.ids[candidate_rows].tolist(), direct
-            )
+        bounds, rows = self._decision_bounds(request, candidate_rows, direct)
 
         # under Lemma 8 the bounds arrive pre-ordered: the first is the minimum
-        if not bounds or request.penalty < alpha * (
-            bounds[0] if self.use_pruning else min(bounds)
+        if not bounds.size or request.penalty < alpha * (
+            bounds.item(0) if self.use_pruning else bounds.min().item()
         ):
             return DispatchOutcome(
                 request=request,
@@ -107,14 +102,12 @@ class _GreedyDPBase(Dispatcher):
         # ---------------- planning phase (Algorithm 5, lines 5-11)
         if self.use_pruning:
             best_delta, best_worker_id, best_route, insertions = self._plan_pruned(
-                request, bounds, worker_ids, direct
+                request, bounds, rows, direct
             )
         else:
             # no cut to respect: every finite-bound candidate in one pass
-            insertions = len(worker_ids)
-            best_delta, best_worker_id, best_route = self.plan_over_all(
-                request, self.fleet.table.rows_of(worker_ids), direct
-            )
+            insertions = int(rows.size)
+            best_delta, best_worker_id, best_route = self.plan_over_all(request, rows, direct)
 
         if best_worker_id is None or best_route is None:
             return DispatchOutcome(
@@ -146,40 +139,41 @@ class _GreedyDPBase(Dispatcher):
         )
 
     def _plan_pruned(
-        self, request: Request, bounds: list[float], worker_ids: list[int], direct: float
+        self, request: Request, bounds: np.ndarray, rows: np.ndarray, direct: float
     ) -> tuple[float, int | None, Route | None, int]:
         """The Lemma 8 scan: candidates in bound order, one scalar insertion
-        each, until the best found beats the next bound. It stops after a
-        handful of candidates by design, so it keeps the scalar operator — a
-        block past the cut would issue exactly the queries the cut saves."""
+        each, until the best found beats the next bound — a block past the cut
+        would issue exactly the queries the cut saves. It materialises only
+        the candidates it evaluates, lends ``L`` to each route for its walk
+        (every successor route inherits the memo) and builds the winner's new
+        route alone."""
         assert self.fleet is not None and self.oracle is not None
+        state_of, ids = self.fleet.state_of, self.fleet.table.ids
         best_delta = INFINITY
-        best_worker_id: int | None = None
-        best_route = None
+        best = None
         insertions = 0
-        for bound, worker_id in zip(bounds, worker_ids):
-            if best_delta < bound:
+        for index in range(bounds.size):
+            if best_delta < bounds.item(index):
                 break  # Lemma 8: later candidates cannot beat the current best
-            state = self.fleet.state_of(worker_id)
-            # the batched decision phase defers seeding L = dis(o_r, d_r) to
-            # the candidates actually evaluated (idempotent for the scalar
-            # walk, which seeded every candidate already)
-            state.route.remember_direct_distance(request, direct)
-            result = self.insertion.best_insertion(state.route, request, self.oracle)
+            route = state_of(ids.item(rows.item(index))).route
+            route.remember_direct_distance(request, direct)
+            result = self.insertion.best_insertion(route, request, self.oracle)
+            route.forget_direct_distance(request)
             insertions += 1
             if result.feasible and result.delta < best_delta - 1e-9:
                 best_delta = result.delta
-                best_worker_id = worker_id
-                best_route = state.route.with_insertion(
-                    request, result.pickup_index, result.dropoff_index, self.oracle
-                )
-        return best_delta, best_worker_id, best_route, insertions
+                best = (route, result)
+        if best is None:
+            return INFINITY, None, None, insertions
+        route, result = best
+        winner = self._inserted(route, request, result.pickup_index, result.dropoff_index, direct)
+        return best_delta, route.worker.id, winner, insertions
 
     # ------------------------------------------------------- decision phase
 
-    def _decision_bounds_batched(
+    def _decision_bounds(
         self, request: Request, candidate_rows: np.ndarray, direct: float
-    ) -> tuple[list[float], list[int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """All candidate lower bounds as one numpy reduction (Algorithm 4).
 
         Reads the fleet's route table, not its ``Route`` objects. Idle
@@ -189,19 +183,18 @@ class _GreedyDPBase(Dispatcher):
         candidates are materialised — only those whose advance would change
         anything, see :meth:`FleetState.states_of` — and their rows fed
         through the padded-matrix DP. One batched oracle pass per group
-        answers every bound; under Lemma 8 a single stable argsort pre-orders
-        the finite bounds for the pruning scan. Values, ordering and
-        tie-breaks match the scalar walk exactly.
+        answers every bound. Values equal the scalar
+        ``euclidean_insertion_lower_bound`` bit for bit.
 
-        The batched path also needs no per-route L seeding (the planning loop
-        seeds the few candidates it actually evaluates), which keeps every
-        route's direct-distance memo — copied on each advance — proportional
-        to served work, not to candidate-set size.
+        Returns the finite bounds and their rows, in scan order: under
+        Lemma 8 one stable argsort (ascending bound, ties in candidate
+        order), otherwise candidate order. No route's direct-distance memo is
+        touched here; the planning phase lends ``L`` to the few routes it
+        evaluates.
         """
         fleet = self.fleet
         assert fleet is not None and self.oracle is not None
         table = fleet.table
-        candidate_ids = table.ids[candidate_rows]
         bounds = np.full(candidate_rows.size, INFINITY, dtype=np.float64)
         idle_mask, idle_origins, busy_rows = fleet.idle_partition(candidate_rows)
         if idle_origins.size:
@@ -216,37 +209,14 @@ class _GreedyDPBase(Dispatcher):
                 capacities=capacities,
             )
         if busy_rows.size:
-            fleet.states_of(table.ids[busy_rows])  # brings their rows up to the clock
+            fleet.states_of(busy_rows)  # brings their rows up to the clock
             bounds[~idle_mask] = euclidean_insertion_lower_bounds(
                 table.take(busy_rows), request, self.oracle, direct
             )
-        return self._order_bounds(bounds, candidate_ids)
-
-    def _order_bounds(
-        self, bounds: np.ndarray, candidate_ids: np.ndarray
-    ) -> tuple[list[float], list[int]]:
-        """Filter the finite bounds and argsort them for the Lemma 8 scan."""
         finite = np.flatnonzero(bounds < INFINITY)
         if self.use_pruning and finite.size:
             finite = finite[np.argsort(bounds[finite], kind="stable")]
-        return bounds[finite].tolist(), candidate_ids[finite].tolist()
-
-    def _decision_bounds_scalar(
-        self, request: Request, candidate_ids: list[int], direct: float
-    ) -> tuple[list[float], list[int]]:
-        """The per-candidate scalar walk (equivalence baseline)."""
-        assert self.fleet is not None and self.oracle is not None
-        lower_bounds: list[tuple[float, int]] = []
-        for worker_id in candidate_ids:
-            state = self.fleet.state_of(worker_id)
-            state.route.remember_direct_distance(request, direct)
-            bound = euclidean_insertion_lower_bound(state.route, request, self.oracle, direct)
-            if bound < INFINITY:
-                lower_bounds.append((bound, worker_id))
-        if self.use_pruning:
-            # the batched path pre-orders via argsort; the scalar walk sorts here
-            lower_bounds.sort(key=lambda item: item[0])
-        return [bound for bound, _ in lower_bounds], [worker for _, worker in lower_bounds]
+        return bounds[finite], candidate_rows[finite]
 
 
 class GreedyDP(_GreedyDPBase):

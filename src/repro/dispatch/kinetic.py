@@ -147,7 +147,7 @@ class Kinetic(Dispatcher):
             state = self.fleet.state_of(worker_id)
             if request.capacity > state.worker.capacity:
                 continue
-            state.route.remember_direct_distance(request, direct)
+            # no L is seeded: the search queries every pickup's L itself
             delta, schedule = self._best_schedule_delta(state, request)
             insertions += 1
             if schedule is not None and delta < best_delta - 1e-9:

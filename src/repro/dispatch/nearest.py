@@ -42,13 +42,16 @@ class NearestWorker(Dispatcher):
         insertions = 0
         for worker_id in ordered:
             state = self.fleet.state_of(worker_id)
-            state.route.remember_direct_distance(request, direct)
-            result = self.insertion.best_insertion(state.route, request, self.oracle)
+            # L is lent for the walk only: every successor route inherits the memo
+            route = state.route
+            route.remember_direct_distance(request, direct)
+            result = self.insertion.best_insertion(route, request, self.oracle)
+            route.forget_direct_distance(request)
             insertions += 1
             if not result.feasible:
                 continue
-            new_route = state.route.with_insertion(
-                request, result.pickup_index, result.dropoff_index, self.oracle
+            new_route = self._inserted(
+                route, request, result.pickup_index, result.dropoff_index, direct
             )
             state.adopt_route(new_route, request=request)
             self.grid.update(worker_id, state.position)

@@ -108,7 +108,9 @@ def reinsertion_improvement(
             stripped_cost = stripped.planned_cost(oracle)
             removal_gain = current_cost - stripped_cost
 
-            # best re-insertion across the whole fleet (including the origin worker)
+            # best re-insertion across the whole fleet (including the origin
+            # worker); L is lent to each evaluated route for its walk only
+            direct = current_route.direct_distance(request, oracle)
             best_delta = None
             best_state = None
             best_route = None
@@ -116,15 +118,15 @@ def reinsertion_improvement(
                 if candidate is not state and not candidate.online:
                     continue  # off-shift workers take no new requests
                 base_route = stripped if candidate is state else candidate.route
+                base_route.remember_direct_distance(request, direct)
                 result = operator.best_insertion(base_route, request, oracle)
-                if not result.feasible:
-                    continue
-                if best_delta is None or result.delta < best_delta - 1e-9:
+                if result.feasible and (best_delta is None or result.delta < best_delta - 1e-9):
                     best_delta = result.delta
                     best_state = candidate
                     best_route = base_route.with_insertion(
                         request, result.pickup_index, result.dropoff_index, oracle
                     )
+                base_route.forget_direct_distance(request)
             if best_delta is None or best_state is None or best_route is None:
                 continue
             improvement = removal_gain - best_delta

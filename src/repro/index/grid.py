@@ -2,10 +2,16 @@
 
 Every algorithm in the paper's evaluation builds a grid index over the city
 (Table 5 sweeps the grid size ``g`` from 1 km to 5 km). The index maps each
-vertex to a square cell of side ``g`` and maintains, per cell, the set of
-workers currently located there. Candidate filtering retrieves the workers in
-all cells intersecting a query disk (e.g. the region reachable before a pickup
-deadline).
+vertex to a square cell of side ``g`` and records the cell of every worker;
+candidate filtering retrieves the workers in all cells intersecting a query
+disk (e.g. the region reachable before a pickup deadline).
+
+A dispatcher's index answers in rows of the fleet's route table
+(:meth:`GridIndex.align_rows`): each member's cell column and row sit in two
+arrays aligned with the table's rows, so a query is four vector comparisons
+against the disk's cell rectangle. The arrays are written where the member
+dict is — the dispatchers' grid syncs, not the table's writer (``batch`` syncs
+once per flush) — and re-derived when the table gains a row.
 
 The index also reports an estimate of its memory footprint, which the paper
 compares across algorithms in Figure 5's discussion.
@@ -14,13 +20,16 @@ compares across algorithms in Figure 5's discussion.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 import numpy as np
 
 from repro.network.graph import RoadNetwork, Vertex
+
+if TYPE_CHECKING:  # the fleet's table; imported lazily to avoid a cycle
+    from repro.simulation.route_table import RouteTable
 
 Cell = tuple[int, int]
 """Grid cell identifier (column, row)."""
@@ -52,24 +61,20 @@ class GridGeometry:
             self.min_y + (row + 0.5) * self.cell_metres,
         )
 
-    def cells_within_radius(self, x: float, y: float, radius_metres: float) -> list[Cell]:
-        """All cells whose bounding box intersects the disk of the given radius."""
+    def cell_span(self, x: float, y: float, radius_metres: float) -> tuple[int, int, int, int]:
+        """The cells whose bounding box intersects the disk of the given radius,
+        as the inclusive rectangle ``(first column, last column, first row,
+        last row)`` clamped to the grid; empty (first > last) for a negative
+        radius."""
         if radius_metres < 0:
-            return []
-        min_column = int((x - radius_metres - self.min_x) // self.cell_metres)
-        max_column = int((x + radius_metres - self.min_x) // self.cell_metres)
-        min_row = int((y - radius_metres - self.min_y) // self.cell_metres)
-        max_row = int((y + radius_metres - self.min_y) // self.cell_metres)
-        cells: list[Cell] = []
-        for column in range(max(min_column, 0), min(max_column, self.columns - 1) + 1):
-            for row in range(max(min_row, 0), min(max_row, self.rows - 1) + 1):
-                cells.append((column, row))
-        return cells
-
-    @property
-    def num_cells(self) -> int:
-        """Total number of cells."""
-        return self.columns * self.rows
+            return (0, -1, 0, -1)
+        cell = self.cell_metres
+        return (
+            max(int((x - radius_metres - self.min_x) // cell), 0),
+            min(int((x + radius_metres - self.min_x) // cell), self.columns - 1),
+            max(int((y - radius_metres - self.min_y) // cell), 0),
+            min(int((y + radius_metres - self.min_y) // cell), self.rows - 1),
+        )
 
 
 class GridIndex:
@@ -122,31 +127,59 @@ class GridIndex:
                     csr.vertex_ids_list, cell_columns.tolist(), cell_rows.tolist()
                 )
             }
-        self._members: dict[Cell, set[Hashable]] = defaultdict(set)
         self._locations: dict[Hashable, Cell] = {}
+        #: the route table whose rows queries answer in (see ``align_rows``)
+        self._table: "RouteTable | None" = None
+        #: the ``table.ids`` array the two cell arrays are aligned with; a new
+        #: table row replaces it, which is how a stale alignment shows
+        self._aligned_ids: np.ndarray | None = None
+        #: per table row: the member's cell column and row, -1 for non-members
+        self._cell_column = np.empty(0, dtype=np.int64)
+        self._cell_row = np.empty(0, dtype=np.int64)
+
+    def align_rows(self, table: "RouteTable") -> None:
+        """Answer :meth:`members_near_vertex` in rows of ``table``, the fleet's
+        route table; members are then worker ids of that table."""
+        self._table = table
+        self._aligned_ids = None
 
     # -------------------------------------------------------------- mutation
 
     def insert(self, member: Hashable, vertex: Vertex) -> None:
         """Insert ``member`` (e.g. a worker id) at ``vertex`` (moves it if present)."""
         cell = self.cell_of_vertex(vertex)
-        previous = self._locations.get(member)
-        if previous == cell:
+        if self._locations.get(member) == cell:
             return
-        if previous is not None:
-            self._members[previous].discard(member)
-        self._members[cell].add(member)
         self._locations[member] = cell
+        if self._aligned():
+            row = self._table.row_of(member)
+            self._cell_column[row], self._cell_row[row] = cell
 
     def remove(self, member: Hashable) -> None:
         """Remove ``member`` from the index (no-op if absent)."""
-        cell = self._locations.pop(member, None)
-        if cell is not None:
-            self._members[cell].discard(member)
+        if self._locations.pop(member, None) is not None and self._aligned():
+            row = self._table.row_of(member)
+            self._cell_column[row] = self._cell_row[row] = -1
 
     def update(self, member: Hashable, vertex: Vertex) -> None:
         """Alias of :meth:`insert`; provided for readability at call sites."""
         self.insert(member, vertex)
+
+    def _aligned(self) -> bool:
+        """Whether the cell arrays match the table's current rows."""
+        return self._table is not None and self._aligned_ids is self._table.ids
+
+    def _align(self) -> None:
+        """Re-derive the cell arrays from the member dict for the table's rows."""
+        table = self._table
+        column, row = np.full((2, len(table.ids)), -1, dtype=np.int64)
+        if self._locations:
+            rows = table.rows_of(list(self._locations))
+            cells = np.array(list(self._locations.values()), dtype=np.int64)
+            column[rows] = cells[:, 0]
+            row[rows] = cells[:, 1]
+        self._cell_column, self._cell_row = column, row
+        self._aligned_ids = table.ids
 
     # ----------------------------------------------------------------- query
 
@@ -166,30 +199,30 @@ class GridIndex:
 
     def members_in_cell(self, cell: Cell) -> set[Hashable]:
         """Members currently registered in ``cell``."""
-        return set(self._members.get(cell, ()))
+        return {member for member, at in self._locations.items() if at == cell}
 
-    def members_near_vertex(self, vertex: Vertex, radius_metres: float) -> list[Hashable]:
-        """Members in every cell intersecting the disk around ``vertex``.
+    def members_near_vertex(self, vertex: Vertex, radius_metres: float) -> np.ndarray:
+        """Ascending table rows of the members in every cell intersecting the
+        disk around ``vertex`` (the index must be :meth:`align_rows`-ed).
 
         The disk is in Euclidean metres, so with a radius derived from a time
         budget times the maximum speed the result is a superset of the members
         actually reachable within the budget — no candidate is lost.
         """
+        if not self._aligned():
+            self._align()
         point = self.network.coordinates(vertex)
         geometry = self.geometry
-        # a disk covering the whole grid extent (deadline radii often do)
-        # trivially selects every member — skip the cell walk
-        if (
-            point.x - radius_metres <= geometry.min_x
-            and point.y - radius_metres <= geometry.min_y
-            and point.x + radius_metres >= geometry.min_x + geometry.columns * geometry.cell_metres
-            and point.y + radius_metres >= geometry.min_y + geometry.rows * geometry.cell_metres
-        ):
-            return list(self._locations)
-        members: list[Hashable] = []
-        for cell in geometry.cells_within_radius(point.x, point.y, radius_metres):
-            members.extend(self._members.get(cell, ()))
-        return members
+        span = geometry.cell_span(point.x, point.y, radius_metres)
+        column, row = self._cell_column, self._cell_row
+        if span == (0, geometry.columns - 1, 0, geometry.rows - 1):
+            return np.flatnonzero(column >= 0)  # every cell (deadline radii often do)
+        first_column, last_column, first_row, last_row = span
+        # non-members hold -1, below every clamped first column and row
+        return np.flatnonzero(
+            (column >= first_column) & (column <= last_column)
+            & (row >= first_row) & (row <= last_row)
+        )
 
     def all_members(self) -> list[Hashable]:
         """Every member currently in the index."""
@@ -207,8 +240,8 @@ class GridIndex:
         is the comparison the paper makes (its other algorithms store "only the
         IDs of workers in the grid").
         """
-        occupied_cells = sum(1 for members in self._members.values() if members)
-        memberships = sum(len(members) for members in self._members.values())
+        occupied_cells = len(set(self._locations.values()))
+        memberships = len(self._locations)
         bytes_per_cell = 64
         bytes_per_membership = 8
         bytes_per_location = 16
@@ -220,11 +253,7 @@ class GridIndex:
 
     def occupancy_histogram(self) -> dict[int, int]:
         """Histogram ``members_per_cell -> number_of_cells`` over occupied cells."""
-        histogram: dict[int, int] = defaultdict(int)
-        for members in self._members.values():
-            if members:
-                histogram[len(members)] += 1
-        return dict(histogram)
+        return dict(Counter(Counter(self._locations.values()).values()))
 
 
 def bulk_load(index: GridIndex, positions: Iterable[tuple[Hashable, Vertex]]) -> None:

@@ -12,12 +12,17 @@ Storing the full sorted lists is also what makes tshare's grid index an order
 of magnitude more memory hungry than the plain :class:`~repro.index.grid.GridIndex`
 (Figure 5 discussion), which :meth:`TShareGridIndex.memory_estimate_bytes`
 reflects.
+
+Unlike the plain index it keeps a set of members per cell: the cell walk's
+order over those sets is where ``tshare``'s ties between candidates break.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Hashable
 
 from repro.index.grid import Cell, GridIndex
 from repro.network.graph import RoadNetwork, Vertex
@@ -50,6 +55,7 @@ class TShareGridIndex(GridIndex):
         if average_speed <= 0:
             raise ValueError(f"average_speed must be positive, got {average_speed}")
         self.average_speed = average_speed
+        self._members: dict[Cell, set[Hashable]] = defaultdict(set)
         self._sorted_cells: dict[Cell, list[CellDistance]] = {}
         self._build_sorted_lists()
 
@@ -72,6 +78,23 @@ class TShareGridIndex(GridIndex):
                 )
             entries.sort(key=lambda entry: entry.travel_seconds)
             self._sorted_cells[origin] = entries
+
+    # -------------------------------------------------------------- mutation
+
+    def insert(self, member: Hashable, vertex: Vertex) -> None:
+        previous = self._locations.get(member)
+        super().insert(member, vertex)
+        cell = self._locations[member]
+        if cell != previous:
+            if previous is not None:
+                self._members[previous].discard(member)
+            self._members[cell].add(member)
+
+    def remove(self, member: Hashable) -> None:
+        cell = self._locations.get(member)
+        super().remove(member)
+        if cell is not None:
+            self._members[cell].discard(member)
 
     # ----------------------------------------------------------------- query
 

@@ -316,7 +316,7 @@ class DistanceOracle:
         Semantically identical (values and counters) to the scalar pair
         ``[distance(v, origin) for v], [distance(v, destination) for v]`` —
         one translation pass serves both endpoints; this is the grouped call
-        behind the linear DP's batch prefetch (Lemma 9).
+        behind the linear DP's read-ahead of endpoint distances (Lemma 9).
         """
         count = len(vertices)
         self.counters.distance_queries += 2 * count

@@ -81,9 +81,9 @@ class ShardFleetView:
         """Materialised state of one worker (delegates to the shared fleet)."""
         return self._fleet.state_of(worker_id)
 
-    def states_of(self, worker_ids: "list[int] | np.ndarray") -> list["WorkerState"]:
-        """Materialised states of many workers (delegates to the shared fleet)."""
-        return self._fleet.states_of(worker_ids)
+    def states_of(self, rows: np.ndarray) -> list["WorkerState"]:
+        """Materialised states of route-table rows (delegates to the shared fleet)."""
+        return self._fleet.states_of(rows)
 
     def peek_state(self, worker_id: int) -> "WorkerState":
         """Non-advancing state accessor (delegates to the shared fleet)."""

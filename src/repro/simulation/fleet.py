@@ -423,22 +423,18 @@ class FleetState:
         self._materialise(state)
         return state
 
-    def states_of(self, worker_ids: "list[int] | np.ndarray") -> list[WorkerState]:
-        """Materialised states of many workers (the decision phase's accessor).
+    def states_of(self, rows: np.ndarray) -> list[WorkerState]:
+        """Materialised states of the workers on route-table ``rows`` (the
+        decision phase's accessor), aligned with ``rows``.
 
-        Equivalent to ``[state_of(w) for w in worker_ids]``, but asks the
+        Equivalent to ``[state_of(w) for w in table.ids[rows]]``, but asks the
         route table which of the workers an ``advance_to(clock)`` would
         change and materialises only those: candidate sets touch hundreds of
         workers per event, nearly all of them mid-edge.
         """
         states = self.states
-        as_list = worker_ids.tolist() if isinstance(worker_ids, np.ndarray) else worker_ids
-        try:
-            result = [states[worker_id] for worker_id in as_list]
-        except KeyError as exc:
-            raise DispatchError(f"unknown worker {exc.args[0]}") from exc
-        due = self.table.due(self.table.rows_of(worker_ids), self.clock)
-        for index in np.flatnonzero(due).tolist():
+        result = [states[worker_id] for worker_id in self.table.ids[rows].tolist()]
+        for index in np.flatnonzero(self.table.due(rows, self.clock)).tolist():
             self._materialise(result[index])
         return result
 

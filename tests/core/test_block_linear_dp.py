@@ -385,7 +385,7 @@ def _probe_live_rows(service, probes, rng) -> int:
         )
         rows = np.flatnonzero(table.online)
         rows = rows[np.asarray(rng.sample(range(rows.size), rows.size), dtype=np.int64)]
-        routes = [state.route for state in fleet.states_of(table.ids[rows])]
+        routes = [state.route for state in fleet.states_of(rows)]
         for operator in _OPERATORS.values():
             found = _assert_block_equals_scalar(
                 operator, routes, probe, oracle, block=table.take(rows)

@@ -4,9 +4,7 @@
 candidate set) and ``euclidean_idle_lower_bounds`` (the empty-route closed
 form) must reproduce the scalar ``euclidean_insertion_lower_bound`` bit for
 bit — the decision phase's rejections and the Lemma 8 pruning order depend on
-these floats, so approximate agreement is not enough. The prefetching linear
-DP must likewise match its lazily-querying form on results *and* exact-query
-counts.
+these floats, so approximate agreement is not enough.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.insertion.linear_dp import LinearDPInsertion
 from repro.core.insertion.lower_bound import (
     euclidean_idle_lower_bounds,
     euclidean_insertion_lower_bound,
@@ -97,34 +94,3 @@ class TestIdleClosedForm:
         )
         assert math.isinf(bounds[0])
         assert math.isfinite(bounds[1])
-
-
-class TestPrefetchEquivalence:
-    @given(insertion_scenarios(), st.booleans())
-    @_SETTINGS
-    def test_prefetch_matches_lazy_walk(self, scenario, aggressive):
-        route, request = scenario
-        lazy = LinearDPInsertion(aggressive_break=aggressive, prefetch=False)
-        prefetched = LinearDPInsertion(aggressive_break=aggressive, prefetch=True)
-        lazy_result = lazy.best_insertion(route, request, _ORACLE)
-        prefetched_result = prefetched.best_insertion(route, request, _ORACLE)
-        assert lazy_result == prefetched_result  # incl. distance_queries
-
-    def test_prefetch_issues_identical_oracle_counts(self):
-        worker = make_worker(location=0, capacity=6)
-        request = make_request(50, origin=12, destination=45, deadline=1e6)
-        results = {}
-        for prefetch in (False, True):
-            from tests.conftest import route_with_requests
-
-            base = route_with_requests(
-                worker,
-                _ORACLE,
-                [make_request(i, origin=3 + 2 * i, destination=30 + i, deadline=1e6)
-                 for i in range(4)],
-            )
-            base.remember_direct_distance(request, _ORACLE.distance(request.origin, request.destination))
-            before = _ORACLE.counters.distance_queries
-            LinearDPInsertion(prefetch=prefetch).best_insertion(base, request, _ORACLE)
-            results[prefetch] = _ORACLE.counters.distance_queries - before
-        assert results[True] == results[False]

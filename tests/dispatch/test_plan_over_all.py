@@ -13,7 +13,8 @@ contracts:
 * **No memo leak.** ``L = dis(o_r, d_r)`` is seeded on the winner's new route
   only. The old loops seeded every *evaluated* route, and ``with_insertion`` /
   ``advance_to`` / ``drop_request`` copy that dict onto every successor route
-  for the rest of the run.
+  for the rest of the run. The memo test runs every registry dispatcher, the
+  planners that stop early included.
 * **Query count.** One call costs ``2 * popcount(reached)`` exact queries for
   the kernel plus one refresh of the winner's new route (its ``n`` legs) —
   once per served request, not once per running improvement.
@@ -30,7 +31,7 @@ import repro.dispatch.tshare as tshare_module
 from repro.core.insertion.base import InsertionOperator
 from repro.core.insertion.linear_dp import LinearDPInsertion
 from repro.core.types import Request
-from repro.dispatch.registry import DispatcherSpec
+from repro.dispatch.registry import DispatcherSpec, list_dispatchers
 from repro.scenarios.runner import run_program
 from repro.scenarios.stress import generate_stress_scenario
 from repro.service.facade import MatchingService
@@ -108,10 +109,12 @@ def _half_run_service(dispatcher_name: str) -> MatchingService:
 
 
 class TestDirectDistanceMemo:
-    @pytest.mark.parametrize("dispatcher_name", ["batch", "tshare", "GreedyDP"])
+    @pytest.mark.parametrize("dispatcher_name", list_dispatchers())
     def test_losing_an_evaluation_leaves_no_memo_entry(self, dispatcher_name):
         """After 50 requests evaluated against (nearly) every worker, a route
-        remembers ``L`` only for requests its worker was actually assigned."""
+        remembers ``L`` only for requests its worker was actually assigned —
+        for every registry dispatcher: the evaluate-all planners, the Lemma 8
+        scan, ``nearest``'s first-feasible walk and the kinetic search."""
         service = _half_run_service(dispatcher_name)
         evaluated = 0
         for state in service.fleet.states.values():
@@ -166,7 +169,7 @@ class TestQueryCount:
         rows = np.flatnonzero(table.online)
         # materialise first: advancing a worker issues path/refresh queries
         # of its own, which are not planning's
-        routes = [state.route for state in fleet.states_of(table.ids[rows])]
+        routes = [state.route for state in fleet.states_of(rows)]
         probe = _probe(service, window)
         direct = oracle.distance(probe.origin, probe.destination)
 

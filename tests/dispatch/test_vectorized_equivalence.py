@@ -1,16 +1,20 @@
 """The array-native decision phase must be behaviourally invisible.
 
 End-to-end equivalence between the vectorized hot path (batched lower
-bounds, argsorted Lemma 8 scan, prefetching linear DP) and the scalar walk it
-replaces: identical served requests, unified cost and exact-query counters on
-full simulations, for both GreedyDP (no pruning) and pruneGreedyDP
+bounds over the route table, argsorted Lemma 8 scan, read-ahead linear DP)
+and the scalar walks it replaced, kept here as references: the per-candidate
+scalar bound over ``Route`` objects sorted in Python, and the lazily querying
+linear DP. Identical served requests, unified cost and exact-query counters
+on full simulations, for both GreedyDP (no pruning) and pruneGreedyDP
 (pre-ordered pruning). The fleet's due window is held to the seed loop's full
 walk on the same scenario.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.insertion.linear_dp import LinearDPInsertion
+from repro.core.insertion.lower_bound import euclidean_insertion_lower_bound
 from repro.core.route import Route
 from repro.dispatch import DispatcherConfig, GreedyDP, PruneGreedyDP
 from repro.simulation.engine import EventEngine
@@ -20,6 +24,7 @@ from repro.workloads.scenarios import (
     build_network,
     make_oracle,
 )
+from tests.core.test_linear_dp_walk import LazyLinearDP
 from tests.simulation.seed_loop import run_seed_loop
 
 _CONFIG = ScenarioConfig(
@@ -28,13 +33,39 @@ _CONFIG = ScenarioConfig(
 _NETWORK = build_network(_CONFIG)
 
 
+def _scalar_decision_bounds(self, request, candidate_rows, direct):
+    """The decision phase as a per-candidate walk: materialise each candidate,
+    take its scalar bound from the ``Route`` object, keep the finite ones and,
+    under Lemma 8, sort them (stable) in Python."""
+    table = self.fleet.table
+    lower_bounds = []
+    for row in candidate_rows.tolist():
+        state = self.fleet.state_of(table.ids.item(row))
+        bound = euclidean_insertion_lower_bound(state.route, request, self.oracle, direct)
+        if bound < float("inf"):
+            lower_bounds.append((bound, row))
+    if self.use_pruning:
+        lower_bounds.sort(key=lambda item: item[0])
+    return (
+        np.asarray([bound for bound, _ in lower_bounds], dtype=np.float64),
+        np.asarray([row for _, row in lower_bounds], dtype=np.int64),
+    )
+
+
+def _scalar(dispatcher_class):
+    """``dispatcher_class`` with the scalar decision walk of the reference."""
+    return type(
+        f"Scalar{dispatcher_class.__name__}", (dispatcher_class,),
+        {"_decision_bounds": _scalar_decision_bounds},
+    )
+
+
 def _run(dispatcher_class, vectorized: bool, seed_loop: bool = False):
     oracle = make_oracle(_NETWORK, _CONFIG)
     instance = build_instance(_CONFIG, network=_NETWORK, oracle=oracle)
-    dispatcher = dispatcher_class(
+    dispatcher = (dispatcher_class if vectorized else _scalar(dispatcher_class))(
         DispatcherConfig(grid_cell_metres=_CONFIG.grid_km * 1000.0),
-        insertion=LinearDPInsertion(prefetch=vectorized),
-        vectorized=vectorized,
+        insertion=LinearDPInsertion() if vectorized else LazyLinearDP(),
     )
     if seed_loop:
         return run_seed_loop(instance, dispatcher), oracle.counters
@@ -69,10 +100,9 @@ class TestLegacyReconstruction:
         oracle = make_oracle(_NETWORK, _CONFIG)
         oracle.legacy_reference_mode = True
         instance = build_instance(_CONFIG, network=_NETWORK, oracle=oracle)
-        dispatcher = PruneGreedyDP(
+        dispatcher = _scalar(PruneGreedyDP)(
             DispatcherConfig(grid_cell_metres=_CONFIG.grid_km * 1000.0),
-            insertion=LinearDPInsertion(prefetch=False),
-            vectorized=False,
+            insertion=LazyLinearDP(),
         )
         engine = EventEngine(instance, dispatcher)
         Route.legacy_refresh = True

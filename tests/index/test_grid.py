@@ -1,9 +1,12 @@
 """Tests for the uniform grid index."""
 
+import numpy as np
 import pytest
 
 from repro.index.grid import GridIndex, bulk_load
 from repro.network.generators import grid_city
+from repro.simulation.route_table import RouteTable
+from tests.conftest import make_worker
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +31,24 @@ class TestGeometry:
         x, y = index.geometry.cell_centre(cell)
         assert index.geometry.cell_of_point(x, y) == cell
 
-    def test_cells_within_radius_include_own_cell(self, index):
-        cells = index.geometry.cells_within_radius(600.0, 600.0, 10.0)
-        assert index.geometry.cell_of_point(600.0, 600.0) in cells
+    def test_cell_span_includes_own_cell(self, index):
+        first_column, last_column, first_row, last_row = index.geometry.cell_span(
+            600.0, 600.0, 10.0
+        )
+        column, row = index.geometry.cell_of_point(600.0, 600.0)
+        assert first_column <= column <= last_column and first_row <= row <= last_row
 
-    def test_negative_radius_returns_nothing(self, index):
-        assert index.geometry.cells_within_radius(0.0, 0.0, -5.0) == []
+    def test_cell_span_is_clamped_to_the_grid(self, index):
+        geometry = index.geometry
+        assert geometry.cell_span(600.0, 600.0, 1e6) == (
+            0, geometry.columns - 1, 0, geometry.rows - 1
+        )
+
+    def test_negative_radius_spans_nothing(self, index):
+        first_column, last_column, first_row, last_row = index.geometry.cell_span(
+            0.0, 0.0, -5.0
+        )
+        assert first_column > last_column and first_row > last_row
 
     def test_invalid_cell_size_rejected(self, network):
         with pytest.raises(ValueError):
@@ -62,17 +77,38 @@ class TestMembership:
 
     def test_members_near_vertex_radius(self, index, network):
         vertices = sorted(network.vertices())
-        index.insert("near", vertices[0])
-        index.insert("far", vertices[-1])
-        nearby = index.members_near_vertex(vertices[0], radius_metres=100.0)
-        assert "near" in nearby
-        assert "far" not in nearby
+        table = RouteTable([make_worker(0, vertices[0]), make_worker(1, vertices[-1])])
+        index.align_rows(table)
+        index.insert(0, vertices[0])
+        index.insert(1, vertices[-1])
+        assert index.members_near_vertex(vertices[0], radius_metres=100.0).tolist() == [0]
 
     def test_members_near_vertex_large_radius_returns_all(self, index, network):
         vertices = sorted(network.vertices())
-        index.insert("a", vertices[0])
-        index.insert("b", vertices[-1])
-        assert set(index.members_near_vertex(vertices[3], radius_metres=1e6)) == {"a", "b"}
+        table = RouteTable([make_worker(worker_id, 0) for worker_id in (3, 8, 9)])
+        index.align_rows(table)
+        index.insert(9, vertices[0])
+        index.insert(3, vertices[-1])
+        assert index.members_near_vertex(vertices[3], radius_metres=1e6).tolist() == [0, 2]
+
+    def test_rows_follow_moves_removals_and_new_table_rows(self, index, network):
+        vertices = sorted(network.vertices())
+        near, far = vertices[0], vertices[-1]
+        table = RouteTable([make_worker(worker_id, 0) for worker_id in (10, 20, 30)])
+        index.align_rows(table)
+        for worker_id in (10, 20, 30):
+            index.insert(worker_id, near)
+        assert index.members_near_vertex(near, 100.0).tolist() == [0, 1, 2]
+        index.update(20, far)
+        index.remove(30)
+        assert index.members_near_vertex(near, 100.0).tolist() == [0]
+        assert index.members_near_vertex(far, 100.0).tolist() == [1]
+        table.add_row(make_worker(15, 0))  # shifts 20 and 30 one row down
+        index.insert(15, near)
+        assert index.members_near_vertex(near, 100.0).tolist() == [0, 1]
+        assert index.members_near_vertex(far, 100.0).tolist() == [2]
+        assert index.members_near_vertex(near, 1e6).tolist() == [0, 1, 2]
+        assert isinstance(index.members_near_vertex(far, 1e6), np.ndarray)
 
     def test_bulk_load(self, index):
         bulk_load(index, [("a", 0), ("b", 1), ("c", 2)])

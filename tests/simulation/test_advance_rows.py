@@ -190,5 +190,5 @@ class TestSkippedIdleWorkerOnTouch:
         assert fleet.table.arr[0, row] == 0.0
         assert fleet.table.due(slice(None), 27.5)[row]
         assert not fleet.table.busy_due(slice(None), 27.5)[row]
-        fleet.states_of([11, 7])
+        fleet.states_of(fleet.table.rows_of([11, 7]))
         assert fleet.table.arr[0, row] == 27.5

@@ -122,8 +122,6 @@ class TestTableMechanics:
         for missing in (0, 5, 10):
             with pytest.raises(DispatchError, match=f"unknown worker {missing}"):
                 fleet.table.rows_of([2, missing])
-        with pytest.raises(DispatchError, match="unknown worker 5"):
-            fleet.states_of([2, 5])
 
     def test_long_route_deepens_every_matrix(self, line_oracle):
         fleet = FleetState([make_worker(0, 0), make_worker(1, 5)], line_oracle)
