@@ -2,9 +2,8 @@
 
 Every benchmark appends its run entries to a ``BENCH_*.json`` document of the
 shape ``{"benchmark": <name>, "runs": [...]}`` so successive PRs can track
-performance over time. The append/load logic used to be copy-pasted across
-``bench_sharding.py`` and ``bench_oracle.py``; this module is the single
-implementation.
+performance over time; this module is the single implementation of the
+append/load logic.
 """
 
 from __future__ import annotations

@@ -56,6 +56,10 @@ class Route:
     ddl: list[float] = field(default_factory=list, repr=False)
     slack: list[float] = field(default_factory=list, repr=False)
     picked: list[int] = field(default_factory=list, repr=False)
+    #: leg costs ``dis(l_k, l_{k+1})`` for ``k = 0..n-1``, the summands ``arr``
+    #: was accumulated from; they let a re-anchor re-time the route with one
+    #: query (:meth:`moved_to`). Written by :meth:`refresh` and the re-anchors.
+    legs: list[float] = field(default_factory=list, repr=False)
 
     # Cached direct origin->destination distances per request id (the ``L`` of
     # Lemma 7); filled lazily so ddl[] can be recomputed without re-querying.
@@ -139,16 +143,8 @@ class Route:
 
     # -------------------------------------------------------------- refresh
 
-    #: benchmark ablation switch (class-wide): route every refresh through
-    #: :meth:`_refresh_legacy`, the seed's un-optimised implementation, so the
-    #: hot-path benchmark can reconstruct the pre-PR per-touch cost.
-    legacy_refresh = False
-
     def refresh(self, oracle: DistanceOracle) -> None:
-        """Recompute ``arr``, ``ddl``, ``slack`` and ``picked`` (Eq. 6-9)."""
-        if Route.legacy_refresh:
-            self._refresh_legacy(oracle)
-            return
+        """Recompute ``arr``, ``ddl``, ``slack``, ``picked`` (Eq. 6-9) and ``legs``."""
         n = self.num_stops
         if n == 0:
             # idle workers are refreshed on every clock bump; skip the
@@ -157,11 +153,11 @@ class Route:
             self.ddl = [INFINITY]
             self.slack = [INFINITY]
             self.picked = [self.initial_load()]
+            self.legs = []
             return
         arr = [0.0] * (n + 1)
         ddl = [INFINITY] * (n + 1)
         picked = [0] * (n + 1)
-        slack = [INFINITY] * (n + 1)
 
         arr[0] = self.start_time
         picked[0] = self.initial_load()
@@ -173,14 +169,13 @@ class Route:
             vertices = [self.origin] + [stop.vertex for stop in self.stops]
             legs = oracle.distance_pairs(vertices[:-1], vertices[1:]).tolist()
         else:
-            legs = None
+            legs = []
         previous_vertex = self.origin
         for index, stop in enumerate(self.stops, start=1):
-            if legs is not None:
-                arr[index] = arr[index - 1] + legs[index - 1]
-            else:
-                arr[index] = arr[index - 1] + oracle.distance(previous_vertex, stop.vertex)
+            if n < 4:
+                legs.append(oracle.distance(previous_vertex, stop.vertex))
                 previous_vertex = stop.vertex
+            arr[index] = arr[index - 1] + legs[index - 1]
             if stop.kind is StopKind.PICKUP:
                 ddl[index] = stop.request.deadline - self.direct_distance(stop.request, oracle)
                 picked[index] = picked[index - 1] + stop.request.capacity
@@ -188,52 +183,76 @@ class Route:
                 ddl[index] = stop.request.deadline
                 picked[index] = picked[index - 1] - stop.request.capacity
 
-        # slack[k] = min_{k' > k} (ddl[k'] - arr[k'])   (Eq. 8)
-        slack[n] = INFINITY
-        for index in range(n - 1, -1, -1):
-            slack[index] = min(slack[index + 1], ddl[index + 1] - arr[index + 1])
-
         self.arr = arr
         self.ddl = ddl
-        self.slack = slack
+        self.slack = _slack(arr, ddl)
         self.picked = picked
+        self.legs = legs
 
-    def _refresh_legacy(self, oracle: DistanceOracle) -> None:
-        """The seed's refresh, kept verbatim as the benchmark baseline.
+    # ------------------------------------------------------------ re-anchors
 
-        Identical values to :meth:`refresh` (scalar leg queries in the same
-        order, list-building ``initial_load``); only slower. Enabled through
-        :attr:`legacy_refresh` by the hot-path benchmark's pre-PR
-        reconstruction.
+    def after_next_stop(self) -> "Route":
+        """The route once its worker has served ``l_1`` (at ``arr[1]``).
+
+        Every array is this route's shifted by one entry — the cumulative
+        sums share their association, the deadlines are absolute and the
+        served stop's load delta is what ``initial_load`` would report — so
+        the result equals a fresh :meth:`refresh` without a single query
+        (the served stop's deadline leaves with it: ``l_0`` has none).
         """
+        route = Route(
+            worker=self.worker,
+            origin=self.stops[0].vertex,
+            start_time=self.arr[1],
+            stops=self.stops[1:],
+            _direct_distances=dict(self._direct_distances),
+        )
+        route.arr = self.arr[1:]
+        route.ddl = [INFINITY, *self.ddl[2:]]
+        route.slack = self.slack[1:]
+        route.picked = self.picked[1:]
+        route.legs = self.legs[1:]
+        return route
+
+    def moved_to(
+        self,
+        position: Vertex,
+        start_time: float,
+        concrete_path: tuple[Vertex, ...],
+        oracle: DistanceOracle,
+    ) -> "Route":
+        """The route once its worker has moved part of the way to ``l_1``.
+
+        The worker stands at ``position`` at ``start_time`` and still follows
+        ``concrete_path``. Only the first leg changed: the route issues the
+        one query ``dis(position, l_1)``, accumulates ``arr`` from it and the
+        carried ``legs[1:]`` in :meth:`refresh`'s own float order, keeps
+        ``ddl`` and ``picked`` (same stops) and recomputes ``slack`` — bit
+        for bit what :meth:`refresh` would compute with ``n`` queries. A
+        route without carried legs is refreshed instead.
+        """
+        route = Route(
+            worker=self.worker,
+            origin=position,
+            start_time=start_time,
+            stops=list(self.stops),
+            _direct_distances=dict(self._direct_distances),
+            concrete_path=concrete_path,
+        )
         n = self.num_stops
-        arr = [0.0] * (n + 1)
-        ddl = [INFINITY] * (n + 1)
-        picked = [0] * (n + 1)
-        slack = [INFINITY] * (n + 1)
-
-        arr[0] = self.start_time
-        picked[0] = sum(request.capacity for request in self.onboard_requests())
-
-        previous_vertex = self.origin
-        for index, stop in enumerate(self.stops, start=1):
-            arr[index] = arr[index - 1] + oracle.distance(previous_vertex, stop.vertex)
-            previous_vertex = stop.vertex
-            if stop.kind is StopKind.PICKUP:
-                ddl[index] = stop.request.deadline - self.direct_distance(stop.request, oracle)
-                picked[index] = picked[index - 1] + stop.request.capacity
-            else:
-                ddl[index] = stop.request.deadline
-                picked[index] = picked[index - 1] - stop.request.capacity
-
-        slack[n] = INFINITY
-        for index in range(n - 1, -1, -1):
-            slack[index] = min(slack[index + 1], ddl[index + 1] - arr[index + 1])
-
-        self.arr = arr
-        self.ddl = ddl
-        self.slack = slack
-        self.picked = picked
+        if len(self.legs) != n:
+            route.refresh(oracle)
+            return route
+        legs = [oracle.distance(position, self.stops[0].vertex), *self.legs[1:]]
+        arr = [start_time] * (n + 1)
+        for index in range(n):
+            arr[index + 1] = arr[index] + legs[index]
+        route.arr = arr
+        route.ddl = list(self.ddl)
+        route.slack = _slack(arr, self.ddl)
+        route.picked = list(self.picked)
+        route.legs = legs
+        return route
 
     # ---------------------------------------------------------- feasibility
 
@@ -360,6 +379,15 @@ class Route:
             f"Route(worker={self.worker.id}, origin={self.origin}, "
             f"t0={self.start_time:.1f}, [{description}])"
         )
+
+
+def _slack(arr: list[float], ddl: list[float]) -> list[float]:
+    """``slack[k] = min_{k' > k} (ddl[k'] - arr[k'])`` (Eq. 8)."""
+    n = len(arr) - 1
+    slack = [INFINITY] * (n + 1)
+    for index in range(n - 1, -1, -1):
+        slack[index] = min(slack[index + 1], ddl[index + 1] - arr[index + 1])
+    return slack
 
 
 def empty_route(worker: Worker, start_time: float = 0.0) -> Route:

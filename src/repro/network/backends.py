@@ -8,7 +8,8 @@ many-to-many distance queries, the oracle owns counting/caching policy, and
 expected query volume.
 
 Backends (all **value-exact**: the same floats, hence the same simulation
-outcomes — the property tests and ``benchmarks/bench_oracle.py`` assert it):
+outcomes — the property tests and the service-replay equivalence tests
+assert it):
 
 * ``"apsp"``       — dense all-pairs matrix; O(1) lookups, O(N^2) memory and
   N Dijkstras to build. The fastest choice up to a few thousand vertices.
@@ -55,7 +56,6 @@ from repro.network.graph import RoadNetwork, Vertex
 from repro.network.hub_labeling import HubLabels, build_hub_labels
 from repro.network.shortest_path import (
     bidirectional_dijkstra,
-    bidirectional_dijkstra_reference,
     single_source_distances_array,
     truncated_multi_target_distances,
 )
@@ -264,9 +264,11 @@ class CHBackend:
 
     def distance(self, u: Vertex, v: Vertex) -> float:
         position = self._csr.position
-        before = self.hierarchy.settled
-        result = self.hierarchy.query_positions(position[u], position[v])
-        self._record_settled(before)
+        hierarchy = self.hierarchy
+        before = hierarchy.settled
+        result = hierarchy.query_positions(position[u], position[v])
+        if hierarchy.settled != before:  # a memoised pair ran no search
+            self._record_settled(before)
         return result
 
     def distances_many(self, source: Vertex, targets: Sequence[Vertex]) -> np.ndarray:
@@ -382,12 +384,7 @@ class DijkstraBackend:
     def _p2p_compute(self, key: tuple[Vertex, Vertex]) -> float:
         """Uncached point-to-point search; seeds both caches (seed semantics)."""
         host = self._host
-        search = (
-            bidirectional_dijkstra_reference
-            if host.legacy_reference_mode
-            else bidirectional_dijkstra
-        )
-        cost, path = search(self.network, key[0], key[1])
+        cost, path = bidirectional_dijkstra(self.network, key[0], key[1])
         host.counters.dijkstra_runs += 1
         host._path_cache.put(key, tuple(path))
         host._distance_cache.put(key, cost)

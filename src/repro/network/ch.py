@@ -16,12 +16,17 @@ flat CSR arrays at build time:
   the answer is the minimum over meeting vertices of the two upward
   distances (exact: some vertex of a shortest path is reachable upward from
   both sides by the CH construction invariant);
-* **many-to-many** — the bucket technique: every target's full upward search
-  space is scattered into per-vertex buckets, then **one** upward sweep from
-  the source joins against the buckets, answering a whole
+* **many-to-many** — the bucket technique: the source's upward search space
+  is scattered into a per-vertex bucket row, and every target's search space
+  is gathered from it, answering a whole
   ``distances_many``/``endpoint_distances`` batch with a single search per
-  endpoint. Target search spaces are memoised (bounded), since dispatch
-  batches re-query the same request origins/destinations continuously.
+  endpoint. Search spaces are memoised (bounded), since dispatch batches
+  re-query the same request origins/destinations continuously.
+
+Both query shapes share one bucket row the hierarchy owns: all ``inf``
+between queries, it takes one search space, answers the gathers, and has
+exactly the entries it took reset before the query returns — no row is
+allocated per query.
 
 Upward search spaces on road-like networks are tiny (tens to a few hundred
 vertices), so a query settles orders of magnitude fewer vertices than the
@@ -92,6 +97,18 @@ class ContractionHierarchy:
         # request origins/destinations recur across dispatch batches
         self._search_space_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._search_space_cache_capacity = 50_000
+        self._bucket = np.full(num_vertices, INFINITY, dtype=np.float64)
+
+    def __getstate__(self) -> dict:
+        # the bucket row is scratch space, all-``inf`` between queries: a
+        # pickled hierarchy (shard inits) does not ship it
+        state = self.__dict__.copy()
+        del state["_bucket"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bucket = np.full(self.num_vertices, INFINITY, dtype=np.float64)
 
     # ------------------------------------------------------------------ search
 
@@ -141,62 +158,60 @@ class ContractionHierarchy:
         cache[position] = space
         return space
 
-    def _dense_search_space(self, position: int) -> np.ndarray:
-        """The upward search space of ``position`` scattered into a dense row.
-
-        This is the array form of the classic CH *bucket* technique: entry
-        ``x`` of the row is the bucket "``x`` is reachable upward from
-        ``position`` at this distance" (``inf`` = no bucket), so a whole
-        batch is answered by per-target gathers against one row.
-        """
-        nodes, dists = self.search_space(position)
-        dense = np.full(self.num_vertices, INFINITY, dtype=np.float64)
-        dense[nodes] = dists
-        return dense
-
     def query_positions(self, source: int, target: int) -> float:
         """Exact distance between two CSR positions (``inf`` if disconnected).
 
         The answer is the minimum over all meeting vertices of the two full
         upward search spaces — by the CH invariant some vertex of a shortest
         path is reachable upward from both endpoints with exact distances.
-        The same gather + minimum the batched queries run, so scalar and
-        batched answers are bit-for-bit identical.
+        The same scatter + gather + minimum the batched queries run, so
+        scalar and batched answers are bit-for-bit identical.
         """
         if source == target:
             return 0.0
-        dense = self._dense_search_space(source)
-        nodes, dists = self.search_space(target)
-        return float(np.min(dense[nodes] + dists))
+        nodes, dists = self.search_space(source)
+        target_nodes, target_dists = self.search_space(target)
+        bucket = self._bucket
+        bucket[nodes] = dists
+        try:
+            return float((bucket[target_nodes] + target_dists).min())
+        finally:
+            bucket[nodes] = INFINITY
 
     def distances_many_positions(
         self, source: int, targets: np.ndarray | Sequence[int]
     ) -> np.ndarray:
         """Distances from ``source`` to many positions via the bucket join.
 
-        One upward sweep from ``source`` (scattered dense), then one small
-        gather + minimum per *unique* target search space (served from the
-        bounded memo) — the whole batch costs ``#unique_targets + 1`` tiny
-        upward searches instead of ``len(targets)`` point-to-point Dijkstras.
+        One upward sweep from ``source`` (scattered into the bucket row), then
+        one small gather + minimum per *unique* target search space (served
+        from the bounded memo) — the whole batch costs
+        ``#unique_targets + 1`` tiny upward searches instead of
+        ``len(targets)`` point-to-point Dijkstras.
         """
         targets = np.asarray(targets, dtype=np.int64)
         count = targets.size
         result = np.full(count, INFINITY, dtype=np.float64)
         if count == 0:
             return result
-        dense = self._dense_search_space(source)
-        memo: dict[int, float] = {}
-        for slot in range(count):
-            t = int(targets[slot])
-            if t == source:
-                result[slot] = 0.0
-                continue
-            value = memo.get(t)
-            if value is None:
-                nodes, dists = self.search_space(t)
-                value = float(np.min(dense[nodes] + dists))
-                memo[t] = value
-            result[slot] = value
+        nodes, dists = self.search_space(source)
+        bucket = self._bucket
+        bucket[nodes] = dists
+        try:
+            memo: dict[int, float] = {}
+            for slot in range(count):
+                t = int(targets[slot])
+                if t == source:
+                    result[slot] = 0.0
+                    continue
+                value = memo.get(t)
+                if value is None:
+                    target_nodes, target_dists = self.search_space(t)
+                    value = float((bucket[target_nodes] + target_dists).min())
+                    memo[t] = value
+                result[slot] = value
+        finally:
+            bucket[nodes] = INFINITY
         return result
 
     def stats(self) -> dict[str, float]:

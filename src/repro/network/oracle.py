@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.artifacts import ArtifactStore, network_content_hash
 from repro.artifacts.store import PERSISTABLE_BACKENDS
-from repro.exceptions import DisconnectedError
 from repro.network.backends import (
     APSPBackend,
     CHBackend,
@@ -62,10 +61,7 @@ from repro.network.cache import LRUCache
 from repro.network.graph import RoadNetwork, Vertex
 from repro.network.hub_labeling import HubLabels
 from repro.network.landmarks import LandmarkIndex
-from repro.network.shortest_path import (
-    bidirectional_dijkstra,
-    bidirectional_dijkstra_reference,
-)
+from repro.network.shortest_path import bidirectional_dijkstra
 
 
 @dataclass
@@ -233,10 +229,6 @@ class DistanceOracle:
         # vertex/edge additions (note the precomputed accelerators themselves
         # are still construction-time snapshots)
         self._csr = network.csr
-        #: ablation switch for benchmarks: route every path/distance miss
-        #: through the seed's dict-of-dict bidirectional Dijkstra to
-        #: reconstruct the pre-CSR hot path.
-        self.legacy_reference_mode = False
         self.counters = OracleCounters(
             distance_cache=self._distance_cache, path_cache=self._path_cache
         )
@@ -253,11 +245,6 @@ class DistanceOracle:
         self._landmarks = landmark_index
         if landmark_index is not None:
             landmark_index.ensure_arrays(self._csr.position, self._csr.num_vertices)
-        #: opt-in: answer path misses by walking the APSP matrix greedily
-        #: (fastest, but may pick a different equal-cost path than Dijkstra,
-        #: so downstream query counters can drift by a few ties; off by
-        #: default to keep runs counter-identical with the reference path).
-        self.apsp_path_walk = False
 
     # ----------------------------------------------------------------- exact
 
@@ -331,10 +318,10 @@ class DistanceOracle:
 
         Paths are cached under symmetric ``(min, max)`` keys; a reversed
         cached path answers the opposite direction (the network is
-        undirected), doubling the effective cache capacity. With the dense
-        APSP table attached, a miss is answered by a greedy matrix walk
-        (each step moves to the neighbour minimising ``edge + D[n, target]``)
-        instead of a full bidirectional Dijkstra.
+        undirected), doubling the effective cache capacity. A miss runs one
+        bidirectional Dijkstra, whatever the backend: on equal-cost ties the
+        path it picks decides where workers stand, so no faster search may
+        replace it without changing results.
         """
         self.counters.path_queries += 1
         if u == v:
@@ -344,54 +331,12 @@ class DistanceOracle:
         cached = self._path_cache.get(key)
         if cached is not None:
             return list(cached) if forward else list(reversed(cached))
-        path = None
-        if self.has_apsp and self.apsp_path_walk and not self.legacy_reference_mode:
-            path = self._apsp_path(u, v)
-        if path is None:
-            search = (
-                bidirectional_dijkstra_reference
-                if self.legacy_reference_mode
-                else bidirectional_dijkstra
-            )
-            cost, path = search(self.network, u, v)
-            self.counters.dijkstra_runs += 1
-            # opportunistically seed the distance cache
-            self._distance_cache.put(key, cost)
+        cost, path = bidirectional_dijkstra(self.network, u, v)
+        self.counters.dijkstra_runs += 1
+        # opportunistically seed the distance cache
+        self._distance_cache.put(key, cost)
         self._path_cache.put(key, tuple(path) if forward else tuple(reversed(path)))
         return path
-
-    def _apsp_path(self, u: Vertex, v: Vertex) -> list[Vertex] | None:
-        """Reconstruct a shortest path by walking the APSP matrix greedily.
-
-        Returns ``None`` when the walk cannot make progress (zero-cost cycles
-        at equal coordinates) so the caller falls back to Dijkstra.
-
-        Raises:
-            DisconnectedError: if no path exists.
-        """
-        csr = self._csr
-        matrix = self._apsp
-        assert matrix is not None
-        position = csr.position
-        current = position[u]
-        target = position[v]
-        to_target = matrix[:, target]
-        if not np.isfinite(to_target[current]):
-            raise DisconnectedError(f"no path between {u} and {v}")
-        indptr = csr.indptr
-        indices = csr.indices
-        costs = csr.costs
-        vertex_ids = csr.vertex_ids_list
-        path = [u]
-        for _ in range(csr.num_vertices):
-            begin, end = indptr[current], indptr[current + 1]
-            neighbours = indices[begin:end]
-            totals = costs[begin:end] + to_target[neighbours]
-            current = int(neighbours[int(np.argmin(totals))])
-            path.append(vertex_ids[current])
-            if current == target:
-                return path
-        return None  # no progress within |V| hops: degenerate zero-cost ties
 
     # ---------------------------------------------------------- lower bounds
 

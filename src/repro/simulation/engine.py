@@ -53,7 +53,6 @@ import time as _time
 from typing import Callable
 
 from repro.core.instance import URPSMInstance
-from repro.core.route import Route
 from repro.core.types import Request, Worker
 from repro.dispatch.base import Dispatcher, DispatchOutcome
 from repro.exceptions import ConfigurationError, DispatchError
@@ -312,11 +311,12 @@ class EventEngine:
            reopened streets can change; milliseconds), a contraction
            hierarchy or hub labelling is rebuilt in full, the Dijkstra
            backend only drops its caches;
-        3. every non-idle route is rebuilt from its surviving stops — fresh
+        3. every non-idle route is rebuilt from its surviving stops
+           (:meth:`~repro.simulation.fleet.FleetState.replan_busy`) — fresh
            :class:`~repro.core.route.Route` objects drop cached concrete
-           paths and per-request direct distances, and ``replace_route``
-           re-times the plan and bumps the plan version so stale
-           :class:`~repro.simulation.events.StopCompletion` events are
+           paths, leg costs and per-request direct distances, and
+           ``replace_route`` re-times the plan and bumps the plan version so
+           stale :class:`~repro.simulation.events.StopCompletion` events are
            ignored;
         4. the dispatcher absorbs the update
            (:meth:`~repro.dispatch.base.Dispatcher.apply_network_update`) —
@@ -350,19 +350,7 @@ class EventEngine:
         finally:
             mutations = network.end_mutation_capture()
         self.instance.oracle.refresh_topology()
-        for worker_id in sorted(self.fleet.states):
-            state = self.fleet.peek_state(worker_id)
-            route = state.route
-            if route.is_empty:
-                continue
-            state.replace_route(
-                Route(
-                    worker=route.worker,
-                    origin=route.origin,
-                    start_time=route.start_time,
-                    stops=list(route.stops),
-                )
-            )
+        self.fleet.replan_busy()
         self.dispatcher.apply_network_update(mutations, self.clock)
         self._post_dispatcher()
 

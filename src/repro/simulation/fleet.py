@@ -46,6 +46,15 @@ one fancy index per array, and :meth:`FleetState.states_of` /
   is not a rewrite — an idle worker's clock bump — updates ``arr[0]`` through
   :meth:`RouteTable.bump_idle`. ``online`` is written by
   :meth:`FleetState.set_online` only.
+* **Re-anchors live on the route.** ``advance_to`` edits no array: a stop
+  completion installs :meth:`Route.after_next_stop` (every array shifted one
+  entry, no query) and a partial move installs :meth:`Route.moved_to`. A
+  route carries the leg costs its ``arr`` was summed from (``Route.legs``),
+  so a partial move re-times it with the one query ``dis(position, l_1)``
+  instead of ``refresh``'s ``n``, bit-identically. Every re-planning —
+  including :meth:`FleetState.replan_busy` after a live network update —
+  installs a fresh ``Route`` whose legs ``refresh`` derives again, so carried
+  legs never outlive the stops or the topology they were measured on.
 * **Window invariant.** For every busy row, ``first_edge_cost`` is the live
   cost of the first edge of ``route.concrete_path`` or ``-inf`` when no usable
   path is recorded, and ``arr[0]``/``arr[1]`` equal the route's. Whenever
@@ -255,12 +264,7 @@ class WorkerState:
                 route.refresh(oracle)
             next_arrival = route.arr[1]
             if next_arrival <= now + 1e-9:
-                # the worker reaches the next stop. The new route's auxiliary
-                # arrays are exactly the old ones shifted by one entry (the
-                # cumulative sums share their association, the deadlines are
-                # absolute and the completed stop's load delta is what
-                # ``initial_load`` would report), so no refresh — and none of
-                # its oracle leg queries — is needed.
+                # the worker reaches the next stop
                 stop = route.stops[0]
                 leg_cost = next_arrival - route.arr[0]
                 self.travelled_cost += max(leg_cost, 0.0)
@@ -283,18 +287,7 @@ class WorkerState:
                             else max(next_arrival, record.pickup_time)
                         )
                         completed.append(record)
-                new_route = Route(
-                    worker=self.worker,
-                    origin=stop.vertex,
-                    start_time=next_arrival,
-                    stops=route.stops[1:],
-                    _direct_distances=dict(route._direct_distances),
-                )
-                new_route.arr = route.arr[1:]
-                new_route.ddl = route.ddl[1:]
-                new_route.slack = route.slack[1:]
-                new_route.picked = route.picked[1:]
-                self.route = new_route
+                self.route = route.after_next_stop()
                 continue
             # partially advance along the concrete shortest path to the next
             # stop, continuing the path chosen at the previous advance when
@@ -325,15 +318,9 @@ class WorkerState:
                 passed += 1
             if position != route.origin:
                 self.travelled_cost += moved_cost
-                self.route = Route(
-                    worker=self.worker,
-                    origin=position,
-                    start_time=route.arr[0] + moved_cost,
-                    stops=list(route.stops),
-                    _direct_distances=dict(route._direct_distances),
-                    concrete_path=tuple(path[passed:]),
+                self.route = route.moved_to(
+                    position, route.arr[0] + moved_cost, tuple(path[passed:]), oracle
                 )
-                self.route.refresh(oracle)
             elif cached_path is None:
                 # remember the freshly derived path even when the budget was
                 # too small to pass a vertex
@@ -542,6 +529,25 @@ class FleetState:
         if state.route.origin != position_before:
             self._moved.add(state.worker.id)
         return completed
+
+    def replan_busy(self) -> None:
+        """Rebuild every busy route from its stops after a live network update.
+
+        The fresh routes carry no leg costs, recorded path or direct
+        distances, so ``replace_route`` re-times them on the new topology.
+        """
+        for worker_id in sorted(self.states):
+            state = self.states[worker_id]
+            route = state.route
+            if route.stops:
+                state.replace_route(
+                    Route(
+                        worker=route.worker,
+                        origin=route.origin,
+                        start_time=route.start_time,
+                        stops=list(route.stops),
+                    )
+                )
 
     def finish_all(self) -> list[ServiceRecord]:
         """Complete every pending route at the end of the simulation."""

@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.insertion.linear_dp import LinearDPInsertion
 from repro.core.insertion.lower_bound import euclidean_insertion_lower_bound
-from repro.core.route import Route
 from repro.dispatch import DispatcherConfig, GreedyDP, PruneGreedyDP
 from repro.simulation.engine import EventEngine
 from repro.workloads.scenarios import (
@@ -92,31 +91,6 @@ class TestVectorizedEquivalence:
         walked_result, _ = _run(dispatcher_class, vectorized=True, seed_loop=True)
         assert fast_result.served_requests == walked_result.served_requests
         assert fast_result.unified_cost == walked_result.unified_cost
-
-
-class TestLegacyReconstruction:
-    def test_full_legacy_toggles_match_array_native(self):
-        """The benchmark's pre-PR reconstruction agrees on every compared metric."""
-        oracle = make_oracle(_NETWORK, _CONFIG)
-        oracle.legacy_reference_mode = True
-        instance = build_instance(_CONFIG, network=_NETWORK, oracle=oracle)
-        dispatcher = _scalar(PruneGreedyDP)(
-            DispatcherConfig(grid_cell_metres=_CONFIG.grid_km * 1000.0),
-            insertion=LazyLinearDP(),
-        )
-        engine = EventEngine(instance, dispatcher)
-        Route.legacy_refresh = True
-        try:
-            legacy_result = engine.run()
-        finally:
-            Route.legacy_refresh = False
-        legacy_counters = oracle.counters
-
-        vector_result, vector_counters = _run(PruneGreedyDP, vectorized=True)
-        assert vector_result.served_requests == legacy_result.served_requests
-        assert vector_result.unified_cost == legacy_result.unified_cost
-        assert vector_counters.distance_queries == legacy_counters.distance_queries
-        assert vector_counters.dijkstra_runs == legacy_counters.dijkstra_runs
 
 
 class TestCacheStatisticsSurface:

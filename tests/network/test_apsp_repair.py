@@ -197,7 +197,6 @@ class TestOracleAfterRepair:
     def test_handles_point_at_the_new_snapshot(self, network):
         landmarks = build_landmark_index(network, count=2)
         oracle = DistanceOracle(network, backend="apsp", landmark_index=landmarks)
-        oracle.apsp_path_walk = True
         backend = oracle.backend
         vertices = sorted(network.vertices())
         u, v = vertices[0], vertices[1]
@@ -213,10 +212,16 @@ class TestOracleAfterRepair:
         assert backend.vertex_index is network.csr.position
         assert oracle._landmarks is None
         assert len(oracle._path_cache) == 0 and len(oracle._distance_cache) == 0
-        # the matrix walk reads the new adjacency: no hop over the closed street
+        # the path search reads the new adjacency: no hop over the closed
+        # street, and the repaired table prices the detour it takes
+        runs = oracle.counters.dijkstra_runs
         path = oracle.path(u, v)
+        assert oracle.counters.dijkstra_runs == runs + 1
         assert len(path) > 2
         assert all(network.has_edge(a, b) for a, b in zip(path, path[1:]))
+        assert sum(network.edge_cost(a, b) for a, b in zip(path, path[1:])) == pytest.approx(
+            oracle.distance(u, v)
+        )
         oracle.distance(u, v)
         assert oracle.counters.distance_queries > queries
 

@@ -105,34 +105,6 @@ class TestBatchedLowerBounds:
         assert oracle.counters.lower_bound_queries == before + 12
 
 
-class TestApspPathWalk:
-    def test_walk_returns_a_shortest_path(self, network, vertices):
-        oracle = DistanceOracle(network, precompute="apsp")
-        oracle.apsp_path_walk = True
-        for u, v in [(vertices[0], vertices[-1]), (vertices[3], vertices[17])]:
-            path = oracle.path(u, v)
-            assert path[0] == u and path[-1] == v
-            total = sum(network.edge_cost(a, b) for a, b in zip(path, path[1:]))
-            assert total == pytest.approx(oracle.distance(u, v))
-        # the walk answers misses without any Dijkstra run
-        assert oracle.counters.dijkstra_runs == 0
-
-    def test_walk_raises_for_disconnected_vertices(self):
-        from repro.exceptions import DisconnectedError
-        from repro.network.graph import RoadNetwork
-        from repro.utils.geometry import Point
-
-        isolated = RoadNetwork()
-        isolated.add_vertex(0, Point(0, 0))
-        isolated.add_vertex(1, Point(100, 0))
-        isolated.add_vertex(2, Point(5000, 5000))
-        isolated.add_edge(0, 1)
-        oracle = DistanceOracle(isolated, precompute="apsp")
-        oracle.apsp_path_walk = True
-        with pytest.raises(DisconnectedError):
-            oracle.path(0, 2)
-
-
 class TestSymmetricPathCache:
     def test_reverse_path_served_from_cache(self, network, vertices):
         oracle = DistanceOracle(network)

@@ -86,9 +86,29 @@ def test_service_replay_matches_the_seed_loop(algorithm):
     assert _outcomes(replayed) == _outcomes(seed)
 
 
+def _backend_outcomes(result):
+    """What every distance backend must reproduce from the Dijkstra run."""
+    return {
+        "served": result.served_requests,
+        "served_rate": result.served_rate,
+        "unified_cost": result.unified_cost,
+        "mean_wait": result.mean_wait_seconds,
+        "mean_detour": result.mean_detour_ratio,
+    }
+
+
+@pytest.fixture(scope="module")
+def dijkstra_replay():
+    scenario = _STANDARD.with_overrides(oracle_backend="dijkstra")
+    return MatchingService(build_instance(scenario), _dispatcher("pruneGreedyDP")).replay()
+
+
 @pytest.mark.parametrize("backend", ["dijkstra", "apsp", "ch", "hub_labels"])
-def test_service_replay_matches_direct_drive_under_every_backend(backend):
-    """The oracle backend must never change what the service replays."""
+def test_service_replay_matches_direct_drive_under_every_backend(backend, dijkstra_replay):
+    """The oracle backend must never change what the service replays: each
+    backend's replay equals its own direct drive, and its served count,
+    unified cost, mean wait and mean detour equal the Dijkstra run's bit for
+    bit (query counts may differ across backends: a tie can flip a cut)."""
     scenario = _STANDARD.with_overrides(oracle_backend=backend)
     direct_instance = build_instance(scenario)
     direct = EventEngine(direct_instance, _dispatcher("pruneGreedyDP")).run()
@@ -99,6 +119,7 @@ def test_service_replay_matches_direct_drive_under_every_backend(backend):
 
     assert service_instance.oracle.backend_name == backend
     assert _fingerprint(replayed, service_instance) == _fingerprint(direct, direct_instance)
+    assert _backend_outcomes(replayed) == _backend_outcomes(dijkstra_replay)
 
 
 def test_decision_stream_is_consistent_with_the_metrics():
