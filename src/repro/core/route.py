@@ -227,9 +227,13 @@ class Route:
         ``concrete_path``. Only the first leg changed: the route issues the
         one query ``dis(position, l_1)``, accumulates ``arr`` from it and the
         carried ``legs[1:]`` in :meth:`refresh`'s own float order, keeps
-        ``ddl`` and ``picked`` (same stops) and recomputes ``slack`` — bit
-        for bit what :meth:`refresh` would compute with ``n`` queries. A
-        route without carried legs is refreshed instead.
+        ``ddl`` and ``picked`` (same stops) and recomputes ``slack``. On a
+        backend whose answer to a pair is a fixed float (apsp, ch,
+        hub_labels) that is bit for bit what :meth:`refresh` would compute
+        with ``n`` queries; the Dijkstra backend's cached floats depend on
+        query history and may differ from a re-query in the last place.
+        Every writer of ``arr`` writes ``legs`` too, so a route with filled
+        arrays always carries its ``n`` legs.
         """
         route = Route(
             worker=self.worker,
@@ -240,10 +244,7 @@ class Route:
             concrete_path=concrete_path,
         )
         n = self.num_stops
-        if len(self.legs) != n:
-            route.refresh(oracle)
-            return route
-        legs = [oracle.distance(position, self.stops[0].vertex), *self.legs[1:]]
+        legs =[oracle.distance(position, self.stops[0].vertex), *self.legs[1:]]
         arr = [start_time] * (n + 1)
         for index in range(n):
             arr[index + 1] = arr[index] + legs[index]

@@ -264,11 +264,9 @@ class CHBackend:
 
     def distance(self, u: Vertex, v: Vertex) -> float:
         position = self._csr.position
-        hierarchy = self.hierarchy
-        before = hierarchy.settled
-        result = hierarchy.query_positions(position[u], position[v])
-        if hierarchy.settled != before:  # a memoised pair ran no search
-            self._record_settled(before)
+        before = self.hierarchy.settled
+        result = self.hierarchy.query_positions(position[u], position[v])
+        self._record_settled(before)
         return result
 
     def distances_many(self, source: Vertex, targets: Sequence[Vertex]) -> np.ndarray:

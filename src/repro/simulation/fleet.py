@@ -51,7 +51,10 @@ one fancy index per array, and :meth:`FleetState.states_of` /
   entry, no query) and a partial move installs :meth:`Route.moved_to`. A
   route carries the leg costs its ``arr`` was summed from (``Route.legs``),
   so a partial move re-times it with the one query ``dis(position, l_1)``
-  instead of ``refresh``'s ``n``, bit-identically. Every re-planning —
+  instead of ``refresh``'s ``n`` — bit-identically on backends whose answer
+  to a pair is a fixed float (apsp, ch, hub_labels); the Dijkstra backend's
+  cached floats depend on query history, so there a re-query could differ in
+  the last place. Every re-planning —
   including :meth:`FleetState.replan_busy` after a live network update —
   installs a fresh ``Route`` whose legs ``refresh`` derives again, so carried
   legs never outlive the stops or the topology they were measured on.
