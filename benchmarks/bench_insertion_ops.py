@@ -20,7 +20,7 @@ from repro.network.generators import grid_city
 from repro.network.oracle import DistanceOracle
 
 _NETWORK = grid_city(rows=14, columns=14, block_metres=220.0, removed_block_fraction=0.02, seed=17)
-_ORACLE = DistanceOracle(_NETWORK, precompute="apsp")
+_ORACLE = DistanceOracle(_NETWORK, backend="apsp")
 _VERTICES = sorted(_NETWORK.vertices())
 
 OPERATORS = {

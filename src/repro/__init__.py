@@ -8,7 +8,7 @@ The package provides:
 * the paper's linear DP insertion plus the basic and naive-DP references;
 * the two-phase ``pruneGreedyDP`` solution and the evaluation baselines
   (``GreedyDP``, ``tshare``, ``kinetic``, ``batch``);
-* a road-network substrate (graph, shortest paths, hub labels, grid indexes);
+* a road-network substrate (graph, shortest paths, distance backends, grid indexes);
 * a dynamic simulator, synthetic NYC/Chengdu-like workloads, and an experiment
   harness reproducing every table and figure of the paper's evaluation.
 

@@ -1,7 +1,6 @@
 """Content-addressed preprocessing artifacts for distance backends.
 
-``ArtifactStore`` persists built APSP / contraction-hierarchy / hub-label
-state as ``.npz`` + manifest entries keyed by a canonical hash of the
+``ArtifactStore`` persists built APSP / contraction-hierarchy state as ``.npz`` + manifest entries keyed by a canonical hash of the
 network's CSR content, and the :class:`~repro.network.oracle.DistanceOracle`
 loads them transparently via ``artifact_dir=...`` — turning minutes of
 preprocessing into a sub-second, bit-identical cold start.

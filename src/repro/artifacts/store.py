@@ -1,9 +1,10 @@
 """Content-addressed on-disk store for preprocessed distance backends.
 
 Building a distance index dominates cold start: the dense APSP matrix runs
-one Dijkstra per vertex, and hub labels add a contraction on top. The paper's
-platform amortises this by preprocessing the city network once; the store
-reproduces that by persisting each backend's built state on disk, keyed by
+one Dijkstra per vertex, and the contraction hierarchy contracts every
+vertex with witness searches. The paper's platform amortises this by
+preprocessing the city network once; the store reproduces that by
+persisting each backend's built state on disk, keyed by
 :func:`repro.artifacts.hashing.network_content_hash` — so a cache entry can
 never be served for a network it was not built from.
 
@@ -13,14 +14,16 @@ Layout (``FORMAT_VERSION`` bumps on any change)::
         manifest.json     # format version, hash, network summary, backends
         apsp.npz          # matrix, vertex_ids
         ch.npz            # rank, up_indptr, up_indices, up_costs, meta
-        hub_labels.npz    # indptr, hubs, dists, order
 
 Loads are **bit-identical**: the arrays come back ``np.load``-exact, so a
 loaded backend answers every query with the very float a fresh build would
-(``benchmarks/bench_cold_start.py`` and the property tests enforce this).
-Corrupt or stale entries raise :class:`~repro.exceptions.ArtifactError` from
+(``tests/artifacts/test_store.py`` holds both query batteries and full
+replays to that). Corrupt or stale entries raise
+:class:`~repro.exceptions.ArtifactError` from
 :meth:`ArtifactStore.load_backend`; the :meth:`ArtifactStore.load_or_build`
-path used by the oracle treats them as cache misses and rebuilds.
+path used by the oracle treats them as cache misses and rebuilds. Files and
+manifest records of backends outside :data:`PERSISTABLE_BACKENDS` (left by
+older versions that persisted more backends) are kept but never read.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from repro.artifacts.hashing import network_content_hash
 from repro.exceptions import ArtifactError
 from repro.network.ch import ContractionHierarchy
 from repro.network.graph import RoadNetwork
-from repro.network.hub_labeling import HubLabels
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.backends import DistanceBackend
@@ -44,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FORMAT_VERSION = 1
 
 #: backends whose built state the store can persist (``dijkstra`` has none).
-PERSISTABLE_BACKENDS = ("apsp", "ch", "hub_labels")
+PERSISTABLE_BACKENDS = ("apsp", "ch")
 
 MANIFEST_NAME = "manifest.json"
 
@@ -115,7 +117,7 @@ class ArtifactStore:
                 "matrix": backend.matrix,
                 "vertex_ids": network.csr.vertex_ids,
             }
-        elif backend.name == "ch":
+        else:  # ch
             hierarchy: ContractionHierarchy = backend.hierarchy
             arrays = {
                 "rank": np.asarray(hierarchy.rank, dtype=np.int64),
@@ -125,14 +127,6 @@ class ArtifactStore:
                 "meta": np.array(
                     [hierarchy.num_vertices, hierarchy.num_shortcuts], dtype=np.int64
                 ),
-            }
-        else:  # hub_labels
-            labels: HubLabels = backend.labels
-            arrays = {
-                "indptr": np.asarray(labels.indptr, dtype=np.int64),
-                "hubs": np.asarray(labels.hubs, dtype=np.int64),
-                "dists": np.asarray(labels.dists, dtype=np.float64),
-                "order": np.asarray(labels.order, dtype=np.int64),
             }
         with open(path, "wb") as handle:
             np.savez_compressed(handle, **arrays)
@@ -189,7 +183,7 @@ class ArtifactStore:
         :class:`ArtifactError` when one exists but is invalid (version or
         hash mismatch, missing arrays, shape inconsistencies).
         """
-        from repro.network.backends import APSPBackend, CHBackend, HubLabelBackend
+        from repro.network.backends import APSPBackend, CHBackend
 
         self._check_backend(name)
         if content_hash is None:
@@ -217,41 +211,24 @@ class ArtifactStore:
                         f"(matrix {matrix.shape}, expected {(n, n)})"
                     )
                 return APSPBackend(network, matrix=matrix)
-            if name == "ch":
-                meta = arrays["meta"]
-                if int(meta[0]) != n or arrays["rank"].size != n:
-                    raise ArtifactError(
-                        f"{path}: hierarchy built for {int(meta[0])} vertices, "
-                        f"network has {n}"
-                    )
-                hierarchy = ContractionHierarchy(
-                    num_vertices=n,
-                    # the builder produces plain lists; restore the same types
-                    # so queries execute identical code paths
-                    rank=arrays["rank"].tolist(),
-                    up_indptr=arrays["up_indptr"].tolist(),
-                    up_indices=arrays["up_indices"].tolist(),
-                    up_costs=arrays["up_costs"].tolist(),
-                    num_shortcuts=int(meta[1]),
-                    build_seconds=float(
-                        manifest["backends"]["ch"].get("build_seconds", 0.0)
-                    ),
-                )
-                return CHBackend(network, host, hierarchy=hierarchy)
-            indptr = arrays["indptr"]
-            if indptr.size != n + 1 or arrays["hubs"].size != arrays["dists"].size:
+            meta = arrays["meta"]
+            if int(meta[0]) != n or arrays["rank"].size != n:
                 raise ArtifactError(
-                    f"{path}: label arrays inconsistent with the network "
-                    f"(indptr {indptr.size}, expected {n + 1})"
+                    f"{path}: hierarchy built for {int(meta[0])} vertices, "
+                    f"network has {n}"
                 )
-            labels = HubLabels(
-                indptr=indptr,
-                hubs=arrays["hubs"],
-                dists=arrays["dists"],
-                position=csr.position,
-                order=arrays["order"].tolist(),
+            hierarchy = ContractionHierarchy(
+                num_vertices=n,
+                # the builder produces plain lists; restore the same types
+                # so queries execute identical code paths
+                rank=arrays["rank"].tolist(),
+                up_indptr=arrays["up_indptr"].tolist(),
+                up_indices=arrays["up_indices"].tolist(),
+                up_costs=arrays["up_costs"].tolist(),
+                num_shortcuts=int(meta[1]),
+                build_seconds=float(manifest["backends"]["ch"].get("build_seconds", 0.0)),
             )
-            return HubLabelBackend(network, labels=labels)
+            return CHBackend(network, host, hierarchy=hierarchy)
         except KeyError as error:
             raise ArtifactError(f"{path}: missing array {error.args[0]!r}") from error
 

@@ -58,6 +58,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from repro.artifacts import PERSISTABLE_BACKENDS
 from repro.dispatch import DispatcherSpec, list_dispatchers
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig, PAPER_ALGORITHMS, SCALES
@@ -70,7 +71,12 @@ from repro.experiments.tables import table4_datasets, table5_parameters
 from repro.service.facade import MatchingService
 from repro.service.spec import PlatformSpec
 from repro.sharding.partitioner import STRATEGIES
-from repro.workloads.scenarios import CITY_BUILDERS, FILE_CITY_PREFIX, ScenarioConfig
+from repro.workloads.scenarios import (
+    CITY_BUILDERS,
+    FILE_CITY_PREFIX,
+    ORACLE_BACKEND_CHOICES,
+    ScenarioConfig,
+)
 
 
 def _algorithm_name(name: str) -> str:
@@ -221,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="city seed (ignored by ingested file:/riverton cities)")
     preprocess.add_argument("--artifact-dir", type=Path, required=True,
                             help="root of the content-addressed artifact store")
-    preprocess.add_argument("--backends", nargs="+", default=["apsp", "ch", "hub_labels"],
-                            choices=["apsp", "ch", "hub_labels"],
+    preprocess.add_argument("--backends", nargs="+", default=list(PERSISTABLE_BACKENDS),
+                            choices=PERSISTABLE_BACKENDS,
                             help="which backends to preprocess")
     preprocess.add_argument("--list", action="store_true", dest="list_entries",
                             help="list the store's entries instead of building")
@@ -276,11 +282,10 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=1.0)
     parser.add_argument("--grid-km", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=2018)
-    parser.add_argument("--oracle-backend", default="auto",
-                        choices=["auto", "apsp", "ch", "hub_labels", "dijkstra"],
+    parser.add_argument("--oracle-backend", default="auto", choices=ORACLE_BACKEND_CHOICES,
                         help="distance backend: dense all-pairs matrix, contraction "
-                             "hierarchy, flat hub labels, or cached Dijkstra; 'auto' "
-                             "picks by network size (all are value-exact)")
+                             "hierarchy, or cached Dijkstra; 'auto' picks by network "
+                             "size (all are value-exact)")
     parser.add_argument("--cancellation-rate", type=float, default=0.0,
                         help="per-request rider-cancellation probability")
     parser.add_argument("--shift-hours", type=float, default=0.0,
@@ -305,7 +310,7 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         alpha=args.alpha,
         grid_km=args.grid_km,
         seed=args.seed,
-        oracle_backend=getattr(args, "oracle_backend", None),
+        oracle_backend=args.oracle_backend,
         cancellation_rate=args.cancellation_rate,
         shift_hours=args.shift_hours,
         oracle_artifact_dir=(
@@ -534,13 +539,6 @@ def _coerce_sweep_value(parameter: str, raw: str) -> float | int | str:
             return int(raw)
         if field.type == "float":
             return float(raw)
-        if field.type == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(f"invalid boolean sweep value {raw!r} for {parameter!r}")
         return raw
     raise ValueError(f"unknown scenario parameter {parameter!r}")
 

@@ -61,7 +61,7 @@ def example_network() -> RoadNetwork:
 def example_instance(alpha: float = 1.0) -> URPSMInstance:
     """Two workers, three requests, alpha = 1 — Example 1 reshaped to be consistent."""
     network = example_network()
-    oracle = DistanceOracle(network, use_hub_labels=True)
+    oracle = DistanceOracle(network, backend="apsp")
     workers = [
         Worker(id=1, initial_location=7, capacity=4),
         Worker(id=2, initial_location=3, capacity=4),

@@ -54,7 +54,7 @@ class HardnessInstanceSpec:
 
 def _base_network_and_worker(spec: HardnessInstanceSpec):
     network = cycle_network(spec.num_vertices, edge_metres=_EDGE_METRES, speed=_EDGE_SPEED)
-    oracle = DistanceOracle(network, use_hub_labels=False)
+    oracle = DistanceOracle(network)
     worker = Worker(id=0, initial_location=0, capacity=spec.worker_capacity)
     return network, oracle, worker
 

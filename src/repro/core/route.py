@@ -228,8 +228,8 @@ class Route:
         one query ``dis(position, l_1)``, accumulates ``arr`` from it and the
         carried ``legs[1:]`` in :meth:`refresh`'s own float order, keeps
         ``ddl`` and ``picked`` (same stops) and recomputes ``slack``. On a
-        backend whose answer to a pair is a fixed float (apsp, ch,
-        hub_labels) that is bit for bit what :meth:`refresh` would compute
+        backend whose answer to a pair is a fixed float (apsp, ch) that is
+        bit for bit what :meth:`refresh` would compute
         with ``n`` queries; the Dijkstra backend's cached floats depend on
         query history and may differ from a re-query in the last place.
         Every writer of ``arr`` writes ``legs`` too, so a route with filled

@@ -88,7 +88,7 @@ class DispatcherConfig:
             the sharded dispatcher — ``"shared"`` (default: every shard
             queries the instance's global oracle, bit-exact with the
             unsharded run), a backend name (``"apsp"``, ``"ch"``,
-            ``"hub_labels"``, ``"dijkstra"``), or ``"auto"`` to pick a
+            ``"dijkstra"``), or ``"auto"`` to pick a
             locality-appropriate backend from the full network size (the
             graph the index is built on) and each shard's expected query
             share. Shards resolving to the same backend share one oracle

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro.dispatch.base import Dispatcher, DispatcherConfig
 from repro.exceptions import ConfigurationError
+from repro.network.backends import BACKEND_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
@@ -219,7 +220,7 @@ class DispatcherSpec:
                     f"unknown shard strategy {self.shard_strategy!r}; "
                     f"available: {sorted(STRATEGIES)}"
                 )
-            valid_shard_oracles = ("shared", "auto", "apsp", "ch", "hub_labels", "dijkstra")
+            valid_shard_oracles = ("shared", "auto") + BACKEND_NAMES
             if self.shard_oracle_backend not in valid_shard_oracles:
                 raise ConfigurationError(
                     f"unknown shard oracle backend {self.shard_oracle_backend!r}; "

@@ -106,8 +106,6 @@ class ScenarioRunner:
         key = (
             config.city,
             config.effective_city_seed,
-            config.use_hub_labels,
-            config.oracle_precompute,
             config.oracle_backend,
             artifact_key,
         )

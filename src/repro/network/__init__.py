@@ -1,4 +1,4 @@
-"""Road-network substrate: graph model, shortest paths, hub labels, oracle, generators."""
+"""Road-network substrate: graph model, shortest paths, distance backends, oracle, generators."""
 
 from repro.network.backends import (
     BACKEND_NAMES,
@@ -6,7 +6,6 @@ from repro.network.backends import (
     CHBackend,
     DijkstraBackend,
     DistanceBackend,
-    HubLabelBackend,
     make_backend,
     select_backend_name,
 )
@@ -26,14 +25,7 @@ from repro.network.graph import (
     Vertex,
     connected_components,
 )
-from repro.network.hub_labeling import (
-    HubLabels,
-    HubLabelsReference,
-    build_hub_labels,
-    build_hub_labels_reference,
-)
 from repro.network.io import load_network, network_from_dict, network_to_dict, save_network
-from repro.network.landmarks import LandmarkIndex, build_landmark_index
 from repro.network.oracle import DistanceOracle, OracleCounters
 from repro.network.shortest_path import (
     bidirectional_dijkstra,
@@ -54,7 +46,6 @@ __all__ = [
     "ContractionHierarchy",
     "DijkstraBackend",
     "DistanceBackend",
-    "HubLabelBackend",
     "build_contraction_hierarchy",
     "make_backend",
     "select_backend_name",
@@ -70,16 +61,10 @@ __all__ = [
     "RoadNetwork",
     "Vertex",
     "connected_components",
-    "HubLabels",
-    "HubLabelsReference",
-    "build_hub_labels",
-    "build_hub_labels_reference",
     "load_network",
     "network_from_dict",
     "network_to_dict",
     "save_network",
-    "LandmarkIndex",
-    "build_landmark_index",
     "DistanceOracle",
     "OracleCounters",
     "bidirectional_dijkstra",

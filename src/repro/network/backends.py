@@ -1,11 +1,10 @@
 """Pluggable distance backends behind the :class:`~repro.network.oracle.DistanceOracle`.
 
-The oracle used to hard-wire three acceleration shapes (dense APSP, dict hub
-labels, cached per-pair Dijkstra). This module makes the choice a value: a
-:class:`DistanceBackend` answers exact point-to-point and batched
+A :class:`DistanceBackend` answers exact point-to-point and batched
 many-to-many distance queries, the oracle owns counting/caching policy, and
 :func:`select_backend_name` picks a backend from the network size and the
-expected query volume.
+expected query volume. :data:`BACKEND_NAMES` is the one list of backends the
+configuration layer validates against.
 
 Backends (all **value-exact**: the same floats, hence the same simulation
 outcomes — the property tests and the service-replay equivalence tests
@@ -17,9 +16,6 @@ assert it):
   near-linear build, tiny upward searches per query, bucket-based
   many-to-many batches. The sweet spot for city-scale networks where the
   dense matrix stops fitting.
-* ``"hub_labels"`` — array-native pruned 2-hop labels
-  (:mod:`repro.network.hub_labeling`); higher build cost than CH but flat
-  merge-join queries, the O(1)-query regime the paper assumes.
 * ``"dijkstra"``   — no preprocessing: cached bidirectional point-to-point
   searches, and batches answered by **one truncated single-source Dijkstra**
   that stops when every (deduplicated, cache-missing) target is settled.
@@ -36,8 +32,8 @@ closure or reopening) cost, per backend:
   :mod:`repro.network.apsp_repair`): the table is fixed in place, touching
   only the cells the changed edges can affect, bit-identical to a fresh
   build; deltas the repair does not cover fall back to the full build.
-* ``"ch"`` / ``"hub_labels"`` — full rebuild (their indexes have no
-  incremental form here).
+* ``"ch"``         — full rebuild (the hierarchy has no incremental form
+  here).
 * ``"dijkstra"``   — nothing to rebuild; the oracle drops its caches.
 """
 
@@ -53,7 +49,6 @@ from repro.exceptions import DisconnectedError
 from repro.network.apsp_repair import repair_apsp
 from repro.network.ch import ContractionHierarchy, build_contraction_hierarchy
 from repro.network.graph import RoadNetwork, Vertex
-from repro.network.hub_labeling import HubLabels, build_hub_labels
 from repro.network.shortest_path import (
     bidirectional_dijkstra,
     single_source_distances_array,
@@ -64,14 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.oracle import DistanceOracle
 
 #: canonical backend names, in auto-selection preference order.
-BACKEND_NAMES = ("apsp", "ch", "hub_labels", "dijkstra")
+BACKEND_NAMES = ("apsp", "ch", "dijkstra")
 
 #: largest vertex count for which the dense all-pairs matrix is the default.
 APSP_VERTEX_LIMIT = 2_000
-
-#: largest vertex count for which the contraction hierarchy is the default
-#: (beyond it the flat 2-hop labels win on query time).
-CH_VERTEX_LIMIT = 50_000
 
 #: below ``num_vertices / QUERY_VOLUME_DIVISOR`` expected queries, building
 #: any index costs more than answering every query from scratch.
@@ -96,9 +87,7 @@ def select_backend_name(
         return "dijkstra"
     if num_vertices <= APSP_VERTEX_LIMIT:
         return "apsp"
-    if num_vertices <= CH_VERTEX_LIMIT:
-        return "ch"
-    return "hub_labels"
+    return "ch"
 
 
 @runtime_checkable
@@ -304,49 +293,6 @@ class CHBackend:
         return self.hierarchy.stats()
 
 
-class HubLabelBackend:
-    """Array-native pruned 2-hop labels: merge-join scalar, vectorized batch."""
-
-    name = "hub_labels"
-    uses_distance_cache = False
-
-    def __init__(self, network: RoadNetwork, labels: HubLabels | None = None) -> None:
-        started = time.perf_counter()
-        self._csr = network.csr
-        self.labels = labels if labels is not None else build_hub_labels(network)
-        self.build_seconds = time.perf_counter() - started
-
-    def distance(self, u: Vertex, v: Vertex) -> float:
-        return self.labels.query(u, v)
-
-    def distances_many(self, source: Vertex, targets: Sequence[Vertex]) -> np.ndarray:
-        return self.labels.query_many(source, self._csr.positions_of(targets))
-
-    def distance_pairs(self, us: Sequence[Vertex], vs: Sequence[Vertex]) -> np.ndarray:
-        count = len(us)
-        query = self.labels.query
-        return np.fromiter(
-            (query(u, v) for u, v in zip(us, vs)), dtype=np.float64, count=count
-        )
-
-    def endpoint_distances(
-        self, vertices: Sequence[Vertex], origin: Vertex, destination: Vertex
-    ) -> tuple[np.ndarray, np.ndarray]:
-        positions = self._csr.positions_of(vertices)
-        return (
-            self.labels.query_many(origin, positions),
-            self.labels.query_many(destination, positions),
-        )
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "vertices": float(self.labels.indptr.size - 1),
-            "label_entries": float(self.labels.total_label_entries),
-            "average_label_size": self.labels.average_label_size,
-            "build_seconds": self.build_seconds,
-        }
-
-
 class DijkstraBackend:
     """No preprocessing: cached point-to-point searches + truncated batches.
 
@@ -488,27 +434,12 @@ class DijkstraBackend:
         }
 
 
-def make_backend(
-    name: str,
-    network: RoadNetwork,
-    host: "DistanceOracle",
-    store: "object | None" = None,
-) -> DistanceBackend:
-    """Instantiate the named backend over ``network``.
-
-    When an :class:`repro.artifacts.ArtifactStore` is passed and ``name`` has
-    persistable state, the backend is served from the store (building and
-    saving on a miss) — bit-identical to a fresh build.
-    """
-    if store is not None and name in ("apsp", "ch", "hub_labels"):
-        backend, _loaded = store.load_or_build(name, network, host)
-        return backend
+def make_backend(name: str, network: RoadNetwork, host: "DistanceOracle") -> DistanceBackend:
+    """Instantiate the named backend over ``network``."""
     if name == "apsp":
         return APSPBackend(network)
     if name == "ch":
         return CHBackend(network, host)
-    if name == "hub_labels":
-        return HubLabelBackend(network)
     if name == "dijkstra":
         return DijkstraBackend(network, host)
     raise ValueError(f"unknown distance backend {name!r}; available: {BACKEND_NAMES}")
@@ -517,12 +448,10 @@ def make_backend(
 __all__ = [
     "APSP_VERTEX_LIMIT",
     "BACKEND_NAMES",
-    "CH_VERTEX_LIMIT",
     "APSPBackend",
     "CHBackend",
     "DijkstraBackend",
     "DistanceBackend",
-    "HubLabelBackend",
     "make_backend",
     "select_backend_name",
     "build_contraction_hierarchy",

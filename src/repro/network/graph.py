@@ -185,8 +185,8 @@ class RoadNetwork:
     The class offers O(1) access to vertex coordinates, adjacency with travel
     costs, and a few aggregate statistics (Table 4 of the paper). It is
     intentionally a plain adjacency-list structure; all shortest-path machinery
-    lives in :mod:`repro.network.shortest_path` and
-    :mod:`repro.network.hub_labeling`.
+    lives in :mod:`repro.network.shortest_path`, :mod:`repro.network.ch` and
+    :mod:`repro.network.backends`.
     """
 
     def __init__(self, name: str = "road-network") -> None:

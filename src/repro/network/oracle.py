@@ -3,26 +3,28 @@
 The paper (Section 4.2) assumes that a shortest-distance query takes O(1) time,
 backed by a hub-label index plus an LRU cache; all compared algorithms share
 the same oracle so that effectiveness/efficiency comparisons are fair. The
-:class:`DistanceOracle` mirrors that setup:
+:class:`DistanceOracle` mirrors that setup, with the dense APSP matrix (up to
+:data:`~repro.network.backends.APSP_VERTEX_LIMIT` vertices) and a contraction
+hierarchy (above it) standing in for the paper's index:
 
 * **exact distances** come from a pluggable
   :class:`~repro.network.backends.DistanceBackend` — the dense APSP matrix,
-  a contraction hierarchy, array-native hub labels, or cached on-the-fly
-  Dijkstra (``backend="auto"`` picks by network size and query volume);
+  a contraction hierarchy, or cached on-the-fly Dijkstra (``backend="auto"``
+  picks by network size);
 * **exact paths** (vertex sequences) are needed by the simulator to move
   workers along their planned routes; they are cached separately;
 * **admissible lower bounds** (Euclidean distance divided by the maximum
-  network speed, optionally sharpened by landmark bounds) power the decision
-  phase of ``pruneGreedyDP`` (Lemma 7) without spending exact queries.
+  network speed) power the decision phase of ``pruneGreedyDP`` (Lemma 7)
+  without spending exact queries.
 
 Besides the scalar queries, the oracle exposes **batched APIs** —
 :meth:`DistanceOracle.distances_many`, :meth:`DistanceOracle.distance_pairs`
 and :meth:`DistanceOracle.euclidean_lower_bounds` — that answer a whole
 candidate set in one pass: a fancy-indexing gather on the APSP matrix, a
-bucket sweep on the contraction hierarchy, a vectorized label join on the
-hub labels, or one truncated multi-target Dijkstra on the fallback. The
-batched calls return exactly the values (and bump exactly the
-``distance_queries`` counters) of the equivalent scalar loops.
+bucket sweep on the contraction hierarchy, or one truncated multi-target
+Dijkstra on the fallback. The batched calls return exactly the values (and
+bump exactly the ``distance_queries`` counters) of the equivalent scalar
+loops.
 
 Because the network is undirected, both LRU caches use symmetric
 ``(min, max)`` keys — a cached ``u -> v`` path answers the ``v -> u`` query
@@ -51,17 +53,19 @@ from repro.artifacts import ArtifactStore, network_content_hash
 from repro.artifacts.store import PERSISTABLE_BACKENDS
 from repro.network.backends import (
     APSPBackend,
-    CHBackend,
     DistanceBackend,
-    HubLabelBackend,
     make_backend,
     select_backend_name,
 )
 from repro.network.cache import LRUCache
 from repro.network.graph import RoadNetwork, Vertex
-from repro.network.hub_labeling import HubLabels
-from repro.network.landmarks import LandmarkIndex
 from repro.network.shortest_path import bidirectional_dijkstra
+
+#: capacity of the distance LRU (consulted by the Dijkstra backend only).
+DISTANCE_CACHE_SIZE = 200_000
+
+#: capacity of the path LRU.
+PATH_CACHE_SIZE = 20_000
 
 
 @dataclass
@@ -156,56 +160,30 @@ class DistanceOracle:
 
     Args:
         network: the road network to answer queries on.
-        use_hub_labels: build a pruned 2-hop labelling up front (equivalent to
-            ``backend="hub_labels"``).
-        precompute: legacy accelerator spelling — ``None`` (cache + Dijkstra
-            only), ``"hub_labels"`` or ``"apsp"``; superseded by ``backend``.
-        backend: distance backend name — ``"apsp"``, ``"ch"``,
-            ``"hub_labels"``, ``"dijkstra"`` or ``"auto"`` (pick by network
-            size / ``query_volume_hint``). All backends are value-exact; they
-            differ only in build cost and query speed.
-        cache_size: capacity of the distance LRU cache.
-        path_cache_size: capacity of the path LRU cache.
-        landmark_index: optional :class:`LandmarkIndex` to sharpen lower bounds.
-        query_volume_hint: expected number of exact queries, consulted by the
-            ``"auto"`` policy (tiny workloads skip preprocessing entirely).
+        backend: distance backend name — one of
+            :data:`~repro.network.backends.BACKEND_NAMES` or ``"auto"`` (pick
+            by network size). All backends are value-exact; they differ only
+            in build cost and query speed.
         artifact_dir: optional root of a content-addressed
             :class:`~repro.artifacts.ArtifactStore`. Precomputable backends
             are then served from disk when a cached build for this exact
             network exists (bit-identical to a fresh build) and persisted
-            after a fresh build otherwise. With the store attached, the
-            ``"auto"`` policy also prefers ``hub_labels`` over ``ch`` when a
-            cached labelling already exists — its higher build cost is sunk,
-            leaving only its faster queries.
+            after a fresh build otherwise.
     """
 
     def __init__(
         self,
         network: RoadNetwork,
-        use_hub_labels: bool = False,
-        precompute: str | None = None,
-        cache_size: int = 200_000,
-        path_cache_size: int = 20_000,
-        landmark_index: LandmarkIndex | None = None,
-        backend: str | None = None,
-        query_volume_hint: int | None = None,
+        backend: str = "dijkstra",
         artifact_dir: str | Path | None = None,
     ) -> None:
         self.network = network
-        self._distance_cache: LRUCache[tuple[Vertex, Vertex], float] = LRUCache(cache_size)
-        self._path_cache: LRUCache[tuple[Vertex, Vertex], tuple[Vertex, ...]] = LRUCache(
-            path_cache_size
+        self._distance_cache: LRUCache[tuple[Vertex, Vertex], float] = LRUCache(
+            DISTANCE_CACHE_SIZE
         )
-        if precompute is None and use_hub_labels:
-            precompute = "hub_labels"
-        if precompute not in (None, "hub_labels", "apsp"):
-            raise ValueError(f"unknown precompute mode {precompute!r}")
-        if backend is None:
-            backend = precompute if precompute is not None else "dijkstra"
-        elif precompute is not None and precompute != backend:
-            raise ValueError(
-                f"conflicting accelerators: precompute={precompute!r} vs backend={backend!r}"
-            )
+        self._path_cache: LRUCache[tuple[Vertex, Vertex], tuple[Vertex, ...]] = LRUCache(
+            PATH_CACHE_SIZE
+        )
         self.artifact_store: ArtifactStore | None = (
             ArtifactStore(artifact_dir) if artifact_dir is not None else None
         )
@@ -214,15 +192,7 @@ class DistanceOracle:
             network_content_hash(network) if self.artifact_store is not None else None
         )
         if backend == "auto":
-            backend = select_backend_name(network.csr.num_vertices, query_volume_hint)
-            if (
-                backend == "ch"
-                and self.artifact_store is not None
-                and self.artifact_store.has(self.content_hash, "hub_labels")
-            ):
-                # the expensive labelling is already on disk: loading it costs
-                # about as much as loading the CH but queries are faster
-                backend = "hub_labels"
+            backend = select_backend_name(network.csr.num_vertices)
         # snapshot used to index the precomputed backends (their row/position
         # order is frozen at build time); geometric queries read the live
         # network.csr and max_speed instead, so Euclidean lower bounds track
@@ -242,9 +212,6 @@ class DistanceOracle:
             self.artifact_loaded = False
         self.counters.backend = self._backend.name
         self.counters.cache_bypassed = not self._backend.uses_distance_cache
-        self._landmarks = landmark_index
-        if landmark_index is not None:
-            landmark_index.ensure_arrays(self._csr.position, self._csr.num_vertices)
 
     # ----------------------------------------------------------------- exact
 
@@ -346,8 +313,7 @@ class DistanceOracle:
         Uses the Euclidean distance divided by the maximum network speed —
         never larger than the true shortest travel time because no edge is
         shorter than the straight line between its endpoints nor faster than
-        the maximum speed. If a landmark index is attached, the tighter of the
-        two admissible bounds is returned.
+        the maximum speed.
 
         Lower-bound queries are counted separately and deliberately **not** as
         exact distance queries (Section 5.1 stresses that the decision phase
@@ -361,10 +327,7 @@ class DistanceOracle:
         self.counters.lower_bound_queries += 1
         if u == v:
             return 0.0
-        bound = self._euclidean_seconds(u, v)
-        if self._landmarks is not None:
-            bound = max(bound, self._landmarks.lower_bound(u, v))
-        return bound
+        return self._euclidean_seconds(u, v)
 
     def _euclidean_seconds(self, u: Vertex, v: Vertex) -> float:
         """Euclidean travel-time bound, elementwise-identical to the batch API.
@@ -388,8 +351,8 @@ class DistanceOracle:
         Returns ``(to_origin, to_destination)`` float64 arrays holding, for
         every vertex in ``vertices``, exactly the value
         ``lower_bound(vertex, origin)`` / ``lower_bound(vertex, destination)``
-        — one vectorized pass over the CSR coordinate arrays (plus one over
-        the landmark matrix when attached) instead of ``2 n`` scalar calls.
+        — one vectorized pass over the CSR coordinate arrays instead of
+        ``2 n`` scalar calls.
         The counter advances by ``2 n``, matching the scalar loop.
         """
         csr = self.network.csr
@@ -399,11 +362,10 @@ class DistanceOracle:
         if n == 0:
             empty = np.empty(0, dtype=np.float64)
             return empty, empty
-        xs, ys = csr.xs, csr.ys
-        px, py = xs[positions], ys[positions]
+        px, py = csr.xs[positions], csr.ys[positions]
         return (
-            self._bounds_to_endpoint(csr, positions, px, py, origin),
-            self._bounds_to_endpoint(csr, positions, px, py, destination),
+            self._bounds_to_endpoint(csr, px, py, origin),
+            self._bounds_to_endpoint(csr, px, py, destination),
         )
 
     def euclidean_lower_bounds_to(
@@ -416,25 +378,15 @@ class DistanceOracle:
         if positions.size == 0:
             return np.empty(0, dtype=np.float64)
         px, py = csr.xs[positions], csr.ys[positions]
-        return self._bounds_to_endpoint(csr, positions, px, py, target)
+        return self._bounds_to_endpoint(csr, px, py, target)
 
     def _bounds_to_endpoint(
-        self, csr, positions: np.ndarray, px: np.ndarray, py: np.ndarray, endpoint: Vertex
+        self, csr, px: np.ndarray, py: np.ndarray, endpoint: Vertex
     ) -> np.ndarray:
         endpoint_position = csr.position_of(endpoint)
         dx = px - csr.xs[endpoint_position]
         dy = py - csr.ys[endpoint_position]
-        bounds = np.sqrt(dx * dx + dy * dy) / self.network.max_speed
-        if self._landmarks is not None:
-            self._landmarks.ensure_arrays(csr.position, csr.num_vertices)
-            bounds = np.maximum(
-                bounds, self._landmarks.lower_bounds_many(positions, endpoint_position)
-            )
-        return bounds
-
-    def euclidean_metres(self, u: Vertex, v: Vertex) -> float:
-        """Straight-line distance in metres (not counted as an exact query)."""
-        return self.network.euclidean(u, v)
+        return np.sqrt(dx * dx + dy * dy) / self.network.max_speed
 
     # ------------------------------------------------------------- management
 
@@ -447,35 +399,6 @@ class DistanceOracle:
     def backend_name(self) -> str:
         """Name of the attached distance backend."""
         return self._backend.name
-
-    @property
-    def has_hub_labels(self) -> bool:
-        """Whether a hub-label index is attached."""
-        return isinstance(self._backend, HubLabelBackend)
-
-    @property
-    def hub_labels(self) -> HubLabels | None:
-        """The attached hub-label index, if any."""
-        if isinstance(self._backend, HubLabelBackend):
-            return self._backend.labels
-        return None
-
-    @property
-    def has_apsp(self) -> bool:
-        """Whether the dense all-pairs table is attached."""
-        return isinstance(self._backend, APSPBackend)
-
-    @property
-    def _apsp(self) -> np.ndarray | None:
-        """The dense all-pairs matrix, if the APSP backend is attached."""
-        if isinstance(self._backend, APSPBackend):
-            return self._backend.matrix
-        return None
-
-    @property
-    def has_contraction_hierarchy(self) -> bool:
-        """Whether a contraction hierarchy is attached."""
-        return isinstance(self._backend, CHBackend)
 
     def cache_statistics(self) -> dict[str, float | str]:
         """Hit rates and sizes of the distance/path caches.
@@ -529,7 +452,7 @@ class DistanceOracle:
           bit-identical to a fresh build and typically milliseconds. A delta
           the repair does not cover (vertex set changed, a batch that both
           removes and adds edges, a zero-cost edge) takes the full build.
-        * ``ch`` / ``hub_labels`` — full rebuild against the new topology.
+        * ``ch`` — full rebuild against the new topology.
         * ``dijkstra`` — nothing precomputed; only the caches are dropped.
 
         With an artifact store attached, the content hash is recomputed and
@@ -539,9 +462,7 @@ class DistanceOracle:
 
         The CSR snapshot is re-taken and both LRU caches are dropped. Query
         counters keep accumulating across the refresh — a mid-run closure
-        should not zero the run's reported query counts. A landmark index,
-        whose precomputed distances are no longer admissible bounds on the
-        new topology, is detached.
+        should not zero the run's reported query counts.
         """
         network = self.network
         self._csr = network.csr  # lazy property: rebuilds for the new topology
@@ -562,7 +483,6 @@ class DistanceOracle:
         else:
             self._backend = rebuild()
             self.artifact_loaded = False
-        self._landmarks = None
         self._distance_cache.clear()
         self._path_cache.clear()
         self.counters.backend = self._backend.name

@@ -1,14 +1,15 @@
 """Exact shortest-path algorithms on :class:`~repro.network.graph.RoadNetwork`.
 
-The paper assumes an O(1) shortest-distance oracle backed by hub labelling [9].
-This module provides the exact reference algorithms the oracle builds upon:
+The paper assumes an O(1) shortest-distance oracle (Section 4.2; see
+:mod:`repro.network.oracle`). This module provides the exact reference
+algorithms the oracle builds upon:
 
 * :func:`dijkstra` — single-source shortest distances (optionally bounded),
 * :func:`bidirectional_dijkstra` — point-to-point distance and path,
 * :func:`shortest_path` — point-to-point vertex sequence,
 * :func:`single_source_distances` — convenience wrapper returning a dict,
 * :func:`single_source_distances_array` — the array-native variant used by the
-  APSP/landmark builders.
+  APSP builder.
 
 All algorithms run on the network's CSR adjacency
 (:attr:`~repro.network.graph.RoadNetwork.csr`): flat ``indptr``/``indices``/

@@ -312,25 +312,16 @@ class PlatformSpecBuilder:
         return self
 
     def oracle(
-        self,
-        precompute: str | None = None,
-        use_hub_labels: bool | None = None,
-        backend: str | None = None,
-        artifact_dir: str | None = None,
+        self, backend: str | None = None, artifact_dir: str | None = None
     ) -> "PlatformSpecBuilder":
-        """Configure the distance-oracle acceleration.
+        """Configure the distance oracle.
 
         ``backend`` selects a distance backend by name (``"auto"``,
-        ``"apsp"``, ``"ch"``, ``"hub_labels"``, ``"dijkstra"``) and wins over
-        the legacy ``precompute``/``use_hub_labels`` spellings.
-        ``artifact_dir`` attaches the content-addressed preprocessing store
-        (:mod:`repro.artifacts`), so precomputed backends load from disk
-        when a build for the exact network is cached.
+        ``"apsp"``, ``"ch"``, ``"dijkstra"``). ``artifact_dir`` attaches the
+        content-addressed preprocessing store (:mod:`repro.artifacts`), so
+        precomputed backends load from disk when a build for the exact
+        network is cached.
         """
-        if precompute is not None:
-            self._scenario["oracle_precompute"] = precompute
-        if use_hub_labels is not None:
-            self._scenario["use_hub_labels"] = use_hub_labels
         if backend is not None:
             self._scenario["oracle_backend"] = backend
         if artifact_dir is not None:

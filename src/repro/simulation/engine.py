@@ -309,7 +309,7 @@ class EventEngine:
            (:meth:`~repro.network.oracle.DistanceOracle.refresh_topology`):
            an APSP table is repaired in place (only the cells the closed or
            reopened streets can change; milliseconds), a contraction
-           hierarchy or hub labelling is rebuilt in full, the Dijkstra
+           hierarchy is rebuilt in full, the Dijkstra
            backend only drops its caches;
         3. every non-idle route is rebuilt from its surviving stops
            (:meth:`~repro.simulation.fleet.FleetState.replan_busy`) — fresh

@@ -52,7 +52,7 @@ one fancy index per array, and :meth:`FleetState.states_of` /
   route carries the leg costs its ``arr`` was summed from (``Route.legs``),
   so a partial move re-times it with the one query ``dis(position, l_1)``
   instead of ``refresh``'s ``n`` — bit-identically on backends whose answer
-  to a pair is a fixed float (apsp, ch, hub_labels); the Dijkstra backend's
+  to a pair is a fixed float (apsp, ch); the Dijkstra backend's
   cached floats depend on query history, so there a re-query could differ in
   the last place. Every re-planning —
   including :meth:`FleetState.replan_busy` after a live network update —

@@ -19,11 +19,13 @@ GeoJSON/CSV file through :mod:`repro.ingest` at build time.
 
 from __future__ import annotations
 
+import difflib
 from dataclasses import dataclass, replace
 
 from repro.core.instance import InstanceDynamics, URPSMInstance
 from repro.core.objective import ObjectiveConfig, PenaltyPolicy
 from repro.exceptions import ConfigurationError
+from repro.network.backends import BACKEND_NAMES
 from repro.network.generators import grid_city, random_geometric_city, ring_radial_city
 from repro.network.graph import RoadNetwork
 from repro.network.oracle import DistanceOracle
@@ -54,13 +56,16 @@ CITY_BUILDERS = {
 """Named cities available to scenarios.
 
 ``metro-grid`` (~3.6k vertices) sits past the dense-APSP comfort zone on
-purpose: it is the workload where the hierarchical oracle backends earn
-their keep (the ``"auto"`` policy picks the contraction hierarchy there).
+purpose: it is the workload where the contraction hierarchy earns its keep
+(the ``"auto"`` policy picks it there).
 ``riverton`` is the bundled real-map extract — ingested, not generated, so
 its seed argument is ignored (the network is a fixed artifact of the file).
 """
 
 FILE_CITY_PREFIX = "file:"
+
+#: every accepted ``ScenarioConfig.oracle_backend`` value.
+ORACLE_BACKEND_CHOICES = ("auto",) + BACKEND_NAMES
 
 
 def _riverton_city() -> RoadNetwork:
@@ -90,14 +95,9 @@ class ScenarioConfig:
             derives the city from ``seed``. Sweeps that replicate a scenario
             under many workload seeds pin ``city_seed`` so every replicate
             shares one road network (and the runner's network/oracle cache).
-        use_hub_labels: force hub labels as the oracle accelerator.
-        oracle_precompute: legacy oracle acceleration spelling — ``"auto"``,
-            ``"apsp"``, ``"hub_labels"`` or ``"none"``; superseded by
-            ``oracle_backend`` when that is set.
         oracle_backend: distance backend — ``"auto"`` (dense all-pairs table
             for networks up to a couple thousand vertices, a contraction
-            hierarchy beyond, flat hub labels for very large graphs),
-            ``"apsp"``, ``"ch"``, ``"hub_labels"`` or ``"dijkstra"``. Every
+            hierarchy beyond), ``"apsp"``, ``"ch"`` or ``"dijkstra"``. Every
             backend is value-exact; the choice only trades build cost
             against query speed.
         cancellation_rate: probability that a rider cancels their request
@@ -123,20 +123,27 @@ class ScenarioConfig:
     horizon_hours: float = 4.0
     seed: int = 2018
     city_seed: int | None = None
-    use_hub_labels: bool = False
-    oracle_precompute: str = "auto"
-    oracle_backend: str | None = None
+    oracle_backend: str = "auto"
     cancellation_rate: float = 0.0
     shift_hours: float = 0.0
     oracle_artifact_dir: str | None = None
 
     def __post_init__(self) -> None:
-        """Reject out-of-range dynamics knobs at construction.
+        """Reject out-of-range knobs and unknown backends at construction.
 
-        A rate of 1.3 or a negative shift used to surface as an opaque
-        failure deep inside the run (or worse, silently clamp); fail fast
-        with the field name instead.
+        A rate of 1.3, a negative shift or a misspelt backend used to surface
+        as an opaque failure deep inside the run (or worse, silently clamp);
+        fail fast with the field name instead.
         """
+        if self.oracle_backend not in ORACLE_BACKEND_CHOICES:
+            close = difflib.get_close_matches(
+                str(self.oracle_backend), ORACLE_BACKEND_CHOICES, n=1, cutoff=0.4
+            )
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            raise ConfigurationError(
+                f"unknown oracle_backend {self.oracle_backend!r}; "
+                f"available: {list(ORACLE_BACKEND_CHOICES)}{hint}"
+            )
         if not 0.0 <= self.cancellation_rate <= 1.0:
             raise ConfigurationError(
                 f"cancellation_rate must be within [0, 1], got {self.cancellation_rate}"
@@ -202,25 +209,17 @@ def build_network(config: ScenarioConfig) -> RoadNetwork:
 
 
 def make_oracle(network: RoadNetwork, config: ScenarioConfig) -> DistanceOracle:
-    """Build the distance oracle for ``config``, choosing the backend.
+    """Build the distance oracle for ``config`` on its ``oracle_backend``.
 
-    ``oracle_backend`` wins when set; otherwise the legacy
-    ``use_hub_labels``/``oracle_precompute`` spelling is honoured.
     ``"auto"`` defers to :func:`repro.network.backends.select_backend_name`
     — a dense all-pairs table for networks up to a couple thousand vertices
     (the regime of the synthetic cities), a contraction hierarchy for
-    city-scale graphs, flat hub labels beyond; the paper similarly assumes
-    an effectively O(1) shortest-distance oracle (hub labelling + LRU
-    cache). Every backend is value-exact, so the choice never changes
-    simulation outcomes.
+    city-scale graphs. Every backend is value-exact, so the choice never
+    changes simulation outcomes.
     """
-    if config.oracle_backend is not None:
-        mode = config.oracle_backend
-    else:
-        mode = "hub_labels" if config.use_hub_labels else config.oracle_precompute
-    if mode == "none":
-        mode = "dijkstra"
-    return DistanceOracle(network, backend=mode, artifact_dir=config.oracle_artifact_dir)
+    return DistanceOracle(
+        network, backend=config.oracle_backend, artifact_dir=config.oracle_artifact_dir
+    )
 
 
 def build_instance(

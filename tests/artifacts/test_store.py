@@ -1,5 +1,11 @@
-"""Tests of content hashing and the preprocessing artifact store."""
+"""Tests of content hashing and the preprocessing artifact store.
 
+A warm-loaded backend must never buy a behaviour change: it answers a query
+battery (:class:`TestBitwiseEquality`) and replays a full workload
+(:class:`TestWarmReplay`) exactly as the fresh build it was saved from.
+"""
+
+import dataclasses
 import json
 
 import numpy as np
@@ -7,12 +13,16 @@ import pytest
 
 from repro.artifacts import ArtifactStore, network_content_hash
 from repro.artifacts.store import FORMAT_VERSION, PERSISTABLE_BACKENDS
+from repro.cli import main
+from repro.dispatch import DispatcherConfig
+from repro.dispatch.greedy_dp import PruneGreedyDP
 from repro.exceptions import ArtifactError
-from repro.network.backends import make_backend
 from repro.network.generators import grid_city, random_geometric_city
 from repro.network.graph import RoadNetwork
 from repro.network.oracle import DistanceOracle
+from repro.service import MatchingService
 from repro.utils.geometry import Point
+from repro.workloads.scenarios import ScenarioConfig, build_instance, build_network
 
 
 @pytest.fixture(scope="module")
@@ -200,32 +210,109 @@ class TestOracleIntegration:
         assert not oracle.artifact_loaded
 
     def test_auto_keeps_apsp_on_small_cities(self, city, store):
-        # "auto" picks apsp here; a cached hub-label artifact must not
-        # displace it (only the ch pick upgrades — apsp queries are O(1))
-        hub = DistanceOracle(city, backend="hub_labels", artifact_dir=store.root)
-        assert not hub.artifact_loaded
+        # a cached ch artifact does not displace the size policy's pick
+        DistanceOracle(city, backend="ch", artifact_dir=store.root)
         auto = DistanceOracle(city, backend="auto", artifact_dir=store.root)
         assert auto.backend.name == "apsp"
 
-    def test_auto_upgrades_ch_to_cached_hub_labels(self, city, store, monkeypatch):
-        # when "auto" would pick ch but hub labels are already on disk, the
-        # store-aware policy loads them instead: the expensive labelling cost
-        # is sunk and queries are faster. (The policy keys on the *selection*,
-        # so force it rather than building a >2000-vertex city in a test.)
-        DistanceOracle(city, backend="hub_labels", artifact_dir=store.root)
-        monkeypatch.setattr(
-            "repro.network.oracle.select_backend_name", lambda n, hint=None: "ch"
-        )
-        auto = DistanceOracle(city, backend="auto", artifact_dir=store.root)
-        assert auto.backend.name == "hub_labels"
-        assert auto.artifact_loaded
-        # without the cached labels the forced selection stands
-        plain = DistanceOracle(city, backend="auto")
-        assert plain.backend.name == "ch"
 
-    def test_make_backend_uses_store(self, city, store):
-        host = DistanceOracle(city, backend="dijkstra")
-        built = make_backend("ch", city, host, store=store)
-        assert store.has(network_content_hash(city), "ch")
-        served = make_backend("ch", city, host, store=store)
-        assert served.hierarchy.num_shortcuts == built.hierarchy.num_shortcuts
+def write_entry_with_hub_labels(city, store):
+    """An entry as stores that also persisted hub labels wrote it: the apsp
+    and ch artifacts, a ``hub_labels.npz`` beside them and a manifest that
+    lists all three."""
+    content_hash = network_content_hash(city)
+    for name in ("apsp", "ch"):
+        store.save_backend(city, DistanceOracle(city, backend=name).backend, content_hash)
+    entry = store.entry_dir(content_hash)
+    n = city.num_vertices
+    with open(entry / "hub_labels.npz", "wb") as handle:
+        np.savez_compressed(
+            handle,
+            indptr=np.arange(n + 1, dtype=np.int64),
+            hubs=np.arange(n, dtype=np.int64),
+            dists=np.zeros(n, dtype=np.float64),
+            order=np.arange(n, dtype=np.int64),
+        )
+    manifest_file = store.manifest_path(content_hash)
+    manifest = json.loads(manifest_file.read_text())
+    manifest["backends"]["hub_labels"] = {"file": "hub_labels.npz", "build_seconds": 1.5}
+    manifest_file.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return content_hash
+
+
+class TestStoresWithHubLabels:
+    """Entries written while the store also persisted hub labels keep
+    serving their apsp and ch artifacts; the leftover file is never read."""
+
+    @pytest.mark.parametrize("name", PERSISTABLE_BACKENDS)
+    def test_loads_warm_and_bit_identical(self, city, store, name):
+        write_entry_with_hub_labels(city, store)
+        warm = DistanceOracle(city, backend=name, artifact_dir=store.root)
+        assert warm.artifact_loaded
+        fresh = DistanceOracle(city, backend=name)
+        vertices = sorted(city.vertices())
+        assert np.array_equal(
+            fresh.distances_many(vertices[0], vertices), warm.distances_many(vertices[0], vertices)
+        )
+
+    def test_entry_is_listed(self, city, store, capsys):
+        content_hash = write_entry_with_hub_labels(city, store)
+        (entry,) = store.entries()
+        assert entry["content_hash"] == content_hash
+        assert set(entry["backends"]) == {"apsp", "ch", "hub_labels"}
+        assert main(["preprocess", "--artifact-dir", str(store.root), "--list"]) == 0
+        listing = capsys.readouterr().out
+        assert content_hash[:12] in listing
+        assert "    ch: built in" in listing
+
+    def test_hub_labels_rejected_as_without_a_store(self, city, store):
+        write_entry_with_hub_labels(city, store)
+        with pytest.raises(ValueError) as without_store:
+            DistanceOracle(city, backend="hub_labels")
+        with pytest.raises(ValueError) as with_store:
+            DistanceOracle(city, backend="hub_labels", artifact_dir=store.root)
+        assert str(with_store.value) == str(without_store.value)
+        assert "unknown distance backend" in str(with_store.value)
+
+    def test_saving_keeps_the_leftover_record(self, city, store):
+        content_hash = write_entry_with_hub_labels(city, store)
+        store.save_backend(city, DistanceOracle(city, backend="ch").backend, content_hash)
+        manifest = json.loads(store.manifest_path(content_hash).read_text())
+        assert set(manifest["backends"]) == {"apsp", "ch", "hub_labels"}
+
+
+@pytest.fixture(scope="module")
+def riverton_workload():
+    config = ScenarioConfig(city="riverton", num_workers=40, num_requests=120, seed=2018)
+    network = build_network(config)
+    # one workload, generated without preprocessing, replayed under every oracle
+    canonical = build_instance(config, network=network, oracle=DistanceOracle(network))
+    return config, canonical
+
+
+def replay_outcome(config, canonical, oracle):
+    instance = dataclasses.replace(canonical, oracle=oracle)
+    dispatcher = PruneGreedyDP(DispatcherConfig(grid_cell_metres=config.grid_km * 1000.0))
+    result = MatchingService(instance, dispatcher).replay()
+    return (
+        result.served_requests,
+        result.unified_cost,
+        result.mean_wait_seconds,
+        result.mean_detour_ratio,
+    )
+
+
+class TestWarmReplay:
+    """A full pruneGreedyDP replay on the riverton real map is identical
+    under the fresh build and under the backend loaded from the store."""
+
+    @pytest.mark.parametrize("name", PERSISTABLE_BACKENDS)
+    def test_fresh_and_warm_replays_agree(self, riverton_workload, store, name):
+        config, canonical = riverton_workload
+        fresh = DistanceOracle(canonical.network, backend=name)
+        store.save_backend(canonical.network, fresh.backend)
+        warm = DistanceOracle(canonical.network, backend=name, artifact_dir=store.root)
+        assert warm.artifact_loaded
+        outcome = replay_outcome(config, canonical, fresh)
+        assert outcome[0] > 0
+        assert replay_outcome(config, canonical, warm) == outcome

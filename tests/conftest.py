@@ -37,7 +37,7 @@ def line_network() -> RoadNetwork:
 @pytest.fixture(scope="session")
 def line_oracle(line_network: RoadNetwork) -> DistanceOracle:
     """APSP-backed oracle over :func:`line_network`."""
-    return DistanceOracle(line_network, precompute="apsp")
+    return DistanceOracle(line_network, backend="apsp")
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +49,7 @@ def city_network() -> RoadNetwork:
 @pytest.fixture(scope="session")
 def city_oracle(city_network: RoadNetwork) -> DistanceOracle:
     """APSP-backed oracle over :func:`city_network`."""
-    return DistanceOracle(city_network, precompute="apsp")
+    return DistanceOracle(city_network, backend="apsp")
 
 
 @pytest.fixture()

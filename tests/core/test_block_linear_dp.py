@@ -309,7 +309,7 @@ class TestHandBuiltCases:
         picked up on the way for free (``Dio = 0`` after ``j = 0``) and dropped
         after 6 for 20 s — through the full leg. The detour found at ``j = 0``
         must be forgotten at ``j = 1``, leaving only the append at the end."""
-        oracle = DistanceOracle(build_line_network(num_vertices=12), precompute="apsp")
+        oracle = DistanceOracle(build_line_network(num_vertices=12), backend="apsp")
         route = empty_route(make_worker(location=0, capacity=1))
         route.refresh(oracle)
         first = make_request(1, origin=3, destination=6, deadline=70.0)
@@ -325,7 +325,7 @@ class TestHandBuiltCases:
     def test_first_of_equal_pickup_detours_keeps_the_pickup(self):
         """On a line every on-the-way pickup costs detour 0: ``Plc`` must stay
         at the first such position (strict ``<``), as in the scalar walk."""
-        oracle = DistanceOracle(build_line_network(num_vertices=12), precompute="apsp")
+        oracle = DistanceOracle(build_line_network(num_vertices=12), backend="apsp")
         route = empty_route(make_worker(location=0, capacity=4))
         route.refresh(oracle)
         for request_id, (origin, destination) in enumerate([(2, 4), (5, 7)]):

@@ -28,7 +28,7 @@ from repro.network.oracle import DistanceOracle
 # Module-level network/oracle shared by all examples (hypothesis-friendly: no
 # function-scoped fixtures).
 _NETWORK = grid_city(rows=7, columns=7, block_metres=200.0, removed_block_fraction=0.04, seed=5)
-_ORACLE = DistanceOracle(_NETWORK, precompute="apsp")
+_ORACLE = DistanceOracle(_NETWORK, backend="apsp")
 _VERTICES = sorted(_NETWORK.vertices())
 
 _BASIC = BasicInsertion()

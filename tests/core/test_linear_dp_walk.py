@@ -196,7 +196,7 @@ class TestWalkEqualsLazyWalk:
         2 -> 6. A new rider 1 -> 4 rides along for free — picked up before the
         first stop, dropped after it, where the load leaves exactly one seat:
         ``picked[j] == free capacity`` must count as fitting."""
-        oracle = DistanceOracle(build_line_network(num_vertices=12), precompute="apsp")
+        oracle = DistanceOracle(build_line_network(num_vertices=12), backend="apsp")
         route = route_with_requests(
             make_worker(location=0, capacity=2), oracle,
             [make_request(1, origin=2, destination=6, deadline=500.0)],

@@ -19,7 +19,7 @@ class TestExampleNetwork:
 
     def test_distances_are_hand_checkable(self):
         network = example_network()
-        oracle = DistanceOracle(network, precompute="apsp")
+        oracle = DistanceOracle(network, backend="apsp")
         # v7 -> v1 is one 10 m vertical edge at 1 m/s
         assert oracle.distance(7, 1) == pytest.approx(10.0)
         # v2 -> v4 is one vertical edge

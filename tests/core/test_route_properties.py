@@ -25,7 +25,7 @@ from repro.network.generators import grid_city
 from repro.network.oracle import DistanceOracle
 
 _NETWORK = grid_city(rows=6, columns=6, block_metres=180.0, removed_block_fraction=0.0, seed=23)
-_ORACLE = DistanceOracle(_NETWORK, precompute="apsp")
+_ORACLE = DistanceOracle(_NETWORK, backend="apsp")
 _VERTICES = sorted(_NETWORK.vertices())
 _OPERATOR = LinearDPInsertion()
 

@@ -3,7 +3,7 @@
 Riverton is the repo's stand-in for a real OSM extract: WGS84 LineStrings
 with ``highway`` classes, mixed ``maxspeed`` spellings, sub-metre endpoint
 noise and disconnected stubs. These tests pin the properties the rest of
-the suite (and the cold-start benchmark) relies on.
+the suite (and the warm-replay tests of the artifact store) relies on.
 """
 
 import pytest

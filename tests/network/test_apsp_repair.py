@@ -21,7 +21,6 @@ from repro.network.apsp_repair import diff_csr
 from repro.network.backends import APSPBackend
 from repro.network.generators import grid_city
 from repro.network.graph import RoadNetwork, induced_subnetwork
-from repro.network.landmarks import build_landmark_index
 from repro.network.oracle import DistanceOracle
 from repro.utils.geometry import Point
 from repro.workloads.scenarios import CITY_BUILDERS
@@ -195,8 +194,7 @@ class TestOracleAfterRepair:
                          removed_block_fraction=0.0, seed=1)
 
     def test_handles_point_at_the_new_snapshot(self, network):
-        landmarks = build_landmark_index(network, count=2)
-        oracle = DistanceOracle(network, backend="apsp", landmark_index=landmarks)
+        oracle = DistanceOracle(network, backend="apsp")
         backend = oracle.backend
         vertices = sorted(network.vertices())
         u, v = vertices[0], vertices[1]
@@ -210,7 +208,6 @@ class TestOracleAfterRepair:
         assert oracle._csr is network.csr
         assert backend._csr is network.csr
         assert backend.vertex_index is network.csr.position
-        assert oracle._landmarks is None
         assert len(oracle._path_cache) == 0 and len(oracle._distance_cache) == 0
         # the path search reads the new adjacency: no hop over the closed
         # street, and the repaired table prices the detour it takes

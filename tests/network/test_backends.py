@@ -1,11 +1,10 @@
 """Equivalence and policy tests of the pluggable distance backends.
 
-The contraction hierarchy and the array-native hub labels must answer exactly
-what ``dijkstra_reference`` (the seed's dict-based search) answers — across
-random generator cities and seeds, including disconnected pairs (``inf``) and
-``u == v`` — and the array hub labels must agree **bit for bit** with the
-dict reference labelling they were frozen from. The auto-selection policy
-must pick the expected backend per city size / query volume.
+The contraction hierarchy must answer exactly what ``dijkstra_reference``
+(the seed's dict-based search) answers — across random generator cities and
+seeds, including disconnected pairs (``inf``) and ``u == v``. The
+auto-selection policy must pick the expected backend per city size / query
+volume.
 """
 
 import math
@@ -17,14 +16,13 @@ import pytest
 from repro.exceptions import DisconnectedError
 from repro.network.backends import (
     APSP_VERTEX_LIMIT,
-    CH_VERTEX_LIMIT,
+    BACKEND_NAMES,
     APSPBackend,
     select_backend_name,
 )
 from repro.network.ch import build_contraction_hierarchy
 from repro.network.generators import grid_city, random_geometric_city, ring_radial_city
 from repro.network.graph import RoadNetwork
-from repro.network.hub_labeling import build_hub_labels, build_hub_labels_reference
 from repro.network.oracle import DistanceOracle
 from repro.network.shortest_path import (
     dijkstra_reference,
@@ -32,7 +30,7 @@ from repro.network.shortest_path import (
 )
 from repro.utils.geometry import Point
 
-#: float tolerance for cross-algorithm equality: CH/hub sums associate edge
+#: float tolerance for cross-algorithm equality: CH sums associate edge
 #: costs differently than a straight Dijkstra relaxation, so results may
 #: differ in the last couple of ulps (empirically max rel ~2e-16) — but no
 #: more. Within one backend, scalar and batched answers are exactly equal.
@@ -47,10 +45,6 @@ _CITIES = [
     ),
     pytest.param(lambda: ring_radial_city(rings=4, radials=10, seed=5), id="ring"),
 ]
-
-
-def _sample_pairs(vertices):
-    return [(u, v) for u in vertices[::5] for v in vertices[::7]]
 
 
 @pytest.mark.parametrize("build_city", _CITIES)
@@ -70,45 +64,18 @@ class TestBackendEquivalence:
                 else:
                     assert got == pytest.approx(expected, rel=_REL)
 
-    def test_hub_labels_equal_dijkstra_reference(self, build_city):
-        network = build_city()
-        vertices = sorted(network.vertices())
-        labels = build_hub_labels(network)
-        for u in vertices[::5]:
-            truth = dijkstra_reference(network, u)
-            for v in vertices[::7]:
-                expected = truth.get(v, math.inf)
-                got = labels.query(u, v)
-                if math.isinf(expected):
-                    assert math.isinf(got)
-                else:
-                    assert got == pytest.approx(expected, rel=_REL)
-
-    def test_array_labels_bitwise_equal_dict_reference(self, build_city):
-        # frozen from the same pruned labelling, the arrays must reproduce
-        # the dict queries exactly — same sums, same minimum, same bits
-        network = build_city()
-        vertices = sorted(network.vertices())
-        order = None
-        reference = build_hub_labels_reference(network, order=order)
-        arrays = build_hub_labels(network, order=order)
-        for u, v in _sample_pairs(vertices):
-            assert arrays.query(u, v) == reference.query(u, v)
-
     def test_identity_is_zero(self, build_city):
         network = build_city()
         vertices = sorted(network.vertices())
         hierarchy = build_contraction_hierarchy(network)
-        labels = build_hub_labels(network)
         position = network.csr.position
         for u in vertices[::9]:
             assert hierarchy.query_positions(position[u], position[u]) == 0.0
-            assert labels.query(u, u) == 0.0
 
     def test_batched_queries_bitwise_equal_scalar(self, build_city):
         network = build_city()
         vertices = sorted(network.vertices())
-        for backend in ("ch", "hub_labels"):
+        for backend in ("apsp", "ch"):
             oracle = DistanceOracle(network, backend=backend)
             source = vertices[0]
             targets = vertices[::3]
@@ -136,11 +103,6 @@ class TestDisconnectedPairs:
         assert hierarchy.query_positions(position[0], position[2]) == pytest.approx(
             dijkstra_reference(split_network, 0)[2], rel=_REL
         )
-
-    def test_hub_labels_report_infinity(self, split_network):
-        labels = build_hub_labels(split_network)
-        assert math.isinf(labels.query(0, 4))
-        assert math.isinf(labels.query(3, 2))
 
     def test_ch_batch_reports_infinity(self, split_network):
         oracle = DistanceOracle(split_network, backend="ch")
@@ -193,21 +155,16 @@ class TestAutoSelectionPolicy:
 
     def test_city_scale_gets_contraction_hierarchy(self):
         assert select_backend_name(APSP_VERTEX_LIMIT + 1) == "ch"
-        assert select_backend_name(CH_VERTEX_LIMIT) == "ch"
-
-    def test_continental_scale_gets_hub_labels(self):
-        assert select_backend_name(CH_VERTEX_LIMIT + 1) == "hub_labels"
+        assert select_backend_name(100_000) == "ch"
 
     def test_tiny_query_volume_skips_preprocessing(self):
         assert select_backend_name(100_000, query_volume_hint=10) == "dijkstra"
-        assert select_backend_name(100_000, query_volume_hint=1_000_000) == "hub_labels"
+        assert select_backend_name(100_000, query_volume_hint=1_000_000) == "ch"
 
     def test_oracle_auto_backend_resolves_by_size(self):
         network = grid_city(rows=6, columns=6, block_metres=200.0, seed=1)
         oracle = DistanceOracle(network, backend="auto")
         assert oracle.backend_name == "apsp"
-        sparse = DistanceOracle(network, backend="auto", query_volume_hint=0)
-        assert sparse.backend_name == "dijkstra"
 
     def test_scenario_auto_policy_per_city(self):
         from repro.workloads.scenarios import CITY_BUILDERS, ScenarioConfig, make_oracle
@@ -219,13 +176,14 @@ class TestAutoSelectionPolicy:
 
     def test_explicit_backend_selection(self):
         network = grid_city(rows=5, columns=5, block_metres=200.0, seed=2)
-        for name in ("apsp", "ch", "hub_labels", "dijkstra"):
+        for name in BACKEND_NAMES:
             assert DistanceOracle(network, backend=name).backend_name == name
 
     def test_unknown_backend_rejected(self):
         network = grid_city(rows=4, columns=4, block_metres=200.0, seed=2)
-        with pytest.raises(ValueError, match="backend"):
-            DistanceOracle(network, backend="bogus")
+        for name in ("bogus", "hub_labels"):
+            with pytest.raises(ValueError, match="unknown distance backend"):
+                DistanceOracle(network, backend=name)
 
 
 class TestPerBackendCounters:
@@ -242,7 +200,7 @@ class TestPerBackendCounters:
     def test_bypassed_cache_reported_honestly(self):
         network = grid_city(rows=5, columns=5, block_metres=200.0, seed=4)
         vertices = sorted(network.vertices())
-        for name in ("apsp", "ch", "hub_labels"):
+        for name in ("apsp", "ch"):
             oracle = DistanceOracle(network, backend=name)
             oracle.distance(vertices[0], vertices[-1])
             assert oracle.cache_statistics()["distance_cache_hit_rate"] == f"bypassed ({name})"
@@ -310,23 +268,6 @@ class TestDijkstraBatchCache:
         assert oracle.counters.dijkstra_runs == 2
         assert to_origin.tolist() == [oracle.distance(s, vertices[1]) for s in stops]
         assert to_destination.tolist() == [oracle.distance(s, vertices[-2]) for s in stops]
-
-
-class TestHubLabelQueryMany:
-    def test_query_many_bitwise_equal_scalar(self):
-        network = random_geometric_city(num_vertices=70, seed=11)
-        vertices = sorted(network.vertices())
-        labels = build_hub_labels(network)
-        positions = network.csr.positions_of(vertices)
-        source = vertices[3]
-        batched = labels.query_many(source, positions)
-        assert batched.tolist() == [labels.query(source, v) for v in vertices]
-
-    def test_query_many_empty_targets(self):
-        network = grid_city(rows=4, columns=4, block_metres=150.0, seed=1)
-        labels = build_hub_labels(network)
-        result = labels.query_many(sorted(network.vertices())[0], np.empty(0, dtype=np.int64))
-        assert result.size == 0
 
 
 class TestAPSPTableMapping:

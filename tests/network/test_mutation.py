@@ -81,7 +81,7 @@ class TestCSRInvalidation:
 
 
 class TestOracleRefresh:
-    @pytest.mark.parametrize("backend", ["dijkstra", "apsp", "ch", "hub_labels"])
+    @pytest.mark.parametrize("backend", ["dijkstra", "apsp", "ch"])
     def test_distances_exact_after_close_and_reopen(self, network, backend):
         oracle = DistanceOracle(network, backend=backend)
         edge = _some_edge(network)

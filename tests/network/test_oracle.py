@@ -3,7 +3,6 @@
 import pytest
 
 from repro.network.generators import grid_city
-from repro.network.landmarks import build_landmark_index
 from repro.network.oracle import DistanceOracle
 from repro.network.shortest_path import shortest_distance
 
@@ -15,11 +14,10 @@ def network():
 
 @pytest.fixture(
     scope="module",
-    params=[None, "hub_labels", "apsp"],
-    ids=["dijkstra", "hub-labels", "apsp"],
+    params=["dijkstra", "ch", "apsp"],
 )
 def oracle(request, network):
-    return DistanceOracle(network, precompute=request.param)
+    return DistanceOracle(network, backend=request.param)
 
 
 class TestExactQueries:
@@ -55,14 +53,6 @@ class TestLowerBounds:
     def test_lower_bound_zero_for_same_vertex(self, oracle):
         assert oracle.lower_bound(3, 3) == 0.0
 
-    def test_landmark_index_tightens_bound(self, network):
-        plain = DistanceOracle(network)
-        with_landmarks = DistanceOracle(network, landmark_index=build_landmark_index(network, count=4))
-        vertices = sorted(network.vertices())
-        u, v = vertices[0], vertices[-1]
-        assert with_landmarks.lower_bound(u, v) >= plain.lower_bound(u, v) - 1e-9
-        assert with_landmarks.lower_bound(u, v) <= with_landmarks.distance(u, v) + 1e-9
-
 
 class TestCountersAndCaches:
     def test_counters_increment(self, network):
@@ -88,12 +78,3 @@ class TestCountersAndCaches:
         stats = oracle.cache_statistics()
         assert stats["distance_cache_size"] >= 1
         assert 0.0 <= stats["distance_cache_hit_rate"] <= 1.0
-
-    def test_invalid_precompute_mode_rejected(self, network):
-        with pytest.raises(ValueError, match="precompute"):
-            DistanceOracle(network, precompute="bogus")
-
-    def test_use_hub_labels_flag_builds_labels(self, network):
-        oracle = DistanceOracle(network, use_hub_labels=True)
-        assert oracle.has_hub_labels
-        assert oracle.hub_labels is not None

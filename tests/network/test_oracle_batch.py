@@ -9,7 +9,6 @@ the symmetric path cache — answer a reversed query from one cached entry.
 import pytest
 
 from repro.network.generators import grid_city
-from repro.network.landmarks import build_landmark_index
 from repro.network.oracle import DistanceOracle
 
 
@@ -20,11 +19,10 @@ def network():
 
 @pytest.fixture(
     scope="module",
-    params=[None, "hub_labels", "apsp"],
-    ids=["dijkstra", "hub-labels", "apsp"],
+    params=["dijkstra", "ch", "apsp"],
 )
 def oracle(request, network):
-    return DistanceOracle(network, precompute=request.param)
+    return DistanceOracle(network, backend=request.param)
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +54,8 @@ class TestBatchedDistances:
         ]
 
     def test_counters_match_scalar_loop(self, network, vertices):
-        batched_oracle = DistanceOracle(network, precompute="apsp")
-        scalar_oracle = DistanceOracle(network, precompute="apsp")
+        batched_oracle = DistanceOracle(network, backend="apsp")
+        scalar_oracle = DistanceOracle(network, backend="apsp")
         source, targets = vertices[0], vertices[:7]
         batched_oracle.distances_many(source, targets)
         for target in targets:
@@ -74,10 +72,9 @@ class TestBatchedDistances:
 
 
 class TestBatchedLowerBounds:
-    @pytest.fixture(scope="class", params=[False, True], ids=["plain", "landmarks"])
-    def bound_oracle(self, request, network):
-        index = build_landmark_index(network, count=4) if request.param else None
-        return DistanceOracle(network, landmark_index=index)
+    @pytest.fixture(scope="class")
+    def bound_oracle(self, network):
+        return DistanceOracle(network)
 
     def test_euclidean_lower_bounds_equal_scalar(self, bound_oracle, vertices):
         stops = vertices[::2]

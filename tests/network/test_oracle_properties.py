@@ -2,9 +2,9 @@
 
 The insertion machinery relies on three metric facts: symmetry, the triangle
 inequality (route legs never undercut shortest paths) and admissibility of the
-Euclidean lower bound. These hold for every accelerator (Dijkstra, hub labels,
-dense APSP) because they all answer exactly; the properties are checked on the
-APSP oracle and cross-checked against the plain Dijkstra oracle.
+Euclidean lower bound. These hold for every backend (Dijkstra, contraction
+hierarchy, dense APSP) because they all answer exactly; the properties are
+checked on the APSP oracle and cross-checked against the plain Dijkstra oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.network.oracle import DistanceOracle
 
 _NETWORK = random_geometric_city(num_vertices=90, seed=31)
 _VERTICES = sorted(_NETWORK.vertices())
-_APSP = DistanceOracle(_NETWORK, precompute="apsp")
+_APSP = DistanceOracle(_NETWORK, backend="apsp")
 _PLAIN = DistanceOracle(_NETWORK)
 
 vertex_indices = st.integers(min_value=0, max_value=len(_VERTICES) - 1)

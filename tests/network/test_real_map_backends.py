@@ -2,19 +2,20 @@
 
 The unit suites cover the backends on toy generator cities whose edge costs
 happen to be exactly representable. These tests run the same properties on
-the two networks the cold-start benchmark uses — the 3.6k-vertex synthetic
-``metro-grid`` and the ingested real-map ``riverton`` fixture, whose
-projected edge costs have full floating-point mantissas:
+two city-scale networks — the 3.6k-vertex synthetic ``metro-grid`` (where
+the ``"auto"`` policy picks the contraction hierarchy) and the ingested
+real-map ``riverton`` fixture, whose projected edge costs have full
+floating-point mantissas:
 
-* hub labels (and CH) agree with the Dijkstra reference within relative
-  tolerance — on real-map costs different summation orders legitimately
-  differ in the last couple of ulps, so cross-*algorithm* checks are
-  tolerance-based;
+* the contraction hierarchy agrees with the Dijkstra reference within
+  relative tolerance — on real-map costs different summation orders
+  legitimately differ in the last couple of ulps, so cross-*algorithm*
+  checks are tolerance-based;
 * loading a backend from the artifact store is **bitwise** identical to the
   fresh build it was saved from — same algorithm, same arrays, so exact
   equality is required, per backend;
 * structural properties (symmetry, identity, admissible Euclidean lower
-  bounds) hold on the real map.
+  bounds, the triangle inequality) hold on the real map.
 """
 
 import numpy as np
@@ -41,10 +42,10 @@ def riverton():
 
 
 @pytest.fixture(scope="module")
-def hub_oracles(metro, riverton):
+def ch_oracles(metro, riverton):
     return {
-        "metro-grid": DistanceOracle(metro, backend="hub_labels"),
-        "riverton": DistanceOracle(riverton, backend="hub_labels"),
+        "metro-grid": DistanceOracle(metro, backend="ch"),
+        "riverton": DistanceOracle(riverton, backend="ch"),
     }
 
 
@@ -58,34 +59,34 @@ def sample_pairs(network, count, seed=2018):
     ]
 
 
-class TestHubLabelProperties:
+class TestCHProperties:
     @pytest.mark.parametrize("city", ["metro-grid", "riverton"])
-    def test_matches_dijkstra_reference(self, hub_oracles, metro, riverton, city):
+    def test_matches_dijkstra_reference(self, ch_oracles, metro, riverton, city):
         network = metro if city == "metro-grid" else riverton
-        oracle = hub_oracles[city]
+        oracle = ch_oracles[city]
         for u, v in sample_pairs(network, 40):
             expected = dijkstra_reference(network, u, [v])[v]
             assert oracle.distance(u, v) == pytest.approx(expected, rel=_REL)
 
     @pytest.mark.parametrize("city", ["metro-grid", "riverton"])
-    def test_symmetric_and_zero_on_identity(self, hub_oracles, metro, riverton, city):
+    def test_symmetric_and_zero_on_identity(self, ch_oracles, metro, riverton, city):
         network = metro if city == "metro-grid" else riverton
-        backend = hub_oracles[city].backend
+        backend = ch_oracles[city].backend
         for u, v in sample_pairs(network, 60):
-            # the label query min-plus sum is commutative in its endpoints,
-            # so symmetry holds exactly, not approximately
+            # both endpoints search the same upward graph and the query takes
+            # the minimum of the same meeting sums, so symmetry holds exactly
             assert backend.distance(u, v) == backend.distance(v, u)
             assert backend.distance(u, u) == 0.0
 
-    def test_riverton_lower_bound_admissible(self, hub_oracles, riverton):
-        oracle = hub_oracles["riverton"]
+    def test_riverton_lower_bound_admissible(self, ch_oracles, riverton):
+        oracle = ch_oracles["riverton"]
         max_speed = max(edge.speed for edge in riverton.edges())
         for u, v in sample_pairs(riverton, 60):
             seconds = oracle.distance(u, v)
             assert seconds * max_speed >= riverton.euclidean(u, v) - 1e-6
 
-    def test_riverton_triangle_inequality(self, hub_oracles, riverton):
-        backend = hub_oracles["riverton"].backend
+    def test_riverton_triangle_inequality(self, ch_oracles, riverton):
+        backend = ch_oracles["riverton"].backend
         rng = np.random.default_rng(7)
         vertices = sorted(riverton.vertices())
         for _ in range(40):
@@ -96,7 +97,7 @@ class TestHubLabelProperties:
 
 
 def persistable_backends(network):
-    names = ["ch", "hub_labels"]
+    names = ["ch"]
     if network.num_vertices <= APSP_VERTEX_LIMIT:
         names.insert(0, "apsp")
     return names
@@ -106,14 +107,14 @@ class TestArtifactRoundTripBitwise:
     """Fresh build vs load-from-artifact: exact equality, per backend."""
 
     @pytest.mark.parametrize("city", ["metro-grid", "riverton"])
-    def test_loaded_equals_fresh(self, tmp_path, metro, riverton, city, hub_oracles):
+    def test_loaded_equals_fresh(self, tmp_path, metro, riverton, city, ch_oracles):
         network = metro if city == "metro-grid" else riverton
         store = ArtifactStore(tmp_path / "store")
         pairs = sample_pairs(network, 120)
         us, vs = [u for u, _ in pairs], [v for _, v in pairs]
         for name in persistable_backends(network):
-            if name == "hub_labels":  # reuse the module-scoped build (slowest)
-                fresh = hub_oracles[city]
+            if name == "ch":  # reuse the module-scoped build
+                fresh = ch_oracles[city]
             else:
                 fresh = DistanceOracle(network, backend=name)
             store.save_backend(network, fresh.backend)
@@ -128,14 +129,9 @@ class TestArtifactRoundTripBitwise:
     def assert_state_bitwise_equal(fresh, warm, name):
         if name == "apsp":
             assert np.array_equal(fresh.matrix, warm.matrix)
-        elif name == "ch":
+        else:
             assert fresh.hierarchy.rank == warm.hierarchy.rank
             assert fresh.hierarchy.up_indptr == warm.hierarchy.up_indptr
             assert fresh.hierarchy.up_indices == warm.hierarchy.up_indices
             assert fresh.hierarchy.up_costs == warm.hierarchy.up_costs
             assert fresh.hierarchy.num_shortcuts == warm.hierarchy.num_shortcuts
-        else:
-            assert np.array_equal(fresh.labels.indptr, warm.labels.indptr)
-            assert np.array_equal(fresh.labels.hubs, warm.labels.hubs)
-            assert np.array_equal(fresh.labels.dists, warm.labels.dists)
-            assert fresh.labels.order == warm.labels.order

@@ -103,7 +103,7 @@ def dijkstra_replay():
     return MatchingService(build_instance(scenario), _dispatcher("pruneGreedyDP")).replay()
 
 
-@pytest.mark.parametrize("backend", ["dijkstra", "apsp", "ch", "hub_labels"])
+@pytest.mark.parametrize("backend", ["dijkstra", "apsp", "ch"])
 def test_service_replay_matches_direct_drive_under_every_backend(backend, dijkstra_replay):
     """The oracle backend must never change what the service replays: each
     backend's replay equals its own direct drive, and its served count,

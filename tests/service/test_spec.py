@@ -15,14 +15,14 @@ class TestBuilder:
         spec = (PlatformSpec.builder()
                 .city("nyc-like", seed=7, city_seed=11)
                 .workload(num_workers=25, num_requests=120, deadline_minutes=15.0)
-                .oracle(precompute="apsp")
+                .oracle(backend="apsp")
                 .dispatcher("batch", batch_interval=12.0)
                 .sharding(num_shards=4, strategy="kd", escalate_k=3)
                 .build())
         assert spec.scenario.city == "nyc-like"
         assert spec.scenario.seed == 7 and spec.scenario.city_seed == 11
         assert spec.scenario.num_workers == 25
-        assert spec.scenario.oracle_precompute == "apsp"
+        assert spec.scenario.oracle_backend == "apsp"
         assert spec.dispatcher.algorithm == "batch"
         assert spec.dispatcher.batch_interval == 12.0
         assert spec.dispatcher.num_shards == 4
@@ -156,6 +156,39 @@ class TestRetiredEngineKey:
             PlatformSpec.from_file(path)
 
 
+class TestOracleBackendNames:
+    """Backend names are checked against one list when the spec is built,
+    with a typed error naming the field, not deep inside the run."""
+
+    @pytest.mark.parametrize("name", ["bogus", "hub_labels", "none"])
+    def test_unknown_scenario_backend_fails_at_validate(self, name):
+        with pytest.raises(ConfigurationError, match=f"unknown oracle_backend '{name}'"):
+            PlatformSpec.from_dict(
+                {"scenario": {"city": "small-grid", "oracle_backend": name}}
+            ).validate()
+
+    def test_unknown_scenario_backend_gets_a_hint(self):
+        with pytest.raises(ConfigurationError, match="did you mean 'dijkstra'"):
+            PlatformSpec.builder().city("small-grid").oracle(backend="dijkstr").build()
+
+    @pytest.mark.parametrize("name", ["bogus", "hub_labels"])
+    def test_unknown_shard_backend_fails_at_validate(self, name):
+        with pytest.raises(ConfigurationError, match="unknown shard oracle backend"):
+            PlatformSpec.from_dict(
+                {"dispatcher": {"num_shards": 2, "shard_oracle_backend": name}}
+            ).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("oracle_precompute", "apsp"),
+        ("use_hub_labels", True),
+    ])
+    def test_retired_oracle_keys_fail_typed(self, key, value):
+        with pytest.raises(
+            ConfigurationError, match=rf"unknown scenario field\(s\): '{key}'"
+        ):
+            PlatformSpec.from_dict({"scenario": {"city": "small-grid", key: value}})
+
+
 class TestDispatcherSpecRoundTrip:
     def test_dispatcher_spec_dict_round_trip(self):
         spec = DispatcherSpec.parse("sharded:kinetic", num_shards=3, kinetic_node_budget=99)
@@ -192,6 +225,6 @@ class TestFileCitiesAndArtifacts:
     def test_artifact_dir_survives_dict_round_trip(self):
         spec = (PlatformSpec.builder()
                 .city("small-grid")
-                .oracle(backend="hub_labels", artifact_dir="store")
+                .oracle(backend="dijkstra", artifact_dir="store")
                 .build())
         assert PlatformSpec.from_dict(spec.to_dict()) == spec

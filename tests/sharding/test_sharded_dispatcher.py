@@ -225,7 +225,7 @@ class TestEscalation:
         """All workers in the south-west corner; requests from the north-east."""
         network = grid_city(rows=8, columns=8, block_metres=300.0, seed=5,
                             removed_block_fraction=0.0)
-        oracle = DistanceOracle(network, precompute="apsp")
+        oracle = DistanceOracle(network, backend="apsp")
         csr = network.csr
         order = np.lexsort((csr.ys, csr.xs))
         south_west = [int(csr.vertex_ids[i]) for i in order[:4]]

@@ -244,7 +244,7 @@ def _busy_service(dispatcher=None):
     from repro.network.oracle import DistanceOracle
 
     network = build_line_network(num_vertices=12)
-    oracle = DistanceOracle(network, precompute="apsp")
+    oracle = DistanceOracle(network, backend="apsp")
     workers = [make_worker(0, 0), make_worker(1, 11), make_worker(5, 6)]
     requests = [
         make_request(0, origin=3, destination=8, release=0.0, deadline=5000.0, penalty=1e6),

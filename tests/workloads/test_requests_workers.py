@@ -20,7 +20,7 @@ def network():
 
 @pytest.fixture(scope="module")
 def oracle(network):
-    return DistanceOracle(network, precompute="apsp")
+    return DistanceOracle(network, backend="apsp")
 
 
 @pytest.fixture(scope="module")

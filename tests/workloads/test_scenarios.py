@@ -86,21 +86,17 @@ class TestOracleSelection:
     def test_auto_uses_apsp_for_small_networks(self):
         config = ScenarioConfig(city="small-grid", seed=1)
         network = build_network(config)
-        oracle = make_oracle(network, config)
-        assert oracle._apsp is not None
+        assert make_oracle(network, config).backend_name == "apsp"
 
-    def test_explicit_hub_labels(self):
-        config = ScenarioConfig(city="small-grid", seed=1, use_hub_labels=True)
+    def test_explicit_backend(self):
+        config = ScenarioConfig(city="small-grid", seed=1, oracle_backend="ch")
         network = build_network(config)
-        oracle = make_oracle(network, config)
-        assert oracle.has_hub_labels
+        assert make_oracle(network, config).backend_name == "ch"
 
-    def test_none_mode_builds_plain_oracle(self):
-        config = ScenarioConfig(city="small-grid", seed=1, oracle_precompute="none")
+    def test_dijkstra_builds_plain_oracle(self):
+        config = ScenarioConfig(city="small-grid", seed=1, oracle_backend="dijkstra")
         network = build_network(config)
-        oracle = make_oracle(network, config)
-        assert not oracle.has_hub_labels
-        assert oracle._apsp is None
+        assert make_oracle(network, config).backend_name == "dijkstra"
 
 
 class TestDatasetStatistics:
