@@ -18,6 +18,7 @@ from repro.network.backends import (
     APSP_VERTEX_LIMIT,
     BACKEND_NAMES,
     APSPBackend,
+    CHBackend,
     select_backend_name,
 )
 from repro.network.ch import build_contraction_hierarchy
@@ -64,6 +65,33 @@ class TestBackendEquivalence:
                 else:
                     assert got == pytest.approx(expected, rel=_REL)
 
+    def test_apsp_equals_dijkstra_reference(self, build_city):
+        network = build_city()
+        vertices = sorted(network.vertices())
+        backend = APSPBackend(network)
+        for u in vertices[::5]:
+            truth = dijkstra_reference(network, u)
+            for v in vertices[::7]:
+                expected = truth.get(v, math.inf)
+                got = backend.distance(u, v)
+                if math.isinf(expected):
+                    assert math.isinf(got)
+                else:
+                    assert got == pytest.approx(expected, rel=_REL)
+
+    def test_precomputed_backends_are_symmetric(self, build_city):
+        # the hierarchy meets both upward searches in the same sums either
+        # way round, so it is exactly symmetric; the APSP rows are separate
+        # Dijkstras and may differ from their transpose in the last ulps
+        network = build_city()
+        vertices = sorted(network.vertices())
+        hierarchy = CHBackend(network)
+        table = APSPBackend(network)
+        for u in vertices[::6]:
+            for v in vertices[::11]:
+                assert hierarchy.distance(u, v) == hierarchy.distance(v, u)
+                assert table.distance(u, v) == pytest.approx(table.distance(v, u), rel=_REL)
+
     def test_identity_is_zero(self, build_city):
         network = build_city()
         vertices = sorted(network.vertices())
@@ -103,6 +131,20 @@ class TestDisconnectedPairs:
         assert hierarchy.query_positions(position[0], position[2]) == pytest.approx(
             dijkstra_reference(split_network, 0)[2], rel=_REL
         )
+
+    def test_apsp_reports_infinity(self, split_network):
+        backend = APSPBackend(split_network)
+        assert math.isinf(backend.distance(0, 4))
+        assert math.isinf(backend.distance(3, 2))
+        assert backend.distance(3, 4) == pytest.approx(
+            dijkstra_reference(split_network, 3)[4], rel=_REL
+        )
+
+    def test_apsp_batch_reports_infinity(self, split_network):
+        oracle = DistanceOracle(split_network, backend="apsp")
+        distances = oracle.distances_many(0, [1, 3, 4])
+        assert math.isfinite(distances[0])
+        assert math.isinf(distances[1]) and math.isinf(distances[2])
 
     def test_ch_batch_reports_infinity(self, split_network):
         oracle = DistanceOracle(split_network, backend="ch")
@@ -160,6 +202,11 @@ class TestAutoSelectionPolicy:
     def test_tiny_query_volume_skips_preprocessing(self):
         assert select_backend_name(100_000, query_volume_hint=10) == "dijkstra"
         assert select_backend_name(100_000, query_volume_hint=1_000_000) == "ch"
+
+    def test_policy_answers_only_from_the_roster(self):
+        for num_vertices in (1, 50, APSP_VERTEX_LIMIT, APSP_VERTEX_LIMIT + 1, 10_000_000):
+            for hint in (None, 0, 10, 1_000_000):
+                assert select_backend_name(num_vertices, query_volume_hint=hint) in BACKEND_NAMES
 
     def test_oracle_auto_backend_resolves_by_size(self):
         network = grid_city(rows=6, columns=6, block_metres=200.0, seed=1)

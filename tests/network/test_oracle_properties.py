@@ -4,7 +4,8 @@ The insertion machinery relies on three metric facts: symmetry, the triangle
 inequality (route legs never undercut shortest paths) and admissibility of the
 Euclidean lower bound. These hold for every backend (Dijkstra, contraction
 hierarchy, dense APSP) because they all answer exactly; the properties are
-checked on the APSP oracle and cross-checked against the plain Dijkstra oracle.
+checked on the APSP oracle and cross-checked against the plain Dijkstra oracle
+and the contraction hierarchy.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.network.oracle import DistanceOracle
 _NETWORK = random_geometric_city(num_vertices=90, seed=31)
 _VERTICES = sorted(_NETWORK.vertices())
 _APSP = DistanceOracle(_NETWORK, backend="apsp")
+_CH = DistanceOracle(_NETWORK, backend="ch")
 _PLAIN = DistanceOracle(_NETWORK)
 
 vertex_indices = st.integers(min_value=0, max_value=len(_VERTICES) - 1)
@@ -50,6 +52,18 @@ class TestOracleProperties:
     def test_accelerators_agree_with_dijkstra(self, i, j):
         u, v = _VERTICES[i], _VERTICES[j]
         assert _APSP.distance(u, v) == pytest.approx(_PLAIN.distance(u, v), rel=1e-9, abs=1e-9)
+
+    @given(vertex_indices, vertex_indices)
+    @_SETTINGS
+    def test_contraction_hierarchy_agrees_with_apsp(self, i, j):
+        u, v = _VERTICES[i], _VERTICES[j]
+        assert _CH.distance(u, v) == pytest.approx(_APSP.distance(u, v), rel=1e-9, abs=1e-9)
+
+    @given(vertex_indices, vertex_indices)
+    @_SETTINGS
+    def test_contraction_hierarchy_symmetry(self, i, j):
+        u, v = _VERTICES[i], _VERTICES[j]
+        assert _CH.distance(u, v) == _CH.distance(v, u)
 
     @given(vertex_indices)
     @_SETTINGS
