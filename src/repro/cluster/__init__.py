@@ -21,8 +21,9 @@ processes behind a front door exposing the standard
 
 Cluster replays are metric-identical (served rate, unified cost, waits,
 detours) to the in-process :class:`~repro.sharding.dispatcher.
-ShardedDispatcher` at the same K — enforced by ``tests/cluster`` and by the
-equivalence gate of ``benchmarks/bench_throughput.py``. Worker death is
+ShardedDispatcher` at the same K — enforced by
+``tests/cluster/test_equivalence.py`` and by traced runs of the
+``cluster_k2`` workload of ``benchmarks/e2e/run.py``. Worker death is
 *transient*: a kill between batch windows leaves the replay bit-identical to
 the fault-free run (enforced by ``tests/cluster/test_recovery.py`` and
 ``benchmarks/bench_chaos.py``).

@@ -161,8 +161,8 @@ class ClusterDispatcher(Dispatcher):
 
     Args:
         config: shared dispatcher knobs (``num_shards``, ``shard_strategy``,
-            ``shard_escalate_k``, ``shard_oracle_backend`` parameterise the
-            sharding exactly as for the in-process sharded dispatcher).
+            ``shard_escalate_k`` parameterise the sharding exactly as for the
+            in-process sharded dispatcher).
         inner: registry name of the per-shard algorithm.
         num_shards / strategy / escalate_k: overrides of the config fields.
         seed: platform seed; per-worker-process streams are derived from it
@@ -340,7 +340,6 @@ class ClusterDispatcher(Dispatcher):
             for shard_id in range(self.num_shards):
                 init = ShardInit(
                     shard_id=shard_id,
-                    num_shards=self.num_shards,
                     inner=self.inner,
                     config=self.config,
                     partition=self.partition,
@@ -385,7 +384,6 @@ class ClusterDispatcher(Dispatcher):
         assert self.partition is not None
         return ShardInit(
             shard_id=shard_id,
-            num_shards=self.num_shards,
             inner=self.inner,
             config=self.config,
             partition=self.partition,
@@ -1351,21 +1349,13 @@ class ClusterDispatcher(Dispatcher):
         intentionally include that duplicated work — they describe what the
         cluster actually computed, not what a single process would have.
         """
-        totals = OracleCounters.merge([self.oracle.counters])
-        for handle in self._live():
-            reply = self._roundtrip(handle, StatsCommand())
-            if not isinstance(reply, StatsReply):
-                continue
-            counters = reply.counters
-            totals.distance_queries += int(counters.get("distance_queries", 0))
-            totals.path_queries += int(counters.get("path_queries", 0))
-            totals.lower_bound_queries += int(counters.get("lower_bound_queries", 0))
-            totals.dijkstra_runs += int(counters.get("dijkstra_runs", 0))
-            for name, value in counters.get("backend_queries", {}).items():
-                totals.backend_queries[name] = totals.backend_queries.get(name, 0) + value
-            for name, value in counters.get("backend_settled", {}).items():
-                totals.backend_settled[name] = totals.backend_settled.get(name, 0) + value
+        replies = [self._roundtrip(handle, StatsCommand()) for handle in self._live()]
         shared = self.oracle.counters
+        totals = OracleCounters.merge([shared] + [
+            reply.counters
+            for reply in replies
+            if isinstance(reply, StatsReply) and reply.counters is not None
+        ])
         totals.distance_cache = shared.distance_cache
         totals.path_cache = shared.path_cache
         totals.backend = shared.backend

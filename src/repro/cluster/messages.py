@@ -23,12 +23,13 @@ advancement along planned routes is path-independent in time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.instance import URPSMInstance
 from repro.core.types import Request, Stop, Worker
 from repro.dispatch.base import DispatcherConfig, DispatchOutcome
 from repro.network.graph import EdgeMutation
+from repro.network.oracle import OracleCounters
 from repro.sharding.partitioner import Partition
 
 
@@ -112,7 +113,6 @@ class ShardInit:
     """
 
     shard_id: int
-    num_shards: int
     inner: str
     config: DispatcherConfig
     partition: Partition
@@ -299,7 +299,9 @@ class UpdateReply:
 
 @dataclass(frozen=True, slots=True)
 class StatsReply:
-    counters: dict[str, object] = field(default_factory=dict)
+    """The replica oracle's counts, without its caches."""
+
+    counters: OracleCounters | None = None
     error: str | None = None
 
 

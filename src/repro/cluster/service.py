@@ -102,9 +102,9 @@ class ClusterMatchingService(MatchingService):
         """Build the whole cluster platform from one :class:`PlatformSpec`.
 
         The sharding layout of ``spec.dispatcher`` (``num_shards``,
-        ``shard_strategy``, ``shard_escalate_k``, ``shard_oracle_backend``)
-        doubles as the worker-process layout; ``spec.dispatcher.algorithm``
-        is the per-shard inner algorithm.
+        ``shard_strategy``, ``shard_escalate_k``) doubles as the
+        worker-process layout; ``spec.dispatcher.algorithm`` is the
+        per-shard inner algorithm.
         """
         spec.validate()
         instance = spec.build_instance(network=network, oracle=oracle)

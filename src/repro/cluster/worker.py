@@ -1,11 +1,10 @@
 """Shard worker process: a deterministic full-fleet replica + inner dispatcher.
 
 Each worker process owns one spatial shard. It holds its *own*
-:class:`~repro.simulation.fleet.FleetState` replica of the whole fleet, the
-shard's inner dispatcher over a
-:class:`~repro.sharding.fleet_view.ShardFleetView`, and (optionally) a
-shard-local distance oracle — the ``shard_oracle_backend`` machinery of the
-sharded dispatcher, built per process.
+:class:`~repro.simulation.fleet.FleetState` replica of the whole fleet and
+the shard's inner dispatcher over a
+:class:`~repro.sharding.fleet_view.ShardFleetView`; every query goes to the
+oracle of the replica's instance copy.
 
 Determinism contract
 --------------------
@@ -83,6 +82,7 @@ from repro.cluster.messages import (
     WorkerPlan,
 )
 from repro.core.route import Route
+from repro.network.oracle import OracleCounters
 from repro.simulation.fleet import FleetState, ServiceRecord, WorkerState
 from repro.utils.rng import make_rng
 
@@ -108,34 +108,6 @@ def plan_snapshot(state: WorkerState, walked_cost: float = 0.0) -> WorkerPlan:
         concrete_path=route.concrete_path,
         walked_cost=walked_cost,
     )
-
-
-def make_shard_oracle(instance, config, num_shards: int):
-    """Shard-local oracle per ``shard_oracle_backend`` (``None`` = shared).
-
-    Mirrors ``ShardedDispatcher._make_shard_oracle`` for a single shard: the
-    oracle answers over the full network, so every backend stays value-exact
-    with the shared one.
-
-    When the instance oracle carries a content-addressed artifact store, the
-    shard-local oracle shares its root: cold starts warm-load preprocessed
-    backends, and — crucially for live network updates — a worker-side
-    ``refresh_topology`` after the instance oracle already repaired or
-    rebuilt (and saved) the mutated topology warm-starts from the store
-    instead of redoing that work per shard.
-    """
-    mode = config.shard_oracle_backend
-    if mode == "shared":
-        return None
-    from repro.network.backends import select_backend_name
-    from repro.network.oracle import DistanceOracle
-
-    if mode == "auto":
-        hint = max(1, len(instance.requests) // max(1, num_shards))
-        mode = select_backend_name(instance.network.csr.num_vertices, query_volume_hint=hint)
-    store = getattr(instance.oracle, "artifact_store", None)
-    artifact_dir = store.root if store is not None else None
-    return DistanceOracle(instance.network, backend=mode, artifact_dir=artifact_dir)
 
 
 class ShardWorkerRuntime:
@@ -167,13 +139,12 @@ class ShardWorkerRuntime:
             for worker_id, shard in self.membership.items()
             if shard == init.shard_id
         }
-        self.shard_oracle = make_shard_oracle(self.instance, init.config, init.num_shards)
 
         from repro.dispatch import make_dispatcher  # lazy: registry import
 
         from repro.sharding.fleet_view import ShardFleetView
 
-        self.view = ShardFleetView(self.fleet, init.shard_id, members, oracle=self.shard_oracle)
+        self.view = ShardFleetView(self.fleet, init.shard_id, members)
         #: sorted route-table rows of the members; ``None`` after a membership
         #: move or a new table row (see :meth:`_member_rows`).
         self._rows: np.ndarray | None = None
@@ -365,10 +336,10 @@ class ShardWorkerRuntime:
            member advancement to the command clock — all on the *old*
            topology, matching the engine's fleet materialisation before the
            mutation;
-        2. the recorded mutations, then instance-oracle and shard-oracle
-           ``refresh_topology`` (the instance oracle of the *authoritative*
-           process refreshed first and saved the new-topology backend into
-           the shared artifact store, so replicas warm-start when one is
+        2. the recorded mutations, then the replica oracle's
+           ``refresh_topology`` (the oracle of the *authoritative* process
+           refreshed first and saved the new-topology backend into the
+           shared artifact store, so replicas warm-start when one is
            configured);
         3. only then the piggybacked plan snapshots: ``replace_route``
            re-times routes against the replica oracle, so the authoritative
@@ -394,8 +365,6 @@ class ShardWorkerRuntime:
         for mutation in update.mutations:
             mutation.apply(self.instance.network)
         self.instance.oracle.refresh_topology()
-        if self.shard_oracle is not None:
-            self.shard_oracle.refresh_topology()
         self._apply_plans(command.plans)
         self.inner.notify_network_changed()
         self._housekeeping()
@@ -406,30 +375,8 @@ class ShardWorkerRuntime:
         )
 
     def handle_stats(self, command: StatsCommand) -> StatsReply:
-        counters = self.instance.oracle.counters
-        merged = {
-            "distance_queries": counters.distance_queries,
-            "path_queries": counters.path_queries,
-            "lower_bound_queries": counters.lower_bound_queries,
-            "dijkstra_runs": counters.dijkstra_runs,
-            "backend_queries": dict(counters.backend_queries),
-            "backend_settled": dict(counters.backend_settled),
-        }
-        if self.shard_oracle is not None:
-            local = self.shard_oracle.counters
-            merged["distance_queries"] += local.distance_queries
-            merged["path_queries"] += local.path_queries
-            merged["lower_bound_queries"] += local.lower_bound_queries
-            merged["dijkstra_runs"] += local.dijkstra_runs
-            for name, value in local.backend_queries.items():
-                merged["backend_queries"][name] = (
-                    merged["backend_queries"].get(name, 0) + value
-                )
-            for name, value in local.backend_settled.items():
-                merged["backend_settled"][name] = (
-                    merged["backend_settled"].get(name, 0) + value
-                )
-        return StatsReply(counters=merged)
+        # merge() copies the counts without the attached caches
+        return StatsReply(counters=OracleCounters.merge([self.instance.oracle.counters]))
 
 
 def shard_worker_main(connection, init: ShardInit) -> None:
@@ -512,7 +459,6 @@ def shard_worker_from_payload(connection, payload: bytes) -> None:
 
 __all__ = [
     "ShardWorkerRuntime",
-    "make_shard_oracle",
     "plan_snapshot",
     "shard_worker_from_payload",
     "shard_worker_main",

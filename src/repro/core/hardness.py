@@ -17,7 +17,7 @@ proofs build adversarial input distributions on an undirected cycle graph:
 These constructions are exposed as instance generators plus a small empirical
 harness that estimates the expected cost ratio ``E[ALG] / E[OPT]`` of any
 dispatcher as a function of ``|V|`` — the ratio must grow without bound, which
-is exactly what ``benchmarks/bench_hardness_ratio.py`` demonstrates.
+is what ``tests/core/test_hardness.py`` checks.
 """
 
 from __future__ import annotations

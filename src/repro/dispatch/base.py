@@ -84,16 +84,6 @@ class DispatcherConfig:
             (see :data:`repro.sharding.partitioner.STRATEGIES`).
         shard_escalate_k: how many nearest neighbouring shards a request
             tries after its origin shard, before falling back globally.
-        shard_oracle_backend: distance backend of the per-shard oracles of
-            the sharded dispatcher — ``"shared"`` (default: every shard
-            queries the instance's global oracle, bit-exact with the
-            unsharded run), a backend name (``"apsp"``, ``"ch"``,
-            ``"dijkstra"``), or ``"auto"`` to pick a
-            locality-appropriate backend from the full network size (the
-            graph the index is built on) and each shard's expected query
-            share. Shards resolving to the same backend share one oracle
-            build; all backends stay value-exact (they answer over the full
-            network), so only counter attribution moves into the shards.
     """
 
     grid_cell_metres: float = 2000.0
@@ -103,7 +93,6 @@ class DispatcherConfig:
     num_shards: int = 1
     shard_strategy: str = "grid"
     shard_escalate_k: int = 2
-    shard_oracle_backend: str = "shared"
 
 
 class Dispatcher(abc.ABC):
@@ -146,15 +135,12 @@ class Dispatcher(abc.ABC):
         """Bind the dispatcher to a problem instance and a fleet.
 
         Subclasses overriding this must call ``super().setup(...)`` first.
-        The oracle is taken from the fleet (view) when it exposes one — a
-        shard fleet view may carry a shard-local oracle backend — and falls
-        back to the instance's shared oracle (for a plain
-        :class:`~repro.simulation.fleet.FleetState` the two are the same
-        object).
+        Every dispatcher — a shard's inner one included — queries the
+        instance's oracle.
         """
         self.instance = instance
         self.fleet = fleet
-        self.oracle = getattr(fleet, "oracle", None) or instance.oracle
+        self.oracle = instance.oracle
         self.grid = self._build_grid(instance)
         for state in fleet:
             self.grid.insert(state.worker.id, state.position)
@@ -175,10 +161,10 @@ class Dispatcher(abc.ABC):
         """Complete oracle-counter totals, or ``None`` when the instance's
         oracle already counted everything.
 
-        Dispatchers that route queries through additional oracles (the
-        sharded dispatcher's per-shard backends) override this so the
-        headline ``distance_queries``/``dijkstra_runs`` of the simulation
-        result include that work instead of silently dropping it.
+        The cluster dispatcher overrides this: its shard workers query
+        their own oracle replicas, and the headline
+        ``distance_queries``/``dijkstra_runs`` of the simulation result
+        include that work instead of silently dropping it.
         """
         return None
 
@@ -201,8 +187,8 @@ class Dispatcher(abc.ABC):
         against the new topology. The base implementation rebuilds the grid
         index (cell geometry and vertex bucketing can shift with the CSR
         layout) and re-inserts every worker at its current position; the
-        sharded dispatcher additionally refreshes its shard-local oracles and
-        forwards the notification to each inner dispatcher.
+        sharded dispatcher forwards the notification to each inner
+        dispatcher.
 
         The pending moved-set is deliberately left untouched: a later
         ``sync_grid`` re-updating a position that is already correct is

@@ -23,14 +23,9 @@ from __future__ import annotations
 import dataclasses
 import difflib
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING
 
 from repro.dispatch.base import Dispatcher, DispatcherConfig
 from repro.exceptions import ConfigurationError
-from repro.network.backends import BACKEND_NAMES
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 #: prefix historically selecting the sharded wrapper (``"sharded:<inner>"``).
 SHARDED_PREFIX = "sharded:"
@@ -109,10 +104,6 @@ class DispatcherSpec:
         shard_strategy: partitioning strategy (see
             :data:`repro.sharding.partitioner.STRATEGIES`).
         shard_escalate_k: neighbouring shards tried after the origin shard.
-        shard_oracle_backend: distance backend of the per-shard oracles —
-            ``"shared"`` (the global oracle, bit-exact with the unsharded
-            run), a backend name, or ``"auto"`` for a locality-appropriate
-            per-shard choice.
         grid_cell_metres: grid-index cell size; ``None`` derives it from the
             scenario (``grid_km * 1000``) when built through a platform spec,
             or falls back to the :class:`DispatcherConfig` default.
@@ -127,7 +118,6 @@ class DispatcherSpec:
     num_shards: int = 1
     shard_strategy: str = "grid"
     shard_escalate_k: int = 2
-    shard_oracle_backend: str = "shared"
     grid_cell_metres: float | None = None
     reject_unprofitable: bool = False
     batch_interval: float = 6.0
@@ -184,7 +174,6 @@ class DispatcherSpec:
             num_shards=config.num_shards,
             shard_strategy=config.shard_strategy,
             shard_escalate_k=config.shard_escalate_k,
-            shard_oracle_backend=config.shard_oracle_backend,
             grid_cell_metres=config.grid_cell_metres,
             reject_unprofitable=config.reject_unprofitable,
             batch_interval=config.batch_interval,
@@ -219,12 +208,6 @@ class DispatcherSpec:
                 raise ConfigurationError(
                     f"unknown shard strategy {self.shard_strategy!r}; "
                     f"available: {sorted(STRATEGIES)}"
-                )
-            valid_shard_oracles = ("shared", "auto") + BACKEND_NAMES
-            if self.shard_oracle_backend not in valid_shard_oracles:
-                raise ConfigurationError(
-                    f"unknown shard oracle backend {self.shard_oracle_backend!r}; "
-                    f"available: {list(valid_shard_oracles)}"
                 )
         if self.grid_cell_metres is not None and self.grid_cell_metres <= 0:
             raise ConfigurationError(
@@ -284,7 +267,6 @@ class DispatcherSpec:
             num_shards=self.num_shards,
             shard_strategy=self.shard_strategy,
             shard_escalate_k=self.shard_escalate_k,
-            shard_oracle_backend=self.shard_oracle_backend,
         )
 
     def build(

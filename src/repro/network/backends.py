@@ -2,9 +2,9 @@
 
 A :class:`DistanceBackend` answers exact point-to-point and batched
 many-to-many distance queries, the oracle owns counting/caching policy, and
-:func:`select_backend_name` picks a backend from the network size and the
-expected query volume. :data:`BACKEND_NAMES` is the one list of backends the
-configuration layer validates against.
+:func:`select_backend_name` picks a backend from the network size.
+:data:`BACKEND_NAMES` is the one list of backends the configuration layer
+validates against.
 
 Backends (all **value-exact**: the same floats, hence the same simulation
 outcomes — the property tests and the service-replay equivalence tests
@@ -64,27 +64,11 @@ BACKEND_NAMES = ("apsp", "ch", "dijkstra")
 #: largest vertex count for which the dense all-pairs matrix is the default.
 APSP_VERTEX_LIMIT = 2_000
 
-#: below ``num_vertices / QUERY_VOLUME_DIVISOR`` expected queries, building
-#: any index costs more than answering every query from scratch.
-QUERY_VOLUME_DIVISOR = 50
 
-
-def select_backend_name(
-    num_vertices: int, query_volume_hint: int | None = None
-) -> str:
-    """The backend the ``"auto"`` policy picks for a network.
-
-    Args:
-        num_vertices: vertex count of the (shard-local or global) network.
-        query_volume_hint: expected number of exact distance queries; when
-            the workload is too small to amortise any preprocessing, the
-            plain Dijkstra backend wins.
-    """
-    if (
-        query_volume_hint is not None
-        and query_volume_hint < max(1, num_vertices // QUERY_VOLUME_DIVISOR)
-    ):
-        return "dijkstra"
+def select_backend_name(num_vertices: int) -> str:
+    """The backend the ``"auto"`` policy picks for a network of
+    ``num_vertices`` vertices: the dense matrix up to
+    :data:`APSP_VERTEX_LIMIT`, the contraction hierarchy above it."""
     if num_vertices <= APSP_VERTEX_LIMIT:
         return "apsp"
     return "ch"

@@ -106,8 +106,8 @@ class OracleCounters:
         Used to aggregate the per-shard counters of the sharded dispatcher:
         every shard's query counts are *added* instead of the last shard
         overwriting shared report keys. Cache references are not carried
-        over — per-shard counters usually share one oracle, so attaching the
-        caches here would double-count their statistics.
+        over — per-shard counters share one oracle, so attaching the caches
+        here would double-count their statistics.
         """
         total = cls()
         for item in counters:

@@ -19,7 +19,9 @@ memory accounting) by composition:
   shard border (the dispatcher, not the views, maintains the per-shard grid
   indexes: leaving a shard removes the worker from that shard's grid).
 
-With ``num_shards=1`` the wrapper is exact: one shard covers the city, every
+Every shard queries the instance's oracle, so a shard sees exactly the
+distances (and the oracle state) an unsharded dispatcher would. With
+``num_shards=1`` the wrapper is exact: one shard covers the city, every
 request is local, and the inner dispatcher observes the same fleet, grid
 content and oracle state as it would unsharded — served rate, unified cost
 and oracle counters reproduce the unsharded run bit for bit.
@@ -64,10 +66,6 @@ class _Shard:
     view: ShardFleetView
     counters: OracleCounters = field(default_factory=OracleCounters)
     dispatch_calls: int = 0
-    #: shard-local oracle when ``shard_oracle_backend != "shared"`` (shared
-    #: across shards that resolved to the same backend); counter deltas are
-    #: taken against it instead of the instance's oracle.
-    oracle: "object | None" = None
 
 
 class ShardedDispatcher(Dispatcher):
@@ -110,9 +108,6 @@ class ShardedDispatcher(Dispatcher):
         self.partition: Partition | None = None
         self._shards: list[_Shard] = []
         self._membership: dict[int, int] = {}
-        #: shard-local oracles by resolved backend name (one build per
-        #: backend, shared by the shards that resolved to it)
-        self._shard_oracles: dict[str, "object"] = {}
         # escalation / routing counters (surfaced via extra_metrics)
         self.local_hits = 0
         self.escalations = 0
@@ -134,7 +129,6 @@ class ShardedDispatcher(Dispatcher):
         )
         memberships: list[set[int]] = [set() for _ in range(self.num_shards)]
         self._membership = {}
-        self._shard_oracles = {}
         for worker_id in fleet.states:
             shard_id = self.partition.shard_of_vertex(fleet.peek_state(worker_id).position)
             self._membership[worker_id] = shard_id
@@ -144,52 +138,16 @@ class ShardedDispatcher(Dispatcher):
         for shard_id in range(self.num_shards):
             inner = self._make_inner()
             inner.shared_vertex_cells = shared_vertex_cells
-            shard_oracle = self._make_shard_oracle(instance)
-            view = ShardFleetView(
-                fleet, shard_id, memberships[shard_id], oracle=shard_oracle
-            )
+            view = ShardFleetView(fleet, shard_id, memberships[shard_id])
             inner.setup(instance, view)
             if shared_vertex_cells is None:
                 shared_vertex_cells = inner.grid.vertex_cells
             if self._flush_scheduler is not None:
                 inner.bind_flush_scheduler(self._flush_scheduler)
-            shard = _Shard(shard_id, inner, inner.fleet)
-            shard.oracle = shard_oracle
-            self._shards.append(shard)
+            self._shards.append(_Shard(shard_id, inner, view))
         self.requires_exact_positions = self.num_shards > 1 or any(
             shard.dispatcher.requires_exact_positions for shard in self._shards
         )
-
-    def _make_shard_oracle(self, instance: "URPSMInstance"):
-        """A shard-local oracle, or ``None`` in the default shared mode.
-
-        A shard-local oracle answers over the **full** network (escalated
-        requests still need cross-shard distances, and full-network answers
-        keep every backend value-exact with the shared oracle), so the
-        ``"auto"`` size policy consults the full vertex count — the graph
-        the index is actually built on — while the shard's expected share of
-        the query volume supplies the locality signal (a shard expecting a
-        trickle of requests keeps the cheap Dijkstra fallback instead of
-        amortising a build it will never pay off). Shards resolving to the
-        same backend share one oracle — one build, not K — with per-shard
-        attribution handled by the counter deltas around each inner call.
-        """
-        mode = self.config.shard_oracle_backend
-        if mode == "shared":
-            return None
-        from repro.network.backends import select_backend_name  # lazy import cycle guard
-        from repro.network.oracle import DistanceOracle
-
-        if mode == "auto":
-            hint = max(1, len(instance.requests) // max(1, self.num_shards))
-            mode = select_backend_name(
-                instance.network.csr.num_vertices, query_volume_hint=hint
-            )
-        oracle = self._shard_oracles.get(mode)
-        if oracle is None:
-            oracle = DistanceOracle(instance.network, backend=mode)
-            self._shard_oracles[mode] = oracle
-        return oracle
 
     def _make_inner(self) -> Dispatcher:
         if callable(self.inner):
@@ -230,15 +188,13 @@ class ShardedDispatcher(Dispatcher):
         shard.dispatcher.grid.insert(worker_id, position)
 
     def notify_network_changed(self) -> None:
-        """Refresh shard-local oracles and every inner dispatcher's grid.
+        """Rebuild every inner dispatcher's grid.
 
         The spatial partition itself is coordinate-based and closures do not
         move vertices, so worker-to-shard membership stays valid; only the
-        distance machinery and the per-shard grid indexes need re-deriving.
-        The instance's shared oracle was already refreshed by the engine.
+        per-shard grid indexes need re-deriving. The instance's oracle, which
+        every shard queries, was already refreshed by the engine.
         """
-        for oracle in self._shard_oracles.values():
-            oracle.refresh_topology()
         for shard in self._shards:
             shard.dispatcher.notify_network_changed()
 
@@ -315,7 +271,7 @@ class ShardedDispatcher(Dispatcher):
     def _dispatch_to(self, shard_id: int, request: Request, now: float) -> DispatchOutcome | None:
         shard = self._shards[shard_id]
         shard.dispatch_calls += 1
-        with self._attribute_counters(shard):
+        with _CounterAttribution(self.oracle.counters, shard.counters):
             return shard.dispatcher.dispatch(request, now)
 
     # ------------------------------------------------------- batch protocol
@@ -348,7 +304,7 @@ class ShardedDispatcher(Dispatcher):
         for shard in self._shards:
             next_flush = shard.dispatcher.next_flush_time()
             if next_flush is not None and next_flush <= now + 1e-9:
-                with self._attribute_counters(shard):
+                with _CounterAttribution(self.oracle.counters, shard.counters):
                     outcomes.extend(shard.dispatcher.flush(now))
         for outcome in outcomes:
             if outcome.served:
@@ -386,16 +342,6 @@ class ShardedDispatcher(Dispatcher):
                 self.cross_shard_moves += 1
             self._shards[shard_id].dispatcher.grid.update(worker_id, position)
 
-    def _attribute_counters(self, shard: _Shard):
-        """Context manager attributing oracle-counter deltas to ``shard``.
-
-        The delta is taken against whichever oracle the shard's inner
-        dispatcher actually queries — the shared instance oracle, or the
-        shard-local one.
-        """
-        live = shard.oracle.counters if shard.oracle is not None else self.oracle.counters
-        return _CounterAttribution(live, shard.counters)
-
     # --------------------------------------------------------------- metrics
 
     def memory_estimate_bytes(self) -> int:
@@ -405,28 +351,6 @@ class ShardedDispatcher(Dispatcher):
     def shard_counter_totals(self) -> OracleCounters:
         """Fleet-wide oracle work done inside shard dispatchers (merged)."""
         return OracleCounters.merge(shard.counters for shard in self._shards)
-
-    def oracle_counter_totals(self) -> OracleCounters | None:
-        """Headline totals folding the shard-local oracles' work back in.
-
-        Without shard-local oracles every query already lands on the
-        instance's oracle and ``None`` keeps the default reporting path
-        (bit-exact with the unsharded run). With them, the decision-phase
-        queries live on the shard oracles, so the merged total keeps
-        ``SimulationResult.distance_queries`` honest; the shared oracle's
-        caches stay attached for the cache statistics.
-        """
-        if not self._shard_oracles:
-            return None
-        shared = self.oracle.counters
-        total = OracleCounters.merge(
-            [shared] + [oracle.counters for oracle in self._shard_oracles.values()]
-        )
-        total.distance_cache = shared.distance_cache
-        total.path_cache = shared.path_cache
-        total.backend = shared.backend
-        total.cache_bypassed = shared.cache_bypassed
-        return total
 
     def extra_metrics(self) -> dict[str, float]:
         """Routing counters + merged per-shard oracle totals for ``extra``."""
@@ -449,15 +373,12 @@ class ShardedDispatcher(Dispatcher):
             extra[f"sharding_shard{shard.shard_id}_distance_queries"] = float(
                 shard.counters.distance_queries
             )
-            if shard.oracle is not None:
-                extra[f"sharding_shard{shard.shard_id}_oracle_backend"] = (
-                    shard.oracle.backend_name
-                )
         return extra
 
 
 class _CounterAttribution:
-    """Records the delta of the live oracle counters into a shard's counters."""
+    """Context manager recording the delta of the instance oracle's counters
+    over one inner call into a shard's counters."""
 
     __slots__ = ("_live", "_target", "_before", "_before_backend")
 

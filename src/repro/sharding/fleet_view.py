@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.network.oracle import DistanceOracle
     from repro.simulation.fleet import FleetState, WorkerState
     from repro.simulation.route_table import RouteTable
 
@@ -36,22 +35,12 @@ class ShardFleetView:
         shard_id: which shard this view exposes.
         members: the worker ids currently bucketed in the shard; the set is
             owned (and mutated) by the sharded dispatcher.
-        oracle: optional shard-local distance oracle (a locality-appropriate
-            backend over the full network, value-exact with the shared one);
-            ``None`` exposes the fleet's shared oracle.
     """
 
-    def __init__(
-        self,
-        fleet: "FleetState",
-        shard_id: int,
-        members: set[int],
-        oracle: "DistanceOracle | None" = None,
-    ) -> None:
+    def __init__(self, fleet: "FleetState", shard_id: int, members: set[int]) -> None:
         self._fleet = fleet
         self.shard_id = shard_id
         self.members = members
-        self._oracle = oracle
 
     # -------------------------------------------------- delegated properties
 
@@ -64,11 +53,6 @@ class ShardFleetView:
     def clock(self) -> float:
         """The shared fleet clock."""
         return self._fleet.clock
-
-    @property
-    def oracle(self) -> "DistanceOracle":
-        """The shard-local oracle when attached, else the shared one."""
-        return self._oracle if self._oracle is not None else self._fleet.oracle
 
     @property
     def table(self) -> "RouteTable":

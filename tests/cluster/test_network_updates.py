@@ -18,8 +18,8 @@ The properties gated here:
   refused, never silently re-applied;
 * update telemetry flows end to end (dispatcher counters → snapshot →
   ``SimulationResult.extra``);
-* a replica brings its APSP tables up to date by in-place repair, and the
-  repaired tables equal fresh builds of the topology whose hash it echoes.
+* a replica brings its APSP table up to date by in-place repair, and the
+  repaired table equals a fresh build of the topology whose hash it echoes.
 """
 
 import pickle
@@ -200,19 +200,16 @@ def test_worker_rejects_duplicate_update():
 # ------------------------------------------------------- replica table repair
 
 
-def test_replica_repairs_shard_local_tables_exactly():
-    """A replica replaying an update repairs both of its APSP tables in place.
+def test_replica_repairs_its_table_exactly():
+    """A replica replaying an update repairs its APSP table in place.
 
     The worker state machine is driven in-process (same code the forked
-    worker runs) so the test can read the replica's matrices: after each
-    update they must equal fresh builds, and the content hash the replica
+    worker runs) so the test can read the replica's matrix: after each
+    update it must equal a fresh build, and the content hash the replica
     echoes must equal the authoritative network's — the barrier's criterion.
     """
     authoritative = build_instance(DEFAULT_SCENARIO)
-    config = DispatcherConfig(
-        grid_cell_metres=DEFAULT_SCENARIO.grid_km * 1000.0,
-        shard_oracle_backend="apsp",
-    )
+    config = DispatcherConfig(grid_cell_metres=DEFAULT_SCENARIO.grid_km * 1000.0)
     partition = SpatialPartitioner(2, "grid").partition(authoritative.network)
     membership = {
         worker.id: partition.shard_of_vertex(worker.initial_location)
@@ -220,12 +217,14 @@ def test_replica_repairs_shard_local_tables_exactly():
     }
     # the replica owns a pickled copy of the instance, as across the fork
     runtime = ShardWorkerRuntime(pickle.loads(pickle.dumps(ShardInit(
-        shard_id=0, num_shards=2, inner="pruneGreedyDP", config=config,
+        shard_id=0, inner="pruneGreedyDP", config=config,
         partition=partition, instance=authoritative, membership=membership,
         seed=DEFAULT_SCENARIO.seed,
     ))))
-    tables = (runtime.instance.oracle.backend, runtime.shard_oracle.backend)
-    assert all(isinstance(backend, APSPBackend) for backend in tables)
+    table = runtime.instance.oracle.backend
+    assert isinstance(table, APSPBackend)
+    # every query of the replica's inner dispatcher goes to that one table
+    assert runtime.inner.oracle is runtime.instance.oracle
 
     network = authoritative.network
     streets = sorted(network.edges(), key=lambda edge: (edge.u, edge.v))[:2]
@@ -245,8 +244,6 @@ def test_replica_repairs_shard_local_tables_exactly():
         reply = runtime.handle_network_update(NetworkUpdateCommand(update.clock, update))
         assert reply.error is None
         assert reply.content_hash == update.content_hash
-        fresh = APSPBackend(network).matrix
-        for backend in tables:
-            assert np.array_equal(backend.matrix, fresh)
-    assert (runtime.instance.oracle.backend, runtime.shard_oracle.backend) == tables
-    assert [(b.repairs, b.full_rebuilds) for b in tables] == [(2, 0), (2, 0)]
+        assert np.array_equal(table.matrix, APSPBackend(network).matrix)
+    assert runtime.instance.oracle.backend is table
+    assert (table.repairs, table.full_rebuilds) == (2, 0)

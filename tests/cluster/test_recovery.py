@@ -367,29 +367,43 @@ def test_chaos_injector_delay_plan_reaches_workers():
     assert injector.delays_for(0) == ()
 
 
-def test_shard_oracle_warm_starts_from_artifact_store_after_refresh(tmp_path):
-    from repro.cluster.worker import make_shard_oracle
+def test_replica_oracle_warm_starts_from_artifact_store_after_update(tmp_path):
+    """A replica's oracle refreshes from the store the front door saved to.
+
+    The replica owns a pickled copy of the instance, oracle and artifact
+    store root included. On a live update the authoritative oracle refreshes
+    (and saves) first; the replica replaying the same mutations must then
+    warm-start the new topology instead of rebuilding it.
+    """
+    import pickle
+
+    from repro.artifacts import network_content_hash
+    from repro.cluster.messages import NetworkUpdate, NetworkUpdateCommand, ShardInit
+    from repro.cluster.worker import ShardWorkerRuntime
     from repro.network.generators import grid_city
     from repro.network.graph import connected_components
     from repro.network.oracle import DistanceOracle
+    from repro.sharding.partitioner import SpatialPartitioner
 
     scenario = DEFAULT_SCENARIO
     network = grid_city(rows=6, columns=6, block_metres=200.0,
                         removed_block_fraction=0.0, seed=7)
     oracle = DistanceOracle(network, backend="ch", artifact_dir=tmp_path)
     instance = build_instance(scenario, network=network, oracle=oracle)
+    partition = SpatialPartitioner(2, "grid").partition(network)
+    membership = {
+        worker.id: partition.shard_of_vertex(worker.initial_location)
+        for worker in instance.workers
+    }
+    runtime = ShardWorkerRuntime(pickle.loads(pickle.dumps(ShardInit(
+        shard_id=0, inner="pruneGreedyDP",
+        config=DispatcherConfig(grid_cell_metres=scenario.grid_km * 1000.0),
+        partition=partition, instance=instance, membership=membership,
+        seed=scenario.seed,
+    ))))
+    replica = runtime.instance.oracle
+    assert replica.artifact_store.root == oracle.artifact_store.root
 
-    config = DispatcherConfig(
-        grid_cell_metres=scenario.grid_km * 1000.0, shard_oracle_backend="ch"
-    )
-    shard_oracle = make_shard_oracle(instance, config, num_shards=2)
-    # shard-local oracles inherit the instance oracle's artifact store
-    assert shard_oracle.artifact_store is not None
-    assert shard_oracle.artifact_store.root == oracle.artifact_store.root
-
-    # close an edge the way a worker replays an update: the authoritative
-    # oracle refreshes (and saves) first, then the shard-local one — which
-    # must warm-start from the store instead of rebuilding
     edge = None
     for candidate in list(network.edges()):
         removed = network.remove_edge(candidate.u, candidate.v)
@@ -400,25 +414,32 @@ def test_shard_oracle_warm_starts_from_artifact_store_after_refresh(tmp_path):
             edge = removed
             break
     assert edge is not None
-    network.remove_edge(edge.u, edge.v)
-    oracle.refresh_topology()
+
+    def replay(ordinal, mutate):
+        network.begin_mutation_capture()
+        mutate()
+        update = NetworkUpdate(
+            ordinal=ordinal, clock=float(ordinal),
+            mutations=network.end_mutation_capture(),
+            content_hash=network_content_hash(network),
+        )
+        oracle.refresh_topology()
+        reply = runtime.handle_network_update(NetworkUpdateCommand(update.clock, update))
+        assert reply.error is None and reply.content_hash == update.content_hash
+
+    replay(0, lambda: network.remove_edge(edge.u, edge.v))
     assert oracle.artifact_loaded is False  # fresh build, now persisted
-    shard_oracle.refresh_topology()
-    assert shard_oracle.artifact_loaded is True
+    assert replica.artifact_loaded is True
 
     # warm-started answers are bitwise-identical to a cold build
     fresh = DistanceOracle(network, backend="ch")
     vertices = sorted(network.vertices())
     for source in vertices[:4]:
         for target in vertices[-4:]:
-            assert shard_oracle.distance(source, target) == fresh.distance(
-                source, target
-            )
+            assert replica.distance(source, target) == fresh.distance(source, target)
 
     # reopen round-trip: both oracles warm-start the original topology
-    network.add_edge(edge.u, edge.v, length=edge.length, speed=edge.speed,
-                     road_class=edge.road_class)
-    oracle.refresh_topology()
-    shard_oracle.refresh_topology()
+    replay(1, lambda: network.add_edge(edge.u, edge.v, length=edge.length,
+                                       speed=edge.speed, road_class=edge.road_class))
     assert oracle.artifact_loaded is True
-    assert shard_oracle.artifact_loaded is True
+    assert replica.artifact_loaded is True

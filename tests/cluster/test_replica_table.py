@@ -25,7 +25,7 @@ def _single_shard_runtime():
     instance = build_instance(_SCENARIO)
     partition = SpatialPartitioner(1, "grid").partition(instance.network)
     runtime = ShardWorkerRuntime(pickle.loads(pickle.dumps(ShardInit(
-        shard_id=0, num_shards=1, inner="pruneGreedyDP",
+        shard_id=0, inner="pruneGreedyDP",
         config=DispatcherConfig(grid_cell_metres=_SCENARIO.grid_km * 1000.0),
         partition=partition, instance=instance,
         membership={worker.id: 0 for worker in instance.workers},

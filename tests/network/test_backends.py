@@ -199,14 +199,9 @@ class TestAutoSelectionPolicy:
         assert select_backend_name(APSP_VERTEX_LIMIT + 1) == "ch"
         assert select_backend_name(100_000) == "ch"
 
-    def test_tiny_query_volume_skips_preprocessing(self):
-        assert select_backend_name(100_000, query_volume_hint=10) == "dijkstra"
-        assert select_backend_name(100_000, query_volume_hint=1_000_000) == "ch"
-
     def test_policy_answers_only_from_the_roster(self):
         for num_vertices in (1, 50, APSP_VERTEX_LIMIT, APSP_VERTEX_LIMIT + 1, 10_000_000):
-            for hint in (None, 0, 10, 1_000_000):
-                assert select_backend_name(num_vertices, query_volume_hint=hint) in BACKEND_NAMES
+            assert select_backend_name(num_vertices) in BACKEND_NAMES
 
     def test_oracle_auto_backend_resolves_by_size(self):
         network = grid_city(rows=6, columns=6, block_metres=200.0, seed=1)

@@ -133,7 +133,7 @@ class TestBucketRow:
         instance = build_instance(scenario)
         instance.oracle.backend.hierarchy._bucket[:] = 0.0
         init = pickle.loads(pickle.dumps(ShardInit(
-            shard_id=0, num_shards=1, inner="pruneGreedyDP",
+            shard_id=0, inner="pruneGreedyDP",
             config=DispatcherConfig(grid_cell_metres=scenario.grid_km * 1000.0),
             partition=SpatialPartitioner(1, "grid").partition(instance.network),
             instance=instance, membership={worker.id: 0 for worker in instance.workers},

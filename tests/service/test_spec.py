@@ -171,12 +171,15 @@ class TestOracleBackendNames:
         with pytest.raises(ConfigurationError, match="did you mean 'dijkstra'"):
             PlatformSpec.builder().city("small-grid").oracle(backend="dijkstr").build()
 
-    @pytest.mark.parametrize("name", ["bogus", "hub_labels"])
-    def test_unknown_shard_backend_fails_at_validate(self, name):
-        with pytest.raises(ConfigurationError, match="unknown shard oracle backend"):
+    def test_retired_shard_oracle_key_fails_typed(self):
+        # shards query the instance's oracle; there is no per-shard backend
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown dispatcher spec field\(s\): 'shard_oracle_backend'",
+        ):
             PlatformSpec.from_dict(
-                {"dispatcher": {"num_shards": 2, "shard_oracle_backend": name}}
-            ).validate()
+                {"dispatcher": {"num_shards": 2, "shard_oracle_backend": "apsp"}}
+            )
 
     @pytest.mark.parametrize("key, value", [
         ("oracle_precompute", "apsp"),

@@ -7,8 +7,7 @@ These are the acceptance tests of the sharding subsystem:
   for immediate *and* batch inner algorithms;
 * with K>1 dispatching is local-first, which may trade assignment quality for
   locality; on the smoke scenario the served rate must stay within a
-  documented tolerance of the unsharded baseline (the same tolerance
-  ``benchmarks/bench_sharding.py`` tracks over time).
+  documented tolerance of the unsharded baseline.
 """
 
 import pytest

@@ -106,103 +106,46 @@ class TestCountersSurfaced:
         assert result.extra["sharding_lower_bound_queries"] == result.lower_bound_queries
 
 
-class TestShardOracleBackends:
-    def test_shared_mode_attaches_no_shard_oracles(self):
-        result = _run("sharded:pruneGreedyDP", shards=2)
-        assert not any(
-            key.endswith("_oracle_backend") for key in result.extra
-        )
-
-    def test_per_shard_backends_match_the_shared_run(self):
-        # shard-local oracles answer over the full network with value-exact
-        # backends, so outcomes — including the headline query counters,
-        # folded back in through oracle_counter_totals — must not move
-        shared = _run("sharded:pruneGreedyDP", shards=2)
-        local = _run(
-            "sharded:pruneGreedyDP", shards=2, shard_oracle_backend="apsp"
-        )
-        assert local.served_rate == shared.served_rate
-        assert local.unified_cost == shared.unified_cost
-        assert local.mean_wait_seconds == shared.mean_wait_seconds
-        assert local.distance_queries == shared.distance_queries
-        assert local.extra["sharding_shard0_oracle_backend"] == "apsp"
-        assert local.extra["sharding_shard1_oracle_backend"] == "apsp"
-        # decision queries are attributed to the shards' own counters
-        assert local.extra["sharding_distance_queries"] > 0
-
-    def test_auto_mode_selects_per_shard(self):
-        result = _run(
-            "sharded:pruneGreedyDP", shards=2, shard_oracle_backend="auto"
-        )
-        from repro.network.backends import BACKEND_NAMES
-
-        for shard in range(2):
-            assert result.extra[f"sharding_shard{shard}_oracle_backend"] in BACKEND_NAMES
-
-    def test_shards_share_one_oracle_build_per_backend(self):
+class TestOneOracle:
+    def test_every_shard_queries_the_instance_oracle(self):
+        instance = build_instance(_CONFIG)
         dispatcher = make_dispatcher(
             "sharded:pruneGreedyDP",
-            DispatcherConfig(
-                grid_cell_metres=_CONFIG.grid_km * 1000.0,
-                num_shards=4,
-                shard_oracle_backend="apsp",
-            ),
+            DispatcherConfig(grid_cell_metres=_CONFIG.grid_km * 1000.0, num_shards=4),
         )
-        MatchingService(build_instance(_CONFIG), dispatcher).replay()
-        # four shards, one dense matrix — not four
-        assert list(dispatcher._shard_oracles) == ["apsp"]
-        oracles = {id(shard.oracle) for shard in dispatcher._shards}
-        assert len(oracles) == 1
+        result = MatchingService(instance, dispatcher).replay()
+        for shard in dispatcher._shards:
+            assert shard.dispatcher.oracle is instance.oracle
+        # one oracle, so the run's headline counters are the instance's own
+        assert result.distance_queries == instance.oracle.counters.distance_queries
+        assert not any(key.endswith("_oracle_backend") for key in result.extra)
 
-    def test_live_update_repairs_shard_local_tables_exactly(self):
+    def test_live_update_repairs_the_shared_table_exactly(self):
         from repro.network.backends import APSPBackend
-        from repro.service.facade import MatchingService
 
         instance = build_instance(_CONFIG)
         dispatcher = make_dispatcher(
             "sharded:pruneGreedyDP",
-            DispatcherConfig(
-                grid_cell_metres=_CONFIG.grid_km * 1000.0,
-                num_shards=2,
-                shard_oracle_backend="apsp",
-            ),
+            DispatcherConfig(grid_cell_metres=_CONFIG.grid_km * 1000.0, num_shards=2),
         )
         service = MatchingService(instance, dispatcher)
         for request in instance.requests[:20]:
             service.submit(request)
-        shard_oracle = dispatcher._shard_oracles["apsp"]
-        tables = (instance.oracle.backend, shard_oracle.backend)
+        table = instance.oracle.backend
+        assert isinstance(table, APSPBackend)
         edge = next(iter(instance.network.edges()))
         removed = service.close_edge(edge.u, edge.v)
         for reopen in (False, True):
             if reopen:
                 service.reopen_edge(removed)
-            fresh = APSPBackend(instance.network).matrix
-            for backend in tables:
-                assert np.array_equal(backend.matrix, fresh)
-                assert backend._csr is instance.network.csr
-        # the shared and the shard-local table were each repaired, never rebuilt
-        assert (instance.oracle.backend, shard_oracle.backend) == tables
-        assert [(b.repairs, b.full_rebuilds) for b in tables] == [(2, 0), (2, 0)]
+            assert np.array_equal(table.matrix, APSPBackend(instance.network).matrix)
+            assert table._csr is instance.network.csr
+        # the one table every shard reads was repaired, never rebuilt
+        assert instance.oracle.backend is table
+        assert (table.repairs, table.full_rebuilds) == (2, 0)
         for request in instance.requests[20:]:
             service.submit(request)
         assert service.drain().total_requests == len(instance.requests)
-
-    def test_auto_mode_respects_the_apsp_size_limit(self):
-        # auto must size the backend by the network the index is built on
-        # (the full city), not the shard's slice of it
-        from repro.network.backends import APSP_VERTEX_LIMIT, select_backend_name
-
-        hint = 10_000
-        assert select_backend_name(APSP_VERTEX_LIMIT + 1, hint) != "apsp"
-
-    def test_unknown_shard_oracle_backend_rejected(self):
-        from repro.dispatch.registry import DispatcherSpec
-
-        with pytest.raises(ConfigurationError, match="shard oracle backend"):
-            DispatcherSpec(
-                algorithm="pruneGreedyDP", num_shards=2, shard_oracle_backend="bogus"
-            ).validate()
 
 
 class TestOracleCountersMerge:
