@@ -200,8 +200,8 @@ def test_worker_rejects_duplicate_update():
 # ------------------------------------------------------- replica table repair
 
 
-def test_replica_repairs_its_table_exactly():
-    """A replica replaying an update repairs its APSP table in place.
+def test_replica_repairs_shard_local_tables_exactly():
+    """A replica replaying an update repairs its shard-local APSP table in place.
 
     The worker state machine is driven in-process (same code the forked
     worker runs) so the test can read the replica's matrix: after each

@@ -367,8 +367,8 @@ def test_chaos_injector_delay_plan_reaches_workers():
     assert injector.delays_for(0) == ()
 
 
-def test_replica_oracle_warm_starts_from_artifact_store_after_update(tmp_path):
-    """A replica's oracle refreshes from the store the front door saved to.
+def test_shard_oracle_warm_starts_from_artifact_store_after_refresh(tmp_path):
+    """The oracle a shard queries refreshes from the store the front door saved to.
 
     The replica owns a pickled copy of the instance, oracle and artifact
     store root included. On a live update the authoritative oracle refreshes

@@ -181,6 +181,14 @@ class TestOracleBackendNames:
                 {"dispatcher": {"num_shards": 2, "shard_oracle_backend": "apsp"}}
             )
 
+    @pytest.mark.parametrize("name", ["bogus", "hub_labels"])
+    def test_unknown_shard_backend_fails_at_validate(self, name):
+        # an unknown name fails as early as a known one: at loading, typed
+        with pytest.raises(ConfigurationError, match="'shard_oracle_backend'"):
+            PlatformSpec.from_dict(
+                {"dispatcher": {"num_shards": 2, "shard_oracle_backend": name}}
+            ).validate()
+
     @pytest.mark.parametrize("key, value", [
         ("oracle_precompute", "apsp"),
         ("use_hub_labels", True),

@@ -106,6 +106,59 @@ class TestCountersSurfaced:
         assert result.extra["sharding_lower_bound_queries"] == result.lower_bound_queries
 
 
+class TestShardOracleBackends:
+    """A shard has no backend of its own: it queries the instance's oracle."""
+
+    def test_shared_mode_attaches_no_shard_oracles(self):
+        result = _run("sharded:pruneGreedyDP", shards=2)
+        assert not any(
+            key.endswith("_oracle_backend") for key in result.extra
+        )
+
+    def test_shards_share_one_oracle_build_per_backend(self):
+        for backend in ("dijkstra", "apsp", "ch"):
+            instance = build_instance(_CONFIG.with_overrides(oracle_backend=backend))
+            dispatcher = make_dispatcher(
+                "sharded:pruneGreedyDP",
+                DispatcherConfig(grid_cell_metres=_CONFIG.grid_km * 1000.0, num_shards=4),
+            )
+            MatchingService(instance, dispatcher).replay()
+            # four shards, one build — the instance's — not four
+            assert instance.oracle.backend_name == backend
+            oracles = {id(shard.dispatcher.oracle) for shard in dispatcher._shards}
+            assert oracles == {id(instance.oracle)}
+
+    def test_auto_mode_respects_the_apsp_size_limit(self):
+        # auto sizes the one backend by the network the index is built on
+        # (the full city), not by a shard's slice of it
+        from repro.network.backends import APSP_VERTEX_LIMIT, select_backend_name
+
+        assert select_backend_name(APSP_VERTEX_LIMIT + 1) != "apsp"
+        instance = build_instance(_CONFIG)
+        assert _CONFIG.oracle_backend == "auto"
+        dispatcher = make_dispatcher(
+            "sharded:pruneGreedyDP",
+            DispatcherConfig(grid_cell_metres=_CONFIG.grid_km * 1000.0, num_shards=4),
+        )
+        MatchingService(instance, dispatcher).replay()
+        expected = select_backend_name(instance.network.num_vertices)
+        for shard in dispatcher._shards:
+            assert shard.dispatcher.oracle.backend_name == expected
+
+    def test_unknown_shard_oracle_backend_rejected(self):
+        from repro.dispatch.registry import DispatcherSpec
+
+        # the key is gone, so every value of it — unknown or not — is refused
+        for name in ("bogus", "apsp"):
+            with pytest.raises(ConfigurationError, match="shard_oracle_backend"):
+                DispatcherSpec.from_dict(
+                    {"algorithm": "pruneGreedyDP", "num_shards": 2,
+                     "shard_oracle_backend": name}
+                )
+        with pytest.raises(TypeError):
+            DispatcherConfig(num_shards=2, shard_oracle_backend="bogus")
+
+
 class TestOneOracle:
     def test_every_shard_queries_the_instance_oracle(self):
         instance = build_instance(_CONFIG)
@@ -118,7 +171,6 @@ class TestOneOracle:
             assert shard.dispatcher.oracle is instance.oracle
         # one oracle, so the run's headline counters are the instance's own
         assert result.distance_queries == instance.oracle.counters.distance_queries
-        assert not any(key.endswith("_oracle_backend") for key in result.extra)
 
     def test_live_update_repairs_the_shared_table_exactly(self):
         from repro.network.backends import APSPBackend
