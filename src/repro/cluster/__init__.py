@@ -5,19 +5,21 @@ processes behind a front door exposing the standard
 :class:`~repro.service.facade.MatchingService` session API:
 
 * :class:`~repro.cluster.service.ClusterMatchingService` — the facade;
-* :class:`~repro.cluster.dispatcher.ClusterDispatcher` — routing, batch
-  window mirroring, escalation-by-message-passing, backpressure, crash
-  detection and clean shutdown;
-* :mod:`repro.cluster.worker` — the per-shard worker-process runtime
-  (deterministic full-fleet replica + inner dispatcher);
+* :class:`~repro.cluster.dispatcher.ClusterDispatcher` — the
+  :class:`~repro.sharding.router.ShardRouter` (routing and escalation, shared
+  with in-process sharding) over worker pipes: batch window buffering,
+  replica sync, backpressure, crash detection and clean shutdown;
+* :mod:`repro.cluster.worker` — the per-shard worker-process runtime (a
+  deterministic full-fleet replica with a :class:`~repro.sharding.router.Shard`
+  over it);
 * :mod:`repro.cluster.messages` — the picklable wire protocol;
 * :mod:`repro.cluster.recovery` — the self-healing layer: transient-error
   retry with backoff (:class:`~repro.cluster.recovery.RetryPolicy`),
-  in-process degraded-mode failover
-  (:class:`~repro.cluster.recovery.DegradedShard`), supervised respawn
-  (:class:`~repro.cluster.recovery.WorkerSupervisor`), and the deterministic
-  fault-injection seam (:class:`~repro.cluster.recovery.FaultInjector`) the
-  chaos harness plugs into.
+  supervised respawn (:class:`~repro.cluster.recovery.WorkerSupervisor`) and
+  the deterministic fault-injection seam
+  (:class:`~repro.cluster.recovery.FaultInjector`). While a worker is down its
+  shard fails over to an in-process :class:`~repro.sharding.router.Shard` at
+  the front door.
 
 Cluster replays are metric-identical (served rate, unified cost, waits,
 detours) to the in-process :class:`~repro.sharding.dispatcher.
@@ -26,12 +28,11 @@ ShardedDispatcher` at the same K — enforced by
 ``cluster_k2`` workload of ``benchmarks/e2e/run.py``. Worker death is
 *transient*: a kill between batch windows leaves the replay bit-identical to
 the fault-free run (enforced by ``tests/cluster/test_recovery.py`` and
-``benchmarks/bench_chaos.py``).
+``tests/cluster/test_network_updates.py``).
 """
 
 from repro.cluster.dispatcher import ClusterDispatcher
 from repro.cluster.recovery import (
-    DegradedShard,
     FaultInjector,
     RetryPolicy,
     ShardHealth,
@@ -43,7 +44,6 @@ from repro.cluster.service import ClusterMatchingService
 __all__ = [
     "ClusterDispatcher",
     "ClusterMatchingService",
-    "DegradedShard",
     "FaultInjector",
     "RetryPolicy",
     "ShardHealth",

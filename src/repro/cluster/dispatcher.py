@@ -1,70 +1,43 @@
-"""Front door of the shard-worker cluster: routing, escalation, resilience.
+"""Front door of the shard-worker cluster: a shard router over worker processes.
 
-:class:`ClusterDispatcher` implements the full
-:class:`~repro.dispatch.base.Dispatcher` interface by delegating each shard's
-work to a long-lived worker *process* (one per spatial shard) over a duplex
-pipe, instead of calling an in-process inner dispatcher. It mirrors
-:class:`~repro.sharding.dispatcher.ShardedDispatcher` decision for decision:
+:class:`ClusterDispatcher` is the :class:`~repro.sharding.router.ShardRouter`
+whose shards are long-lived worker *processes* (one per spatial shard) behind
+duplex pipes. The router — shared with the in-process
+:class:`~repro.sharding.dispatcher.ShardedDispatcher` — routes, escalates,
+re-buckets and counts; this class supplies how one shard answers (a pipe
+round trip, or the in-process failover) and what a membership move does (it
+is buffered for every replica), plus the replica-sync protocol:
 
-* requests route to the shard containing their origin; a failed immediate
-  dispatch **escalates** to the nearest adjacent shards and then globally, so
-  a request is only rejected once every live shard has been considered;
 * batch windows are **buffered** at the front door with the exact float
-  arithmetic of :class:`~repro.dispatch.base.BatchDispatcher` — deferrals
-  touch no fleet state, so they accumulate locally (their depth is the
-  backpressure signal) and ship inside the flush command as ``(request,
-  defer clock)`` pairs the worker replays, one round trip per window instead
-  of one per request; cancelling a buffered request never crosses the pipe,
-  and every reply piggybacks the worker's true ``next_flush_time`` to keep
-  the mirror honest;
-* fleet state is synchronised by shipping absolute per-worker **plan
-  snapshots** keyed on a ``(plan_version, online)`` cursor per shard — only
-  plans that changed since a shard was last commanded cross the pipe — plus
-  **membership moves**: the front door re-buckets moved workers against the
-  partition on the authoritative fleet (the exact mirror of
-  ``ShardedDispatcher._resync``, run at the same decision points) and
-  piggybacks the deltas, so each replica advances only its *own members* and
-  per-command work stays proportional to the shard, not the fleet;
-* live **network updates** (street closures/reopenings) broadcast as
-  :class:`~repro.cluster.messages.NetworkUpdateCommand`: the engine's
-  recorded edge mutations are journaled on the front door, shipped to every
-  worker under a barrier acknowledgement hash-checked against the
-  authoritative post-mutation network content hash, and replayed to
-  respawned replicas at adoption — so replicas track topology changes
-  exactly and recovery stays bit-identical across update windows.
+  arithmetic of :class:`~repro.dispatch.base.BatchDispatcher` and ship inside
+  the flush command as ``(request, defer clock)`` pairs the worker replays —
+  one round trip per window; cancelling a buffered request never crosses the
+  pipe, and every reply piggybacks the worker's true ``next_flush_time``;
+* fleet state is synchronised by absolute per-worker **plan snapshots** keyed
+  on a ``(plan_version, online)`` cursor per shard, plus the buffered
+  **membership moves** and ``advance_all`` clocks, so each replica advances
+  only its own members;
+* live **network updates** are journaled and broadcast as
+  :class:`~repro.cluster.messages.NetworkUpdateCommand` under a barrier
+  acknowledgement hash-checked against the authoritative content hash, and
+  replayed to respawned replicas at adoption.
 
-Resilience (see :mod:`repro.cluster.recovery` for the machinery):
-
-* **backpressure** — when a shard's deferred-request queue (buffered window
-  plus worker-held re-deferrals) reaches ``max_pending``, new requests for it
-  are admission-rejected with the explicit ``saturated`` rejection reason
-  instead of queueing unboundedly;
-* **retry with backoff** — transient send/recv hiccups are retried a bounded
-  number of times with exponential backoff and deterministic jitter; only a
-  dead process, a broken pipe, or ``dispatch_timeout`` expiring
-  ``retry_attempts`` times marks the worker down;
-* **degraded-mode failover** — a down shard keeps serving: its buffered
-  window and worker-held re-deferrals stay *home*, and its requests execute
-  in-process at the front door against the authoritative fleet (the same
-  inner-dispatcher-over-fleet-view configuration the in-process sharded
-  wrapper uses), so decisions — and end-of-run metrics — stay bit-identical
-  to the fault-free run;
-* **supervised recovery** — a :class:`~repro.cluster.recovery.WorkerSupervisor`
-  respawns the dead worker on a background thread and the front door adopts
-  it at the next dispatch/flush entry past ``restart_delay_s`` (simulated
-  time): the shard's sync cursor is cleared so the rebuilt replica receives a
-  full plan snapshot of the current membership with its first command;
-* **clean shutdown** — :meth:`close` is idempotent, always joins (or
-  terminates) every worker process *including* supervisor respawns in any
-  state, and is wired into the service facade's ``drain()``/context-manager
-  exits, so no run leaves orphans behind.
+Resilience (see :mod:`repro.cluster.recovery`): a full deferred queue
+admission-rejects (``saturated``); transient pipe errors are retried with
+seeded backoff; a dead worker, broken pipe or exhausted ``dispatch_timeout``
+marks the worker down, and its shard keeps serving through a
+:class:`~repro.sharding.router.Shard` over the authoritative fleet — the
+in-process shard, so decisions and metrics stay bit-identical to the
+fault-free run — until a :class:`~repro.cluster.recovery.WorkerSupervisor`
+respawn is adopted at a simulated-clock boundary. :meth:`close` is idempotent
+and reaps every worker process, respawns included.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.artifacts.hashing import network_content_hash
@@ -84,7 +57,6 @@ from repro.cluster.messages import (
 from repro.cluster.recovery import (
     HEALTH_CODES,
     TRANSIENT_ERRORS,
-    DegradedShard,
     FaultInjector,
     RetryPolicy,
     ShardHealth,
@@ -92,14 +64,14 @@ from repro.cluster.recovery import (
 )
 from repro.cluster.worker import plan_snapshot, shard_worker_main
 from repro.core.types import Request, Stop, Worker
-from repro.dispatch.base import Dispatcher, DispatcherConfig, DispatchOutcome
+from repro.dispatch.base import DispatcherConfig, DispatchOutcome
 from repro.exceptions import (
     ConfigurationError,
     DispatchError,
     UnsupportedNetworkUpdateError,
 )
 from repro.network.oracle import OracleCounters
-from repro.sharding.partitioner import Partition, SpatialPartitioner
+from repro.sharding.router import Shard, ShardRouter, members_of
 from repro.utils.rng import derive_spawned_seed, make_rng
 
 if TYPE_CHECKING:
@@ -145,8 +117,8 @@ class _ShardHandle:
     #: defer clock of the worker-held re-deferrals (the last flush clock) —
     #: the clock they re-enter the buffered window at if the worker dies.
     pending_clock: float = 0.0
-    #: in-process failover executor while the shard is down.
-    degraded: DegradedShard | None = None
+    #: in-process failover shard while the worker is down.
+    degraded: Shard | None = None
     #: how many times this shard's worker has been respawned.
     incarnation: int = 0
     #: traceback of the last runtime error reply (observability only).
@@ -156,15 +128,14 @@ class _ShardHandle:
     replica_rebuilds: int = 0
 
 
-class ClusterDispatcher(Dispatcher):
+class ClusterDispatcher(ShardRouter):
     """Routes requests to shard worker *processes*, escalating on failure.
 
     Args:
         config: shared dispatcher knobs (``num_shards``, ``shard_strategy``,
-            ``shard_escalate_k`` parameterise the sharding exactly as for the
+            ``shard_escalate_k`` are the shard layout, exactly as for the
             in-process sharded dispatcher).
         inner: registry name of the per-shard algorithm.
-        num_shards / strategy / escalate_k: overrides of the config fields.
         seed: platform seed; per-worker-process streams are derived from it
             with :func:`~repro.utils.rng.derive_spawned_seed`.
         max_pending: bounded-queue backpressure — deferred requests tolerated
@@ -187,6 +158,7 @@ class ClusterDispatcher(Dispatcher):
     """
 
     name = "cluster"
+    metrics_prefix = "cluster"
     #: shard routing is position-dependent (which shard answers first depends
     #: on where workers currently are), and the replicas re-derive exact
     #: positions deterministically — so the authoritative fleet must always
@@ -226,9 +198,6 @@ class ClusterDispatcher(Dispatcher):
         self,
         config: DispatcherConfig | None = None,
         inner: str = "pruneGreedyDP",
-        num_shards: int | None = None,
-        strategy: str | None = None,
-        escalate_k: int | None = None,
         seed: int = 0,
         max_pending: int = 1024,
         dispatch_timeout: float = 60.0,
@@ -238,19 +207,7 @@ class ClusterDispatcher(Dispatcher):
         restart_delay_s: float = 0.0,
         fault_injector: FaultInjector | None = None,
     ) -> None:
-        super().__init__(config)
-        if not isinstance(inner, str):
-            raise ConfigurationError("cluster inner dispatcher must be a registry name")
-        if inner.startswith(("sharded", "cluster")):
-            raise ConfigurationError(f"cannot nest {inner!r} inside a cluster")
-        self.inner = inner
-        self.num_shards = num_shards if num_shards is not None else self.config.num_shards
-        self.strategy = strategy if strategy is not None else self.config.shard_strategy
-        self.escalate_k = (
-            escalate_k if escalate_k is not None else self.config.shard_escalate_k
-        )
-        if self.num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {self.num_shards}")
+        super().__init__(config, inner)
         if retry_attempts < 1:
             raise ConfigurationError(f"retry_attempts must be >= 1, got {retry_attempts}")
         if retry_backoff_s < 0:
@@ -270,8 +227,6 @@ class ClusterDispatcher(Dispatcher):
         self.max_restarts = max_restarts
         self.restart_delay_s = restart_delay_s
         self.fault_injector = fault_injector
-        self.name = f"cluster:{inner}"
-        self.partition: Partition | None = None
         self._handles: list[_ShardHandle] = []
         self._closed = False
         self._started = False
@@ -281,18 +236,9 @@ class ClusterDispatcher(Dispatcher):
         self._retry_rng = make_rng(derive_spawned_seed(seed, "cluster-retry"))
         #: authoritative Request objects by id (replies reference ids only).
         self._requests: dict[int, Request] = {}
-        #: authoritative worker -> shard bucketing (kept by _resync_membership).
-        self._membership: dict[int, int] = {}
         #: workers added after setup, with their add clocks — a respawned
         #: replica replays them (ShardInit.extra_workers + adoption catch-up).
         self._added_workers: list[tuple[Worker, float]] = []
-        # routing counters (mirror of the in-process sharded dispatcher)
-        self.local_hits = 0
-        self.escalations = 0
-        self.cross_shard_assignments = 0
-        self.cross_shard_moves = 0
-        self.global_fallbacks = 0
-        self.rejections = 0
         # cluster-specific counters
         self.admission_rejections = 0
         self.worker_failures = 0
@@ -311,18 +257,7 @@ class ClusterDispatcher(Dispatcher):
 
     def setup(self, instance: "URPSMInstance", fleet: "FleetState") -> None:
         """Partition the city and fork one worker process per shard."""
-        self.instance = instance
-        self.fleet = fleet
-        self.oracle = instance.oracle
-        self.partition = SpatialPartitioner(self.num_shards, self.strategy).partition(
-            instance.network
-        )
-        membership: dict[int, int] = {}
-        for worker_id in fleet.states:
-            membership[worker_id] = self.partition.shard_of_vertex(
-                fleet.peek_state(worker_id).position
-            )
-        self._membership = dict(membership)
+        self._partition(instance, fleet)
         context = (
             multiprocessing.get_context("fork")
             if "fork" in multiprocessing.get_all_start_methods()
@@ -344,7 +279,7 @@ class ClusterDispatcher(Dispatcher):
                     config=self.config,
                     partition=self.partition,
                     instance=instance,
-                    membership=membership,
+                    membership=self._membership,
                     seed=derive_spawned_seed(self.seed, "cluster-shard", shard_id),
                     delay_replies=self._delays_for(shard_id),
                 )
@@ -572,7 +507,7 @@ class ClusterDispatcher(Dispatcher):
         The shard's deferred work stays *home*: worker-held re-deferrals
         return to the front of the buffered window at their true defer clock
         (the last flush clock), and the already-scheduled flush resolves the
-        whole window through the degraded executor — nothing is dropped,
+        whole window through the failover shard — nothing is dropped,
         nothing re-routed, nothing decided twice.
         """
         if not handle.alive:
@@ -602,7 +537,7 @@ class ClusterDispatcher(Dispatcher):
         ]
         handle.window[:0] = [(request, handle.pending_clock) for request in orphans]
         handle.pending_ids = []
-        handle.degraded = DegradedShard(self, handle.shard_id)
+        self._failover(handle)
         if self._supervisor is not None and self._supervisor.should_restart(handle):
             handle.health = ShardHealth.RECOVERING
             self._supervisor.schedule(handle, self.fleet.clock)
@@ -660,15 +595,11 @@ class ClusterDispatcher(Dispatcher):
         handle.health = ShardHealth.UP
         handle.last_error = None
         handle.cursor.clear()
-        handle.stale = {
-            worker_id
-            for worker_id, shard_id in self._membership.items()
-            if shard_id == handle.shard_id
-        }
+        handle.stale = members_of(self._membership, handle.shard_id)
         handle.pending_moves.clear()
         handle.pending_clocks.clear()
         handle.pending_acks = 0
-        # the degraded executor's surviving re-deferrals return to the
+        # the failover shard's surviving re-deferrals return to the
         # buffered window at their defer clock; the rebuilt worker replays
         # them inside the next flush command. All state transfer happens
         # *before* any send — if the rebuilt worker dies immediately, the
@@ -719,38 +650,33 @@ class ClusterDispatcher(Dispatcher):
 
     # ------------------------------------------------------------- plan sync
 
-    def _resync_membership(self) -> None:
-        """Re-bucket moved workers; buffer the deltas for every live shard.
+    def _prepare(self, now: float) -> None:
+        """Every decision point: adopt due respawns, note the clock, re-bucket."""
+        self._poll_recovery(now)
+        self._note_advance_clock(now)
+        self._rebucket()
 
-        The exact mirror of ``ShardedDispatcher._resync``, computed on the
-        authoritative fleet at the same decision points (dispatch and flush),
-        so replica membership never depends on replica-side advancement. The
-        deltas ride on each shard's next command of any kind; a shard serving
-        in-process gets the worker's grid cell refreshed right here.
+    def _relocate(self, worker_id: int, previous: int, shard_id: int, position: int) -> None:
+        """Buffer a membership move for every live replica.
+
+        The deltas ride on each shard's next command of any kind, so replica
+        membership never depends on replica-side advancement; a shard serving
+        in-process moves the worker at once and gets its grid cell refreshed.
         """
-        fleet = self.fleet
-        partition = self.partition
-        assert fleet is not None and partition is not None
-        for worker_id in fleet.drain_moved():
-            position = fleet.peek_state(worker_id).position
-            shard_id = partition.shard_of_vertex(position)
-            previous = self._membership[worker_id]
-            if shard_id != previous:
-                self._membership[worker_id] = shard_id
-                self.cross_shard_moves += 1
-                # the receiving shard stopped hearing about this worker's plan
-                # while it belonged elsewhere; forget its cursor stamp so the
-                # current snapshot ships together with the move
-                self._handles[shard_id].cursor.pop(worker_id, None)
-                self._handles[shard_id].stale.add(worker_id)
-                for handle in self._handles:
-                    if handle.alive:
-                        handle.pending_moves.append((worker_id, shard_id))
-                    elif handle.degraded is not None:
-                        handle.degraded.apply_move(worker_id, previous, shard_id)
-            degraded = self._handles[shard_id].degraded
-            if degraded is not None:
-                degraded.inner.grid.update(worker_id, position)
+        target = self._handles[shard_id]
+        if shard_id != previous:
+            # the receiving shard stopped hearing about this worker's plan
+            # while it belonged elsewhere; forget its cursor stamp so the
+            # current snapshot ships together with the move
+            target.cursor.pop(worker_id, None)
+            target.stale.add(worker_id)
+            for handle in self._handles:
+                if handle.alive:
+                    handle.pending_moves.append((worker_id, shard_id))
+                elif handle.degraded is not None:
+                    handle.degraded.move(worker_id, shard_id)
+        if target.degraded is not None:
+            target.degraded.dispatcher.grid.update(worker_id, position)
 
     def _take_moves(self, handle: _ShardHandle) -> tuple[tuple[int, int], ...]:
         """Membership deltas to piggyback on ``handle``'s next command."""
@@ -788,7 +714,7 @@ class ClusterDispatcher(Dispatcher):
         A replica only reads the plans of its *own members* (its decisions
         never touch other shards' workers), so each plan change crosses one
         pipe, not K — a worker migrating in gets its snapshot shipped with
-        the move because ``_resync_membership`` dropped its cursor stamp.
+        the move because ``_relocate`` dropped its cursor stamp.
         Only workers the fleet reported as re-planned or re-shifted since
         (``drain_restamped``, filed under the shard that owns them now) are
         compared against the cursor, in fleet order.
@@ -923,37 +849,21 @@ class ClusterDispatcher(Dispatcher):
 
     # --------------------------------------------------------------- running
 
-    def dispatch(self, request: Request, now: float) -> DispatchOutcome | None:
-        assert self.partition is not None and self.fleet is not None
-        self._poll_recovery(now)
-        self._note_advance_clock(now)
-        self._resync_membership()
-        self._requests[request.id] = request
-        home = self.partition.shard_of_vertex(request.origin)
-        handle = self._handles[home]
-        if self.is_batched:
-            # a down shard still buffers its own window — the degraded
-            # executor (or the rebuilt worker) resolves it at the flush
-            return self._defer_to(handle, request, now)
-        outcome = self._dispatch_on(handle, request, now)
-        if outcome.served:
-            self.local_hits += 1
-            return outcome
-        if self.num_shards == 1:
-            self.rejections += 1
-            return outcome
-        return self._escalate(request, now, home, outcome)
-
-    def _dispatch_on(
-        self, handle: _ShardHandle, request: Request, now: float
-    ) -> DispatchOutcome:
-        """Dispatch on one shard: worker round trip, or in-process failover.
+    def _ask(self, shard_id: int, request: Request, now: float) -> DispatchOutcome | None:
+        """One shard's answer: a buffered deferral, a worker round trip, or
+        the in-process failover.
 
         A worker that dies mid-command never mutated authoritative state (it
         only mutates through applied replies), so re-executing the decision
         degraded at the same clock on the same state reproduces exactly what
         the replica would have answered.
         """
+        handle = self._handles[shard_id]
+        self._requests[request.id] = request
+        if self._batched:
+            # a down shard still buffers its own window — the failover shard
+            # (or the rebuilt worker) resolves it at the flush
+            return self._defer_to(handle, request, now)
         handle.dispatch_calls += 1
         if handle.health == ShardHealth.UP:
             reply = self._roundtrip(
@@ -974,13 +884,21 @@ class ClusterDispatcher(Dispatcher):
                         self._apply_plan(handle, reply.plan), reply.completed_ids
                     )
                 return outcome
-        if handle.degraded is None:  # defensive; _mark_dead builds it
-            handle.degraded = DegradedShard(self, handle.shard_id)
+        degraded = self._failover(handle)
         self.degraded_dispatches += 1
         self._log("degraded_dispatch", handle.shard_id)
-        outcome = handle.degraded.dispatch(request, now)
-        handle.next_flush = handle.degraded.inner.next_flush_time()
+        outcome = degraded.dispatcher.dispatch(request, now)
+        handle.next_flush = degraded.dispatcher.next_flush_time()
         return outcome
+
+    def _failover(self, handle: _ShardHandle) -> Shard:
+        """The in-process shard serving ``handle``'s shard while its worker is down."""
+        if handle.degraded is None:
+            handle.degraded = Shard(
+                handle.shard_id, self.inner, self.config, self.instance, self.fleet,
+                self._membership,
+            )
+        return handle.degraded
 
     def _defer_to(
         self, handle: _ShardHandle, request: Request, now: float
@@ -994,7 +912,9 @@ class ClusterDispatcher(Dispatcher):
         if len(handle.window) + len(handle.pending_ids) >= self.max_pending:
             self.admission_rejections += 1
             self.rejections += 1
-            return replace(self._unserved(request), rejection_reason="saturated")
+            return DispatchOutcome(
+                request=request, served=False, rejection_reason="saturated"
+            )
         handle.dispatch_calls += 1
         handle.window.append((request, now))
         # exact float mirror of BatchDispatcher.defer
@@ -1004,76 +924,7 @@ class ClusterDispatcher(Dispatcher):
                 self._flush_scheduler(handle.next_flush)
         return None
 
-    @staticmethod
-    def _unserved(request: Request) -> DispatchOutcome:
-        return DispatchOutcome(request=request, served=False)
-
-    def _escalate(
-        self, request: Request, now: float, home: int, local: DispatchOutcome
-    ) -> DispatchOutcome:
-        """Retry on neighbouring shards, then globally.
-
-        Every shard always serves — process-backed or degraded — so the
-        escalation ladder is identical to the in-process sharded dispatcher's
-        regardless of worker health.
-        """
-        self.escalations += 1
-        neighbours, remaining = self._escalation_targets(request, home)
-        candidates = local.candidates_considered
-        insertions = local.insertions_evaluated
-        decision_rejected = local.decision_rejected
-        last = local
-        for phase, shard_ids in enumerate((neighbours, remaining)):
-            if phase == 1 and shard_ids:
-                self.global_fallbacks += 1
-            for shard_id in shard_ids:
-                handle = self._handles[shard_id]
-                attempt = self._dispatch_on(handle, request, now)
-                candidates += attempt.candidates_considered
-                insertions += attempt.insertions_evaluated
-                decision_rejected = decision_rejected and attempt.decision_rejected
-                last = attempt
-                if attempt.served:
-                    self.cross_shard_assignments += 1
-                    return replace(
-                        attempt,
-                        candidates_considered=candidates,
-                        insertions_evaluated=insertions,
-                    )
-        self.rejections += 1
-        return replace(
-            last,
-            candidates_considered=candidates,
-            insertions_evaluated=insertions,
-            decision_rejected=decision_rejected,
-        )
-
-    def _escalation_targets(self, request: Request, home: int) -> tuple[list[int], list[int]]:
-        """Identical ordering to the in-process sharded dispatcher."""
-        partition = self.partition
-        assert partition is not None
-        csr = partition.network.csr
-        origin_position = csr.position_of(request.origin)
-        ordered = [
-            int(shard_id)
-            for shard_id in partition.shards_by_distance(
-                float(csr.xs[origin_position]), float(csr.ys[origin_position])
-            )
-            if int(shard_id) != home
-        ]
-        adjacent = partition.shard_adjacency[home]
-        neighbours = [s for s in ordered if s in adjacent][: self.escalate_k]
-        remaining = [s for s in ordered if s not in neighbours]
-        return neighbours, remaining
-
     # ------------------------------------------------------- batch protocol
-
-    @property
-    def is_batched(self) -> bool:
-        from repro.dispatch import ALGORITHMS, BatchDispatcher  # lazy import cycle guard
-
-        inner_class = ALGORITHMS.get(self.inner)
-        return bool(inner_class is not None and issubclass(inner_class, BatchDispatcher))
 
     def next_flush_time(self) -> float | None:
         # degraded shards flush too (in-process), so every handle counts
@@ -1093,13 +944,11 @@ class ClusterDispatcher(Dispatcher):
         received and applied in shard-id order, matching the in-process
         iteration order outcome for outcome. A shard that is down — or dies
         during this very flush — resolves its entire buffered window through
-        the degraded executor at the same clock, in its same shard-id slot:
+        the failover shard at the same clock, in its same shard-id slot:
         the authoritative fleet only ever mutates when a reply is applied, so
         the re-execution decides each request exactly once, bit-identically.
         """
-        self._poll_recovery(now)
-        self._note_advance_clock(now)
-        self._resync_membership()
+        self._prepare(now)
         due: list[tuple[_ShardHandle, int, FlushCommand | None]] = []
         for handle in self._handles:
             if handle.health == ShardHealth.UP:
@@ -1145,41 +994,29 @@ class ClusterDispatcher(Dispatcher):
                 for worker_id in sorted(reply.plans):
                     fresh.update(self._apply_plan(handle, reply.plans[worker_id]))
                 self._push_completions(fresh, reply.completed_ids)
-                for payload in reply.outcomes:
-                    outcome = payload.to_outcome(
-                        self._own_request_by_id(payload.request_id)
-                    )
-                    if outcome.served:
-                        self.local_hits += 1
-                    else:
-                        self.rejections += 1
-                    outcomes.append(outcome)
+                outcomes.extend(
+                    payload.to_outcome(self._own_request_by_id(payload.request_id))
+                    for payload in reply.outcomes
+                )
                 continue
             # down shard (or death during this flush): the whole current
             # window — including re-deferrals _mark_dead just returned home —
             # resolves in-process, exactly once
             deferrals = tuple(handle.window)
             handle.window.clear()
-            for outcome in self._flush_degraded(handle, deferrals, now):
-                if outcome.served:
-                    self.local_hits += 1
-                else:
-                    self.rejections += 1
-                outcomes.append(outcome)
-        return outcomes
+            outcomes.extend(self._flush_degraded(handle, deferrals, now))
+        return self._tally(outcomes)
 
     def _flush_degraded(
         self, handle: _ShardHandle, deferrals, now: float
     ) -> list[DispatchOutcome]:
-        """Run one shard's flush through the in-process failover executor."""
-        degraded = handle.degraded
-        if degraded is None:  # defensive; _mark_dead builds it
-            handle.degraded = degraded = DegradedShard(self, handle.shard_id)
+        """Run one shard's flush through the in-process failover shard."""
+        degraded = self._failover(handle)
         self.degraded_dispatches += len(deferrals)
         self._log("degraded_flush", handle.shard_id)
         outcomes = degraded.flush(deferrals, now)
         # mirror exactly what a worker reply would piggyback
-        handle.next_flush = degraded.inner.next_flush_time()
+        handle.next_flush = degraded.dispatcher.next_flush_time()
         handle.pending_ids = degraded.pending_ids()
         handle.pending_clock = now
         return outcomes
@@ -1206,11 +1043,11 @@ class ClusterDispatcher(Dispatcher):
             if request.id not in handle.pending_ids:
                 continue
             if handle.health != ShardHealth.UP:
-                # the degraded executor holds the re-deferred window in-process
+                # the failover shard holds the re-deferred window in-process
                 removed = False
                 if handle.degraded is not None:
-                    removed = handle.degraded.cancel(request)
-                    handle.next_flush = handle.degraded.inner.next_flush_time()
+                    removed = handle.degraded.dispatcher.cancel(request)
+                    handle.next_flush = handle.degraded.dispatcher.next_flush_time()
                 if request.id in handle.pending_ids:
                     handle.pending_ids.remove(request.id)
                 return removed
@@ -1236,7 +1073,7 @@ class ClusterDispatcher(Dispatcher):
     def notify_worker_added(self, worker_id: int) -> None:
         """Broadcast the new worker to every replica (fire-and-forget).
 
-        Down shards learn about the newcomer through their degraded executor
+        Down shards learn about the newcomer through their failover shard
         immediately, and a later respawn replays it from ``_added_workers``
         via :class:`~repro.cluster.messages.ShardInit` catch-up.
         """
@@ -1257,7 +1094,7 @@ class ClusterDispatcher(Dispatcher):
                     handle.pending_acks += 1
                     handle.cursor[worker_id] = (state.plan_version, state.online)
             elif handle.degraded is not None and handle.shard_id == home:
-                handle.degraded.add_member(worker_id, state.position)
+                handle.degraded.add(worker_id, state.position)
 
     def apply_network_update(self, mutations, now: float) -> None:
         """Broadcast a live network mutation batch to every shard replica.
@@ -1271,13 +1108,10 @@ class ClusterDispatcher(Dispatcher):
         policy — a straggler burns ``retry_attempts`` timeout windows before
         its worker is marked down, and a replica whose post-replay content
         hash diverges from the authoritative one is killed rather than left
-        serving on a stale map (both fail over to the degraded in-process
-        executor, which shares the already-updated authoritative state).
+        serving on a stale map (both fail over to the in-process failover
+        shard, which shares the already-updated authoritative state).
         """
-        assert self.fleet is not None and self.instance is not None
-        self._poll_recovery(now)
-        self._note_advance_clock(now)
-        self._resync_membership()
+        self._prepare(now)
         update = NetworkUpdate(
             ordinal=len(self._applied_updates),
             clock=now,
@@ -1328,7 +1162,7 @@ class ClusterDispatcher(Dispatcher):
         # need their inner dispatcher's grid re-derived
         for handle in self._handles:
             if handle.health != ShardHealth.UP and handle.degraded is not None:
-                handle.degraded.inner.notify_network_changed()
+                handle.degraded.dispatcher.notify_network_changed()
                 self._log("update_degraded", handle.shard_id)
 
     # --------------------------------------------------------------- metrics
@@ -1363,16 +1197,9 @@ class ClusterDispatcher(Dispatcher):
         return totals
 
     def extra_metrics(self) -> dict[str, float]:
-        assert self.partition is not None
-        extra = {
-            "cluster_shards": float(self.num_shards),
+        extra = super().extra_metrics()
+        extra.update({
             "cluster_live_workers": float(len(self._live())),
-            "cluster_local_hits": float(self.local_hits),
-            "cluster_escalations": float(self.escalations),
-            "cluster_cross_shard_assignments": float(self.cross_shard_assignments),
-            "cluster_cross_shard_moves": float(self.cross_shard_moves),
-            "cluster_global_fallbacks": float(self.global_fallbacks),
-            "cluster_rejections": float(self.rejections),
             "cluster_admission_rejections": float(self.admission_rejections),
             "cluster_worker_failures": float(self.worker_failures),
             "cluster_worker_restarts": float(self.worker_restarts),
@@ -1381,8 +1208,7 @@ class ClusterDispatcher(Dispatcher):
             "cluster_commands_sent": float(self.commands_sent),
             "cluster_network_updates": float(self.network_updates_applied),
             "cluster_update_ack_retries": float(self.update_ack_retries),
-            "cluster_boundary_vertices": float(self.partition.num_boundary_vertices()),
-        }
+        })
         for handle in self._handles:
             extra[f"cluster_shard{handle.shard_id}_dispatch_calls"] = float(
                 handle.dispatch_calls

@@ -8,13 +8,13 @@ crash *recovery*:
   ``BlockingIOError``) is retried with exponential backoff and deterministic
   jitter before escalating; only a dead process, a broken pipe, or an expired
   ``dispatch_timeout`` marks a worker down;
-* **degraded-mode failover** — :class:`DegradedShard` serves a down shard's
-  requests *in process* at the front door, running the same inner dispatcher
-  over a :class:`~repro.sharding.fleet_view.ShardFleetView` of the
-  authoritative fleet. Because the authoritative fleet is exactly the state a
-  healthy replica would have reproduced, degraded decisions are bit-identical
-  to the ones the lost worker would have made — a kill between batch windows
-  leaves the replay's metrics bit-identical to the fault-free run;
+* **degraded-mode failover** — a down shard's requests run *in process* at
+  the front door, on a :class:`~repro.sharding.router.Shard` over the
+  authoritative fleet: the same shard the in-process sharded dispatcher and
+  the worker process run. The authoritative fleet is exactly the state a
+  healthy replica would have reproduced, so degraded decisions are the ones
+  the lost worker would have made — a kill between batch windows leaves the
+  replay's metrics bit-identical to the fault-free run;
 * **supervised respawn** — :class:`WorkerSupervisor` rebuilds the worker
   process off the hot path (fork + replica build + ready handshake on a
   daemon thread) and the dispatcher *adopts* it at the first dispatch/flush
@@ -35,7 +35,7 @@ import pickle
 import threading
 import time as _time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cluster.worker import shard_worker_from_payload
@@ -44,8 +44,6 @@ if TYPE_CHECKING:
     import multiprocessing
 
     from repro.cluster.dispatcher import ClusterDispatcher, _ShardHandle
-    from repro.core.types import Request
-    from repro.dispatch.base import DispatchOutcome
 
 
 class TransientRPCError(Exception):
@@ -113,64 +111,6 @@ class FaultInjector:
 
     def before_recv(self, handle) -> None:
         """Runs on each receive poll; may raise :class:`TransientRPCError`."""
-
-
-class DegradedShard:
-    """In-process failover executor for one down shard.
-
-    Runs the shard's inner dispatcher directly against the authoritative
-    fleet through a :class:`ShardFleetView` — the exact configuration the
-    in-process :class:`~repro.sharding.dispatcher.ShardedDispatcher` uses —
-    so decisions (and therefore metrics) are bit-identical to what the lost
-    worker replica would have produced on its mirrored state. Completions
-    and plan changes land directly on the authoritative fleet; no plan
-    re-application is needed.
-    """
-
-    def __init__(self, dispatcher: "ClusterDispatcher", shard_id: int) -> None:
-        from repro.dispatch import make_dispatcher  # lazy: registry import
-        from repro.sharding.fleet_view import ShardFleetView
-
-        members = {
-            worker_id
-            for worker_id, shard in dispatcher._membership.items()
-            if shard == shard_id
-        }
-        self.shard_id = shard_id
-        self.view = ShardFleetView(dispatcher.fleet, shard_id, members)
-        self.inner = make_dispatcher(dispatcher.inner, dispatcher.config)
-        self.inner.setup(dispatcher.instance, self.view)
-
-    def dispatch(self, request: "Request", now: float) -> "DispatchOutcome":
-        return self.inner.dispatch(request, now)
-
-    def flush(self, deferrals, now: float) -> "list[DispatchOutcome]":
-        """Replay a buffered window and flush — the mirror of ``handle_flush``."""
-        for request, clock in deferrals:
-            self.inner.dispatch(request, clock)
-        return self.inner.flush(now)
-
-    def cancel(self, request: "Request") -> bool:
-        return self.inner.cancel(request)
-
-    def apply_move(self, worker_id: int, previous: int, shard_id: int) -> None:
-        """Install one membership delta (mirror of the replica's ``_apply_moves``)."""
-        if previous == self.shard_id and shard_id != self.shard_id:
-            self.view.members.discard(worker_id)
-            self.inner.grid.remove(worker_id)
-        elif shard_id == self.shard_id and previous != self.shard_id:
-            self.view.members.add(worker_id)  # the caller sets the grid cell
-
-    def add_member(self, worker_id: int, position: int) -> None:
-        if worker_id in self.view.members:
-            return
-        self.view.members.add(worker_id)
-        self.inner.grid.insert(worker_id, position)
-
-    def pending_ids(self) -> list[int]:
-        if not self.inner.is_batched:
-            return []
-        return [request.id for request in self.inner.pending_requests]
 
 
 @dataclass
@@ -360,7 +300,6 @@ class WorkerSupervisor:
 
 
 __all__ = [
-    "DegradedShard",
     "FaultInjector",
     "HEALTH_CODES",
     "RespawnSlot",

@@ -14,9 +14,12 @@ point (idempotently) to reap them early.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.cluster.dispatcher import ClusterDispatcher
 from repro.cluster.recovery import FaultInjector
 from repro.core.instance import URPSMInstance
+from repro.dispatch.base import DispatcherConfig
 from repro.exceptions import ConfigurationError
 from repro.network.graph import RoadNetwork
 from repro.network.oracle import DistanceOracle
@@ -73,13 +76,21 @@ class ClusterMatchingService(MatchingService):
         fault_injector: FaultInjector | None = None,
         collect_completions: bool = True,
     ) -> "ClusterMatchingService":
-        """Assemble a cluster session over ``instance`` with ``num_shards`` workers."""
+        """Assemble a cluster session over ``instance`` with ``num_shards`` workers.
+
+        ``strategy`` and ``escalate_k`` override the shard layout of
+        ``config`` when given.
+        """
+        config = config or DispatcherConfig()
+        config = replace(
+            config,
+            num_shards=num_shards,
+            shard_strategy=config.shard_strategy if strategy is None else strategy,
+            shard_escalate_k=config.shard_escalate_k if escalate_k is None else escalate_k,
+        )
         dispatcher = ClusterDispatcher(
             config,
             inner=inner,
-            num_shards=num_shards,
-            strategy=strategy,
-            escalate_k=escalate_k,
             seed=seed,
             max_pending=max_pending,
             dispatch_timeout=dispatch_timeout,
@@ -111,9 +122,6 @@ class ClusterMatchingService(MatchingService):
         dispatcher = ClusterDispatcher(
             spec.dispatcher_config(),
             inner=spec.dispatcher.algorithm,
-            num_shards=spec.dispatcher.num_shards,
-            strategy=spec.dispatcher.shard_strategy,
-            escalate_k=spec.dispatcher.shard_escalate_k,
             seed=spec.scenario.seed,
             max_pending=spec.cluster_max_pending,
             dispatch_timeout=spec.cluster_dispatch_timeout,

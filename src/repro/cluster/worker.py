@@ -1,10 +1,10 @@
 """Shard worker process: a deterministic full-fleet replica + inner dispatcher.
 
 Each worker process owns one spatial shard. It holds its *own*
-:class:`~repro.simulation.fleet.FleetState` replica of the whole fleet and
-the shard's inner dispatcher over a
-:class:`~repro.sharding.fleet_view.ShardFleetView`; every query goes to the
-oracle of the replica's instance copy.
+:class:`~repro.simulation.fleet.FleetState` replica of the whole fleet and a
+:class:`~repro.sharding.router.Shard` over it — the in-process shard the
+sharded dispatcher and the front door's failover also run; every query goes
+to the oracle of the replica's instance copy.
 
 Determinism contract
 --------------------
@@ -19,9 +19,10 @@ deterministic:
    time, stops, records) state of every worker whose plan changed since this
    shard was last commanded;
 2. **membership moves** — the front door re-buckets moved workers against the
-   partition (the exact mirror of ``ShardedDispatcher._resync``, computed on
-   the authoritative fleet) and piggybacks the ``(worker, shard)`` deltas, so
-   membership never depends on replica-side advancement; and
+   partition (``ShardRouter._rebucket``, the loop in-process sharding runs,
+   computed on the authoritative fleet) and piggybacks the ``(worker,
+   shard)`` deltas, so membership never depends on replica-side advancement;
+   and
 3. **member advancement**: before a decision, the replica advances *its own
    members* through the authoritative ``advance_all`` clock sequence the
    command carries, then to the command clock, and refreshes the grid cells
@@ -83,6 +84,7 @@ from repro.cluster.messages import (
 )
 from repro.core.route import Route
 from repro.network.oracle import OracleCounters
+from repro.sharding.router import Shard
 from repro.simulation.fleet import FleetState, ServiceRecord, WorkerState
 from repro.utils.rng import make_rng
 
@@ -133,23 +135,14 @@ class ShardWorkerRuntime:
         # live, mutated network), so the replica only records how many it has
         # and rejects out-of-order NetworkUpdateCommands as protocol errors.
         self.updates_applied = len(init.applied_updates)
-        self.membership: dict[int, int] = dict(init.membership)
-        members = {
-            worker_id
-            for worker_id, shard in self.membership.items()
-            if shard == init.shard_id
-        }
-
-        from repro.dispatch import make_dispatcher  # lazy: registry import
-
-        from repro.sharding.fleet_view import ShardFleetView
-
-        self.view = ShardFleetView(self.fleet, init.shard_id, members)
+        self.shard = Shard(
+            init.shard_id, init.inner, init.config, self.instance, self.fleet,
+            init.membership,
+        )
+        self.view, self.inner = self.shard.view, self.shard.dispatcher
         #: sorted route-table rows of the members; ``None`` after a membership
         #: move or a new table row (see :meth:`_member_rows`).
         self._rows: np.ndarray | None = None
-        self.inner = make_dispatcher(init.inner, init.config)
-        self.inner.setup(self.instance, self.view)
 
     # ----------------------------------------------------------------- sync
 
@@ -178,19 +171,9 @@ class ShardWorkerRuntime:
 
     def _apply_moves(self, moves) -> None:
         """Install the front door's membership deltas (authoritative)."""
-        grid = self.inner.grid
-        members = self.view.members
-        mine = self.shard_id
-        if moves:
-            self._rows = None
         for worker_id, shard_id in moves:
-            previous = self.membership.get(worker_id, shard_id)
-            self.membership[worker_id] = shard_id
-            if previous == mine and shard_id != mine:
-                members.discard(worker_id)
-                grid.remove(worker_id)
-            elif shard_id == mine and previous != mine:
-                members.add(worker_id)
+            self.shard.move(worker_id, shard_id)
+            self._rows = None
 
     def _member_rows(self) -> np.ndarray:
         """Route-table rows of this shard's members, cached between moves."""
@@ -283,11 +266,8 @@ class ShardWorkerRuntime:
     def handle_flush(self, command: FlushCommand) -> FlushReply:
         self._prepare(command, advance=True)
         baseline = self._travelled_baseline()
-        # replay the window the front door buffered: deferrals read no fleet
-        # state, so replaying them here is value-identical to interleaving
-        for request, clock in command.deferrals:
-            self.inner.dispatch(request, clock)
-        outcomes = self.inner.flush(command.clock)
+        # the window the front door buffered is replayed, then flushed
+        outcomes = self.shard.flush(command.deferrals, command.clock)
         completed = tuple(
             record.request.id for record in self.fleet.drain_completions()
         )
@@ -296,13 +276,10 @@ class ShardWorkerRuntime:
         for outcome in outcomes:
             if outcome.served and outcome.worker_id is not None:
                 plans[outcome.worker_id] = self._snapshot(outcome.worker_id, baseline)
-        pending = tuple(request.id for request in self.inner.pending_requests) if (
-            self.inner.is_batched
-        ) else ()
         return FlushReply(
             outcomes=tuple(OutcomePayload.from_outcome(outcome) for outcome in outcomes),
             plans=plans,
-            pending_ids=pending,
+            pending_ids=tuple(self.shard.pending_ids()),
             next_flush=self.inner.next_flush_time(),
             completed_ids=completed,
         )
@@ -319,11 +296,8 @@ class ShardWorkerRuntime:
         self.fleet.set_clock(command.clock)
         self._apply_moves(command.moves)
         state = self.fleet.add_worker(worker, at_time=command.clock)
-        shard_id = self.partition.shard_of_vertex(state.position)
-        self.membership[worker.id] = shard_id
-        if shard_id == self.shard_id:
-            self.view.members.add(worker.id)
-            self.inner.grid.insert(worker.id, state.position)
+        if self.partition.shard_of_vertex(state.position) == self.shard_id:
+            self.shard.add(worker.id, state.position)
         self._rows = None  # the new table row shifted the ones behind it
         return AckReply(next_flush=self.inner.next_flush_time())
 

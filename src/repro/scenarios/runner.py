@@ -123,8 +123,6 @@ def _build_service(spec: PlatformSpec, compiled: CompiledScenario) -> MatchingSe
             inner=spec.dispatcher.algorithm,
             num_shards=spec.dispatcher.num_shards,
             config=spec.dispatcher_config(),
-            strategy=spec.dispatcher.shard_strategy,
-            escalate_k=spec.dispatcher.shard_escalate_k,
             seed=spec.scenario.seed,
             max_pending=spec.cluster_max_pending,
             dispatch_timeout=spec.cluster_dispatch_timeout,

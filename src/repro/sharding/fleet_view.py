@@ -1,18 +1,18 @@
 """A restriction of one :class:`~repro.simulation.fleet.FleetState` to a shard.
 
-Inner dispatchers of a :class:`~repro.sharding.dispatcher.ShardedDispatcher`
-are ordinary :class:`~repro.dispatch.base.Dispatcher` instances — they are
-``setup()`` against a :class:`ShardFleetView` instead of the real fleet. The
+The inner dispatcher of a :class:`~repro.sharding.router.Shard` is an
+ordinary :class:`~repro.dispatch.base.Dispatcher` — it is ``setup()``
+against a :class:`ShardFleetView` instead of the real fleet. The
 view delegates every state accessor to the shared fleet (so materialisation,
 clocks and assignment bookkeeping stay global and exact) while restricting
 *enumeration* — iteration, length, the grid-sync drain — to the workers
 currently bucketed in its shard.
 
-Membership is owned and mutated by the sharded dispatcher: workers are
-re-bucketed whenever their materialised position crosses a shard border. The
-view's :meth:`drain_moved` always returns an empty list because the sharded
-dispatcher maintains the inner grid indexes itself during re-bucketing (a
-worker leaving a shard must be *removed* from that shard's grid, which the
+Membership is owned and mutated by the shard (``Shard.move`` /
+``Shard.add``): workers are re-bucketed whenever their materialised position
+crosses a shard border. The view's :meth:`drain_moved` always returns an
+empty list because the shard's owner maintains the inner grid index itself
+(a worker leaving a shard must be *removed* from that shard's grid, which the
 plain positional sync of ``Dispatcher.sync_grid`` cannot express).
 """
 
@@ -34,7 +34,7 @@ class ShardFleetView:
         fleet: the real fleet shared by all shards.
         shard_id: which shard this view exposes.
         members: the worker ids currently bucketed in the shard; the set is
-            owned (and mutated) by the sharded dispatcher.
+            owned (and mutated) by the shard.
     """
 
     def __init__(self, fleet: "FleetState", shard_id: int, members: set[int]) -> None:
@@ -102,5 +102,5 @@ class ShardFleetView:
         return len(self.members)
 
     def drain_moved(self) -> list[int]:
-        """Always empty: the sharded dispatcher syncs the inner grids itself."""
+        """Always empty: the shard's owner syncs the inner grid itself."""
         return []

@@ -1,8 +1,8 @@
 """Seeded chaos harness for the shard-worker cluster.
 
 Shared by ``tests/cluster/test_recovery.py`` and
-``benchmarks/bench_chaos.py`` (the module name carries no ``test_`` prefix,
-so pytest does not collect it as a test file).
+``tests/cluster/test_network_updates.py`` (the module name carries no
+``test_`` prefix, so pytest does not collect it as a test file).
 
 Faults are **deterministic**: each one anchors to a shard and a per-shard
 command ordinal (how many commands the front door successfully sent to that
@@ -55,6 +55,9 @@ DEFAULT_SCENARIO = ScenarioConfig(
     city="small-grid", num_workers=14, num_requests=80, seed=2018
 )
 DEFAULT_SHARDS = 4
+#: per-algorithm :func:`run_chaos` options the gates run both algorithms with:
+#: the batch window is widened so that several requests share one
+RUN_KWARGS = {"pruneGreedyDP": {}, "batch": {"batch_interval": 30.0}}
 
 
 @dataclass(frozen=True)
@@ -423,6 +426,7 @@ __all__ = [
     "ChaosRun",
     "DEFAULT_SCENARIO",
     "DEFAULT_SHARDS",
+    "RUN_KWARGS",
     "Fault",
     "UpdateAction",
     "closure_plan",

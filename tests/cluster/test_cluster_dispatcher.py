@@ -41,7 +41,7 @@ class TestConstruction:
 
     def test_non_positive_shards_rejected(self):
         with pytest.raises(ConfigurationError):
-            ClusterDispatcher(num_shards=0)
+            ClusterDispatcher(DispatcherConfig(num_shards=0))
 
     def test_always_requires_exact_positions(self):
         # replica determinism needs the authoritative fleet materialised at

@@ -45,6 +45,7 @@ from repro.workloads.scenarios import build_instance
 from tests.cluster.chaos import (
     DEFAULT_SCENARIO,
     DEFAULT_SHARDS,
+    RUN_KWARGS,
     Fault,
     closure_plan,
     run_chaos,
@@ -64,6 +65,19 @@ def baseline(plan):
     return run_chaos("pruneGreedyDP", updates=plan)
 
 
+@pytest.fixture(scope="module")
+def batch_baseline(plan):
+    """The same anchor for the batch dispatcher."""
+    return run_chaos("batch", updates=plan, **RUN_KWARGS["batch"])
+
+
+def _anchor(request, algorithm):
+    """The fault-free run of ``algorithm`` (built only when a test needs it)."""
+    return request.getfixturevalue(
+        "baseline" if algorithm == "pruneGreedyDP" else "batch_baseline"
+    )
+
+
 def _events(log, name):
     return [entry for entry in log if entry[0] == name]
 
@@ -71,7 +85,9 @@ def _events(log, name):
 # ------------------------------------------------------------ broadcast path
 
 
-def test_broadcast_reaches_every_shard(baseline, plan):
+@pytest.mark.parametrize("algorithm", ["pruneGreedyDP", "batch"])
+def test_broadcast_reaches_every_shard(request, plan, algorithm):
+    baseline = _anchor(request, algorithm)
     assert baseline.network_updates == len(plan) == 2
     assert baseline.replica_rebuilds == (2,) * DEFAULT_SHARDS
     assert baseline.worker_failures == 0
@@ -104,12 +120,23 @@ def test_update_telemetry_flows_to_result_extra(baseline):
 # ------------------------------------------- kills anchored to update windows
 
 
-@pytest.mark.parametrize("window", ["before", "during", "after"])
-def test_kill_in_update_window_bit_identical(baseline, plan, window):
+@pytest.mark.parametrize(
+    ("algorithm", "window"),
+    [
+        pytest.param("pruneGreedyDP", "before", id="before"),
+        pytest.param("pruneGreedyDP", "during", id="during"),
+        pytest.param("pruneGreedyDP", "after", id="after"),
+        pytest.param("batch", "before", id="batch-before"),
+        pytest.param("batch", "after", id="batch-after"),
+    ],
+)
+def test_kill_in_update_window_bit_identical(request, plan, algorithm, window):
+    baseline = _anchor(request, algorithm)
     chaos = run_chaos(
-        "pruneGreedyDP",
+        algorithm,
         [Fault("kill", shard=1, at_update=0, window=window)],
         updates=plan,
+        **RUN_KWARGS[algorithm],
     )
     assert chaos.fired == [(f"kill_{window}_update", 1, 0)]
     assert chaos.worker_failures == 1
@@ -118,14 +145,17 @@ def test_kill_in_update_window_bit_identical(baseline, plan, window):
     assert chaos.orphans == []
 
 
-def test_respawn_replays_missed_update_from_journal(baseline, plan):
+@pytest.mark.parametrize("algorithm", ["pruneGreedyDP", "batch"])
+def test_respawn_replays_missed_update_from_journal(request, plan, algorithm):
+    baseline = _anchor(request, algorithm)
     # killed long before the closure; the respawn only becomes ready after
     # the closure landed, so adoption must replay it from the journal
     chaos = run_chaos(
-        "pruneGreedyDP",
+        algorithm,
         [Fault("kill", shard=0, at_command=1)],
         updates=plan,
         restart_delay_s=plan[0].time + 1.0,
+        **RUN_KWARGS[algorithm],
     )
     assert chaos.fired == [("kill", 0, 1)]
     assert ("update_replayed", 0) in chaos.recovery_log
@@ -135,13 +165,16 @@ def test_respawn_replays_missed_update_from_journal(baseline, plan):
     assert chaos.orphans == []
 
 
-def test_degraded_shard_follows_updates(baseline, plan):
+@pytest.mark.parametrize("algorithm", ["pruneGreedyDP", "batch"])
+def test_degraded_shard_follows_updates(request, plan, algorithm):
+    baseline = _anchor(request, algorithm)
     # no restart budget: shard 2 serves degraded through both updates
     chaos = run_chaos(
-        "pruneGreedyDP",
+        algorithm,
         [Fault("kill", shard=2, at_command=1)],
         updates=plan,
         max_restarts=0,
+        **RUN_KWARGS[algorithm],
     )
     assert chaos.shard_health[2] == ShardHealth.DEGRADED
     assert ("update_degraded", 2) in chaos.recovery_log
@@ -152,8 +185,8 @@ def test_degraded_shard_follows_updates(baseline, plan):
     assert chaos.orphans == []
 
 
-def test_kill_during_update_batch_windows_bit_identical(plan):
-    base = run_chaos("batch", batch_interval=30.0, updates=plan)
+def test_kill_during_update_batch_windows_bit_identical(batch_baseline, plan):
+    base = batch_baseline
     chaos = run_chaos(
         "batch",
         [Fault("kill", shard=0, at_update=1, window="during")],

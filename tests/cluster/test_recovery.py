@@ -22,6 +22,8 @@ The properties gated here:
 import os
 import signal
 
+import pytest
+
 from repro.cluster.recovery import ShardHealth
 from repro.cluster.service import ClusterMatchingService
 from repro.dispatch import DispatcherConfig
@@ -29,6 +31,7 @@ from repro.workloads.scenarios import build_instance
 
 from tests.cluster.chaos import (
     DEFAULT_SCENARIO,
+    RUN_KWARGS,
     ChaosInjector,
     Fault,
     run_chaos,
@@ -75,10 +78,11 @@ def test_kill_between_commands_bit_identical_immediate():
     assert chaos.fingerprint == baseline.fingerprint
 
 
-def test_chaos_rerun_is_deterministic():
+@pytest.mark.parametrize("algorithm", ["batch", "pruneGreedyDP"])
+def test_chaos_rerun_is_deterministic(algorithm):
     faults = seeded_faults(DEFAULT_SCENARIO.seed)
-    first = run_chaos("batch", faults, batch_interval=30.0)
-    second = run_chaos("batch", faults, batch_interval=30.0)
+    first = run_chaos(algorithm, faults, **RUN_KWARGS[algorithm])
+    second = run_chaos(algorithm, faults, **RUN_KWARGS[algorithm])
     assert first.fingerprint == second.fingerprint
     assert first.fired == second.fired
     assert first.worker_failures == second.worker_failures
@@ -132,12 +136,14 @@ def test_kill_mid_dispatch_immediate_exactly_once():
 # -------------------------------------------------------------- retry path
 
 
-def test_transient_send_errors_retry_without_killing():
-    baseline = run_chaos("pruneGreedyDP")
+@pytest.mark.parametrize("algorithm", ["pruneGreedyDP", "batch"])
+def test_transient_send_errors_retry_without_killing(algorithm):
+    baseline = run_chaos(algorithm, **RUN_KWARGS[algorithm])
     chaos = run_chaos(
-        "pruneGreedyDP",
+        algorithm,
         [Fault("transient_send", shard=0, at_command=1, count=2)],
         retry_attempts=3,
+        **RUN_KWARGS[algorithm],
     )
     assert ("transient_send", 0, 1) in chaos.fired
     assert chaos.retries == 2
@@ -356,6 +362,23 @@ def test_result_extra_metrics_carry_recovery_counters():
     assert extra["cluster_degraded_dispatches"] >= 1.0
     assert "cluster_retries" in extra
     assert extra["cluster_shard0_health"] == 2.0  # adopted back: up
+    # the routing keys, by name: the e2e harness reads them this way
+    for key in (
+        "cluster_shards",
+        "cluster_local_hits",
+        "cluster_escalations",
+        "cluster_cross_shard_assignments",
+        "cluster_cross_shard_moves",
+        "cluster_global_fallbacks",
+        "cluster_rejections",
+        "cluster_boundary_vertices",
+    ):
+        assert key in extra
+    # every request is decided in its home shard or after escalating
+    assert (
+        extra["cluster_local_hits"] + extra["cluster_cross_shard_assignments"]
+        + extra["cluster_rejections"]
+    ) == chaos.result.total_requests
     row = chaos.result.as_row()
     assert row["cluster_worker_failures"] == 1.0
     assert row["cluster_worker_restarts"] == 1.0

@@ -47,7 +47,7 @@ class TestConstruction:
 
     def test_non_positive_shards_rejected(self):
         with pytest.raises(ConfigurationError):
-            ShardedDispatcher(num_shards=0)
+            ShardedDispatcher(DispatcherConfig(num_shards=0))
 
     def test_requires_exact_positions_follows_inner(self):
         assert ShardedDispatcher(inner="tshare").requires_exact_positions
@@ -56,17 +56,22 @@ class TestConstruction:
     def test_multi_shard_requires_exact_positions(self):
         # shard routing is position-dependent, so lazy (stale) positions
         # would make K>1 results depend on the advancement regime
-        assert ShardedDispatcher(inner="pruneGreedyDP", num_shards=2).requires_exact_positions
+        assert ShardedDispatcher(DispatcherConfig(num_shards=2), inner="pruneGreedyDP").requires_exact_positions
 
 
 class TestCountersSurfaced:
     def test_extra_metrics_reach_the_result(self):
         result = _run("sharded:pruneGreedyDP", shards=4)
+        # the routing keys, by name: the e2e harness reads them this way
         for key in (
             "sharding_shards",
             "sharding_local_hits",
             "sharding_escalations",
             "sharding_cross_shard_assignments",
+            "sharding_cross_shard_moves",
+            "sharding_global_fallbacks",
+            "sharding_rejections",
+            "sharding_boundary_vertices",
             "sharding_distance_queries",
         ):
             assert key in result.extra
