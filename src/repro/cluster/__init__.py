@@ -9,17 +9,20 @@ processes behind a front door exposing the standard
   :class:`~repro.sharding.router.ShardRouter` (routing and escalation, shared
   with in-process sharding) over worker pipes: batch window buffering,
   replica sync, backpressure, crash detection and clean shutdown;
+* :mod:`repro.cluster.link` — one :class:`~repro.cluster.link.WorkerLink` per
+  shard worker: its process and the front door's end of its pipe, started by
+  :func:`~repro.cluster.link.start_worker` (tests inject faults by wrapping
+  it);
 * :mod:`repro.cluster.worker` — the per-shard worker-process runtime (a
   deterministic full-fleet replica with a :class:`~repro.sharding.router.Shard`
   over it);
-* :mod:`repro.cluster.messages` — the picklable wire protocol;
+* :mod:`repro.cluster.messages` — the picklable wire protocol, one reply per
+  command;
 * :mod:`repro.cluster.recovery` — the self-healing layer: transient-error
-  retry with backoff (:class:`~repro.cluster.recovery.RetryPolicy`),
-  supervised respawn (:class:`~repro.cluster.recovery.WorkerSupervisor`) and
-  the deterministic fault-injection seam
-  (:class:`~repro.cluster.recovery.FaultInjector`). While a worker is down its
-  shard fails over to an in-process :class:`~repro.sharding.router.Shard` at
-  the front door.
+  retry with backoff (:class:`~repro.cluster.recovery.RetryPolicy`) and
+  supervised respawn (:class:`~repro.cluster.recovery.WorkerSupervisor`).
+  While a worker is down its shard fails over to an in-process
+  :class:`~repro.sharding.router.Shard` at the front door.
 
 Cluster replays are metric-identical (served rate, unified cost, waits,
 detours) to the in-process :class:`~repro.sharding.dispatcher.
@@ -33,7 +36,6 @@ the fault-free run (enforced by ``tests/cluster/test_recovery.py`` and
 
 from repro.cluster.dispatcher import ClusterDispatcher
 from repro.cluster.recovery import (
-    FaultInjector,
     RetryPolicy,
     ShardHealth,
     TransientRPCError,
@@ -44,7 +46,6 @@ from repro.cluster.service import ClusterMatchingService
 __all__ = [
     "ClusterDispatcher",
     "ClusterMatchingService",
-    "FaultInjector",
     "RetryPolicy",
     "ShardHealth",
     "TransientRPCError",

@@ -8,6 +8,10 @@ re-buckets and counts; this class supplies how one shard answers (a pipe
 round trip, or the in-process failover) and what a membership move does (it
 is buffered for every replica), plus the replica-sync protocol:
 
+Each shard worker sits behind one :class:`~repro.cluster.link.WorkerLink`
+(its process and the front door's pipe end), and every command waits for its
+reply:
+
 * batch windows are **buffered** at the front door with the exact float
   arithmetic of :class:`~repro.dispatch.base.BatchDispatcher` and ship inside
   the flush command as ``(request, defer clock)`` pairs the worker replays —
@@ -15,8 +19,9 @@ is buffered for every replica), plus the replica-sync protocol:
   pipe, and every reply piggybacks the worker's true ``next_flush_time``;
 * fleet state is synchronised by absolute per-worker **plan snapshots** keyed
   on a ``(plan_version, online)`` cursor per shard, plus the buffered
-  **membership moves** and ``advance_all`` clocks, so each replica advances
-  only its own members;
+  **worker additions**, **membership moves** and ``advance_all`` clocks that
+  ride on each shard's next command, so each replica advances only its own
+  members;
 * live **network updates** are journaled and broadcast as
   :class:`~repro.cluster.messages.NetworkUpdateCommand` under a barrier
   acknowledgement hash-checked against the authoritative content hash, and
@@ -35,14 +40,14 @@ and reaps every worker process, respawns included.
 
 from __future__ import annotations
 
-import multiprocessing
 import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.artifacts.hashing import network_content_hash
+from repro.cluster import link
+from repro.cluster.link import WorkerLink
 from repro.cluster.messages import (
-    AddWorkerCommand,
     CancelCommand,
     DispatchCommand,
     FlushCommand,
@@ -57,12 +62,11 @@ from repro.cluster.messages import (
 from repro.cluster.recovery import (
     HEALTH_CODES,
     TRANSIENT_ERRORS,
-    FaultInjector,
     RetryPolicy,
     ShardHealth,
     WorkerSupervisor,
 )
-from repro.cluster.worker import plan_snapshot, shard_worker_main
+from repro.cluster.worker import plan_snapshot
 from repro.core.types import Request, Stop, Worker
 from repro.dispatch.base import DispatcherConfig, DispatchOutcome
 from repro.exceptions import (
@@ -84,9 +88,7 @@ class _ShardHandle:
     """Front-door bookkeeping for one shard worker process."""
 
     shard_id: int
-    process: multiprocessing.process.BaseProcess
-    connection: object  # multiprocessing.connection.Connection
-    alive: bool = True
+    link: WorkerLink
     #: sync cursor: worker id -> (plan_version, online) as last shipped.
     cursor: dict[int, tuple[int, bool]] = field(default_factory=dict)
     #: workers whose stamp may differ from ``cursor`` — the only ones the
@@ -105,15 +107,14 @@ class _ShardHandle:
     #: the replica replays member advancement through them (anchor floats are
     #: grouping-dependent, see ``DispatchCommand.advance_clocks``).
     pending_clocks: list[float] = field(default_factory=list)
-    #: fire-and-forget commands (worker additions) awaiting their ack.
-    pending_acks: int = 0
+    #: ``(worker, add clock)`` for workers added since this shard's last
+    #: command; they ride on its next command of any kind that syncs state.
+    additions: list[tuple[Worker, float]] = field(default_factory=list)
     dispatch_calls: int = 0
     #: serving path: ``up`` (process-backed), ``recovering`` (respawn in
     #: flight, serving degraded), ``degraded`` (in-process forever). A shard
-    #: always serves — ``alive`` tracks only whether a worker process backs it.
+    #: always serves; only an ``up`` shard has a worker process behind it.
     health: str = ShardHealth.UP
-    #: commands successfully sent to this shard (fault-injection ordinals).
-    commands: int = 0
     #: defer clock of the worker-held re-deferrals (the last flush clock) —
     #: the clock they re-enter the buffered window at if the worker dies.
     pending_clock: float = 0.0
@@ -153,8 +154,6 @@ class ClusterDispatcher(ShardRouter):
             serves degraded (in-process) for the rest of the session.
         restart_delay_s: *simulated* seconds after a death before a respawned
             worker may be adopted — recovery timing is workload-deterministic.
-        fault_injector: chaos-harness seam (deterministic kill/transient/delay
-            faults at per-shard command ordinals); ``None`` in production.
     """
 
     name = "cluster"
@@ -205,7 +204,6 @@ class ClusterDispatcher(ShardRouter):
         retry_backoff_s: float = 0.05,
         max_restarts: int = 2,
         restart_delay_s: float = 0.0,
-        fault_injector: FaultInjector | None = None,
     ) -> None:
         super().__init__(config, inner)
         if retry_attempts < 1:
@@ -226,18 +224,17 @@ class ClusterDispatcher(ShardRouter):
         self.retry_policy = RetryPolicy(attempts=retry_attempts, backoff_s=retry_backoff_s)
         self.max_restarts = max_restarts
         self.restart_delay_s = restart_delay_s
-        self.fault_injector = fault_injector
         self._handles: list[_ShardHandle] = []
         self._closed = False
         self._started = False
         self._supervisor: WorkerSupervisor | None = None
-        self._context = None
         #: retry-jitter stream, independent of all workload randomness.
         self._retry_rng = make_rng(derive_spawned_seed(seed, "cluster-retry"))
         #: authoritative Request objects by id (replies reference ids only).
         self._requests: dict[int, Request] = {}
         #: workers added after setup, with their add clocks — a respawned
-        #: replica replays them (ShardInit.extra_workers + adoption catch-up).
+        #: replica gets them through ShardInit.extra_workers and, for those
+        #: added after its payload was pickled, its handle's additions.
         self._added_workers: list[tuple[Worker, float]] = []
         # cluster-specific counters
         self.admission_rejections = 0
@@ -258,17 +255,8 @@ class ClusterDispatcher(ShardRouter):
     def setup(self, instance: "URPSMInstance", fleet: "FleetState") -> None:
         """Partition the city and fork one worker process per shard."""
         self._partition(instance, fleet)
-        context = (
-            multiprocessing.get_context("fork")
-            if "fork" in multiprocessing.get_all_start_methods()
-            else multiprocessing.get_context()
-        )
-        self._context = context
         self._supervisor = WorkerSupervisor(
-            self,
-            context,
-            max_restarts=self.max_restarts,
-            restart_delay_s=self.restart_delay_s,
+            self, max_restarts=self.max_restarts, restart_delay_s=self.restart_delay_s
         )
         self._handles = []
         try:
@@ -281,18 +269,8 @@ class ClusterDispatcher(ShardRouter):
                     instance=instance,
                     membership=self._membership,
                     seed=derive_spawned_seed(self.seed, "cluster-shard", shard_id),
-                    delay_replies=self._delays_for(shard_id),
                 )
-                parent, child = context.Pipe(duplex=True)
-                process = context.Process(
-                    target=shard_worker_main,
-                    args=(child, init),
-                    name=f"repro-shard-{shard_id}",
-                    daemon=True,
-                )
-                process.start()
-                child.close()
-                handle = _ShardHandle(shard_id, process, parent)
+                handle = _ShardHandle(shard_id, link.start_worker(shard_id, init))
                 for worker_id in fleet.states:
                     state = fleet.peek_state(worker_id)
                     handle.cursor[worker_id] = (state.plan_version, state.online)
@@ -309,11 +287,6 @@ class ClusterDispatcher(ShardRouter):
             raise
         self._started = True
 
-    def _delays_for(self, shard_id: int) -> tuple[tuple[int, float], ...]:
-        if self.fault_injector is None:
-            return ()
-        return tuple(self.fault_injector.delays_for(shard_id))
-
     def _respawn_init(self, shard_id: int, incarnation: int) -> ShardInit:
         """The rebuild payload for a respawned worker (authoritative state)."""
         assert self.partition is not None
@@ -328,7 +301,6 @@ class ClusterDispatcher(ShardRouter):
                 self.seed, "cluster-shard", shard_id, "incarnation", incarnation
             ),
             extra_workers=tuple(self._added_workers),
-            delay_replies=self._delays_for(shard_id),
             applied_updates=tuple(self._applied_updates),
         )
 
@@ -345,20 +317,12 @@ class ClusterDispatcher(ShardRouter):
         if self._supervisor is not None:
             self._supervisor.stop()  # unblock in-flight spawn threads promptly
         for handle in self._handles:
-            if handle.alive:
+            if handle.health == ShardHealth.UP:
                 try:
-                    handle.connection.send(ShutdownCommand())
+                    handle.link.send(ShutdownCommand())
                 except (BrokenPipeError, OSError):
                     pass
-            handle.process.join(1.5)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(5.0)
-            handle.alive = False
-            try:
-                handle.connection.close()
-            except OSError:
-                pass
+            handle.link.close(grace=1.5)
         if self._supervisor is not None:
             self._supervisor.close()
 
@@ -377,8 +341,9 @@ class ClusterDispatcher(ShardRouter):
     # --------------------------------------------------------- communication
 
     def _live(self) -> list[_ShardHandle]:
-        """Process-backed shards (``up``); degraded shards serve in-process."""
-        return [handle for handle in self._handles if handle.alive]
+        """Process-backed (``up``) shards of an open dispatcher."""
+        up = [handle for handle in self._handles if handle.health == ShardHealth.UP]
+        return [] if self._closed else up
 
     def _log(self, event: str, shard_id: int) -> None:
         self.recovery_log.append((event, shard_id))
@@ -386,13 +351,9 @@ class ClusterDispatcher(ShardRouter):
     def _send(self, handle: _ShardHandle, command) -> bool:
         """Send with bounded transient retries; ``False`` = worker marked down."""
         policy = self.retry_policy
-        injector = self.fault_injector
-        ordinal = handle.commands
         for attempt in range(policy.attempts):
             try:
-                if injector is not None:
-                    injector.before_send(handle, command, ordinal, attempt)
-                handle.connection.send(command)
+                handle.link.send(command)
             except TRANSIENT_ERRORS:
                 self.retries += 1
                 self._log("retry", handle.shard_id)
@@ -401,10 +362,7 @@ class ClusterDispatcher(ShardRouter):
             except (BrokenPipeError, OSError):
                 self._mark_dead(handle)
                 return False
-            handle.commands += 1
             self.commands_sent += 1
-            if injector is not None:
-                injector.after_send(handle, command, ordinal)
             return True
         self._mark_dead(handle)
         return False
@@ -420,16 +378,13 @@ class ClusterDispatcher(ShardRouter):
         fails over instead of raising.
         """
         policy = self.retry_policy
-        injector = self.fault_injector
         timeouts_left = policy.attempts
         transient_left = policy.attempts
         deadline = _time.monotonic() + self.dispatch_timeout
         while True:
             try:
-                if injector is not None:
-                    injector.before_recv(handle)
-                if handle.connection.poll(0.1):
-                    reply = handle.connection.recv()
+                if handle.link.poll(0.1):
+                    reply = handle.link.recv()
                     if getattr(reply, "error", None):
                         handle.last_error = reply.error
                         self._log("worker_error", handle.shard_id)
@@ -450,10 +405,10 @@ class ClusterDispatcher(ShardRouter):
             except (EOFError, OSError):
                 self._mark_dead(handle)
                 return None
-            if not handle.process.is_alive():
+            if not handle.link.alive():
                 # one last poll: the worker may have replied right before exiting
                 try:
-                    if handle.connection.poll(0):
+                    if handle.link.poll(0):
                         continue
                 except (EOFError, OSError):
                     pass
@@ -469,35 +424,9 @@ class ClusterDispatcher(ShardRouter):
                 self._log("retry", handle.shard_id)
                 deadline = _time.monotonic() + self.dispatch_timeout
 
-    def _drain_acks(self, handle: _ShardHandle, *, block: bool) -> None:
-        """Consume outstanding fire-and-forget replies (FIFO, in order).
-
-        Non-blocking drains run opportunistically before each send (the
-        backpressure accounting); blocking drains run before any round-trip
-        receive, because replies share the pipe and arrive in command order.
-        """
-        while handle.alive and handle.pending_acks > 0:
-            if block:
-                reply = self._recv(handle)
-                if reply is None:
-                    return
-            else:
-                try:
-                    if not handle.connection.poll(0):
-                        return
-                except (EOFError, OSError):
-                    self._mark_dead(handle)
-                    return
-                reply = self._recv(handle)
-                if reply is None:
-                    return
-            handle.pending_acks -= 1
-            handle.next_flush = reply.next_flush
-
     def _roundtrip(self, handle: _ShardHandle, command):
-        """Drain acks, send, and receive the command's own reply."""
-        self._drain_acks(handle, block=True)
-        if not handle.alive or not self._send(handle, command):
+        """Send ``command`` and receive its reply; ``None`` = the worker is down."""
+        if handle.health != ShardHealth.UP or not self._send(handle, command):
             return None
         return self._recv(handle)
 
@@ -510,22 +439,15 @@ class ClusterDispatcher(ShardRouter):
         whole window through the failover shard — nothing is dropped,
         nothing re-routed, nothing decided twice.
         """
-        if not handle.alive:
+        if handle.health != ShardHealth.UP:
             return
-        handle.alive = False
-        handle.pending_acks = 0
+        handle.health = ShardHealth.DEGRADED
         handle.pending_moves.clear()
         handle.pending_clocks.clear()
-        if handle.process.is_alive():
-            handle.process.terminate()
-        handle.process.join(5.0)
-        try:
-            handle.connection.close()
-        except OSError:
-            pass
+        handle.additions.clear()
+        handle.link.close()
         if not self._started or self._closed:
             # startup failure or shutdown race: no failover machinery needed
-            handle.health = ShardHealth.DEGRADED
             handle.next_flush = None
             return
         self.worker_failures += 1
@@ -543,7 +465,6 @@ class ClusterDispatcher(ShardRouter):
             self._supervisor.schedule(handle, self.fleet.clock)
             self._log("respawn_scheduled", handle.shard_id)
         else:
-            handle.health = ShardHealth.DEGRADED
             self._log("degraded_permanent", handle.shard_id)
 
     # --------------------------------------------------------------- recovery
@@ -564,7 +485,7 @@ class ClusterDispatcher(ShardRouter):
             slot = self._supervisor.claim(handle.shard_id, now)
             if slot is None:
                 continue
-            if slot.process is None or slot.connection is None:
+            if slot.link is None:
                 handle.last_error = slot.error
                 self._log("respawn_failed", handle.shard_id)
                 if self._supervisor.should_restart(handle):
@@ -583,22 +504,19 @@ class ClusterDispatcher(ShardRouter):
         snapshot of every current member — snapshots are absolute and
         anchored at the command clock, so the fresh replica re-anchors
         exactly; earlier advance clocks are no-ops by protocol. Membership
-        drift and workers added since the respawn snapshot are shipped as a
-        move diff and catch-up AddWorker commands (FIFO: they land before the
-        first plan-bearing command).
+        drift and the workers added since the respawn payload was pickled are
+        queued as moves and additions for the next command.
         """
         degraded = handle.degraded
-        handle.process = slot.process
-        handle.connection = slot.connection
-        self._supervisor.mark_adopted(slot.process)
-        handle.alive = True
+        handle.link = slot.link
+        self._supervisor.mark_adopted(slot.link)
         handle.health = ShardHealth.UP
         handle.last_error = None
         handle.cursor.clear()
         handle.stale = members_of(self._membership, handle.shard_id)
-        handle.pending_moves.clear()
-        handle.pending_clocks.clear()
-        handle.pending_acks = 0
+        # a down shard buffers no moves, clocks or additions (_mark_dead
+        # emptied them): queue what the rebuilt replica has not seen
+        handle.additions[:] = self._added_workers[slot.extra_count :]
         # the failover shard's surviving re-deferrals return to the
         # buffered window at their defer clock; the rebuilt worker replays
         # them inside the next flush command. All state transfer happens
@@ -612,41 +530,40 @@ class ClusterDispatcher(ShardRouter):
             ]
         handle.pending_ids = []
         handle.degraded = None
-        handle.pending_moves.extend(
+        handle.pending_moves[:] = [
             (worker_id, shard_id)
             for worker_id, shard_id in self._membership.items()
             if slot.membership.get(worker_id) != shard_id
-        )
+        ]
         self.worker_restarts += 1
         self._log("respawn_adopted", handle.shard_id)
         # replay network updates journaled after the respawn snapshot was
         # pickled: the rebuilt replica's network reflects exactly
         # ``slot.updates_count`` updates, and each replay is hash-checked so
-        # a diverged replica is killed, never adopted. Empty sync payload —
-        # the cursor was just cleared, so full member snapshots (re-timed on
-        # the replica's refreshed oracle) ship with the next regular command.
+        # a diverged replica is killed, never adopted. The sync payload stays
+        # behind: the cursor was just cleared, so full member snapshots
+        # (re-timed on the replica's refreshed oracle) ship with the next
+        # regular command, together with the queued moves and additions.
         for update in self._applied_updates[slot.updates_count :]:
-            reply = self._roundtrip(
-                handle, NetworkUpdateCommand(self.fleet.clock, update)
-            )
-            if reply is None:
-                return  # died again during adoption; _mark_dead failed it over
-            if reply.content_hash != update.content_hash:
-                handle.last_error = (
-                    f"replica content hash {reply.content_hash!r} diverged from "
-                    f"authoritative {update.content_hash!r} replaying update "
-                    f"#{update.ordinal}"
-                )
-                self._log("update_hash_mismatch", handle.shard_id)
-                self._mark_dead(handle)
-                return
+            reply = self._roundtrip(handle, NetworkUpdateCommand(self.fleet.clock, update))
+            if reply is None or not self._replica_matches(handle, reply, update):
+                return  # died or diverged during adoption; failed over
             handle.next_flush = reply.next_flush
             handle.replica_rebuilds += 1
             self._log("update_replayed", handle.shard_id)
-        for worker, _ in self._added_workers[slot.extra_count :]:
-            if not self._send(handle, AddWorkerCommand(self.fleet.clock, worker)):
-                return  # died again during adoption; _mark_dead failed it over
-            handle.pending_acks += 1
+
+    def _replica_matches(self, handle: _ShardHandle, reply, update: NetworkUpdate) -> bool:
+        """Whether the replica's post-update content hash is the authoritative
+        one; a diverged replica is marked down instead of serving a stale map."""
+        if reply.content_hash == update.content_hash:
+            return True
+        handle.last_error = (
+            f"replica content hash {reply.content_hash!r} diverged from "
+            f"authoritative {update.content_hash!r} at update #{update.ordinal}"
+        )
+        self._log("update_hash_mismatch", handle.shard_id)
+        self._mark_dead(handle)
+        return False
 
     # ------------------------------------------------------------- plan sync
 
@@ -671,20 +588,21 @@ class ClusterDispatcher(ShardRouter):
             target.cursor.pop(worker_id, None)
             target.stale.add(worker_id)
             for handle in self._handles:
-                if handle.alive:
+                if handle.health == ShardHealth.UP:
                     handle.pending_moves.append((worker_id, shard_id))
                 elif handle.degraded is not None:
                     handle.degraded.move(worker_id, shard_id)
         if target.degraded is not None:
             target.degraded.dispatcher.grid.update(worker_id, position)
 
-    def _take_moves(self, handle: _ShardHandle) -> tuple[tuple[int, int], ...]:
-        """Membership deltas to piggyback on ``handle``'s next command."""
-        if not handle.pending_moves:
+    @staticmethod
+    def _take(pending: list) -> tuple:
+        """Empty one of a handle's buffers into the command about to ship."""
+        if not pending:
             return ()
-        moves = tuple(handle.pending_moves)
-        handle.pending_moves.clear()
-        return moves
+        taken = tuple(pending)
+        pending.clear()
+        return taken
 
     def _note_advance_clock(self, now: float) -> None:
         """Record one authoritative ``advance_all`` clock for every shard.
@@ -695,18 +613,10 @@ class ClusterDispatcher(ShardRouter):
         replay. Consecutive duplicates are no-op advances — skip them.
         """
         for handle in self._handles:
-            if handle.alive and (
+            if handle.health == ShardHealth.UP and (
                 not handle.pending_clocks or handle.pending_clocks[-1] != now
             ):
                 handle.pending_clocks.append(now)
-
-    def _take_clocks(self, handle: _ShardHandle) -> tuple[float, ...]:
-        """Advance clocks to piggyback on ``handle``'s next advancing command."""
-        if not handle.pending_clocks:
-            return ()
-        clocks = tuple(handle.pending_clocks)
-        handle.pending_clocks.clear()
-        return clocks
 
     def _sync_payload(self, handle: _ShardHandle) -> tuple[WorkerPlan, ...]:
         """Member plans changed since ``handle`` was last commanded.
@@ -872,8 +782,9 @@ class ClusterDispatcher(ShardRouter):
                     now,
                     request,
                     self._sync_payload(handle),
-                    moves=self._take_moves(handle),
-                    advance_clocks=self._take_clocks(handle),
+                    moves=self._take(handle.pending_moves),
+                    advance_clocks=self._take(handle.pending_clocks),
+                    additions=self._take(handle.additions),
                 ),
             )
             if reply is not None:
@@ -951,8 +862,6 @@ class ClusterDispatcher(ShardRouter):
         self._prepare(now)
         due: list[tuple[_ShardHandle, int, FlushCommand | None]] = []
         for handle in self._handles:
-            if handle.health == ShardHealth.UP:
-                self._drain_acks(handle, block=True)
             if handle.next_flush is None or handle.next_flush > now + 1e-9:
                 continue
             if handle.health == ShardHealth.UP:
@@ -964,8 +873,9 @@ class ClusterDispatcher(ShardRouter):
                             now,
                             self._sync_payload(handle),
                             deferrals=tuple(handle.window),
-                            moves=self._take_moves(handle),
-                            advance_clocks=self._take_clocks(handle),
+                            moves=self._take(handle.pending_moves),
+                            advance_clocks=self._take(handle.pending_clocks),
+                            additions=self._take(handle.additions),
                         ),
                     )
                 )
@@ -1057,7 +967,8 @@ class ClusterDispatcher(ShardRouter):
                     self.fleet.clock,
                     request,
                     self._sync_payload(handle),
-                    moves=self._take_moves(handle),
+                    moves=self._take(handle.pending_moves),
+                    additions=self._take(handle.additions),
                 ),
             )
             if reply is None:
@@ -1071,11 +982,12 @@ class ClusterDispatcher(ShardRouter):
         return False
 
     def notify_worker_added(self, worker_id: int) -> None:
-        """Broadcast the new worker to every replica (fire-and-forget).
+        """Queue the new worker for every replica's next command.
 
         Down shards learn about the newcomer through their failover shard
-        immediately, and a later respawn replays it from ``_added_workers``
-        via :class:`~repro.cluster.messages.ShardInit` catch-up.
+        immediately, and a later respawn registers it from ``_added_workers``
+        (:class:`~repro.cluster.messages.ShardInit` or the adopted handle's
+        additions).
         """
         assert self.fleet is not None and self.partition is not None
         state = self.fleet.peek_state(worker_id)
@@ -1083,16 +995,12 @@ class ClusterDispatcher(ShardRouter):
         # the next membership resync does not echo it back as a move
         home = self.partition.shard_of_vertex(state.position)
         self._membership[worker_id] = home
-        self._added_workers.append((state.worker, self.fleet.clock))
+        addition = (state.worker, self.fleet.clock)
+        self._added_workers.append(addition)
         for handle in self._handles:
             if handle.health == ShardHealth.UP:
-                self._drain_acks(handle, block=False)
-                command = AddWorkerCommand(
-                    self.fleet.clock, state.worker, moves=self._take_moves(handle)
-                )
-                if self._send(handle, command):
-                    handle.pending_acks += 1
-                    handle.cursor[worker_id] = (state.plan_version, state.online)
+                handle.additions.append(addition)
+                handle.cursor[worker_id] = (state.plan_version, state.online)
             elif handle.degraded is not None and handle.shard_id == home:
                 handle.degraded.add(worker_id, state.position)
 
@@ -1127,15 +1035,13 @@ class ClusterDispatcher(ShardRouter):
         for handle in self._handles:
             if handle.health != ShardHealth.UP:
                 continue
-            self._drain_acks(handle, block=True)
-            if not handle.alive:
-                continue
             command = NetworkUpdateCommand(
                 now,
                 update,
                 plans=self._sync_payload(handle),
-                moves=self._take_moves(handle),
-                advance_clocks=self._take_clocks(handle),
+                moves=self._take(handle.pending_moves),
+                advance_clocks=self._take(handle.pending_clocks),
+                additions=self._take(handle.additions),
             )
             if self._send(handle, command):
                 self._log("update_sent", handle.shard_id)
@@ -1145,14 +1051,7 @@ class ClusterDispatcher(ShardRouter):
             if reply is None:
                 continue  # marked down; degraded failover notified below
             handle.next_flush = reply.next_flush
-            if reply.content_hash != update.content_hash:
-                handle.last_error = (
-                    f"replica content hash {reply.content_hash!r} diverged from "
-                    f"authoritative {update.content_hash!r} applying update "
-                    f"#{update.ordinal}"
-                )
-                self._log("update_hash_mismatch", handle.shard_id)
-                self._mark_dead(handle)
+            if not self._replica_matches(handle, reply, update):
                 continue
             handle.replica_rebuilds += 1
             self._log("update_ack", handle.shard_id)
@@ -1227,15 +1126,7 @@ class ClusterDispatcher(ShardRouter):
 
     def child_processes(self) -> list:
         """Every live child this dispatcher is responsible for reaping."""
-        processes = [
-            handle.process
-            for handle in self._handles
-            if handle.process is not None and handle.process.is_alive()
-        ]
+        links = [handle.link for handle in self._handles]
         if self._supervisor is not None:
-            processes.extend(
-                process
-                for process in self._supervisor.spawned()
-                if process.is_alive()
-            )
-        return processes
+            links.extend(self._supervisor.spawned())
+        return [started.process for started in links if started.alive()]

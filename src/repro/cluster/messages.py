@@ -1,12 +1,14 @@
 """Wire protocol of the shard-worker cluster.
 
 Every value crossing a worker-process boundary is one of the picklable
-dataclasses below. The protocol is deliberately small:
+dataclasses below, and every command is answered by exactly one reply. The
+protocol is deliberately small:
 
-* the front door ships **plan snapshots** (:class:`WorkerPlan`) and
+* the front door ships **plan snapshots** (:class:`WorkerPlan`),
   **membership moves** (``(worker, shard)`` re-bucketing deltas computed on
-  the authoritative fleet) piggybacked on every command, so each worker
-  process keeps a deterministic replica without a shared-memory fleet;
+  the authoritative fleet) and **worker additions** (``(worker, add
+  clock)``) piggybacked on every command that reads fleet state, so each
+  worker process keeps a deterministic replica without a shared-memory fleet;
 * workers answer with **outcome payloads** (:class:`OutcomePayload`) plus the
   new plan of the assigned worker, and always piggyback their inner
   dispatcher's ``next_flush_time`` so the front door mirrors the batch
@@ -106,7 +108,7 @@ class ShardInit:
     A *respawned* worker (see :mod:`repro.cluster.recovery`) gets the same
     payload rebuilt from the authoritative front-door state: the current
     membership, plus ``extra_workers`` — workers that joined the fleet after
-    the original fork, replayed into the fresh replica before it serves. The
+    the original fork, registered by the fresh replica before it serves. The
     replica's exact member state then arrives with the first command (the
     front door clears the shard's sync cursor at adoption, so full plan
     snapshots ship), which is why the rebuild needs no fleet dump.
@@ -122,9 +124,6 @@ class ShardInit:
     #: ``(worker, add clock)`` pairs for workers added since the instance was
     #: built — replayed by a respawned replica before serving.
     extra_workers: tuple[tuple[Worker, float], ...] = ()
-    #: chaos-harness fault plan: ``(command ordinal, seconds)`` reply delays,
-    #: keyed on the worker-side command counter of this incarnation.
-    delay_replies: tuple[tuple[int, float], ...] = ()
     #: the front door's network-update journal prefix that is *already baked
     #: into* the pickled ``instance`` (a respawn snapshots the live, mutated
     #: network). The replica records ``len(applied_updates)`` as its update
@@ -153,6 +152,9 @@ class DispatchCommand:
     #: by advancement step — so the replica must advance its members at
     #: exactly the same clock sequence to keep its floats bit-identical.
     advance_clocks: tuple[float, ...] = ()
+    #: ``(worker, add clock)`` for each worker that joined the fleet since this
+    #: shard was last commanded; the replica registers them before anything else.
+    additions: tuple[tuple[Worker, float], ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,6 +175,7 @@ class FlushCommand:
     #: authoritative ``advance_all`` clock sequence (see ``DispatchCommand``);
     #: for a batch shard this covers every buffered arrival's clock.
     advance_clocks: tuple[float, ...] = ()
+    additions: tuple[tuple[Worker, float], ...] = ()  # see DispatchCommand
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,15 +186,7 @@ class CancelCommand:
     request: Request
     plans: tuple[WorkerPlan, ...]
     moves: tuple[tuple[int, int], ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class AddWorkerCommand:
-    """A worker joined the live fleet; every replica registers it."""
-
-    clock: float
-    worker: Worker
-    moves: tuple[tuple[int, int], ...] = ()
+    additions: tuple[tuple[Worker, float], ...] = ()  # see DispatchCommand
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,11 +225,15 @@ class NetworkUpdateCommand:
     plans: tuple[WorkerPlan, ...] = ()
     moves: tuple[tuple[int, int], ...] = ()
     advance_clocks: tuple[float, ...] = ()
+    additions: tuple[tuple[Worker, float], ...] = ()  # see DispatchCommand
 
 
 @dataclass(frozen=True, slots=True)
 class StatsCommand:
-    """Request the replica's oracle counters (end-of-run reporting)."""
+    """Request the replica's oracle counters (end-of-run reporting).
+
+    Reads no fleet state, so queued additions wait for the next command that
+    does."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,7 +280,8 @@ class CancelReply:
 
 @dataclass(frozen=True, slots=True)
 class AckReply:
-    next_flush: float | None = None
+    """Ready, shutdown and failure acknowledgement."""
+
     error: str | None = None
 
 
@@ -307,7 +307,6 @@ class StatsReply:
 
 __all__ = [
     "AckReply",
-    "AddWorkerCommand",
     "CancelCommand",
     "CancelReply",
     "DispatchCommand",

@@ -1,7 +1,7 @@
 """Fault tolerance for the shard-worker cluster: worker death is transient.
 
-Three cooperating pieces turn the front door's crash *detection* (PR 6) into
-crash *recovery*:
+Three cooperating pieces turn the front door's crash *detection* into crash
+*recovery*:
 
 * **failure classification + retry** — :class:`RetryPolicy` bounds how often a
   transient RPC hiccup (:class:`TransientRPCError`, ``InterruptedError``,
@@ -15,18 +15,22 @@ crash *recovery*:
   healthy replica would have reproduced, so degraded decisions are the ones
   the lost worker would have made — a kill between batch windows leaves the
   replay's metrics bit-identical to the fault-free run;
-* **supervised respawn** — :class:`WorkerSupervisor` rebuilds the worker
-  process off the hot path (fork + replica build + ready handshake on a
-  daemon thread) and the dispatcher *adopts* it at the first dispatch/flush
-  entry whose simulated clock passes ``restart_delay_s``. Adoption clears the
-  shard's sync cursor, so the next command ships a full plan snapshot of the
-  current membership and the rebuilt replica re-anchors exactly — the same
-  snapshot + membership + clock-replay protocol ``messages.py`` already
-  defines, applied from scratch.
+* **supervised respawn** — :class:`WorkerSupervisor` starts a new worker link
+  from the pickled rebuild payload off the hot path (fork + replica build +
+  ready handshake on a daemon thread) and the dispatcher *adopts* it at the
+  first dispatch/flush entry whose simulated clock passes
+  ``restart_delay_s``. Adoption clears the shard's sync cursor, so the next
+  command ships a full plan snapshot of the current membership and the
+  rebuilt replica re-anchors exactly; workers added after the payload was
+  pickled become the shard's queued additions, and network updates journaled
+  since are replayed — the snapshot + membership + addition + clock-replay
+  protocol of ``messages.py``, applied from scratch.
 
 Recovery timing is a deterministic function of the simulated workload: spawn
 latency is wall-clock, but nothing observes the new process until the
-adoption gate joins the spawn thread at a simulated-clock boundary.
+adoption gate joins the spawn thread at a simulated-clock boundary. Faults
+are injected from outside: a test wraps the :class:`~repro.cluster.link.
+WorkerLink` that :func:`~repro.cluster.link.start_worker` returns.
 """
 
 from __future__ import annotations
@@ -38,12 +42,11 @@ import traceback
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cluster.worker import shard_worker_from_payload
+from repro.cluster import link
 
 if TYPE_CHECKING:
-    import multiprocessing
-
     from repro.cluster.dispatcher import ClusterDispatcher, _ShardHandle
+    from repro.cluster.link import WorkerLink
 
 
 class TransientRPCError(Exception):
@@ -88,36 +91,10 @@ class RetryPolicy:
         return base * (0.5 + 0.5 * float(rng.random()))
 
 
-class FaultInjector:
-    """Deterministic fault-injection seam of the front door (chaos harness).
-
-    The production dispatcher calls these hooks around every pipe operation;
-    the default implementation does nothing. ``ordinal`` is the per-shard
-    command counter (how many commands were successfully sent to that shard
-    before this one), so faults anchor to exact protocol points regardless of
-    wall-clock timing. ``delays_for`` is threaded into each worker's
-    :class:`~repro.cluster.messages.ShardInit` as reply delays keyed on the
-    worker-side command ordinal (per incarnation).
-    """
-
-    def delays_for(self, shard_id: int) -> tuple[tuple[int, float], ...]:
-        return ()
-
-    def before_send(self, handle, command, ordinal: int, attempt: int) -> None:
-        """Runs before each send attempt; may raise :class:`TransientRPCError`."""
-
-    def after_send(self, handle, command, ordinal: int) -> None:
-        """Runs after a successful send (mid-round-trip fault point)."""
-
-    def before_recv(self, handle) -> None:
-        """Runs on each receive poll; may raise :class:`TransientRPCError`."""
-
-
 @dataclass
 class RespawnSlot:
     """One in-flight respawn: the thread doing the work plus its result."""
 
-    shard_id: int
     #: simulated clock before which the rebuilt worker must not be adopted.
     not_before: float
     #: authoritative membership at schedule time (adoption ships the diff).
@@ -128,8 +105,8 @@ class RespawnSlot:
     #: snapshot reflects exactly this many updates; adoption replays the rest.
     updates_count: int = 0
     thread: threading.Thread | None = None
-    process: "multiprocessing.process.BaseProcess | None" = None
-    connection: object | None = None
+    #: the rebuilt worker, once it acknowledged ready.
+    link: "WorkerLink | None" = None
     error: str | None = None
 
 
@@ -152,19 +129,17 @@ class WorkerSupervisor:
     def __init__(
         self,
         dispatcher: "ClusterDispatcher",
-        context,
         *,
         max_restarts: int = 2,
         restart_delay_s: float = 0.0,
         spawn_timeout_s: float = 120.0,
     ) -> None:
         self.dispatcher = dispatcher
-        self.context = context
         self.max_restarts = max_restarts
         self.restart_delay_s = restart_delay_s
         self.spawn_timeout_s = spawn_timeout_s
         self._slots: dict[int, RespawnSlot] = {}
-        self._spawned: list = []  # processes not yet adopted (reaped at close)
+        self._spawned: list["WorkerLink"] = []  # not yet adopted (reaped at close)
         self._lock = threading.Lock()
         self._stopping = False
 
@@ -185,7 +160,6 @@ class WorkerSupervisor:
         # reflects precisely ``updates_count`` applied updates.
         payload = pickle.dumps(init, protocol=pickle.HIGHEST_PROTOCOL)
         slot = RespawnSlot(
-            shard_id=handle.shard_id,
             not_before=death_clock + self.restart_delay_s,
             membership=dict(init.membership),
             extra_count=len(init.extra_workers),
@@ -193,7 +167,7 @@ class WorkerSupervisor:
         )
         thread = threading.Thread(
             target=self._spawn,
-            args=(init.shard_id, payload, slot),
+            args=(init.shard_id, handle.incarnation, payload, slot),
             name=f"repro-respawn-{handle.shard_id}",
             daemon=True,
         )
@@ -201,49 +175,31 @@ class WorkerSupervisor:
         self._slots[handle.shard_id] = slot
         thread.start()
 
-    def _spawn(self, shard_id: int, payload: bytes, slot: RespawnSlot) -> None:
-        process = None
-        parent = None
+    def _spawn(self, shard_id: int, incarnation: int, payload: bytes, slot: RespawnSlot) -> None:
+        started = None
         try:
-            parent, child = self.context.Pipe(duplex=True)
-            process = self.context.Process(
-                target=shard_worker_from_payload,
-                args=(child, payload),
-                name=f"repro-shard-{shard_id}-r{self.dispatcher._handles[shard_id].incarnation}",
-                daemon=True,
-            )
-            process.start()
-            child.close()
+            started = link.start_worker(shard_id, payload, incarnation)
             with self._lock:
-                self._spawned.append(process)
+                self._spawned.append(started)
             ready = None
             deadline = _time.monotonic() + self.spawn_timeout_s
             while _time.monotonic() < deadline and not self._stopping:
-                if parent.poll(0.1):
-                    ready = parent.recv()
+                if started.poll(0.1):
+                    ready = started.recv()
                     break
-                if not process.is_alive():
+                if not started.alive():
                     break
             if ready is None:
                 slot.error = "respawned shard worker never became ready"
             elif ready.error:
                 slot.error = ready.error
             else:
-                slot.process = process
-                slot.connection = parent
+                slot.link = started
                 return
         except Exception:  # noqa: BLE001 - surfaced to the adoption gate
             slot.error = traceback.format_exc()
-        # failed spawn: clean up whatever exists
-        if parent is not None:
-            try:
-                parent.close()
-            except OSError:
-                pass
-        if process is not None:
-            if process.is_alive():
-                process.terminate()
-            process.join(5.0)
+        if started is not None:  # failed spawn: reap whatever exists
+            started.close()
 
     # --------------------------------------------------------------- adoption
 
@@ -262,10 +218,10 @@ class WorkerSupervisor:
         del self._slots[shard_id]
         return slot
 
-    def mark_adopted(self, process) -> None:
+    def mark_adopted(self, adopted: "WorkerLink") -> None:
         with self._lock:
-            if process in self._spawned:
-                self._spawned.remove(process)
+            if adopted in self._spawned:
+                self._spawned.remove(adopted)
 
     # --------------------------------------------------------------- shutdown
 
@@ -282,12 +238,10 @@ class WorkerSupervisor:
         self._slots.clear()
         with self._lock:
             spawned, self._spawned = list(self._spawned), []
-        for process in spawned:
-            if process.is_alive():
-                process.terminate()
-            process.join(5.0)
+        for unadopted in spawned:
+            unadopted.close()
 
-    def spawned(self) -> list:
+    def spawned(self) -> list["WorkerLink"]:
         with self._lock:
             return list(self._spawned)
 
@@ -300,7 +254,6 @@ class WorkerSupervisor:
 
 
 __all__ = [
-    "FaultInjector",
     "HEALTH_CODES",
     "RespawnSlot",
     "RetryPolicy",

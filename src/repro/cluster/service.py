@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.cluster.dispatcher import ClusterDispatcher
-from repro.cluster.recovery import FaultInjector
 from repro.core.instance import URPSMInstance
 from repro.dispatch.base import DispatcherConfig
 from repro.exceptions import ConfigurationError
@@ -73,7 +72,6 @@ class ClusterMatchingService(MatchingService):
         retry_backoff_s: float = 0.05,
         max_restarts: int = 2,
         restart_delay_s: float = 0.0,
-        fault_injector: FaultInjector | None = None,
         collect_completions: bool = True,
     ) -> "ClusterMatchingService":
         """Assemble a cluster session over ``instance`` with ``num_shards`` workers.
@@ -98,7 +96,6 @@ class ClusterMatchingService(MatchingService):
             retry_backoff_s=retry_backoff_s,
             max_restarts=max_restarts,
             restart_delay_s=restart_delay_s,
-            fault_injector=fault_injector,
         )
         return cls(instance, dispatcher, collect_completions=collect_completions)
 
@@ -138,9 +135,7 @@ class ClusterMatchingService(MatchingService):
 
     def close(self) -> None:
         """Shut all shard worker processes down (idempotent)."""
-        dispatcher = self.dispatcher
-        if isinstance(dispatcher, ClusterDispatcher):
-            dispatcher.close()
+        self.dispatcher.close()
 
     def drain(self) -> SimulationResult:
         """Resolve pending work, collect the result, then reap the workers.
@@ -162,15 +157,10 @@ class ClusterMatchingService(MatchingService):
     # ------------------------------------------------------------ observability
 
     def _queue_depth(self) -> int:
-        dispatcher = self.dispatcher
-        if isinstance(dispatcher, ClusterDispatcher):
-            return dispatcher.queue_depth()
-        return 0
+        return self.dispatcher.queue_depth()
 
     def _recovery_stats(self) -> dict:
         dispatcher = self.dispatcher
-        if not isinstance(dispatcher, ClusterDispatcher):
-            return {}
         return {
             "worker_failures": dispatcher.worker_failures,
             "worker_restarts": dispatcher.worker_restarts,

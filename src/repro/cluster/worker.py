@@ -45,19 +45,29 @@ deterministic:
    authoritative fleet's, which is what makes cluster replays bit-identical
    to in-process sharded runs at K>1 (at K=1 the in-process wrapper stays
    lazy, a different — equally valid — float association, and metrics agree
-   to ~1e-9 relative instead). One gap remains: the engine also touches a
-   *single* worker between two sequence clocks (a cancellation that comes
-   too late to drop, a shift start); that regrouping is not replayed, so
-   that worker's replica anchor may sit one ULP off until its plan is next
-   shipped — which is why the front door keeps its own anchor bits when it
-   adopts a replica's plan. Per clock the replica pays one vector comparison
-   over its member rows plus a walk per member that actually moves — not a
-   Python visit per member, let alone per worker of the fleet; cancellations
-   touch no positions at all, exactly like their in-process counterparts.
+   to ~1e-9 relative instead). A decision's new plan can anchor in the
+   past, its next stop already due: the engine then completes that stop at
+   the decision clock, so the replica walks the worker there right after
+   deciding, never at its next command's clocks. Two gaps remain. The engine
+   touches a *single* worker between two sequence clocks (a cancellation
+   that comes too late to drop, a shift start), and a reopened street can
+   make a route a network update rebuilds due at the update clock; neither
+   walk is replayed, so that worker's replica anchor may sit one ULP off
+   until its plan is next shipped — which is why the front door keeps its
+   own anchor bits when it adopts a replica's plan. Per clock the replica
+   pays one vector comparison over its member rows plus a walk per member
+   that actually moves — not a Python visit per member, let alone per worker
+   of the fleet; cancellations touch no positions at all, exactly like their
+   in-process counterparts.
+
+Workers that join the fleet arrive as ``(worker, add clock)`` additions on
+the shard's next command; the replica registers them at their add clock
+before it applies that command's moves and plans.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 import traceback
 
@@ -65,7 +75,6 @@ import numpy as np
 
 from repro.cluster.messages import (
     AckReply,
-    AddWorkerCommand,
     CancelCommand,
     CancelReply,
     DispatchCommand,
@@ -140,6 +149,13 @@ class ShardWorkerRuntime:
             init.membership,
         )
         self.view, self.inner = self.shard.view, self.shard.dispatcher
+        self._handlers = {
+            DispatchCommand: self.handle_dispatch,
+            FlushCommand: self.handle_flush,
+            CancelCommand: self.handle_cancel,
+            NetworkUpdateCommand: self.handle_network_update,
+            StatsCommand: self.handle_stats,
+        }
         #: sorted route-table rows of the members; ``None`` after a membership
         #: move or a new table row (see :meth:`_member_rows`).
         self._rows: np.ndarray | None = None
@@ -168,6 +184,14 @@ class ShardWorkerRuntime:
             }
             self.fleet.set_online(plan.worker_id, plan.online)
             state.plan_version = plan.plan_version
+
+    def _register(self, additions) -> None:
+        """Add the workers that joined the fleet, each at its add clock."""
+        for worker, clock in additions:
+            state = self.fleet.add_worker(worker, at_time=clock)
+            if self.partition.shard_of_vertex(state.position) == self.shard_id:
+                self.shard.add(worker.id, state.position)
+            self._rows = None  # the new table row shifted the ones behind it
 
     def _apply_moves(self, moves) -> None:
         """Install the front door's membership deltas (authoritative)."""
@@ -205,12 +229,24 @@ class ShardWorkerRuntime:
         self._housekeeping()
 
     def _prepare(self, command, advance: bool) -> None:
+        self._register(command.additions)
         self._apply_moves(command.moves)
         self._apply_plans(command.plans)
         if advance:
             self._advance_members((*command.advance_clocks, command.clock))
         else:
             self.fleet.set_clock(command.clock)
+
+    def _complete_due_stops(self, worker_ids, clock: float) -> None:
+        """Walk the just re-planned workers whose next stop is due at ``clock``,
+        as the engine's stop event (at ``max(arrival, clock)``) does on the
+        front door; call it after snapshotting the reply's plans."""
+        fleet = self.fleet
+        for worker_id in worker_ids:
+            arrival = fleet.peek_state(worker_id).next_stop_arrival
+            if arrival is not None and arrival <= clock:
+                fleet.state_of(worker_id)
+        self._housekeeping()
 
     def _housekeeping(self) -> None:
         """Consume fleet change-tracking the replica has no use for.
@@ -256,6 +292,7 @@ class ShardWorkerRuntime:
             payload = OutcomePayload.from_outcome(outcome)
             if outcome.served and outcome.worker_id is not None:
                 plan = self._snapshot(outcome.worker_id, baseline)
+                self._complete_due_stops((outcome.worker_id,), command.clock)
         return DispatchReply(
             outcome=payload,
             plan=plan,
@@ -276,6 +313,7 @@ class ShardWorkerRuntime:
         for outcome in outcomes:
             if outcome.served and outcome.worker_id is not None:
                 plans[outcome.worker_id] = self._snapshot(outcome.worker_id, baseline)
+        self._complete_due_stops(plans, command.clock)
         return FlushReply(
             outcomes=tuple(OutcomePayload.from_outcome(outcome) for outcome in outcomes),
             plans=plans,
@@ -291,25 +329,15 @@ class ShardWorkerRuntime:
         self._housekeeping()
         return CancelReply(removed=removed, next_flush=self.inner.next_flush_time())
 
-    def handle_add_worker(self, command: AddWorkerCommand) -> AckReply:
-        worker = command.worker
-        self.fleet.set_clock(command.clock)
-        self._apply_moves(command.moves)
-        state = self.fleet.add_worker(worker, at_time=command.clock)
-        if self.partition.shard_of_vertex(state.position) == self.shard_id:
-            self.shard.add(worker.id, state.position)
-        self._rows = None  # the new table row shifted the ones behind it
-        return AckReply(next_flush=self.inner.next_flush_time())
-
     def handle_network_update(self, command: NetworkUpdateCommand) -> UpdateReply:
         """Replay a live network mutation batch on this replica.
 
         Ordering mirrors the authoritative engine exactly:
 
-        1. membership moves, then the ``advance_all`` clock sequence and
-           member advancement to the command clock — all on the *old*
-           topology, matching the engine's fleet materialisation before the
-           mutation;
+        1. worker additions and membership moves, then the ``advance_all``
+           clock sequence and member advancement to the command clock — all
+           on the *old* topology, matching the engine's fleet
+           materialisation before the mutation;
         2. the recorded mutations, then the replica oracle's
            ``refresh_topology`` (the oracle of the *authoritative* process
            refreshed first and saved the new-topology backend into the
@@ -334,6 +362,7 @@ class ShardWorkerRuntime:
                 f"#{self.updates_applied}, got #{update.ordinal}; replica is "
                 "out of sync with the front-door journal"
             )
+        self._register(command.additions)
         self._apply_moves(command.moves)
         self._advance_members((*command.advance_clocks, command.clock))
         for mutation in update.mutations:
@@ -352,88 +381,61 @@ class ShardWorkerRuntime:
         # merge() copies the counts without the attached caches
         return StatsReply(counters=OracleCounters.merge([self.instance.oracle.counters]))
 
+    def handle(self, command):
+        """Run one command; an exception comes back as the reply's ``error``."""
+        kind = type(command)
+        handler = self._handlers.get(kind)
+        if handler is None:
+            return AckReply(error=f"unknown command {kind.__name__}")
+        try:
+            return handler(command)
+        except Exception:  # noqa: BLE001 - ship the traceback instead of dying silently
+            error = traceback.format_exc()
+        if kind is DispatchCommand:
+            return DispatchReply(outcome=None, plan=None, next_flush=None, error=error)
+        if kind is FlushCommand:
+            return FlushReply(
+                outcomes=(), plans={}, pending_ids=(), next_flush=None, error=error
+            )
+        if kind is CancelCommand:
+            return CancelReply(removed=False, next_flush=None, error=error)
+        if kind is NetworkUpdateCommand:
+            return UpdateReply(error=error)
+        return AckReply(error=error)
 
-def shard_worker_main(connection, init: ShardInit) -> None:
-    """Entry point of a shard worker process: serve commands until shutdown."""
-    import time as _time
 
+def shard_worker_main(connection, init: ShardInit | bytes) -> None:
+    """Entry point of a shard worker process: serve commands until shutdown.
+
+    A respawned worker gets its :class:`ShardInit` pickled: the supervisor
+    serialises it when it schedules the respawn, which pins the replica to
+    the network-update journal cursor recorded in the respawn slot while the
+    live instance keeps changing.
+    """
     try:
-        runtime = ShardWorkerRuntime(init)
+        runtime = ShardWorkerRuntime(pickle.loads(init) if isinstance(init, bytes) else init)
     except Exception:  # noqa: BLE001 - surface the build failure to the front door
         connection.send(AckReply(error=traceback.format_exc()))
         connection.close()
         return
-    handlers = {
-        DispatchCommand: runtime.handle_dispatch,
-        FlushCommand: runtime.handle_flush,
-        CancelCommand: runtime.handle_cancel,
-        AddWorkerCommand: runtime.handle_add_worker,
-        NetworkUpdateCommand: runtime.handle_network_update,
-        StatsCommand: runtime.handle_stats,
-    }
-    # chaos-harness fault plan: sleep before replying to selected commands,
-    # making the front door's dispatch_timeout path deterministically testable
-    delays = dict(init.delay_replies)
-    ordinal = -1
     connection.send(AckReply())  # ready
     while True:
         try:
             command = connection.recv()
         except (EOFError, OSError):
             break
-        ordinal += 1
         if isinstance(command, ShutdownCommand):
             connection.send(AckReply())
             break
-        handler = handlers.get(type(command))
-        if handler is None:
-            connection.send(AckReply(error=f"unknown command {type(command).__name__}"))
-            continue
         try:
-            reply = handler(command)
-        except Exception:  # noqa: BLE001 - ship the traceback instead of dying silently
-            kind = type(command)
-            error = traceback.format_exc()
-            if kind is DispatchCommand:
-                reply = DispatchReply(outcome=None, plan=None, next_flush=None, error=error)
-            elif kind is FlushCommand:
-                reply = FlushReply(
-                    outcomes=(), plans={}, pending_ids=(), next_flush=None, error=error
-                )
-            elif kind is CancelCommand:
-                reply = CancelReply(removed=False, next_flush=None, error=error)
-            elif kind is NetworkUpdateCommand:
-                reply = UpdateReply(error=error)
-            else:
-                reply = AckReply(error=error)
-        pause = delays.pop(ordinal, None)
-        if pause:
-            _time.sleep(pause)
-        try:
-            connection.send(reply)
+            connection.send(runtime.handle(command))
         except (BrokenPipeError, OSError):
             break
     connection.close()
 
 
-def shard_worker_from_payload(connection, payload: bytes) -> None:
-    """Entry point for respawned workers: unpickle a pre-serialised init.
-
-    The supervisor pickles the :class:`ShardInit` synchronously on the
-    thread that observed the worker's death, *before* handing off to the
-    spawn thread — the live instance keeps mutating (network updates, added
-    workers) while the respawn is in flight, and serialising it at schedule
-    time is what pins the replica snapshot to the journal cursor recorded in
-    the respawn slot.
-    """
-    import pickle
-
-    shard_worker_main(connection, pickle.loads(payload))
-
-
 __all__ = [
     "ShardWorkerRuntime",
     "plan_snapshot",
-    "shard_worker_from_payload",
     "shard_worker_main",
 ]

@@ -4,24 +4,26 @@ Shared by ``tests/cluster/test_recovery.py`` and
 ``tests/cluster/test_network_updates.py`` (the module name carries no
 ``test_`` prefix, so pytest does not collect it as a test file).
 
-Faults are **deterministic**: each one anchors to a shard and a per-shard
-command ordinal (how many commands the front door successfully sent to that
-shard before the fault point), not to wall-clock timing, so a chaos run is
-exactly reproducible — and comparable bit-for-bit against its fault-free
-twin. :func:`seeded_faults` derives random-but-reproducible fault plans from
+Faults fire in a wrapper around each shard worker's
+:class:`~repro.cluster.link.WorkerLink`, installed by monkeypatching
+:func:`repro.cluster.link.start_worker`. They are **deterministic**: each one
+anchors to a shard and a per-shard command ordinal (how many commands the
+front door successfully sent to that shard before the fault point, counted
+across respawns), not to wall-clock timing, so a chaos run is exactly
+reproducible — and comparable bit-for-bit against its fault-free twin. :func:`seeded_faults` derives random-but-reproducible fault plans from
 a seed through the repo's spawn-key stream derivation.
 
 Fault kinds:
 
-* ``kill`` — SIGKILL the shard's worker process at the fault point
-  (``phase="before_send"`` kills between commands, i.e. between batch
-  windows; ``phase="after_send"`` kills mid-round-trip, after the command
-  crossed the pipe but before the reply);
+* ``kill`` — SIGKILL the shard's worker process at the fault point and sever
+  its pipe there (``phase="before_send"`` kills between commands, i.e.
+  between batch windows; ``phase="after_send"`` kills mid-round-trip, after
+  the command crossed the pipe but before the reply is read);
 * ``transient_send`` / ``transient_recv`` — raise
   :class:`~repro.cluster.recovery.TransientRPCError` ``count`` times at the
   fault point (the retry/backoff path, never lethal below the retry budget);
-* ``delay`` — make the worker sleep ``seconds`` before replying to its
-  ``at_command``-th received command (the ``dispatch_timeout`` path).
+* ``delay`` — hold the reply to the ``at_command``-th command back from
+  ``poll`` for ``seconds`` (the ``dispatch_timeout`` path).
 
 Faults can alternatively anchor to **network-update ordinals**
 (``at_update`` + ``window``): a kill fires immediately before the shard's
@@ -37,12 +39,14 @@ runner drives disruption programs.
 
 from __future__ import annotations
 
-import os
-import signal
+import time
 from dataclasses import dataclass, field
 
+import pytest
+
+import repro.cluster.link as link_module
 from repro.cluster.messages import NetworkUpdateCommand
-from repro.cluster.recovery import FaultInjector, TransientRPCError
+from repro.cluster.recovery import TransientRPCError
 from repro.cluster.service import ClusterMatchingService
 from repro.dispatch import DispatcherConfig
 from repro.network.graph import connected_components
@@ -78,39 +82,48 @@ class Fault:
     at_command: int = 0
     phase: str = "before_send"  #: kill faults: ``before_send`` | ``after_send``
     count: int = 1  #: transient faults: times the error is raised
-    seconds: float = 0.0  #: delay faults: worker-side reply delay
+    seconds: float = 0.0  #: delay faults: how long the reply is held back
     at_update: int | None = None  #: anchor to the Nth NetworkUpdateCommand
     window: str = "during"  #: update faults: ``before`` | ``during`` | ``after``
 
 
-class ChaosInjector(FaultInjector):
-    """Fires a fault plan at exact protocol points; records what fired."""
+class ChaosInjector:
+    """Fires a fault plan at exact protocol points; records what fired.
+
+    :meth:`install` replaces :func:`repro.cluster.link.start_worker`, so every
+    shard worker — respawns included — starts behind a :class:`_ChaosLink`.
+    Command ordinals count the sends to a shard across its respawns.
+    """
 
     def __init__(self, faults) -> None:
         self.faults = list(faults)
         self.fired: list[tuple[str, int, int]] = []
         self._once: set[int] = set()
         self._budget: dict[int, int] = {}
+        #: per-shard count of commands successfully sent — the anchor stream
+        #: for ``at_command`` faults.
+        self._sent: dict[int, int] = {}
         #: per-shard count of NetworkUpdateCommands successfully sent —
         #: the anchor stream for ``at_update`` faults.
         self._updates_seen: dict[int, int] = {}
 
+    def install(self, monkeypatch) -> None:
+        start = link_module.start_worker
+
+        def start_chaotic(shard_id, init, incarnation=0):
+            return _ChaosLink(self, shard_id, start(shard_id, init, incarnation))
+
+        monkeypatch.setattr(link_module, "start_worker", start_chaotic)
+
     # ------------------------------------------------------------------ hooks
 
-    def delays_for(self, shard_id: int) -> tuple[tuple[int, float], ...]:
-        return tuple(
-            (fault.at_command, fault.seconds)
-            for fault in self.faults
-            if fault.kind == "delay" and fault.shard == shard_id
-        )
-
-    def before_send(self, handle, command, ordinal: int, attempt: int) -> None:
-        seen = self._updates_seen.get(handle.shard_id, 0)
-        for fault in self.faults:
-            if fault.shard != handle.shard_id:
-                continue
+    def before_send(self, link, command) -> None:
+        shard = link.shard_id
+        ordinal = self._sent.get(shard, 0)
+        seen = self._updates_seen.get(shard, 0)
+        for fault in self._faults_of(shard):
             if fault.at_update is not None:
-                if fault.kind != "kill" or attempt != 0:
+                if fault.kind != "kill":
                     continue
                 if (
                     fault.window == "before"
@@ -118,37 +131,32 @@ class ChaosInjector(FaultInjector):
                     and seen == fault.at_update
                     and self._fire_once(fault)
                 ):
-                    self.fired.append(
-                        ("kill_before_update", handle.shard_id, fault.at_update)
-                    )
-                    self._kill(handle)
+                    self.fired.append(("kill_before_update", shard, fault.at_update))
+                    link.kill()
                 elif (
                     fault.window == "after"
                     and seen == fault.at_update + 1
                     and self._fire_once(fault)
                 ):
-                    self.fired.append(
-                        ("kill_after_update", handle.shard_id, fault.at_update)
-                    )
-                    self._kill(handle)
+                    self.fired.append(("kill_after_update", shard, fault.at_update))
+                    link.kill()
                 continue
             if fault.at_command != ordinal:
                 continue
             if fault.kind == "kill" and fault.phase == "before_send":
-                if attempt == 0 and self._fire_once(fault):
-                    self.fired.append(("kill", handle.shard_id, ordinal))
-                    self._kill(handle)
+                if self._fire_once(fault):
+                    self.fired.append(("kill", shard, ordinal))
+                    link.kill()
             elif fault.kind == "transient_send" and self._spend(fault):
-                self.fired.append(("transient_send", handle.shard_id, ordinal))
-                raise TransientRPCError(
-                    f"injected send fault on shard {handle.shard_id}"
-                )
+                self.fired.append(("transient_send", shard, ordinal))
+                raise TransientRPCError(f"injected send fault on shard {shard}")
 
-    def after_send(self, handle, command, ordinal: int) -> None:
-        seen = self._updates_seen.get(handle.shard_id, 0)
-        for fault in self.faults:
-            if fault.shard != handle.shard_id:
-                continue
+    def after_send(self, link, command) -> None:
+        shard = link.shard_id
+        ordinal = self._sent.get(shard, 0)
+        seen = self._updates_seen.get(shard, 0)
+        link.awaiting = ordinal
+        for fault in self._faults_of(shard):
             if fault.at_update is not None:
                 if (
                     fault.kind == "kill"
@@ -157,38 +165,38 @@ class ChaosInjector(FaultInjector):
                     and seen == fault.at_update
                     and self._fire_once(fault)
                 ):
-                    self.fired.append(
-                        ("kill_during_update", handle.shard_id, fault.at_update)
-                    )
-                    self._kill(handle)
+                    self.fired.append(("kill_during_update", shard, fault.at_update))
+                    link.kill()
                 continue
-            if (
+            if fault.at_command != ordinal:
+                continue
+            if fault.kind == "delay":
+                link.held_until = time.monotonic() + fault.seconds
+            elif (
                 fault.kind == "kill"
                 and fault.phase == "after_send"
-                and fault.at_command == ordinal
                 and self._fire_once(fault)
             ):
-                self.fired.append(("kill_after_send", handle.shard_id, ordinal))
-                self._kill(handle)
+                self.fired.append(("kill_after_send", shard, ordinal))
+                link.kill()
+        self._sent[shard] = ordinal + 1
         if isinstance(command, NetworkUpdateCommand):
-            self._updates_seen[handle.shard_id] = seen + 1
+            self._updates_seen[shard] = seen + 1
 
-    def before_recv(self, handle) -> None:
-        for fault in self.faults:
+    def before_poll(self, link) -> None:
+        for fault in self._faults_of(link.shard_id):
             if (
                 fault.kind == "transient_recv"
-                and fault.shard == handle.shard_id
-                # handle.commands was incremented by the successful send this
-                # receive is waiting on, so the in-flight ordinal is commands-1
-                and fault.at_command == handle.commands - 1
+                and fault.at_command == link.awaiting
                 and self._spend(fault)
             ):
-                self.fired.append(("transient_recv", handle.shard_id, fault.at_command))
-                raise TransientRPCError(
-                    f"injected recv fault on shard {handle.shard_id}"
-                )
+                self.fired.append(("transient_recv", link.shard_id, fault.at_command))
+                raise TransientRPCError(f"injected recv fault on shard {link.shard_id}")
 
     # -------------------------------------------------------------- internals
+
+    def _faults_of(self, shard: int) -> list[Fault]:
+        return [fault for fault in self.faults if fault.shard == shard]
 
     def _fire_once(self, fault: Fault) -> bool:
         key = id(fault)
@@ -205,13 +213,57 @@ class ChaosInjector(FaultInjector):
         self._budget[key] = used + 1
         return True
 
-    @staticmethod
-    def _kill(handle) -> None:
-        if handle.process.is_alive():
-            os.kill(handle.process.pid, signal.SIGKILL)
-        # join so the death is visible to the very next pipe operation —
-        # the fault point stays exact instead of racing process teardown
-        handle.process.join(10)
+
+class _ChaosLink:
+    """A real :class:`~repro.cluster.link.WorkerLink` with the plan's faults.
+
+    A kill SIGKILLs the real process and severs the pipe at that point: the
+    front door reads EOF even if the worker answered in the meantime, so the
+    fault point is exact. A delay holds the reply back from ``poll``.
+    """
+
+    def __init__(self, injector: ChaosInjector, shard_id: int, real) -> None:
+        self.injector = injector
+        self.shard_id = shard_id
+        self.real = real
+        self.process = real.process
+        #: ordinal of the command whose reply is awaited, if any
+        self.awaiting: int | None = None
+        self.held_until = 0.0
+        self.severed = False
+
+    def send(self, command) -> None:
+        self.injector.before_send(self, command)
+        if self.severed:
+            raise BrokenPipeError(f"shard {self.shard_id} worker was killed")
+        self.real.send(command)
+        self.injector.after_send(self, command)
+
+    def poll(self, timeout: float) -> bool:
+        self.injector.before_poll(self)
+        if self.severed:
+            raise EOFError(f"shard {self.shard_id} worker was killed")
+        held = self.held_until - time.monotonic()
+        if held > 0:
+            time.sleep(min(held, timeout))
+            if time.monotonic() < self.held_until:
+                return False
+            timeout = 0.0
+        return self.real.poll(timeout)
+
+    def recv(self):
+        self.awaiting = None
+        return self.real.recv()
+
+    def alive(self) -> bool:
+        return not self.severed and self.real.alive()
+
+    def kill(self) -> None:
+        self.real.kill()
+        self.severed = True
+
+    def close(self, grace: float = 0.0) -> None:
+        self.real.close(grace)
 
 
 def seeded_faults(
@@ -349,6 +401,7 @@ def run_chaos(
     restart_delay_s: float = 0.0,
     instance=None,
     updates: tuple = (),
+    additions: dict | None = None,
 ) -> ChaosRun:
     """Replay the chaos scenario through a cluster session with ``faults``.
 
@@ -358,55 +411,57 @@ def run_chaos(
     ``updates`` is an optional timed :class:`UpdateAction` plan (see
     :func:`closure_plan`); when present the replay interleaves submissions
     with ``advance_to`` + ``apply_network_update`` exactly the way the
-    scenario runner drives disruption programs.
+    scenario runner drives disruption programs. ``additions`` maps a
+    request's position in the stream to the :class:`~repro.core.types.Worker`
+    that joins the fleet right before it is submitted.
     """
     config_kwargs = {"grid_cell_metres": scenario.grid_km * 1000.0}
     if batch_interval is not None:
         config_kwargs["batch_interval"] = batch_interval
-    injector = ChaosInjector(faults) if faults else None
+    additions = additions or {}
+    injector = ChaosInjector(faults)
     if instance is None:
         instance = build_instance(scenario)
-    service = ClusterMatchingService.build(
-        instance,
-        inner=inner,
-        num_shards=num_shards,
-        config=DispatcherConfig(**config_kwargs),
-        seed=scenario.seed,
-        dispatch_timeout=dispatch_timeout,
-        retry_attempts=retry_attempts,
-        retry_backoff_s=retry_backoff_s,
-        max_restarts=max_restarts,
-        restart_delay_s=restart_delay_s,
-        fault_injector=injector,
-    )
-    dispatcher = service.dispatcher
-    with service:
-        if updates:
-            timeline = sorted(updates, key=lambda action: action.time)
-            cursor = 0
-            for request in instance.requests:
-                while (
-                    cursor < len(timeline)
-                    and timeline[cursor].time <= request.release_time
-                ):
-                    action = timeline[cursor]
-                    service.advance_to(action.time)
-                    service.apply_network_update(action.apply)
-                    cursor += 1
-                service.submit(request)
-            while cursor < len(timeline):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if faults:
+            injector.install(monkeypatch)
+        service = ClusterMatchingService.build(
+            instance,
+            inner=inner,
+            num_shards=num_shards,
+            config=DispatcherConfig(**config_kwargs),
+            seed=scenario.seed,
+            dispatch_timeout=dispatch_timeout,
+            retry_attempts=retry_attempts,
+            retry_backoff_s=retry_backoff_s,
+            max_restarts=max_restarts,
+            restart_delay_s=restart_delay_s,
+        )
+        dispatcher = service.dispatcher
+        timeline = sorted(updates, key=lambda action: action.time)
+        cursor = 0
+
+        def run_updates(until: float) -> None:
+            nonlocal cursor
+            while cursor < len(timeline) and timeline[cursor].time <= until:
                 action = timeline[cursor]
                 service.advance_to(action.time)
                 service.apply_network_update(action.apply)
                 cursor += 1
+
+        with service:
+            for position, request in enumerate(instance.requests):
+                run_updates(request.release_time)
+                if position in additions:
+                    service.add_worker(additions[position])
+                service.submit(request)
+            run_updates(float("inf"))
             result = service.drain()
-        else:
-            result = service.replay()
     return ChaosRun(
         result=result,
         fingerprint=result_fingerprint(result),
         recovery_log=list(dispatcher.recovery_log),
-        fired=list(injector.fired) if injector is not None else [],
+        fired=list(injector.fired),
         worker_failures=dispatcher.worker_failures,
         worker_restarts=dispatcher.worker_restarts,
         retries=dispatcher.retries,

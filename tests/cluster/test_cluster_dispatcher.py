@@ -53,7 +53,7 @@ class TestLifecycle:
     def test_workers_spawn_and_context_manager_reaps_them(self):
         service = _cluster_service()
         dispatcher = service.dispatcher
-        processes = [handle.process for handle in dispatcher._handles]
+        processes = [handle.link.process for handle in dispatcher._handles]
         assert len(processes) == 2
         assert all(process.is_alive() for process in processes)
         with service:
@@ -64,7 +64,7 @@ class TestLifecycle:
         service = _cluster_service()
         service.close()
         service.close()
-        assert not any(h.process.is_alive() for h in service.dispatcher._handles)
+        assert not any(h.link.alive() for h in service.dispatcher._handles)
 
     def test_drain_returns_result_and_leaves_no_orphans(self):
         service = _cluster_service()
@@ -72,7 +72,7 @@ class TestLifecycle:
             service.submit(request)
         result = service.drain()
         assert result.total_requests == 10
-        assert not any(h.process.is_alive() for h in service.dispatcher._handles)
+        assert not any(h.link.alive() for h in service.dispatcher._handles)
 
     def test_extra_metrics_surface_cluster_counters(self):
         service = _cluster_service()

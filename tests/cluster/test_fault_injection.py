@@ -7,9 +7,7 @@ respawned worker is adopted — finish the replay with a complete
 included: no hang, no orphans, no dropped request.
 """
 
-import os
-import signal
-
+from repro.cluster.recovery import ShardHealth
 from repro.dispatch import DispatcherConfig
 from repro.cluster.service import ClusterMatchingService
 from repro.workloads.scenarios import ScenarioConfig, build_instance
@@ -28,14 +26,13 @@ def _service(inner: str, **config_overrides) -> ClusterMatchingService:
 
 def _kill_one_mid_replay(service: ClusterMatchingService):
     dispatcher = service.dispatcher
-    processes = [handle.process for handle in dispatcher._handles]
+    processes = [handle.link.process for handle in dispatcher._handles]
     requests = service.instance.requests
     half = len(requests) // 2
     for request in requests[:half]:
         service.submit(request)
-    victim = next(h for h in dispatcher._handles if h.alive)
-    os.kill(victim.process.pid, signal.SIGKILL)
-    victim.process.join(timeout=10)
+    victim = next(h for h in dispatcher._handles if h.health == ShardHealth.UP)
+    victim.link.kill()
     for request in requests[half:]:
         service.submit(request)
     result = service.drain()

@@ -222,10 +222,8 @@ def test_worker_rejects_duplicate_update():
         handle = dispatcher._handles[0]
         # re-send the already-applied update raw over the pipe: the replica
         # ordinal cursor must refuse it rather than mutate twice
-        handle.connection.send(
-            NetworkUpdateCommand(dispatcher.fleet.clock, update)
-        )
-        reply = handle.connection.recv()
+        handle.link.send(NetworkUpdateCommand(dispatcher.fleet.clock, update))
+        reply = handle.link.recv()
         assert isinstance(reply, UpdateReply)
         assert reply.error is not None and "out of sync" in reply.error
 

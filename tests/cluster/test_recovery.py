@@ -13,26 +13,28 @@ The properties gated here:
   below the retry budget;
 * a worker exceeding ``dispatch_timeout`` is marked down only after the
   timeout → retry ladder is exhausted, in that order, without hanging;
+* a respawned replica registers every worker added while it was down, the
+  ones added after its rebuild payload was pickled included;
 * shutdown is clean from any state — mid-recovery included — reaping every
   child process and supervisor respawn;
 * recovery telemetry flows end to end (dispatcher counters → snapshot →
   ``SimulationResult.extra``).
 """
 
-import os
-import signal
-
 import pytest
 
+from repro.cluster.dispatcher import ClusterDispatcher
 from repro.cluster.recovery import ShardHealth
 from repro.cluster.service import ClusterMatchingService
+from repro.core.types import Worker
 from repro.dispatch import DispatcherConfig
+from repro.sharding.partitioner import SpatialPartitioner
 from repro.workloads.scenarios import build_instance
 
 from tests.cluster.chaos import (
     DEFAULT_SCENARIO,
+    DEFAULT_SHARDS,
     RUN_KWARGS,
-    ChaosInjector,
     Fault,
     run_chaos,
     seeded_faults,
@@ -249,6 +251,49 @@ def test_respawned_worker_is_adopted_and_serves():
     assert chaos.shard_health[0] == ShardHealth.UP
 
 
+@pytest.mark.parametrize("algorithm", ["pruneGreedyDP", "batch"])
+def test_respawned_worker_catches_up_on_added_workers(monkeypatch, algorithm):
+    """Workers that joined before the kill reach the rebuilt replica through
+    ``ShardInit.extra_workers``; those that joined between the kill and the
+    adoption through the adopted handle's queued additions. All three join
+    the victim's shard, so a replica missing one fails its next command."""
+    instance = build_instance(DEFAULT_SCENARIO)
+    partition = SpatialPartitioner(
+        DEFAULT_SHARDS, DispatcherConfig().shard_strategy
+    ).partition(instance.network)
+    home = [v for v in sorted(instance.network.vertices()) if partition.shard_of_vertex(v) == 0]
+    joins = {0: home[0], 6: home[len(home) // 2], 9: home[-1]}
+    additions = {
+        position: Worker(id=100 + offset, initial_location=vertex, capacity=3)
+        for offset, (position, vertex) in enumerate(joins.items())
+    }
+    adopted = []
+    adopt = ClusterDispatcher._adopt
+
+    def recording_adopt(dispatcher, handle, slot):
+        adopt(dispatcher, handle, slot)
+        adopted.append((slot.extra_count, len(handle.additions)))
+
+    monkeypatch.setattr(ClusterDispatcher, "_adopt", recording_adopt)
+    baseline = run_chaos(algorithm, additions=additions, **RUN_KWARGS[algorithm])
+    # shard 0 dies at its second command (about 1,050 s into the day), after
+    # the first join; its respawn is adopted 3,000 s later, after the others
+    chaos = run_chaos(
+        algorithm,
+        [Fault("kill", shard=0, at_command=1)],
+        additions=additions,
+        restart_delay_s=3000.0,
+        **RUN_KWARGS[algorithm],
+    )
+    assert chaos.fired == [("kill", 0, 1)]
+    assert adopted == [(1, 2)]
+    assert (chaos.worker_failures, chaos.worker_restarts) == (1, 1)
+    assert ("worker_error", 0) not in chaos.recovery_log
+    assert chaos.shard_health[0] == ShardHealth.UP
+    assert chaos.fingerprint == baseline.fingerprint
+    assert chaos.orphans == []
+
+
 def test_restart_budget_exhausted_serves_degraded_forever():
     baseline = run_chaos("batch", batch_interval=30.0)
     chaos = run_chaos(
@@ -303,8 +348,7 @@ def test_context_manager_shutdown_mid_recovery_reaps_everything():
         for request in requests[:10]:
             service.submit(request)
         victim = dispatcher._handles[0]
-        os.kill(victim.process.pid, signal.SIGKILL)
-        victim.process.join(timeout=10)
+        victim.link.kill()
         for request in requests[10:20]:
             service.submit(request)  # detection -> respawn scheduled, never due
         assert dispatcher.worker_failures == 1
@@ -313,7 +357,7 @@ def test_context_manager_shutdown_mid_recovery_reaps_everything():
     assert dispatcher._supervisor.threads_alive() == 0
     assert dispatcher._supervisor.spawned() == []
     assert dispatcher.child_processes() == []
-    assert not any(handle.process.is_alive() for handle in dispatcher._handles)
+    assert not any(handle.link.alive() for handle in dispatcher._handles)
 
 
 def test_close_is_idempotent_after_recovery():
@@ -338,8 +382,7 @@ def test_snapshot_exposes_recovery_telemetry():
         assert snapshot.worker_failures == 0
         assert snapshot.shard_health == ("up", "up", "up", "up")
         victim = dispatcher._handles[0]
-        os.kill(victim.process.pid, signal.SIGKILL)
-        victim.process.join(timeout=10)
+        victim.link.kill()
         for request in requests[5:15]:
             service.submit(request)
         snapshot = service.snapshot()
@@ -382,12 +425,6 @@ def test_result_extra_metrics_carry_recovery_counters():
     row = chaos.result.as_row()
     assert row["cluster_worker_failures"] == 1.0
     assert row["cluster_worker_restarts"] == 1.0
-
-
-def test_chaos_injector_delay_plan_reaches_workers():
-    injector = ChaosInjector([Fault("delay", shard=2, at_command=5, seconds=0.25)])
-    assert injector.delays_for(2) == ((5, 0.25),)
-    assert injector.delays_for(0) == ()
 
 
 def test_shard_oracle_warm_starts_from_artifact_store_after_refresh(tmp_path):

@@ -9,8 +9,8 @@ Two contracts:
   the route table's due window — literals recorded on that commit.
 * **Replica == front door after every command.** A real ``ClusterDispatcher``
   drives two ``ShardWorkerRuntime`` objects *in this process* (the code a
-  forked shard worker runs, on a pickled copy of the instance) through stress
-  programs with fleet growth mixed in. Whenever a replica has brought its
+  forked shard worker runs, on a pickled copy of the instance, behind a
+  loopback link) through stress programs with fleet growth mixed in. Whenever a replica has brought its
   members to a command's clock — before the decision, the one point where both
   sides describe the same instant — every member's route, service records,
   grid cell and route-table row must equal the authoritative fleet's, bit for
@@ -31,26 +31,14 @@ travelled cost, which sums the same groups, keep the ULP for good.
 from __future__ import annotations
 
 import hashlib
-import pickle
-import types
 from collections import deque
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
-import repro.cluster.dispatcher as dispatcher_module
-from repro.cluster.messages import (
-    AckReply,
-    AddWorkerCommand,
-    CancelCommand,
-    DispatchCommand,
-    FlushCommand,
-    NetworkUpdateCommand,
-    ShutdownCommand,
-    StatsCommand,
-)
+from repro.cluster.messages import NetworkUpdateCommand, ShutdownCommand
 from repro.cluster.worker import ShardWorkerRuntime
 from repro.core.types import Worker
 from repro.dispatch.registry import DispatcherSpec
@@ -59,6 +47,7 @@ from repro.scenarios.runner import _build_service, run_program
 from repro.scenarios.stress import generate_stress_scenario
 from repro.service.spec import PlatformSpec
 
+from tests.cluster import loopback
 from tests.simulation.test_route_table import check_table
 
 # ------------------------------------------------------- pinned on the parent
@@ -117,108 +106,52 @@ def test_replays_equal_the_parent_commit(dispatcher_name, index):
 # ----------------------------------------------- shard workers in this process
 
 
-class _Replica:
-    """Both pipe ends and the process of one shard worker, run synchronously.
+class _CheckedLink(loopback.LoopbackLink):
+    """A loopback shard worker that holds its replica to the front door.
 
-    ``send`` runs the command through the ``ShardWorkerRuntime`` handler a
-    forked worker would pick and queues the reply for ``recv``. The runtime is
-    built from a pickled copy of the init payload, as across a fork.
+    Members are compared whenever the replica has brought them to a command's
+    clock; table rows and idle clocks after every command.
     """
 
-    def __init__(self, harness: "_Harness") -> None:
+    def __init__(self, harness: "_Harness", shard_id: int, init) -> None:
+        super().__init__(shard_id, init)
         self.harness = harness
-        self.runtime: ShardWorkerRuntime | None = None
-        self.replies: deque = deque()
-        self.alive = False
         self.updating = False
-
-    # the multiprocessing.Process surface the front door uses
-    def boot(self, init) -> None:
-        runtime = self.runtime = ShardWorkerRuntime(pickle.loads(pickle.dumps(init)))
+        runtime = self.runtime
         advance = runtime._advance_members
 
         def advance_then_check(clocks):
             advance(clocks)
             if not self.updating:
-                self.harness.check_members(runtime)
+                harness.check_members(runtime)
 
         runtime._advance_members = advance_then_check
-        self.handlers = {
-            DispatchCommand: runtime.handle_dispatch,
-            FlushCommand: runtime.handle_flush,
-            CancelCommand: runtime.handle_cancel,
-            AddWorkerCommand: runtime.handle_add_worker,
-            NetworkUpdateCommand: runtime.handle_network_update,
-            StatsCommand: runtime.handle_stats,
-        }
-        self.alive = True
-        self.replies.append(AckReply())  # ready
 
-    def is_alive(self) -> bool:
-        return self.alive
-
-    def join(self, timeout=None) -> None:
-        pass
-
-    def terminate(self) -> None:
-        self.alive = False
-
-    # the multiprocessing.Connection surface
     def send(self, command) -> None:
         if isinstance(command, ShutdownCommand):
-            self.alive = False
-            self.replies.append(AckReply())
+            super().send(command)
             return
+        harness = self.harness
         # an update advances on the old map while the front door has already
         # re-timed its routes on the new one: compare once the handler is done
         # (minus the recorded paths: the replica's grid rebuild touches every
         # member and records a path the front door derives at its next advance)
         self.updating = isinstance(command, NetworkUpdateCommand)
-        self.harness.jumped.update(
-            worker_id for worker_id, _ in getattr(command, "moves", ())
-        )
+        harness.jumped.update(worker_id for worker_id, _ in getattr(command, "moves", ()))
         if hasattr(command, "plans"):
-            self.harness.check_nothing_left_to_ship(self.runtime.shard_id)
+            harness.check_nothing_left_to_ship(self.shard_id)
         # a shipped plan carries the authoritative anchor bits
         shipped = {plan.worker_id for plan in getattr(command, "plans", ())}
-        self.harness.loose -= shipped
-        self.harness.jumped |= shipped
-        reply = self.handlers[type(command)](command)
-        assert getattr(reply, "error", None) is None
+        harness.loose -= shipped
+        harness.jumped |= shipped
+        super().send(command)
+        assert getattr(self.replies[-1], "error", None) is None
         if self.updating:
             self.updating = False
-            self.harness.check_members(self.runtime, paths=False)
-        self.harness.check_idle_and_table(self.runtime)
-        self.harness.commands[type(command).__name__] += 1
-        self.replies.append(reply)
-
-    def poll(self, timeout=0.0) -> bool:
-        return bool(self.replies)
-
-    def recv(self):
-        return self.replies.popleft()
-
-    def close(self) -> None:
-        pass
-
-
-class _InProcessContext:
-    """Stands in for the ``fork`` multiprocessing context."""
-
-    def __init__(self, harness: "_Harness") -> None:
-        self.harness = harness
-
-    def Pipe(self, duplex=True):  # noqa: N802 - multiprocessing's name
-        replica = _Replica(self.harness)
-        self.harness.replicas.append(replica)
-        return replica, replica
-
-    def Process(self, target, args, name, daemon):  # noqa: N802
-        replica, init = args
-        return types.SimpleNamespace(
-            start=lambda: replica.boot(init), is_alive=replica.is_alive,
-            join=replica.join, terminate=replica.terminate,
-        )
+            harness.check_members(self.runtime, paths=False)
+        harness.check_idle_and_table(self.runtime)
+        harness.commands[type(command).__name__] += 1
+        harness.commands["additions"] += len(getattr(command, "additions", ()))
 
 
 class _Harness:
@@ -226,10 +159,11 @@ class _Harness:
 
     def __init__(self, touch_phase: int) -> None:
         self.front = None
-        self.replicas: list[_Replica] = []
+        self.links: list[_CheckedLink] = []
+        #: commands run per kind, and the worker additions they carried
         self.commands = {name: 0 for name in (
-            "DispatchCommand", "FlushCommand", "CancelCommand", "AddWorkerCommand",
-            "NetworkUpdateCommand", "StatsCommand",
+            "DispatchCommand", "FlushCommand", "CancelCommand",
+            "NetworkUpdateCommand", "StatsCommand", "additions",
         )}
         self.touch_phase = touch_phase
         self.member_checks = self.busy_checks = self.travel_checks = self.idle_touches = 0
@@ -270,10 +204,10 @@ class _Harness:
 
         front._note_advance_clock, fleet._materialise = noting, watching
 
-    def context(self):
-        return types.SimpleNamespace(
-            get_all_start_methods=lambda: ["fork"],
-            get_context=lambda *_: _InProcessContext(self),
+    def install(self, monkeypatch) -> None:
+        """Run every shard worker started from now on as a checked loopback."""
+        self.links = loopback.install(
+            monkeypatch, lambda shard_id, init: _CheckedLink(self, shard_id, init)
         )
 
     def check_nothing_left_to_ship(self, shard_id: int) -> None:
@@ -384,7 +318,7 @@ def _drive(monkeypatch, inner: str, index: int, growth, touch_phase: int = 0):
     draw)`` of a worker joining the live fleet right before it.
     """
     harness = _Harness(touch_phase)
-    monkeypatch.setattr(dispatcher_module, "multiprocessing", harness.context())
+    harness.install(monkeypatch)
     spec, program = _spec(f"cluster:{inner}", index)
     compiled = compile_program(spec.scenario, program.validate())
     service = _build_service(spec, compiled)
@@ -440,7 +374,7 @@ class TestReplicaEqualsFrontDoorAfterEveryCommand:
                 seen[name] = seen.get(name, 0) + count
         assert seen["DispatchCommand"] > 50 and seen["FlushCommand"] > 10
         assert seen["NetworkUpdateCommand"] >= 4  # two shards x close, reopen
-        assert seen["AddWorkerCommand"] == 2 * 2 * len(_GROWTH)
+        assert seen["additions"] == 2 * 2 * len(_GROWTH)
 
     @given(
         index=st.sampled_from([0, 2, 3, 4, 7, 9, 13, 16, 18, 20, 22]),
@@ -452,10 +386,21 @@ class TestReplicaEqualsFrontDoorAfterEveryCommand:
         touch_phase=st.integers(0, 2),
     )
     @settings(max_examples=10, deadline=None, suppress_health_check=list(HealthCheck))
+    # a batch plan anchored before the flush clock whose first stop the engine
+    # completes at that clock (the replica must walk it there too)
+    @example(index=20, inner="batch", joins=[(0, 20, 3094)], touch_phase=0)
+    @example(
+        index=20, inner="batch",
+        joins=[(13, 111, 1081), (7, 126, 3094), (29, 3203, 29), (22, 429, 0)],
+        touch_phase=0,
+    )
     def test_members_match_through_growth_shifts_cancellations_and_closures(
         self, monkeypatch, index, inner, joins, touch_phase
     ):
         growth = {position: (worker_id, draw) for position, worker_id, draw in joins}
         harness, _ = _drive(monkeypatch, inner, index, growth, touch_phase)
         assert harness.member_checks > 0
-        assert harness.commands["AddWorkerCommand"] == 2 * len(growth)
+        # every join reaches both replicas, or is still queued for one that
+        # synced no state since
+        queued = sum(len(handle.additions) for handle in harness.front._handles)
+        assert harness.commands["additions"] + queued == 2 * len(growth)

@@ -8,7 +8,6 @@ its own cache statistics.
 
 import pickle
 
-import repro.cluster.dispatcher as dispatcher_module
 from repro.cluster.messages import DispatchCommand, StatsCommand, StatsReply
 from repro.network.oracle import OracleCounters
 from repro.scenarios.compile import compile_program
@@ -53,7 +52,7 @@ def test_stats_reply_is_a_detached_copy_of_the_replica_counts():
 
 def test_totals_are_the_front_door_plus_every_live_replica(monkeypatch):
     harness = _Harness(touch_phase=0)
-    monkeypatch.setattr(dispatcher_module, "multiprocessing", harness.context())
+    harness.install(monkeypatch)
     spec, program = _spec("cluster:pruneGreedyDP", 0)
     compiled = compile_program(spec.scenario, program.validate())
     service = _build_service(spec, compiled)
@@ -67,7 +66,7 @@ def test_totals_are_the_front_door_plus_every_live_replica(monkeypatch):
         service.close()
 
     assert harness.commands["StatsCommand"] == 2
-    replicas = [replica.runtime.instance.oracle.counters for replica in harness.replicas]
+    replicas = [link.runtime.instance.oracle.counters for link in harness.links]
     assert len(replicas) == 2
     assert all(counters.distance_queries > 0 for counters in replicas)
     shared = front.oracle.counters
