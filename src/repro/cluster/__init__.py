@@ -19,10 +19,11 @@ processes behind a front door exposing the standard
 * :mod:`repro.cluster.messages` — the picklable wire protocol, one reply per
   command;
 * :mod:`repro.cluster.recovery` — the self-healing layer: transient-error
-  retry with backoff (:class:`~repro.cluster.recovery.RetryPolicy`) and
-  supervised respawn (:class:`~repro.cluster.recovery.WorkerSupervisor`).
-  While a worker is down its shard fails over to an in-process
-  :class:`~repro.sharding.router.Shard` at the front door.
+  retry with backoff (:class:`~repro.cluster.recovery.RetryPolicy`) and the
+  shard lifecycle (``up`` → ``recovering`` → ``up`` or ``degraded``). When a
+  worker dies the front door forks its replacement at once and adopts it at
+  a simulated-clock boundary; meanwhile the shard fails over to an
+  in-process :class:`~repro.sharding.router.Shard` at the front door.
 
 Cluster replays are metric-identical (served rate, unified cost, waits,
 detours) to the in-process :class:`~repro.sharding.dispatcher.
@@ -39,7 +40,6 @@ from repro.cluster.recovery import (
     RetryPolicy,
     ShardHealth,
     TransientRPCError,
-    WorkerSupervisor,
 )
 from repro.cluster.service import ClusterMatchingService
 
@@ -49,5 +49,4 @@ __all__ = [
     "RetryPolicy",
     "ShardHealth",
     "TransientRPCError",
-    "WorkerSupervisor",
 ]

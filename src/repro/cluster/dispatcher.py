@@ -33,14 +33,16 @@ seeded backoff; a dead worker, broken pipe or exhausted ``dispatch_timeout``
 marks the worker down, and its shard keeps serving through a
 :class:`~repro.sharding.router.Shard` over the authoritative fleet — the
 in-process shard, so decisions and metrics stay bit-identical to the
-fault-free run — until a :class:`~repro.cluster.recovery.WorkerSupervisor`
-respawn is adopted at a simulated-clock boundary. :meth:`close` is idempotent
-and reaps every worker process, respawns included.
+fault-free run — until the replacement worker forked at the death is adopted
+at a simulated-clock boundary. :meth:`close` is idempotent and reaps every
+worker process, replacements included.
 """
 
 from __future__ import annotations
 
+import pickle
 import time as _time
+import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -48,6 +50,7 @@ from repro.artifacts.hashing import network_content_hash
 from repro.cluster import link
 from repro.cluster.link import WorkerLink
 from repro.cluster.messages import (
+    AckReply,
     CancelCommand,
     DispatchCommand,
     FlushCommand,
@@ -62,9 +65,9 @@ from repro.cluster.messages import (
 from repro.cluster.recovery import (
     HEALTH_CODES,
     TRANSIENT_ERRORS,
+    Respawn,
     RetryPolicy,
     ShardHealth,
-    WorkerSupervisor,
 )
 from repro.cluster.worker import plan_snapshot
 from repro.core.types import Request, Stop, Worker
@@ -122,6 +125,8 @@ class _ShardHandle:
     degraded: Shard | None = None
     #: how many times this shard's worker has been respawned.
     incarnation: int = 0
+    #: the replacement worker while the shard is ``recovering``.
+    respawn: Respawn | None = None
     #: traceback of the last runtime error reply (observability only).
     last_error: str | None = None
     #: acknowledged replica network rebuilds (live broadcasts + adoption
@@ -222,12 +227,13 @@ class ClusterDispatcher(ShardRouter):
         self.max_pending = max_pending
         self.dispatch_timeout = dispatch_timeout
         self.retry_policy = RetryPolicy(attempts=retry_attempts, backoff_s=retry_backoff_s)
+        #: how long a started worker may take to acknowledge ready
+        self._ready_timeout = dispatch_timeout * retry_attempts
         self.max_restarts = max_restarts
         self.restart_delay_s = restart_delay_s
         self._handles: list[_ShardHandle] = []
         self._closed = False
         self._started = False
-        self._supervisor: WorkerSupervisor | None = None
         #: retry-jitter stream, independent of all workload randomness.
         self._retry_rng = make_rng(derive_spawned_seed(seed, "cluster-retry"))
         #: authoritative Request objects by id (replies reference ids only).
@@ -255,41 +261,29 @@ class ClusterDispatcher(ShardRouter):
     def setup(self, instance: "URPSMInstance", fleet: "FleetState") -> None:
         """Partition the city and fork one worker process per shard."""
         self._partition(instance, fleet)
-        self._supervisor = WorkerSupervisor(
-            self, max_restarts=self.max_restarts, restart_delay_s=self.restart_delay_s
-        )
         self._handles = []
         try:
             for shard_id in range(self.num_shards):
-                init = ShardInit(
-                    shard_id=shard_id,
-                    inner=self.inner,
-                    config=self.config,
-                    partition=self.partition,
-                    instance=instance,
-                    membership=self._membership,
-                    seed=derive_spawned_seed(self.seed, "cluster-shard", shard_id),
-                )
+                init = self._shard_init(shard_id)
                 handle = _ShardHandle(shard_id, link.start_worker(shard_id, init))
                 for worker_id in fleet.states:
                     state = fleet.peek_state(worker_id)
                     handle.cursor[worker_id] = (state.plan_version, state.online)
                 self._handles.append(handle)
             for handle in self._handles:
-                ready = self._recv(handle)
-                if ready is None:
-                    detail = f":\n{handle.last_error}" if handle.last_error else ""
+                error = link.wait_ready(handle.link, self._ready_timeout)
+                if error is not None:
                     raise DispatchError(
-                        f"shard worker {handle.shard_id} died during startup{detail}"
+                        f"shard worker {handle.shard_id} died during startup:\n{error}"
                     )
         except Exception:
             self.close()
             raise
         self._started = True
 
-    def _respawn_init(self, shard_id: int, incarnation: int) -> ShardInit:
-        """The rebuild payload for a respawned worker (authoritative state)."""
-        assert self.partition is not None
+    def _shard_init(self, shard_id: int, incarnation: int = 0) -> ShardInit:
+        """The build payload of a shard's worker: authoritative state as it stands."""
+        respawn = ("incarnation", incarnation) if incarnation else ()
         return ShardInit(
             shard_id=shard_id,
             inner=self.inner,
@@ -297,9 +291,7 @@ class ClusterDispatcher(ShardRouter):
             partition=self.partition,
             instance=self.instance,
             membership=dict(self._membership),
-            seed=derive_spawned_seed(
-                self.seed, "cluster-shard", shard_id, "incarnation", incarnation
-            ),
+            seed=derive_spawned_seed(self.seed, "cluster-shard", shard_id, *respawn),
             extra_workers=tuple(self._added_workers),
             applied_updates=tuple(self._applied_updates),
         )
@@ -307,15 +299,13 @@ class ClusterDispatcher(ShardRouter):
     def close(self) -> None:
         """Shut every worker process down; idempotent, never leaves orphans.
 
-        Also joins the supervisor's respawn threads and reaps any respawned
-        process that was never adopted — a shutdown may land while a shard is
-        mid-recovery, and must still exit hang-free and orphan-free.
+        Also reaps a replacement worker that was never adopted — a shutdown
+        may land while a shard is mid-recovery, and must still exit hang-free
+        and orphan-free.
         """
         if self._closed:
             return
         self._closed = True
-        if self._supervisor is not None:
-            self._supervisor.stop()  # unblock in-flight spawn threads promptly
         for handle in self._handles:
             if handle.health == ShardHealth.UP:
                 try:
@@ -323,8 +313,8 @@ class ClusterDispatcher(ShardRouter):
                 except (BrokenPipeError, OSError):
                     pass
             handle.link.close(grace=1.5)
-        if self._supervisor is not None:
-            self._supervisor.close()
+            if handle.respawn is not None and handle.respawn.link is not None:
+                handle.respawn.link.close()
 
     def __enter__(self) -> "ClusterDispatcher":
         return self
@@ -385,7 +375,7 @@ class ClusterDispatcher(ShardRouter):
             try:
                 if handle.link.poll(0.1):
                     reply = handle.link.recv()
-                    if getattr(reply, "error", None):
+                    if isinstance(reply, AckReply) and reply.error:
                         handle.last_error = reply.error
                         self._log("worker_error", handle.shard_id)
                         self._mark_dead(handle)
@@ -460,44 +450,68 @@ class ClusterDispatcher(ShardRouter):
         handle.window[:0] = [(request, handle.pending_clock) for request in orphans]
         handle.pending_ids = []
         self._failover(handle)
-        if self._supervisor is not None and self._supervisor.should_restart(handle):
-            handle.health = ShardHealth.RECOVERING
-            self._supervisor.schedule(handle, self.fleet.clock)
-            self._log("respawn_scheduled", handle.shard_id)
-        else:
+        self._respawn_or_degrade(handle, self.fleet.clock)
+
+    def _respawn_or_degrade(self, handle: _ShardHandle, clock: float) -> None:
+        """Fork the shard's next worker while its restart budget lasts, else
+        degrade the shard for good.
+
+        The rebuild payload is pickled here, before the live instance can
+        change further: the replica is pinned to the network-update journal
+        as it stands, and adoption replays the rest. The fork returns without
+        waiting; the adoption gate reads the ready acknowledgement.
+        """
+        handle.respawn = None
+        if handle.incarnation >= self.max_restarts:
+            handle.health = ShardHealth.DEGRADED
             self._log("degraded_permanent", handle.shard_id)
+            return
+        handle.incarnation += 1
+        init = self._shard_init(handle.shard_id, handle.incarnation)
+        payload = pickle.dumps(init, protocol=pickle.HIGHEST_PROTOCOL)
+        respawn = Respawn(
+            not_before=clock + self.restart_delay_s,
+            membership=init.membership,
+            extra_count=len(init.extra_workers),
+            updates_count=len(init.applied_updates),
+        )
+        try:
+            respawn.link = link.start_worker(handle.shard_id, payload, handle.incarnation)
+        except Exception:  # noqa: BLE001 - a failed fork is a failed ready
+            respawn.error = traceback.format_exc()
+        handle.respawn = respawn
+        handle.health = ShardHealth.RECOVERING
+        self._log("respawn_scheduled", handle.shard_id)
 
     # --------------------------------------------------------------- recovery
 
     def _poll_recovery(self, now: float) -> None:
-        """Adopt due respawns — the deterministic recovery gate.
+        """Adopt due replacements — the deterministic recovery gate.
 
         Runs at the head of every ``dispatch``/``flush`` entry: a shard whose
-        respawn is past ``restart_delay_s`` (simulated time) joins the spawn
-        thread and switches back to process-backed serving *before* the entry
-        is routed, so recovery points are a pure function of the workload.
+        respawn is past ``restart_delay_s`` (simulated time) waits for its
+        replacement's ready acknowledgement and switches back to
+        process-backed serving *before* the entry is routed, so recovery
+        points are a pure function of the workload. A replacement that fails
+        to become ready is reaped and respawned (or the shard degraded).
         """
-        if self._supervisor is None or self._closed:
+        if self._closed:
             return
         for handle in self._handles:
-            if handle.health != ShardHealth.RECOVERING:
+            respawn = handle.respawn
+            if handle.health != ShardHealth.RECOVERING or now + 1e-9 < respawn.not_before:
                 continue
-            slot = self._supervisor.claim(handle.shard_id, now)
-            if slot is None:
+            error = respawn.error or link.wait_ready(respawn.link, self._ready_timeout)
+            if error is None:
+                self._adopt(handle, respawn)
                 continue
-            if slot.link is None:
-                handle.last_error = slot.error
-                self._log("respawn_failed", handle.shard_id)
-                if self._supervisor.should_restart(handle):
-                    self._supervisor.schedule(handle, now)
-                    self._log("respawn_scheduled", handle.shard_id)
-                else:
-                    handle.health = ShardHealth.DEGRADED
-                    self._log("degraded_permanent", handle.shard_id)
-                continue
-            self._adopt(handle, slot)
+            if respawn.link is not None:
+                respawn.link.close()
+            handle.last_error = error
+            self._log("respawn_failed", handle.shard_id)
+            self._respawn_or_degrade(handle, now)
 
-    def _adopt(self, handle: _ShardHandle, slot) -> None:
+    def _adopt(self, handle: _ShardHandle, respawn: Respawn) -> None:
         """Install a rebuilt worker process on its shard handle.
 
         Clearing the sync cursor makes the next command ship a full plan
@@ -508,15 +522,14 @@ class ClusterDispatcher(ShardRouter):
         queued as moves and additions for the next command.
         """
         degraded = handle.degraded
-        handle.link = slot.link
-        self._supervisor.mark_adopted(slot.link)
+        handle.link, handle.respawn = respawn.link, None
         handle.health = ShardHealth.UP
         handle.last_error = None
         handle.cursor.clear()
         handle.stale = members_of(self._membership, handle.shard_id)
         # a down shard buffers no moves, clocks or additions (_mark_dead
         # emptied them): queue what the rebuilt replica has not seen
-        handle.additions[:] = self._added_workers[slot.extra_count :]
+        handle.additions[:] = self._added_workers[respawn.extra_count :]
         # the failover shard's surviving re-deferrals return to the
         # buffered window at their defer clock; the rebuilt worker replays
         # them inside the next flush command. All state transfer happens
@@ -533,18 +546,18 @@ class ClusterDispatcher(ShardRouter):
         handle.pending_moves[:] = [
             (worker_id, shard_id)
             for worker_id, shard_id in self._membership.items()
-            if slot.membership.get(worker_id) != shard_id
+            if respawn.membership.get(worker_id) != shard_id
         ]
         self.worker_restarts += 1
         self._log("respawn_adopted", handle.shard_id)
         # replay network updates journaled after the respawn snapshot was
         # pickled: the rebuilt replica's network reflects exactly
-        # ``slot.updates_count`` updates, and each replay is hash-checked so
+        # ``respawn.updates_count`` updates, and each replay is hash-checked so
         # a diverged replica is killed, never adopted. The sync payload stays
         # behind: the cursor was just cleared, so full member snapshots
         # (re-timed on the replica's refreshed oracle) ship with the next
         # regular command, together with the queued moves and additions.
-        for update in self._applied_updates[slot.updates_count :]:
+        for update in self._applied_updates[respawn.updates_count :]:
             reply = self._roundtrip(handle, NetworkUpdateCommand(self.fleet.clock, update))
             if reply is None or not self._replica_matches(handle, reply, update):
                 return  # died or diverged during adoption; failed over
@@ -1087,7 +1100,7 @@ class ClusterDispatcher(ShardRouter):
         totals = OracleCounters.merge([shared] + [
             reply.counters
             for reply in replies
-            if isinstance(reply, StatsReply) and reply.counters is not None
+            if isinstance(reply, StatsReply)
         ])
         totals.distance_cache = shared.distance_cache
         totals.path_cache = shared.path_cache
@@ -1127,6 +1140,9 @@ class ClusterDispatcher(ShardRouter):
     def child_processes(self) -> list:
         """Every live child this dispatcher is responsible for reaping."""
         links = [handle.link for handle in self._handles]
-        if self._supervisor is not None:
-            links.extend(self._supervisor.spawned())
+        links += [
+            handle.respawn.link
+            for handle in self._handles
+            if handle.respawn is not None and handle.respawn.link is not None
+        ]
         return [started.process for started in links if started.alive()]

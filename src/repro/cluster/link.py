@@ -11,6 +11,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import time
 
 from repro.cluster.messages import ShardInit
 from repro.cluster.worker import shard_worker_main
@@ -81,4 +82,25 @@ def start_worker(shard_id: int, init: ShardInit | bytes, incarnation: int = 0) -
     return WorkerLink(process, parent)
 
 
-__all__ = ["WorkerLink", "start_worker"]
+def wait_ready(worker, timeout: float) -> str | None:
+    """Wait up to ``timeout`` seconds for a started worker's ready acknowledgement.
+
+    Returns ``None`` once the worker is ready, else why it is not: the error
+    it sent, or that it died or stayed silent. Reads ``worker`` only through
+    ``poll``, ``recv`` and ``alive``, so any link-like object will do.
+    """
+    deadline = time.monotonic() + timeout
+    try:
+        while True:
+            # a worker that exits right after sending has its answer read first
+            if worker.poll(0.1) or (not worker.alive() and worker.poll(0)):
+                return worker.recv().error
+            if not worker.alive():
+                return "shard worker died before it became ready"
+            if time.monotonic() > deadline:
+                return f"shard worker sent no ready acknowledgement within {timeout} s"
+    except (EOFError, OSError):
+        return "shard worker died before it became ready"
+
+
+__all__ = ["WorkerLink", "start_worker", "wait_ready"]

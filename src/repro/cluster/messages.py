@@ -13,9 +13,10 @@ protocol is deliberately small:
   new plan of the assigned worker, and always piggyback their inner
   dispatcher's ``next_flush_time`` so the front door mirrors the batch
   windows without extra round trips;
-* replies carry an optional ``error`` traceback string — an exception inside
-  a worker surfaces as a :class:`~repro.exceptions.DispatchError` at the
-  front door instead of a silent hang.
+* a command that fails inside a worker is answered by
+  ``AckReply(error=...)`` with the traceback, whatever its kind — the front
+  door then marks the worker down and fails its shard over instead of
+  hanging.
 
 Plan snapshots are *absolute* state (origin, start time, stops, service
 records), so applying one and advancing a member to the command clock
@@ -254,7 +255,6 @@ class DispatchReply:
     #: records into the engine's completion buffer in this order (metric
     #: means sum left-to-right, so completion order is value-significant).
     completed_ids: tuple[int, ...] = ()
-    error: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,19 +268,18 @@ class FlushReply:
     #: deliveries stamped during the flush, in replica stamping order (see
     #: :class:`DispatchReply`).
     completed_ids: tuple[int, ...] = ()
-    error: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class CancelReply:
     removed: bool
     next_flush: float | None
-    error: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class AckReply:
-    """Ready, shutdown and failure acknowledgement."""
+    """Ready and shutdown acknowledgement, and the reply to any command that
+    failed: a worker answers every failure with ``AckReply(error=...)``."""
 
     error: str | None = None
 
@@ -292,17 +291,15 @@ class UpdateReply:
     ``content_hash`` is the replica's post-replay network content hash; the
     front door compares it against the authoritative hash in the update."""
 
-    content_hash: str | None = None
-    next_flush: float | None = None
-    error: str | None = None
+    content_hash: str
+    next_flush: float | None
 
 
 @dataclass(frozen=True, slots=True)
 class StatsReply:
     """The replica oracle's counts, without its caches."""
 
-    counters: OracleCounters | None = None
-    error: str | None = None
+    counters: OracleCounters
 
 
 __all__ = [

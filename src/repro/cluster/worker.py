@@ -48,13 +48,15 @@ deterministic:
    to ~1e-9 relative instead). A decision's new plan can anchor in the
    past, its next stop already due: the engine then completes that stop at
    the decision clock, so the replica walks the worker there right after
-   deciding, never at its next command's clocks. Two gaps remain. The engine
-   touches a *single* worker between two sequence clocks (a cancellation
-   that comes too late to drop, a shift start), and a reopened street can
-   make a route a network update rebuilds due at the update clock; neither
-   walk is replayed, so that worker's replica anchor may sit one ULP off
-   until its plan is next shipped — which is why the front door keeps its
-   own anchor bits when it adopts a replica's plan. Per clock the replica
+   deciding, never at its next command's clocks. A reopened street can make
+   a rebuilt route's next stop due at the update clock, where the engine
+   completes it; the replica's grid rebuild reads every member at that
+   clock, which is the same walk. One gap remains: the engine touches a
+   *single* worker between two sequence clocks (a cancellation that comes
+   too late to drop, a shift start), and that walk is not replayed, so the
+   worker's replica anchor may sit one ULP off until its plan is next
+   shipped — which is why the front door keeps its own anchor bits when it
+   adopts a replica's plan. Per clock the replica
    pays one vector comparison over its member rows plus a walk per member
    that actually moves — not a Python visit per member, let alone per worker
    of the fleet; cancellations touch no positions at all, exactly like their
@@ -382,7 +384,7 @@ class ShardWorkerRuntime:
         return StatsReply(counters=OracleCounters.merge([self.instance.oracle.counters]))
 
     def handle(self, command):
-        """Run one command; an exception comes back as the reply's ``error``."""
+        """Run one command; any failure comes back as ``AckReply(error=...)``."""
         kind = type(command)
         handler = self._handlers.get(kind)
         if handler is None:
@@ -390,26 +392,17 @@ class ShardWorkerRuntime:
         try:
             return handler(command)
         except Exception:  # noqa: BLE001 - ship the traceback instead of dying silently
-            error = traceback.format_exc()
-        if kind is DispatchCommand:
-            return DispatchReply(outcome=None, plan=None, next_flush=None, error=error)
-        if kind is FlushCommand:
-            return FlushReply(
-                outcomes=(), plans={}, pending_ids=(), next_flush=None, error=error
-            )
-        if kind is CancelCommand:
-            return CancelReply(removed=False, next_flush=None, error=error)
-        if kind is NetworkUpdateCommand:
-            return UpdateReply(error=error)
-        return AckReply(error=error)
+            return AckReply(error=traceback.format_exc())
 
 
 def shard_worker_main(connection, init: ShardInit | bytes) -> None:
     """Entry point of a shard worker process: serve commands until shutdown.
 
-    A respawned worker gets its :class:`ShardInit` pickled: the supervisor
-    serialises it when it schedules the respawn, which pins the replica to
-    the network-update journal cursor recorded in the respawn slot while the
+    The first reply is the ready acknowledgement: ``AckReply()``, or
+    ``AckReply(error=...)`` when the replica could not be built. A respawned
+    worker gets its :class:`ShardInit` pickled: the front door serialises it
+    the moment it marks the old worker down, which pins the replica to the
+    network-update journal cursor recorded in the shard's respawn while the
     live instance keeps changing.
     """
     try:

@@ -23,7 +23,10 @@ Fault kinds:
   :class:`~repro.cluster.recovery.TransientRPCError` ``count`` times at the
   fault point (the retry/backoff path, never lethal below the retry budget);
 * ``delay`` — hold the reply to the ``at_command``-th command back from
-  ``poll`` for ``seconds`` (the ``dispatch_timeout`` path).
+  ``poll`` for ``seconds`` (the ``dispatch_timeout`` path);
+* ``kill_before_ready`` — SIGKILL the shard's ``incarnation``-th respawned
+  worker as soon as it is forked, before its ready acknowledgement (the
+  failed-ready path of the adoption gate).
 
 Faults can alternatively anchor to **network-update ordinals**
 (``at_update`` + ``window``): a kill fires immediately before the shard's
@@ -77,7 +80,9 @@ class Fault:
     the broadcast protocol, not the retry loop.
     """
 
-    kind: str  #: ``kill`` | ``transient_send`` | ``transient_recv`` | ``delay``
+    #: ``kill`` | ``transient_send`` | ``transient_recv`` | ``delay`` |
+    #: ``kill_before_ready``
+    kind: str
     shard: int
     at_command: int = 0
     phase: str = "before_send"  #: kill faults: ``before_send`` | ``after_send``
@@ -85,6 +90,7 @@ class Fault:
     seconds: float = 0.0  #: delay faults: how long the reply is held back
     at_update: int | None = None  #: anchor to the Nth NetworkUpdateCommand
     window: str = "during"  #: update faults: ``before`` | ``during`` | ``after``
+    incarnation: int = 1  #: kill_before_ready faults: which respawn of the shard
 
 
 class ChaosInjector:
@@ -111,11 +117,23 @@ class ChaosInjector:
         start = link_module.start_worker
 
         def start_chaotic(shard_id, init, incarnation=0):
-            return _ChaosLink(self, shard_id, start(shard_id, init, incarnation))
+            chaotic = _ChaosLink(self, shard_id, start(shard_id, init, incarnation))
+            self.after_start(chaotic, incarnation)
+            return chaotic
 
         monkeypatch.setattr(link_module, "start_worker", start_chaotic)
 
     # ------------------------------------------------------------------ hooks
+
+    def after_start(self, link, incarnation: int) -> None:
+        for fault in self._faults_of(link.shard_id):
+            if (
+                fault.kind == "kill_before_ready"
+                and fault.incarnation == incarnation
+                and self._fire_once(fault)
+            ):
+                self.fired.append(("kill_before_ready", link.shard_id, incarnation))
+                link.kill()
 
     def before_send(self, link, command) -> None:
         shard = link.shard_id

@@ -29,6 +29,7 @@ import pytest
 
 from repro.artifacts import network_content_hash
 from repro.cluster.messages import (
+    AckReply,
     NetworkUpdate,
     NetworkUpdateCommand,
     ShardInit,
@@ -224,7 +225,7 @@ def test_worker_rejects_duplicate_update():
         # ordinal cursor must refuse it rather than mutate twice
         handle.link.send(NetworkUpdateCommand(dispatcher.fleet.clock, update))
         reply = handle.link.recv()
-        assert isinstance(reply, UpdateReply)
+        assert isinstance(reply, AckReply)
         assert reply.error is not None and "out of sync" in reply.error
 
 
@@ -273,7 +274,7 @@ def test_replica_repairs_shard_local_tables_exactly():
             content_hash=network_content_hash(network),
         )
         reply = runtime.handle_network_update(NetworkUpdateCommand(update.clock, update))
-        assert reply.error is None
+        assert isinstance(reply, UpdateReply)
         assert reply.content_hash == update.content_hash
         assert np.array_equal(table.matrix, APSPBackend(network).matrix)
     assert runtime.instance.oracle.backend is table

@@ -16,10 +16,12 @@ The properties gated here:
 * a respawned replica registers every worker added while it was down, the
   ones added after its rebuild payload was pickled included;
 * shutdown is clean from any state — mid-recovery included — reaping every
-  child process and supervisor respawn;
+  child process, an unadopted replacement worker included;
 * recovery telemetry flows end to end (dispatcher counters → snapshot →
   ``SimulationResult.extra``).
 """
+
+import threading
 
 import pytest
 
@@ -49,6 +51,18 @@ def _subsequence(log: list[tuple[str, int]], shard: int, events: list[str]) -> b
         if position < len(events) and event == events[position]:
             position += 1
     return position == len(events)
+
+
+#: the recovery-log events that move a shard between health states
+_LIFECYCLE = {
+    "worker_down", "respawn_scheduled", "respawn_failed", "respawn_adopted",
+    "degraded_permanent",
+}
+
+
+def _lifecycle(log: list[tuple[str, int]], shard: int) -> list[str]:
+    """``shard``'s health transitions, in log order."""
+    return [event for event, shard_id in log if shard_id == shard and event in _LIFECYCLE]
 
 
 # ------------------------------------------------------- bit-identity gates
@@ -324,6 +338,66 @@ def test_restart_delay_defers_adoption_in_simulated_time():
     assert chaos.orphans == []  # the unadopted respawn was reaped at close
 
 
+@pytest.mark.parametrize("algorithm", ["pruneGreedyDP", "batch"])
+def test_failed_ready_respawns_again_while_budget_lasts(algorithm):
+    """The first replacement dies before its ready ack: the adoption gate
+    logs ``respawn_failed``, forks the next one and adopts that."""
+    baseline = run_chaos(algorithm, **RUN_KWARGS[algorithm])
+    chaos = run_chaos(
+        algorithm,
+        [Fault("kill", shard=0, at_command=1), Fault("kill_before_ready", shard=0)],
+        **RUN_KWARGS[algorithm],
+    )
+    assert chaos.fired == [("kill", 0, 1), ("kill_before_ready", 0, 1)]
+    assert _lifecycle(chaos.recovery_log, 0) == [
+        "worker_down", "respawn_scheduled", "respawn_failed", "respawn_scheduled",
+        "respawn_adopted",
+    ]
+    assert (chaos.worker_failures, chaos.worker_restarts) == (1, 1)
+    assert chaos.shard_health[0] == ShardHealth.UP
+    assert chaos.fingerprint == baseline.fingerprint
+    assert chaos.orphans == []
+
+
+@pytest.mark.parametrize("algorithm", ["pruneGreedyDP", "batch"])
+def test_failed_ready_on_the_last_restart_degrades_for_good(algorithm):
+    baseline = run_chaos(algorithm, **RUN_KWARGS[algorithm])
+    chaos = run_chaos(
+        algorithm,
+        [Fault("kill", shard=0, at_command=1), Fault("kill_before_ready", shard=0)],
+        max_restarts=1,
+        **RUN_KWARGS[algorithm],
+    )
+    assert chaos.fired == [("kill", 0, 1), ("kill_before_ready", 0, 1)]
+    assert _lifecycle(chaos.recovery_log, 0) == [
+        "worker_down", "respawn_scheduled", "respawn_failed", "degraded_permanent",
+    ]
+    assert (chaos.worker_failures, chaos.worker_restarts) == (1, 0)
+    assert chaos.shard_health[0] == ShardHealth.DEGRADED
+    assert chaos.fingerprint == baseline.fingerprint
+    assert chaos.orphans == []
+
+
+def test_recovery_starts_no_thread(monkeypatch):
+    """Kill, respawn, adoption and close all run on the caller's thread."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    chaos = run_chaos(
+        "batch", [Fault("kill", shard=0, at_command=1)], batch_interval=30.0
+    )
+    assert _lifecycle(chaos.recovery_log, 0) == [
+        "worker_down", "respawn_scheduled", "respawn_adopted",
+    ]
+    assert chaos.orphans == []
+    assert started == []
+
+
 # ------------------------------------------------- shutdown from any state
 
 
@@ -353,9 +427,7 @@ def test_context_manager_shutdown_mid_recovery_reaps_everything():
             service.submit(request)  # detection -> respawn scheduled, never due
         assert dispatcher.worker_failures == 1
         assert victim.health == ShardHealth.RECOVERING
-    # context exit: supervisor threads joined, every child reaped
-    assert dispatcher._supervisor.threads_alive() == 0
-    assert dispatcher._supervisor.spawned() == []
+    # context exit: every child reaped, the unadopted replacement included
     assert dispatcher.child_processes() == []
     assert not any(handle.link.alive() for handle in dispatcher._handles)
 
@@ -438,7 +510,12 @@ def test_shard_oracle_warm_starts_from_artifact_store_after_refresh(tmp_path):
     import pickle
 
     from repro.artifacts import network_content_hash
-    from repro.cluster.messages import NetworkUpdate, NetworkUpdateCommand, ShardInit
+    from repro.cluster.messages import (
+        NetworkUpdate,
+        NetworkUpdateCommand,
+        ShardInit,
+        UpdateReply,
+    )
     from repro.cluster.worker import ShardWorkerRuntime
     from repro.network.generators import grid_city
     from repro.network.graph import connected_components
@@ -485,7 +562,7 @@ def test_shard_oracle_warm_starts_from_artifact_store_after_refresh(tmp_path):
         )
         oracle.refresh_topology()
         reply = runtime.handle_network_update(NetworkUpdateCommand(update.clock, update))
-        assert reply.error is None and reply.content_hash == update.content_hash
+        assert isinstance(reply, UpdateReply) and reply.content_hash == update.content_hash
 
     replay(0, lambda: network.remove_edge(edge.u, edge.v))
     assert oracle.artifact_loaded is False  # fresh build, now persisted

@@ -39,13 +39,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from repro.cluster.messages import NetworkUpdateCommand, ShutdownCommand
+from repro.cluster.service import ClusterMatchingService
 from repro.cluster.worker import ShardWorkerRuntime
-from repro.core.types import Worker
+from repro.core.instance import URPSMInstance
+from repro.core.types import Request, Worker
 from repro.dispatch.registry import DispatcherSpec
+from repro.network.graph import RoadNetwork
+from repro.network.oracle import DistanceOracle
 from repro.scenarios.compile import compile_program
 from repro.scenarios.runner import _build_service, run_program
 from repro.scenarios.stress import generate_stress_scenario
 from repro.service.spec import PlatformSpec
+from repro.utils.geometry import Point
 
 from tests.cluster import loopback
 from tests.simulation.test_route_table import check_table
@@ -404,3 +409,48 @@ class TestReplicaEqualsFrontDoorAfterEveryCommand:
         # synced no state since
         queued = sum(len(handle.additions) for handle in harness.front._handles)
         assert harness.commands["additions"] + queued == 2 * len(growth)
+
+
+def test_a_reopening_that_makes_a_stop_due_walks_the_replica_there(monkeypatch):
+    """A reopened street can re-time a busy route so that its next stop is
+    due before the update clock. The engine completes that stop at the update
+    clock and walks on; the replica takes the same walk when its grid rebuild
+    reads every member at that clock. Without it, the replica's next advance
+    would sum the moved edge costs in one group instead of two.
+
+    The worker detours A→X→B around the closed street A–B to its pickup at B.
+    Three seconds in, A–B reopens: the pickup falls due at 6.37 s, and at the
+    8 s update clock the engine has the worker past C. The next command at
+    9.5 s carries it past D — on both sides from the same anchor bits.
+    """
+    links = loopback.install(monkeypatch)
+    network = RoadNetwork("reopened-shortcut")
+    a, b, x, c, d, e = range(6)
+    for vertex, point in zip((a, b, x, c, d, e), (
+        Point(0, 0), Point(10, 0), Point(0, 300), Point(20, 0), Point(30, 0), Point(230, 0),
+    )):
+        network.add_vertex(vertex, point)
+    # lengths (metres, at 10 m/s) whose partial sums do not associate
+    for u, v, length in ((a, b, 13.7), (a, x, 600.0), (x, b, 600.0),
+                         (b, c, 12.7), (c, d, 13.1), (d, e, 200.0)):
+        network.add_edge(u, v, length=length)
+    ride = Request(0, origin=b, destination=e, release_time=5.0, deadline=5000.0, penalty=1e6)
+    # a request no worker can serve in time: the next command, a rejection
+    late = Request(1, origin=e, destination=a, release_time=9.5, deadline=9.6, penalty=10.0)
+    instance = URPSMInstance(
+        network, DistanceOracle(network, backend="apsp"),
+        [Worker(0, initial_location=a, capacity=3)], [ride, late],
+    )
+    with ClusterMatchingService.build(instance, num_shards=1) as service:
+        service.advance_to(1.0)
+        service.close_edge(a, b)
+        assert service.submit(ride).worker_id == 0
+        service.advance_to(8.0)
+        service.apply_network_update(lambda live: live.add_edge(a, b, length=13.7))
+        assert service.submit(late).worker_id is None
+        front = service.dispatcher.fleet.peek_state(0)
+        replica = links[0].runtime.fleet.peek_state(0)
+        assert front.route.origin == replica.route.origin == d
+        assert replica.route.start_time == front.route.start_time
+        assert replica.route.arr == front.route.arr
+        assert replica.assigned_requests[0].pickup_time == 5.0 + 1.37

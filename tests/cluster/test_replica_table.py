@@ -10,7 +10,7 @@ through ``FleetState.set_online``, never behind the fleet's back.
 import dataclasses
 import pickle
 
-from repro.cluster.messages import DispatchCommand, ShardInit
+from repro.cluster.messages import DispatchCommand, DispatchReply, ShardInit
 from repro.cluster.worker import ShardWorkerRuntime, plan_snapshot
 from repro.dispatch import DispatcherConfig
 from repro.sharding.partitioner import SpatialPartitioner
@@ -38,7 +38,7 @@ def test_shipped_shift_flag_reaches_the_replica_table():
     runtime, instance = _single_shard_runtime()
     first, second = instance.requests[:2]
     reply = runtime.handle_dispatch(DispatchCommand(first.release_time, first, plans=()))
-    assert reply.error is None and reply.outcome.served
+    assert isinstance(reply, DispatchReply) and reply.outcome.served
     taken = reply.outcome.worker_id
     fleet = runtime.fleet
     row = fleet.table.row_of(taken)
@@ -48,7 +48,7 @@ def test_shipped_shift_flag_reaches_the_replica_table():
     reply = runtime.handle_dispatch(
         DispatchCommand(second.release_time, second, plans=(off_shift,))
     )
-    assert reply.error is None
+    assert isinstance(reply, DispatchReply)
     assert not fleet.peek_state(taken).online
     assert not fleet.table.online[row]
     assert reply.outcome.candidates_considered == len(instance.workers) - 1
