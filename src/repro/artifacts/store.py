@@ -1,14 +1,16 @@
 """Content-addressed on-disk store for preprocessed distance backends.
 
-Building a distance index dominates cold start: the dense APSP matrix runs
-one Dijkstra per vertex, and the contraction hierarchy contracts every
-vertex with witness searches. The paper's platform amortises this by
-preprocessing the city network once; the store reproduces that by
-persisting each backend's built state on disk, keyed by
-:func:`repro.artifacts.hashing.network_content_hash` — so a cache entry can
-never be served for a network it was not built from.
+Building a distance index dominates cold start: the dense APSP matrix
+relaxes every vertex for all sources at once until no cell improves, and
+the contraction hierarchy contracts every vertex with witness searches. The
+paper's platform amortises this by preprocessing the city network once; the
+store reproduces that by persisting each backend's built state on disk,
+keyed by :func:`repro.artifacts.hashing.network_content_hash` — so a cache
+entry can never be served for a network it was not built from.
 
-Layout (``FORMAT_VERSION`` bumps on any change)::
+Layout (``FORMAT_VERSION`` bumps on any change to the layout or to the
+stored bits; a new build algorithm that writes the same bits, as the APSP
+sweep replacing the per-row Dijkstras did, keeps old entries valid)::
 
     <root>/<hash[:2]>/<hash[2:]>/
         manifest.json     # format version, hash, network summary, backends

@@ -35,7 +35,6 @@ from repro.network.shortest_path import (
     shortest_distance,
     shortest_path,
     single_source_distances,
-    single_source_distances_array,
     truncated_multi_target_distances,
 )
 
@@ -74,6 +73,5 @@ __all__ = [
     "shortest_distance",
     "shortest_path",
     "single_source_distances",
-    "single_source_distances_array",
     "truncated_multi_target_distances",
 ]

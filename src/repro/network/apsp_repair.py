@@ -4,10 +4,11 @@ A street closure or reopening changes a handful of edges, and with them a
 tiny share of the ``N x N`` table (0.09 % of the cells for a two-street
 closure on the 1296-vertex nyc-like network). :func:`repair_apsp` diffs the
 CSR snapshot the table was built from against the current one and rewrites
-only the cells whose value can change, instead of re-running ``N`` Dijkstras.
+only the cells whose value can change, instead of rebuilding the whole table.
 
-**Exactness.** Row ``s`` of a from-scratch build is what
-:func:`~repro.network.shortest_path._csr_dijkstra` returns: for every ``t``
+**Exactness.** Row ``s`` of a from-scratch build
+(:func:`~repro.network.shortest_path.all_pairs_distances`) is what a
+Dijkstra from ``s`` settles: for every ``t``
 the smallest left-to-right float sum ``((0 + w1) + w2) + ...`` over all paths
 from ``s``. Float addition is monotone, so that row is the unique solution of
 ``d[s] = 0, d[t] = min_u fl(d[u] + w(u, t))`` as long as every edge strictly

@@ -10,8 +10,10 @@ Backends (all **value-exact**: the same floats, hence the same simulation
 outcomes — the property tests and the service-replay equivalence tests
 assert it):
 
-* ``"apsp"``       — dense all-pairs matrix; O(1) lookups, O(N^2) memory and
-  N Dijkstras to build. The fastest choice up to a few thousand vertices.
+* ``"apsp"``       — dense all-pairs matrix; O(1) lookups, O(N^2) memory,
+  built by one vectorised sweep over all sources
+  (:func:`~repro.network.shortest_path.all_pairs_distances`). The fastest
+  choice up to a few thousand vertices.
 * ``"ch"``         — contraction hierarchy (:mod:`repro.network.ch`);
   near-linear build, tiny upward searches per query, bucket-based
   many-to-many batches. The sweet spot for city-scale networks where the
@@ -50,8 +52,8 @@ from repro.network.apsp_repair import repair_apsp
 from repro.network.ch import ContractionHierarchy, build_contraction_hierarchy
 from repro.network.graph import RoadNetwork, Vertex
 from repro.network.shortest_path import (
+    all_pairs_distances,
     bidirectional_dijkstra,
-    single_source_distances_array,
     truncated_multi_target_distances,
 )
 
@@ -115,9 +117,12 @@ class DistanceBackend(Protocol):
 
 
 class APSPBackend:
-    """Dense all-pairs matrix: one Dijkstra per row at build, O(1) lookups.
+    """Dense all-pairs matrix: built eagerly in one sweep, O(1) lookups.
 
-    A matrix handed in (the artifact store does) is adopted, not copied;
+    Row ``s`` holds the distance from position ``s`` to every position, bit
+    for bit what a Dijkstra from ``s`` settles
+    (:func:`~repro.network.shortest_path.all_pairs_distances`). A matrix
+    handed in (the artifact store does) is adopted, not copied;
     :meth:`refresh` then repairs it in place.
     """
 
@@ -149,9 +154,7 @@ class APSPBackend:
         flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
         buffer = mmap.mmap(-1, max(n * n, 1) * 8, **flags)
         matrix = np.frombuffer(buffer, dtype=np.float64, count=n * n).reshape(n, n)
-        vertex_ids = csr.vertex_ids_list
-        for row in range(n):
-            matrix[row] = single_source_distances_array(network, vertex_ids[row])
+        all_pairs_distances(network, matrix)
         return matrix
 
     def refresh(self, network: RoadNetwork) -> None:

@@ -147,18 +147,6 @@ class PlatformSpec:
         """Copy with top-level fields replaced (``scenario=``, ``cluster=``...)."""
         return replace(self, **kwargs).validate()
 
-    def with_scenario(self, **scenario_fields: Any) -> "PlatformSpec":
-        """Copy with scenario fields replaced."""
-        return replace(
-            self, scenario=self.scenario.with_overrides(**scenario_fields)
-        ).validate()
-
-    def with_dispatcher(self, **dispatcher_fields: Any) -> "PlatformSpec":
-        """Copy with dispatcher spec fields replaced."""
-        return replace(
-            self, dispatcher=replace(self.dispatcher, **dispatcher_fields)
-        ).validate()
-
     # ---------------------------------------------------------- materialising
 
     def dispatcher_config(self) -> DispatcherConfig:

@@ -170,11 +170,6 @@ class WorkerState:
         return self.route.is_empty
 
     @property
-    def pending_stops(self) -> int:
-        """Number of pending stops in the planned route."""
-        return self.route.num_stops
-
-    @property
     def next_stop_arrival(self) -> float | None:
         """Planned arrival time at the next stop, or ``None`` when idle."""
         if self.route.is_empty:

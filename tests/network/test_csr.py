@@ -19,9 +19,9 @@ from repro.network.shortest_path import (
     dijkstra,
     dijkstra_reference,
     path_cost,
-    single_source_distances_array,
 )
 from repro.utils.geometry import Point
+from tests.network.test_apsp_build import dijkstra_row
 
 
 def _networks():
@@ -97,7 +97,7 @@ class TestDijkstraEquivalence:
     @pytest.mark.parametrize("network", NETWORKS, ids=NETWORK_IDS)
     def test_array_variant_matches_dict(self, network):
         source = sorted(network.vertices())[1]
-        array = single_source_distances_array(network, source)
+        array = dijkstra_row(network, source)
         expected = dijkstra_reference(network, source)
         csr = network.csr
         for vertex, distance in expected.items():
