@@ -17,16 +17,80 @@ Run with::
 from __future__ import annotations
 
 import argparse
+from dataclasses import dataclass
+from typing import Callable
 
-from repro.core.hardness import estimate_competitive_ratio
+import numpy as np
+
+from repro.core.hardness import HardnessInstanceSpec, adversarial_instance, optimal_cost
+from repro.core.instance import URPSMInstance
 from repro.dispatch import DispatcherConfig, PruneGreedyDP
 from repro.service import MatchingService
+from repro.utils.rng import make_rng
 
 LEMMA_LABELS = {
     1: "Lemma 1: maximise served requests (alpha=0, p_r=1)",
     2: "Lemma 2: maximise revenue (alpha=c_w, p_r=c_r*dis)",
     3: "Lemma 3: minimise distance, serve all (alpha=1, p_r~inf)",
 }
+
+
+@dataclass
+class HardnessEstimate:
+    """Empirical competitive-ratio estimate for one lemma and one |V|."""
+
+    lemma: int
+    num_vertices: int
+    trials: int
+    mean_algorithm_cost: float
+    mean_optimal_cost: float
+    unserved_fraction: float
+
+    @property
+    def ratio(self) -> float:
+        """``E[ALG] / E[OPT]`` (``inf`` when the optimum costs zero but ALG does not)."""
+        if self.mean_optimal_cost <= 0.0:
+            return float("inf") if self.mean_algorithm_cost > 0 else 1.0
+        return self.mean_algorithm_cost / self.mean_optimal_cost
+
+
+def estimate_competitive_ratio(
+    lemma: int,
+    num_vertices: int,
+    run_algorithm: Callable[[URPSMInstance], tuple[float, int]],
+    trials: int = 30,
+    seed: int = 2018,
+) -> HardnessEstimate:
+    """Estimate ``E[ALG] / E[OPT]`` over ``trials`` draws of the lemma's distribution.
+
+    Args:
+        lemma: 1, 2 or 3.
+        num_vertices: cycle size |V| (even values match the paper's construction).
+        run_algorithm: callable returning ``(unified_cost, served_count)`` for an
+            instance — typically a thin wrapper around the simulator.
+        trials: number of independent draws.
+        seed: RNG seed.
+    """
+    rng = make_rng(seed)
+    spec = HardnessInstanceSpec(lemma=lemma, num_vertices=num_vertices)
+    algorithm_costs: list[float] = []
+    optimal_costs: list[float] = []
+    unserved = 0
+    for _ in range(trials):
+        instance = adversarial_instance(spec, rng)
+        cost, served = run_algorithm(instance)
+        algorithm_costs.append(cost)
+        optimal_costs.append(optimal_cost(instance))
+        if served == 0:
+            unserved += 1
+    return HardnessEstimate(
+        lemma=lemma,
+        num_vertices=num_vertices,
+        trials=trials,
+        mean_algorithm_cost=float(np.mean(algorithm_costs)),
+        mean_optimal_cost=float(np.mean(optimal_costs)),
+        unserved_fraction=unserved / trials,
+    )
 
 
 def run_dispatcher(instance):

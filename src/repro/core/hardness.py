@@ -14,10 +14,12 @@ proofs build adversarial input distributions on an undirected cycle graph:
   travel cost is at most ``c_w * |V|``.
 * **Lemma 3** (minimise distance, serve all): as Lemma 1 with infinite penalty.
 
-These constructions are exposed as instance generators plus a small empirical
-harness that estimates the expected cost ratio ``E[ALG] / E[OPT]`` of any
-dispatcher as a function of ``|V|`` — the ratio must grow without bound, which
-is what ``tests/core/test_hardness.py`` checks.
+These constructions are exposed as instance generators plus
+:func:`optimal_cost`, the clairvoyant optimum of one instance;
+``examples/hardness_demo.py`` estimates the expected cost ratio
+``E[ALG] / E[OPT]`` of a dispatcher from them as a function of ``|V|`` — the
+ratio must grow without bound, which is what ``tests/core/test_hardness.py``
+checks.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from repro.core.objective import ObjectiveConfig, PenaltyPolicy
 from repro.core.types import Request, Worker
 from repro.network.generators import cycle_network
 from repro.network.oracle import DistanceOracle
-from repro.utils.rng import make_rng
 
 # One cycle edge costs exactly one second of travel so that |V| doubles as the
 # time horizon used in the lemma statements.
@@ -180,61 +181,3 @@ def optimal_cost(instance: URPSMInstance) -> float:
     reach = instance.oracle.distance(worker.initial_location, request.origin)
     direct = instance.oracle.distance(request.origin, request.destination)
     return instance.objective.alpha * (reach + direct)
-
-
-@dataclass
-class HardnessEstimate:
-    """Empirical competitive-ratio estimate for one lemma and one |V|."""
-
-    lemma: int
-    num_vertices: int
-    trials: int
-    mean_algorithm_cost: float
-    mean_optimal_cost: float
-    unserved_fraction: float
-
-    @property
-    def ratio(self) -> float:
-        """``E[ALG] / E[OPT]`` (``inf`` when the optimum costs zero but ALG does not)."""
-        if self.mean_optimal_cost <= 0.0:
-            return float("inf") if self.mean_algorithm_cost > 0 else 1.0
-        return self.mean_algorithm_cost / self.mean_optimal_cost
-
-
-def estimate_competitive_ratio(
-    lemma: int,
-    num_vertices: int,
-    run_algorithm: Callable[[URPSMInstance], tuple[float, int]],
-    trials: int = 30,
-    seed: int = 2018,
-) -> HardnessEstimate:
-    """Estimate ``E[ALG] / E[OPT]`` over ``trials`` draws of the lemma's distribution.
-
-    Args:
-        lemma: 1, 2 or 3.
-        num_vertices: cycle size |V| (even values match the paper's construction).
-        run_algorithm: callable returning ``(unified_cost, served_count)`` for an
-            instance — typically a thin wrapper around the simulator.
-        trials: number of independent draws.
-        seed: RNG seed.
-    """
-    rng = make_rng(seed)
-    spec = HardnessInstanceSpec(lemma=lemma, num_vertices=num_vertices)
-    algorithm_costs: list[float] = []
-    optimal_costs: list[float] = []
-    unserved = 0
-    for _ in range(trials):
-        instance = adversarial_instance(spec, rng)
-        cost, served = run_algorithm(instance)
-        algorithm_costs.append(cost)
-        optimal_costs.append(optimal_cost(instance))
-        if served == 0:
-            unserved += 1
-    return HardnessEstimate(
-        lemma=lemma,
-        num_vertices=num_vertices,
-        trials=trials,
-        mean_algorithm_cost=float(np.mean(algorithm_costs)),
-        mean_optimal_cost=float(np.mean(optimal_costs)),
-        unserved_fraction=unserved / trials,
-    )

@@ -6,9 +6,8 @@ many-to-many distance queries, the oracle owns counting/caching policy, and
 :data:`BACKEND_NAMES` is the one list of backends the configuration layer
 validates against.
 
-Backends (all **value-exact**: the same floats, hence the same simulation
-outcomes — the property tests and the service-replay equivalence tests
-assert it):
+Backends (all exact shortest distances; whether they are the *same floats*
+depends on the backend, see "Exactness" below):
 
 * ``"apsp"``       — dense all-pairs matrix; O(1) lookups, O(N^2) memory,
   built by one vectorised sweep over all sources
@@ -37,6 +36,30 @@ closure or reopening) cost, per backend:
 * ``"ch"``         — full rebuild (the hierarchy has no incremental form
   here).
 * ``"dijkstra"``   — nothing to rebuild; the oracle drops its caches.
+
+**Exactness.** Every travel time is an arbitrary double, and a float sum
+depends on the order of its terms, so two backends that sum one shortest
+path in different orders can disagree in the last bit. What tier-1 asserts:
+
+* ``"apsp"`` equals a single-source Dijkstra row with ``==``
+  (``tests/network/test_apsp_build.py``);
+* ``"ch"`` equals Dijkstra only within ``rel=`` bounds
+  (``tests/network/test_backends.py``,
+  ``tests/network/test_contraction_hierarchy.py``): a shortcut cost is the
+  sum of its two halves, and a query adds two upward distances, not the
+  left fold along the path;
+* the ``"dijkstra"`` backend's point queries are bidirectional searches
+  that add the two halves at the meeting vertex, so they are not the
+  single-source row's floats either.
+
+On the ``metro_sparse`` map, 500 random pairs: ``ch`` differs from
+``dijkstra`` on 46, ``apsp`` from ``dijkstra`` on 113 and ``ch`` from
+``apsp`` on 115, each time by one or two ULPs. The choice of backend can
+therefore move a simulation's results in the last bit (one standard
+scenario replays identically under all three,
+``tests/service/test_equivalence.py``, but that is an observation, not a
+guarantee). Putting every travel time on a dyadic grid, so that sums are
+exact in any order, removes this (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -83,8 +106,9 @@ class DistanceBackend(Protocol):
     All methods answer in seconds of travel time; ``inf`` (or
     :class:`~repro.exceptions.DisconnectedError` for the Dijkstra backend,
     matching the seed behaviour) marks disconnected pairs. Implementations
-    must be value-exact: every float equals what the reference Dijkstra
-    machinery computes for the same pair.
+    answer shortest distances; how close their floats must be to the
+    Dijkstra machinery's is the module docstring's "Exactness" note (``==``
+    to a single-source row for APSP, within ``rel=`` for CH).
     """
 
     name: str

@@ -33,11 +33,16 @@ vertices), so a query settles orders of magnitude fewer vertices than the
 fallback point-to-point Dijkstra; the per-backend ``settled`` counters of
 :class:`~repro.network.oracle.OracleCounters` make that visible.
 
-Distances are value-exact with respect to the Dijkstra fallback (the
-equivalence property tests assert it pair by pair): shortcut costs are the
-same float sums a Dijkstra relaxation would compute along the contracted
-path, and both query shapes take the same minimum over the same meeting
-candidates.
+Distances are exact shortest distances, but not always the Dijkstra
+fallback's floats: a shortcut's cost is the sum of its two halves, and a
+query adds the two upward distances at the meeting vertex, so one path's
+edge costs are summed in another order than a Dijkstra relaxation's left
+fold. The answers agree with Dijkstra within ``rel=`` bounds (the property
+tests assert that pair by pair) and differ in the last bit on some pairs
+(46 of 500 random pairs on the ``metro_sparse`` map, against the Dijkstra
+backend). Both query shapes take the same minimum over the same meeting
+candidates, so scalar and batched CH answers *are* bit-identical. See the
+"Exactness" note in :mod:`repro.network.backends`.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.network.graph import RoadNetwork, Vertex
+from repro.network.graph import RoadNetwork
 
 INFINITY = math.inf
 
@@ -97,28 +102,41 @@ class ContractionHierarchy:
         # request origins/destinations recur across dispatch batches
         self._search_space_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._search_space_cache_capacity = 50_000
-        self._bucket = np.full(num_vertices, INFINITY, dtype=np.float64)
+        self._allocate_scratch()
+
+    def _allocate_scratch(self) -> None:
+        self._bucket = np.full(self.num_vertices, INFINITY, dtype=np.float64)
+        self._dist = [INFINITY] * self.num_vertices
 
     def __getstate__(self) -> dict:
-        # the bucket row is scratch space, all-``inf`` between queries: a
-        # pickled hierarchy (shard inits) does not ship it
+        # the bucket row and the search's distance list are scratch space,
+        # all-``inf`` between queries: a pickled hierarchy (shard inits) does
+        # not ship them
         state = self.__dict__.copy()
         del state["_bucket"]
+        del state["_dist"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._bucket = np.full(self.num_vertices, INFINITY, dtype=np.float64)
+        self._allocate_scratch()
 
     # ------------------------------------------------------------------ search
 
     def _upward_search(self, source: int) -> tuple[list[int], list[float]]:
-        """Full upward Dijkstra from ``source``; returns settled (nodes, dists)."""
+        """Full upward Dijkstra from ``source``; returns settled (nodes, dists).
+
+        Tentative distances live in the hierarchy's ``_dist`` scratch list,
+        all ``inf`` between searches: entries are pushed only on a strict
+        decrease, so a popped entry above ``dist[node]`` is a re-pop of a
+        settled vertex, and every vertex reached is settled before the heap
+        drains — resetting the settled ones restores the list.
+        """
         indptr = self.up_indptr
         indices = self.up_indices
         costs = self.up_costs
-        dist: dict[int, float] = {source: 0.0}
-        done: set[int] = set()
+        dist = self._dist
+        dist[source] = 0.0
         heap: list[tuple[float, int]] = [(0.0, source)]
         nodes: list[int] = []
         dists: list[float] = []
@@ -126,17 +144,18 @@ class ContractionHierarchy:
         pop = heapq.heappop
         while heap:
             cost, node = pop(heap)
-            if node in done:
+            if cost > dist[node]:
                 continue
-            done.add(node)
             nodes.append(node)
             dists.append(cost)
             for slot in range(indptr[node], indptr[node + 1]):
                 neighbour = indices[slot]
                 candidate = cost + costs[slot]
-                if candidate < dist.get(neighbour, INFINITY):
+                if candidate < dist[neighbour]:
                     dist[neighbour] = candidate
                     push(heap, (candidate, neighbour))
+        for node in nodes:
+            dist[node] = INFINITY
         self.searches += 1
         self.settled += len(nodes)
         return nodes, dists
@@ -236,6 +255,16 @@ def build_contraction_hierarchy(
     conservatively adds the shortcut), and each contracted vertex freezes its
     remaining adjacency — by construction all higher-ranked — as its upward
     edges.
+
+    A witness search from neighbour ``a`` of ``v`` runs over the overlay
+    graph avoiding ``v``, bounded by the largest ``a``-``v``-``b`` cost, and
+    stops once every target ``b`` is settled or the budget runs out. Its
+    state lives in two flat scratch arrays shared by every search of the
+    build: ``dist`` (all ``inf`` between searches, reset through the
+    vertices the search reached) and the target ``marks`` (a target's mark
+    is cleared when it settles, so a mark still set afterwards means "not
+    certified"). Entries are pushed only on a strict decrease, so a popped
+    entry above ``dist[node]`` is exactly a re-pop of a settled vertex.
     """
     started = time.perf_counter()
     csr = network.csr
@@ -257,6 +286,10 @@ def build_contraction_hierarchy(
     deleted_neighbours = [0] * n
     num_shortcuts = 0
     up_edges: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    dist = [INFINITY] * n
+    marks = bytearray(n)
+    pop = heapq.heappop
+    push = heapq.heappush
 
     def simulate(v: int) -> tuple[list[tuple[int, int, float]], int]:
         """Shortcuts required to contract ``v`` and its resulting priority."""
@@ -266,13 +299,40 @@ def build_contraction_hierarchy(
             rest = neighbours[i + 1:]
             if not rest:
                 continue
-            bounds = {b: cost_a + cost_b for b, cost_b in rest}
-            witness = _witness_search(
-                adjacency, a, v, set(bounds), max(bounds.values()), witness_settle_budget
-            )
-            for b, bound in bounds.items():
-                if witness.get(b, INFINITY) > bound:
+            bounds = [cost_a + cost_b for _, cost_b in rest]
+            max_cost = max(bounds)
+            for b, _ in rest:
+                marks[b] = 1
+            remaining = len(rest)
+            budget = witness_settle_budget
+            dist[a] = 0.0
+            reached = [a]
+            frontier: list[tuple[float, int]] = [(0.0, a)]
+            while frontier and budget > 0 and remaining > 0:
+                cost, node = pop(frontier)
+                if cost > dist[node]:
+                    continue
+                if cost > max_cost:
+                    break
+                budget -= 1
+                if marks[node]:
+                    marks[node] = 0
+                    remaining -= 1
+                for neighbour, edge_cost in adjacency[node].items():
+                    if neighbour == v:
+                        continue
+                    candidate = cost + edge_cost
+                    if candidate < dist[neighbour] and candidate <= max_cost:
+                        dist[neighbour] = candidate
+                        reached.append(neighbour)
+                        push(frontier, (candidate, neighbour))
+            for (b, _), bound in zip(rest, bounds):
+                # a mark still set: ``b`` was not certified within the budget
+                if marks[b] or dist[b] > bound:
                     shortcuts.append((a, b, bound))
+                    marks[b] = 0
+            for node in reached:
+                dist[node] = INFINITY
         priority = len(shortcuts) - len(neighbours) + deleted_neighbours[v]
         return shortcuts, priority
 
@@ -323,46 +383,3 @@ def build_contraction_hierarchy(
         num_shortcuts=num_shortcuts,
         build_seconds=time.perf_counter() - started,
     )
-
-
-def _witness_search(
-    adjacency: list[dict[int, float]],
-    source: int,
-    skip: int,
-    targets: set[int],
-    max_cost: float,
-    settle_budget: int,
-) -> dict[int, float]:
-    """Bounded Dijkstra over the overlay graph avoiding ``skip``.
-
-    Returns the distances of the settled targets; a target missing from the
-    result was not certified within the budget (so the caller adds the
-    shortcut — conservative, never wrong).
-    """
-    dist: dict[int, float] = {source: 0.0}
-    done: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    found: dict[int, float] = {}
-    remaining = len(targets)
-    budget = settle_budget
-    pop = heapq.heappop
-    push = heapq.heappush
-    while heap and budget > 0 and remaining > 0:
-        cost, node = pop(heap)
-        if node in done:
-            continue
-        if cost > max_cost:
-            break
-        done.add(node)
-        budget -= 1
-        if node in targets:
-            found[node] = cost
-            remaining -= 1
-        for neighbour, edge_cost in adjacency[node].items():
-            if neighbour == skip or neighbour in done:
-                continue
-            candidate = cost + edge_cost
-            if candidate < dist.get(neighbour, INFINITY) and candidate <= max_cost:
-                dist[neighbour] = candidate
-                push(heap, (candidate, neighbour))
-    return found

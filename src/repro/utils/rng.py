@@ -8,8 +8,6 @@ determines the simulation outcome.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -86,17 +84,3 @@ def _stable_string_hash(text: str) -> int:
         value ^= byte
         value = (value * 0x01000193) & 0xFFFFFFFF
     return value
-
-
-def choice_weighted(
-    rng: np.random.Generator, items: Sequence, weights: Sequence[float]
-):
-    """Pick one element of ``items`` with the given (unnormalised) weights."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have the same length")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    probabilities = np.asarray(weights, dtype=float) / total
-    index = int(rng.choice(len(items), p=probabilities))
-    return items[index]

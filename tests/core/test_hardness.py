@@ -1,18 +1,20 @@
-"""Tests for the hardness constructions of Section 3.3 (Lemmas 1-3)."""
+"""Tests for the hardness constructions of Section 3.3 (Lemmas 1-3).
+
+The empirical ratio harness is the one ``examples/hardness_demo.py`` prints
+its table with.
+"""
 
 import pytest
 
+from examples.hardness_demo import estimate_competitive_ratio, run_dispatcher
 from repro.core.hardness import (
     HardnessInstanceSpec,
     adversarial_instance,
-    estimate_competitive_ratio,
     lemma1_instance,
     lemma2_instance,
     lemma3_instance,
     optimal_cost,
 )
-from repro.dispatch import DispatcherConfig, PruneGreedyDP
-from repro.service import MatchingService
 from repro.utils.rng import make_rng
 
 
@@ -56,18 +58,14 @@ class TestInstanceGenerators:
 
 
 class TestEmpiricalRatio:
-    def _run(self, instance):
-        result = MatchingService(instance, PruneGreedyDP(DispatcherConfig(grid_cell_metres=50.0))).replay()
-        return result.unified_cost, result.served_requests
-
     def test_lemma1_ratio_grows_with_vertices(self):
-        small = estimate_competitive_ratio(1, 8, self._run, trials=12, seed=7)
-        large = estimate_competitive_ratio(1, 32, self._run, trials=12, seed=7)
+        small = estimate_competitive_ratio(1, 8, run_dispatcher, trials=12, seed=7)
+        large = estimate_competitive_ratio(1, 32, run_dispatcher, trials=12, seed=7)
         # an online algorithm misses the request more often on the larger cycle
         assert large.unserved_fraction >= small.unserved_fraction
         assert large.unserved_fraction > 0.5
 
     def test_lemma2_algorithm_pays_penalties(self):
-        estimate = estimate_competitive_ratio(2, 16, self._run, trials=10, seed=11)
+        estimate = estimate_competitive_ratio(2, 16, run_dispatcher, trials=10, seed=11)
         assert estimate.mean_algorithm_cost > 0.0
         assert estimate.ratio > 1.0

@@ -1,9 +1,25 @@
 """Tests for deterministic RNG plumbing."""
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 
-from repro.utils.rng import choice_weighted, derive_seed, make_rng, spawn_rngs
+from repro.utils.rng import derive_seed, make_rng, spawn_rngs
+
+
+def choice_weighted(
+    rng: np.random.Generator, items: Sequence, weights: Sequence[float]
+):
+    """Pick one element of ``items`` with the given (unnormalised) weights."""
+    if len(items) != len(weights):
+        raise ValueError("items and weights must have the same length")
+    total = float(sum(weights))
+    if total <= 0:
+        raise ValueError("weights must sum to a positive value")
+    probabilities = np.asarray(weights, dtype=float) / total
+    index = int(rng.choice(len(items), p=probabilities))
+    return items[index]
 
 
 class TestMakeRng:
