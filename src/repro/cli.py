@@ -285,7 +285,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--oracle-backend", default="auto", choices=ORACLE_BACKEND_CHOICES,
                         help="distance backend: dense all-pairs matrix, contraction "
                              "hierarchy, or cached Dijkstra; 'auto' picks by network "
-                             "size (exact distances, equal up to the last bit)")
+                             "size (bit-identical exact distances)")
     parser.add_argument("--cancellation-rate", type=float, default=0.0,
                         help="per-request rider-cancellation probability")
     parser.add_argument("--shift-hours", type=float, default=0.0,

@@ -106,10 +106,6 @@ class _ShardHandle:
     pending_ids: list[int] = field(default_factory=list)
     #: membership (worker, shard) deltas not yet shipped to this shard.
     pending_moves: list[tuple[int, int]] = field(default_factory=list)
-    #: authoritative ``advance_all`` clocks not yet shipped to this shard —
-    #: the replica replays member advancement through them (anchor floats are
-    #: grouping-dependent, see ``DispatchCommand.advance_clocks``).
-    pending_clocks: list[float] = field(default_factory=list)
     #: ``(worker, add clock)`` for workers added since this shard's last
     #: command; they ride on its next command of any kind that syncs state.
     additions: list[tuple[Worker, float]] = field(default_factory=list)
@@ -166,12 +162,8 @@ class ClusterDispatcher(ShardRouter):
     #: shard routing is position-dependent (which shard answers first depends
     #: on where workers currently are), and the replicas re-derive exact
     #: positions deterministically — so the authoritative fleet must always
-    #: be materialised, even at K=1. Consequence: at K=1 the in-process
-    #: ``sharded:<inner>`` wrapper stays bit-locked to the *lazy* unsharded
-    #: dispatcher (touch-driven advancement), a different float association
-    #: for partial-advance anchors — decisions still match, and metrics agree
-    #: to ~1e-9 relative instead of bit-for-bit. At K>1 both regimes
-    #: materialise at every arrival and flush, so replays are bit-identical.
+    #: be materialised, even at K=1 (where the in-process ``sharded:<inner>``
+    #: wrapper stays lazy and reaches the same bits in fewer steps).
     requires_exact_positions = True
     #: live network updates are supported via the replica-sync protocol: the
     #: engine hands the recorded mutation batch to
@@ -433,7 +425,6 @@ class ClusterDispatcher(ShardRouter):
             return
         handle.health = ShardHealth.DEGRADED
         handle.pending_moves.clear()
-        handle.pending_clocks.clear()
         handle.additions.clear()
         handle.link.close()
         if not self._started or self._closed:
@@ -581,9 +572,8 @@ class ClusterDispatcher(ShardRouter):
     # ------------------------------------------------------------- plan sync
 
     def _prepare(self, now: float) -> None:
-        """Every decision point: adopt due respawns, note the clock, re-bucket."""
+        """Every decision point: adopt due respawns, re-bucket."""
         self._poll_recovery(now)
-        self._note_advance_clock(now)
         self._rebucket()
 
     def _relocate(self, worker_id: int, previous: int, shard_id: int, position: int) -> None:
@@ -616,20 +606,6 @@ class ClusterDispatcher(ShardRouter):
         taken = tuple(pending)
         pending.clear()
         return taken
-
-    def _note_advance_clock(self, now: float) -> None:
-        """Record one authoritative ``advance_all`` clock for every shard.
-
-        The engine materialises the whole fleet before each ``dispatch`` and
-        ``flush`` call (``requires_exact_positions``), so those entry points
-        are exactly the ``advance_all`` clock sequence the replicas must
-        replay. Consecutive duplicates are no-op advances — skip them.
-        """
-        for handle in self._handles:
-            if handle.health == ShardHealth.UP and (
-                not handle.pending_clocks or handle.pending_clocks[-1] != now
-            ):
-                handle.pending_clocks.append(now)
 
     def _sync_payload(self, handle: _ShardHandle) -> tuple[WorkerPlan, ...]:
         """Member plans changed since ``handle`` was last commanded.
@@ -702,27 +678,19 @@ class ClusterDispatcher(ShardRouter):
         fleet = self.fleet
         assert fleet is not None
         state = fleet.state_of(plan.worker_id)
-        current = state.route
         stops = [
             Stop(vertex=stop.vertex, request=self._own_request(stop.request), kind=stop.kind)
             for stop in plan.stops
         ]
-        if plan.walked_cost != 0.0:
-            # the replica moved the worker during the decision; its anchor is
-            # the only correct one (the authoritative route cannot re-derive
-            # legs of a plan it never saw)
-            origin, start_time = plan.origin, plan.start_time
-            state.travelled_cost += plan.walked_cost
-        else:
-            # anchors agree up to the last ULP; prefer the authoritative bits
-            # (both fleets advanced to the same clock, but through different
-            # step groupings, so the replica's floats can drift)
-            origin, start_time = current.origin, current.start_time
+        # the replica's anchor is the front door's own after ``state_of``
+        # (both advanced to this clock, and grid sums do not depend on the
+        # steps), or the one it walked the worker to during the decision
+        state.travelled_cost += plan.walked_cost
         state.replace_route(
             Route(
                 worker=state.worker,
-                origin=origin,
-                start_time=start_time,
+                origin=plan.origin,
+                start_time=plan.start_time,
                 stops=stops,
                 concrete_path=plan.concrete_path,
             )
@@ -796,7 +764,6 @@ class ClusterDispatcher(ShardRouter):
                     request,
                     self._sync_payload(handle),
                     moves=self._take(handle.pending_moves),
-                    advance_clocks=self._take(handle.pending_clocks),
                     additions=self._take(handle.additions),
                 ),
             )
@@ -887,7 +854,6 @@ class ClusterDispatcher(ShardRouter):
                             self._sync_payload(handle),
                             deferrals=tuple(handle.window),
                             moves=self._take(handle.pending_moves),
-                            advance_clocks=self._take(handle.pending_clocks),
                             additions=self._take(handle.additions),
                         ),
                     )
@@ -1053,7 +1019,6 @@ class ClusterDispatcher(ShardRouter):
                 update,
                 plans=self._sync_payload(handle),
                 moves=self._take(handle.pending_moves),
-                advance_clocks=self._take(handle.pending_clocks),
                 additions=self._take(handle.additions),
             )
             if self._send(handle, command):

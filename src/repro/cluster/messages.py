@@ -21,7 +21,8 @@ protocol is deliberately small:
 Plan snapshots are *absolute* state (origin, start time, stops, service
 records), so applying one and advancing a member to the command clock
 reproduces exactly the state the authoritative fleet materialises —
-advancement along planned routes is path-independent in time.
+advancement along planned routes is path-independent in time, because every
+time is on the grid of :mod:`repro.core.timegrid` and its sums are exact.
 """
 
 from __future__ import annotations
@@ -146,13 +147,6 @@ class DispatchCommand:
     plans: tuple[WorkerPlan, ...]
     #: membership re-bucketing deltas since this shard was last commanded.
     moves: tuple[tuple[int, int], ...] = ()
-    #: every clock the authoritative fleet ran ``advance_all`` at since this
-    #: shard was last commanded (arrivals to *other* shards, deferred
-    #: arrivals). Partial advancement's anchor arithmetic is grouping-
-    #: dependent — ``start_time = arr[0] + moved_cost`` associates edge costs
-    #: by advancement step — so the replica must advance its members at
-    #: exactly the same clock sequence to keep its floats bit-identical.
-    advance_clocks: tuple[float, ...] = ()
     #: ``(worker, add clock)`` for each worker that joined the fleet since this
     #: shard was last commanded; the replica registers them before anything else.
     additions: tuple[tuple[Worker, float], ...] = ()
@@ -173,9 +167,6 @@ class FlushCommand:
     plans: tuple[WorkerPlan, ...]
     deferrals: tuple[tuple[Request, float], ...] = ()
     moves: tuple[tuple[int, int], ...] = ()
-    #: authoritative ``advance_all`` clock sequence (see ``DispatchCommand``);
-    #: for a batch shard this covers every buffered arrival's clock.
-    advance_clocks: tuple[float, ...] = ()
     additions: tuple[tuple[Worker, float], ...] = ()  # see DispatchCommand
 
 
@@ -214,18 +205,17 @@ class NetworkUpdateCommand:
     """Broadcast a live network update to a shard replica.
 
     Carries the same piggybacked sync payload as dispatch/flush commands:
-    the replica first applies ``moves``, replays ``advance_clocks`` and
-    advances members to ``clock`` on the *old* topology (mirroring the
-    engine's ``advance_all`` before the mutation), then applies the
-    mutations, refreshes its oracles, and only then applies ``plans`` — the
-    authoritative post-rebuild route snapshots — so re-timing happens on the
-    new topology. The reply is a barrier acknowledgement."""
+    the replica first applies ``moves`` and advances members to ``clock``
+    on the *old* topology (mirroring the engine's ``advance_all`` before the
+    mutation), then applies the mutations, refreshes its oracles, and only
+    then applies ``plans`` — the authoritative post-rebuild route snapshots —
+    so re-timing happens on the new topology. The reply is a barrier
+    acknowledgement."""
 
     clock: float
     update: NetworkUpdate
     plans: tuple[WorkerPlan, ...] = ()
     moves: tuple[tuple[int, int], ...] = ()
-    advance_clocks: tuple[float, ...] = ()
     additions: tuple[tuple[Worker, float], ...] = ()  # see DispatchCommand
 
 

@@ -24,43 +24,25 @@ deterministic:
    shard)`` deltas, so membership never depends on replica-side advancement;
    and
 3. **member advancement**: before a decision, the replica advances *its own
-   members* through the authoritative ``advance_all`` clock sequence the
-   command carries, then to the command clock, and refreshes the grid cells
-   of the members that moved. What is replayed per clock is one
-   ``FleetState.advance_rows`` over the member rows — the very routine the
-   front door's ``advance_all`` runs over all rows — so per clock only the
-   **busy, due** members are walked (``RouteTable.busy_due``): for every
+   members* to the command clock with one ``FleetState.advance_rows`` over the
+   member rows — the very routine the front door's ``advance_all`` runs over
+   all rows — and refreshes the grid cells of the members that moved. Only
+   the **busy, due** members are walked (``RouteTable.busy_due``): for every
    other busy member ``advance_to(clock)`` has no side effect (the route
-   table's window invariant), and an *idle* member needs no replay at all —
-   it does not move, and its clock bump is idempotent (``start_time =
-   clock``; no float accumulates), so it happens when something reads the
-   worker (``state_of`` / ``states_of``), on either side, with the same
-   result. The busy members must see the exact clock *sequence*, not just
-   the final clock: partial advancement between stops computes
-   ``start_time = arr[0] + moved_cost``, associating edge costs by
-   advancement step, so advancing straight to ``t2`` can differ in the last
-   ULP from advancing via an intermediate ``t1`` — and the authoritative
-   engine advances the fleet at *every* arrival (deferred ones included) and
-   flush. Replaying that sequence keeps replica anchors bit-identical to the
-   authoritative fleet's, which is what makes cluster replays bit-identical
-   to in-process sharded runs at K>1 (at K=1 the in-process wrapper stays
-   lazy, a different — equally valid — float association, and metrics agree
-   to ~1e-9 relative instead). A decision's new plan can anchor in the
-   past, its next stop already due: the engine then completes that stop at
-   the decision clock, so the replica walks the worker there right after
-   deciding, never at its next command's clocks. A reopened street can make
-   a rebuilt route's next stop due at the update clock, where the engine
-   completes it; the replica's grid rebuild reads every member at that
-   clock, which is the same walk. One gap remains: the engine touches a
-   *single* worker between two sequence clocks (a cancellation that comes
-   too late to drop, a shift start), and that walk is not replayed, so the
-   worker's replica anchor may sit one ULP off until its plan is next
-   shipped — which is why the front door keeps its own anchor bits when it
-   adopts a replica's plan. Per clock the replica
-   pays one vector comparison over its member rows plus a walk per member
-   that actually moves — not a Python visit per member, let alone per worker
-   of the fleet; cancellations touch no positions at all, exactly like their
-   in-process counterparts.
+   table's window invariant), and an *idle* member's clock bump is idempotent
+   (``start_time = clock``), so it happens when something reads the worker
+   (``state_of`` / ``states_of``), on either side, with the same result. The
+   front door may have advanced a member at several clocks (every arrival,
+   deferred ones included, every flush, single-worker touches) where the
+   replica advances once; both land on the same bits, because every time is
+   on the grid of :mod:`repro.core.timegrid` and sums of grid values do not
+   depend on how they are grouped. So when a decision's new plan anchors in
+   the past, its next stop already due, the engine completes that stop at
+   the decision clock and the replica at its next advancement, with the same
+   result. Per command the replica pays one vector comparison over its
+   member rows plus a walk per member that actually moves — not a Python
+   visit per member, let alone per worker of the fleet; cancellations touch
+   no positions at all, exactly like their in-process counterparts.
 
 Workers that join the fleet arrive as ``(worker, add clock)`` additions on
 the shard's next command; the replica registers them at their add clock
@@ -207,22 +189,18 @@ class ShardWorkerRuntime:
             self._rows = np.sort(self.fleet.table.rows_of(list(self.view.members)))
         return self._rows
 
-    def _advance_members(self, clocks) -> None:
-        """Advance this shard's members through ``clocks``; re-cell the moved ones.
+    def _advance_members(self, clock: float) -> None:
+        """Advance this shard's members to ``clock``; re-cell the moved ones.
 
-        ``clocks`` is the authoritative ``advance_all`` sequence the command
-        carries followed by the command clock. Each clock is one
-        ``FleetState.advance_rows`` over the member rows — the routine the
-        front door's ``advance_all`` runs over every row — so only busy, due
-        members are walked. The grid then takes the position of every member
+        One ``FleetState.advance_rows`` over the member rows — the routine
+        the front door's ``advance_all`` runs over every row — so only busy,
+        due members are walked. The grid then takes the position of every member
         marked moved since the last advancement: by these walks, by a plan
         snapshot, or during the previous decision. Completions and dirty
         plans are consumed — replicas have no event heap and no metrics.
         """
         fleet = self.fleet
-        rows = self._member_rows()
-        for clock in clocks:
-            fleet.advance_rows(rows, clock)
+        fleet.advance_rows(self._member_rows(), clock)
         grid = self.inner.grid
         members = self.view.members
         for worker_id in fleet.drain_moved():
@@ -235,20 +213,9 @@ class ShardWorkerRuntime:
         self._apply_moves(command.moves)
         self._apply_plans(command.plans)
         if advance:
-            self._advance_members((*command.advance_clocks, command.clock))
+            self._advance_members(command.clock)
         else:
             self.fleet.set_clock(command.clock)
-
-    def _complete_due_stops(self, worker_ids, clock: float) -> None:
-        """Walk the just re-planned workers whose next stop is due at ``clock``,
-        as the engine's stop event (at ``max(arrival, clock)``) does on the
-        front door; call it after snapshotting the reply's plans."""
-        fleet = self.fleet
-        for worker_id in worker_ids:
-            arrival = fleet.peek_state(worker_id).next_stop_arrival
-            if arrival is not None and arrival <= clock:
-                fleet.state_of(worker_id)
-        self._housekeeping()
 
     def _housekeeping(self) -> None:
         """Consume fleet change-tracking the replica has no use for.
@@ -294,7 +261,6 @@ class ShardWorkerRuntime:
             payload = OutcomePayload.from_outcome(outcome)
             if outcome.served and outcome.worker_id is not None:
                 plan = self._snapshot(outcome.worker_id, baseline)
-                self._complete_due_stops((outcome.worker_id,), command.clock)
         return DispatchReply(
             outcome=payload,
             plan=plan,
@@ -315,7 +281,6 @@ class ShardWorkerRuntime:
         for outcome in outcomes:
             if outcome.served and outcome.worker_id is not None:
                 plans[outcome.worker_id] = self._snapshot(outcome.worker_id, baseline)
-        self._complete_due_stops(plans, command.clock)
         return FlushReply(
             outcomes=tuple(OutcomePayload.from_outcome(outcome) for outcome in outcomes),
             plans=plans,
@@ -336,10 +301,9 @@ class ShardWorkerRuntime:
 
         Ordering mirrors the authoritative engine exactly:
 
-        1. worker additions and membership moves, then the ``advance_all``
-           clock sequence and member advancement to the command clock — all
-           on the *old* topology, matching the engine's fleet
-           materialisation before the mutation;
+        1. worker additions and membership moves, then member advancement
+           to the command clock — all on the *old* topology, matching the
+           engine's fleet materialisation before the mutation;
         2. the recorded mutations, then the replica oracle's
            ``refresh_topology`` (the oracle of the *authoritative* process
            refreshed first and saved the new-topology backend into the
@@ -366,7 +330,7 @@ class ShardWorkerRuntime:
             )
         self._register(command.additions)
         self._apply_moves(command.moves)
-        self._advance_members((*command.advance_clocks, command.clock))
+        self._advance_members(command.clock)
         for mutation in update.mutations:
             mutation.apply(self.instance.network)
         self.instance.oracle.refresh_topology()

@@ -227,13 +227,11 @@ class Route:
         ``concrete_path``. Only the first leg changed: the route issues the
         one query ``dis(position, l_1)``, accumulates ``arr`` from it and the
         carried ``legs[1:]`` in :meth:`refresh`'s own float order, keeps
-        ``ddl`` and ``picked`` (same stops) and recomputes ``slack``. On a
-        backend whose answer to a pair is a fixed float (apsp, ch) that is
-        bit for bit what :meth:`refresh` would compute
-        with ``n`` queries; the Dijkstra backend's cached floats depend on
-        query history and may differ from a re-query in the last place.
-        Every writer of ``arr`` writes ``legs`` too, so a route with filled
-        arrays always carries its ``n`` legs.
+        ``ddl`` and ``picked`` (same stops) and recomputes ``slack``. That
+        is bit for bit what :meth:`refresh` would compute with ``n`` queries
+        (every backend answers a pair with one fixed float). Every writer of
+        ``arr`` writes ``legs`` too, so a route with filled arrays always
+        carries its ``n`` legs.
         """
         route = Route(
             worker=self.worker,

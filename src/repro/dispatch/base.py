@@ -37,6 +37,7 @@ import numpy as np
 from repro.core.insertion.base import InsertionOperator
 from repro.core.instance import URPSMInstance
 from repro.core.route import Route
+from repro.core.timegrid import on_grid
 from repro.core.types import Request
 from repro.index.grid import GridIndex
 from repro.network.oracle import DistanceOracle, OracleCounters
@@ -93,6 +94,9 @@ class DispatcherConfig:
     num_shards: int = 1
     shard_strategy: str = "grid"
     shard_escalate_k: int = 2
+
+    def __post_init__(self) -> None:
+        self.batch_interval = on_grid(self.batch_interval, "batch_interval")
 
 
 class Dispatcher(abc.ABC):

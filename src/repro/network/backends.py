@@ -6,8 +6,8 @@ many-to-many distance queries, the oracle owns counting/caching policy, and
 :data:`BACKEND_NAMES` is the one list of backends the configuration layer
 validates against.
 
-Backends (all exact shortest distances; whether they are the *same floats*
-depends on the backend, see "Exactness" below):
+Backends (all exact shortest distances, bit-identical across backends, see
+"Exactness" below):
 
 * ``"apsp"``       — dense all-pairs matrix; O(1) lookups, O(N^2) memory,
   built by one vectorised sweep over all sources
@@ -37,29 +37,16 @@ closure or reopening) cost, per backend:
   here).
 * ``"dijkstra"``   — nothing to rebuild; the oracle drops its caches.
 
-**Exactness.** Every travel time is an arbitrary double, and a float sum
-depends on the order of its terms, so two backends that sum one shortest
-path in different orders can disagree in the last bit. What tier-1 asserts:
-
-* ``"apsp"`` equals a single-source Dijkstra row with ``==``
-  (``tests/network/test_apsp_build.py``);
-* ``"ch"`` equals Dijkstra only within ``rel=`` bounds
-  (``tests/network/test_backends.py``,
-  ``tests/network/test_contraction_hierarchy.py``): a shortcut cost is the
-  sum of its two halves, and a query adds two upward distances, not the
-  left fold along the path;
-* the ``"dijkstra"`` backend's point queries are bidirectional searches
-  that add the two halves at the meeting vertex, so they are not the
-  single-source row's floats either.
-
-On the ``metro_sparse`` map, 500 random pairs: ``ch`` differs from
-``dijkstra`` on 46, ``apsp`` from ``dijkstra`` on 113 and ``ch`` from
-``apsp`` on 115, each time by one or two ULPs. The choice of backend can
-therefore move a simulation's results in the last bit (one standard
-scenario replays identically under all three,
-``tests/service/test_equivalence.py``, but that is an observation, not a
-guarantee). Putting every travel time on a dyadic grid, so that sums are
-exact in any order, removes this (ROADMAP item 6).
+**Exactness.** Every edge cost is on the time grid of
+:mod:`repro.core.timegrid`, so every sum of edge costs below ``2**43`` s is
+exact in float64 and does not depend on the order of its terms. The three
+backends sum a shortest path in different orders — a CH shortcut is the sum
+of its two halves, a CH query and a bidirectional Dijkstra add two half
+distances, the APSP sweep folds from the source — and still answer
+**bit-identical** floats: ``apsp == ch == dijkstra`` with ``==`` on every
+generator city (``tests/network/test_backends.py``), and APSP equals a
+single-source Dijkstra row (``tests/network/test_apsp_build.py``). The
+choice of backend therefore moves no simulation result.
 """
 
 from __future__ import annotations
@@ -106,9 +93,8 @@ class DistanceBackend(Protocol):
     All methods answer in seconds of travel time; ``inf`` (or
     :class:`~repro.exceptions.DisconnectedError` for the Dijkstra backend,
     matching the seed behaviour) marks disconnected pairs. Implementations
-    answer shortest distances; how close their floats must be to the
-    Dijkstra machinery's is the module docstring's "Exactness" note (``==``
-    to a single-source row for APSP, within ``rel=`` for CH).
+    answer shortest distances, bit-identical to the Dijkstra machinery's
+    (the module docstring's "Exactness" note).
     """
 
     name: str

@@ -33,16 +33,13 @@ vertices), so a query settles orders of magnitude fewer vertices than the
 fallback point-to-point Dijkstra; the per-backend ``settled`` counters of
 :class:`~repro.network.oracle.OracleCounters` make that visible.
 
-Distances are exact shortest distances, but not always the Dijkstra
-fallback's floats: a shortcut's cost is the sum of its two halves, and a
-query adds the two upward distances at the meeting vertex, so one path's
-edge costs are summed in another order than a Dijkstra relaxation's left
-fold. The answers agree with Dijkstra within ``rel=`` bounds (the property
-tests assert that pair by pair) and differ in the last bit on some pairs
-(46 of 500 random pairs on the ``metro_sparse`` map, against the Dijkstra
-backend). Both query shapes take the same minimum over the same meeting
-candidates, so scalar and batched CH answers *are* bit-identical. See the
-"Exactness" note in :mod:`repro.network.backends`.
+Distances are exact shortest distances and bit-identical to the Dijkstra
+fallback's: a shortcut's cost is the sum of its two halves, and a query adds
+the two upward distances at the meeting vertex — another order than a
+Dijkstra relaxation's left fold, but every edge cost is on the time grid, so
+the sums are exact in any order. Both query shapes take the same minimum over
+the same meeting candidates. See the "Exactness" note in
+:mod:`repro.network.backends`.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.core.timegrid import on_grid
 from repro.exceptions import RoadNetworkError
 from repro.utils.geometry import Point
 
@@ -141,8 +142,8 @@ class Edge:
 
     @property
     def cost(self) -> float:
-        """Travel time of this segment in seconds."""
-        return self.length / self.speed
+        """Travel time of this segment in seconds, rounded up onto the time grid."""
+        return on_grid(self.length / self.speed, "edge cost")
 
 
 @dataclass(frozen=True, slots=True)

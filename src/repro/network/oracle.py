@@ -162,12 +162,9 @@ class DistanceOracle:
         network: the road network to answer queries on.
         backend: distance backend name — one of
             :data:`~repro.network.backends.BACKEND_NAMES` or ``"auto"`` (pick
-            by network size). All backends answer shortest distances and
-            differ in build cost and query speed; their floats can differ
-            in the last bit (``apsp`` equals a single-source Dijkstra row
-            with ``==``, ``ch`` only within ``rel=`` bounds), so the choice
-            of backend can move results in the last bit — see the
-            "Exactness" note in :mod:`repro.network.backends`.
+            by network size). All backends answer bit-identical shortest
+            distances and differ only in build cost and query speed — see
+            the "Exactness" note in :mod:`repro.network.backends`.
         artifact_dir: optional root of a content-addressed
             :class:`~repro.artifacts.ArtifactStore`. Precomputable backends
             are then served from disk when a cached build for this exact

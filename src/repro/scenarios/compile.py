@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.instance import InstanceDynamics, URPSMInstance, WorkerShift
 from repro.core.objective import ObjectiveConfig, PenaltyPolicy
+from repro.core.timegrid import on_grid
 from repro.core.types import Request, Worker
 from repro.exceptions import ConfigurationError
 from repro.network.graph import Edge, RoadNetwork, induced_subnetwork
@@ -360,10 +361,14 @@ def _compile_surges(
         )
         start = surge.start_hours * 3600.0
         duration = surge.duration_minutes * 60.0
-        deadline_seconds = (
+        window_minutes = (
             config.deadline_minutes if surge.deadline_minutes is None else surge.deadline_minutes
-        ) * 60.0
-        releases = sorted(float(start + rng.random() * duration) for _ in range(surge.count))
+        )
+        window = on_grid(window_minutes * 60.0, "deadline window")
+        releases = sorted(
+            on_grid(float(start + rng.random() * duration), "release time")
+            for _ in range(surge.count)
+        )
         label = f"surge:{surge.name}"
         for index in range(surge.count):
             origin, destination, direct = _sample_surge_trip(venue, vertices, oracle, rng)
@@ -376,7 +381,7 @@ def _compile_surges(
                         origin=origin,
                         destination=destination,
                         release_time=release,
-                        deadline=release + deadline_seconds,
+                        deadline=release + window,
                         penalty=objective.penalty_for(direct),
                         capacity=capacity,
                     ),
@@ -424,12 +429,11 @@ def _compile_disruptions(
     scratch = induced_subnetwork(network, network.vertices())
     events: list[tuple[float, int, str, NetworkDisruption]] = []
     for order, disruption in enumerate(program.disruptions):
-        start = disruption.start_hours * 3600.0
+        start = on_grid(disruption.start_hours * 3600.0, "disruption start")
         events.append((start, order, "close", disruption))
         if disruption.duration_minutes is not None:
-            events.append(
-                (start + disruption.duration_minutes * 60.0, order, "reopen", disruption)
-            )
+            end = start + on_grid(disruption.duration_minutes * 60.0, "disruption duration")
+            events.append((end, order, "reopen", disruption))
     events.sort(key=lambda event: (event[0], event[1]))
 
     closed: dict[str, tuple[EdgeSpec, ...]] = {}

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.core.instance import URPSMInstance
+from repro.core.timegrid import on_grid
 from repro.core.types import Request, Worker
 from repro.dispatch.base import Dispatcher, DispatchOutcome
 from repro.exceptions import DispatchError
@@ -224,9 +225,10 @@ class MatchingService:
 
         Returns the decisions resolved while advancing (batch flushes that
         fell due), equivalent to calling :meth:`poll_decisions` right after.
+        ``now`` is rounded up onto the time grid (:mod:`repro.core.timegrid`).
         """
         self._ensure_open()
-        self._backend.advance_until(now)
+        self._backend.advance_until(on_grid(now, "advance_to clock"))
         return self.poll_decisions()
 
     def drain(self) -> SimulationResult:

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.instance import Cancellation
 from repro.core.objective import ObjectiveConfig
+from repro.core.timegrid import on_grid
 from repro.core.types import Request
 from repro.network.graph import RoadNetwork
 from repro.network.oracle import DistanceOracle
@@ -70,12 +71,13 @@ def generate_requests(
     )
     profile = RushHourProfile(horizon_seconds=config.horizon_seconds)
     release_times = profile.sample_release_times(config.count, rng)
+    window = on_grid(config.deadline_seconds, "deadline window")
 
     requests: list[Request] = []
     for index in range(config.count):
         origin, destination, direct = _sample_trip(hotspots, oracle, rng, config)
-        release = float(release_times[index])
-        deadline = release + config.deadline_seconds
+        release = on_grid(float(release_times[index]), "release time")
+        deadline = release + window
         penalty = objective.penalty_for(direct)
         requests.append(
             Request(
@@ -145,7 +147,9 @@ def sample_cancellations(
         cancellations.append(
             Cancellation(
                 request_id=request.id,
-                time=request.release_time + fraction * request.time_window,
+                time=on_grid(
+                    request.release_time + fraction * request.time_window, "cancellation time"
+                ),
             )
         )
     cancellations.sort(key=lambda cancellation: cancellation.time)
@@ -165,6 +169,7 @@ def poisson_request_stream(
     rng = make_rng(seed)
     hotspots = HotspotModel(network=network, rng=make_rng(seed + 1))
     requests: list[Request] = []
+    window = on_grid(deadline_seconds, "deadline window")
     clock = 0.0
     index = 0
     while True:
@@ -173,13 +178,14 @@ def poisson_request_stream(
             break
         origin, destination = hotspots.sample_pair()
         direct = oracle.distance(origin, destination)
+        release = on_grid(clock, "release time")
         requests.append(
             Request(
                 id=index,
                 origin=origin,
                 destination=destination,
-                release_time=clock,
-                deadline=clock + deadline_seconds,
+                release_time=release,
+                deadline=release + window,
                 penalty=objective.penalty_for(direct),
                 capacity=sample_request_capacity(rng),
             )

@@ -98,9 +98,9 @@ class ScenarioConfig:
         oracle_backend: distance backend — ``"auto"`` (dense all-pairs table
             for networks up to a couple thousand vertices, a contraction
             hierarchy beyond), ``"apsp"``, ``"ch"`` or ``"dijkstra"``. Every
-            backend answers exact shortest distances; their floats can
-            differ in the last bit, so the choice mostly trades build cost
-            against query speed (see :mod:`repro.network.backends`).
+            backend answers bit-identical shortest distances, so the choice
+            trades build cost against query speed only (see
+            :mod:`repro.network.backends`).
         cancellation_rate: probability that a rider cancels their request
             between release and deadline (0 disables; requires the event
             kernel).
@@ -215,9 +215,9 @@ def make_oracle(network: RoadNetwork, config: ScenarioConfig) -> DistanceOracle:
     ``"auto"`` defers to :func:`repro.network.backends.select_backend_name`
     — a dense all-pairs table for networks up to a couple thousand vertices
     (the regime of the synthetic cities), a contraction hierarchy for
-    city-scale graphs. Backends can differ in the last bit (see the
-    "Exactness" note in :mod:`repro.network.backends`), so the choice can
-    move simulation outcomes by that much.
+    city-scale graphs. Backends answer bit-identical distances (the
+    "Exactness" note in :mod:`repro.network.backends`), so the choice moves
+    no simulation outcome.
     """
     return DistanceOracle(
         network, backend=config.oracle_backend, artifact_dir=config.oracle_artifact_dir

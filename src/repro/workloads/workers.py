@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.instance import WorkerShift
+from repro.core.timegrid import on_grid
 from repro.core.types import Worker
 from repro.network.graph import RoadNetwork
 from repro.utils.rng import make_rng
@@ -90,10 +91,10 @@ def staggered_shifts(
         return []
     rng = make_rng(seed)
     spacing = latest_start / max(len(workers) - 1, 1)
+    length = on_grid(shift_seconds, "shift length")
     shifts: list[WorkerShift] = []
     for index, worker in enumerate(workers):
         start = min(index * spacing + jitter_share * spacing * float(rng.random()), latest_start)
-        if index == 0:
-            start = 0.0
-        shifts.append(WorkerShift(worker_id=worker.id, start=start, end=start + shift_seconds))
+        start = 0.0 if index == 0 else on_grid(start, "shift start")
+        shifts.append(WorkerShift(worker_id=worker.id, start=start, end=start + length))
     return shifts

@@ -25,6 +25,11 @@ from repro.utils.geometry import Point
 from repro.workloads.scenarios import ScenarioConfig, build_instance, build_network
 
 
+#: ``network_content_hash`` of the ``city`` fixture as it was before edge costs
+#: went onto the time grid (plain ``length / speed`` costs).
+_PRE_GRID_HASH = "5f6a322aa54dcf44eaa4374934a8d1f6bf6f7080bd5952ee678d957ab74fa9b1"
+
+
 @pytest.fixture(scope="module")
 def city():
     return grid_city(rows=6, columns=6, removed_block_fraction=0.1, seed=7)
@@ -202,6 +207,17 @@ class TestOracleIntegration:
         second = DistanceOracle(city, backend="ch", artifact_dir=store.root)
         assert second.artifact_loaded  # warm: loaded
         assert first.content_hash == second.content_hash == network_content_hash(city)
+
+    def test_a_store_written_before_the_time_grid_misses_and_rebuilds(self, city, store):
+        # the entry a pre-grid build left behind, under its content hash then
+        old = DistanceOracle(city, backend="ch").backend
+        store.save_backend(city, old, content_hash=_PRE_GRID_HASH)
+        assert network_content_hash(city) != _PRE_GRID_HASH
+        cold = DistanceOracle(city, backend="ch", artifact_dir=store.root)
+        assert not cold.artifact_loaded
+        hashes = {entry["content_hash"] for entry in store.entries()}
+        assert hashes == {_PRE_GRID_HASH, cold.content_hash}
+        assert DistanceOracle(city, backend="ch", artifact_dir=store.root).artifact_loaded
 
     def test_no_store_no_hash(self, city):
         oracle = DistanceOracle(city, backend="dijkstra")

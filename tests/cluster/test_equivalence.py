@@ -1,25 +1,14 @@
 """Cluster replay must be metric-identical to the in-process sharded wrapper.
 
 The shard worker replicas are kept deterministic through three ingredients
-(plan snapshots, membership deltas, clock-replayed member advancement — see
-``repro.cluster.worker``), so at the same shard count K a cluster replay and
-an in-process ``sharded:<inner>`` replay see identical state at every
-decision point and must produce identical metrics.
-
-At K>1 the agreement is bit-exact: both regimes materialise exact positions
-at every arrival and flush, the replicas replay the authoritative
-``advance_all`` clock sequence, and decision anchors either match the
-authoritative floats or are adopted from the replica's left-to-right
-edge-cost summation, which the in-process run performs identically.
-
-At K=1 the in-process wrapper deliberately stays bit-locked to the *lazy*
-unsharded dispatcher (workers advance only when touched), while the cluster
-must materialise exact positions to keep its replica in sync. Partial
-advancement's anchor arithmetic is grouping-dependent
-(``start_time = arr[0] + moved_cost`` associates edge costs by advancement
-step), so the two regimes place pickup/dropoff stamps a few ULP apart.
-Decisions and served sets still match exactly; the derived means are gated
-at 1e-9 relative.
+(plan snapshots, membership deltas, member advancement to the command clock —
+see ``repro.cluster.worker``), so at the same shard count K a cluster replay
+and an in-process ``sharded:<inner>`` replay see identical state at every
+decision point and must produce identical metrics, bit for bit. That holds at
+K=1 too, where the in-process wrapper advances workers lazily while the
+cluster materialises the whole fleet at every arrival: every time is on the
+grid of :mod:`repro.core.timegrid`, so the number of advancement steps
+changes no sum.
 """
 
 import pytest
@@ -56,11 +45,4 @@ def _fingerprint(algorithm: str, shards: int) -> dict:
 def test_cluster_matches_in_process_sharded(inner, shards):
     expected = _fingerprint(f"sharded:{inner}", shards)
     actual = _fingerprint(f"cluster:{inner}", shards)
-    if shards > 1:
-        assert actual == expected
-    else:
-        # lazy (in-process K=1) vs exact-positions (cluster) float
-        # association — see module docstring
-        assert actual["served"] == expected["served"]
-        for key in ("unified_cost", "mean_wait", "mean_detour"):
-            assert actual[key] == pytest.approx(expected[key], rel=1e-9, abs=1e-9)
+    assert actual == expected

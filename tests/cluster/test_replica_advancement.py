@@ -4,9 +4,8 @@ Two contracts:
 
 * **Pinned end to end.** ``cluster:`` and ``sharded:`` replays of five stress
   programs (closures that reopen, cancellations, shifts, surges) at K=2 give
-  the per-request assignments and service times, ``unified_cost`` and
-  ``served_requests`` of the commit *before* fleet advancement went through
-  the route table's due window — literals recorded on that commit.
+  the pinned per-request assignments and service times, ``unified_cost``
+  and ``served_requests``; a ``cluster:`` replay equals its ``sharded:`` one.
 * **Replica == front door after every command.** A real ``ClusterDispatcher``
   drives two ``ShardWorkerRuntime`` objects *in this process* (the code a
   forked shard worker runs, on a pickled copy of the instance, behind a
@@ -17,15 +16,8 @@ Two contracts:
   bit; idle members only owe ``start_time <= clock`` until something touches
   them, and read ``start_time == clock`` once it does.
 
-One exemption, found by this test and older than it: the engine touches a
-*single* worker between two ``advance_all`` clocks when a cancellation comes
-too late to drop (the pickup already happened) or a shift starts. That partial
-advance regroups the anchor sum ``arr[0] + moved_cost`` on the front door only
-— the replica replays ``advance_all`` clocks, not touches — so such a worker's
-anchor may sit one ULP off until its plan is next shipped (``_apply_plan``
-keeps the authoritative bits for exactly this reason). Those workers are held
-to 1e-9 instead; the service times the replica stamps meanwhile and its
-travelled cost, which sums the same groups, keep the ULP for good.
+Every time is on the grid of :mod:`repro.core.timegrid`, so no anchor depends
+on how many steps the front door advanced a worker in; there is no exemption.
 """
 
 from __future__ import annotations
@@ -59,29 +51,35 @@ from tests.simulation.test_route_table import check_table
 
 #: ``(dispatcher, stress program of master seed 2018)`` ->
 #: ``(sha256 of the sorted (request, worker, pickup_time, dropoff_time) list,
-#: deliveries, unified_cost, served_requests)`` at K=2, recorded on the commit
-#: before this advancement change (b6b4801).
+#: deliveries, unified_cost, served_requests)`` at K=2, recorded once every
+#: time was on the 2**-10 s grid. Each ``cluster:X`` row equals its
+#: ``sharded:X`` row.
 _PARENT = {
-    ("cluster:pruneGreedyDP", 0): ("d0e5ea471268859c", 78, 17222.527472527465, 78),
-    ("cluster:pruneGreedyDP", 2): ("4010b59dd349e048", 37, 11612.637362637364, 37),
-    ("cluster:pruneGreedyDP", 7): ("8a34c0b36be15e23", 10, 543153.9750315963, 10),
-    ("cluster:pruneGreedyDP", 13): ("de5689068ba261c1", 44, 344805.72770621616, 44),
-    ("cluster:pruneGreedyDP", 16): ("02564b8467fb5716", 81, 45640.109890109896, 81),
-    ("cluster:batch", 0): ("77b7b63a46ee6f26", 75, 21159.340659340654, 75),
-    ("cluster:batch", 2): ("986603ef63a4ea04", 33, 19093.406593406595, 33),
-    ("cluster:batch", 7): ("c37534c70c7a9853", 9, 544947.4372425945, 9),
-    ("cluster:batch", 13): ("c9b7154936536eb2", 41, 355796.4184464605, 41),
-    ("cluster:batch", 16): ("8ec46c75a4e6d807", 78, 58560.43956043956, 78),
-    ("sharded:pruneGreedyDP", 0): ("d0e5ea471268859c", 78, 17222.527472527465, 78),
-    ("sharded:pruneGreedyDP", 2): ("4010b59dd349e048", 37, 11612.637362637364, 37),
-    ("sharded:pruneGreedyDP", 7): ("8a34c0b36be15e23", 10, 543153.9750315963, 10),
-    ("sharded:pruneGreedyDP", 13): ("de5689068ba261c1", 44, 344805.72770621616, 44),
-    ("sharded:pruneGreedyDP", 16): ("02564b8467fb5716", 81, 45640.109890109896, 81),
-    ("sharded:tshare", 0): ("23ee0b88fd2e3e54", 78, 17321.428571428565, 78),
-    ("sharded:tshare", 2): ("c7bf8e788961a316", 36, 13681.318681318682, 36),
-    ("sharded:tshare", 7): ("4f08cbdf6bbb3899", 6, 553262.502952205, 6),
-    ("sharded:tshare", 13): ("aa93cba50cc62db6", 40, 365017.9437542835, 40),
-    ("sharded:tshare", 16): ("728fad6c04c6aa43", 81, 45771.97802197803, 81),
+    ("cluster:pruneGreedyDP", 0): ("d4da4c3d810bca38", 78, 17222.9404296875, 78),
+    ("cluster:pruneGreedyDP", 2): ("0c0dffe0e90b864c", 37, 11612.9228515625, 37),
+    ("cluster:pruneGreedyDP", 7): ("2ba906718ce34927", 10, 543156.76171875, 10),
+    ("cluster:pruneGreedyDP", 13): ("f26a44ae16e9f51c", 44, 344807.40234375, 44),
+    ("cluster:pruneGreedyDP", 16): ("e79da4eac6ed0142", 81, 45641.3447265625, 81),
+    ("cluster:batch", 0): ("325338d9a425e32c", 75, 22269.7939453125, 75),
+    ("cluster:batch", 2): ("223114437222ce7d", 33, 19093.90625, 33),
+    ("cluster:batch", 7): ("52ece8e1cd682f0a", 9, 544950.2373046875, 9),
+    ("cluster:batch", 13): ("7dabc0686fdf9996", 41, 355798.1494140625, 41),
+    ("cluster:batch", 16): ("234b283e7c8f9e2d", 78, 58562.0693359375, 78),
+    ("sharded:pruneGreedyDP", 0): ("d4da4c3d810bca38", 78, 17222.9404296875, 78),
+    ("sharded:pruneGreedyDP", 2): ("0c0dffe0e90b864c", 37, 11612.9228515625, 37),
+    ("sharded:pruneGreedyDP", 7): ("2ba906718ce34927", 10, 543156.76171875, 10),
+    ("sharded:pruneGreedyDP", 13): ("f26a44ae16e9f51c", 44, 344807.40234375, 44),
+    ("sharded:pruneGreedyDP", 16): ("e79da4eac6ed0142", 81, 45641.3447265625, 81),
+    ("sharded:batch", 0): ("325338d9a425e32c", 75, 22269.7939453125, 75),
+    ("sharded:batch", 2): ("223114437222ce7d", 33, 19093.90625, 33),
+    ("sharded:batch", 7): ("52ece8e1cd682f0a", 9, 544950.2373046875, 9),
+    ("sharded:batch", 13): ("7dabc0686fdf9996", 41, 355798.1494140625, 41),
+    ("sharded:batch", 16): ("234b283e7c8f9e2d", 78, 58562.0693359375, 78),
+    ("sharded:tshare", 0): ("2a1d68e343a6de8a", 78, 17321.845703125, 78),
+    ("sharded:tshare", 2): ("af32097d503e5daf", 36, 13681.640625, 36),
+    ("sharded:tshare", 7): ("737254554ef38fef", 6, 553265.3505859375, 6),
+    ("sharded:tshare", 13): ("c37dfce4788f1362", 40, 365019.7294921875, 40),
+    ("sharded:tshare", 16): ("19d934f674c4a22a", 81, 45773.216796875, 81),
 }
 
 
@@ -108,6 +106,13 @@ def test_replays_equal_the_parent_commit(dispatcher_name, index):
     assert _fingerprint(outcome.completions, outcome.result) == _PARENT[dispatcher_name, index]
 
 
+def test_every_cluster_pin_is_its_in_process_sharded_pin():
+    cluster = {key: pin for key, pin in _PARENT.items() if key[0].startswith("cluster:")}
+    assert len(cluster) == 10
+    for (name, index), pin in cluster.items():
+        assert _PARENT[name.replace("cluster:", "sharded:"), index] == pin
+
+
 # ----------------------------------------------- shard workers in this process
 
 
@@ -125,8 +130,8 @@ class _CheckedLink(loopback.LoopbackLink):
         runtime = self.runtime
         advance = runtime._advance_members
 
-        def advance_then_check(clocks):
-            advance(clocks)
+        def advance_then_check(clock):
+            advance(clock)
             if not self.updating:
                 harness.check_members(runtime)
 
@@ -145,10 +150,7 @@ class _CheckedLink(loopback.LoopbackLink):
         harness.jumped.update(worker_id for worker_id, _ in getattr(command, "moves", ()))
         if hasattr(command, "plans"):
             harness.check_nothing_left_to_ship(self.shard_id)
-        # a shipped plan carries the authoritative anchor bits
-        shipped = {plan.worker_id for plan in getattr(command, "plans", ())}
-        harness.loose -= shipped
-        harness.jumped |= shipped
+        harness.jumped.update(plan.worker_id for plan in getattr(command, "plans", ()))
         super().send(command)
         assert getattr(self.replies[-1], "error", None) is None
         if self.updating:
@@ -172,42 +174,10 @@ class _Harness:
         )}
         self.touch_phase = touch_phase
         self.member_checks = self.busy_checks = self.travel_checks = self.idle_touches = 0
-        #: clocks of the authoritative ``advance_all`` sequence
-        self.sequence: set[float] = set()
-        #: busy workers the engine touched between two of those clocks (module
-        #: docstring) whose plan has not been shipped since
-        self.loose: set[int] = set()
-        #: ... and every worker that ever was in ``loose``
-        self.drifted: set[int] = set()
         #: workers that ever changed shard or were shipped a plan: a replica
         #: accumulates travelled cost only over what it walks itself — not
         #: while the worker is another shard's, nor up to a shipped anchor
         self.jumped: set[int] = set()
-
-    def watch(self, front) -> None:
-        """Record the clock sequence and the off-sequence partial advances."""
-        self.front = front
-        fleet = front.fleet
-        note, materialise = front._note_advance_clock, fleet._materialise
-
-        def noting(now):
-            self.sequence.add(now)
-            note(now)
-
-        def watching(state):
-            before = state.route
-            materialise(state)
-            after = state.route
-            if (
-                after is not before
-                and after.stops
-                and len(after.stops) == len(before.stops)
-                and fleet.clock not in self.sequence
-            ):
-                self.loose.add(state.worker.id)
-                self.drifted.add(state.worker.id)
-
-        front._note_advance_clock, fleet._materialise = noting, watching
 
     def install(self, monkeypatch) -> None:
         """Run every shard worker started from now on as a checked loopback."""
@@ -241,19 +211,12 @@ class _Harness:
             assert mine.origin == truth.origin, worker_id
             assert _stops(mine) == _stops(truth), worker_id
             assert ours.online == theirs.online
-            if worker_id in self.drifted:
-                assert _flat(_records(ours)) == pytest.approx(_flat(_records(theirs)), abs=1e-9)
-            else:
-                assert _records(ours) == _records(theirs), worker_id
+            assert _records(ours) == _records(theirs), worker_id
             assert worker_id in grid.members_in_cell(grid.cell_of_vertex(truth.origin)), (
                 f"worker {worker_id}: replica grid cell is stale"
             )
             if not truth.stops:
                 assert mine.start_time <= clock and truth.start_time <= clock
-                self.loose.discard(worker_id)
-                continue
-            if worker_id in self.loose:
-                assert mine.arr == pytest.approx(truth.arr, rel=0, abs=1e-9), worker_id
                 continue
             self.busy_checks += 1
             assert mine.start_time == truth.start_time, worker_id
@@ -271,10 +234,10 @@ class _Harness:
                     replica.table.first_edge_cost[ours_row]
                     == front.table.first_edge_cost[theirs_row]
                 )
-            if worker_id not in self.jumped and worker_id not in self.drifted:
+            if worker_id not in self.jumped:
                 self.travel_checks += 1
                 assert ours.travelled_cost == theirs.travelled_cost, worker_id
-            assert ours.travelled_cost <= theirs.travelled_cost + 1e-6
+            assert ours.travelled_cost <= theirs.travelled_cost
 
     def check_idle_and_table(self, runtime: ShardWorkerRuntime) -> None:
         """After any command: rows mirror routes, idle clocks never lead, and
@@ -307,15 +270,6 @@ def _records(state):
     }
 
 
-def _flat(records):
-    """Record times as one list, ``None`` (not yet) as -1."""
-    return [
-        -1.0 if time is None else time
-        for request_id in sorted(records)
-        for time in (request_id, *records[request_id])
-    ]
-
-
 def _drive(monkeypatch, inner: str, index: int, growth, touch_phase: int = 0):
     """Replay stress program ``index`` on in-process replicas, checking throughout.
 
@@ -327,7 +281,7 @@ def _drive(monkeypatch, inner: str, index: int, growth, touch_phase: int = 0):
     spec, program = _spec(f"cluster:{inner}", index)
     compiled = compile_program(spec.scenario, program.validate())
     service = _build_service(spec, compiled)
-    harness.watch(service.dispatcher)
+    harness.front = service.dispatcher
     completions = []
     service._backend.on_completion = lambda record, now: completions.append(record)
     vertices = sorted(compiled.instance.network.vertices())
@@ -392,7 +346,7 @@ class TestReplicaEqualsFrontDoorAfterEveryCommand:
     )
     @settings(max_examples=10, deadline=None, suppress_health_check=list(HealthCheck))
     # a batch plan anchored before the flush clock whose first stop the engine
-    # completes at that clock (the replica must walk it there too)
+    # completes at that clock (the replica at its next command's clock)
     @example(index=20, inner="batch", joins=[(0, 20, 3094)], touch_phase=0)
     @example(
         index=20, inner="batch",
@@ -415,8 +369,7 @@ def test_a_reopening_that_makes_a_stop_due_walks_the_replica_there(monkeypatch):
     """A reopened street can re-time a busy route so that its next stop is
     due before the update clock. The engine completes that stop at the update
     clock and walks on; the replica takes the same walk when its grid rebuild
-    reads every member at that clock. Without it, the replica's next advance
-    would sum the moved edge costs in one group instead of two.
+    reads every member at that clock.
 
     The worker detours A→X→B around the closed street A–B to its pickup at B.
     Three seconds in, A–B reopens: the pickup falls due at 6.37 s, and at the
@@ -430,7 +383,7 @@ def test_a_reopening_that_makes_a_stop_due_walks_the_replica_there(monkeypatch):
         Point(0, 0), Point(10, 0), Point(0, 300), Point(20, 0), Point(30, 0), Point(230, 0),
     )):
         network.add_vertex(vertex, point)
-    # lengths (metres, at 10 m/s) whose partial sums do not associate
+    # lengths in metres, at 10 m/s
     for u, v, length in ((a, b, 13.7), (a, x, 600.0), (x, b, 600.0),
                          (b, c, 12.7), (c, d, 13.1), (d, e, 200.0)):
         network.add_edge(u, v, length=length)
@@ -453,4 +406,5 @@ def test_a_reopening_that_makes_a_stop_due_walks_the_replica_there(monkeypatch):
         assert front.route.origin == replica.route.origin == d
         assert replica.route.start_time == front.route.start_time
         assert replica.route.arr == front.route.arr
-        assert replica.assigned_requests[0].pickup_time == 5.0 + 1.37
+        # 13.7 m at 10 m/s is 1.37 s, rounded up onto the 2**-10 s grid
+    assert replica.assigned_requests[0].pickup_time == 5.0 + 1403 / 1024

@@ -56,7 +56,7 @@ def test_totals_are_the_front_door_plus_every_live_replica(monkeypatch):
     spec, program = _spec("cluster:pruneGreedyDP", 0)
     compiled = compile_program(spec.scenario, program.validate())
     service = _build_service(spec, compiled)
-    harness.watch(service.dispatcher)
+    harness.front = service.dispatcher
     front = service.dispatcher
     try:
         for request in compiled.instance.requests[:20]:

@@ -9,6 +9,7 @@ volume.
 
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -30,12 +31,7 @@ from repro.network.shortest_path import (
     truncated_multi_target_distances,
 )
 from repro.utils.geometry import Point
-
-#: float tolerance for cross-algorithm equality: CH sums associate edge
-#: costs differently than a straight Dijkstra relaxation, so results may
-#: differ in the last couple of ulps (empirically max rel ~2e-16) — but no
-#: more. Within one backend, scalar and batched answers are exactly equal.
-_REL = 1e-12
+from repro.workloads.scenarios import CITY_BUILDERS
 
 _CITIES = [
     pytest.param(lambda: random_geometric_city(num_vertices=80, seed=0), id="random-0"),
@@ -63,7 +59,7 @@ class TestBackendEquivalence:
                 if math.isinf(expected):
                     assert math.isinf(got)
                 else:
-                    assert got == pytest.approx(expected, rel=_REL)
+                    assert got == expected
 
     def test_apsp_equals_dijkstra_reference(self, build_city):
         network = build_city()
@@ -76,10 +72,8 @@ class TestBackendEquivalence:
                 assert backend.distance(u, v) == expected
 
     def test_precomputed_backends_are_symmetric(self, build_city):
-        # the hierarchy meets both upward searches in the same sums either
-        # way round, so it is exactly symmetric; an APSP cell sums its path's
-        # costs from its own source, so (u, v) and (v, u) add the same costs
-        # in opposite orders and may differ in the last ulps
+        # (u, v) and (v, u) add the same edge costs in opposite orders; on
+        # the time grid those sums are exact, so both backends are symmetric
         network = build_city()
         vertices = sorted(network.vertices())
         hierarchy = CHBackend(network)
@@ -87,7 +81,7 @@ class TestBackendEquivalence:
         for u in vertices[::6]:
             for v in vertices[::11]:
                 assert hierarchy.distance(u, v) == hierarchy.distance(v, u)
-                assert table.distance(u, v) == pytest.approx(table.distance(v, u), rel=_REL)
+                assert table.distance(u, v) == table.distance(v, u)
 
     def test_identity_is_zero(self, build_city):
         network = build_city()
@@ -109,6 +103,31 @@ class TestBackendEquivalence:
             assert batched.tolist() == scalar
 
 
+#: the generated cities of ``CITY_BUILDERS`` (riverton is an ingested map)
+_GENERATOR_CITIES = ["small-grid", "chengdu-like", "nyc-like", "random", "metro-grid"]
+
+
+@pytest.mark.parametrize("city", _GENERATOR_CITIES)
+def test_apsp_ch_and_dijkstra_answer_the_same_bits(city):
+    """Every edge cost is on the time grid, so a shortest distance is an exact
+    sum whatever order a backend adds its edges in: batched rows and scalar
+    queries agree with ``==``, and so do both directions of a pair."""
+    network = CITY_BUILDERS[city](2018)
+    apsp, ch, dijkstra = (
+        DistanceOracle(network, backend=name) for name in ("apsp", "ch", "dijkstra")
+    )
+    vertices = sorted(network.vertices())
+    rng = random.Random(2018)
+    for source in rng.sample(vertices, 6):
+        row = apsp.distances_many(source, vertices).tolist()
+        assert row == ch.distances_many(source, vertices).tolist()
+        assert row == dijkstra.distances_many(source, vertices).tolist()
+        for target in rng.sample(vertices, 20):
+            forward = apsp.distance(source, target)
+            assert forward == ch.distance(source, target) == dijkstra.distance(source, target)
+            assert forward == apsp.distance(target, source) == ch.distance(target, source)
+
+
 class TestDisconnectedPairs:
     @pytest.fixture()
     def split_network(self):
@@ -125,8 +144,9 @@ class TestDisconnectedPairs:
         hierarchy = build_contraction_hierarchy(split_network)
         position = split_network.csr.position
         assert math.isinf(hierarchy.query_positions(position[0], position[3]))
-        assert hierarchy.query_positions(position[0], position[2]) == pytest.approx(
-            dijkstra_reference(split_network, 0)[2], rel=_REL
+        assert (
+            hierarchy.query_positions(position[0], position[2])
+            == dijkstra_reference(split_network, 0)[2]
         )
 
     def test_apsp_reports_infinity(self, split_network):

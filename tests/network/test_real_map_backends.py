@@ -7,10 +7,9 @@ the ``"auto"`` policy picks the contraction hierarchy) and the ingested
 real-map ``riverton`` fixture, whose projected edge costs have full
 floating-point mantissas:
 
-* the contraction hierarchy agrees with the Dijkstra reference within
-  relative tolerance — on real-map costs different summation orders
-  legitimately differ in the last couple of ulps, so cross-*algorithm*
-  checks are tolerance-based;
+* the contraction hierarchy equals the Dijkstra reference bit for bit —
+  the projected lengths have full mantissas, but every edge cost is rounded
+  onto the time grid, so different summation orders give the same float;
 * loading a backend from the artifact store is **bitwise** identical to the
   fresh build it was saved from — same algorithm, same arrays, so exact
   equality is required, per backend;
@@ -26,10 +25,6 @@ from repro.network.backends import APSP_VERTEX_LIMIT
 from repro.network.oracle import DistanceOracle
 from repro.network.shortest_path import dijkstra_reference
 from repro.workloads.scenarios import ScenarioConfig, build_network
-
-#: cross-algorithm tolerance (see tests/network/test_backends.py)
-_REL = 1e-12
-
 
 @pytest.fixture(scope="module")
 def metro():
@@ -66,7 +61,7 @@ class TestCHProperties:
         oracle = ch_oracles[city]
         for u, v in sample_pairs(network, 40):
             expected = dijkstra_reference(network, u, [v])[v]
-            assert oracle.distance(u, v) == pytest.approx(expected, rel=_REL)
+            assert oracle.distance(u, v) == expected
 
     @pytest.mark.parametrize("city", ["metro-grid", "riverton"])
     def test_symmetric_and_zero_on_identity(self, ch_oracles, metro, riverton, city):
