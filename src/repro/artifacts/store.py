@@ -10,17 +10,21 @@ entry can never be served for a network it was not built from.
 
 Layout (``FORMAT_VERSION`` bumps on any change to the layout or to the
 stored bits; a new build algorithm that writes the same bits, as the APSP
-sweep replacing the per-row Dijkstras did, keeps old entries valid)::
+sweep replacing the per-row Dijkstras did, keeps old entries valid). Version
+2 stores the APSP ``matrix`` as int32 ticks of the time grid (version 1 held
+float64 seconds)::
 
     <root>/<hash[:2]>/<hash[2:]>/
         manifest.json     # format version, hash, network summary, backends
-        apsp.npz          # matrix, vertex_ids
+        apsp.npz          # matrix (int32 ticks), vertex_ids
         ch.npz            # rank, up_indptr, up_indices, up_costs, meta
 
 Loads are **bit-identical**: the arrays come back ``np.load``-exact, so a
 loaded backend answers every query with the very float a fresh build would
 (``tests/artifacts/test_store.py`` holds both query batteries and full
-replays to that). Corrupt or stale entries raise
+replays to that). Corrupt or stale entries — an older format version, an
+array of the wrong dtype or shape, an APSP cell outside ``0`` to
+``UNREACHABLE_TICKS`` or a nonzero diagonal — raise
 :class:`~repro.exceptions.ArtifactError` from
 :meth:`ArtifactStore.load_backend`; the :meth:`ArtifactStore.load_or_build`
 path used by the oracle treats them as cache misses and rebuilds. Files and
@@ -39,13 +43,25 @@ import numpy as np
 from repro.artifacts.hashing import network_content_hash
 from repro.exceptions import ArtifactError
 from repro.network.ch import ContractionHierarchy
-from repro.network.graph import RoadNetwork
+from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.backends import DistanceBackend
     from repro.network.oracle import DistanceOracle
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: the dtype every stored array must come back with, per backend.
+_ARRAY_DTYPES = {
+    "apsp": {"matrix": np.int32, "vertex_ids": np.int64},
+    "ch": {
+        "rank": np.int64,
+        "up_indptr": np.int64,
+        "up_indices": np.int64,
+        "up_costs": np.float64,
+        "meta": np.int64,
+    },
+}
 
 #: backends whose built state the store can persist (``dijkstra`` has none).
 PERSISTABLE_BACKENDS = ("apsp", "ch")
@@ -201,38 +217,47 @@ class ArtifactStore:
         except (OSError, ValueError, KeyError) as error:
             raise ArtifactError(f"cannot read artifact {path}: {error}") from error
 
+        for key, dtype in _ARRAY_DTYPES[name].items():
+            if key not in arrays:
+                raise ArtifactError(f"{path}: missing array {key!r}")
+            if arrays[key].dtype != dtype:
+                raise ArtifactError(
+                    f"{path}: array {key!r} is {arrays[key].dtype}, expected {np.dtype(dtype)}"
+                )
         csr = network.csr
         n = csr.num_vertices
-        try:
-            if name == "apsp":
-                matrix = arrays["matrix"]
-                vertex_ids = arrays["vertex_ids"]
-                if matrix.shape != (n, n) or not np.array_equal(vertex_ids, csr.vertex_ids):
-                    raise ArtifactError(
-                        f"{path}: artifact does not match the network "
-                        f"(matrix {matrix.shape}, expected {(n, n)})"
-                    )
-                return APSPBackend(network, matrix=matrix)
-            meta = arrays["meta"]
-            if int(meta[0]) != n or arrays["rank"].size != n:
+        if name == "apsp":
+            matrix = arrays["matrix"]
+            if matrix.shape != (n, n) or not np.array_equal(arrays["vertex_ids"], csr.vertex_ids):
                 raise ArtifactError(
-                    f"{path}: hierarchy built for {int(meta[0])} vertices, "
-                    f"network has {n}"
+                    f"{path}: artifact does not match the network "
+                    f"(matrix {matrix.shape}, expected {(n, n)})"
                 )
-            hierarchy = ContractionHierarchy(
-                num_vertices=n,
-                # the builder produces plain lists; restore the same types
-                # so queries execute identical code paths
-                rank=arrays["rank"].tolist(),
-                up_indptr=arrays["up_indptr"].tolist(),
-                up_indices=arrays["up_indices"].tolist(),
-                up_costs=arrays["up_costs"].tolist(),
-                num_shortcuts=int(meta[1]),
-                build_seconds=float(manifest["backends"]["ch"].get("build_seconds", 0.0)),
+            if n and (matrix.min() < 0 or matrix.max() > UNREACHABLE_TICKS):
+                raise ArtifactError(
+                    f"{path}: array 'matrix' has cells outside 0..{UNREACHABLE_TICKS} ticks"
+                )
+            if np.diagonal(matrix).any():
+                raise ArtifactError(f"{path}: array 'matrix' has a nonzero diagonal")
+            return APSPBackend(network, matrix=matrix)
+        meta = arrays["meta"]
+        if int(meta[0]) != n or arrays["rank"].size != n:
+            raise ArtifactError(
+                f"{path}: hierarchy built for {int(meta[0])} vertices, "
+                f"network has {n}"
             )
-            return CHBackend(network, host, hierarchy=hierarchy)
-        except KeyError as error:
-            raise ArtifactError(f"{path}: missing array {error.args[0]!r}") from error
+        hierarchy = ContractionHierarchy(
+            num_vertices=n,
+            # the builder produces plain lists; restore the same types
+            # so queries execute identical code paths
+            rank=arrays["rank"].tolist(),
+            up_indptr=arrays["up_indptr"].tolist(),
+            up_indices=arrays["up_indices"].tolist(),
+            up_costs=arrays["up_costs"].tolist(),
+            num_shortcuts=int(meta[1]),
+            build_seconds=float(manifest["backends"]["ch"].get("build_seconds", 0.0)),
+        )
+        return CHBackend(network, host, hierarchy=hierarchy)
 
     def _validated_manifest(self, content_hash: str, backend: str) -> dict[str, Any]:
         manifest_file = self.manifest_path(content_hash)

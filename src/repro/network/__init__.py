@@ -29,12 +29,8 @@ from repro.network.io import load_network, network_from_dict, network_to_dict, s
 from repro.network.oracle import DistanceOracle, OracleCounters
 from repro.network.shortest_path import (
     bidirectional_dijkstra,
-    bidirectional_dijkstra_reference,
     dijkstra,
-    dijkstra_reference,
-    shortest_distance,
     shortest_path,
-    single_source_distances,
     truncated_multi_target_distances,
 )
 
@@ -67,11 +63,7 @@ __all__ = [
     "DistanceOracle",
     "OracleCounters",
     "bidirectional_dijkstra",
-    "bidirectional_dijkstra_reference",
     "dijkstra",
-    "dijkstra_reference",
-    "shortest_distance",
     "shortest_path",
-    "single_source_distances",
     "truncated_multi_target_distances",
 ]

@@ -6,17 +6,20 @@ closure on the 1296-vertex nyc-like network). :func:`repair_apsp` diffs the
 CSR snapshot the table was built from against the current one and rewrites
 only the cells whose value can change, instead of rebuilding the whole table.
 
-**Exactness.** Row ``s`` of a from-scratch build
-(:func:`~repro.network.shortest_path.all_pairs_distances`) is what a
-Dijkstra from ``s`` settles: for every ``t``
-the smallest left-to-right float sum ``((0 + w1) + w2) + ...`` over all paths
-from ``s``. Float addition is monotone, so that row is the unique solution of
-``d[s] = 0, d[t] = min_u fl(d[u] + w(u, t))`` as long as every edge strictly
-increases the sum (checked by :func:`_strictly_increasing`; otherwise the
-repair declines). Both passes below only ever write ``d[u] + cost`` with the
-operands in that order, and leave a cell alone only when a predecessor that
-still supports its old value survives — hence the repaired table is
-**bit-identical** to a fresh build, not merely close.
+**Exactness.** The table holds int32 ticks of the time grid, and edges
+weigh their ``csr.ticks`` (clamped as the build clamps them). Row ``s`` of a
+from-scratch build (:func:`~repro.network.shortest_path.all_pairs_distances`)
+holds, for every ``t``, the least integer sum of edge ticks over all paths
+from ``s`` (the sentinel ``UNREACHABLE_TICKS`` where there is none). That row
+is the unique solution of ``d[s] = 0, d[t] = min_u d[u] + w(u, t)`` as long
+as every edge is at least one tick (checked by :func:`_strictly_increasing`;
+otherwise the repair declines). Both passes below only ever write exact
+integer sums ``d[u] + w``, and leave a cell alone only when a predecessor
+that still supports its old value survives — hence the repaired table is
+**bit-identical** to a fresh build. The caller checks first that the new
+topology's distances stay below the sentinel
+(:func:`~repro.network.shortest_path.check_tick_range`), so every value
+written fits and a cell plus one edge never overflows int32.
 
 * **Removed edges** (Ramalingam–Reps): per source row, a vertex is *affected*
   when every tight predecessor ``u`` (``d[u] + w == d[t]``) is itself
@@ -25,9 +28,9 @@ still supports its old value survives — hence the repaired table is
   adjacency, so handling them one by one would let one closed street vouch
   for another. Only the affected cells are re-settled, by a heap Dijkstra
   seeded from their unaffected neighbours; cells no path reaches any more
-  become ``inf``.
+  become the sentinel.
 * **Added edges**: a decrease-only heap propagation from the endpoints the
-  new edge improves (``inf`` cells of a reconnected component included).
+  new edge improves (sentinel cells of a reconnected component included).
 
 Rows are selected with vectorised column tests, so the Python-level work is
 proportional to the rows and cells that actually change.
@@ -36,22 +39,21 @@ proportional to the rows and cells that actually change.
 from __future__ import annotations
 
 import heapq
-from math import inf
 
 import numpy as np
 
-from repro.network.graph import CSRAdjacency
+from repro.network.graph import UNREACHABLE_TICKS, CSRAdjacency
 
-#: one undirected edge of a delta, as CSR positions plus its travel cost.
-EdgeDelta = tuple[int, int, float]
+#: one undirected edge of a delta, as CSR positions plus its ticks.
+EdgeDelta = tuple[int, int, int]
 
 
 def diff_csr(
     old: CSRAdjacency, new: CSRAdjacency
 ) -> tuple[list[EdgeDelta], list[EdgeDelta]] | None:
-    """Undirected edges ``(a, b, cost)`` with ``a < b`` removed from / added to ``old``.
+    """Undirected edges ``(a, b, ticks)`` with ``a < b`` removed from / added to ``old``.
 
-    A changed cost shows up as a removal plus an addition of the same pair.
+    A changed cost (in clamped ticks) shows up as a removal plus an addition of the same pair.
     Returns ``None`` when the two snapshots do not cover the same vertex set
     (positions are then not comparable).
     """
@@ -62,14 +64,14 @@ def diff_csr(
     def directed(csr: CSRAdjacency) -> tuple[np.ndarray, np.ndarray]:
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
         upper = rows < csr.indices
-        return rows[upper] * n + csr.indices[upper], csr.costs[upper]
+        return rows[upper] * n + csr.indices[upper], csr.ticks[upper]
 
     def only_in(keys, costs, other_keys, other_costs) -> list[EdgeDelta]:
         # keys ascend in both snapshots (rows in order, neighbours sorted), so
         # one binary search pairs them; the sentinel absorbs "past the end"
         slot = np.searchsorted(other_keys, keys)
         same = (np.append(other_keys, -1)[slot] == keys) & (
-            np.append(other_costs, np.nan)[slot] == costs
+            np.append(other_costs, -1)[slot] == costs
         )
         return [
             (key // n, key % n, cost)
@@ -85,19 +87,13 @@ def diff_csr(
 
 
 def _strictly_increasing(csr: CSRAdjacency) -> bool:
-    """Whether ``fl(d + w) > d`` for every edge cost and every distance.
+    """Whether every edge is at least one tick.
 
     The fixpoint argument needs each edge to strictly increase a path sum:
-    a zero (or, at float precision, absorbed) cost would let two vertices
-    vouch for each other's stale distance. No shortest distance exceeds the
-    sum of all edge costs, and absorption only gets likelier as the sum
-    grows, so testing the smallest cost against that bound covers them all.
+    a zero-tick edge would let two vertices vouch for each other's stale
+    distance. Integer sums absorb nothing, so the smallest edge decides.
     """
-    costs = csr.costs
-    if costs.size == 0:
-        return True
-    bound = float(costs.sum())
-    return bound + float(costs.min()) > bound
+    return csr.ticks.size == 0 or int(csr.ticks.min()) >= 1
 
 
 def repair_apsp(
@@ -108,8 +104,7 @@ def repair_apsp(
     Returns ``(rows, cells)`` rewritten, or ``None`` — with ``matrix``
     untouched — when the delta is not covered and the caller has to build
     from scratch: a different vertex set, a batch that both removes and adds
-    edges (a changed cost is such a batch), or an edge cost that does not
-    strictly increase path sums.
+    edges (a changed cost is such a batch), or an edge of zero ticks.
     """
     if old is new:
         return 0, 0
@@ -135,13 +130,13 @@ def _repair_removed(
 ) -> tuple[int, int]:
     indptr = csr.indptr_list
     indices = csr.indices_list
-    costs = csr.costs_list
+    costs = csr.ticks_list
     # a row needs work iff some removed edge a -> b carried a shortest path
     # of that row and b has no surviving tight predecessor to fall back on
     rows = np.zeros(matrix.shape[0], dtype=bool)
     for a, b, cost in removed:
         to_b = matrix[:, b]
-        unsupported = (matrix[:, a] + cost == to_b) & np.isfinite(to_b)
+        unsupported = (matrix[:, a] + cost == to_b) & (to_b != UNREACHABLE_TICKS)
         if not unsupported.any():
             continue
         for slot in range(indptr[b], indptr[b + 1]):
@@ -152,9 +147,11 @@ def _repair_removed(
     touched = np.flatnonzero(rows).tolist()
     for source in touched:
         row = matrix[source]
-        d = row.item  # cell reads as Python floats; writes go straight to the row
+        d = row.item  # cell reads as Python ints; writes go straight to the row
         affected: set[int] = set()
-        work = [b for a, b, cost in removed if d(b) != inf and d(a) + cost == d(b)]
+        work = [
+            b for a, b, cost in removed if d(b) != UNREACHABLE_TICKS and d(a) + cost == d(b)
+        ]
         while work:
             vertex = work.pop()
             if vertex in affected:
@@ -173,9 +170,9 @@ def _repair_removed(
                         work.append(neighbour)
 
         # re-settle the affected cells from their unaffected neighbours
-        heap: list[tuple[float, int]] = []
+        heap: list[tuple[int, int]] = []
         for vertex in affected:
-            best = inf
+            best = UNREACHABLE_TICKS
             for slot in range(indptr[vertex], indptr[vertex + 1]):
                 neighbour = indices[slot]
                 if neighbour not in affected:
@@ -183,7 +180,7 @@ def _repair_removed(
                     if candidate < best:
                         best = candidate
             row[vertex] = best
-            if best < inf:
+            if best < UNREACHABLE_TICKS:
                 heap.append((best, vertex))
         # (the propagation never lowers an unaffected cell: its value is final)
         _propagate(row, heap, csr, affected)
@@ -204,7 +201,7 @@ def _repair_added(
         row = matrix[source]
         d = row.item
         improved: set[int] = set()
-        heap: list[tuple[float, int]] = []
+        heap: list[tuple[int, int]] = []
         for a, b, cost in added:
             candidate = d(a) + cost
             if candidate < d(b):
@@ -217,16 +214,16 @@ def _repair_added(
 
 
 def _propagate(
-    row: np.ndarray, heap: list[tuple[float, int]], csr: CSRAdjacency, written: set[int]
+    row: np.ndarray, heap: list[tuple[int, int]], csr: CSRAdjacency, written: set[int]
 ) -> None:
     """Decrease-only Dijkstra over one table row from the seeded ``heap``.
 
-    Lowers every cell a seed improves (``reach + cost``, the operand order of
-    the from-scratch build) and records the columns it wrote in ``written``.
+    Lowers every cell a seed improves (to ``reach + ticks``) and records the
+    columns it wrote in ``written``.
     """
     indptr = csr.indptr_list
     indices = csr.indices_list
-    costs = csr.costs_list
+    costs = csr.ticks_list
     d = row.item
     push = heapq.heappush
     pop = heapq.heappop

@@ -9,8 +9,8 @@ validates against.
 Backends (all exact shortest distances, bit-identical across backends, see
 "Exactness" below):
 
-* ``"apsp"``       — dense all-pairs matrix; O(1) lookups, O(N^2) memory,
-  built by one vectorised sweep over all sources
+* ``"apsp"``       — dense all-pairs table of int32 ticks; O(1) lookups,
+  4·N² bytes, built by one vectorised sweep over all sources
   (:func:`~repro.network.shortest_path.all_pairs_distances`). The fastest
   choice up to a few thousand vertices.
 * ``"ch"``         — contraction hierarchy (:mod:`repro.network.ch`);
@@ -37,14 +37,15 @@ closure or reopening) cost, per backend:
   here).
 * ``"dijkstra"``   — nothing to rebuild; the oracle drops its caches.
 
-**Exactness.** Every edge cost is on the time grid of
-:mod:`repro.core.timegrid`, so every sum of edge costs below ``2**43`` s is
-exact in float64 and does not depend on the order of its terms. The three
-backends sum a shortest path in different orders — a CH shortcut is the sum
-of its two halves, a CH query and a bidirectional Dijkstra add two half
-distances, the APSP sweep folds from the source — and still answer
-**bit-identical** floats: ``apsp == ch == dijkstra`` with ``==`` on every
-generator city (``tests/network/test_backends.py``), and APSP equals a
+**Exactness.** Every edge cost is a whole number of ticks of the time grid
+of :mod:`repro.core.timegrid`, so a path's cost is an integer count of ticks
+whatever order its edges are added in (float64 holds every such sum below
+``2**43`` s exactly). The CH and Dijkstra backends add float seconds — a CH
+shortcut is the sum of its two halves, a CH query and a bidirectional
+Dijkstra add two half distances — and the APSP sweep adds int32 ticks, which
+its reads multiply by ``TIME_QUANTUM``, a power of two, exactly. All three
+answer **bit-identical** floats: ``apsp == ch == dijkstra`` with ``==`` on
+every generator city (``tests/network/test_backends.py``), and APSP equals a
 single-source Dijkstra row (``tests/network/test_apsp_build.py``). The
 choice of backend therefore moves no simulation result.
 """
@@ -57,13 +58,15 @@ from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro.core.timegrid import TIME_QUANTUM
 from repro.exceptions import DisconnectedError
 from repro.network.apsp_repair import repair_apsp
 from repro.network.ch import ContractionHierarchy, build_contraction_hierarchy
-from repro.network.graph import RoadNetwork, Vertex
+from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork, Vertex
 from repro.network.shortest_path import (
     all_pairs_distances,
     bidirectional_dijkstra,
+    check_tick_range,
     truncated_multi_target_distances,
 )
 
@@ -80,7 +83,9 @@ APSP_VERTEX_LIMIT = 2_000
 def select_backend_name(num_vertices: int) -> str:
     """The backend the ``"auto"`` policy picks for a network of
     ``num_vertices`` vertices: the dense matrix up to
-    :data:`APSP_VERTEX_LIMIT`, the contraction hierarchy above it."""
+    :data:`APSP_VERTEX_LIMIT`, the contraction hierarchy above it. (The
+    oracle still takes the hierarchy for a small network whose distances
+    fail :func:`~repro.network.shortest_path.check_tick_range`.)"""
     if num_vertices <= APSP_VERTEX_LIMIT:
         return "apsp"
     return "ch"
@@ -127,11 +132,17 @@ class DistanceBackend(Protocol):
 
 
 class APSPBackend:
-    """Dense all-pairs matrix: built eagerly in one sweep, O(1) lookups.
+    """Dense all-pairs table of int32 ticks: built eagerly in one sweep, O(1)
+    lookups.
 
-    Row ``s`` holds the distance from position ``s`` to every position, bit
-    for bit what a Dijkstra from ``s`` settles
-    (:func:`~repro.network.shortest_path.all_pairs_distances`). A matrix
+    Row ``s`` holds the distance from position ``s`` to every position in
+    ticks of :data:`~repro.core.timegrid.TIME_QUANTUM`
+    (:func:`~repro.network.shortest_path.all_pairs_distances`), 4 bytes a
+    cell. The read methods convert at this boundary: ``ticks *
+    TIME_QUANTUM`` is exactly the float a Dijkstra settles, and the sentinel
+    :data:`~repro.network.graph.UNREACHABLE_TICKS` reads as ``inf``. A
+    network whose distances the table cannot hold raises before the build
+    (:func:`~repro.network.shortest_path.check_tick_range`). A matrix
     handed in (the artifact store does) is adopted, not copied;
     :meth:`refresh` then repairs it in place.
     """
@@ -143,7 +154,10 @@ class APSPBackend:
         started = time.perf_counter()
         csr = network.csr
         self._csr = csr
-        self.matrix = matrix if matrix is not None else self._build_matrix(network)
+        if matrix is None:
+            check_tick_range(network)
+            matrix = self._build_matrix(network)
+        self.matrix = matrix
         self.vertex_index = csr.position
         self.build_seconds = time.perf_counter() - started
         self.repairs = 0
@@ -162,8 +176,8 @@ class APSPBackend:
         # fails to reuse (peak memory stays one table per live backend);
         # private keeps forked shard workers copy-on-write, as heap memory is
         flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-        buffer = mmap.mmap(-1, max(n * n, 1) * 8, **flags)
-        matrix = np.frombuffer(buffer, dtype=np.float64, count=n * n).reshape(n, n)
+        buffer = mmap.mmap(-1, max(n * n, 1) * 4, **flags)
+        matrix = np.frombuffer(buffer, dtype=np.int32, count=n * n).reshape(n, n)
         all_pairs_distances(network, matrix)
         return matrix
 
@@ -173,10 +187,13 @@ class APSPBackend:
         Edge removals or additions over an unchanged vertex set are repaired
         in place (:func:`~repro.network.apsp_repair.repair_apsp`,
         bit-identical to a fresh build); any other delta takes the full
-        build the constructor runs.
+        build the constructor runs. Either way the new topology's distances
+        must fit the table (:func:`~repro.network.shortest_path.check_tick_range`,
+        run once here, before either path).
         """
         started = time.perf_counter()
         csr = network.csr
+        check_tick_range(network)
         if not self.matrix.flags.writeable:
             self.matrix = self.matrix.copy()
         repaired = repair_apsp(self.matrix, self._csr, csr)
@@ -192,25 +209,33 @@ class APSPBackend:
         self._csr = csr
         self.vertex_index = csr.position
 
+    @staticmethod
+    def _seconds(ticks: np.ndarray) -> np.ndarray:
+        seconds = ticks * TIME_QUANTUM
+        seconds[ticks == UNREACHABLE_TICKS] = np.inf
+        return seconds
+
     def distance(self, u: Vertex, v: Vertex) -> float:
-        return float(self.matrix[self.vertex_index[u], self.vertex_index[v]])
+        ticks = self.matrix.item(self.vertex_index[u], self.vertex_index[v])
+        return ticks * TIME_QUANTUM if ticks != UNREACHABLE_TICKS else np.inf
 
     def distances_many(self, source: Vertex, targets: Sequence[Vertex]) -> np.ndarray:
         row = self.matrix[self.vertex_index[source]]
-        return row[self._csr.positions_of(targets)]
+        return self._seconds(row[self._csr.positions_of(targets)])
 
     def distance_pairs(self, us: Sequence[Vertex], vs: Sequence[Vertex]) -> np.ndarray:
-        return self.matrix[self._csr.positions_of(us), self._csr.positions_of(vs)]
+        return self._seconds(
+            self.matrix[self._csr.positions_of(us), self._csr.positions_of(vs)]
+        )
 
     def endpoint_distances(
         self, vertices: Sequence[Vertex], origin: Vertex, destination: Vertex
     ) -> tuple[np.ndarray, np.ndarray]:
         positions = self._csr.positions_of(vertices)
         index = self.vertex_index
-        return (
-            self.matrix[positions, index[origin]],
-            self.matrix[positions, index[destination]],
-        )
+        # both columns in one gather, converted once
+        both = self._seconds(self.matrix[positions[:, None], [index[origin], index[destination]]])
+        return both[:, 0], both[:, 1]
 
     def stats(self) -> dict[str, float]:
         return {

@@ -13,16 +13,22 @@ Vertices carry planar coordinates (metres) which the decision phase of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.timegrid import on_grid
+from repro.core.timegrid import TIME_QUANTUM, on_grid
 from repro.exceptions import RoadNetworkError
 from repro.utils.geometry import Point
 
 Vertex = int
 """Type alias for vertex identifiers (dense non-negative integers)."""
+
+#: the APSP table's "unreachable" cell, in ticks of the time grid. Every
+#: finite distance lies below it, and edge ticks stop one short of it, so a
+#: cell plus one edge stays within ``2**31 - 1`` and never overflows int32.
+UNREACHABLE_TICKS = 2**30
 
 
 class CSRAdjacency:
@@ -42,6 +48,9 @@ class CSRAdjacency:
         indices: ``(M,)`` int64 — neighbour positions (both directions of
             every undirected edge, so ``M = 2 |E|``).
         costs: ``(M,)`` float64 — travel times in seconds.
+        ticks: ``(M,)`` int32 — the same costs in ticks of the time grid,
+            clamped at ``UNREACHABLE_TICKS - 1`` (the integer view the APSP
+            table is built and repaired from).
         xs, ys: ``(N,)`` float64 — vertex coordinates in metres.
         position: mapping ``vertex id -> position``.
     """
@@ -70,6 +79,8 @@ class CSRAdjacency:
         self.indptr = indptr
         self.indices = np.asarray(indices, dtype=np.int64)
         self.costs = np.asarray(costs, dtype=np.float64)
+        # costs are whole ticks, so the scaling is exact
+        self.ticks = np.minimum(self.costs / TIME_QUANTUM, UNREACHABLE_TICKS - 1).astype(np.int32)
         # dense id -> position lookup for vectorized translation (vertex ids
         # are near-dense in every generator; fall back to the dict otherwise)
         max_id = int(self.vertex_ids[-1]) if n else -1
@@ -85,6 +96,13 @@ class CSRAdjacency:
         self.indices_list: list[int] = self.indices.tolist()
         self.costs_list: list[float] = self.costs.tolist()
         self.vertex_ids_list: list[int] = self.vertex_ids.tolist()
+
+    @cached_property
+    def ticks_list(self) -> list[int]:
+        """Plain-list mirror of :attr:`ticks`, built on first use: only the
+        APSP repair's Python loops read it, so networks that are never
+        repaired do not pay for one boxed int per edge slot."""
+        return self.ticks.tolist()
 
     @property
     def num_vertices(self) -> int:

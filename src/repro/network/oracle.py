@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.artifacts import ArtifactStore, network_content_hash
 from repro.artifacts.store import PERSISTABLE_BACKENDS
+from repro.exceptions import ConfigurationError
 from repro.network.backends import (
     APSPBackend,
     DistanceBackend,
@@ -162,8 +163,10 @@ class DistanceOracle:
         network: the road network to answer queries on.
         backend: distance backend name — one of
             :data:`~repro.network.backends.BACKEND_NAMES` or ``"auto"`` (pick
-            by network size). All backends answer bit-identical shortest
-            distances and differ only in build cost and query speed — see
+            by network size; ``"ch"`` for a small network whose distances
+            the ``"apsp"`` table's int32 ticks cannot hold). All backends
+            answer bit-identical shortest distances and differ only in build
+            cost and query speed — see
             the "Exactness" note in :mod:`repro.network.backends`.
         artifact_dir: optional root of a content-addressed
             :class:`~repro.artifacts.ArtifactStore`. Precomputable backends
@@ -192,7 +195,8 @@ class DistanceOracle:
         self.content_hash: str | None = (
             network_content_hash(network) if self.artifact_store is not None else None
         )
-        if backend == "auto":
+        auto = backend == "auto"
+        if auto:
             backend = select_backend_name(network.csr.num_vertices)
         # snapshot used to index the precomputed backends (their row/position
         # order is frozen at build time); geometric queries read the live
@@ -203,16 +207,24 @@ class DistanceOracle:
         self.counters = OracleCounters(
             distance_cache=self._distance_cache, path_cache=self._path_cache
         )
-        if self.artifact_store is not None and backend in PERSISTABLE_BACKENDS:
-            self._backend, self.artifact_loaded = self.artifact_store.load_or_build(
-                backend, network, self, content_hash=self.content_hash
-            )
-        else:
-            self._backend = make_backend(backend, network, self)
+        try:
             #: whether the backend state came from the artifact store
-            self.artifact_loaded = False
+            self._backend, self.artifact_loaded = self._open_backend(backend)
+        except ConfigurationError:
+            if not (auto and backend == "apsp"):
+                raise
+            # distances beyond the int32 table's range: the hierarchy has no limit
+            self._backend, self.artifact_loaded = self._open_backend("ch")
         self.counters.backend = self._backend.name
         self.counters.cache_bypassed = not self._backend.uses_distance_cache
+
+    def _open_backend(self, name: str) -> tuple[DistanceBackend, bool]:
+        """The named backend, from the artifact store when one holds it."""
+        if self.artifact_store is not None and name in PERSISTABLE_BACKENDS:
+            return self.artifact_store.load_or_build(
+                name, self.network, self, content_hash=self.content_hash
+            )
+        return make_backend(name, self.network, self), False
 
     # ----------------------------------------------------------------- exact
 

@@ -7,19 +7,18 @@ algorithms the oracle builds upon:
 * :func:`dijkstra` — single-source shortest distances (optionally bounded),
 * :func:`bidirectional_dijkstra` — point-to-point distance and path,
 * :func:`shortest_path` — point-to-point vertex sequence,
-* :func:`single_source_distances` — convenience wrapper returning a dict,
 * :func:`all_pairs_distances` — every source at once, into the dense APSP
-  table (one vectorised label-correcting sweep, bit-identical to a
-  Dijkstra per row).
+  table of int32 ticks (one vectorised label-correcting sweep, bit-identical
+  to a Dijkstra per row), once :func:`check_tick_range` passes.
 
 All algorithms run on the network's CSR adjacency
 (:attr:`~repro.network.graph.RoadNetwork.csr`): flat ``indptr``/``indices``/
 ``costs`` arrays replace the dict-of-dict walk of the seed implementation,
-which keeps the inner relaxation loop on dense integer positions.
-:func:`dijkstra_reference` preserves the seed's dict-based search as the
-oracle-free baseline the equivalence property tests compare against.
+which keeps the inner relaxation loop on dense integer positions. The
+seed's dict-based searches live on in the tests, as the baseline the
+equivalence property tests compare against.
 
-All costs are travel times in seconds.
+All costs are travel times in seconds; the APSP table alone counts ticks.
 """
 
 from __future__ import annotations
@@ -31,8 +30,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.exceptions import DisconnectedError
-from repro.network.graph import RoadNetwork, Vertex
+from repro.core.timegrid import TIME_QUANTUM
+from repro.exceptions import ConfigurationError, DisconnectedError
+from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork, Vertex
 
 INFINITY = math.inf
 
@@ -108,134 +108,48 @@ def _csr_dijkstra(
     return distances, settled
 
 
-def dijkstra_reference(
-    network: RoadNetwork,
-    source: Vertex,
-    targets: Iterable[Vertex] | None = None,
-    max_cost: float = INFINITY,
-) -> dict[Vertex, float]:
-    """The seed's dict-of-dict Dijkstra, kept as the equivalence baseline.
+def check_tick_range(network: RoadNetwork) -> None:
+    """Raise unless every finite shortest distance of ``network`` stays below
+    :data:`~repro.network.graph.UNREACHABLE_TICKS` ticks, the range of the
+    int32 APSP table.
 
-    The property tests assert that :func:`dijkstra` (CSR) returns *exactly*
-    the same mapping as this reference on random generator networks.
+    The bound is twice the farthest distance from one root per connected
+    component (``d(u, v) <= d(u, r) + d(r, v)``), one Dijkstra per component.
+
+    Raises:
+        ConfigurationError: naming the network, when the bound reaches the
+            sentinel; the ``"ch"`` backend has no such limit.
     """
-    remaining: set[Vertex] | None = set(targets) if targets is not None else None
-    distances: dict[Vertex, float] = {source: 0.0}
-    settled: set[Vertex] = set()
-    heap: list[tuple[float, Vertex]] = [(0.0, source)]
-    while heap:
-        cost, vertex = heapq.heappop(heap)
-        if vertex in settled:
-            continue
-        if cost > max_cost:
-            break
-        settled.add(vertex)
-        if remaining is not None:
-            remaining.discard(vertex)
-            if not remaining:
-                break
-        for neighbour, edge_cost in network.neighbours(vertex).items():
-            candidate = cost + edge_cost
-            if candidate < distances.get(neighbour, INFINITY) and candidate <= max_cost:
-                distances[neighbour] = candidate
-                heapq.heappush(heap, (candidate, neighbour))
-    return {vertex: cost for vertex, cost in distances.items() if vertex in settled}
-
-
-def bidirectional_dijkstra_reference(
-    network: RoadNetwork, source: Vertex, target: Vertex
-) -> tuple[float, list[Vertex]]:
-    """The seed's dict-of-dict bidirectional Dijkstra (equivalence baseline).
-
-    Kept verbatim so property tests and the hot-path benchmark's "pre-PR"
-    configuration can compare the CSR implementation against the original.
-    """
-    if source == target:
-        return 0.0, [source]
-
-    dist_forward: dict[Vertex, float] = {source: 0.0}
-    dist_backward: dict[Vertex, float] = {target: 0.0}
-    parent_forward: dict[Vertex, Vertex] = {}
-    parent_backward: dict[Vertex, Vertex] = {}
-    settled_forward: set[Vertex] = set()
-    settled_backward: set[Vertex] = set()
-    heap_forward: list[tuple[float, Vertex]] = [(0.0, source)]
-    heap_backward: list[tuple[float, Vertex]] = [(0.0, target)]
-
-    best_cost = INFINITY
-    meeting_vertex: Vertex | None = None
-
-    def relax(
-        heap: list[tuple[float, Vertex]],
-        distances: dict[Vertex, float],
-        parents: dict[Vertex, Vertex],
-        settled: set[Vertex],
-        other_distances: dict[Vertex, float],
-    ) -> None:
-        nonlocal best_cost, meeting_vertex
-        cost, vertex = heapq.heappop(heap)
-        if vertex in settled:
-            return
-        settled.add(vertex)
-        for neighbour, edge_cost in network.neighbours(vertex).items():
-            candidate = cost + edge_cost
-            if candidate < distances.get(neighbour, INFINITY):
-                distances[neighbour] = candidate
-                parents[neighbour] = vertex
-                heapq.heappush(heap, (candidate, neighbour))
-            other = other_distances.get(neighbour)
-            if other is not None and candidate + other < best_cost:
-                best_cost = candidate + other
-                meeting_vertex = neighbour
-
-    while heap_forward and heap_backward:
-        top_forward = heap_forward[0][0]
-        top_backward = heap_backward[0][0]
-        if top_forward + top_backward >= best_cost:
-            break
-        if top_forward <= top_backward:
-            relax(heap_forward, dist_forward, parent_forward, settled_forward, dist_backward)
-        else:
-            relax(heap_backward, dist_backward, parent_backward, settled_backward, dist_forward)
-
-    if meeting_vertex is None:
-        raise DisconnectedError(f"no path between {source} and {target}")
-
-    forward_path = _unwind(parent_forward, source, meeting_vertex)
-    backward_path = _unwind(parent_backward, target, meeting_vertex)
-    backward_path.reverse()
-    return best_cost, forward_path + backward_path[1:]
-
-
-def _unwind(parents: dict[Vertex, Vertex], root: Vertex, leaf: Vertex) -> list[Vertex]:
-    """Rebuild the path ``root -> ... -> leaf`` from a parent map."""
-    path = [leaf]
-    vertex = leaf
-    while vertex != root:
-        vertex = parents[vertex]
-        path.append(vertex)
-    path.reverse()
-    return path
-
-
-def single_source_distances(network: RoadNetwork, source: Vertex) -> dict[Vertex, float]:
-    """Shortest travel time from ``source`` to every reachable vertex."""
-    return dijkstra(network, source)
-
-
-#: rows and columns per block of the in-place transpose that ends
-#: :func:`all_pairs_distances`: a 64 x 64 float64 block is 32 KB, so the
-#: build's scratch memory stays negligible beside the table
-_TRANSPOSE_BLOCK = 64
+    csr = network.csr
+    covered = np.zeros(csr.num_vertices, dtype=bool)
+    farthest = 0.0
+    for root in range(csr.num_vertices):
+        if covered[root]:
+            continue  # settled from an earlier root of its component
+        distances, settled = _csr_dijkstra(csr, root, None, INFINITY)
+        reached = np.frombuffer(settled, dtype=bool)
+        covered |= reached
+        farthest = max(farthest, np.asarray(distances)[reached].max())
+    bound = 2 * farthest
+    if bound >= UNREACHABLE_TICKS * TIME_QUANTUM:
+        raise ConfigurationError(
+            f"network {network.name!r} may have shortest distances of up to {bound:.0f} s, "
+            f"beyond the {UNREACHABLE_TICKS * TIME_QUANTUM:.0f} s the 'apsp' backend's "
+            "int32 table holds; use the 'ch' backend"
+        )
 
 
 def all_pairs_distances(network: RoadNetwork, table: np.ndarray) -> None:
-    """Fill ``table`` with the shortest travel time between every pair of vertices.
+    """Fill ``table`` with the shortest travel time between every pair of
+    vertices, in ticks of :data:`~repro.core.timegrid.TIME_QUANTUM`.
 
     ``table[s, t]`` becomes the distance from position ``s`` to position
-    ``t`` (``inf`` when unreachable), bit for bit what a Dijkstra from ``s``
-    settles ``t`` at. The ``N x N`` float64 ``table`` is written in place;
-    no second table-sized array is allocated.
+    ``t`` (:data:`~repro.network.graph.UNREACHABLE_TICKS` when unreachable);
+    times ``TIME_QUANTUM`` it is bit for bit what a Dijkstra from ``s``
+    settles ``t`` at. The ``N x N`` int32 ``table`` is written in place: no
+    second table-sized array is allocated, and no int64 or float temporary.
+    The caller runs :func:`check_tick_range` first (the APSP backend does),
+    which rejects a network whose distances the table cannot hold.
 
     While the sweep runs, row ``v`` holds the distance from every source *to*
     ``v`` (the network is undirected, so ``v``'s CSR row lists its
@@ -244,23 +158,26 @@ def all_pairs_distances(network: RoadNetwork, table: np.ndarray) -> None:
     Vertices are visited in four coordinate orders (``x + y`` and ``x - y``,
     forward and reversed) until none is dirty: about a dozen passes on
     nyc-like and riverton, where row-id order takes about seventy. The order
-    sets the pass count only. A blockwise in-place transpose then
-    makes the table source-major.
+    sets the pass count only.
 
-    **Exactness.** Every cell is always the left-to-right float sum
-    ``((0 + w1) + w2) + ...`` of some walk from its source, and
-    ``fl(x + w)`` is monotone in ``x`` with ``w >= 0``; so at the fixpoint
-    each cell is at most every walk's sum (by induction on the walk's
-    length), which is the value Dijkstra settles. Starting from ``inf``, the
-    sweep needs none of :mod:`repro.network.apsp_repair`'s preconditions.
+    **Exactness.** Every cell is always the sentinel or the integer sum of the
+    edge ticks (``csr.ticks``) of some walk from its source, and integer sums
+    are exact; so at the fixpoint each cell is the least such sum, the
+    distance Dijkstra settles. The checked range keeps every finite distance
+    below the sentinel, and a cell plus one edge at most ``2**31 - 1``. An
+    edge longer than ``UNREACHABLE_TICKS - 1`` ticks, clamped to that, lies
+    on no shortest path (such a path would reach the sentinel), and a walk
+    over it still costs at least every finite distance, so the clamp changes
+    no cell. A distance is symmetric, so the finished table is source-major
+    as it stands.
     """
     csr = network.csr
     n = csr.num_vertices
-    table.fill(INFINITY)
-    np.fill_diagonal(table, 0.0)
+    table.fill(UNREACHABLE_TICKS)
+    np.fill_diagonal(table, 0)
     indptr = csr.indptr_list
     indices, indices_list = csr.indices, csr.indices_list
-    weights = csr.costs[:, None]
+    weights = csr.ticks[:, None]
     orders: list[list[int]] = []
     for key in (csr.xs + csr.ys, csr.xs - csr.ys):
         forward = np.argsort(key, kind="stable").tolist()
@@ -276,9 +193,9 @@ def all_pairs_distances(network: RoadNetwork, table: np.ndarray) -> None:
             dirty[v] = 0
             remaining -= 1
             start, stop = indptr[v], indptr[v + 1]
-            # initial=inf: an isolated vertex has no neighbour rows to reduce
+            # initial: an isolated vertex has no neighbour rows to reduce
             candidate = (table[indices[start:stop]] + weights[start:stop]).min(
-                axis=0, initial=INFINITY
+                axis=0, initial=UNREACHABLE_TICKS
             )
             row = table[v]
             if (candidate < row).any():
@@ -287,14 +204,6 @@ def all_pairs_distances(network: RoadNetwork, table: np.ndarray) -> None:
                     if not dirty[u]:
                         dirty[u] = 1
                         remaining += 1
-    block = _TRANSPOSE_BLOCK
-    for i in range(0, n, block):
-        for j in range(i, n, block):
-            upper = table[i:i + block, j:j + block]
-            lower = table[j:j + block, i:i + block]
-            held = upper.copy()
-            upper[...] = lower.T
-            lower[...] = held.T
 
 
 def truncated_multi_target_distances(
@@ -421,27 +330,3 @@ def shortest_path(network: RoadNetwork, source: Vertex, target: Vertex) -> list[
     """
     _, path = bidirectional_dijkstra(network, source, target)
     return path
-
-
-def shortest_distance(network: RoadNetwork, source: Vertex, target: Vertex) -> float:
-    """Shortest travel time between two vertices.
-
-    Raises:
-        DisconnectedError: if no path exists.
-    """
-    cost, _ = bidirectional_dijkstra(network, source, target)
-    return cost
-
-
-def path_cost(network: RoadNetwork, path: list[Vertex]) -> float:
-    """Total travel time of a concrete vertex path."""
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        total += network.edge_cost(u, v)
-    return total
-
-
-def eccentricity(network: RoadNetwork, source: Vertex) -> float:
-    """Largest finite shortest-path cost from ``source`` (graph eccentricity)."""
-    distances = single_source_distances(network, source)
-    return max(distances.values()) if distances else 0.0

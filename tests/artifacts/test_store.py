@@ -14,15 +14,17 @@ import pytest
 from repro.artifacts import ArtifactStore, network_content_hash
 from repro.artifacts.store import FORMAT_VERSION, PERSISTABLE_BACKENDS
 from repro.cli import main
+from repro.core.timegrid import TIME_QUANTUM
 from repro.dispatch import DispatcherConfig
 from repro.dispatch.greedy_dp import PruneGreedyDP
 from repro.exceptions import ArtifactError
 from repro.network.generators import grid_city, random_geometric_city
-from repro.network.graph import RoadNetwork
+from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork
 from repro.network.oracle import DistanceOracle
 from repro.service import MatchingService
 from repro.utils.geometry import Point
 from repro.workloads.scenarios import ScenarioConfig, build_instance, build_network
+from tests.network.reference import table_seconds
 
 
 #: ``network_content_hash`` of the ``city`` fixture as it was before edge costs
@@ -198,6 +200,58 @@ class TestValidation:
         assert not loaded  # rebuilt, not served from the corrupt file
         backend2, loaded2 = store.load_or_build("ch", city, content_hash=content_hash)
         assert loaded2  # the rebuild overwrote the corrupt artifact
+
+    def rewrite_array(self, store, content_hash, name, key, change):
+        """Rewrite one array of a saved artifact through ``change``."""
+        path = store.artifact_path(content_hash, name)
+        with np.load(path) as archive:
+            arrays = {item: archive[item] for item in archive.files}
+        arrays[key] = change(arrays[key])
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+
+    @pytest.mark.parametrize(
+        "name, key, change, message",
+        [
+            ("apsp", "matrix", lambda a: a * TIME_QUANTUM, "'matrix' is float64, expected int32"),
+            ("apsp", "vertex_ids", lambda a: a.astype(np.int32), "'vertex_ids' is int32"),
+            ("apsp", "matrix", lambda a: a - 1, "'matrix' has cells outside"),
+            ("apsp", "matrix", lambda a: np.where(a == a.max(), UNREACHABLE_TICKS + 1, a),
+             "'matrix' has cells outside"),
+            ("apsp", "matrix", lambda a: a + 1, "'matrix' has a nonzero diagonal"),
+            ("ch", "rank", lambda a: a.astype(np.int32), "'rank' is int32, expected int64"),
+            ("ch", "up_indptr", lambda a: a.astype(np.float64), "'up_indptr' is float64"),
+            ("ch", "up_indices", lambda a: a.astype(np.int32), "'up_indices' is int32"),
+            ("ch", "up_costs", lambda a: a.astype(np.float32), "'up_costs' is float32"),
+            ("ch", "meta", lambda a: a.astype(np.int32), "'meta' is int32"),
+        ],
+        ids=["matrix-float64", "vertex_ids-int32", "matrix-negative", "matrix-past-sentinel",
+             "matrix-diagonal", "rank", "up_indptr", "up_indices", "up_costs", "meta"],
+    )
+    def test_a_bad_array_fails_typed_and_rebuilds(self, city, store, name, key, change, message):
+        content_hash = self.setup_entry(city, store, name)
+        self.rewrite_array(store, content_hash, name, key, change)
+        with pytest.raises(ArtifactError, match=message):
+            store.load_backend(name, city, content_hash=content_hash)
+        _, loaded = store.load_or_build(name, city, content_hash=content_hash)
+        assert not loaded
+        assert store.load_backend(name, city, content_hash=content_hash) is not None
+
+    def test_a_format_version_1_entry_misses_and_rebuilds(self, city, store):
+        # a version 1 entry: the float64 seconds table, under its old manifest
+        content_hash = self.setup_entry(city, store, "apsp")
+        self.rewrite_array(store, content_hash, "apsp", "matrix", table_seconds)
+        manifest_file = store.manifest_path(content_hash)
+        manifest = json.loads(manifest_file.read_text())
+        manifest["format_version"] = 1
+        manifest_file.write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="format version 1, expected 2"):
+            store.load_backend("apsp", city, content_hash=content_hash)
+        backend, loaded = store.load_or_build("apsp", city, content_hash=content_hash)
+        assert not loaded
+        assert backend.matrix.dtype == np.int32
+        assert store.entries()[0]["format_version"] == FORMAT_VERSION == 2
+        assert store.load_backend("apsp", city, content_hash=content_hash) is not None
 
 
 class TestOracleIntegration:

@@ -1,0 +1,167 @@
+"""Shortest-path helpers only the tests call.
+
+The seed's dict-of-dict Dijkstra searches (:func:`dijkstra_reference`,
+:func:`bidirectional_dijkstra_reference`) are the baselines the CSR searches
+of :mod:`repro.network.shortest_path` must equal exactly; the small wrappers
+below them answer one question each over a CSR Dijkstra, and
+:func:`table_seconds` reads the APSP backend's raw table of ticks as seconds.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+from typing import Iterable
+
+import numpy as np
+
+from repro.core.timegrid import TIME_QUANTUM
+from repro.exceptions import DisconnectedError
+from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork, Vertex
+from repro.network.shortest_path import bidirectional_dijkstra, dijkstra
+
+INFINITY = math.inf
+
+
+def dijkstra_reference(
+    network: RoadNetwork,
+    source: Vertex,
+    targets: Iterable[Vertex] | None = None,
+    max_cost: float = INFINITY,
+) -> dict[Vertex, float]:
+    """The seed's dict-of-dict Dijkstra, kept as the equivalence baseline.
+
+    The property tests assert that :func:`dijkstra` (CSR) returns *exactly*
+    the same mapping as this reference on random generator networks.
+    """
+    remaining: set[Vertex] | None = set(targets) if targets is not None else None
+    distances: dict[Vertex, float] = {source: 0.0}
+    settled: set[Vertex] = set()
+    heap: list[tuple[float, Vertex]] = [(0.0, source)]
+    while heap:
+        cost, vertex = heapq.heappop(heap)
+        if vertex in settled:
+            continue
+        if cost > max_cost:
+            break
+        settled.add(vertex)
+        if remaining is not None:
+            remaining.discard(vertex)
+            if not remaining:
+                break
+        for neighbour, edge_cost in network.neighbours(vertex).items():
+            candidate = cost + edge_cost
+            if candidate < distances.get(neighbour, INFINITY) and candidate <= max_cost:
+                distances[neighbour] = candidate
+                heapq.heappush(heap, (candidate, neighbour))
+    return {vertex: cost for vertex, cost in distances.items() if vertex in settled}
+
+
+def bidirectional_dijkstra_reference(
+    network: RoadNetwork, source: Vertex, target: Vertex
+) -> tuple[float, list[Vertex]]:
+    """The seed's dict-of-dict bidirectional Dijkstra (equivalence baseline).
+
+    Kept verbatim so property tests can compare the CSR implementation
+    against the original.
+    """
+    if source == target:
+        return 0.0, [source]
+
+    dist_forward: dict[Vertex, float] = {source: 0.0}
+    dist_backward: dict[Vertex, float] = {target: 0.0}
+    parent_forward: dict[Vertex, Vertex] = {}
+    parent_backward: dict[Vertex, Vertex] = {}
+    settled_forward: set[Vertex] = set()
+    settled_backward: set[Vertex] = set()
+    heap_forward: list[tuple[float, Vertex]] = [(0.0, source)]
+    heap_backward: list[tuple[float, Vertex]] = [(0.0, target)]
+
+    best_cost = INFINITY
+    meeting_vertex: Vertex | None = None
+
+    def relax(
+        heap: list[tuple[float, Vertex]],
+        distances: dict[Vertex, float],
+        parents: dict[Vertex, Vertex],
+        settled: set[Vertex],
+        other_distances: dict[Vertex, float],
+    ) -> None:
+        nonlocal best_cost, meeting_vertex
+        cost, vertex = heapq.heappop(heap)
+        if vertex in settled:
+            return
+        settled.add(vertex)
+        for neighbour, edge_cost in network.neighbours(vertex).items():
+            candidate = cost + edge_cost
+            if candidate < distances.get(neighbour, INFINITY):
+                distances[neighbour] = candidate
+                parents[neighbour] = vertex
+                heapq.heappush(heap, (candidate, neighbour))
+            other = other_distances.get(neighbour)
+            if other is not None and candidate + other < best_cost:
+                best_cost = candidate + other
+                meeting_vertex = neighbour
+
+    while heap_forward and heap_backward:
+        top_forward = heap_forward[0][0]
+        top_backward = heap_backward[0][0]
+        if top_forward + top_backward >= best_cost:
+            break
+        if top_forward <= top_backward:
+            relax(heap_forward, dist_forward, parent_forward, settled_forward, dist_backward)
+        else:
+            relax(heap_backward, dist_backward, parent_backward, settled_backward, dist_forward)
+
+    if meeting_vertex is None:
+        raise DisconnectedError(f"no path between {source} and {target}")
+
+    forward_path = _unwind(parent_forward, source, meeting_vertex)
+    backward_path = _unwind(parent_backward, target, meeting_vertex)
+    backward_path.reverse()
+    return best_cost, forward_path + backward_path[1:]
+
+
+def _unwind(parents: dict[Vertex, Vertex], root: Vertex, leaf: Vertex) -> list[Vertex]:
+    """Rebuild the path ``root -> ... -> leaf`` from a parent map."""
+    path = [leaf]
+    vertex = leaf
+    while vertex != root:
+        vertex = parents[vertex]
+        path.append(vertex)
+    path.reverse()
+    return path
+
+
+def single_source_distances(network: RoadNetwork, source: Vertex) -> dict[Vertex, float]:
+    """Shortest travel time from ``source`` to every reachable vertex."""
+    return dijkstra(network, source)
+
+
+def shortest_distance(network: RoadNetwork, source: Vertex, target: Vertex) -> float:
+    """Shortest travel time between two vertices.
+
+    Raises:
+        DisconnectedError: if no path exists.
+    """
+    cost, _ = bidirectional_dijkstra(network, source, target)
+    return cost
+
+
+def path_cost(network: RoadNetwork, path: list[Vertex]) -> float:
+    """Total travel time of a concrete vertex path."""
+    total = 0.0
+    for u, v in zip(path, path[1:]):
+        total += network.edge_cost(u, v)
+    return total
+
+
+def eccentricity(network: RoadNetwork, source: Vertex) -> float:
+    """Largest finite shortest-path cost from ``source`` (graph eccentricity)."""
+    distances = single_source_distances(network, source)
+    return max(distances.values()) if distances else 0.0
+
+
+def table_seconds(ticks: np.ndarray) -> np.ndarray:
+    """The APSP table (or a slice of it) in seconds, ``inf`` where unreachable."""
+    return np.where(ticks == UNREACHABLE_TICKS, INFINITY, ticks * TIME_QUANTUM)

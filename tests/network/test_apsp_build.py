@@ -6,7 +6,11 @@ table in one label-correcting sweep over all sources. Its contract is
 build it replaced, which lives on here as the test-side reference
 :func:`dijkstra_rows` — over the generator cities, the ingested riverton map,
 random geometric graphs with random closures, and the degenerate networks
-(disconnected, isolated vertex, zero-cost edge, one and zero vertices).
+(disconnected, isolated vertex, zero-cost edge, one and zero vertices). The
+table counts int32 ticks of the time grid; :func:`table_seconds` reads it as
+seconds, and two networks with a street of ``2**30`` ticks pin the tick range:
+it fails typed without a detour (where ``"auto"`` takes the hierarchy), and
+is exact beside one.
 """
 
 from __future__ import annotations
@@ -18,12 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import ConfigurationError
 from repro.network.backends import APSPBackend
 from repro.network.generators import random_geometric_city
-from repro.network.graph import RoadNetwork
+from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork
+from repro.network.oracle import DistanceOracle
 from repro.network.shortest_path import all_pairs_distances, dijkstra
 from repro.utils.geometry import Point
 from repro.workloads.scenarios import CITY_BUILDERS
+from tests.network.reference import table_seconds
 
 
 def dijkstra_row(network: RoadNetwork, source: int) -> np.ndarray:
@@ -46,7 +53,7 @@ def dijkstra_rows(network: RoadNetwork) -> np.ndarray:
 
 
 def _assert_exact(network: RoadNetwork) -> np.ndarray:
-    matrix = APSPBackend(network).matrix
+    matrix = table_seconds(APSPBackend(network).matrix)
     assert np.array_equal(matrix, dijkstra_rows(network))
     return matrix
 
@@ -98,10 +105,58 @@ def test_one_and_zero_vertex_networks(size):
     assert _assert_exact(network).shape == (size, size)
 
 
+def _two_triangles(detour: bool) -> RoadNetwork:
+    """Two triangles joined by one street of ``2**30`` ticks (``2**20`` s),
+    with or without a 20 s detour beside it."""
+    network = _network(
+        [(0, 0), (100, 0), (50, 80), (0, 1000), (100, 1000), (50, 1080)],
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+    )
+    network.add_edge(2, 3, length=1024.0, speed=2.0**-10)
+    if detour:
+        network.add_vertex(6, Point(25.0, 500.0))
+        network.add_edge(0, 6, length=600.0, speed=60.0)
+        network.add_edge(6, 3, length=600.0, speed=60.0)
+    return network
+
+
+@pytest.mark.parametrize("short_component_first", [False, True])
+def test_a_distance_beyond_the_tick_range_fails_typed(short_component_first):
+    network = _two_triangles(detour=False)
+    if short_component_first:
+        # lower ids take the first CSR positions: the guard must not stop there
+        network.add_vertex(-2, Point(-500.0, 0.0))
+        network.add_vertex(-1, Point(-400.0, 0.0))
+        network.add_edge(-2, -1)
+    with pytest.raises(ConfigurationError, match="hand-made.*'ch' backend"):
+        APSPBackend(network)
+
+
+def test_auto_takes_the_hierarchy_for_a_network_beyond_the_tick_range():
+    network = _two_triangles(detour=False)
+    oracle = DistanceOracle(network, backend="auto")
+    assert oracle.counters.backend == "ch"
+    assert oracle.distance(0, 4) == dijkstra(network, 0)[4]
+    with pytest.raises(ConfigurationError, match="'ch' backend"):
+        DistanceOracle(network, backend="apsp")
+
+
+def test_a_clamped_edge_beside_a_detour_is_exact():
+    network = _two_triangles(detour=True)
+    assert network.edge_cost(2, 3) * 1024 == UNREACHABLE_TICKS
+    assert network.csr.ticks.max() == UNREACHABLE_TICKS - 1
+    backend = APSPBackend(network)
+    assert np.array_equal(table_seconds(backend.matrix), dijkstra_rows(network))
+    # closing the detour leaves only the long street: the repair refuses too
+    network.remove_edge(0, 6)
+    with pytest.raises(ConfigurationError, match="'ch' backend"):
+        backend.refresh(network)
+
+
 def test_build_allocates_no_second_table():
     network = CITY_BUILDERS["nyc-like"](2018)
     n = network.csr.num_vertices
-    table = np.empty((n, n))
+    table = np.empty((n, n), dtype=np.int32)
     tracemalloc.start()
     try:
         all_pairs_distances(network, table)

@@ -24,6 +24,7 @@ from repro.network.graph import RoadNetwork, induced_subnetwork
 from repro.network.oracle import DistanceOracle
 from repro.utils.geometry import Point
 from repro.workloads.scenarios import CITY_BUILDERS
+from tests.network.reference import table_seconds
 
 
 def _riverton_extract(size: int = 220) -> RoadNetwork:
@@ -111,13 +112,17 @@ class TestRepairIsExact:
         for edge in streets:
             network.remove_edge(edge.u, edge.v)
         backend.refresh(network)
-        row = backend.matrix[backend.vertex_index[corner]]
+        row = table_seconds(backend.matrix[backend.vertex_index[corner]])
         assert np.isinf(row).sum() == network.num_vertices - 1
         assert np.array_equal(backend.matrix, _fresh(network))
+        # the reads report the repair's new unreachable cells as inf
+        others = sorted(set(network.vertices()) - {corner})
+        assert np.isinf(backend.distances_many(corner, others)).all()
+        assert backend.distance(others[0], corner) == np.inf
         # a partial reopening reconnects the corner through one street only
         _reopen(network, streets[0])
         backend.refresh(network)
-        assert np.isfinite(backend.matrix).all()
+        assert np.isfinite(table_seconds(backend.matrix)).all()
         assert np.array_equal(backend.matrix, _fresh(network))
         assert backend.full_rebuilds == 0
 

@@ -26,12 +26,10 @@ from repro.network.ch import build_contraction_hierarchy
 from repro.network.generators import grid_city, random_geometric_city, ring_radial_city
 from repro.network.graph import RoadNetwork
 from repro.network.oracle import DistanceOracle
-from repro.network.shortest_path import (
-    dijkstra_reference,
-    truncated_multi_target_distances,
-)
+from repro.network.shortest_path import truncated_multi_target_distances
 from repro.utils.geometry import Point
 from repro.workloads.scenarios import CITY_BUILDERS
+from tests.network.reference import dijkstra_reference
 
 _CITIES = [
     pytest.param(lambda: random_geometric_city(num_vertices=80, seed=0), id="random-0"),

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from repro.network.ch import build_contraction_hierarchy
 from repro.network.generators import grid_city, random_geometric_city
-from repro.network.shortest_path import single_source_distances
 from repro.utils.geometry import Point
 from tests.conftest import build_line_network
+from tests.network.reference import single_source_distances
 
 _CITY = grid_city(rows=6, columns=6, block_metres=150.0, removed_block_fraction=0.05, seed=9)
 _HIERARCHY = build_contraction_hierarchy(_CITY)

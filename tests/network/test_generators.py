@@ -9,7 +9,7 @@ from repro.network.generators import (
     ring_radial_city,
 )
 from repro.network.graph import connected_components
-from repro.network.shortest_path import shortest_distance
+from tests.network.reference import shortest_distance
 
 
 class TestGridCity:

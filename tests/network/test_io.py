@@ -8,7 +8,7 @@ import pytest
 from repro.exceptions import RoadNetworkError
 from repro.network.generators import grid_city, random_geometric_city
 from repro.network.io import load_network, network_from_dict, network_to_dict, save_network
-from repro.network.shortest_path import shortest_distance
+from tests.network.reference import shortest_distance
 
 
 class TestRoundTrip:

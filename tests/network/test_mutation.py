@@ -13,7 +13,7 @@ from repro.exceptions import RoadNetworkError
 from repro.network.generators import grid_city
 from repro.network.graph import connected_components
 from repro.network.oracle import DistanceOracle, network_content_hash
-from repro.network.shortest_path import shortest_distance
+from tests.network.reference import shortest_distance
 
 
 @pytest.fixture()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.generators import grid_city
 from repro.network.oracle import DistanceOracle
-from repro.network.shortest_path import shortest_distance
+from tests.network.reference import shortest_distance
 
 
 @pytest.fixture(scope="module")

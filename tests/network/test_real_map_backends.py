@@ -23,8 +23,8 @@ import pytest
 from repro.artifacts import ArtifactStore
 from repro.network.backends import APSP_VERTEX_LIMIT
 from repro.network.oracle import DistanceOracle
-from repro.network.shortest_path import dijkstra_reference
 from repro.workloads.scenarios import ScenarioConfig, build_network
+from tests.network.reference import dijkstra_reference
 
 @pytest.fixture(scope="module")
 def metro():

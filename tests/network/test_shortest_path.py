@@ -6,17 +6,15 @@ import pytest
 
 from repro.exceptions import DisconnectedError
 from repro.network.graph import RoadNetwork
-from repro.network.shortest_path import (
-    bidirectional_dijkstra,
-    dijkstra,
+from repro.network.shortest_path import bidirectional_dijkstra, dijkstra, shortest_path
+from repro.utils.geometry import Point
+from tests.conftest import build_line_network
+from tests.network.reference import (
     eccentricity,
     path_cost,
     shortest_distance,
-    shortest_path,
     single_source_distances,
 )
-from repro.utils.geometry import Point
-from tests.conftest import build_line_network
 
 
 def build_two_route_network() -> RoadNetwork:
