@@ -490,7 +490,7 @@ class ClusterDispatcher(ShardRouter):
             return
         for handle in self._handles:
             respawn = handle.respawn
-            if handle.health != ShardHealth.RECOVERING or now + 1e-9 < respawn.not_before:
+            if handle.health != ShardHealth.RECOVERING or now < respawn.not_before:
                 continue
             error = respawn.error or link.wait_ready(respawn.link, self._ready_timeout)
             if error is None:
@@ -842,7 +842,7 @@ class ClusterDispatcher(ShardRouter):
         self._prepare(now)
         due: list[tuple[_ShardHandle, int, FlushCommand | None]] = []
         for handle in self._handles:
-            if handle.next_flush is None or handle.next_flush > now + 1e-9:
+            if handle.next_flush is None or handle.next_flush > now:
                 continue
             if handle.health == ShardHealth.UP:
                 due.append(

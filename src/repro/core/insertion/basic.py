@@ -42,7 +42,7 @@ class BasicInsertion(InsertionOperator):
                 if not candidate.is_feasible(oracle, refresh=False):
                     continue
                 delta = candidate.planned_cost(oracle) - base_cost
-                if delta < best_delta - 1e-9:
+                if delta < best_delta:
                     best_delta = delta
                     best_pair = (pickup_index, dropoff_index)
 

@@ -8,8 +8,8 @@ walk the same recurrence over the same padded stop-major matrices; they differ
 only in where the stop-to-endpoint distances come from (Euclidean bounds for
 every stop vs. exact queries for the stops the scan reaches) and in what they
 keep (a bound vs. the best ``(i, j)``). Everything that depends on neither —
-which rows fit the request, and per ``(j, row)`` the leg, the slack with its
-tolerance, the capacity test, which stops the early exit lets the scan visit,
+which rows fit the request, and per ``(j, row)`` the leg, the slack, the
+capacity test, which stops the early exit lets the scan visit,
 where ``Dio`` may be extended and where a full vehicle resets it — is prepared
 here, once, by :func:`fitting_rows` and :class:`BlockScan`.
 """
@@ -72,7 +72,7 @@ class BlockScan:
         in_route / is_last: ``j <= n`` / ``j == n``.
         arr: ``arr[j]``.
         leg: ``arr[j + 1] - arr[j]`` (padding past ``n``).
-        slack_tol: ``slack[j] + 1e-9``.
+        slack: ``slack[j]``.
         capacity_ok: ``picked[j] <= capacity - request.capacity``.
         scanned: the scan evaluates its branches at ``j``.
         open: ``scanned & capacity_ok`` — a branch ending at ``j`` may hold.
@@ -82,7 +82,7 @@ class BlockScan:
     """
 
     __slots__ = (
-        "width", "valid", "in_route", "is_last", "arr", "leg", "slack_tol",
+        "width", "valid", "in_route", "is_last", "arr", "leg", "slack",
         "capacity_ok", "scanned", "open", "extendable", "resets",
     )
 
@@ -96,7 +96,7 @@ class BlockScan:
         self.is_last = in_route & ~has_next
         self.arr = arr = block.arr[:width]
         self.leg = block.arr[1 : width + 1] - arr
-        self.slack_tol = block.slack[:width] + 1e-9
+        self.slack = block.slack[:width]
         self.capacity_ok = capacity_ok = (
             block.picked[:width] <= block.capacity - request.capacity
         )

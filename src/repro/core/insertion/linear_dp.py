@@ -39,12 +39,14 @@ a :class:`~repro.core.route.RouteBlock` at once and serves the planners that
 evaluate every candidate anyway (``batch``, ``tshare``, ``GreedyDP``, through
 :meth:`repro.dispatch.base.Dispatcher.plan_over_all`). The static
 ``(j, row)`` matrices come from :class:`~repro.core.insertion.block.BlockScan`
-— the preparation the relaxed DP of Lemma 7 runs on as well; ``Dio``/``Plc``
-and the best ``(i, j)`` are running minima along the short stop axis, written
-in the scalar walk's float association, with its strict ``<`` on ``Dio`` and
-its ``< best - 1e-9`` update order (same-branch before split-branch at each
-``j``), so ``delta``, ``pickup_index`` and ``dropoff_index`` equal the scalar
-walk's bit for bit (property-tested in ``tests/core/test_block_linear_dp.py``).
+— the preparation the relaxed DP of Lemma 7 runs on as well. ``Dio``/``Plc``
+are running minima along the short stop axis under the walk's strict ``<``
+(the first of equal detours keeps the pickup), and the best ``(i, j)`` is one
+``argmin`` over the candidate deltas in the walk's own order (the ``i = j``
+branch before the ``i < j`` branch at each ``j``): every time is on the grid
+of :mod:`repro.core.timegrid`, so the deltas are exact, and ``delta``,
+``pickup_index`` and ``dropoff_index`` equal the scalar walk's bit for bit
+(property-tested in ``tests/core/test_block_linear_dp.py``).
 
 Query count of the block kernel: one ``oracle.endpoint_distances`` gather over
 the stops the scans *reach* — every scanned stop and the stop after it — so
@@ -130,7 +132,7 @@ class LinearDPInsertion(InsertionOperator):
             dist_j_destination = to_destination[j]
             same_open = (
                 picked[j] <= free_capacity
-                and arr[j] + dist_j_origin + direct <= deadline + 1e-9
+                and arr[j] + dist_j_origin + direct <= deadline
             )
             split_open = j > 0 and dio < INFINITY
             if j < n and (same_open or split_open):
@@ -148,7 +150,7 @@ class LinearDPInsertion(InsertionOperator):
                     delta_same = dist_j_origin + direct
                 else:
                     delta_same = dist_j_origin + direct + next_destination - leg
-                if delta_same <= slack[j] + 1e-9 and delta_same < best_delta - 1e-9:
+                if delta_same <= slack[j] and delta_same < best_delta:
                     best_delta = delta_same
                     best_pair = (j, j)
 
@@ -159,11 +161,11 @@ class LinearDPInsertion(InsertionOperator):
                 else:
                     detour_destination = dist_j_destination + next_destination - leg
                 capacity_ok = picked[j] <= free_capacity
-                deadline_ok = arr[j] + dio + dist_j_destination <= deadline + 1e-9
-                slack_ok = dio + detour_destination <= slack[j] + 1e-9
+                deadline_ok = arr[j] + dio + dist_j_destination <= deadline
+                slack_ok = dio + detour_destination <= slack[j]
                 if capacity_ok and deadline_ok and slack_ok:
                     delta_split = detour_destination + dio
-                    if delta_split < best_delta - 1e-9:
+                    if delta_split < best_delta:
                         best_delta = delta_split
                         best_pair = (plc, j)
 
@@ -175,7 +177,7 @@ class LinearDPInsertion(InsertionOperator):
                     plc = -1
                 else:
                     detour_origin = dist_j_origin + to_origin[j + 1] - (arr[j + 1] - arr[j])
-                    if detour_origin <= slack[j] + 1e-9 and detour_origin < dio:
+                    if detour_origin <= slack[j] and detour_origin < dio:
                         dio = detour_origin
                         plc = j
 
@@ -229,9 +231,9 @@ class LinearDPInsertion(InsertionOperator):
         dist_origin = to_origin[:width]
         dist_destination = to_destination[:width]
         next_destination = to_destination[1:]
-        arr_j, leg, slack_tol = scan.arr, scan.leg, scan.slack_tol
+        arr_j, leg, slack = scan.arr, scan.leg, scan.slack
         is_last, open_j = scan.is_last, scan.open
-        deadline_tol = request.deadline + 1e-9
+        deadline = request.deadline
 
         # Dio[j] / Plc[j] of Eq. (11)-(12) *entering* iteration j: a running
         # minimum under the walk's strict ``<`` (the first of equal detours
@@ -239,7 +241,7 @@ class LinearDPInsertion(InsertionOperator):
         # only read beside a finite Dio, which always brings its own.
         detour_origin = dist_origin + to_origin[1:] - leg
         pickup = np.where(
-            scan.extendable & scan.capacity_ok & (detour_origin <= slack_tol),
+            scan.extendable & scan.capacity_ok & (detour_origin <= slack),
             detour_origin,
             INFINITY,
         )
@@ -258,8 +260,8 @@ class LinearDPInsertion(InsertionOperator):
         delta_same = np.where(is_last, origin_direct, origin_direct + next_destination - leg)
         feasible_same = (
             open_j
-            & (arr_j + dist_origin + direct <= deadline_tol)
-            & (delta_same <= slack_tol)
+            & (arr_j + dist_origin + direct <= deadline)
+            & (delta_same <= slack)
         )
 
         # general case i < j (Corollary 1); dio[0] = inf rules out j = 0, and
@@ -270,21 +272,18 @@ class LinearDPInsertion(InsertionOperator):
         delta_split = detour_destination + dio
         feasible_split = (
             open_j
-            & (arr_j + dio + dist_destination <= deadline_tol)
-            & (dio + detour_destination <= slack_tol)
+            & (arr_j + dio + dist_destination <= deadline)
+            & (dio + detour_destination <= slack)
         )
 
-        # the walk's ``delta < best - 1e-9`` scan in its own order: along j,
-        # the i = j branch before the i < j branch (row 2j, then row 2j + 1)
+        # the walk keeps the first minimum in its own order: along j, the
+        # i = j branch before the i < j branch (row 2j, then row 2j + 1)
         deltas = np.empty((2 * width, rows), dtype=np.float64)
         deltas[0::2] = np.where(feasible_same, delta_same, INFINITY)
         deltas[1::2] = np.where(feasible_split, delta_split, INFINITY)
-        best = np.full(rows, INFINITY, dtype=np.float64)
-        chosen = np.full(rows, -1, dtype=np.int64)
-        for k in np.flatnonzero((deltas < INFINITY).any(axis=1)).tolist():
-            take = deltas[k] < best - 1e-9
-            best = np.where(take, deltas[k], best)
-            chosen = np.where(take, k, chosen)
+        chosen = deltas.argmin(axis=0)
+        best = deltas[chosen, np.arange(rows)]
+        chosen[best == INFINITY] = -1
 
         dropoff_index = chosen >> 1  # -1 stays -1
         pickup_index = dropoff_index.copy()

@@ -83,7 +83,7 @@ def euclidean_insertion_lower_bound(
         lb_j_destination = euclid_to_destination(j)
 
         # special cases i = j (Eq. 15, first two branches)
-        if picked[j] <= free_capacity and arr[j] + lb_j_origin + direct_distance <= deadline + 1e-9:
+        if picked[j] <= free_capacity and arr[j] + lb_j_origin + direct_distance <= deadline:
             if j == n:
                 candidate = lb_j_origin + direct_distance
             else:
@@ -91,7 +91,7 @@ def euclidean_insertion_lower_bound(
                     lb_j_origin + direct_distance + euclid_to_destination(j + 1) - leg(j)
                 )
             candidate = max(candidate, 0.0)
-            if candidate <= slack[j] + 1e-9 and candidate < best:
+            if candidate <= slack[j] and candidate < best:
                 best = candidate
 
         # general case i < j (Eq. 17, third branch)
@@ -104,8 +104,8 @@ def euclidean_insertion_lower_bound(
                 )
             detour_destination = max(detour_destination, 0.0)
             capacity_ok = picked[j] <= free_capacity
-            deadline_ok = arr[j] + dio + lb_j_destination <= deadline + 1e-9
-            slack_ok = dio + detour_destination <= slack[j] + 1e-9
+            deadline_ok = arr[j] + dio + lb_j_destination <= deadline
+            slack_ok = dio + detour_destination <= slack[j]
             if capacity_ok and deadline_ok and slack_ok:
                 candidate = detour_destination + dio
                 if candidate < best:
@@ -123,7 +123,7 @@ def euclidean_insertion_lower_bound(
                 detour_origin = max(
                     lb_j_origin + euclid_to_origin(j + 1) - leg(j), 0.0
                 )
-                if detour_origin <= slack[j] + 1e-9 and detour_origin < dio:
+                if detour_origin <= slack[j] and detour_origin < dio:
                     dio = detour_origin
 
     return best
@@ -156,7 +156,7 @@ def euclidean_idle_lower_bounds(
     """
     to_origin = oracle.euclidean_lower_bounds_to(origins, request.origin)
     candidate = np.maximum(to_origin + direct_distance, 0.0)
-    feasible = start_times + to_origin + direct_distance <= request.deadline + 1e-9
+    feasible = start_times + to_origin + direct_distance <= request.deadline
     if capacities is not None:
         feasible &= np.asarray(capacities, dtype=np.int64) >= request.capacity
     return np.where(feasible, candidate, INFINITY)
@@ -220,7 +220,7 @@ def _relaxed_dp(
     lb_o = lb_origin[:width]
     lb_d = lb_destination[:width]
     lb_d_next = lb_destination[1:]
-    arr_j, leg, slack_tol = scan.arr, scan.leg, scan.slack_tol
+    arr_j, leg, slack = scan.arr, scan.leg, scan.slack
     is_last, open_j = scan.is_last, scan.open
 
     # Dio^euc of Eq. (16): prefix-min over the pickup detours, restarted where
@@ -228,7 +228,7 @@ def _relaxed_dp(
     # dio[j] is the value *entering* iteration j (i < j)
     detour_origin = np.maximum(lb_o + lb_origin[1:] - leg, 0.0)
     pickup = np.where(
-        scan.extendable & scan.capacity_ok & (detour_origin <= slack_tol),
+        scan.extendable & scan.capacity_ok & (detour_origin <= slack),
         detour_origin,
         INFINITY,
     )
@@ -246,8 +246,8 @@ def _relaxed_dp(
     )
     feasible_same = (
         open_j
-        & (arr_j + lb_o + direct <= deadline + 1e-9)
-        & (candidate_same <= slack_tol)
+        & (arr_j + lb_o + direct <= deadline)
+        & (candidate_same <= slack)
     )
     best_same = np.where(feasible_same, candidate_same, INFINITY).min(axis=0)
 
@@ -258,8 +258,8 @@ def _relaxed_dp(
     )
     feasible_split = (
         open_j
-        & (arr_j + dio + lb_d <= deadline + 1e-9)
-        & (dio + detour_destination <= slack_tol)
+        & (arr_j + dio + lb_d <= deadline)
+        & (dio + detour_destination <= slack)
     )
     best_split = np.where(feasible_split, detour_destination + dio, INFINITY).min(axis=0)
 

@@ -64,7 +64,7 @@ class NaiveDPInsertion(InsertionOperator):
             if i < n:
                 detour_origin = dist_i_origin + distances.to_origin(i + 1) - distances.leg(i)
                 # Lemma 4 (2): the pickup detour must respect every later deadline.
-                if detour_origin > slack[i] + 1e-9:
+                if detour_origin > slack[i]:
                     continue
 
             for j in range(i, n + 1):
@@ -74,16 +74,16 @@ class NaiveDPInsertion(InsertionOperator):
                 delta = _delta(distances, direct, i, j, n)
                 if j == i:
                     # Lemma 4 (3), special cases of Fig. 2a / 2b.
-                    if arr[i] + dist_i_origin + direct > deadline + 1e-9:
+                    if arr[i] + dist_i_origin + direct > deadline:
                         continue
                 else:
                     # Lemma 4 (3), general case of Fig. 2c.
-                    if arr[j] + detour_origin + distances.to_destination(j) > deadline + 1e-9:
+                    if arr[j] + detour_origin + distances.to_destination(j) > deadline:
                         continue
                 # Lemma 4 (4): the total detour must respect deadlines after j.
-                if delta > slack[j] + 1e-9:
+                if delta > slack[j]:
                     continue
-                if delta < best_delta - 1e-9:
+                if delta < best_delta:
                     best_delta = delta
                     best_pair = (i, j)
 

@@ -56,10 +56,6 @@ class Route:
     ddl: list[float] = field(default_factory=list, repr=False)
     slack: list[float] = field(default_factory=list, repr=False)
     picked: list[int] = field(default_factory=list, repr=False)
-    #: leg costs ``dis(l_k, l_{k+1})`` for ``k = 0..n-1``, the summands ``arr``
-    #: was accumulated from; they let a re-anchor re-time the route with one
-    #: query (:meth:`moved_to`). Written by :meth:`refresh` and the re-anchors.
-    legs: list[float] = field(default_factory=list, repr=False)
 
     # Cached direct origin->destination distances per request id (the ``L`` of
     # Lemma 7); filled lazily so ddl[] can be recomputed without re-querying.
@@ -144,7 +140,7 @@ class Route:
     # -------------------------------------------------------------- refresh
 
     def refresh(self, oracle: DistanceOracle) -> None:
-        """Recompute ``arr``, ``ddl``, ``slack``, ``picked`` (Eq. 6-9) and ``legs``."""
+        """Recompute ``arr``, ``ddl``, ``slack`` and ``picked`` (Eq. 6-9)."""
         n = self.num_stops
         if n == 0:
             # idle workers are refreshed on every clock bump; skip the
@@ -153,7 +149,6 @@ class Route:
             self.ddl = [INFINITY]
             self.slack = [INFINITY]
             self.picked = [self.initial_load()]
-            self.legs = []
             return
         arr = [0.0] * (n + 1)
         ddl = [INFINITY] * (n + 1)
@@ -187,16 +182,15 @@ class Route:
         self.ddl = ddl
         self.slack = _slack(arr, ddl)
         self.picked = picked
-        self.legs = legs
 
     # ------------------------------------------------------------ re-anchors
 
     def after_next_stop(self) -> "Route":
         """The route once its worker has served ``l_1`` (at ``arr[1]``).
 
-        Every array is this route's shifted by one entry — the cumulative
-        sums share their association, the deadlines are absolute and the
-        served stop's load delta is what ``initial_load`` would report — so
+        Every array is this route's shifted by one entry — the arrivals are
+        exact grid sums, the deadlines are absolute and the served stop's
+        load delta is what ``initial_load`` would report — so
         the result equals a fresh :meth:`refresh` without a single query
         (the served stop's deadline leaves with it: ``l_0`` has none).
         """
@@ -211,7 +205,6 @@ class Route:
         route.ddl = [INFINITY, *self.ddl[2:]]
         route.slack = self.slack[1:]
         route.picked = self.picked[1:]
-        route.legs = self.legs[1:]
         return route
 
     def moved_to(
@@ -225,13 +218,11 @@ class Route:
 
         The worker stands at ``position`` at ``start_time`` and still follows
         ``concrete_path``. Only the first leg changed: the route issues the
-        one query ``dis(position, l_1)``, accumulates ``arr`` from it and the
-        carried ``legs[1:]`` in :meth:`refresh`'s own float order, keeps
-        ``ddl`` and ``picked`` (same stops) and recomputes ``slack``. That
-        is bit for bit what :meth:`refresh` would compute with ``n`` queries
-        (every backend answers a pair with one fixed float). Every writer of
-        ``arr`` writes ``legs`` too, so a route with filled arrays always
-        carries its ``n`` legs.
+        one query ``dis(position, l_1)`` and shifts every later arrival by
+        the same amount, ``start_time + dis(position, l_1) - arr[1]``; it
+        keeps ``ddl`` and ``picked`` (same stops) and recomputes ``slack``.
+        Every time is on the grid of :mod:`repro.core.timegrid`, so the shift
+        is exact and the result equals a fresh :meth:`refresh`, bit for bit.
         """
         route = Route(
             worker=self.worker,
@@ -241,16 +232,12 @@ class Route:
             _direct_distances=dict(self._direct_distances),
             concrete_path=concrete_path,
         )
-        n = self.num_stops
-        legs =[oracle.distance(position, self.stops[0].vertex), *self.legs[1:]]
-        arr = [start_time] * (n + 1)
-        for index in range(n):
-            arr[index + 1] = arr[index] + legs[index]
+        shift = start_time + oracle.distance(position, self.stops[0].vertex) - self.arr[1]
+        arr = [start_time, *[arrival + shift for arrival in self.arr[1:]]]
         route.arr = arr
         route.ddl = list(self.ddl)
         route.slack = _slack(arr, self.ddl)
         route.picked = list(self.picked)
-        route.legs = legs
         return route
 
     # ---------------------------------------------------------- feasibility
@@ -284,7 +271,7 @@ class Route:
                         f"request {request.id} is dropped off before being picked up"
                     )
                 # delivery deadline (constraint (ii) of Definition 4)
-                if self.arr[index] > request.deadline + 1e-9:
+                if self.arr[index] > request.deadline:
                     raise InfeasibleRouteError(
                         f"request {request.id} delivered at {self.arr[index]:.1f} after "
                         f"deadline {request.deadline:.1f}"

@@ -319,13 +319,14 @@ class Dispatcher(abc.ABC):
         """Planning over *every* candidate: the cheapest feasible insertion.
 
         Algorithm 5 without the Lemma 8 cut, in one pass: the candidates
-        (``rows`` of the fleet's route table, in candidate order) are brought
-        up to the clock (:meth:`FleetState.states_of`), their rows taken from
-        the table and handed to the insertion operator's block entry point
+        (``rows`` of the fleet's route table, ascending — so in worker-id
+        order) are brought up to the clock (:meth:`FleetState.states_of`),
+        their rows taken from the table and handed to the insertion
+        operator's block entry point
         (:meth:`~repro.core.insertion.base.InsertionOperator.best_insertions`)
-        in one call. The few finite deltas are scanned in candidate order —
-        a later candidate wins only when cheaper by more than ``1e-9`` — and
-        the new route is built for the winner alone. ``direct`` is
+        in one call. The winner is the first minimum of the exact deltas —
+        the smallest ``(delta, worker id)`` — and the new route is built for
+        it alone. ``direct`` is
         ``L = dis(o_r, d_r)``; it is seeded on that new route only, so the
         direct-distance memo every successor route inherits grows with the
         requests a worker *serves*, not with those it was evaluated for.
@@ -338,16 +339,10 @@ class Dispatcher(abc.ABC):
         found = self.insertion.best_insertions(
             routes, request, self.oracle, direct, block=self.fleet.table.take(rows)
         )
-        best_delta = INFINITY
-        winner = -1
-        deltas = found.delta
-        for index in np.flatnonzero(deltas < INFINITY).tolist():
-            delta = deltas.item(index)
-            if delta < best_delta - 1e-9:
-                best_delta = delta
-                winner = index
-        if winner < 0:
+        if not (found.delta < INFINITY).any():
             return INFINITY, None, None
+        winner = int(found.delta.argmin())
+        best_delta = found.delta.item(winner)
         route = self._inserted(
             routes[winner],
             request,

@@ -160,7 +160,7 @@ class _GreedyDPBase(Dispatcher):
             result = self.insertion.best_insertion(route, request, self.oracle)
             route.forget_direct_distance(request)
             insertions += 1
-            if result.feasible and result.delta < best_delta - 1e-9:
+            if result.feasible and result.delta < best_delta:
                 best_delta = result.delta
                 best = (route, result)
         if best is None:

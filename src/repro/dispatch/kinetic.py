@@ -104,7 +104,7 @@ class _ScheduleSearch:
             else:
                 latest = stop.request.deadline
                 new_load = load - stop.request.capacity
-            if arrival > latest + 1e-9 or new_load > self.capacity:
+            if arrival > latest or new_load > self.capacity:
                 continue
             self.nodes_expanded += 1
             order.append(index)
@@ -150,7 +150,7 @@ class Kinetic(Dispatcher):
             # no L is seeded: the search queries every pickup's L itself
             delta, schedule = self._best_schedule_delta(state, request)
             insertions += 1
-            if schedule is not None and delta < best_delta - 1e-9:
+            if schedule is not None and delta < best_delta:
                 best_delta = delta
                 best_worker_id = worker_id
                 best_schedule = schedule

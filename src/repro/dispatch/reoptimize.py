@@ -120,7 +120,7 @@ def reinsertion_improvement(
                 base_route = stripped if candidate is state else candidate.route
                 base_route.remember_direct_distance(request, direct)
                 result = operator.best_insertion(base_route, request, oracle)
-                if result.feasible and (best_delta is None or result.delta < best_delta - 1e-9):
+                if result.feasible and (best_delta is None or result.delta < best_delta):
                     best_delta = result.delta
                     best_state = candidate
                     best_route = base_route.with_insertion(
@@ -130,7 +130,7 @@ def reinsertion_improvement(
             if best_delta is None or best_state is None or best_route is None:
                 continue
             improvement = removal_gain - best_delta
-            if improvement <= 1e-6:
+            if improvement <= 0.0:
                 continue
 
             # apply the move: strip from the origin worker, adopt on the target

@@ -45,8 +45,6 @@ from repro.service.spec import PlatformSpec
 from repro.utils.rng import derive_spawned_seed, make_rng
 from repro.workloads.scenarios import ScenarioConfig
 
-_TOLERANCE = 1e-6
-
 _STRESS_CITIES = ("small-grid", "random", "chengdu-like")
 _STRESS_CITY_WEIGHTS = (0.45, 0.45, 0.10)
 
@@ -346,7 +344,7 @@ def _check_invariants(outcome: ScenarioRunResult, *, allow_deadline_slip: bool) 
     per_worker_events: dict[int, list[tuple[float, int]]] = {}
     for record in outcome.completions:
         request = record.request
-        if record.pickup_time is not None and record.pickup_time < request.release_time - _TOLERANCE:
+        if record.pickup_time is not None and record.pickup_time < request.release_time:
             violations.append(
                 {
                     "kind": "negative_wait",
@@ -357,7 +355,7 @@ def _check_invariants(outcome: ScenarioRunResult, *, allow_deadline_slip: bool) 
             )
         if not record.completed:
             continue
-        if record.dropoff_time < record.pickup_time - _TOLERANCE:
+        if record.dropoff_time < record.pickup_time:
             violations.append(
                 {
                     "kind": "dropoff_before_pickup",
@@ -366,7 +364,7 @@ def _check_invariants(outcome: ScenarioRunResult, *, allow_deadline_slip: bool) 
                     "dropoff_time": record.dropoff_time,
                 }
             )
-        if not allow_deadline_slip and record.dropoff_time > request.deadline + _TOLERANCE:
+        if not allow_deadline_slip and record.dropoff_time > request.deadline:
             violations.append(
                 {
                     "kind": "deadline_breach",

@@ -130,7 +130,7 @@ class ShardedDispatcher(ShardRouter):
         outcomes: list[DispatchOutcome] = []
         for shard in self._shards:
             next_flush = shard.dispatcher.next_flush_time()
-            if next_flush is not None and next_flush <= now + 1e-9:
+            if next_flush is not None and next_flush <= now:
                 with _CounterAttribution(self.oracle.counters, shard.counters):
                     outcomes.extend(shard.flush((), now))
         return self._tally(outcomes)

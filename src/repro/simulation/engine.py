@@ -238,7 +238,7 @@ class EventEngine:
         self.start()
         if self._finished:
             raise DispatchError("cannot submit to a drained engine")
-        if request.release_time < self.clock - 1e-9:
+        if request.release_time < self.clock:
             raise DispatchError(
                 f"request {request.id} released at t={request.release_time:.3f} but "
                 f"the engine clock is already at t={self.clock:.3f}; submissions "
@@ -397,7 +397,7 @@ class EventEngine:
         if not dispatcher.is_batched:
             return
         next_flush = dispatcher.next_flush_time()
-        if next_flush is None or abs(next_flush - event.time) > 1e-9:
+        if next_flush is None or next_flush != event.time:
             return  # superseded: the window moved or was already drained
         self._materialise_for_dispatcher()
         outcomes, elapsed = self._timed_call(lambda: dispatcher.flush(event.time))

@@ -48,16 +48,13 @@ one fancy index per array, and :meth:`FleetState.states_of` /
   :meth:`FleetState.set_online` only.
 * **Re-anchors live on the route.** ``advance_to`` edits no array: a stop
   completion installs :meth:`Route.after_next_stop` (every array shifted one
-  entry, no query) and a partial move installs :meth:`Route.moved_to`. A
-  route carries the leg costs its ``arr`` was summed from (``Route.legs``),
-  so a partial move re-times it with the one query ``dis(position, l_1)``
-  instead of ``refresh``'s ``n`` — bit-identically on backends whose answer
-  to a pair is a fixed float (apsp, ch); the Dijkstra backend's
-  cached floats depend on query history, so there a re-query could differ in
-  the last place. Every re-planning —
-  including :meth:`FleetState.replan_busy` after a live network update —
-  installs a fresh ``Route`` whose legs ``refresh`` derives again, so carried
-  legs never outlive the stops or the topology they were measured on.
+  entry, no query) and a partial move installs :meth:`Route.moved_to`, which
+  re-times the route with the one query ``dis(position, l_1)`` and an exact
+  shift of the later arrivals instead of ``refresh``'s ``n`` queries. Every
+  time is on the 2⁻¹⁰ s grid and every backend answers a pair with the same
+  grid value, so both re-anchors equal a fresh ``refresh`` bit for bit.
+  Every re-planning — including :meth:`FleetState.replan_busy` after a live
+  network update — installs a fresh ``Route`` that ``refresh`` times again.
 * **Window invariant.** For every busy row, ``first_edge_cost`` is the live
   cost of the first edge of ``route.concrete_path`` or ``-inf`` when no usable
   path is recorded, and ``arr[0]``/``arr[1]`` equal the route's. Whenever
@@ -127,7 +124,7 @@ class ServiceRecord:
     @property
     def on_time(self) -> bool:
         """Whether the delivery met the deadline (False while still in progress)."""
-        return self.dropoff_time is not None and self.dropoff_time <= self.request.deadline + 1e-6
+        return self.dropoff_time is not None and self.dropoff_time <= self.request.deadline
 
     @property
     def picked_up(self) -> bool:
@@ -261,7 +258,7 @@ class WorkerState:
             if len(route.arr) != route.num_stops + 1:
                 route.refresh(oracle)
             next_arrival = route.arr[1]
-            if next_arrival <= now + 1e-9:
+            if next_arrival <= now:
                 # the worker reaches the next stop
                 stop = route.stops[0]
                 leg_cost = next_arrival - route.arr[0]
@@ -292,7 +289,7 @@ class WorkerState:
             # one is recorded (re-planning always builds fresh Route objects,
             # so a recorded path is never stale)
             budget = now - route.arr[0]
-            if budget <= 1e-9:
+            if budget <= 0.0:
                 break
             next_stop = route.stops[0].vertex
             cached_path = route.concrete_path
@@ -309,7 +306,7 @@ class WorkerState:
             passed = 0
             for u, v in zip(path, path[1:]):
                 edge_cost = oracle.network.edge_cost(u, v)
-                if moved_cost + edge_cost > budget + 1e-9:
+                if moved_cost + edge_cost > budget:
                     break
                 moved_cost += edge_cost
                 position = v

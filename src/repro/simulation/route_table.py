@@ -114,8 +114,8 @@ class RouteTable(RouteBlock):
         """``(anchored, busy, skippable)`` of ``rows`` — the window, evaluated once."""
         anchored = self.arr[0, rows]
         budget = clock - anchored
-        skippable = (self.arr[1, rows] > clock + 1e-9) & (
-            (budget <= 1e-9) | (self.first_edge_cost[rows] > budget + 1e-9)
+        skippable = (self.arr[1, rows] > clock) & (
+            (budget <= 0.0) | (self.first_edge_cost[rows] > budget)
         )
         return anchored, self.count[rows] > 1, skippable
 
@@ -123,7 +123,7 @@ class RouteTable(RouteBlock):
         """Which of ``rows`` a *read* at ``clock`` has to bring up to date.
 
         A busy worker is skippable when its next stop is not reached
-        (``arr[1] > clock + 1e-9``) and either no time has passed since its
+        (``arr[1] > clock``) and either no time has passed since its
         anchor or the first edge of its recorded path does not fit the
         elapsed budget — exactly the comparisons ``advance_to`` walks
         through before breaking without a side effect. With no recorded
@@ -156,6 +156,6 @@ class RouteTable(RouteBlock):
             return anchored < clock
         budget = clock - anchored
         return not (
-            self.arr.item(1, row) > clock + 1e-9
-            and (budget <= 1e-9 or self.first_edge_cost.item(row) > budget + 1e-9)
+            self.arr.item(1, row) > clock
+            and (budget <= 0.0 or self.first_edge_cost.item(row) > budget)
         )

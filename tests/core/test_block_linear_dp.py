@@ -5,9 +5,9 @@
 
 * ``delta``, ``pickup_index`` and ``dropoff_index`` equal the scalar
   ``LinearDPInsertion.best_insertion`` **bit for bit** — the planners pick
-  winners by ``delta < best - 1e-9`` across candidates, so approximate
+  the smallest ``(delta, worker id)`` across candidates, so approximate
   agreement would change assignments;
-* ``delta`` equals ``BasicInsertion``'s exhaustive optimum within 1e-9;
+* ``delta`` equals ``BasicInsertion``'s exhaustive optimum exactly;
 * the kernel issues exactly ``2 * popcount(reached)`` exact queries, where
   ``reached`` marks every stop a scan evaluates plus the stop after it —
   never fewer than the scalar walk, and at most two more per route.
@@ -15,7 +15,7 @@
 The generators aim at what the block form could get wrong: mixed route
 lengths that deepen a block past its initial 8 stops, full vehicles that
 reset ``Dio`` mid-route, oversized requests, deadlines that cut the scan at
-every ``j`` (including ``arr[j] == deadline`` and ``arr[j] + 1e-9``), both
+every ``j`` (including ``arr[j] == deadline`` and one tick either side), both
 early exits, row subsets in any order, and rows taken from a live fleet table
 mid-run — after lazy partial advancement and after a street closure repaired
 in place by ``apsp_repair``.
@@ -43,6 +43,7 @@ from repro.core.insertion.basic import BasicInsertion
 from repro.core.insertion.block import BlockScan
 from repro.core.insertion.linear_dp import LinearDPInsertion
 from repro.core.route import Route, RouteBlock, empty_route
+from repro.core.timegrid import TIME_QUANTUM
 from repro.core.types import Request, Worker
 from repro.dispatch.registry import DispatcherSpec
 from repro.network.oracle import DistanceOracle
@@ -112,11 +113,11 @@ def long_routes(draw, max_requests: int = 7) -> Route:
 def block_scenarios(draw) -> tuple[list[Route], Request]:
     """1-8 routes of mixed length and one request.
 
-    Its deadline lands anywhere in the routes' span — or exactly on / a hair
-    past some ``arr[j]``. Its endpoints are often vertices the routes already
+    Its deadline lands anywhere in the routes' span — or exactly on / one
+    tick either side of some ``arr[j]``. Its endpoints are often vertices the routes already
     visit: a pickup at a stop's own vertex costs detour 0 both before and
     after that stop, which is what makes ties in ``Dio`` and in ``delta``
-    (strict ``<``, ``< best - 1e-9``, same-branch first) common.
+    (strict ``<``, first minimum, same-branch first) common.
     """
     routes = draw(st.lists(long_routes(), min_size=1, max_size=8))
     earliest = min(route.arr[0] for route in routes)
@@ -128,9 +129,10 @@ def block_scenarios(draw) -> tuple[list[Route], Request]:
         destination = _vertex(origin + 1)
     if draw(st.booleans()):
         arrivals = sorted({arrival for route in routes for arrival in route.arr})
-        deadline = draw(st.sampled_from(arrivals)) + draw(
-            st.sampled_from([0.0, 1e-9, 2e-9, 0.5, 30.0, 200.0])
-        )
+        deadline = max(0.0, draw(st.sampled_from(arrivals)) + draw(
+            st.sampled_from([-TIME_QUANTUM, 0.0, TIME_QUANTUM, 2 * TIME_QUANTUM,
+                             0.5, 30.0, 200.0])
+        ))
     else:
         deadline = earliest + float(draw(st.integers(min_value=30, max_value=4000)))
     request = Request(
@@ -224,7 +226,7 @@ class TestBlockEqualsScalar:
         for index, route in enumerate(routes):
             expected = _scalar(_BASIC, route, request, _ORACLE, direct)
             if expected.feasible:
-                assert found.delta[index] == pytest.approx(expected.delta, abs=1e-9)
+                assert found.delta[index] == expected.delta
                 applied = route.with_insertion(
                     request, int(found.pickup_index[index]),
                     int(found.dropoff_index[index]), _ORACLE,
@@ -277,7 +279,7 @@ class TestBlockEqualsScalar:
 class TestHandBuiltCases:
     def test_deadline_cuts_the_scan_at_every_j(self):
         """Sweep the deadline across every ``arr[j]`` of a 10-stop route,
-        exactly on it and 1e-9 either side, under both early exits."""
+        exactly on it and one tick either side, under both early exits."""
         worker = make_worker(location=_vertex(3), capacity=5)
         route = empty_route(worker, start_time=40.0)
         route.refresh(_ORACLE)
@@ -293,7 +295,7 @@ class TestHandBuiltCases:
         short = empty_route(make_worker(worker_id=1, location=_vertex(9)), start_time=40.0)
         short.refresh(_ORACLE)
         for arrival in route.arr:
-            for nudge in (-1e-9, 0.0, 1e-9, 25.0):
+            for nudge in (-TIME_QUANTUM, 0.0, TIME_QUANTUM, 25.0):
                 if arrival + nudge < 0:
                     continue
                 request = make_request(
@@ -320,7 +322,7 @@ class TestHandBuiltCases:
         assert (found.pickup_index[0], found.dropoff_index[0]) == (2, 2)
         assert found.delta[0] == 50.0 + 70.0  # 6 -> 1 -> 8, appended
         expected = _BASIC.best_insertion(route, request, oracle)
-        assert found.delta[0] == pytest.approx(expected.delta, abs=1e-9)
+        assert found.delta[0] == expected.delta
 
     def test_first_of_equal_pickup_detours_keeps_the_pickup(self):
         """On a line every on-the-way pickup costs detour 0: ``Plc`` must stay

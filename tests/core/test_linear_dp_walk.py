@@ -11,7 +11,7 @@ query counter.
 
 The generator aims at what the read-ahead could get wrong: routes whose scan
 visits fewer and more than four stops, one-seat vehicles that run full
-mid-route (``Dio`` resets), deadlines exactly on, 1e-9 before and 1e-9 after
+mid-route (``Dio`` resets), deadlines exactly on, one tick (2⁻¹⁰ s) before and after
 some ``arr[j]`` or ``arr[j] + L`` (the two early exits), and scans cut short
 with no branch open at the cut.
 
@@ -29,6 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.insertion.base import INFINITY, InsertionResult, _PairwiseDistances
 from repro.core.insertion.linear_dp import LinearDPInsertion
 from repro.core.route import Route
+from repro.core.timegrid import TIME_QUANTUM
 from repro.core.types import Request
 from repro.network.oracle import DistanceOracle
 from tests.conftest import build_line_network, make_request, make_worker, route_with_requests
@@ -58,7 +59,7 @@ class LazyLinearDP(LinearDPInsertion):
         for j in range(n + 1):
             dist_j_origin = distances.to_origin(j)
             dist_j_destination = distances.to_destination(j)
-            if picked[j] <= free_capacity and arr[j] + dist_j_origin + direct <= deadline + 1e-9:
+            if picked[j] <= free_capacity and arr[j] + dist_j_origin + direct <= deadline:
                 if j == n:
                     delta_same = dist_j_origin + direct
                 else:
@@ -66,7 +67,7 @@ class LazyLinearDP(LinearDPInsertion):
                         dist_j_origin + direct + distances.to_destination(j + 1)
                         - distances.leg(j)
                     )
-                if delta_same <= slack[j] + 1e-9 and delta_same < best_delta - 1e-9:
+                if delta_same <= slack[j] and delta_same < best_delta:
                     best_delta = delta_same
                     best_pair = (j, j)
             if j > 0 and dio < INFINITY:
@@ -77,11 +78,11 @@ class LazyLinearDP(LinearDPInsertion):
                         dist_j_destination + distances.to_destination(j + 1) - distances.leg(j)
                     )
                 capacity_ok = picked[j] <= free_capacity
-                deadline_ok = arr[j] + dio + dist_j_destination <= deadline + 1e-9
-                slack_ok = dio + detour_destination <= slack[j] + 1e-9
+                deadline_ok = arr[j] + dio + dist_j_destination <= deadline
+                slack_ok = dio + detour_destination <= slack[j]
                 if capacity_ok and deadline_ok and slack_ok:
                     delta_split = detour_destination + dio
-                    if delta_split < best_delta - 1e-9:
+                    if delta_split < best_delta:
                         best_delta = delta_split
                         best_pair = (plc, j)
             if self.aggressive_break:
@@ -97,7 +98,7 @@ class LazyLinearDP(LinearDPInsertion):
                     detour_origin = (
                         dist_j_origin + distances.to_origin(j + 1) - distances.leg(j)
                     )
-                    if detour_origin <= slack[j] + 1e-9 and detour_origin < dio:
+                    if detour_origin <= slack[j] and detour_origin < dio:
                         dio = detour_origin
                         plc = j
         if best_pair is None:
@@ -115,7 +116,7 @@ _SETTINGS = settings(
 )
 
 #: where a deadline sits relative to an ``arr[j]`` (or ``arr[j] + L``)
-_NUDGES = (-1e-9, 0.0, 1e-9, 0.5, 40.0)
+_NUDGES = (-TIME_QUANTUM, 0.0, TIME_QUANTUM, 0.5, 40.0)
 
 
 @st.composite
@@ -174,7 +175,7 @@ class TestWalkEqualsLazyWalk:
 
     def test_deadline_on_every_boundary_of_a_long_route(self, aggressive):
         """A 10-stop route, the deadline swept across every ``arr[j]`` and
-        ``arr[j] + L``, exactly on it and 1e-9 either side."""
+        ``arr[j] + L``, exactly on it and one tick either side."""
         worker = make_worker(location=_vertex(3), capacity=5)
         route = route_with_requests(worker, _ORACLE, [
             make_request(index, origin=_vertex(7 * index + 5),
@@ -186,7 +187,7 @@ class TestWalkEqualsLazyWalk:
         direct = _ORACLE.distance(origin, destination)
         for arrival in route.arr:
             for boundary in (arrival, arrival + direct):
-                for nudge in (-1e-9, 0.0, 1e-9):
+                for nudge in (-TIME_QUANTUM, 0.0, TIME_QUANTUM):
                     request = make_request(1000, origin=origin, destination=destination,
                                            deadline=boundary + nudge)
                     _assert_walk_equals_lazy(route, request, aggressive)

@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.insertion.linear_dp import LinearDPInsertion
+from repro.core.timegrid import TIME_QUANTUM
 from repro.simulation.fleet import FleetState
 from tests.conftest import make_request, make_worker, route_with_requests
 from tests.simulation.seed_loop import walk_every_worker
 from tests.simulation.test_fleet import _assign
-from tests.simulation.test_route_table import _clock_where, check_table
+from tests.simulation.test_route_table import check_table
 
 #: (worker id, start vertex) in fleet order — deliberately not id order
 _INITIAL = ((7, 0), (2, 5), (40, 3))
@@ -85,10 +86,10 @@ class TestAdvanceAllThroughTheWindow:
             check_table(windowed)
         assert sorted(entry[0] for entry in delivered) == sorted(_TRIPS)
 
-    @given(steps=st.lists(st.sampled_from([0.0, 1e-9, 2.5, 5.0, 10.0, 13.0]), max_size=12))
+    @given(steps=st.lists(st.sampled_from([0.0, TIME_QUANTUM, 2.5, 5.0, 10.0, 13.0]), max_size=12))
     @settings(max_examples=40, deadline=None)
     def test_any_clock_sequence_reads_like_the_full_walk(self, line_oracle, steps):
-        """Repeated clocks, sub-tolerance steps, mid-edge and on-vertex stops."""
+        """Repeated clocks, one-tick steps, mid-edge and on-vertex stops."""
         windowed = _fleet(line_oracle)
         walked = _fleet(line_oracle)
         clock = 0.0
@@ -135,22 +136,25 @@ class TestAdvanceAllThroughTheWindow:
             assert fleet.drain_moved() == changed
             assert 11 not in changed
 
-    def test_a_stop_within_tolerance_is_walked_like_the_full_walk(self, line_oracle):
-        """``advance_to`` completes a stop once ``arr[1] <= clock + 1e-9`` — here
-        a pickup under the worker's wheels at t=13, with the clock just short
-        of it — so the window must report the row as due."""
-        reached = _clock_where(lambda clock: clock + 1e-9 == 13.0, 13.0 - 1e-9)
+    @pytest.mark.parametrize("clock, picked_up", [(13.0 - TIME_QUANTUM, False), (13.0, True)])
+    def test_a_stop_reached_exactly_is_walked_like_the_full_walk(
+        self, line_oracle, clock, picked_up
+    ):
+        """``advance_to`` completes a stop once ``arr[1] <= clock`` — here a
+        pickup under the worker's wheels at t=13 — so the window must report
+        the row as due at exactly 13 and not one tick short of it."""
         windowed, walked = (FleetState([make_worker(0, 5)], line_oracle) for _ in range(2))
         for fleet in (windowed, walked):
             state = fleet.peek_state(0)
             request = make_request(1, origin=5, destination=4, deadline=1e6)
             route = route_with_requests(state.worker, line_oracle, [request], start_time=13.0)
             state.adopt_route(route, request=request)
-        windowed.advance_all(reached)
-        walk_every_worker(walked, reached)
-        assert walked.peek_state(0).assigned_requests[1].pickup_time == 13.0
+        windowed.advance_all(clock)
+        walk_every_worker(walked, clock)
+        expected = 13.0 if picked_up else None
+        assert walked.peek_state(0).assigned_requests[1].pickup_time == expected
         assert _route_fields(windowed.peek_state(0)) == _route_fields(walked.peek_state(0))
-        assert windowed.peek_state(0).assigned_requests[1].pickup_time == 13.0
+        assert windowed.peek_state(0).assigned_requests[1].pickup_time == expected
         check_table(windowed)
 
 

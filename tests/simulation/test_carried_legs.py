@@ -1,10 +1,9 @@
-"""Routes carry their leg costs, and an advance re-times from them exactly.
+"""A partial advance re-times a route exactly, with one query.
 
-A route remembers the legs ``dis(l_k, l_{k+1})`` its ``arr`` was summed from
-(``Route.legs``). A stop completion shifts them with the other arrays; a
-partial move along the first leg asks the oracle for ``dis(position, l_1)``
-only and sums the rest from the carried legs; a live network update re-plans
-every busy route onto a fresh one whose legs are derived again. Whatever the
+A stop completion shifts every array of the route by one entry; a partial
+move along the first leg asks the oracle for ``dis(position, l_1)`` only and
+shifts every later arrival by the same exact amount (``Route.moved_to``); a
+live network update re-plans every busy route onto a fresh one. Whatever the
 sequence, every array must equal a from-scratch ``refresh`` bit for bit, and
 a partial move must cost exactly one distance query.
 
@@ -21,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.route import Route
+from repro.core.timegrid import TIME_QUANTUM, on_grid
 from repro.core.types import Request, Worker, dropoff_stop, pickup_stop
 from repro.network.generators import grid_city
 from repro.network.oracle import DistanceOracle
@@ -28,8 +28,8 @@ from repro.simulation.fleet import FleetState
 from tests.simulation.test_route_table import check_table
 
 _SIDE = 6
-#: clock steps: sub-tolerance, mid-edge, about one edge, several edges
-_STEPS = (0.0, 1e-9, 4.0, 11.0, 17.5, 30.0, 75.0)
+#: clock steps: one tick, mid-edge, about one edge, several edges
+_STEPS = (0.0, TIME_QUANTUM, 4.0, 11.0, 17.5, 30.0, 75.0)
 
 
 def _city():
@@ -47,8 +47,7 @@ def _assert_fresh(route: Route, oracle: DistanceOracle) -> None:
     assert route.ddl == fresh.ddl
     assert route.slack == fresh.slack
     assert route.picked == fresh.picked
-    assert route.legs == fresh.legs
-    assert len(route.legs) == route.num_stops
+    assert len(route.arr) == route.num_stops + 1
 
 
 def _expected_queries(before: Route, after: Route) -> int:
@@ -136,9 +135,9 @@ def test_every_advance_reads_like_a_fresh_refresh(backend, route, steps, closure
 
 @pytest.mark.parametrize("backend", ["ch", "apsp", "dijkstra"])
 def test_a_closure_under_a_later_leg_re_times_it(backend):
-    """The street closed carries a leg *behind* the first one — the leg a
-    partial move would sum from the carried costs — and is the only
-    one-block road between its ends, so its cost must change."""
+    """The street closed carries a leg *behind* the first one — a leg a
+    partial move shifts without re-querying — and is the only one-block
+    road between its ends, so its cost must change."""
     network = _city()
     oracle = DistanceOracle(network, backend=backend)
     worker = Worker(id=0, initial_location=0, capacity=4)
@@ -152,13 +151,13 @@ def test_a_closure_under_a_later_leg_re_times_it(backend):
     state.adopt_route(Route(worker=worker, origin=0, start_time=0.0, stops=[
         pickup_stop(request), dropoff_stop(request), dropoff_stop(other),
     ]))
-    fleet.advance_all(state.route.arr[1] / 2)  # part of the way to l_1
+    fleet.advance_all(on_grid(state.route.arr[1] / 2))  # part of the way to l_1
     assert state.route.origin != 0 and state.route.num_stops == 3
-    before = state.route.legs[1]
+    before = state.route.arr[2] - state.route.arr[1]
     network.remove_edge(14, 15)
     oracle.refresh_topology()
     fleet.replan_busy()
-    assert state.route.legs[1] > before
+    assert state.route.arr[2] - state.route.arr[1] > before
     _assert_fresh(state.route, oracle)
     fleet.advance_all(state.route.arr[1] - 1.0)
     _assert_fresh(state.route, oracle)

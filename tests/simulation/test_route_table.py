@@ -23,6 +23,7 @@ from repro.core.insertion.lower_bound import (
     euclidean_insertion_lower_bounds,
 )
 from repro.core.route import RouteBlock
+from repro.core.timegrid import TIME_QUANTUM
 from repro.core.types import Worker
 from repro.dispatch import DispatcherConfig, Kinetic, PruneGreedyDP
 from repro.dispatch.reoptimize import reinsertion_improvement
@@ -154,18 +155,6 @@ class TestTableMechanics:
 # -------------------------------------------------------------- the no-op window
 
 
-def _clock_where(predicate, around: float) -> float:
-    """A float next to ``around`` for which ``predicate`` holds (exact boundaries)."""
-    for steps in range(64):
-        for direction in (math.inf, -math.inf):
-            candidate = around
-            for _ in range(steps):
-                candidate = math.nextafter(candidate, direction)
-            if predicate(candidate):
-                return candidate
-    raise AssertionError(f"no float near {around!r} satisfies the predicate")
-
-
 class TestWindowBoundaries:
     """The window repeats ``advance_to``'s comparisons, so it must flip with them."""
 
@@ -189,17 +178,17 @@ class TestWindowBoundaries:
 
     def test_mid_edge_is_not_due(self, fleet):
         assert not self._due(fleet, 13.0)
-        assert not self._due(fleet, 19.9)
+        assert not self._due(fleet, 20.0 - TIME_QUANTUM)
 
     def test_first_edge_fitting_the_budget_exactly_is_due(self, fleet):
-        # advance_to walks the edge unless edge_cost > budget + 1e-9
-        fits = _clock_where(lambda clock: (clock - 10.0) + 1e-9 == 10.0, 20.0 - 1e-9)
-        assert self._due(fleet, fits)
-        assert not self._due(fleet, math.nextafter(fits - 1e-9, -math.inf))
+        # advance_to walks the edge unless edge_cost > budget: due at exactly
+        # the 10 s budget, not due one tick short of it
+        assert self._due(fleet, 20.0)
+        assert not self._due(fleet, 20.0 - TIME_QUANTUM)
 
-    def test_next_stop_within_tolerance_is_due(self, fleet, line_oracle):
-        # advance_to completes the stop once arr[1] <= clock + 1e-9, whatever
-        # the path: a pickup under the worker's wheels, no budget, no path
+    def test_next_stop_reached_exactly_is_due(self, fleet, line_oracle):
+        # advance_to completes the stop once arr[1] <= clock, whatever the
+        # path: a pickup under the worker's wheels, no budget, no path
         state = fleet.state_of(1)
         request = make_request(2, origin=5, destination=4, deadline=1e6)
         state.adopt_route(
@@ -207,11 +196,11 @@ class TestWindowBoundaries:
             request=request,
         )
         assert state.route.arr == [13.0, 13.0, 23.0]
-        reached = _clock_where(lambda clock: clock + 1e-9 == 13.0, 13.0 - 1e-9)
-        assert fleet.table.is_due(1, reached) and fleet.table.due(np.array([1]), reached)[0]
-        state.advance_to(reached)
+        assert not fleet.table.is_due(1, 13.0 - TIME_QUANTUM)
+        assert not fleet.table.due(np.array([1]), 13.0 - TIME_QUANTUM)[0]
+        assert fleet.table.is_due(1, 13.0) and fleet.table.due(np.array([1]), 13.0)[0]
+        state.advance_to(13.0)
         assert state.assigned_requests[2].pickup_time == 13.0
-        assert not fleet.table.is_due(1, math.nextafter(reached, -math.inf) - 1e-9)
 
     def test_no_elapsed_budget_is_not_due_even_without_a_path(self, fleet, line_oracle):
         state = fleet.state_of(1)
@@ -222,9 +211,9 @@ class TestWindowBoundaries:
             request=request,
         )
         assert fleet.table.first_edge_cost[1] == -math.inf
-        assert not fleet.table.is_due(1, 13.0)
-        assert not fleet.table.is_due(1, 13.0 + 5e-10)  # budget <= 1e-9 breaks early
-        assert fleet.table.is_due(1, 13.1)  # advance_to would query and record a path
+        assert not fleet.table.is_due(1, 13.0)  # budget <= 0 breaks early
+        # one tick of budget: advance_to would query and record a path
+        assert fleet.table.is_due(1, 13.0 + TIME_QUANTUM)
         check_table(fleet)
 
     def test_idle_worker_is_due_once_the_clock_moved(self, fleet):
