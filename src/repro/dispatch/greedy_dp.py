@@ -143,31 +143,34 @@ class _GreedyDPBase(Dispatcher):
     ) -> tuple[float, int | None, Route | None, int]:
         """The Lemma 8 scan: candidates in bound order, one scalar insertion
         each, until the best found beats the next bound — a block past the cut
-        would issue exactly the queries the cut saves. It materialises only
-        the candidates it evaluates, lends ``L`` to each route for its walk
-        (every successor route inherits the memo) and builds the winner's new
-        route alone."""
+        would issue exactly the queries the cut saves. A candidate whose bound
+        ties the best is still evaluated, and the winner is the smallest
+        ``(delta, worker id)``: the same worker GreedyDP picks. It
+        materialises only the candidates it evaluates, lends ``L`` to each
+        route for its walk (every successor route inherits the memo) and
+        builds the winner's new route alone."""
         assert self.fleet is not None and self.oracle is not None
         state_of, ids = self.fleet.state_of, self.fleet.table.ids
-        best_delta = INFINITY
+        best_key = (INFINITY, 0)
         best = None
         insertions = 0
         for index in range(bounds.size):
-            if best_delta < bounds.item(index):
+            if best_key[0] < bounds.item(index):
                 break  # Lemma 8: later candidates cannot beat the current best
-            route = state_of(ids.item(rows.item(index))).route
+            worker_id = ids.item(rows.item(index))
+            route = state_of(worker_id).route
             route.remember_direct_distance(request, direct)
             result = self.insertion.best_insertion(route, request, self.oracle)
             route.forget_direct_distance(request)
             insertions += 1
-            if result.feasible and result.delta < best_delta:
-                best_delta = result.delta
+            if result.feasible and (result.delta, worker_id) < best_key:
+                best_key = (result.delta, worker_id)
                 best = (route, result)
         if best is None:
             return INFINITY, None, None, insertions
         route, result = best
         winner = self._inserted(route, request, result.pickup_index, result.dropoff_index, direct)
-        return best_delta, route.worker.id, winner, insertions
+        return best_key[0], route.worker.id, winner, insertions
 
     # ------------------------------------------------------- decision phase
 

@@ -108,8 +108,9 @@ def reinsertion_improvement(
             stripped_cost = stripped.planned_cost(oracle)
             removal_gain = current_cost - stripped_cost
 
-            # best re-insertion across the whole fleet (including the origin
-            # worker); L is lent to each evaluated route for its walk only
+            # the smallest (delta, worker id) re-insertion across the whole
+            # fleet (including the origin worker); L is lent to each
+            # evaluated route for its walk only
             direct = current_route.direct_distance(request, oracle)
             best_delta = None
             best_state = None
@@ -120,7 +121,10 @@ def reinsertion_improvement(
                 base_route = stripped if candidate is state else candidate.route
                 base_route.remember_direct_distance(request, direct)
                 result = operator.best_insertion(base_route, request, oracle)
-                if result.feasible and (best_delta is None or result.delta < best_delta):
+                if result.feasible and (
+                    best_state is None
+                    or (result.delta, candidate.worker.id) < (best_delta, best_state.worker.id)
+                ):
                     best_delta = result.delta
                     best_state = candidate
                     best_route = base_route.with_insertion(

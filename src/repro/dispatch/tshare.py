@@ -10,10 +10,12 @@ T-Share answers each request in two steps:
    they could still serve the request, which is why the paper observes the
    lowest served rate for tshare.
 2. **Scheduling**: for every surviving candidate, run the basic (exhaustive)
-   insertion and pick the worker with the minimal increased distance.
+   insertion and pick the worker with the minimal increased distance (ties
+   go to the smallest worker id).
 
 Scheduling evaluates all survivors, so it is one call of
-:meth:`~repro.dispatch.base.Dispatcher.plan_over_all`. With the default
+:meth:`~repro.dispatch.base.Dispatcher.plan_over_all`, on their rows in
+worker-id order. With the default
 ``BasicInsertion`` (no block kernel) that is the scalar loop behind
 :meth:`~repro.core.insertion.base.InsertionOperator.best_insertions`; handed a
 ``LinearDPInsertion`` the survivors are evaluated by its array kernel.
@@ -78,7 +80,7 @@ class TShare(Dispatcher):
 
         candidates = len(candidate_ids)
         best_delta, best_worker_id, best_route = self.plan_over_all(
-            request, self.fleet.table.rows_of(candidate_ids), direct
+            request, self.fleet.table.rows_of(sorted(candidate_ids)), direct
         )
         if best_worker_id is None or best_route is None:
             return DispatchOutcome(
