@@ -70,6 +70,7 @@ from repro.cluster.recovery import (
     ShardHealth,
 )
 from repro.cluster.worker import plan_snapshot
+from repro.core.timegrid import on_grid
 from repro.core.types import Request, Stop, Worker
 from repro.dispatch.base import DispatcherConfig, DispatchOutcome
 from repro.exceptions import (
@@ -155,6 +156,7 @@ class ClusterDispatcher(ShardRouter):
             serves degraded (in-process) for the rest of the session.
         restart_delay_s: *simulated* seconds after a death before a respawned
             worker may be adopted — recovery timing is workload-deterministic.
+            Rounded up onto the 2⁻¹⁰ s time grid, like every simulated time.
     """
 
     name = "cluster"
@@ -222,7 +224,7 @@ class ClusterDispatcher(ShardRouter):
         #: how long a started worker may take to acknowledge ready
         self._ready_timeout = dispatch_timeout * retry_attempts
         self.max_restarts = max_restarts
-        self.restart_delay_s = restart_delay_s
+        self.restart_delay_s = on_grid(restart_delay_s, "restart_delay_s")
         self._handles: list[_ShardHandle] = []
         self._closed = False
         self._started = False

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.objective import ObjectiveConfig, paper_default_objective
+from repro.core.timegrid import require_on_grid
 from repro.core.types import Request, Worker
 from repro.exceptions import ConfigurationError
 from repro.network.graph import RoadNetwork
@@ -126,6 +127,9 @@ class URPSMInstance:
                     "only one duty window per worker is supported"
                 )
             shifted_workers.add(shift.worker_id)
+            require_on_grid(shift.start, f"worker {shift.worker_id}: shift start")
+            if shift.end is not None:
+                require_on_grid(shift.end, f"worker {shift.worker_id}: shift end")
             if shift.start < 0:
                 raise ConfigurationError(f"worker {shift.worker_id}: negative shift start")
             if shift.end is not None and shift.end <= shift.start:
@@ -139,6 +143,7 @@ class URPSMInstance:
                 raise ConfigurationError(
                     f"cancellation references unknown request {cancellation.request_id}"
                 )
+            require_on_grid(cancellation.time, f"request {request.id}: cancellation time")
             if cancellation.time < request.release_time:
                 raise ConfigurationError(
                     f"request {request.id} cancelled at {cancellation.time} "

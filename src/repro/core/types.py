@@ -5,8 +5,8 @@
 * :class:`Worker` — initial location and capacity.
 * :class:`Stop` — one pickup or drop-off location inside a planned route.
 
-All times are seconds since the start of the simulation; all locations are
-road-network vertex identifiers.
+All times are seconds since the start of the simulation, on the 2⁻¹⁰ s grid of
+:mod:`repro.core.timegrid`; all locations are road-network vertex identifiers.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from repro.core.timegrid import require_on_grid
 from repro.network.graph import Vertex
 from repro.utils.validation import require_non_negative, require_positive
 
@@ -43,6 +44,8 @@ class Request:
 
     def __post_init__(self) -> None:
         require_non_negative(self.release_time, "release_time")
+        require_on_grid(self.release_time, "release_time")
+        require_on_grid(self.deadline, "deadline")
         require_non_negative(self.penalty, "penalty")
         require_positive(self.capacity, "capacity")
         if self.deadline < self.release_time:

@@ -45,9 +45,9 @@ class SimulationResult:
 
     total_dispatch_seconds: float = 0.0
     distance_queries: int = 0
-    #: lower-bound probes actually issued; the scalar and batched decision
-    #: phases probe in different patterns, so this count (unlike
-    #: ``distance_queries``) depends on the ``vectorized`` flag.
+    #: Euclidean lower-bound probes issued (Lemma 7); each is a straight-line
+    #: distance, not a shortest-path query, so it is counted apart from
+    #: ``distance_queries``.
     lower_bound_queries: int = 0
     candidates_considered: int = 0
     insertions_evaluated: int = 0

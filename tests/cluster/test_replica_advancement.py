@@ -389,7 +389,7 @@ def test_a_reopening_that_makes_a_stop_due_walks_the_replica_there(monkeypatch):
         network.add_edge(u, v, length=length)
     ride = Request(0, origin=b, destination=e, release_time=5.0, deadline=5000.0, penalty=1e6)
     # a request no worker can serve in time: the next command, a rejection
-    late = Request(1, origin=e, destination=a, release_time=9.5, deadline=9.6, penalty=10.0)
+    late = Request(1, origin=e, destination=a, release_time=9.5, deadline=9.625, penalty=10.0)
     instance = URPSMInstance(
         network, DistanceOracle(network, backend="apsp"),
         [Worker(0, initial_location=a, capacity=3)], [ride, late],

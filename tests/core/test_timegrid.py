@@ -1,5 +1,6 @@
 """The time grid: where time enters the model it lands on a multiple of
-``TIME_QUANTUM``, rounded up, and grid sums are exact in any order."""
+``TIME_QUANTUM``, rounded up, and grid sums are exact in any order. A time a
+caller builds itself (request, shift, cancellation) must already be on it."""
 
 import math
 import random
@@ -8,8 +9,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from repro.cluster.dispatcher import ClusterDispatcher
+from repro.core.instance import Cancellation, InstanceDynamics, URPSMInstance, WorkerShift
 from repro.core.objective import paper_default_objective
-from repro.core.timegrid import TIME_QUANTUM, on_grid
+from repro.core.timegrid import TIME_QUANTUM, on_grid, require_on_grid
 from repro.dispatch import DispatcherConfig
 from repro.exceptions import ConfigurationError
 from repro.network.graph import Edge
@@ -23,6 +26,7 @@ from repro.workloads.requests import (
 )
 from repro.workloads.scenarios import CITY_BUILDERS
 from repro.workloads.workers import WorkerGeneratorConfig, generate_workers, staggered_shifts
+from tests.conftest import make_request, make_worker
 
 
 def is_on_grid(seconds: float) -> bool:
@@ -108,3 +112,55 @@ class TestWhereTimeEnters:
         assert service.clock == on_grid(12.3456789)
         with pytest.raises(ConfigurationError, match="advance_to"):
             service.advance_to(math.inf)
+
+
+class TestCallerBuiltTimesMustBeOnTheGrid:
+    """``on_grid`` rounds where the model makes a time; a time a caller chose
+    is checked instead, so an off-grid value cannot reach the engine."""
+
+    def test_require_on_grid_passes_grid_values_through(self):
+        for seconds in (0.0, 13.0, 5.0 + 1403 / 1024, 2.0**42):
+            assert require_on_grid(seconds, "clock") == seconds
+        with pytest.raises(ConfigurationError, match="clock"):
+            require_on_grid(0.1, "clock")
+        with pytest.raises(ConfigurationError, match="clock"):
+            require_on_grid(math.inf, "clock")
+
+    def test_an_off_grid_release_time_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="release_time"):
+            make_request(1, 0, 1, release=0.1, deadline=600.0)
+
+    def test_an_off_grid_deadline_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="deadline"):
+            make_request(1, 0, 1, release=0.0, deadline=600.0 + TIME_QUANTUM / 2)
+
+    def _instance(self, dynamics: InstanceDynamics) -> URPSMInstance:
+        network = CITY_BUILDERS["small-grid"](3)
+        return URPSMInstance(
+            network, DistanceOracle(network, backend="apsp"), [make_worker(0, 0)],
+            [make_request(1, 0, 5, release=10.0, deadline=900.0)], dynamics=dynamics,
+        )
+
+    def test_an_off_grid_shift_start_is_rejected(self):
+        instance = self._instance(InstanceDynamics(shifts=[WorkerShift(0, start=0.3, end=60.0)]))
+        with pytest.raises(ConfigurationError, match="shift start"):
+            instance.validate()
+
+    def test_an_off_grid_shift_end_is_rejected(self):
+        instance = self._instance(InstanceDynamics(shifts=[WorkerShift(0, start=0.0, end=60.3)]))
+        with pytest.raises(ConfigurationError, match="shift end"):
+            instance.validate()
+
+    def test_an_off_grid_cancellation_time_is_rejected(self):
+        instance = self._instance(InstanceDynamics(cancellations=[Cancellation(1, time=20.3)]))
+        with pytest.raises(ConfigurationError, match="cancellation time"):
+            instance.validate()
+
+    def test_on_grid_dynamics_validate(self):
+        self._instance(InstanceDynamics(
+            shifts=[WorkerShift(0, start=0.0, end=60.5)], cancellations=[Cancellation(1, time=20.25)],
+        )).validate()
+
+    def test_the_cluster_restart_delay_is_rounded_onto_the_grid(self):
+        dispatcher = ClusterDispatcher(restart_delay_s=0.3)
+        assert dispatcher.restart_delay_s == on_grid(0.3) > 0.3

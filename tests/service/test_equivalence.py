@@ -50,6 +50,8 @@ def _fingerprint(result, instance):
         "dijkstra_runs": instance.oracle.counters.dijkstra_runs,
         "mean_wait": result.mean_wait_seconds,
         "mean_detour": result.mean_detour_ratio,
+        "distance_queries": result.distance_queries,
+        "insertions_evaluated": result.insertions_evaluated,
     }
 
 
@@ -94,6 +96,8 @@ def _backend_outcomes(result):
         "unified_cost": result.unified_cost,
         "mean_wait": result.mean_wait_seconds,
         "mean_detour": result.mean_detour_ratio,
+        "distance_queries": result.distance_queries,
+        "insertions_evaluated": result.insertions_evaluated,
     }
 
 
@@ -107,8 +111,9 @@ def dijkstra_replay():
 def test_service_replay_matches_direct_drive_under_every_backend(backend, dijkstra_replay):
     """The oracle backend must never change what the service replays: each
     backend's replay equals its own direct drive, and its served count,
-    unified cost, mean wait and mean detour equal the Dijkstra run's bit for
-    bit (query counts may differ across backends: a tie can flip a cut)."""
+    unified cost, mean wait, mean detour, distance queries and evaluated
+    insertions equal the Dijkstra run's bit for bit (every backend answers
+    the same grid values, so no tie and no pruning cut can differ)."""
     scenario = _STANDARD.with_overrides(oracle_backend=backend)
     direct_instance = build_instance(scenario)
     direct = EventEngine(direct_instance, _dispatcher("pruneGreedyDP")).run()
