@@ -155,8 +155,8 @@ class ClusterDispatcher(ShardRouter):
         max_restarts: respawn budget per shard; once exhausted, the shard
             serves degraded (in-process) for the rest of the session.
         restart_delay_s: *simulated* seconds after a death before a respawned
-            worker may be adopted — recovery timing is workload-deterministic.
-            Rounded up onto the 2⁻¹⁰ s time grid, like every simulated time.
+            worker may be adopted — recovery timing is workload-deterministic
+            (rounded up onto the 2⁻¹⁰ s time grid).
     """
 
     name = "cluster"

@@ -3,9 +3,9 @@
 Times enter the model in a few places only — edge travel times, request
 release times and windows, shift bounds, cancellation and network-update
 times, the batch window, the cluster's restart delay and the clocks a caller
-hands the service — and each of them goes through :func:`on_grid`. A time a
-caller builds itself (a ``Request``, a ``WorkerShift``, a ``Cancellation``)
-is checked by :func:`require_on_grid` instead of silently rounded. A sum of grid values below ``2**43`` s is
+hands the service — and each of them goes through :func:`on_grid`; a time a
+caller sets on a ``Request``, ``WorkerShift`` or ``Cancellation`` must pass
+:func:`require_on_grid`. A sum of grid values below ``2**43`` s is
 exact in float64 (53 mantissa bits = 43 integer bits + 10 fractional ones), so
 every derived time — arrival times, slacks, partial-advance anchors, shortest
 distances — is the same bit pattern whatever order its terms are added in.
@@ -39,12 +39,7 @@ def on_grid(seconds: float, field: str = "time") -> float:
     return math.ceil(seconds / TIME_QUANTUM) * TIME_QUANTUM
 
 
-def require_on_grid(seconds: float, field: str = "time") -> float:
-    """``seconds`` unchanged if it is on the grid; else :class:`ConfigurationError`
-    naming ``field`` (rounding it would move a time the caller chose)."""
+def require_on_grid(seconds: float, field: str = "time") -> None:
+    """Raise :class:`ConfigurationError` naming ``field`` unless ``seconds`` is on the grid."""
     if on_grid(seconds, field) != seconds:
-        raise ConfigurationError(
-            f"{field} = {seconds!r} s is not a multiple of the 2**-10 s time grid; "
-            "round it with repro.core.timegrid.on_grid"
-        )
-    return seconds
+        raise ConfigurationError(f"{field} = {seconds!r} s is off the 2**-10 s time grid")

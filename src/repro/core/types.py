@@ -5,8 +5,8 @@
 * :class:`Worker` — initial location and capacity.
 * :class:`Stop` — one pickup or drop-off location inside a planned route.
 
-All times are seconds since the start of the simulation, on the 2⁻¹⁰ s grid of
-:mod:`repro.core.timegrid`; all locations are road-network vertex identifiers.
+All times are seconds since the start of the simulation, on the 2⁻¹⁰ s grid
+(:mod:`repro.core.timegrid`); all locations are road-network vertex identifiers.
 """
 
 from __future__ import annotations

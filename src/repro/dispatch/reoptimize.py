@@ -21,6 +21,7 @@ Two entry points:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.insertion.base import InsertionOperator
@@ -112,28 +113,24 @@ def reinsertion_improvement(
             # fleet (including the origin worker); L is lent to each
             # evaluated route for its walk only
             direct = current_route.direct_distance(request, oracle)
-            best_delta = None
-            best_state = None
-            best_route = None
+            best_key = (math.inf, 0)
+            best_state = best_route = None
             for candidate in fleet:
                 if candidate is not state and not candidate.online:
                     continue  # off-shift workers take no new requests
                 base_route = stripped if candidate is state else candidate.route
                 base_route.remember_direct_distance(request, direct)
                 result = operator.best_insertion(base_route, request, oracle)
-                if result.feasible and (
-                    best_state is None
-                    or (result.delta, candidate.worker.id) < (best_delta, best_state.worker.id)
-                ):
-                    best_delta = result.delta
+                if result.feasible and (result.delta, candidate.worker.id) < best_key:
+                    best_key = (result.delta, candidate.worker.id)
                     best_state = candidate
                     best_route = base_route.with_insertion(
                         request, result.pickup_index, result.dropoff_index, oracle
                     )
                 base_route.forget_direct_distance(request)
-            if best_delta is None or best_state is None or best_route is None:
+            if best_state is None or best_route is None:
                 continue
-            improvement = removal_gain - best_delta
+            improvement = removal_gain - best_key[0]
             if improvement <= 0.0:
                 continue
 

@@ -100,9 +100,9 @@ def metric_fingerprint(result: SimulationResult) -> dict[str, float | int | str]
         "served": result.served_requests,
         "rejected": result.rejected_requests,
         "cancelled": result.cancelled_requests,
-        "unified_cost": round(result.unified_cost, 9),
-        "total_travel_cost": round(result.total_travel_cost, 9),
-        "total_penalty": round(result.total_penalty, 9),
+        "unified_cost": result.unified_cost,
+        "total_travel_cost": result.total_travel_cost,
+        "total_penalty": result.total_penalty,
         "distance_queries": result.distance_queries,
         "lower_bound_queries": result.lower_bound_queries,
         "candidates_considered": result.candidates_considered,

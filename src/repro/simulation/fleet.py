@@ -261,8 +261,7 @@ class WorkerState:
             if next_arrival <= now:
                 # the worker reaches the next stop
                 stop = route.stops[0]
-                leg_cost = next_arrival - route.arr[0]
-                self.travelled_cost += max(leg_cost, 0.0)
+                self.travelled_cost += next_arrival - route.arr[0]
                 record = self.assigned_requests.get(stop.request.id)
                 if record is not None:
                     # Clamp the *recorded* service times to their physical

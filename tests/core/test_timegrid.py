@@ -118,9 +118,9 @@ class TestCallerBuiltTimesMustBeOnTheGrid:
     """``on_grid`` rounds where the model makes a time; a time a caller chose
     is checked instead, so an off-grid value cannot reach the engine."""
 
-    def test_require_on_grid_passes_grid_values_through(self):
+    def test_require_on_grid_accepts_grid_values_only(self):
         for seconds in (0.0, 13.0, 5.0 + 1403 / 1024, 2.0**42):
-            assert require_on_grid(seconds, "clock") == seconds
+            require_on_grid(seconds, "clock")
         with pytest.raises(ConfigurationError, match="clock"):
             require_on_grid(0.1, "clock")
         with pytest.raises(ConfigurationError, match="clock"):
