@@ -33,7 +33,7 @@ class TestLowerBoundProperty:
         bound = euclidean_insertion_lower_bound(route, request, _ORACLE, direct)
         exact = _BASIC.best_insertion(route, request, _ORACLE)
         if exact.feasible:
-            assert bound <= exact.delta + 1e-6
+            assert bound <= exact.delta
 
     @given(insertion_scenarios())
     @_SETTINGS

@@ -69,7 +69,7 @@ class TestKinetic:
             BasicInsertion().best_insertion(state.route, request, oracle).delta for state in fleet
         )
         outcome = dispatcher.dispatch(request, now=request.release_time)
-        assert outcome.increased_cost == pytest.approx(best, abs=1e-6)
+        assert outcome.increased_cost == best
 
     def test_kinetic_can_beat_insertion_by_reordering(self, line_oracle, line_network):
         """Kinetic may reorder existing stops, something insertion cannot do."""

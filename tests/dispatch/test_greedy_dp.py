@@ -38,7 +38,7 @@ class TestDispatch:
             operator.best_insertion(state.route, request, oracle).delta for state in fleet
         )
         outcome = dispatcher.dispatch(request, now=request.release_time)
-        assert outcome.increased_cost == pytest.approx(best, abs=1e-6)
+        assert outcome.increased_cost == best
 
     def test_rejects_unreachable_request(self, small_instance, fleet, dispatcher_class):
         dispatcher = dispatcher_class(DispatcherConfig(grid_cell_metres=500.0))
@@ -79,9 +79,8 @@ class TestPruningEquivalence:
             request = small_instance.requests[0]
             outcomes[cls.__name__] = dispatcher.dispatch(request, now=request.release_time)
         assert outcomes["GreedyDP"].served == outcomes["PruneGreedyDP"].served
-        assert outcomes["GreedyDP"].increased_cost == pytest.approx(
-            outcomes["PruneGreedyDP"].increased_cost, abs=1e-6
-        )
+        assert outcomes["GreedyDP"].increased_cost == outcomes["PruneGreedyDP"].increased_cost
+        assert outcomes["GreedyDP"].worker_id == outcomes["PruneGreedyDP"].worker_id
 
     def test_pruning_evaluates_no_more_insertions(self, small_instance):
         oracle = small_instance.oracle

@@ -1,7 +1,5 @@
 """Tests for the relocate re-optimisation extension."""
 
-import pytest
-
 from repro.core.route import empty_route
 from repro.core.types import StopKind
 from repro.dispatch import DispatcherConfig, PruneGreedyDP, PruneGreedyDPReopt
@@ -63,13 +61,30 @@ class TestReinsertionImprovement:
         after = sum(state.route.planned_cost(line_oracle) for state in fleet)
 
         assert report.moves == 1
-        assert report.cost_reduction == pytest.approx(before - after, abs=1e-6)
+        assert report.cost_reduction == before - after
         assert after < before
         assert fleet.state_of(0).route.is_empty
         assert {stop.request.id for stop in fleet.state_of(1).route.stops} == {7}
         # the service record follows the request to the new worker
         assert 7 in fleet.state_of(1).assigned_requests
         assert 7 not in fleet.state_of(0).assigned_requests
+
+    def test_an_equally_cheap_target_goes_to_the_smallest_worker_id(self, line_oracle):
+        """Workers 9 and 3 idle on the request's origin tie exactly; the fleet
+        iterates 9 first, yet the move goes to 3 — the smallest
+        ``(delta, worker id)``, the rule every planner uses."""
+        far_worker = make_worker(0, 0, capacity=4)
+        fleet = FleetState(
+            [far_worker, make_worker(9, 4, capacity=4), make_worker(3, 4, capacity=4)],
+            line_oracle,
+        )
+        request = make_request(7, origin=4, destination=5, deadline=10_000.0)
+        fleet.state_of(0).adopt_route(
+            route_with_requests(far_worker, line_oracle, [request]), request=request
+        )
+        assert reinsertion_improvement(fleet, line_oracle).moves == 1
+        assert 7 in fleet.state_of(3).assigned_requests
+        assert fleet.state_of(9).route.is_empty
 
     def test_no_move_when_already_optimal(self, line_oracle):
         worker_a = make_worker(0, 0, capacity=4)

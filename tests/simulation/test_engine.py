@@ -281,7 +281,7 @@ class TestWorkerShifts:
         assert len(shifts) == 10
         assert shifts[0].start == 0.0
         for shift in shifts:
-            assert 0.0 <= shift.start <= 7200.0 - 3600.0 + 1e-9
+            assert 0.0 <= shift.start <= 7200.0 - 3600.0
             assert shift.end == pytest.approx(shift.start + 3600.0)
         # staggering: not everyone starts at once
         assert len({shift.start for shift in shifts}) > 1
