@@ -319,17 +319,17 @@ class Dispatcher(abc.ABC):
         """Planning over *every* candidate: the cheapest feasible insertion.
 
         Algorithm 5 without the Lemma 8 cut, in one pass: the candidates
-        (``rows`` of the fleet's route table, ascending — so in worker-id
-        order) are brought up to the clock (:meth:`FleetState.states_of`),
-        their rows taken from the table and handed to the insertion
-        operator's block entry point
+        (ascending ``rows`` of the fleet's route table, so in worker-id order)
+        are brought up to the clock (:meth:`FleetState.states_of`), their rows
+        taken from the table and handed to the insertion operator's block
+        entry point
         (:meth:`~repro.core.insertion.base.InsertionOperator.best_insertions`)
         in one call. The winner is the first minimum of the exact deltas —
         the smallest ``(delta, worker id)`` — and the new route is built for
-        it alone. ``direct`` is
-        ``L = dis(o_r, d_r)``; it is seeded on that new route only, so the
-        direct-distance memo every successor route inherits grows with the
-        requests a worker *serves*, not with those it was evaluated for.
+        it alone. ``direct`` is ``L = dis(o_r, d_r)``; it is seeded on that
+        new route only, so the direct-distance memo every successor route
+        inherits grows with the requests a worker *serves*, not with those it
+        was evaluated for.
 
         Returns ``(increased cost, worker id, new route)``, or
         ``(inf, None, None)`` when no candidate admits a feasible insertion.

@@ -10,12 +10,11 @@ T-Share answers each request in two steps:
    they could still serve the request, which is why the paper observes the
    lowest served rate for tshare.
 2. **Scheduling**: for every surviving candidate, run the basic (exhaustive)
-   insertion and pick the worker with the minimal increased distance (ties
-   go to the smallest worker id).
+   insertion and pick the worker with the minimal increased distance.
 
 Scheduling evaluates all survivors, so it is one call of
-:meth:`~repro.dispatch.base.Dispatcher.plan_over_all`, on their rows in
-worker-id order. With the default
+:meth:`~repro.dispatch.base.Dispatcher.plan_over_all` (rows in id order, so
+ties go to the smallest worker id). With the default
 ``BasicInsertion`` (no block kernel) that is the scalar loop behind
 :meth:`~repro.core.insertion.base.InsertionOperator.best_insertions`; handed a
 ``LinearDPInsertion`` the survivors are evaluated by its array kernel.
