@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.timegrid import require_on_grid
+from repro.exceptions import ConfigurationError
 from repro.network.graph import Vertex
 from repro.utils.validation import require_non_negative, require_positive
 
@@ -43,13 +44,14 @@ class Request:
     capacity: int = 1
 
     def __post_init__(self) -> None:
+        # every failure is a ConfigurationError naming its field
         require_non_negative(self.release_time, "release_time")
         require_on_grid(self.release_time, "release_time")
         require_on_grid(self.deadline, "deadline")
         require_non_negative(self.penalty, "penalty")
         require_positive(self.capacity, "capacity")
         if self.deadline < self.release_time:
-            raise ValueError(
+            raise ConfigurationError(
                 f"request {self.id}: deadline {self.deadline} precedes release "
                 f"time {self.release_time}"
             )

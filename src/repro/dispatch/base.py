@@ -332,9 +332,12 @@ class Dispatcher(abc.ABC):
         was evaluated for.
 
         Returns ``(increased cost, worker id, new route)``, or
-        ``(inf, None, None)`` when no candidate admits a feasible insertion.
+        ``(inf, None, None)`` when no candidate admits a feasible insertion —
+        at once, without gathering a block, when there is no candidate.
         """
         assert self.fleet is not None and self.oracle is not None
+        if not rows.size:
+            return INFINITY, None, None
         routes = [state.route for state in self.fleet.states_of(rows)]
         found = self.insertion.best_insertions(
             routes, request, self.oracle, direct, block=self.fleet.table.take(rows)

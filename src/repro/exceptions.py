@@ -23,8 +23,10 @@ class DispatchError(ReproError):
     """Raised for invalid dispatcher usage (e.g. unknown worker, duplicate request)."""
 
 
-class ConfigurationError(ReproError):
-    """Raised for invalid scenario or experiment configuration."""
+class ConfigurationError(ReproError, ValueError):
+    """Raised for invalid scenario or experiment configuration, and for an
+    entity constructed with an invalid field; a :class:`ValueError`, so a
+    caller that catches the built-in still catches it."""
 
 
 class UnsupportedNetworkUpdateError(ConfigurationError):

@@ -30,7 +30,6 @@ from repro.network.oracle import DistanceOracle, OracleCounters
 from repro.network.shortest_path import (
     bidirectional_dijkstra,
     dijkstra,
-    shortest_path,
     truncated_multi_target_distances,
 )
 
@@ -64,6 +63,5 @@ __all__ = [
     "OracleCounters",
     "bidirectional_dijkstra",
     "dijkstra",
-    "shortest_path",
     "truncated_multi_target_distances",
 ]

@@ -12,7 +12,7 @@ from-scratch build (:func:`~repro.network.shortest_path.all_pairs_distances`)
 holds, for every ``t``, the least integer sum of edge ticks over all paths
 from ``s`` (the sentinel ``UNREACHABLE_TICKS`` where there is none). That row
 is the unique solution of ``d[s] = 0, d[t] = min_u d[u] + w(u, t)`` as long
-as every edge is at least one tick (checked by :func:`_strictly_increasing`;
+as every edge is at least one tick (checked by :func:`strictly_increasing`;
 otherwise the repair declines). Both passes below only ever write exact
 integer sums ``d[u] + w``, and leave a cell alone only when a predecessor
 that still supports its old value survives — hence the repaired table is
@@ -86,7 +86,7 @@ def diff_csr(
     )
 
 
-def _strictly_increasing(csr: CSRAdjacency) -> bool:
+def strictly_increasing(csr: CSRAdjacency) -> bool:
     """Whether every edge is at least one tick.
 
     The fixpoint argument needs each edge to strictly increase a path sum:
@@ -114,7 +114,7 @@ def repair_apsp(
     removed, added = delta
     if removed and added:
         return None
-    if not (_strictly_increasing(old) and _strictly_increasing(new)):
+    if not (strictly_increasing(old) and strictly_increasing(new)):
         return None
     if removed:
         return _repair_removed(matrix, new, _both_directions(removed))
@@ -241,4 +241,4 @@ def _propagate(
                 push(heap, (candidate, neighbour))
 
 
-__all__ = ["diff_csr", "repair_apsp"]
+__all__ = ["diff_csr", "repair_apsp", "strictly_increasing"]

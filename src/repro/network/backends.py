@@ -1,7 +1,8 @@
 """Pluggable distance backends behind the :class:`~repro.network.oracle.DistanceOracle`.
 
 A :class:`DistanceBackend` answers exact point-to-point and batched
-many-to-many distance queries, the oracle owns counting/caching policy, and
+many-to-many distance queries and point-to-point paths, the oracle owns
+counting/caching policy, and
 :func:`select_backend_name` picks a backend from the network size.
 :data:`BACKEND_NAMES` is the one list of backends the configuration layer
 validates against.
@@ -25,6 +26,14 @@ Only the Dijkstra backend uses the oracle's distance LRU; the precomputed
 backends bypass it, which the cache statistics report honestly as
 ``"bypassed (<backend>)"`` instead of a misleading 0.0 hit rate.
 
+**Paths** (:meth:`DistanceBackend.path`, behind the oracle's path LRU) are
+the path :func:`~repro.network.shortest_path.bidirectional_dijkstra` returns,
+on every backend: on equal-cost ties that search's pick decides where
+workers stand. The ``"ch"`` and ``"dijkstra"`` backends run the search; the
+``"apsp"`` backend rebuilds the same path from two rows of its table without
+a search (:func:`~repro.network.apsp_path.table_path`, whose docstring gives
+the rule and why it is exact).
+
 **Live network updates** (:meth:`DistanceOracle.refresh_topology
 <repro.network.oracle.DistanceOracle.refresh_topology>` after a street
 closure or reopening) cost, per backend:
@@ -46,8 +55,12 @@ Dijkstra add two half distances — and the APSP sweep adds int32 ticks, which
 its reads multiply by ``TIME_QUANTUM``, a power of two, exactly. All three
 answer **bit-identical** floats: ``apsp == ch == dijkstra`` with ``==`` on
 every generator city (``tests/network/test_backends.py``), and APSP equals a
-single-source Dijkstra row (``tests/network/test_apsp_build.py``). The
-choice of backend therefore moves no simulation result.
+single-source Dijkstra row (``tests/network/test_apsp_build.py``). Paths are
+bit-identical too: the APSP table's path is the bidirectional Dijkstra's
+(``tests/network/test_apsp_path.py``), because a search on whole ticks pops
+each side in ``(distance, position)`` order, so its parents and its meeting
+vertex follow from the distances alone. The choice of backend therefore
+moves no simulation result.
 """
 
 from __future__ import annotations
@@ -60,7 +73,8 @@ import numpy as np
 
 from repro.core.timegrid import TIME_QUANTUM
 from repro.exceptions import DisconnectedError
-from repro.network.apsp_repair import repair_apsp
+from repro.network.apsp_path import table_path
+from repro.network.apsp_repair import repair_apsp, strictly_increasing
 from repro.network.ch import ContractionHierarchy, build_contraction_hierarchy
 from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork, Vertex
 from repro.network.shortest_path import (
@@ -126,6 +140,12 @@ class DistanceBackend(Protocol):
         """Exact distances from every vertex to two shared endpoints."""
         ...
 
+    def path(self, u: Vertex, v: Vertex) -> tuple[float, list[Vertex]]:
+        """``(cost, vertices)`` of the path
+        :func:`~repro.network.shortest_path.bidirectional_dijkstra` returns;
+        :class:`~repro.exceptions.DisconnectedError` for a disconnected pair."""
+        ...
+
     def stats(self) -> dict[str, float]:
         """Build/search statistics for benchmarks and reports."""
         ...
@@ -153,7 +173,9 @@ class APSPBackend:
     def __init__(self, network: RoadNetwork, matrix: np.ndarray | None = None) -> None:
         started = time.perf_counter()
         csr = network.csr
+        self._network = network
         self._csr = csr
+        self._search_paths = not strictly_increasing(csr)
         if matrix is None:
             check_tick_range(network)
             matrix = self._build_matrix(network)
@@ -207,6 +229,7 @@ class APSPBackend:
             self.repaired_cells += cells
             self.repair_seconds = time.perf_counter() - started
         self._csr = csr
+        self._search_paths = not strictly_increasing(csr)
         self.vertex_index = csr.position
 
     @staticmethod
@@ -237,6 +260,21 @@ class APSPBackend:
         both = self._seconds(self.matrix[positions[:, None], [index[origin], index[destination]]])
         return both[:, 0], both[:, 1]
 
+    def path(self, u: Vertex, v: Vertex) -> tuple[float, list[Vertex]]:
+        """The bidirectional Dijkstra's path, rebuilt from rows ``u`` and
+        ``v`` of the table without a search
+        (:func:`~repro.network.apsp_path.table_path`). A network with a
+        zero-tick edge, outside that rule's exactness argument, keeps the
+        search."""
+        if self._search_paths:
+            return bidirectional_dijkstra(self._network, u, v)
+        found = table_path(self.matrix, self._csr, self.vertex_index[u], self.vertex_index[v])
+        if found is None:
+            raise DisconnectedError(f"no path between {u} and {v}")
+        ticks, positions = found
+        vertex_ids = self._csr.vertex_ids_list
+        return ticks * TIME_QUANTUM, [vertex_ids[position] for position in positions]
+
     def stats(self) -> dict[str, float]:
         return {
             "vertices": float(self.matrix.shape[0]),
@@ -262,6 +300,7 @@ class CHBackend:
         host: "DistanceOracle | None" = None,
         hierarchy: ContractionHierarchy | None = None,
     ) -> None:
+        self._network = network
         self._csr = network.csr
         self._host = host
         self.hierarchy = hierarchy if hierarchy is not None else build_contraction_hierarchy(network)
@@ -310,6 +349,11 @@ class CHBackend:
             self.distances_many(origin, vertices),
             self.distances_many(destination, vertices),
         )
+
+    def path(self, u: Vertex, v: Vertex) -> tuple[float, list[Vertex]]:
+        # the search: reading d(., v) through bucket joins costs more than a
+        # search on the short legs a simulation asks for
+        return bidirectional_dijkstra(self._network, u, v)
 
     def stats(self) -> dict[str, float]:
         return self.hierarchy.stats()
@@ -448,6 +492,9 @@ class DijkstraBackend:
             self.distances_many(origin, vertices),
             self.distances_many(destination, vertices),
         )
+
+    def path(self, u: Vertex, v: Vertex) -> tuple[float, list[Vertex]]:
+        return bidirectional_dijkstra(self.network, u, v)
 
     def stats(self) -> dict[str, float]:
         return {

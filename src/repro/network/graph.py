@@ -100,8 +100,9 @@ class CSRAdjacency:
     @cached_property
     def ticks_list(self) -> list[int]:
         """Plain-list mirror of :attr:`ticks`, built on first use: only the
-        APSP repair's Python loops read it, so networks that are never
-        repaired do not pay for one boxed int per edge slot."""
+        APSP backend's Python loops read it (the table's paths and its
+        repair), so networks on another backend do not pay for one boxed
+        int per edge slot."""
         return self.ticks.tolist()
 
     @property

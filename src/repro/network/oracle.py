@@ -60,7 +60,6 @@ from repro.network.backends import (
 )
 from repro.network.cache import LRUCache
 from repro.network.graph import RoadNetwork, Vertex
-from repro.network.shortest_path import bidirectional_dijkstra
 
 #: capacity of the distance LRU (consulted by the Dijkstra backend only).
 DISTANCE_CACHE_SIZE = 200_000
@@ -298,10 +297,14 @@ class DistanceOracle:
 
         Paths are cached under symmetric ``(min, max)`` keys; a reversed
         cached path answers the opposite direction (the network is
-        undirected), doubling the effective cache capacity. A miss runs one
-        bidirectional Dijkstra, whatever the backend: on equal-cost ties the
-        path it picks decides where workers stand, so no faster search may
-        replace it without changing results.
+        undirected), doubling the effective cache capacity. A miss asks the
+        backend (:meth:`~repro.network.backends.DistanceBackend.path`), and
+        every backend answers the path one bidirectional Dijkstra picks: on
+        equal-cost ties that pick decides where workers stand. The ``"ch"``
+        and ``"dijkstra"`` backends run that search; the ``"apsp"`` backend
+        rebuilds its path from two table rows without one. A miss counts as
+        one ``dijkstra_runs`` whatever the backend, so the counters do not
+        depend on it.
         """
         self.counters.path_queries += 1
         if u == v:
@@ -311,7 +314,7 @@ class DistanceOracle:
         cached = self._path_cache.get(key)
         if cached is not None:
             return list(cached) if forward else list(reversed(cached))
-        cost, path = bidirectional_dijkstra(self.network, u, v)
+        cost, path = self._backend.path(u, v)
         self.counters.dijkstra_runs += 1
         # opportunistically seed the distance cache
         self._distance_cache.put(key, cost)

@@ -5,8 +5,9 @@ The paper assumes an O(1) shortest-distance oracle (Section 4.2; see
 algorithms the oracle builds upon:
 
 * :func:`dijkstra` — single-source shortest distances (optionally bounded),
-* :func:`bidirectional_dijkstra` — point-to-point distance and path,
-* :func:`shortest_path` — point-to-point vertex sequence,
+* :func:`bidirectional_dijkstra` — point-to-point distance and path (the
+  path every distance backend answers; the APSP backend rebuilds it from
+  its table, :mod:`repro.network.apsp_path`),
 * :func:`all_pairs_distances` — every source at once, into the dense APSP
   table of int32 ticks (one vectorised label-correcting sweep, bit-identical
   to a Dijkstra per row), once :func:`check_tick_range` passes.
@@ -319,14 +320,4 @@ def _unwind_positions(parents: dict[int, int], root: int, leaf: int) -> list[int
         vertex = parents[vertex]
         path.append(vertex)
     path.reverse()
-    return path
-
-
-def shortest_path(network: RoadNetwork, source: Vertex, target: Vertex) -> list[Vertex]:
-    """Vertex sequence of the shortest path from ``source`` to ``target``.
-
-    Raises:
-        DisconnectedError: if no path exists.
-    """
-    _, path = bidirectional_dijkstra(network, source, target)
     return path

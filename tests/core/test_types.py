@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.types import Request, StopKind, Worker, dropoff_stop, pickup_stop
+from repro.exceptions import ConfigurationError
 
 
 class TestRequest:
@@ -12,21 +13,33 @@ class TestRequest:
         assert request.time_window == pytest.approx(60.0)
 
     def test_deadline_before_release_rejected(self):
-        with pytest.raises(ValueError, match="deadline"):
+        with pytest.raises(ConfigurationError, match="deadline"):
             Request(id=1, origin=0, destination=5, release_time=100.0, deadline=50.0, penalty=1.0)
 
     def test_negative_penalty_rejected(self):
-        with pytest.raises(ValueError, match="penalty"):
+        with pytest.raises(ConfigurationError, match="penalty"):
             Request(id=1, origin=0, destination=5, release_time=0.0, deadline=10.0, penalty=-1.0)
 
     def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
+        with pytest.raises(ConfigurationError, match="capacity"):
             Request(id=1, origin=0, destination=5, release_time=0.0, deadline=10.0,
                     penalty=1.0, capacity=0)
 
     def test_negative_release_rejected(self):
-        with pytest.raises(ValueError, match="release_time"):
+        with pytest.raises(ConfigurationError, match="release_time"):
             Request(id=1, origin=0, destination=5, release_time=-1.0, deadline=10.0, penalty=1.0)
+
+    @pytest.mark.parametrize("field, times", [
+        ("release_time", (0.0001, 10.0)), ("deadline", (0.0, 10.0001)),
+    ])
+    def test_off_grid_time_rejected(self, field, times):
+        with pytest.raises(ConfigurationError, match=field):
+            Request(id=1, origin=0, destination=5, release_time=times[0], deadline=times[1],
+                    penalty=1.0)
+
+    def test_a_configuration_error_is_a_value_error(self):
+        with pytest.raises(ValueError, match="deadline"):
+            Request(id=1, origin=0, destination=5, release_time=100.0, deadline=50.0, penalty=1.0)
 
     def test_requests_are_hashable(self):
         request = Request(id=1, origin=0, destination=5, release_time=0.0, deadline=10.0, penalty=1.0)

@@ -183,3 +183,23 @@ class TestQueryCount:
         if window >= 900.0:
             assert route is not None  # the refresh term was exercised
         service.drain()
+
+
+class TestNoCandidates:
+    @pytest.mark.parametrize("dispatcher_name", ["batch", "tshare", "GreedyDP"])
+    def test_zero_rows_answer_at_once(self, monkeypatch, dispatcher_name):
+        """No candidate row: ``(inf, None, None)`` without materialising an
+        empty fleet slice or calling the operator's block entry point."""
+        service = _half_run_service(dispatcher_name)
+        dispatcher = service.dispatcher
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("planning over zero rows reached the block path")
+
+        monkeypatch.setattr(type(dispatcher.insertion), "best_insertions", untouched)
+        monkeypatch.setattr(type(service.fleet), "states_of", untouched)
+        probe = _probe(service, window=900.0)
+        rows = np.empty(0, dtype=np.int64)
+        assert dispatcher.plan_over_all(probe, rows, 60.0) == (float("inf"), None, None)
+        monkeypatch.undo()
+        service.drain()

@@ -138,6 +138,16 @@ def single_source_distances(network: RoadNetwork, source: Vertex) -> dict[Vertex
     return dijkstra(network, source)
 
 
+def shortest_path(network: RoadNetwork, source: Vertex, target: Vertex) -> list[Vertex]:
+    """Vertex sequence of the shortest path from ``source`` to ``target``.
+
+    Raises:
+        DisconnectedError: if no path exists.
+    """
+    _, path = bidirectional_dijkstra(network, source, target)
+    return path
+
+
 def shortest_distance(network: RoadNetwork, source: Vertex, target: Vertex) -> float:
     """Shortest travel time between two vertices.
 

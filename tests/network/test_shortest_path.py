@@ -6,13 +6,14 @@ import pytest
 
 from repro.exceptions import DisconnectedError
 from repro.network.graph import RoadNetwork
-from repro.network.shortest_path import bidirectional_dijkstra, dijkstra, shortest_path
+from repro.network.shortest_path import bidirectional_dijkstra, dijkstra
 from repro.utils.geometry import Point
 from tests.conftest import build_line_network
 from tests.network.reference import (
     eccentricity,
     path_cost,
     shortest_distance,
+    shortest_path,
     single_source_distances,
 )
 
