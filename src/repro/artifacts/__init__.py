@@ -12,7 +12,6 @@ from repro.artifacts.hashing import HASH_SCHEMA, network_content_hash
 from repro.artifacts.store import (
     FORMAT_VERSION,
     MANIFEST_NAME,
-    PERSISTABLE_BACKENDS,
     ArtifactStore,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "FORMAT_VERSION",
     "HASH_SCHEMA",
     "MANIFEST_NAME",
-    "PERSISTABLE_BACKENDS",
     "network_content_hash",
 ]

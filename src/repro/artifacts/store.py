@@ -28,8 +28,9 @@ array of the wrong dtype or shape, an APSP cell outside ``0`` to
 :class:`~repro.exceptions.ArtifactError` from
 :meth:`ArtifactStore.load_backend`; the :meth:`ArtifactStore.load_or_build`
 path used by the oracle treats them as cache misses and rebuilds. Files and
-manifest records of backends outside :data:`PERSISTABLE_BACKENDS` (left by
-older versions that persisted more backends) are kept but never read.
+manifest records of backends outside
+:data:`~repro.network.backends.BACKEND_NAMES` (left by older versions that
+persisted more backends) are kept but never read.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import numpy as np
 
 from repro.artifacts.hashing import network_content_hash
 from repro.exceptions import ArtifactError
+from repro.network.backends import BACKEND_NAMES
 from repro.network.ch import ContractionHierarchy
 from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork
 
@@ -62,9 +64,6 @@ _ARRAY_DTYPES = {
         "meta": np.int64,
     },
 }
-
-#: backends whose built state the store can persist (``dijkstra`` has none).
-PERSISTABLE_BACKENDS = ("apsp", "ch")
 
 MANIFEST_NAME = "manifest.json"
 
@@ -108,11 +107,8 @@ class ArtifactStore:
 
     @staticmethod
     def _check_backend(backend: str) -> None:
-        if backend not in PERSISTABLE_BACKENDS:
-            raise ArtifactError(
-                f"backend {backend!r} has no persistable state; "
-                f"persistable: {PERSISTABLE_BACKENDS}"
-            )
+        if backend not in BACKEND_NAMES:
+            raise ArtifactError(f"unknown backend {backend!r}; backends: {BACKEND_NAMES}")
 
     # ------------------------------------------------------------------- save
 
@@ -318,6 +314,5 @@ class ArtifactStore:
 __all__ = [
     "FORMAT_VERSION",
     "MANIFEST_NAME",
-    "PERSISTABLE_BACKENDS",
     "ArtifactStore",
 ]

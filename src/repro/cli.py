@@ -58,7 +58,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.artifacts import PERSISTABLE_BACKENDS
 from repro.dispatch import DispatcherSpec, list_dispatchers
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig, PAPER_ALGORITHMS, SCALES
@@ -68,6 +67,7 @@ from repro.experiments.parallel import ParallelSweepRunner
 from repro.experiments.reporting import format_figure, format_results, format_table
 from repro.experiments.runner import ScenarioRunner
 from repro.experiments.tables import table4_datasets, table5_parameters
+from repro.network.backends import BACKEND_NAMES
 from repro.service.facade import MatchingService
 from repro.service.spec import PlatformSpec
 from repro.sharding.partitioner import STRATEGIES
@@ -227,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="city seed (ignored by ingested file:/riverton cities)")
     preprocess.add_argument("--artifact-dir", type=Path, required=True,
                             help="root of the content-addressed artifact store")
-    preprocess.add_argument("--backends", nargs="+", default=list(PERSISTABLE_BACKENDS),
-                            choices=PERSISTABLE_BACKENDS,
+    preprocess.add_argument("--backends", nargs="+", default=list(BACKEND_NAMES),
+                            choices=BACKEND_NAMES,
                             help="which backends to preprocess")
     preprocess.add_argument("--list", action="store_true", dest="list_entries",
                             help="list the store's entries instead of building")
@@ -283,9 +283,9 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-km", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=2018)
     parser.add_argument("--oracle-backend", default="auto", choices=ORACLE_BACKEND_CHOICES,
-                        help="distance backend: dense all-pairs matrix, contraction "
-                             "hierarchy, or cached Dijkstra; 'auto' picks by network "
-                             "size (bit-identical exact distances)")
+                        help="distance backend: dense all-pairs matrix or contraction "
+                             "hierarchy; 'auto' picks by network size (bit-identical "
+                             "exact distances)")
     parser.add_argument("--cancellation-rate", type=float, default=0.0,
                         help="per-request rider-cancellation probability")
     parser.add_argument("--shift-hours", type=float, default=0.0,

@@ -1069,10 +1069,8 @@ class ClusterDispatcher(ShardRouter):
             for reply in replies
             if isinstance(reply, StatsReply)
         ])
-        totals.distance_cache = shared.distance_cache
         totals.path_cache = shared.path_cache
         totals.backend = shared.backend
-        totals.cache_bypassed = shared.cache_bypassed
         return totals
 
     def extra_metrics(self) -> dict[str, float]:

@@ -5,6 +5,10 @@ positions, materialises the candidate route, and validates it with a full
 feasibility re-computation. It is deliberately unoptimised — the DP operators
 are property-tested against it — and it mirrors the insertion used by the
 earlier systems the paper compares against.
+
+Among equal detours it picks the position the linear DP's scan reaches first,
+the smallest ``(Δ, j, i ≠ j, i)``, so all three operators return the same
+``(i, j)``.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ class BasicInsertion(InsertionOperator):
             route.refresh(oracle)
         base_cost = route.planned_cost(oracle)
 
-        best_delta = INFINITY
-        best_pair: tuple[int, int] | None = None
+        best = (INFINITY, 0, False, 0)  # (Δ, j, i ≠ j, i); an infinite Δ never wins
         n = route.num_stops
         for pickup_index in range(n + 1):
             for dropoff_index in range(pickup_index, n + 1):
@@ -42,17 +45,18 @@ class BasicInsertion(InsertionOperator):
                 if not candidate.is_feasible(oracle, refresh=False):
                     continue
                 delta = candidate.planned_cost(oracle) - base_cost
-                if delta < best_delta:
-                    best_delta = delta
-                    best_pair = (pickup_index, dropoff_index)
+                key = (delta, dropoff_index, pickup_index != dropoff_index, pickup_index)
+                if key < best:
+                    best = key
 
         queries = oracle.counters.distance_queries - queries_before
-        if best_pair is None:
+        delta, dropoff_index, _, pickup_index = best
+        if delta == INFINITY:
             return InsertionResult.infeasible(distance_queries=queries)
         return InsertionResult(
             feasible=True,
-            delta=best_delta,
-            pickup_index=best_pair[0],
-            dropoff_index=best_pair[1],
+            delta=delta,
+            pickup_index=pickup_index,
+            dropoff_index=dropoff_index,
             distance_queries=queries,
         )

@@ -10,7 +10,8 @@ out of the inner loop when condition (3) or (4) of Lemma 4 fails, but those
 conditions are not monotone in ``j`` on general road networks, so we
 *continue* instead. The asymptotic complexity is unchanged and the operator
 stays exactly equivalent to :class:`~repro.core.insertion.basic.BasicInsertion`
-(property-tested).
+(property-tested), down to the position it picks among equal detours: the
+smallest ``(Δ, j, i ≠ j, i)``, the order of the linear DP's scan.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ class NaiveDPInsertion(InsertionOperator):
         distances = _PairwiseDistances(route, request, oracle)
         direct = distances.direct
 
-        best_delta = INFINITY
-        best_pair: tuple[int, int] | None = None
+        best = (INFINITY, 0, False, 0)  # (Δ, j, i ≠ j, i); an infinite Δ never wins
 
         for i in range(n + 1):
             dist_i_origin = distances.to_origin(i)
@@ -83,17 +83,18 @@ class NaiveDPInsertion(InsertionOperator):
                 # Lemma 4 (4): the total detour must respect deadlines after j.
                 if delta > slack[j]:
                     continue
-                if delta < best_delta:
-                    best_delta = delta
-                    best_pair = (i, j)
+                key = (delta, j, i != j, i)
+                if key < best:
+                    best = key
 
-        if best_pair is None:
+        delta, j, _, i = best
+        if delta == INFINITY:
             return InsertionResult.infeasible(distance_queries=distances.queries)
         return InsertionResult(
             feasible=True,
-            delta=best_delta,
-            pickup_index=best_pair[0],
-            dropoff_index=best_pair[1],
+            delta=delta,
+            pickup_index=i,
+            dropoff_index=j,
             distance_queries=distances.queries,
         )
 

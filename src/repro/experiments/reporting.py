@@ -68,9 +68,8 @@ def format_results(results: Iterable[SimulationResult]) -> str:
         "distance_queries",
         "index_memory_bytes",
     ]
-    for cache_column in ("distance_cache_hit_rate", "path_cache_hit_rate"):
-        if any(cache_column in row for row in rows):
-            columns.append(cache_column)
+    if any("path_cache_hit_rate" in row for row in rows):
+        columns.append("path_cache_hit_rate")
     # sharded runs: routing counters next to the shared metrics
     for sharding_column in (
         "sharding_shards",

@@ -4,7 +4,6 @@ from repro.network.backends import (
     BACKEND_NAMES,
     APSPBackend,
     CHBackend,
-    DijkstraBackend,
     DistanceBackend,
     make_backend,
     select_backend_name,
@@ -30,7 +29,6 @@ from repro.network.oracle import DistanceOracle, OracleCounters
 from repro.network.shortest_path import (
     bidirectional_dijkstra,
     dijkstra,
-    truncated_multi_target_distances,
 )
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "APSPBackend",
     "CHBackend",
     "ContractionHierarchy",
-    "DijkstraBackend",
     "DistanceBackend",
     "build_contraction_hierarchy",
     "make_backend",
@@ -63,5 +60,4 @@ __all__ = [
     "OracleCounters",
     "bidirectional_dijkstra",
     "dijkstra",
-    "truncated_multi_target_distances",
 ]

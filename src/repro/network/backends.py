@@ -18,21 +18,17 @@ Backends (all exact shortest distances, bit-identical across backends, see
   near-linear build, tiny upward searches per query, bucket-based
   many-to-many batches. The sweet spot for city-scale networks where the
   dense matrix stops fitting.
-* ``"dijkstra"``   — no preprocessing: cached bidirectional point-to-point
-  searches, and batches answered by **one truncated single-source Dijkstra**
-  that stops when every (deduplicated, cache-missing) target is settled.
 
-Only the Dijkstra backend uses the oracle's distance LRU; the precomputed
-backends bypass it, which the cache statistics report honestly as
-``"bypassed (<backend>)"`` instead of a misleading 0.0 hit rate.
+Both answer distances from their precomputed structure, so the oracle puts
+no distance cache in front of them; its one LRU caches paths.
 
 **Paths** (:meth:`DistanceBackend.path`, behind the oracle's path LRU) are
 the path :func:`~repro.network.shortest_path.bidirectional_dijkstra` returns,
 on every backend: on equal-cost ties that search's pick decides where
-workers stand. The ``"ch"`` and ``"dijkstra"`` backends run the search; the
-``"apsp"`` backend rebuilds the same path from two rows of its table without
-a search (:func:`~repro.network.apsp_path.table_path`, whose docstring gives
-the rule and why it is exact).
+workers stand. The ``"ch"`` backend runs the search; the ``"apsp"`` backend
+rebuilds the same path from two rows of its table without a search
+(:func:`~repro.network.apsp_path.table_path`, whose docstring gives the rule
+and why it is exact).
 
 **Live network updates** (:meth:`DistanceOracle.refresh_topology
 <repro.network.oracle.DistanceOracle.refresh_topology>` after a street
@@ -44,17 +40,16 @@ closure or reopening) cost, per backend:
   build; deltas the repair does not cover fall back to the full build.
 * ``"ch"``         — full rebuild (the hierarchy has no incremental form
   here).
-* ``"dijkstra"``   — nothing to rebuild; the oracle drops its caches.
 
 **Exactness.** Every edge cost is a whole number of ticks of the time grid
 of :mod:`repro.core.timegrid`, so a path's cost is an integer count of ticks
 whatever order its edges are added in (float64 holds every such sum below
-``2**43`` s exactly). The CH and Dijkstra backends add float seconds — a CH
-shortcut is the sum of its two halves, a CH query and a bidirectional
-Dijkstra add two half distances — and the APSP sweep adds int32 ticks, which
-its reads multiply by ``TIME_QUANTUM``, a power of two, exactly. All three
-answer **bit-identical** floats: ``apsp == ch == dijkstra`` with ``==`` on
-every generator city (``tests/network/test_backends.py``), and APSP equals a
+``2**43`` s exactly). The CH backend adds float seconds — a shortcut is the
+sum of its two halves, a query adds two half distances — and the APSP sweep
+adds int32 ticks, which its reads multiply by ``TIME_QUANTUM``, a power of
+two, exactly. Both answer **bit-identical** floats: ``apsp == ch ==`` a
+reference Dijkstra row with ``==`` on every generator city
+(``tests/network/test_backends.py``), and APSP equals a
 single-source Dijkstra row (``tests/network/test_apsp_build.py``). Paths are
 bit-identical too: the APSP table's path is the bidirectional Dijkstra's
 (``tests/network/test_apsp_path.py``), because a search on whole ticks pops
@@ -72,7 +67,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.core.timegrid import TIME_QUANTUM
-from repro.exceptions import DisconnectedError
+from repro.exceptions import ConfigurationError, DisconnectedError
 from repro.network.apsp_path import table_path
 from repro.network.apsp_repair import repair_apsp, strictly_increasing
 from repro.network.ch import ContractionHierarchy, build_contraction_hierarchy
@@ -81,14 +76,13 @@ from repro.network.shortest_path import (
     all_pairs_distances,
     bidirectional_dijkstra,
     check_tick_range,
-    truncated_multi_target_distances,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.oracle import DistanceOracle
 
 #: canonical backend names, in auto-selection preference order.
-BACKEND_NAMES = ("apsp", "ch", "dijkstra")
+BACKEND_NAMES = ("apsp", "ch")
 
 #: largest vertex count for which the dense all-pairs matrix is the default.
 APSP_VERTEX_LIMIT = 2_000
@@ -109,17 +103,12 @@ def select_backend_name(num_vertices: int) -> str:
 class DistanceBackend(Protocol):
     """Exact shortest-distance queries over one road network.
 
-    All methods answer in seconds of travel time; ``inf`` (or
-    :class:`~repro.exceptions.DisconnectedError` for the Dijkstra backend,
-    matching the seed behaviour) marks disconnected pairs. Implementations
-    answer shortest distances, bit-identical to the Dijkstra machinery's
-    (the module docstring's "Exactness" note).
+    All methods answer in seconds of travel time; ``inf`` marks disconnected
+    pairs. Implementations answer shortest distances, bit-identical to a
+    Dijkstra's (the module docstring's "Exactness" note).
     """
 
     name: str
-    #: whether the oracle's distance LRU sits in front of this backend
-    #: (only the on-the-fly Dijkstra benefits; precomputed indexes bypass it).
-    uses_distance_cache: bool
     build_seconds: float
 
     def distance(self, u: Vertex, v: Vertex) -> float:
@@ -168,7 +157,6 @@ class APSPBackend:
     """
 
     name = "apsp"
-    uses_distance_cache = False
 
     def __init__(self, network: RoadNetwork, matrix: np.ndarray | None = None) -> None:
         started = time.perf_counter()
@@ -292,7 +280,6 @@ class CHBackend:
     """Contraction hierarchy: upward searches + bucket-based many-to-many."""
 
     name = "ch"
-    uses_distance_cache = False
 
     def __init__(
         self,
@@ -359,159 +346,21 @@ class CHBackend:
         return self.hierarchy.stats()
 
 
-class DijkstraBackend:
-    """No preprocessing: cached point-to-point searches + truncated batches.
-
-    The backend shares the host oracle's symmetric-key distance LRU and its
-    counters, preserving the seed semantics exactly for scalar queries
-    (consult cache, bidirectional Dijkstra on miss, seed the path cache).
-    Batches consult the cache per unique pair, answer all remaining targets
-    with **one** truncated single-source Dijkstra, and write every result
-    back under its symmetric key — so the scalar loop over the same pairs
-    returns the very same floats afterwards.
-    """
-
-    name = "dijkstra"
-    uses_distance_cache = True
-
-    def __init__(self, network: RoadNetwork, host: "DistanceOracle") -> None:
-        self.network = network
-        self._host = host
-        self.build_seconds = 0.0
-        self.sssp_runs = 0
-
-    # ------------------------------------------------------------- internals
-
-    def _p2p(self, u: Vertex, v: Vertex) -> float:
-        """Cached point-to-point search under the symmetric ``(min, max)`` key."""
-        host = self._host
-        key = (u, v) if u <= v else (v, u)
-        cached = host._distance_cache.get(key)
-        if cached is not None:
-            return cached
-        return self._p2p_compute(key)
-
-    def _p2p_compute(self, key: tuple[Vertex, Vertex]) -> float:
-        """Uncached point-to-point search; seeds both caches (seed semantics)."""
-        host = self._host
-        cost, path = bidirectional_dijkstra(self.network, key[0], key[1])
-        host.counters.dijkstra_runs += 1
-        host._path_cache.put(key, tuple(path))
-        host._distance_cache.put(key, cost)
-        return cost
-
-    def _batch_from_source(
-        self, source: Vertex, targets: list[Vertex], results: np.ndarray, slots: list[list[int]]
-    ) -> None:
-        """One truncated SSSP answering (and caching) all missing targets."""
-        host = self._host
-        distances, settled = truncated_multi_target_distances(self.network, source, targets)
-        host.counters.dijkstra_runs += 1
-        host.counters.record_backend(self.name, settled=settled)
-        self.sssp_runs += 1
-        cache = host._distance_cache
-        for index, target in enumerate(targets):
-            value = float(distances[index])
-            if value == np.inf:
-                raise DisconnectedError(f"no path between {source} and {target}")
-            key = (source, target) if source <= target else (target, source)
-            cache.put(key, value)
-            for slot in slots[index]:
-                results[slot] = value
-
-    # --------------------------------------------------------------- queries
-
-    def distance(self, u: Vertex, v: Vertex) -> float:
-        return self._p2p(u, v)
-
-    def distances_many(self, source: Vertex, targets: Sequence[Vertex]) -> np.ndarray:
-        count = len(targets)
-        results = np.empty(count, dtype=np.float64)
-        cache = self._host._distance_cache
-        missing: dict[Vertex, list[int]] = {}
-        for slot, target in enumerate(targets):
-            if target == source:
-                results[slot] = 0.0
-                continue
-            key = (source, target) if source <= target else (target, source)
-            cached = cache.get(key)
-            if cached is not None:
-                results[slot] = cached
-            else:
-                missing.setdefault(target, []).append(slot)
-        if missing:
-            unique = list(missing)
-            self._batch_from_source(source, unique, results, [missing[t] for t in unique])
-        return results
-
-    def distance_pairs(self, us: Sequence[Vertex], vs: Sequence[Vertex]) -> np.ndarray:
-        count = len(us)
-        results = np.empty(count, dtype=np.float64)
-        cache = self._host._distance_cache
-        # dedupe by symmetric key; batch the misses by their most shared
-        # endpoint so k pairs around one vertex cost one truncated search
-        missing: dict[tuple[Vertex, Vertex], list[int]] = {}
-        for slot, (u, v) in enumerate(zip(us, vs)):
-            if u == v:
-                results[slot] = 0.0
-                continue
-            key = (u, v) if u <= v else (v, u)
-            cached = cache.get(key)
-            if cached is not None:
-                results[slot] = cached
-            else:
-                missing.setdefault(key, []).append(slot)
-        while missing:
-            frequency: dict[Vertex, int] = {}
-            for u, v in missing:
-                frequency[u] = frequency.get(u, 0) + 1
-                frequency[v] = frequency.get(v, 0) + 1
-            # deterministic pick: highest share, ties by vertex id
-            source = min(frequency, key=lambda vertex: (-frequency[vertex], vertex))
-            keys = [key for key in missing if source in key]
-            if frequency[source] >= 2:
-                targets = [v if u == source else u for u, v in keys]
-                slots = [missing.pop(key) for key in keys]
-                self._batch_from_source(source, targets, results, slots)
-            else:
-                # every endpoint is unique: plain point-to-point searches
-                # (the cache was already consulted — and missed — above)
-                for key, slots in missing.items():
-                    value = self._p2p_compute(key)
-                    for slot in slots:
-                        results[slot] = value
-                missing = {}
-        return results
-
-    def endpoint_distances(
-        self, vertices: Sequence[Vertex], origin: Vertex, destination: Vertex
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # two truncated sweeps — one per shared endpoint (the network is
-        # undirected, so searching *from* the endpoint answers "to" queries)
-        return (
-            self.distances_many(origin, vertices),
-            self.distances_many(destination, vertices),
+def check_backend_name(name: str) -> None:
+    """Raise :class:`~repro.exceptions.ConfigurationError` unless ``name`` is
+    in :data:`BACKEND_NAMES`."""
+    if name not in BACKEND_NAMES:
+        raise ConfigurationError(
+            f"unknown distance backend {name!r}; backend must be one of {BACKEND_NAMES}"
         )
-
-    def path(self, u: Vertex, v: Vertex) -> tuple[float, list[Vertex]]:
-        return bidirectional_dijkstra(self.network, u, v)
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "build_seconds": 0.0,
-            "sssp_runs": float(self.sssp_runs),
-        }
 
 
 def make_backend(name: str, network: RoadNetwork, host: "DistanceOracle") -> DistanceBackend:
     """Instantiate the named backend over ``network``."""
+    check_backend_name(name)
     if name == "apsp":
         return APSPBackend(network)
-    if name == "ch":
-        return CHBackend(network, host)
-    if name == "dijkstra":
-        return DijkstraBackend(network, host)
-    raise ValueError(f"unknown distance backend {name!r}; available: {BACKEND_NAMES}")
+    return CHBackend(network, host)
 
 
 __all__ = [
@@ -519,8 +368,8 @@ __all__ = [
     "BACKEND_NAMES",
     "APSPBackend",
     "CHBackend",
-    "DijkstraBackend",
     "DistanceBackend",
+    "check_backend_name",
     "make_backend",
     "select_backend_name",
     "build_contraction_hierarchy",

@@ -1,10 +1,10 @@
-"""LRU caches for shortest-distance and shortest-path queries.
+"""The LRU cache in front of the oracle's shortest-path queries.
 
 The paper maintains an LRU cache for shortest-distance and shortest-path
-queries shared by all compared algorithms (Section 6.1). The cache here is a
-plain ordered-dict LRU with hit/miss counters so experiments can report query
-statistics (e.g. the tens of billions of queries saved by the pruning strategy
-of Lemma 8 translate into cache/oracle counter differences in our harness).
+queries shared by all compared algorithms (Section 6.1). Here both distance
+backends answer distances from a precomputed structure, so the oracle caches
+paths only. The cache is a plain ordered-dict LRU with hit/miss counters so
+experiments can report query statistics.
 """
 
 from __future__ import annotations

@@ -8,11 +8,10 @@ the same oracle so that effectiveness/efficiency comparisons are fair. The
 hierarchy (above it) standing in for the paper's index:
 
 * **exact distances** come from a pluggable
-  :class:`~repro.network.backends.DistanceBackend` — the dense APSP matrix,
-  a contraction hierarchy, or cached on-the-fly Dijkstra (``backend="auto"``
-  picks by network size);
+  :class:`~repro.network.backends.DistanceBackend` — the dense APSP matrix
+  or a contraction hierarchy (``backend="auto"`` picks by network size);
 * **exact paths** (vertex sequences) are needed by the simulator to move
-  workers along their planned routes; they are cached separately;
+  workers along their planned routes; they sit behind an LRU cache;
 * **admissible lower bounds** (Euclidean distance divided by the maximum
   network speed) power the decision phase of ``pruneGreedyDP`` (Lemma 7)
   without spending exact queries.
@@ -20,18 +19,15 @@ hierarchy (above it) standing in for the paper's index:
 Besides the scalar queries, the oracle exposes **batched APIs** —
 :meth:`DistanceOracle.distances_many`, :meth:`DistanceOracle.distance_pairs`
 and :meth:`DistanceOracle.euclidean_lower_bounds` — that answer a whole
-candidate set in one pass: a fancy-indexing gather on the APSP matrix, a
-bucket sweep on the contraction hierarchy, or one truncated multi-target
-Dijkstra on the fallback. The batched calls return exactly the values (and
-bump exactly the ``distance_queries`` counters) of the equivalent scalar
-loops.
+candidate set in one pass: a fancy-indexing gather on the APSP matrix or a
+bucket sweep on the contraction hierarchy. The batched calls return exactly
+the values (and bump exactly the ``distance_queries`` counters) of the
+equivalent scalar loops.
 
-Because the network is undirected, both LRU caches use symmetric
-``(min, max)`` keys — a cached ``u -> v`` path answers the ``v -> u`` query
-reversed, doubling the effective cache capacity. Only the Dijkstra backend
-consults the distance LRU; the precomputed backends answer directly, which
-the cache statistics report as ``"bypassed (<backend>)"`` rather than a
-misleading 0.0 hit rate.
+Because the network is undirected, the path LRU uses symmetric ``(min,
+max)`` keys — a cached ``u -> v`` path answers the ``v -> u`` query
+reversed, doubling the effective cache capacity. Distances need no cache:
+both backends answer them from their precomputed structure.
 
 The oracle also counts exact queries. The paper reports "tens of billions of
 shortest distance queries saved" by the pruning strategy of Lemma 8; our
@@ -50,19 +46,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.artifacts import ArtifactStore, network_content_hash
-from repro.artifacts.store import PERSISTABLE_BACKENDS
 from repro.exceptions import ConfigurationError
 from repro.network.backends import (
     APSPBackend,
     DistanceBackend,
+    check_backend_name,
     make_backend,
     select_backend_name,
 )
 from repro.network.cache import LRUCache
 from repro.network.graph import RoadNetwork, Vertex
-
-#: capacity of the distance LRU (consulted by the Dijkstra backend only).
-DISTANCE_CACHE_SIZE = 200_000
 
 #: capacity of the path LRU.
 PATH_CACHE_SIZE = 20_000
@@ -72,11 +65,9 @@ PATH_CACHE_SIZE = 20_000
 class OracleCounters:
     """Counters describing how the oracle has been used.
 
-    When the counters belong to a live oracle, the two LRU caches are
-    attached so :meth:`snapshot` can surface their hit/miss/eviction
-    statistics next to the query counts, and ``backend``/``cache_bypassed``
-    describe the attached distance backend so bypassed caches are reported
-    honestly instead of as a 0.0 hit rate.
+    When the counters belong to a live oracle, the path LRU is attached so
+    :meth:`snapshot` can surface its hit/miss/eviction statistics next to
+    the query counts, and ``backend`` names the attached distance backend.
     """
 
     distance_queries: int = 0
@@ -87,9 +78,7 @@ class OracleCounters:
     backend_queries: dict[str, int] = field(default_factory=dict)
     #: per-backend vertices settled by internal searches (search effort).
     backend_settled: dict[str, int] = field(default_factory=dict)
-    backend: str = "dijkstra"
-    cache_bypassed: bool = False
-    distance_cache: "LRUCache | None" = field(default=None, repr=False, compare=False)
+    backend: str = ""
     path_cache: "LRUCache | None" = field(default=None, repr=False, compare=False)
 
     def record_backend(self, name: str, queries: int = 0, settled: int = 0) -> None:
@@ -105,9 +94,9 @@ class OracleCounters:
 
         Used to aggregate the per-shard counters of the sharded dispatcher:
         every shard's query counts are *added* instead of the last shard
-        overwriting shared report keys. Cache references are not carried
-        over — per-shard counters share one oracle, so attaching the caches
-        here would double-count their statistics.
+        overwriting shared report keys. The cache reference is not carried
+        over — per-shard counters share one oracle, so attaching the cache
+        here would double-count its statistics.
         """
         total = cls()
         for item in counters:
@@ -121,14 +110,9 @@ class OracleCounters:
                 total.backend_settled[name] = total.backend_settled.get(name, 0) + value
         return total
 
-    def snapshot(self) -> dict[str, int | float | str]:
-        """Return the counters (and any attached cache statistics) as a dict.
-
-        The distance-cache hit rate of a backend that never consults the LRU
-        is reported as ``"bypassed (<backend>)"`` — a 0.0 would misread as
-        "the cache never helps" when the cache simply never ran.
-        """
-        snapshot: dict[str, int | float | str] = {
+    def snapshot(self) -> dict[str, int | float]:
+        """Return the counters (and the attached path cache's statistics) as a dict."""
+        snapshot: dict[str, int | float] = {
             "distance_queries": self.distance_queries,
             "path_queries": self.path_queries,
             "lower_bound_queries": self.lower_bound_queries,
@@ -138,20 +122,12 @@ class OracleCounters:
             snapshot[f"backend_{name}_queries"] = value
         for name, value in sorted(self.backend_settled.items()):
             snapshot[f"backend_{name}_settled"] = value
-        for prefix, cache in (
-            ("distance_cache", self.distance_cache),
-            ("path_cache", self.path_cache),
-        ):
-            if cache is None:
-                continue
-            statistics = cache.statistics
-            snapshot[f"{prefix}_hits"] = statistics.hits
-            snapshot[f"{prefix}_misses"] = statistics.misses
-            snapshot[f"{prefix}_evictions"] = statistics.evictions
-            if prefix == "distance_cache" and self.cache_bypassed:
-                snapshot[f"{prefix}_hit_rate"] = f"bypassed ({self.backend})"
-            else:
-                snapshot[f"{prefix}_hit_rate"] = statistics.hit_rate
+        if self.path_cache is not None:
+            statistics = self.path_cache.statistics
+            snapshot["path_cache_hits"] = statistics.hits
+            snapshot["path_cache_misses"] = statistics.misses
+            snapshot["path_cache_evictions"] = statistics.evictions
+            snapshot["path_cache_hit_rate"] = statistics.hit_rate
         return snapshot
 
 
@@ -177,13 +153,10 @@ class DistanceOracle:
     def __init__(
         self,
         network: RoadNetwork,
-        backend: str = "dijkstra",
+        backend: str = "auto",
         artifact_dir: str | Path | None = None,
     ) -> None:
         self.network = network
-        self._distance_cache: LRUCache[tuple[Vertex, Vertex], float] = LRUCache(
-            DISTANCE_CACHE_SIZE
-        )
         self._path_cache: LRUCache[tuple[Vertex, Vertex], tuple[Vertex, ...]] = LRUCache(
             PATH_CACHE_SIZE
         )
@@ -197,15 +170,15 @@ class DistanceOracle:
         auto = backend == "auto"
         if auto:
             backend = select_backend_name(network.csr.num_vertices)
+        else:
+            check_backend_name(backend)  # before the store sees the name
         # snapshot used to index the precomputed backends (their row/position
         # order is frozen at build time); geometric queries read the live
         # network.csr and max_speed instead, so Euclidean lower bounds track
         # vertex/edge additions (note the precomputed accelerators themselves
         # are still construction-time snapshots)
         self._csr = network.csr
-        self.counters = OracleCounters(
-            distance_cache=self._distance_cache, path_cache=self._path_cache
-        )
+        self.counters = OracleCounters(path_cache=self._path_cache)
         try:
             #: whether the backend state came from the artifact store
             self._backend, self.artifact_loaded = self._open_backend(backend)
@@ -215,11 +188,10 @@ class DistanceOracle:
             # distances beyond the int32 table's range: the hierarchy has no limit
             self._backend, self.artifact_loaded = self._open_backend("ch")
         self.counters.backend = self._backend.name
-        self.counters.cache_bypassed = not self._backend.uses_distance_cache
 
     def _open_backend(self, name: str) -> tuple[DistanceBackend, bool]:
         """The named backend, from the artifact store when one holds it."""
-        if self.artifact_store is not None and name in PERSISTABLE_BACKENDS:
+        if self.artifact_store is not None:
             return self.artifact_store.load_or_build(
                 name, self.network, self, content_hash=self.content_hash
             )
@@ -248,9 +220,7 @@ class DistanceOracle:
 
         Semantically identical to ``[distance(source, t) for t in targets]``
         — same values, same counter increments — but answered in one batched
-        backend pass (matrix gather, bucket sweep, label join, or a single
-        truncated multi-target Dijkstra that consults and populates the
-        distance cache and dedupes repeated targets).
+        backend pass (matrix gather or bucket sweep).
         """
         count = len(targets)
         self.counters.distance_queries += count
@@ -301,10 +271,10 @@ class DistanceOracle:
         backend (:meth:`~repro.network.backends.DistanceBackend.path`), and
         every backend answers the path one bidirectional Dijkstra picks: on
         equal-cost ties that pick decides where workers stand. The ``"ch"``
-        and ``"dijkstra"`` backends run that search; the ``"apsp"`` backend
-        rebuilds its path from two table rows without one. A miss counts as
-        one ``dijkstra_runs`` whatever the backend, so the counters do not
-        depend on it.
+        backend runs that search; the ``"apsp"`` backend rebuilds its path
+        from two table rows without one. A miss counts as one
+        ``dijkstra_runs`` whatever the backend, so the counters do not depend
+        on it.
         """
         self.counters.path_queries += 1
         if u == v:
@@ -314,10 +284,8 @@ class DistanceOracle:
         cached = self._path_cache.get(key)
         if cached is not None:
             return list(cached) if forward else list(reversed(cached))
-        cost, path = self._backend.path(u, v)
+        _cost, path = self._backend.path(u, v)
         self.counters.dijkstra_runs += 1
-        # opportunistically seed the distance cache
-        self._distance_cache.put(key, cost)
         self._path_cache.put(key, tuple(path) if forward else tuple(reversed(path)))
         return path
 
@@ -416,42 +384,26 @@ class DistanceOracle:
         """Name of the attached distance backend."""
         return self._backend.name
 
-    def cache_statistics(self) -> dict[str, float | str]:
-        """Hit rates and sizes of the distance/path caches.
-
-        A backend that never consults the distance LRU reports
-        ``"bypassed (<backend>)"`` instead of a misleading 0.0 hit rate.
-        """
-        distance_hit_rate: float | str = self._distance_cache.statistics.hit_rate
-        if self.counters.cache_bypassed:
-            distance_hit_rate = f"bypassed ({self._backend.name})"
+    def cache_statistics(self) -> dict[str, float]:
+        """Hit rate and size of the path cache."""
         return {
-            "distance_cache_size": float(len(self._distance_cache)),
-            "distance_cache_hit_rate": distance_hit_rate,
             "path_cache_size": float(len(self._path_cache)),
             "path_cache_hit_rate": self._path_cache.statistics.hit_rate,
         }
 
     def reset_counters(self) -> None:
-        """Zero the oracle counters and cache statistics (caches keep their
+        """Zero the oracle counters and cache statistics (the cache keeps its
         contents), so every simulation run reports per-run numbers."""
-        self.counters = OracleCounters(
-            distance_cache=self._distance_cache,
-            path_cache=self._path_cache,
-            backend=self._backend.name,
-            cache_bypassed=not self._backend.uses_distance_cache,
-        )
-        self._distance_cache.reset_statistics()
+        self.counters = OracleCounters(path_cache=self._path_cache, backend=self._backend.name)
         self._path_cache.reset_statistics()
 
     def clear_caches(self) -> None:
-        """Drop both LRU caches' contents (and zero their statistics).
+        """Drop the path cache's contents (and zero its statistics).
 
         Sweep tasks sharing one memoized oracle call this before each run so
         reported cache hit rates do not depend on which tasks happened to
-        warm the caches earlier in the same process.
+        warm the cache earlier in the same process.
         """
-        self._distance_cache.clear()
         self._path_cache.clear()
         self.reset_counters()
 
@@ -469,14 +421,13 @@ class DistanceOracle:
           the repair does not cover (vertex set changed, a batch that both
           removes and adds edges, a zero-cost edge) takes the full build.
         * ``ch`` — full rebuild against the new topology.
-        * ``dijkstra`` — nothing precomputed; only the caches are dropped.
 
         With an artifact store attached, the content hash is recomputed and
         the *new* topology's key is looked up first (a close/reopen
         round-trip loads the original table back); on a miss the backend is
         repaired or rebuilt as above and then persisted under the new key.
 
-        The CSR snapshot is re-taken and both LRU caches are dropped. Query
+        The CSR snapshot is re-taken and the path cache is dropped. Query
         counters keep accumulating across the refresh — a mid-run closure
         should not zero the run's reported query counts.
         """
@@ -492,14 +443,11 @@ class DistanceOracle:
 
         if self.artifact_store is not None:
             self.content_hash = network_content_hash(network)
-        if self.artifact_store is not None and previous.name in PERSISTABLE_BACKENDS:
             self._backend, self.artifact_loaded = self.artifact_store.load_or_build(
                 previous.name, network, self, content_hash=self.content_hash, build=rebuild
             )
         else:
             self._backend = rebuild()
             self.artifact_loaded = False
-        self._distance_cache.clear()
         self._path_cache.clear()
         self.counters.backend = self._backend.name
-        self.counters.cache_bypassed = not self._backend.uses_distance_cache

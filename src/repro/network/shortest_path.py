@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -205,33 +205,6 @@ def all_pairs_distances(network: RoadNetwork, table: np.ndarray) -> None:
                     if not dirty[u]:
                         dirty[u] = 1
                         remaining += 1
-
-
-def truncated_multi_target_distances(
-    network: RoadNetwork, source: Vertex, targets: Sequence[Vertex]
-) -> tuple[np.ndarray, int]:
-    """Distances from ``source`` to every target from **one** truncated search.
-
-    A single source Dijkstra that stops as soon as every target is settled
-    (or the whole component is exhausted) — the batched fallback of the
-    Dijkstra distance backend, replacing one point-to-point search per pair.
-    Unreachable targets hold ``inf``.
-
-    Returns:
-        ``(distances, settled)`` where ``distances`` is aligned with
-        ``targets`` and ``settled`` counts the vertices the search settled
-        (the work metric surfaced by the per-backend oracle counters).
-    """
-    csr = network.csr
-    positions = csr.positions_of(targets)
-    remaining = set(positions.tolist())
-    distances, settled = _csr_dijkstra(csr, csr.position_of(source), remaining, INFINITY)
-    out = np.fromiter(
-        (distances[position] if settled[position] else INFINITY for position in positions),
-        dtype=np.float64,
-        count=positions.size,
-    )
-    return out, sum(settled)
 
 
 def bidirectional_dijkstra(

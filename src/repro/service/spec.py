@@ -305,7 +305,7 @@ class PlatformSpecBuilder:
         """Configure the distance oracle.
 
         ``backend`` selects a distance backend by name (``"auto"``,
-        ``"apsp"``, ``"ch"``, ``"dijkstra"``). ``artifact_dir`` attaches the
+        ``"apsp"``, ``"ch"``). ``artifact_dir`` attaches the
         content-addressed preprocessing store (:mod:`repro.artifacts`), so
         precomputed backends load from disk when a build for the exact
         network is cached.

@@ -309,8 +309,7 @@ class EventEngine:
            (:meth:`~repro.network.oracle.DistanceOracle.refresh_topology`):
            an APSP table is repaired in place (only the cells the closed or
            reopened streets can change; milliseconds), a contraction
-           hierarchy is rebuilt in full, the Dijkstra
-           backend only drops its caches;
+           hierarchy is rebuilt in full;
         3. every non-idle route is rebuilt from its surviving stops
            (:meth:`~repro.simulation.fleet.FleetState.replan_busy`) — fresh
            :class:`~repro.core.route.Route` objects drop cached concrete

@@ -58,9 +58,8 @@ class SimulationResult:
     mean_wait_seconds: float = 0.0
     mean_detour_ratio: float = 0.0
 
-    #: dispatcher/oracle-reported extras; mostly floats, plus string markers
-    #: such as ``oracle_backend`` and a bypassed cache's
-    #: ``distance_cache_hit_rate = "bypassed (<backend>)"``.
+    #: dispatcher/oracle-reported extras; floats, plus the string
+    #: ``oracle_backend``.
     extra: dict[str, float | str] = field(default_factory=dict)
 
     @property
@@ -95,9 +94,8 @@ class SimulationResult:
             "mean_detour_ratio": self.mean_detour_ratio,
             "deadline_violations": self.deadline_violations,
         }
-        for key in ("distance_cache_hit_rate", "path_cache_hit_rate"):
-            if key in self.extra:
-                row[key] = self.extra[key]
+        if "path_cache_hit_rate" in self.extra:
+            row["path_cache_hit_rate"] = self.extra["path_cache_hit_rate"]
         # sharded runs report routing counters (local hits, escalations, ...)
         for key in sorted(self.extra):
             if key.startswith("sharding_"):
@@ -199,16 +197,15 @@ class MetricsCollector:
         result.distance_queries = oracle_counters.distance_queries
         result.lower_bound_queries = oracle_counters.lower_bound_queries
         result.index_memory_bytes = index_memory_bytes
-        # surface the oracle LRU cache statistics (hits/misses/evictions/
-        # hit rate) and the per-backend counters next to the query counters
-        # in experiment reports; a bypassed distance cache stays the string
-        # marker "bypassed (<backend>)" rather than a misleading 0.0
+        # surface the path LRU's statistics (hits/misses/evictions/hit rate)
+        # and the per-backend counters next to the query counters in
+        # experiment reports
         base_counters = {
             "distance_queries", "path_queries", "lower_bound_queries", "dijkstra_runs",
         }
         for key, value in oracle_counters.snapshot().items():
             if key not in base_counters:
-                result.extra[key] = value if isinstance(value, str) else float(value)
+                result.extra[key] = float(value)
         result.extra["oracle_backend"] = oracle_counters.backend
         if dispatcher_extra:
             result.extra.update(dispatcher_extra)

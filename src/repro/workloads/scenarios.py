@@ -97,7 +97,7 @@ class ScenarioConfig:
             shares one road network (and the runner's network/oracle cache).
         oracle_backend: distance backend — ``"auto"`` (dense all-pairs table
             for networks up to a couple thousand vertices, a contraction
-            hierarchy beyond), ``"apsp"``, ``"ch"`` or ``"dijkstra"``. Every
+            hierarchy beyond), ``"apsp"`` or ``"ch"``. Every
             backend answers bit-identical shortest distances, so the choice
             trades build cost against query speed only (see
             :mod:`repro.network.backends`).

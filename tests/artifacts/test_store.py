@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from repro.artifacts import ArtifactStore, network_content_hash
-from repro.artifacts.store import FORMAT_VERSION, PERSISTABLE_BACKENDS
+from repro.artifacts.store import FORMAT_VERSION
 from repro.cli import main
 from repro.core.timegrid import TIME_QUANTUM
 from repro.dispatch import DispatcherConfig
 from repro.dispatch.greedy_dp import PruneGreedyDP
 from repro.exceptions import ArtifactError
+from repro.network.backends import BACKEND_NAMES
 from repro.network.generators import grid_city, random_geometric_city
 from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork
 from repro.network.oracle import DistanceOracle
@@ -97,7 +98,7 @@ class TestContentHash:
 class TestStoreBasics:
     def test_round_trip_all_backends(self, city, store):
         content_hash = network_content_hash(city)
-        for name in PERSISTABLE_BACKENDS:
+        for name in BACKEND_NAMES:
             assert not store.has(content_hash, name)
             fresh = DistanceOracle(city, backend=name)
             path = store.save_backend(city, fresh.backend, content_hash=content_hash)
@@ -111,7 +112,7 @@ class TestStoreBasics:
         assert store.load_backend("ch", city) is None
 
     def test_dijkstra_not_persistable(self, city, store):
-        with pytest.raises(ArtifactError, match="no persistable state"):
+        with pytest.raises(ArtifactError, match="unknown backend 'dijkstra'"):
             store.artifact_path(network_content_hash(city), "dijkstra")
 
     def test_entries_lists_manifests(self, city, store):
@@ -132,7 +133,7 @@ class TestStoreBasics:
 class TestBitwiseEquality:
     """A loaded backend must answer exactly as the fresh build would."""
 
-    @pytest.mark.parametrize("name", PERSISTABLE_BACKENDS)
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_loaded_matches_fresh_bitwise(self, city, store, name):
         fresh = DistanceOracle(city, backend=name)
         store.save_backend(city, fresh.backend)
@@ -274,7 +275,7 @@ class TestOracleIntegration:
         assert DistanceOracle(city, backend="ch", artifact_dir=store.root).artifact_loaded
 
     def test_no_store_no_hash(self, city):
-        oracle = DistanceOracle(city, backend="dijkstra")
+        oracle = DistanceOracle(city, backend="ch")
         assert oracle.artifact_store is None
         assert oracle.content_hash is None
         assert not oracle.artifact_loaded
@@ -314,7 +315,7 @@ class TestStoresWithHubLabels:
     """Entries written while the store also persisted hub labels keep
     serving their apsp and ch artifacts; the leftover file is never read."""
 
-    @pytest.mark.parametrize("name", PERSISTABLE_BACKENDS)
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_loads_warm_and_bit_identical(self, city, store, name):
         write_entry_with_hub_labels(city, store)
         warm = DistanceOracle(city, backend=name, artifact_dir=store.root)
@@ -376,7 +377,7 @@ class TestWarmReplay:
     """A full pruneGreedyDP replay on the riverton real map is identical
     under the fresh build and under the backend loaded from the store."""
 
-    @pytest.mark.parametrize("name", PERSISTABLE_BACKENDS)
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_fresh_and_warm_replays_agree(self, riverton_workload, store, name):
         config, canonical = riverton_workload
         fresh = DistanceOracle(canonical.network, backend=name)

@@ -52,8 +52,9 @@ from tests.simulation.test_route_table import check_table
 #: ``(dispatcher, stress program of master seed 2018)`` ->
 #: ``(sha256 of the sorted (request, worker, pickup_time, dropoff_time) list,
 #: deliveries, unified_cost, served_requests)`` at K=2, recorded once every
-#: time was on the 2**-10 s grid and every tie went to the smallest
-#: ``(delta, worker id)``. Each ``cluster:X`` row equals its ``sharded:X`` row.
+#: time was on the 2**-10 s grid, every tie went to the smallest
+#: ``(delta, worker id)`` and every insertion operator took the smallest
+#: ``(delta, j, i != j, i)``. Each ``cluster:X`` row equals its ``sharded:X`` row.
 _PARENT = {
     ("cluster:pruneGreedyDP", 0): ("beacc841db3434a7", 78, 17635.03515625, 78),
     ("cluster:pruneGreedyDP", 2): ("4b099e1692a101a3", 37, 11464.5673828125, 37),
@@ -75,11 +76,11 @@ _PARENT = {
     ("sharded:batch", 7): ("52ece8e1cd682f0a", 9, 544950.2373046875, 9),
     ("sharded:batch", 13): ("7dabc0686fdf9996", 41, 355798.1494140625, 41),
     ("sharded:batch", 16): ("234b283e7c8f9e2d", 78, 58562.0693359375, 78),
-    ("sharded:tshare", 0): ("8a10cf666ed4615d", 78, 17640.53125, 78),
-    ("sharded:tshare", 2): ("af32097d503e5daf", 36, 13681.640625, 36),
+    ("sharded:tshare", 0): ("beacc841db3434a7", 78, 17635.03515625, 78),
+    ("sharded:tshare", 2): ("5aac7d3a66ff7732", 37, 12121.1845703125, 37),
     ("sharded:tshare", 7): ("737254554ef38fef", 6, 553265.3505859375, 6),
     ("sharded:tshare", 13): ("c37dfce4788f1362", 40, 365019.7294921875, 40),
-    ("sharded:tshare", 16): ("19d934f674c4a22a", 81, 45773.216796875, 81),
+    ("sharded:tshare", 16): ("e79da4eac6ed0142", 81, 45641.3447265625, 81),
 }
 
 

@@ -38,7 +38,7 @@ def test_stats_reply_is_a_detached_copy_of_the_replica_counts():
     assert isinstance(reply, StatsReply)
     assert reply.counters is not counters
     assert _counts(reply.counters) == _counts(counters)
-    assert reply.counters.distance_cache is None and reply.counters.path_cache is None
+    assert reply.counters.path_cache is None
     # the reply crosses the pipe as it is
     assert _counts(pickle.loads(pickle.dumps(reply)).counters) == _counts(counters)
 
@@ -72,7 +72,6 @@ def test_totals_are_the_front_door_plus_every_live_replica(monkeypatch):
     shared = front.oracle.counters
     assert _counts(totals) == _counts(OracleCounters.merge([shared, *replicas]))
     assert totals.distance_queries > shared.distance_queries
-    # the caches are the front door's; the replicas' stay in their processes
-    assert totals.distance_cache is shared.distance_cache
+    # the cache is the front door's; the replicas' stay in their processes
     assert totals.path_cache is shared.path_cache
     assert totals.backend == shared.backend

@@ -6,9 +6,8 @@ excerpt does not include the full figure, and the distances quoted across
 Examples 1-3 are not mutually consistent with a shortest-path metric, so this
 module builds a *self-consistent* instance with the same shape: eight
 vertices, two workers of capacity four, three unit-capacity requests released
-at times 0, 5 and 11 with short deadlines and modest penalties. It is used by
-the quickstart example and by tests that exercise the end-to-end flow on a
-hand-checkable instance.
+at times 0, 5 and 11 with short deadlines and modest penalties. The tests
+use it to exercise the end-to-end flow on a hand-checkable instance.
 """
 
 from __future__ import annotations

@@ -7,12 +7,18 @@ routes and random new requests on a real grid network and assert:
 
 * identical feasibility verdicts;
 * identical minimal increased cost Δ*;
+* identical positions ``(i, j)``: every operator takes the smallest
+  ``(Δ, j, i ≠ j, i)``, the order of the linear DP's scan;
 * the returned positions always produce a feasible route whose actual cost
   increase equals the reported Δ*.
+
+Hand-built ties on a line and a small lattice pin which position that rule
+picks when two positions cost the same.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +28,10 @@ from repro.core.insertion.naive_dp import NaiveDPInsertion
 from repro.core.route import Route, empty_route
 from repro.core.types import Request, Worker
 from repro.network.generators import grid_city
+from repro.network.graph import RoadNetwork
 from repro.network.oracle import DistanceOracle
+from repro.utils.geometry import Point
+from tests.conftest import make_request, make_worker, route_with_requests
 
 # Module-level network/oracle shared by all examples (hypothesis-friendly: no
 # function-scoped fixtures).
@@ -78,6 +87,10 @@ def _draw_request(draw, request_id: int, now: float) -> Request:
     )
 
 
+def _position(result) -> tuple[int, int]:
+    return result.pickup_index, result.dropoff_index
+
+
 _SETTINGS = settings(
     max_examples=60,
     deadline=None,
@@ -95,6 +108,7 @@ class TestOperatorEquivalence:
         assert actual.feasible == expected.feasible
         if expected.feasible:
             assert actual.delta == expected.delta
+            assert _position(actual) == _position(expected)
 
     @given(insertion_scenarios())
     @_SETTINGS
@@ -105,6 +119,7 @@ class TestOperatorEquivalence:
         assert actual.feasible == expected.feasible
         if expected.feasible:
             assert actual.delta == expected.delta
+            assert _position(actual) == _position(expected)
 
     @given(insertion_scenarios())
     @_SETTINGS
@@ -128,3 +143,74 @@ class TestOperatorEquivalence:
         result = _LINEAR.best_insertion(route, request, _ORACLE)
         if result.feasible:
             assert result.delta >= 0.0
+
+
+def _lattice_network() -> RoadNetwork:
+    """A 3 x 3 lattice of 10-second streets, vertex ``3 * row + column``::
+
+        6 - 7 - 8
+        |   |   |
+        3 - 4 - 5
+        |   |   |
+        0 - 1 - 2
+    """
+    network = RoadNetwork(name="lattice")
+    for row in range(3):
+        for column in range(3):
+            network.add_vertex(3 * row + column, Point(100.0 * column, 100.0 * row))
+    for row in range(3):
+        for column in range(3):
+            vertex = 3 * row + column
+            if column < 2:
+                network.add_edge(vertex, vertex + 1, speed=10.0)
+            if row < 2:
+                network.add_edge(vertex, vertex + 3, speed=10.0)
+    return network
+
+
+def _applied_delta(route: Route, request: Request, i: int, j: int, oracle) -> float:
+    candidate = route.with_insertion(request, i, j, oracle)
+    assert candidate.is_feasible(oracle, refresh=False)
+    return candidate.planned_cost(oracle) - route.planned_cost(oracle)
+
+
+@pytest.mark.parametrize(
+    "operator", [_BASIC, _NAIVE, _LINEAR], ids=["basic", "naive_dp", "linear_dp"]
+)
+class TestEqualDetours:
+    """Hand-built ties: every operator takes the smallest ``(Δ, j, i ≠ j, i)``."""
+
+    def test_pickup_and_dropoff_together_before_a_split(self, operator, line_oracle):
+        # route 0 -> 1; a second 0 -> 1 rides along at no cost, its pickup
+        # before or after the first one's: (0, 1) and (1, 1) tie at Δ = 0
+        route = route_with_requests(
+            make_worker(location=0, capacity=2), line_oracle, [make_request(1, 0, 1)]
+        )
+        request = make_request(2, 0, 1)
+        assert _applied_delta(route, request, 0, 1, line_oracle) == 0.0
+        result = operator.best_insertion(route, request, line_oracle)
+        assert (result.delta, _position(result)) == (0.0, (1, 1))
+
+    def test_first_pickup_among_equal_splits(self, operator, line_oracle):
+        # route 0 -> 1; a 0 -> 2 picked up before or after the first pickup
+        # and dropped at the end: (0, 2) and (1, 2) tie at Δ = 10 s
+        route = route_with_requests(
+            make_worker(location=0, capacity=2), line_oracle, [make_request(1, 0, 1)]
+        )
+        request = make_request(2, 0, 2)
+        assert _applied_delta(route, request, 1, 2, line_oracle) == 10.0
+        result = operator.best_insertion(route, request, line_oracle)
+        assert (result.delta, _position(result)) == (10.0, (0, 2))
+
+    def test_earlier_dropoff_before_earlier_pickup(self, operator):
+        # worker at 1, route 0 -> 6; a 2 -> 8 served inside the route's first
+        # leg, (1, 1), ties with picking it up first and dropping it last,
+        # (0, 2), at Δ = 40 s: the smaller j wins over the smaller i
+        oracle = DistanceOracle(_lattice_network(), backend="apsp")
+        route = route_with_requests(
+            make_worker(location=1, capacity=2), oracle, [make_request(1, 0, 6)]
+        )
+        request = make_request(2, 2, 8)
+        assert _applied_delta(route, request, 0, 2, oracle) == 40.0
+        result = operator.best_insertion(route, request, oracle)
+        assert (result.delta, _position(result)) == (40.0, (1, 1))

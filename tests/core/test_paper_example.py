@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.examples_paper import example_instance, example_network
+from tests.core.examples_paper import example_instance, example_network
 from repro.core.insertion.basic import BasicInsertion
 from repro.core.insertion.linear_dp import LinearDPInsertion
 from repro.core.route import empty_route

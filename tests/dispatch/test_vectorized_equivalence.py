@@ -96,14 +96,20 @@ class TestVectorizedEquivalence:
 class TestCacheStatisticsSurface:
     def test_simulation_result_exposes_cache_statistics(self):
         result, _ = _run(PruneGreedyDP, vectorized=True)
-        assert "distance_cache_hit_rate" in result.extra
+        assert "path_cache_hit_rate" in result.extra
         assert "path_cache_hits" in result.extra
         row = result.as_row()
         assert "path_cache_hit_rate" in row
+
+    def test_every_extra_but_the_backend_name_is_a_float(self):
+        result, _ = _run(PruneGreedyDP, vectorized=True)
+        assert result.extra["oracle_backend"] == "apsp"
+        others = {key: value for key, value in result.extra.items() if key != "oracle_backend"}
+        assert others and all(type(value) is float for value in others.values())
 
     def test_reporting_appends_cache_columns(self):
         from repro.experiments.reporting import format_results
 
         result, _ = _run(PruneGreedyDP, vectorized=True)
         table = format_results([result])
-        assert "distance_cache_hit_rate" in table
+        assert "path_cache_hit_rate" in table

@@ -175,5 +175,5 @@ class TestRunnerMemoKey:
 
     def test_no_store_still_memoises(self):
         runner = ScenarioRunner()
-        config = ScenarioConfig(city="small-grid", seed=3, oracle_backend="dijkstra")
+        config = ScenarioConfig(city="small-grid", seed=3, oracle_backend="ch")
         assert runner.oracle_for(config) is runner.oracle_for(config)

@@ -3,15 +3,16 @@
 The seed's dict-of-dict Dijkstra searches (:func:`dijkstra_reference`,
 :func:`bidirectional_dijkstra_reference`) are the baselines the CSR searches
 of :mod:`repro.network.shortest_path` must equal exactly; the small wrappers
-below them answer one question each over a CSR Dijkstra, and
-:func:`table_seconds` reads the APSP backend's raw table of ticks as seconds.
+below them answer one question each over a CSR Dijkstra,
+:func:`table_seconds` reads the APSP backend's raw table of ticks as seconds,
+and :class:`ReferenceBackend` is a distance backend that searches.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -175,3 +176,48 @@ def eccentricity(network: RoadNetwork, source: Vertex) -> float:
 def table_seconds(ticks: np.ndarray) -> np.ndarray:
     """The APSP table (or a slice of it) in seconds, ``inf`` where unreachable."""
     return np.where(ticks == UNREACHABLE_TICKS, INFINITY, ticks * TIME_QUANTUM)
+
+
+class ReferenceBackend:
+    """A distance backend with nothing precomputed: distances from memoised
+    :func:`dijkstra_reference` rows, paths from the bidirectional Dijkstra.
+
+    An oracle takes it through the
+    :class:`~repro.network.backends.DistanceBackend` protocol, as the third
+    witness beside ``apsp`` and ``ch``. The rows are never invalidated, so
+    it serves a network that does not change.
+    """
+
+    name = "reference"
+    build_seconds = 0.0
+
+    def __init__(self, network: RoadNetwork) -> None:
+        self._network = network
+        self._rows: dict[Vertex, dict[Vertex, float]] = {}
+
+    def _row(self, source: Vertex) -> dict[Vertex, float]:
+        if source not in self._rows:
+            self._rows[source] = dijkstra_reference(self._network, source)
+        return self._rows[source]
+
+    def distance(self, u: Vertex, v: Vertex) -> float:
+        return self._row(u).get(v, INFINITY)
+
+    def distances_many(self, source: Vertex, targets: Sequence[Vertex]) -> np.ndarray:
+        row = self._row(source)
+        return np.array([row.get(target, INFINITY) for target in targets], dtype=np.float64)
+
+    def distance_pairs(self, us: Sequence[Vertex], vs: Sequence[Vertex]) -> np.ndarray:
+        return np.array([self.distance(u, v) for u, v in zip(us, vs)], dtype=np.float64)
+
+    def endpoint_distances(
+        self, vertices: Sequence[Vertex], origin: Vertex, destination: Vertex
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # the network is undirected: the row from an endpoint answers "to" it
+        return self.distances_many(origin, vertices), self.distances_many(destination, vertices)
+
+    def path(self, u: Vertex, v: Vertex) -> tuple[float, list[Vertex]]:
+        return bidirectional_dijkstra(self._network, u, v)
+
+    def stats(self) -> dict[str, float]:
+        return {"rows": float(len(self._rows))}

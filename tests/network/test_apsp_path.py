@@ -28,6 +28,7 @@ from repro.network.oracle import DistanceOracle
 from repro.network.shortest_path import bidirectional_dijkstra
 from repro.utils.geometry import Point
 from repro.workloads.scenarios import CITY_BUILDERS
+from tests.network.reference import dijkstra_reference
 
 
 def _assert_paths_equal(network: RoadNetwork, pairs, backend: APSPBackend | None = None) -> None:
@@ -146,13 +147,21 @@ def test_the_oracle_answers_and_counts_alike_on_every_backend():
     pairs = _random_pairs(network, 200, seed=3)
     pairs += pairs[:50]  # path-cache hits, both directions
     pairs += [(v, u) for u, v in pairs[:50]]
-    oracles = [DistanceOracle(network, backend=name) for name in ("apsp", "ch", "dijkstra")]
-    answers = [[oracle.path(u, v) for u, v in pairs] for oracle in oracles]
-    assert answers[0] == answers[1] == answers[2]
-    counters = [oracle.counters for oracle in oracles]
-    assert counters[0].path_queries == counters[1].path_queries == counters[2].path_queries
-    assert counters[0].dijkstra_runs == counters[1].dijkstra_runs == counters[2].dijkstra_runs
-    assert counters[0].dijkstra_runs < len(pairs)
+    apsp, ch = (DistanceOracle(network, backend=name) for name in ("apsp", "ch"))
+    searched = [bidirectional_dijkstra(network, u, v)[1] for u, v in pairs]
+    assert [apsp.path(u, v) for u, v in pairs] == searched
+    assert [ch.path(u, v) for u, v in pairs] == searched
+    assert apsp.counters.path_queries == ch.counters.path_queries == len(pairs)
+    # a miss is one run on either backend; the repeats and reversals hit
+    assert apsp.counters.dijkstra_runs == ch.counters.dijkstra_runs == len(set(
+        (min(u, v), max(u, v)) for u, v in pairs if u != v
+    ))
+    vertices = sorted(network.vertices())
+    for source in sorted({u for u, _ in pairs[:10]}):
+        row = dijkstra_reference(network, source)
+        expected = [row[v] for v in vertices]
+        assert apsp.distances_many(source, vertices).tolist() == expected
+        assert ch.distances_many(source, vertices).tolist() == expected
 
 
 @given(

@@ -213,7 +213,7 @@ class TestOracleAfterRepair:
         assert oracle._csr is network.csr
         assert backend._csr is network.csr
         assert backend.vertex_index is network.csr.position
-        assert len(oracle._path_cache) == 0 and len(oracle._distance_cache) == 0
+        assert len(oracle._path_cache) == 0
         # the path search reads the new adjacency: no hop over the closed
         # street, and the repaired table prices the detour it takes
         runs = oracle.counters.dijkstra_runs

@@ -14,19 +14,19 @@ import random
 import numpy as np
 import pytest
 
-from repro.exceptions import DisconnectedError
+from repro.exceptions import ConfigurationError, DisconnectedError
 from repro.network.backends import (
     APSP_VERTEX_LIMIT,
     BACKEND_NAMES,
     APSPBackend,
     CHBackend,
+    make_backend,
     select_backend_name,
 )
 from repro.network.ch import build_contraction_hierarchy
 from repro.network.generators import grid_city, random_geometric_city, ring_radial_city
 from repro.network.graph import RoadNetwork
 from repro.network.oracle import DistanceOracle
-from repro.network.shortest_path import truncated_multi_target_distances
 from repro.utils.geometry import Point
 from repro.workloads.scenarios import CITY_BUILDERS
 from tests.network.reference import dijkstra_reference
@@ -108,21 +108,21 @@ _GENERATOR_CITIES = ["small-grid", "chengdu-like", "nyc-like", "random", "metro-
 @pytest.mark.parametrize("city", _GENERATOR_CITIES)
 def test_apsp_ch_and_dijkstra_answer_the_same_bits(city):
     """Every edge cost is on the time grid, so a shortest distance is an exact
-    sum whatever order a backend adds its edges in: batched rows and scalar
-    queries agree with ``==``, and so do both directions of a pair."""
+    sum whatever order a backend adds its edges in: batched rows, scalar
+    queries and the reference Dijkstra's rows agree with ``==``, and so do
+    both directions of a pair."""
     network = CITY_BUILDERS[city](2018)
-    apsp, ch, dijkstra = (
-        DistanceOracle(network, backend=name) for name in ("apsp", "ch", "dijkstra")
-    )
+    apsp, ch = (DistanceOracle(network, backend=name) for name in ("apsp", "ch"))
     vertices = sorted(network.vertices())
     rng = random.Random(2018)
     for source in rng.sample(vertices, 6):
-        row = apsp.distances_many(source, vertices).tolist()
+        truth = dijkstra_reference(network, source)
+        row = [truth.get(vertex, math.inf) for vertex in vertices]
+        assert row == apsp.distances_many(source, vertices).tolist()
         assert row == ch.distances_many(source, vertices).tolist()
-        assert row == dijkstra.distances_many(source, vertices).tolist()
         for target in rng.sample(vertices, 20):
             forward = apsp.distance(source, target)
-            assert forward == ch.distance(source, target) == dijkstra.distance(source, target)
+            assert forward == ch.distance(source, target) == truth.get(target, math.inf)
             assert forward == apsp.distance(target, source) == ch.distance(target, source)
 
 
@@ -165,42 +165,27 @@ class TestDisconnectedPairs:
         assert math.isfinite(distances[0])
         assert math.isinf(distances[1]) and math.isinf(distances[2])
 
-    def test_dijkstra_batch_raises_like_the_scalar_path(self, split_network):
-        oracle = DistanceOracle(split_network, backend="dijkstra")
-        with pytest.raises(DisconnectedError):
-            oracle.distances_many(0, [1, 3])
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_pair_and_endpoint_batches_report_infinity(self, split_network, name):
+        oracle = DistanceOracle(split_network, backend=name)
+        to_2 = dijkstra_reference(split_network, 2)
+        to_4 = dijkstra_reference(split_network, 4)
+        assert oracle.distance_pairs([0, 3, 1], [4, 4, 2]).tolist() == [
+            math.inf, to_4[3], to_2[1],
+        ]
+        to_origin, to_destination = oracle.endpoint_distances([0, 1, 3], 2, 4)
+        assert to_origin.tolist() == [to_2[0], to_2[1], math.inf]
+        assert to_destination.tolist() == [math.inf, math.inf, to_4[3]]
 
-
-class TestTruncatedMultiTargetDijkstra:
-    def test_matches_reference_distances(self):
-        network = random_geometric_city(num_vertices=90, seed=7)
-        vertices = sorted(network.vertices())
-        source = vertices[0]
-        targets = vertices[::4]
-        distances, settled = truncated_multi_target_distances(network, source, targets)
-        truth = dijkstra_reference(network, source)
-        assert distances.tolist() == [truth[t] for t in targets]
-        assert 0 < settled <= network.num_vertices
-
-    def test_stops_early_for_nearby_targets(self):
-        network = grid_city(rows=20, columns=20, block_metres=200.0,
-                            removed_block_fraction=0.0, seed=1)
-        vertices = sorted(network.vertices())
-        source = vertices[0]
-        neighbours = sorted(network.neighbours(source))
-        _, settled = truncated_multi_target_distances(network, source, neighbours)
-        # settling the direct neighbours must not sweep the whole city
-        assert settled < network.num_vertices / 4
-
-    def test_unreachable_targets_hold_infinity(self):
-        network = RoadNetwork()
-        network.add_vertex(0, Point(0.0, 0.0))
-        network.add_vertex(1, Point(100.0, 0.0))
-        network.add_vertex(2, Point(9000.0, 9000.0))
-        network.add_edge(0, 1)
-        distances, _ = truncated_multi_target_distances(network, 0, [1, 2])
-        assert math.isfinite(distances[0])
-        assert math.isinf(distances[1])
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_oracle_path_between_components_raises(self, split_network, name):
+        oracle = DistanceOracle(split_network, backend=name)
+        with pytest.raises(DisconnectedError, match="no path between 0 and 4"):
+            oracle.path(0, 4)
+        # nothing was cached or counted as a search for the failed pair
+        assert oracle.cache_statistics()["path_cache_size"] == 0.0
+        assert oracle.counters.dijkstra_runs == 0
+        assert oracle.path(0, 2) == [0, 1, 2]
 
 
 class TestAutoSelectionPolicy:
@@ -221,6 +206,14 @@ class TestAutoSelectionPolicy:
         oracle = DistanceOracle(network, backend="auto")
         assert oracle.backend_name == "apsp"
 
+    def test_oracle_defaults_to_auto(self):
+        small = grid_city(rows=6, columns=6, block_metres=200.0, seed=1)
+        assert DistanceOracle(small).backend_name == "apsp"
+        beyond = grid_city(rows=46, columns=46, block_metres=200.0,
+                           removed_block_fraction=0.0, seed=1)
+        assert beyond.num_vertices > APSP_VERTEX_LIMIT
+        assert DistanceOracle(beyond).backend_name == "ch"
+
     def test_scenario_auto_policy_per_city(self):
         from repro.workloads.scenarios import CITY_BUILDERS, ScenarioConfig, make_oracle
 
@@ -234,10 +227,21 @@ class TestAutoSelectionPolicy:
         for name in BACKEND_NAMES:
             assert DistanceOracle(network, backend=name).backend_name == name
 
+    def test_make_backend_takes_no_policy_name(self):
+        # "auto" is resolved by the oracle; the factory builds named backends only
+        network = grid_city(rows=4, columns=4, block_metres=200.0, seed=2)
+        host = DistanceOracle(network, backend="apsp")
+        with pytest.raises(ConfigurationError, match="unknown distance backend 'auto'"):
+            make_backend("auto", network, host)
+        for name in BACKEND_NAMES:
+            assert make_backend(name, network, host).name == name
+
     def test_unknown_backend_rejected(self):
         network = grid_city(rows=4, columns=4, block_metres=200.0, seed=2)
-        for name in ("bogus", "hub_labels"):
-            with pytest.raises(ValueError, match="unknown distance backend"):
+        for name in ("bogus", "hub_labels", "dijkstra"):
+            with pytest.raises(
+                ConfigurationError, match=r"backend must be one of \('apsp', 'ch'\)"
+            ):
                 DistanceOracle(network, backend=name)
 
 
@@ -251,78 +255,6 @@ class TestPerBackendCounters:
         snapshot = oracle.counters.snapshot()
         assert snapshot["backend_ch_queries"] == 6
         assert snapshot["backend_ch_settled"] > 0
-
-    def test_bypassed_cache_reported_honestly(self):
-        network = grid_city(rows=5, columns=5, block_metres=200.0, seed=4)
-        vertices = sorted(network.vertices())
-        for name in ("apsp", "ch"):
-            oracle = DistanceOracle(network, backend=name)
-            oracle.distance(vertices[0], vertices[-1])
-            assert oracle.cache_statistics()["distance_cache_hit_rate"] == f"bypassed ({name})"
-            assert oracle.counters.snapshot()["distance_cache_hit_rate"] == f"bypassed ({name})"
-        active = DistanceOracle(network, backend="dijkstra")
-        active.distance(vertices[0], vertices[-1])
-        assert isinstance(active.cache_statistics()["distance_cache_hit_rate"], float)
-
-
-class TestDijkstraBatchCache:
-    """The fallback batch path must consult and populate the distance LRU."""
-
-    @pytest.fixture()
-    def network(self):
-        return grid_city(rows=6, columns=6, block_metres=200.0, seed=9)
-
-    def test_batch_populates_the_cache(self, network):
-        vertices = sorted(network.vertices())
-        oracle = DistanceOracle(network, backend="dijkstra")
-        targets = vertices[1:6]
-        first = oracle.distances_many(vertices[0], targets)
-        runs = oracle.counters.dijkstra_runs
-        second = oracle.distances_many(vertices[0], targets)
-        assert second.tolist() == first.tolist()
-        # the repeat batch is answered entirely from the cache
-        assert oracle.counters.dijkstra_runs == runs
-        assert oracle.counters.snapshot()["distance_cache_hits"] >= len(targets)
-
-    def test_batch_serves_later_scalar_queries(self, network):
-        vertices = sorted(network.vertices())
-        oracle = DistanceOracle(network, backend="dijkstra")
-        batched = oracle.distances_many(vertices[0], vertices[1:6])
-        runs = oracle.counters.dijkstra_runs
-        scalar = [oracle.distance(vertices[0], t) for t in vertices[1:6]]
-        assert scalar == batched.tolist()
-        assert oracle.counters.dijkstra_runs == runs
-
-    def test_repeated_targets_deduplicated(self, network):
-        vertices = sorted(network.vertices())
-        oracle = DistanceOracle(network, backend="dijkstra")
-        target = vertices[7]
-        distances = oracle.distances_many(vertices[0], [target, target, target, vertices[0]])
-        assert distances[0] == distances[1] == distances[2]
-        assert distances[3] == 0.0
-        # one truncated search answered the whole batch
-        assert oracle.counters.dijkstra_runs == 1
-
-    def test_distance_pairs_shares_an_endpoint_in_one_search(self, network):
-        vertices = sorted(network.vertices())
-        oracle = DistanceOracle(network, backend="dijkstra")
-        hub = vertices[3]
-        us = [hub, hub, hub]
-        vs = [vertices[10], vertices[20], vertices[30]]
-        pairs = oracle.distance_pairs(us, vs)
-        assert oracle.counters.dijkstra_runs == 1
-        assert pairs.tolist() == [oracle.distance(hub, v) for v in vs]
-
-    def test_endpoint_distances_two_sweeps(self, network):
-        vertices = sorted(network.vertices())
-        oracle = DistanceOracle(network, backend="dijkstra")
-        stops = vertices[::4]
-        to_origin, to_destination = oracle.endpoint_distances(
-            stops, vertices[1], vertices[-2]
-        )
-        assert oracle.counters.dijkstra_runs == 2
-        assert to_origin.tolist() == [oracle.distance(s, vertices[1]) for s in stops]
-        assert to_destination.tolist() == [oracle.distance(s, vertices[-2]) for s in stops]
 
 
 class TestAPSPTableMapping:

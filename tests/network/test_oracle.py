@@ -14,7 +14,7 @@ def network():
 
 @pytest.fixture(
     scope="module",
-    params=["dijkstra", "ch", "apsp"],
+    params=["ch", "apsp"],
 )
 def oracle(request, network):
     return DistanceOracle(network, backend=request.param)
@@ -71,10 +71,21 @@ class TestCountersAndCaches:
         oracle.reset_counters()
         assert oracle.counters.distance_queries == 0
 
+    @pytest.mark.parametrize("name", ["apsp", "ch"])
+    def test_snapshot_reports_the_path_cache_only(self, network, name):
+        oracle = DistanceOracle(network, backend=name)
+        oracle.distance(0, 5)
+        oracle.path(0, 5)
+        assert set(oracle.counters.snapshot()) == {
+            "distance_queries", "path_queries", "lower_bound_queries", "dijkstra_runs",
+            f"backend_{name}_queries", *(["backend_ch_settled"] if name == "ch" else []),
+            "path_cache_hits", "path_cache_misses", "path_cache_evictions",
+            "path_cache_hit_rate",
+        }
+
     def test_cache_statistics_exposed(self, network):
         oracle = DistanceOracle(network)
-        oracle.distance(0, 5)
-        oracle.distance(0, 5)
+        oracle.path(0, 5)
+        oracle.path(5, 0)
         stats = oracle.cache_statistics()
-        assert stats["distance_cache_size"] >= 1
-        assert 0.0 <= stats["distance_cache_hit_rate"] <= 1.0
+        assert stats == {"path_cache_size": 1.0, "path_cache_hit_rate": 0.5}

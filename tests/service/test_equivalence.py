@@ -4,7 +4,7 @@ Replaying the standard scenario through :class:`MatchingService` (incremental
 submit/drain) must reproduce the direct engine drive
 (:meth:`~repro.simulation.engine.EventEngine.run` — the batch-seeded event
 heap) **bit for bit** on served rate, unified cost, distance queries and
-Dijkstra runs, and the decisions and costs of the seed's request loop
+path-cache misses, and the decisions and costs of the seed's request loop
 (``tests/simulation/seed_loop.py``), for every registry dispatcher and a
 sharded variant.
 """
@@ -12,9 +12,11 @@ sharded variant.
 import pytest
 
 from repro.dispatch import ALGORITHMS, DispatcherConfig, make_dispatcher
+from repro.network.oracle import DistanceOracle
 from repro.service import MatchingService
 from repro.simulation.engine import EventEngine
-from repro.workloads.scenarios import ScenarioConfig, build_instance
+from repro.workloads.scenarios import ScenarioConfig, build_instance, build_network
+from tests.network.reference import ReferenceBackend
 from tests.simulation.seed_loop import run_seed_loop
 
 #: the repo's standard equivalence scenario (mirrors tests/sharding).
@@ -89,7 +91,7 @@ def test_service_replay_matches_the_seed_loop(algorithm):
 
 
 def _backend_outcomes(result):
-    """What every distance backend must reproduce from the Dijkstra run."""
+    """What every distance backend must reproduce from the reference run."""
     return {
         "served": result.served_requests,
         "served_rate": result.served_rate,
@@ -102,17 +104,28 @@ def _backend_outcomes(result):
 
 
 @pytest.fixture(scope="module")
-def dijkstra_replay():
-    scenario = _STANDARD.with_overrides(oracle_backend="dijkstra")
-    return MatchingService(build_instance(scenario), _dispatcher("pruneGreedyDP")).replay()
+def reference_replay():
+    """The replay on an oracle whose backend searches
+    (:class:`~tests.network.reference.ReferenceBackend`)."""
+    network = build_network(_STANDARD)
+    with pytest.MonkeyPatch.context() as patch:
+        # the oracle checks the name it is given, then opens what its factory builds
+        patch.setattr(
+            "repro.network.oracle.make_backend",
+            lambda name, network, host: ReferenceBackend(network),
+        )
+        oracle = DistanceOracle(network, backend="ch")
+    assert oracle.backend_name == "reference"
+    instance = build_instance(_STANDARD, network=network, oracle=oracle)
+    return MatchingService(instance, _dispatcher("pruneGreedyDP")).replay()
 
 
-@pytest.mark.parametrize("backend", ["dijkstra", "apsp", "ch"])
-def test_service_replay_matches_direct_drive_under_every_backend(backend, dijkstra_replay):
+@pytest.mark.parametrize("backend", ["apsp", "ch"])
+def test_service_replay_matches_direct_drive_under_every_backend(backend, reference_replay):
     """The oracle backend must never change what the service replays: each
     backend's replay equals its own direct drive, and its served count,
     unified cost, mean wait, mean detour, distance queries and evaluated
-    insertions equal the Dijkstra run's bit for bit (every backend answers
+    insertions equal the reference run's bit for bit (every backend answers
     the same grid values, so no tie and no pruning cut can differ)."""
     scenario = _STANDARD.with_overrides(oracle_backend=backend)
     direct_instance = build_instance(scenario)
@@ -124,7 +137,7 @@ def test_service_replay_matches_direct_drive_under_every_backend(backend, dijkst
 
     assert service_instance.oracle.backend_name == backend
     assert _fingerprint(replayed, service_instance) == _fingerprint(direct, direct_instance)
-    assert _backend_outcomes(replayed) == _backend_outcomes(dijkstra_replay)
+    assert _backend_outcomes(replayed) == _backend_outcomes(reference_replay)
 
 
 def test_decision_stream_is_consistent_with_the_metrics():

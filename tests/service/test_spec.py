@@ -6,6 +6,8 @@ import pytest
 
 from repro.dispatch.registry import DispatcherSpec
 from repro.exceptions import ConfigurationError
+from repro.network.generators import grid_city
+from repro.network.oracle import DistanceOracle
 from repro.service.spec import PlatformSpec
 from repro.workloads.scenarios import ScenarioConfig
 
@@ -160,7 +162,7 @@ class TestOracleBackendNames:
     """Backend names are checked against one list when the spec is built,
     with a typed error naming the field, not deep inside the run."""
 
-    @pytest.mark.parametrize("name", ["bogus", "hub_labels", "none"])
+    @pytest.mark.parametrize("name", ["bogus", "hub_labels", "none", "dijkstra"])
     def test_unknown_scenario_backend_fails_at_validate(self, name):
         with pytest.raises(ConfigurationError, match=f"unknown oracle_backend '{name}'"):
             PlatformSpec.from_dict(
@@ -168,8 +170,17 @@ class TestOracleBackendNames:
             ).validate()
 
     def test_unknown_scenario_backend_gets_a_hint(self):
-        with pytest.raises(ConfigurationError, match="did you mean 'dijkstra'"):
-            PlatformSpec.builder().city("small-grid").oracle(backend="dijkstr").build()
+        with pytest.raises(ConfigurationError, match="did you mean 'apsp'"):
+            PlatformSpec.builder().city("small-grid").oracle(backend="apssp").build()
+
+    def test_unknown_oracle_backend_fails_typed(self):
+        # the oracle itself, built without a spec, names the argument and the roster
+        network = grid_city(rows=3, columns=3, block_metres=200.0, seed=1)
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown distance backend 'dijkstra'; backend must be one of \('apsp', 'ch'\)",
+        ):
+            DistanceOracle(network, backend="dijkstra")
 
     def test_retired_shard_oracle_key_fails_typed(self):
         # shards query the instance's oracle; there is no per-shard backend
@@ -236,6 +247,6 @@ class TestFileCitiesAndArtifacts:
     def test_artifact_dir_survives_dict_round_trip(self):
         spec = (PlatformSpec.builder()
                 .city("small-grid")
-                .oracle(backend="dijkstra", artifact_dir="store")
+                .oracle(backend="apsp", artifact_dir="store")
                 .build())
         assert PlatformSpec.from_dict(spec.to_dict()) == spec

@@ -121,7 +121,7 @@ class TestShardOracleBackends:
         )
 
     def test_shards_share_one_oracle_build_per_backend(self):
-        for backend in ("dijkstra", "apsp", "ch"):
+        for backend in ("apsp", "ch"):
             instance = build_instance(_CONFIG.with_overrides(oracle_backend=backend))
             dispatcher = make_dispatcher(
                 "sharded:pruneGreedyDP",

@@ -93,10 +93,12 @@ class TestOracleSelection:
         network = build_network(config)
         assert make_oracle(network, config).backend_name == "ch"
 
-    def test_dijkstra_builds_plain_oracle(self):
-        config = ScenarioConfig(city="small-grid", seed=1, oracle_backend="dijkstra")
-        network = build_network(config)
-        assert make_oracle(network, config).backend_name == "dijkstra"
+    def test_a_retired_backend_name_fails_at_construction(self):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown oracle_backend 'dijkstra'; available: \['auto', 'apsp', 'ch'\]",
+        ):
+            ScenarioConfig(city="small-grid", seed=1, oracle_backend="dijkstra")
 
 
 class TestDatasetStatistics:
