@@ -30,7 +30,10 @@ array of the wrong dtype or shape, an APSP cell outside ``0`` to
 path used by the oracle treats them as cache misses and rebuilds. Files and
 manifest records of backends outside
 :data:`~repro.network.backends.BACKEND_NAMES` (left by older versions that
-persisted more backends) are kept but never read.
+persisted more backends) are kept but never read; asking the store for such
+a name raises :class:`~repro.exceptions.ConfigurationError`
+(:func:`~repro.network.backends.check_backend_name`), as ``make_backend``
+does.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from repro.artifacts.hashing import network_content_hash
 from repro.exceptions import ArtifactError
-from repro.network.backends import BACKEND_NAMES
+from repro.network.backends import check_backend_name
 from repro.network.ch import ContractionHierarchy
 from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork
 
@@ -83,7 +86,7 @@ class ArtifactStore:
         return self.root / content_hash[:2] / content_hash[2:]
 
     def artifact_path(self, content_hash: str, backend: str) -> Path:
-        self._check_backend(backend)
+        check_backend_name(backend)
         return self.entry_dir(content_hash) / f"{backend}.npz"
 
     def manifest_path(self, content_hash: str) -> Path:
@@ -105,11 +108,6 @@ class ArtifactStore:
                 continue
         return manifests
 
-    @staticmethod
-    def _check_backend(backend: str) -> None:
-        if backend not in BACKEND_NAMES:
-            raise ArtifactError(f"unknown backend {backend!r}; backends: {BACKEND_NAMES}")
-
     # ------------------------------------------------------------------- save
 
     def save_backend(
@@ -119,7 +117,7 @@ class ArtifactStore:
         content_hash: str | None = None,
     ) -> Path:
         """Persist a built backend's state; returns the artifact path."""
-        self._check_backend(backend.name)
+        check_backend_name(backend.name)
         if content_hash is None:
             content_hash = network_content_hash(network)
         entry = self.entry_dir(content_hash)
@@ -199,7 +197,7 @@ class ArtifactStore:
         """
         from repro.network.backends import APSPBackend, CHBackend
 
-        self._check_backend(name)
+        check_backend_name(name)
         if content_hash is None:
             content_hash = network_content_hash(network)
         path = self.artifact_path(content_hash, name)
@@ -297,7 +295,7 @@ class ArtifactStore:
         """
         from repro.network.backends import make_backend
 
-        self._check_backend(name)
+        check_backend_name(name)
         if content_hash is None:
             content_hash = network_content_hash(network)
         try:

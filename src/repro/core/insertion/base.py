@@ -32,15 +32,15 @@ it with one array kernel over the candidates' rows of the fleet route table.
 Planners that stop early by design — pruneGreedyDP's Lemma 8 scan, ``nearest``'s
 first-feasible walk and the re-optimiser — keep calling the scalar entry point:
 a block past their cut would issue exactly the distance queries the cut exists
-to save. Like the default loop, they lend ``L`` to each route only while it is
-evaluated and seed it on the winner's new route alone.
+to save. Like the default loop, they pass the ``L`` they queried once to every
+call (``best_insertion(route, request, oracle, direct)``), so no evaluated
+route's memo is read or written, and seed it on the winner's new route alone.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -52,9 +52,11 @@ from repro.network.oracle import DistanceOracle
 INFINITY = math.inf
 
 
-@dataclass(frozen=True, slots=True)
-class InsertionResult:
+class InsertionResult(NamedTuple):
     """Outcome of a best-insertion search.
+
+    A named tuple: the Lemma 8 scan builds one per evaluated candidate, so
+    it must be cheap to build.
 
     Attributes:
         feasible: whether any feasible insertion exists.
@@ -73,13 +75,7 @@ class InsertionResult:
     @staticmethod
     def infeasible(distance_queries: int = 0) -> "InsertionResult":
         """The canonical "no feasible insertion" result."""
-        return InsertionResult(
-            feasible=False,
-            delta=INFINITY,
-            pickup_index=-1,
-            dropoff_index=-1,
-            distance_queries=distance_queries,
-        )
+        return InsertionResult(False, INFINITY, -1, -1, distance_queries)
 
 
 class BlockInsertions(NamedTuple):
@@ -109,13 +105,21 @@ class InsertionOperator(abc.ABC):
 
     @abc.abstractmethod
     def best_insertion(
-        self, route: Route, request: Request, oracle: DistanceOracle
+        self,
+        route: Route,
+        request: Request,
+        oracle: DistanceOracle,
+        direct: float | None = None,
     ) -> InsertionResult:
         """Find the feasible insertion of ``request`` with minimal increased cost.
 
         The route's auxiliary arrays must be up to date (call
         :meth:`repro.core.route.Route.refresh` after any modification); the
-        operator itself never mutates ``route``.
+        operator itself never mutates ``route``. ``direct`` is
+        ``L = dis(o_r, d_r)`` when the caller has queried it; without it the
+        operator reads ``L`` through the route's memo
+        (:meth:`~repro.core.route.Route.direct_distance`). Either way ``L``
+        counts as one of the operator's ``distance_queries``.
         """
 
     def best_insertions(
@@ -136,16 +140,14 @@ class InsertionOperator(abc.ABC):
                 them (the fleet route table does); array kernels read it
                 instead of the route objects.
 
-        The default is the scalar loop. ``L`` is lent to each route for the
-        duration of its evaluation only — the memo of a route that is merely
-        *evaluated* must not grow, every successor route inherits it.
+        The default is the scalar loop, ``direct`` passed to every call: the
+        memo of a route that is merely *evaluated* must not grow, every
+        successor route inherits it.
         """
         del block
         found = BlockInsertions.infeasible(len(routes))
         for index, route in enumerate(routes):
-            route.remember_direct_distance(request, direct)
-            result = self.best_insertion(route, request, oracle)
-            route.forget_direct_distance(request)
+            result = self.best_insertion(route, request, oracle, direct)
             if result.feasible:
                 found.delta[index] = result.delta
                 found.pickup_index[index] = result.pickup_index
@@ -177,16 +179,22 @@ class _PairwiseDistances:
     instead of re-querying the oracle for every (i, j) pair.
     """
 
-    def __init__(self, route: Route, request: Request, oracle: DistanceOracle) -> None:
+    def __init__(
+        self,
+        route: Route,
+        request: Request,
+        oracle: DistanceOracle,
+        direct: float | None = None,
+    ) -> None:
         self._route = route
         self._request = request
         self._oracle = oracle
         self._to_origin: dict[int, float] = {}
         self._to_destination: dict[int, float] = {}
-        self.queries = 0
-        # L = dis(o_r, d_r): exactly one query, shared with ddl computations.
-        self.direct = route.direct_distance(request, oracle)
-        self.queries += 1
+        # L = dis(o_r, d_r): exactly one query (the caller's, when it passes
+        # ``direct``), shared with ddl computations.
+        self.direct = route.direct_distance(request, oracle) if direct is None else direct
+        self.queries = 1
 
     def to_origin(self, index: int) -> float:
         """dis(l_index, o_r)."""

@@ -25,7 +25,11 @@ class BasicInsertion(InsertionOperator):
     name = "basic"
 
     def best_insertion(
-        self, route: Route, request: Request, oracle: DistanceOracle
+        self,
+        route: Route,
+        request: Request,
+        oracle: DistanceOracle,
+        direct: float | None = None,
     ) -> InsertionResult:
         if request.capacity > route.worker.capacity:
             return InsertionResult.infeasible()
@@ -40,7 +44,7 @@ class BasicInsertion(InsertionOperator):
         for pickup_index in range(n + 1):
             for dropoff_index in range(pickup_index, n + 1):
                 candidate = route.with_insertion(
-                    request, pickup_index, dropoff_index, oracle, refresh=True
+                    request, pickup_index, dropoff_index, oracle, direct=direct
                 )
                 if not candidate.is_feasible(oracle, refresh=False):
                     continue

@@ -26,13 +26,15 @@ Two entry points, one algorithm
 :meth:`LinearDPInsertion.best_insertion` is the scalar walk over one route. It
 serves the planners that stop early by design — pruneGreedyDP's Lemma 8 scan,
 ``nearest``'s first-feasible walk and the re-optimiser — for which evaluating
-candidates past the cut would issue exactly the queries the cut saves. The
-early exit is known from ``arr`` alone, so the walk reads the endpoint
-distances of the stops it will scan into two plain lists up front (scalar
-calls below four stops, one ``endpoint_distances`` call from four) and
-``dis(l_{k+1}, d_r)`` of the stop after them only when a branch is open at
-the break — exactly the values and queries of reading each distance on
-demand (property-tested in ``tests/core/test_linear_dp_walk.py``).
+candidates past the cut would issue exactly the queries the cut saves. Those
+planners pass the ``L`` they queried once (``direct``), so the walk reads no
+route memo. The early exit is known from ``arr`` alone, so the walk reads the
+endpoint distances of the stops it will scan with one
+``oracle.endpoint_distances`` call, whatever the route's length, as two lists
+of plain floats, and ``dis(l_{k+1}, d_r)`` of the stop after
+them only when a branch is open at the break — exactly the values and queries
+of reading each distance on demand (property-tested on both backends in
+``tests/core/test_linear_dp_walk.py``).
 
 :meth:`LinearDPInsertion.best_insertions` evaluates Algorithm 3 for all rows of
 a :class:`~repro.core.route.RouteBlock` at once and serves the planners that
@@ -87,35 +89,33 @@ class LinearDPInsertion(InsertionOperator):
         self.aggressive_break = aggressive_break
 
     def best_insertion(
-        self, route: Route, request: Request, oracle: DistanceOracle
+        self,
+        route: Route,
+        request: Request,
+        oracle: DistanceOracle,
+        direct: float | None = None,
     ) -> InsertionResult:
         worker = route.worker
         if request.capacity > worker.capacity:
             return InsertionResult.infeasible()
-        if len(route.arr) != route.num_stops + 1:
+        stops = route.stops
+        n = len(stops)
+        if len(route.arr) != n + 1:
             route.refresh(oracle)
-
-        n = route.num_stops
         arr, slack, picked = route.arr, route.slack, route.picked
         free_capacity = worker.capacity - request.capacity
         deadline = request.deadline
         destination = request.destination
-        direct = route.direct_distance(request, oracle)
+        if direct is None:
+            direct = route.direct_distance(request, oracle)
 
         # the scan visits l_0..l_last and reads both endpoint distances of
-        # each: read them up front, as plain floats — one grouped call from 4
-        # stops on; below that the numpy round trip costs more than the
-        # scalar calls
+        # each: read them up front in one grouped call, as plain floats
         last = self._scan_stop_index(arr, n, deadline, direct)
-        vertices = [route.origin, *[stop.vertex for stop in route.stops[:last]]]
-        if last >= 4:
-            found_origin, found_destination = oracle.endpoint_distances(
-                vertices, request.origin, destination
-            )
-            to_origin, to_destination = found_origin.tolist(), found_destination.tolist()
-        else:
-            to_origin = [oracle.distance(vertex, request.origin) for vertex in vertices]
-            to_destination = [oracle.distance(vertex, destination) for vertex in vertices]
+        vertices = [route.origin, *[stop.vertex for stop in stops[:last]]]
+        to_origin, to_destination = oracle.endpoint_distances(
+            vertices, request.origin, destination
+        )
         queries = 1 + 2 * len(vertices)  # L counts as one, as in Lemma 9
 
         best_delta = INFINITY
@@ -141,7 +141,7 @@ class LinearDPInsertion(InsertionOperator):
                     next_destination = to_destination[j + 1]
                 else:
                     # past the scanned prefix: read only when a branch needs it
-                    next_destination = oracle.distance(route.stops[j].vertex, destination)
+                    next_destination = oracle.distance(stops[j].vertex, destination)
                     queries += 1
 
             # ---- special cases i = j (Fig. 2a when j = n, Fig. 2b otherwise)

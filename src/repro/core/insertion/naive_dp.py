@@ -33,7 +33,11 @@ class NaiveDPInsertion(InsertionOperator):
     name = "naive-dp"
 
     def best_insertion(
-        self, route: Route, request: Request, oracle: DistanceOracle
+        self,
+        route: Route,
+        request: Request,
+        oracle: DistanceOracle,
+        direct: float | None = None,
     ) -> InsertionResult:
         worker = route.worker
         if request.capacity > worker.capacity:
@@ -46,7 +50,7 @@ class NaiveDPInsertion(InsertionOperator):
         free_capacity = worker.capacity - request.capacity
         deadline = request.deadline
 
-        distances = _PairwiseDistances(route, request, oracle)
+        distances = _PairwiseDistances(route, request, oracle, direct)
         direct = distances.direct
 
         best = (INFINITY, 0, False, 0)  # (Δ, j, i ≠ j, i); an infinite Δ never wins

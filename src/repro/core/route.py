@@ -57,9 +57,13 @@ class Route:
     slack: list[float] = field(default_factory=list, repr=False)
     picked: list[int] = field(default_factory=list, repr=False)
 
-    # Cached direct origin->destination distances per request id (the ``L`` of
-    # Lemma 7); filled lazily so ddl[] can be recomputed without re-querying.
-    _direct_distances: dict[int, float] = field(default_factory=dict, repr=False)
+    # Cached direct origin->destination distances (the ``L`` of Lemma 7),
+    # keyed by ``(request id, origin, destination)`` so that a reused id with
+    # other endpoints never reads a stale ``L``; filled lazily so ddl[] can be
+    # recomputed without re-querying.
+    _direct_distances: dict[tuple[int, Vertex, Vertex], float] = field(
+        default_factory=dict, repr=False
+    )
 
     # Remaining concrete shortest path ``origin -> stops[0]`` as computed at
     # the last advance; lets partial advancement continue along the already
@@ -123,19 +127,16 @@ class Route:
 
     def direct_distance(self, request: Request, oracle: DistanceOracle) -> float:
         """Shortest distance ``dis(o_r, d_r)`` of ``request``, cached on the route."""
-        cached = self._direct_distances.get(request.id)
+        key = (request.id, request.origin, request.destination)
+        cached = self._direct_distances.get(key)
         if cached is None:
             cached = oracle.distance(request.origin, request.destination)
-            self._direct_distances[request.id] = cached
+            self._direct_distances[key] = cached
         return cached
 
     def remember_direct_distance(self, request: Request, distance: float) -> None:
         """Seed the direct-distance cache (used when the caller already knows ``L``)."""
-        self._direct_distances[request.id] = distance
-
-    def forget_direct_distance(self, request: Request) -> None:
-        """Drop a seeded ``L`` of a request the route does not (yet) serve."""
-        self._direct_distances.pop(request.id, None)
+        self._direct_distances[(request.id, request.origin, request.destination)] = distance
 
     # -------------------------------------------------------------- refresh
 
@@ -208,21 +209,19 @@ class Route:
         return route
 
     def moved_to(
-        self,
-        position: Vertex,
-        start_time: float,
-        concrete_path: tuple[Vertex, ...],
-        oracle: DistanceOracle,
+        self, position: Vertex, start_time: float, concrete_path: tuple[Vertex, ...]
     ) -> "Route":
         """The route once its worker has moved part of the way to ``l_1``.
 
         The worker stands at ``position`` at ``start_time`` and still follows
-        ``concrete_path``. Only the first leg changed: the route issues the
-        one query ``dis(position, l_1)`` and shifts every later arrival by
-        the same amount, ``start_time + dis(position, l_1) - arr[1]``; it
-        keeps ``ddl`` and ``picked`` (same stops) and recomputes ``slack``.
-        Every time is on the grid of :mod:`repro.core.timegrid`, so the shift
-        is exact and the result equals a fresh :meth:`refresh`, bit for bit.
+        ``concrete_path``, the rest of the shortest path it has walked from
+        ``l_0``. A part of a shortest path is a shortest path, so
+        ``dis(position, l_1) = arr[1] - start_time``: every time is on the
+        grid of :mod:`repro.core.timegrid`, so the shift of the later arrivals
+        ``start_time + dis(position, l_1) - arr[1]`` is exactly 0. The route
+        therefore issues no query and keeps ``arr[1:]``, ``ddl``, ``slack``
+        (``slack[0]`` does not read ``arr[0]``) and ``picked``; it equals a
+        fresh :meth:`refresh` bit for bit.
         """
         route = Route(
             worker=self.worker,
@@ -232,11 +231,9 @@ class Route:
             _direct_distances=dict(self._direct_distances),
             concrete_path=concrete_path,
         )
-        shift = start_time + oracle.distance(position, self.stops[0].vertex) - self.arr[1]
-        arr = [start_time, *[arrival + shift for arrival in self.arr[1:]]]
-        route.arr = arr
+        route.arr = [start_time, *self.arr[1:]]
         route.ddl = list(self.ddl)
-        route.slack = _slack(arr, self.ddl)
+        route.slack = list(self.slack)
         route.picked = list(self.picked)
         return route
 
@@ -314,14 +311,16 @@ class Route:
         pickup_index: int,
         dropoff_index: int,
         oracle: DistanceOracle,
-        refresh: bool = True,
+        direct: float | None = None,
     ) -> "Route":
         """Return a new route with ``request`` inserted at positions ``(i, j)``.
 
         ``pickup_index`` = ``i`` places the pickup between ``l_i`` and
         ``l_{i+1}``; ``dropoff_index`` = ``j`` (with ``j >= i``) places the
         drop-off between ``l_j`` and ``l_{j+1}`` of the *original* route,
-        matching Figure 2 of the paper.
+        matching Figure 2 of the paper. A caller that knows ``direct``, the
+        request's ``L = dis(o_r, d_r)``, seeds it on the new route, which then
+        re-times without querying it; this route's memo is not written.
         """
         n = self.num_stops
         i, j = pickup_index, dropoff_index
@@ -342,8 +341,9 @@ class Route:
             stops=new_stops,
             _direct_distances=dict(self._direct_distances),
         )
-        if refresh:
-            route.refresh(oracle)
+        if direct is not None:
+            route.remember_direct_distance(request, direct)
+        route.refresh(oracle)
         return route
 
     def copy(self) -> "Route":

@@ -21,8 +21,8 @@ them, and the planners that evaluate *every* candidate of a request
 (``batch``, ``tshare``, ``GreedyDP``) share one planning phase,
 :meth:`Dispatcher.plan_over_all`: the candidates' rows go through the
 insertion operator's block entry point in one call. Whichever planner picks
-the winner, :meth:`Dispatcher._inserted` builds its new route — the only
-route ``L`` is seeded on.
+the winner, ``Route.with_insertion(..., direct=L)`` builds its new route —
+the only route ``L`` is seeded on.
 """
 
 from __future__ import annotations
@@ -346,23 +346,14 @@ class Dispatcher(abc.ABC):
             return INFINITY, None, None
         winner = int(found.delta.argmin())
         best_delta = found.delta.item(winner)
-        route = self._inserted(
-            routes[winner],
+        route = routes[winner].with_insertion(
             request,
             found.pickup_index.item(winner),
             found.dropoff_index.item(winner),
-            direct,
+            self.oracle,
+            direct=direct,
         )
         return best_delta, route.worker.id, route
-
-    def _inserted(self, route: Route, request: Request, i: int, j: int, direct: float) -> Route:
-        """The winner's new route: ``route`` with ``request`` inserted at
-        ``(i, j)``, ``L`` seeded on it (the only route that keeps it),
-        auxiliary arrays fresh. No live route is written."""
-        inserted = route.with_insertion(request, i, j, self.oracle, refresh=False)
-        inserted.remember_direct_distance(request, direct)
-        inserted.refresh(self.oracle)
-        return inserted
 
     def memory_estimate_bytes(self) -> int:
         """Memory footprint of the dispatcher's index structures."""

@@ -21,10 +21,10 @@ insertion for every candidate — in one pass, through
 block kernel.
 
 Both phases work in rows of the fleet's route table: the decision phase
-hands the planning phase the finite bounds and their rows, in scan order, as
-two arrays. ``pruneGreedyDP``'s Lemma 8 scan stops after a handful of
-candidates by design, so it keeps the scalar operator and reads the arrays
-one entry at a time.
+hands the planning phase the finite bounds, their rows and which of them are
+idle, in scan order, as three arrays. ``pruneGreedyDP``'s Lemma 8 scan stops
+after a handful of candidates by design, so it keeps the scalar operator and
+reads the arrays one entry at a time.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class _GreedyDPBase(Dispatcher):
 
         # ---------------- decision phase (Algorithm 4)
         direct = self.oracle.distance(request.origin, request.destination)
-        bounds, rows = self._decision_bounds(request, candidate_rows, direct)
+        bounds, rows, idle = self._decision_bounds(request, candidate_rows, direct)
 
         # under Lemma 8 the bounds arrive pre-ordered: the first is the minimum
         if not bounds.size or request.penalty < alpha * (
@@ -102,7 +102,7 @@ class _GreedyDPBase(Dispatcher):
         # ---------------- planning phase (Algorithm 5, lines 5-11)
         if self.use_pruning:
             best_delta, best_worker_id, best_route, insertions = self._plan_pruned(
-                request, bounds, rows, direct
+                request, bounds, rows, idle, direct
             )
         else:
             # no cut to respect: every finite-bound candidate in one pass
@@ -139,18 +139,28 @@ class _GreedyDPBase(Dispatcher):
         )
 
     def _plan_pruned(
-        self, request: Request, bounds: np.ndarray, rows: np.ndarray, direct: float
+        self,
+        request: Request,
+        bounds: np.ndarray,
+        rows: np.ndarray,
+        idle: np.ndarray,
+        direct: float,
     ) -> tuple[float, int | None, Route | None, int]:
         """The Lemma 8 scan: candidates in bound order, one scalar insertion
         each, until the best found beats the next bound — a block past the cut
         would issue exactly the queries the cut saves. A candidate whose bound
         ties the best is still evaluated, and the winner is the smallest
-        ``(delta, worker id)``: the same worker GreedyDP picks. It
-        materialises only the candidates it evaluates, lends ``L`` to each
-        route for its walk (every successor route inherits the memo) and
-        builds the winner's new route alone."""
+        ``(delta, worker id)``: the same worker GreedyDP picks.
+
+        The scan reads each busy candidate's route as it stands: the decision
+        phase's ``states_of`` brought those rows to the clock. An idle
+        candidate goes through ``state_of``, which only bumps its clock.
+        ``L`` goes to each walk as ``direct``, so no evaluated route's memo is
+        read or written, and the winner's new route alone is built, ``L``
+        seeded on it."""
         assert self.fleet is not None and self.oracle is not None
-        state_of, ids = self.fleet.state_of, self.fleet.table.ids
+        fleet, oracle, insertion = self.fleet, self.oracle, self.insertion
+        state_of, peek_state, ids = fleet.state_of, fleet.peek_state, fleet.table.ids
         best_key = (INFINITY, 0)
         best = None
         insertions = 0
@@ -158,10 +168,8 @@ class _GreedyDPBase(Dispatcher):
             if best_key[0] < bounds.item(index):
                 break  # Lemma 8: later candidates cannot beat the current best
             worker_id = ids.item(rows.item(index))
-            route = state_of(worker_id).route
-            route.remember_direct_distance(request, direct)
-            result = self.insertion.best_insertion(route, request, self.oracle)
-            route.forget_direct_distance(request)
+            route = (state_of if idle.item(index) else peek_state)(worker_id).route
+            result = insertion.best_insertion(route, request, oracle, direct)
             insertions += 1
             if result.feasible and (result.delta, worker_id) < best_key:
                 best_key = (result.delta, worker_id)
@@ -169,14 +177,16 @@ class _GreedyDPBase(Dispatcher):
         if best is None:
             return INFINITY, None, None, insertions
         route, result = best
-        winner = self._inserted(route, request, result.pickup_index, result.dropoff_index, direct)
+        winner = route.with_insertion(
+            request, result.pickup_index, result.dropoff_index, oracle, direct=direct
+        )
         return best_key[0], route.worker.id, winner, insertions
 
     # ------------------------------------------------------- decision phase
 
     def _decision_bounds(
         self, request: Request, candidate_rows: np.ndarray, direct: float
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All candidate lower bounds as one numpy reduction (Algorithm 4).
 
         Reads the fleet's route table, not its ``Route`` objects. Idle
@@ -189,11 +199,11 @@ class _GreedyDPBase(Dispatcher):
         answers every bound. Values equal the scalar
         ``euclidean_insertion_lower_bound`` bit for bit.
 
-        Returns the finite bounds and their rows, in scan order: under
-        Lemma 8 one stable argsort (ascending bound, ties in candidate
-        order), otherwise candidate order. No route's direct-distance memo is
-        touched here; the planning phase lends ``L`` to the few routes it
-        evaluates.
+        Returns the finite bounds, their rows and whether each row was idle
+        (the others are at the clock now), in scan order: under Lemma 8 one
+        stable argsort (ascending bound, ties in candidate order), otherwise
+        candidate order. No route's direct-distance memo is touched here or
+        in the planning phase.
         """
         fleet = self.fleet
         assert fleet is not None and self.oracle is not None
@@ -219,7 +229,7 @@ class _GreedyDPBase(Dispatcher):
         finite = np.flatnonzero(bounds < INFINITY)
         if self.use_pruning and finite.size:
             finite = finite[np.argsort(bounds[finite], kind="stable")]
-        return bounds[finite], candidate_rows[finite]
+        return bounds[finite], candidate_rows[finite], idle_mask[finite]
 
 
 class GreedyDP(_GreedyDPBase):

@@ -42,16 +42,15 @@ class NearestWorker(Dispatcher):
         insertions = 0
         for worker_id in ordered:
             state = self.fleet.state_of(worker_id)
-            # L is lent for the walk only: every successor route inherits the memo
+            # L goes to the walk, not to the memo every successor route inherits
             route = state.route
-            route.remember_direct_distance(request, direct)
-            result = self.insertion.best_insertion(route, request, self.oracle)
-            route.forget_direct_distance(request)
+            result = self.insertion.best_insertion(route, request, self.oracle, direct)
             insertions += 1
             if not result.feasible:
                 continue
-            new_route = self._inserted(
-                route, request, result.pickup_index, result.dropoff_index, direct
+            new_route = route.with_insertion(
+                request, result.pickup_index, result.dropoff_index, self.oracle,
+                direct=direct,
             )
             state.adopt_route(new_route, request=request)
             self.grid.update(worker_id, state.position)

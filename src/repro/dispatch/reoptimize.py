@@ -64,7 +64,11 @@ def remove_request(route: Route, request_id: int, oracle: DistanceOracle) -> Rou
         origin=route.origin,
         start_time=route.start_time,
         stops=remaining,
-        _direct_distances=dict(route._direct_distances),
+        _direct_distances={
+            key: direct
+            for key, direct in route._direct_distances.items()
+            if key[0] != request_id
+        },
     )
     stripped.refresh(oracle)
     return stripped
@@ -110,8 +114,8 @@ def reinsertion_improvement(
             removal_gain = current_cost - stripped_cost
 
             # the smallest (delta, worker id) re-insertion across the whole
-            # fleet (including the origin worker); L is lent to each
-            # evaluated route for its walk only
+            # fleet (including the origin worker); L goes to each walk, not
+            # to the evaluated routes' memos
             direct = current_route.direct_distance(request, oracle)
             best_key = (math.inf, 0)
             best_state = best_route = None
@@ -119,15 +123,14 @@ def reinsertion_improvement(
                 if candidate is not state and not candidate.online:
                     continue  # off-shift workers take no new requests
                 base_route = stripped if candidate is state else candidate.route
-                base_route.remember_direct_distance(request, direct)
-                result = operator.best_insertion(base_route, request, oracle)
+                result = operator.best_insertion(base_route, request, oracle, direct)
                 if result.feasible and (result.delta, candidate.worker.id) < best_key:
                     best_key = (result.delta, candidate.worker.id)
                     best_state = candidate
                     best_route = base_route.with_insertion(
-                        request, result.pickup_index, result.dropoff_index, oracle
+                        request, result.pickup_index, result.dropoff_index, oracle,
+                        direct=direct,
                     )
-                base_route.forget_direct_distance(request)
             if best_state is None or best_route is None:
                 continue
             improvement = removal_gain - best_key[0]

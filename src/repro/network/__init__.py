@@ -26,10 +26,7 @@ from repro.network.graph import (
 )
 from repro.network.io import load_network, network_from_dict, network_to_dict, save_network
 from repro.network.oracle import DistanceOracle, OracleCounters
-from repro.network.shortest_path import (
-    bidirectional_dijkstra,
-    dijkstra,
-)
+from repro.network.shortest_path import bidirectional_dijkstra
 
 __all__ = [
     "BACKEND_NAMES",
@@ -59,5 +56,4 @@ __all__ = [
     "DistanceOracle",
     "OracleCounters",
     "bidirectional_dijkstra",
-    "dijkstra",
 ]

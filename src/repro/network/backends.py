@@ -125,8 +125,10 @@ class DistanceBackend(Protocol):
 
     def endpoint_distances(
         self, vertices: Sequence[Vertex], origin: Vertex, destination: Vertex
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact distances from every vertex to two shared endpoints."""
+    ) -> tuple[Sequence[float], Sequence[float]]:
+        """Exact distances from every vertex to two shared endpoints: two
+        float64 arrays for a numpy array of vertices, two lists of plain
+        floats for any other sequence."""
         ...
 
     def path(self, u: Vertex, v: Vertex) -> tuple[float, list[Vertex]]:
@@ -138,6 +140,15 @@ class DistanceBackend(Protocol):
     def stats(self) -> dict[str, float]:
         """Build/search statistics for benchmarks and reports."""
         ...
+
+
+def _column_seconds(matrix: np.ndarray, rows: list[int], column: int) -> list[float]:
+    """Cells ``matrix[row, column]`` as plain seconds, ``inf`` for the sentinel."""
+    item = matrix.item
+    return [
+        ticks * TIME_QUANTUM if (ticks := item(row, column)) != UNREACHABLE_TICKS else np.inf
+        for row in rows
+    ]
 
 
 class APSPBackend:
@@ -241,12 +252,22 @@ class APSPBackend:
 
     def endpoint_distances(
         self, vertices: Sequence[Vertex], origin: Vertex, destination: Vertex
-    ) -> tuple[np.ndarray, np.ndarray]:
-        positions = self._csr.positions_of(vertices)
+    ) -> tuple[Sequence[float], Sequence[float]]:
         index = self.vertex_index
-        # both columns in one gather, converted once
-        both = self._seconds(self.matrix[positions[:, None], [index[origin], index[destination]]])
-        return both[:, 0], both[:, 1]
+        if isinstance(vertices, np.ndarray):
+            positions = self._csr.positions_of(vertices)
+            # both columns in one gather, converted once
+            both = self._seconds(
+                self.matrix[positions[:, None], [index[origin], index[destination]]]
+            )
+            return both[:, 0], both[:, 1]
+        # the scalar walk's short list: the cells ``distance`` reads, as
+        # plain floats, without a numpy gather
+        positions = [index[vertex] for vertex in vertices]
+        return (
+            _column_seconds(self.matrix, positions, index[origin]),
+            _column_seconds(self.matrix, positions, index[destination]),
+        )
 
     def path(self, u: Vertex, v: Vertex) -> tuple[float, list[Vertex]]:
         """The bidirectional Dijkstra's path, rebuilt from rows ``u`` and
@@ -329,13 +350,19 @@ class CHBackend:
 
     def endpoint_distances(
         self, vertices: Sequence[Vertex], origin: Vertex, destination: Vertex
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[Sequence[float], Sequence[float]]:
         # one bucket sweep per endpoint; the vertices' search spaces are
         # shared between the two sweeps through the hierarchy's memo
-        return (
-            self.distances_many(origin, vertices),
-            self.distances_many(destination, vertices),
-        )
+        as_array = isinstance(vertices, np.ndarray)
+        position = self._csr.position
+        targets = [position[vertex] for vertex in (vertices.tolist() if as_array else vertices)]
+        sweep = self.hierarchy.sweep_positions
+        before = self.hierarchy.settled
+        found = sweep(position[origin], targets), sweep(position[destination], targets)
+        self._record_settled(before)
+        if as_array:
+            return np.array(found[0], dtype=np.float64), np.array(found[1], dtype=np.float64)
+        return found
 
     def path(self, u: Vertex, v: Vertex) -> tuple[float, list[Vertex]]:
         # the search: reading d(., v) through bucket joins costs more than a

@@ -197,7 +197,16 @@ class ContractionHierarchy:
     def distances_many_positions(
         self, source: int, targets: np.ndarray | Sequence[int]
     ) -> np.ndarray:
-        """Distances from ``source`` to many positions via the bucket join.
+        """Distances from ``source`` to many positions via the bucket join
+        (:meth:`sweep_positions`), as a float64 array."""
+        targets = np.asarray(targets, dtype=np.int64)
+        if targets.size == 0:
+            return np.full(0, INFINITY, dtype=np.float64)
+        return np.array(self.sweep_positions(source, targets.tolist()), dtype=np.float64)
+
+    def sweep_positions(self, source: int, targets: list[int]) -> list[float]:
+        """Distances from ``source`` to the non-empty list ``targets`` of
+        positions via the bucket join, as plain floats.
 
         One upward sweep from ``source`` (scattered into the bucket row), then
         one small gather + minimum per *unique* target search space (served
@@ -205,30 +214,21 @@ class ContractionHierarchy:
         ``#unique_targets + 1`` tiny upward searches instead of
         ``len(targets)`` point-to-point Dijkstras.
         """
-        targets = np.asarray(targets, dtype=np.int64)
-        count = targets.size
-        result = np.full(count, INFINITY, dtype=np.float64)
-        if count == 0:
-            return result
         nodes, dists = self.search_space(source)
         bucket = self._bucket
         bucket[nodes] = dists
         try:
-            memo: dict[int, float] = {}
-            for slot in range(count):
-                t = int(targets[slot])
-                if t == source:
-                    result[slot] = 0.0
-                    continue
+            memo: dict[int, float] = {source: 0.0}
+            found = []
+            for t in targets:
                 value = memo.get(t)
                 if value is None:
                     target_nodes, target_dists = self.search_space(t)
-                    value = float((bucket[target_nodes] + target_dists).min())
-                    memo[t] = value
-                result[slot] = value
+                    value = memo[t] = float((bucket[target_nodes] + target_dists).min())
+                found.append(value)
+            return found
         finally:
             bucket[nodes] = INFINITY
-        return result
 
     def stats(self) -> dict[str, float]:
         """Build/search statistics for benchmarks and reports."""

@@ -246,19 +246,26 @@ class DistanceOracle:
 
     def endpoint_distances(
         self, vertices: Sequence[Vertex], origin: Vertex, destination: Vertex
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[Sequence[float], Sequence[float]]:
         """Exact distances from every vertex to two shared endpoints.
 
         Semantically identical (values and counters) to the scalar pair
         ``[distance(v, origin) for v], [distance(v, destination) for v]`` —
-        one translation pass serves both endpoints; this is the grouped call
+        one backend pass serves both endpoints; this is the grouped call
         behind the linear DP's read-ahead of endpoint distances (Lemma 9).
+
+        The answer comes in the kind of sequence it was asked in: a numpy
+        array of vertices (the block kernel's gather) gets two float64
+        arrays, any other sequence (the scalar walk's list) two lists of
+        plain floats.
         """
         count = len(vertices)
         self.counters.distance_queries += 2 * count
         if count == 0:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty
+            if isinstance(vertices, np.ndarray):
+                empty = np.empty(0, dtype=np.float64)
+                return empty, empty
+            return [], []
         self.counters.record_backend(self._backend.name, queries=2 * count)
         return self._backend.endpoint_distances(vertices, origin, destination)
 

@@ -4,7 +4,6 @@ The paper assumes an O(1) shortest-distance oracle (Section 4.2; see
 :mod:`repro.network.oracle`). This module provides the exact reference
 algorithms the oracle builds upon:
 
-* :func:`dijkstra` — single-source shortest distances (optionally bounded),
 * :func:`bidirectional_dijkstra` — point-to-point distance and path (the
   path every distance backend answers; the APSP backend rebuilds it from
   its table, :mod:`repro.network.apsp_path`),
@@ -27,7 +26,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -36,40 +34,6 @@ from repro.exceptions import ConfigurationError, DisconnectedError
 from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork, Vertex
 
 INFINITY = math.inf
-
-
-def dijkstra(
-    network: RoadNetwork,
-    source: Vertex,
-    targets: Iterable[Vertex] | None = None,
-    max_cost: float = INFINITY,
-) -> dict[Vertex, float]:
-    """Single-source Dijkstra on the CSR adjacency.
-
-    Args:
-        network: the road network.
-        source: start vertex.
-        targets: optional set of targets; the search stops once all of them
-            are settled (or proven unreachable within ``max_cost``).
-        max_cost: do not settle vertices farther than this cost.
-
-    Returns:
-        Mapping ``vertex -> shortest travel time`` for every settled vertex.
-    """
-    csr = network.csr
-    src = csr.position_of(source)
-    remaining: set[int] | None = None
-    if targets is not None:
-        # unknown targets can never be settled; a sentinel keeps the search
-        # exhaustive, matching the dict reference behaviour
-        remaining = {csr.position.get(target, -1) for target in targets}
-    distances, settled = _csr_dijkstra(csr, src, remaining, max_cost)
-    vertex_ids = csr.vertex_ids_list
-    return {
-        vertex_ids[index]: distances[index]
-        for index in range(len(settled))
-        if settled[index]
-    }
 
 
 def _csr_dijkstra(

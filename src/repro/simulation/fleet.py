@@ -49,10 +49,12 @@ one fancy index per array, and :meth:`FleetState.states_of` /
 * **Re-anchors live on the route.** ``advance_to`` edits no array: a stop
   completion installs :meth:`Route.after_next_stop` (every array shifted one
   entry, no query) and a partial move installs :meth:`Route.moved_to`, which
-  re-times the route with the one query ``dis(position, l_1)`` and an exact
-  shift of the later arrivals instead of ``refresh``'s ``n`` queries. Every
-  time is on the 2⁻¹⁰ s grid and every backend answers a pair with the same
-  grid value, so both re-anchors equal a fresh ``refresh`` bit for bit.
+  sets ``arr[0]`` to the new clock and keeps every later arrival, also
+  without a query: the worker stands on the recorded shortest path to
+  ``l_1``, so ``dis(position, l_1)`` is exactly ``arr[1]`` minus the new
+  clock. Every time is on the 2⁻¹⁰ s grid and every backend answers a pair
+  with the same grid value, so both re-anchors equal a fresh ``refresh`` bit
+  for bit (``refresh`` would ask ``n`` queries).
   Every re-planning — including :meth:`FleetState.replan_busy` after a live
   network update — installs a fresh ``Route`` that ``refresh`` times again.
 * **Window invariant.** For every busy row, ``first_edge_cost`` is the live
@@ -313,7 +315,7 @@ class WorkerState:
             if position != route.origin:
                 self.travelled_cost += moved_cost
                 self.route = route.moved_to(
-                    position, route.arr[0] + moved_cost, tuple(path[passed:]), oracle
+                    position, route.arr[0] + moved_cost, tuple(path[passed:])
                 )
             elif cached_path is None:
                 # remember the freshly derived path even when the budget was

@@ -17,7 +17,7 @@ from repro.cli import main
 from repro.core.timegrid import TIME_QUANTUM
 from repro.dispatch import DispatcherConfig
 from repro.dispatch.greedy_dp import PruneGreedyDP
-from repro.exceptions import ArtifactError
+from repro.exceptions import ArtifactError, ConfigurationError
 from repro.network.backends import BACKEND_NAMES
 from repro.network.generators import grid_city, random_geometric_city
 from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork
@@ -112,7 +112,8 @@ class TestStoreBasics:
         assert store.load_backend("ch", city) is None
 
     def test_dijkstra_not_persistable(self, city, store):
-        with pytest.raises(ArtifactError, match="unknown backend 'dijkstra'"):
+        # the same error type and text make_backend and DistanceOracle raise
+        with pytest.raises(ConfigurationError, match="unknown distance backend 'dijkstra'"):
             store.artifact_path(network_content_hash(city), "dijkstra")
 
     def test_entries_lists_manifests(self, city, store):

@@ -151,12 +151,8 @@ def block_scenarios(draw) -> tuple[list[Route], Request]:
 
 
 def _scalar(operator: InsertionOperator, route: Route, request: Request, oracle, direct):
-    """The scalar walk on one route, with ``L`` lent like the planners lend it."""
-    route.remember_direct_distance(request, direct)
-    try:
-        return operator.best_insertion(route, request, oracle)
-    finally:
-        route.forget_direct_distance(request)
+    """The scalar walk on one route, passed ``L`` like the planners pass it."""
+    return operator.best_insertion(route, request, oracle, direct)
 
 
 def _assert_block_equals_scalar(operator, routes, request, oracle, block=None):
@@ -352,7 +348,7 @@ class TestHandBuiltCases:
 
     def test_default_entry_point_is_the_scalar_loop(self):
         """Operators without a kernel answer through the base-class loop, which
-        lends ``L`` to each route only while it is evaluated."""
+        passes ``L`` to each walk and writes no route's memo."""
         routes = []
         for worker_id in range(3):
             route = empty_route(make_worker(worker_id, location=_vertex(5 * worker_id)))

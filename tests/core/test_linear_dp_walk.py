@@ -1,13 +1,16 @@
 """The linear DP's scalar walk against its lazily-querying form.
 
 ``LinearDPInsertion.best_insertion`` reads the endpoint distances of the
-stops its scan visits into two plain lists before it starts (scalar calls
-below four stops, one ``endpoint_distances`` call from four), and reads
+stops its scan visits into two plain lists before it starts (one
+``endpoint_distances`` call, whatever the route's length), and reads
 ``dis(l_{k+1}, d_r)`` past that prefix only when a branch is open at the
 break. :class:`LazyLinearDP` below is the walk as it read them before: every
-distance on demand through the per-call memo. Contract, per route: ``delta``,
-both indices and ``distance_queries`` are equal, and so is the oracle's own
-query counter.
+distance on demand through the per-call memo, the reference the walk was
+held to before the grouped read too. Contract, per route and on both
+backends (``apsp`` and ``ch``): ``delta``, both indices and
+``distance_queries`` are equal, and so is the oracle's own query counter;
+the walk, passed ``L`` as ``direct``, writes nothing into the route's
+direct-distance memo and answers in plain floats.
 
 The generator aims at what the read-ahead could get wrong: routes whose scan
 visits fewer and more than four stops, one-seat vehicles that run full
@@ -34,13 +37,20 @@ from repro.core.types import Request
 from repro.network.oracle import DistanceOracle
 from tests.conftest import build_line_network, make_request, make_worker, route_with_requests
 from tests.core.test_block_linear_dp import long_routes
-from tests.core.test_insertion_equivalence import _ORACLE, _vertex, insertion_scenarios
+from tests.core.test_insertion_equivalence import (
+    _NETWORK,
+    _ORACLE,
+    _vertex,
+    insertion_scenarios,
+)
 
 
 class LazyLinearDP(LinearDPInsertion):
     """Algorithm 3's walk reading every distance lazily (the reference)."""
 
-    def best_insertion(self, route: Route, request: Request, oracle) -> InsertionResult:
+    def best_insertion(
+        self, route: Route, request: Request, oracle, direct: float | None = None
+    ) -> InsertionResult:
         worker = route.worker
         if request.capacity > worker.capacity:
             return InsertionResult.infeasible()
@@ -50,7 +60,7 @@ class LazyLinearDP(LinearDPInsertion):
         arr, slack, picked = route.arr, route.slack, route.picked
         free_capacity = worker.capacity - request.capacity
         deadline = request.deadline
-        distances = _PairwiseDistances(route, request, oracle)
+        distances = _PairwiseDistances(route, request, oracle, direct)
         direct = distances.direct
         best_delta = INFINITY
         best_pair = None
@@ -109,6 +119,8 @@ class LazyLinearDP(LinearDPInsertion):
         )
 
 
+_ORACLES = {"apsp": _ORACLE, "ch": DistanceOracle(_NETWORK, backend="ch")}
+
 _SETTINGS = settings(
     max_examples=120,
     deadline=None,
@@ -143,37 +155,39 @@ def walk_scenarios(draw) -> tuple[Route, Request]:
     return route, request
 
 
-def _walk(operator, route, request):
-    """The result and the oracle's own query count of one walk, ``L`` lent."""
-    route.remember_direct_distance(request, _ORACLE.distance(request.origin, request.destination))
-    before = _ORACLE.counters.distance_queries
-    try:
-        return operator.best_insertion(route, request, _ORACLE), (
-            _ORACLE.counters.distance_queries - before
-        )
-    finally:
-        route.forget_direct_distance(request)
+def _walk(operator, route, request, oracle=_ORACLE):
+    """The result and the oracle's own query count of one walk, passed ``L``;
+    the route's direct-distance memo is left as it was."""
+    direct = oracle.distance(request.origin, request.destination)
+    memo = dict(route._direct_distances)
+    before = oracle.counters.distance_queries
+    result = operator.best_insertion(route, request, oracle, direct)
+    assert route._direct_distances == memo
+    return result, oracle.counters.distance_queries - before
 
 
-def _assert_walk_equals_lazy(route, request, aggressive):
-    walk = _walk(LinearDPInsertion(aggressive_break=aggressive), route, request)
-    lazy = _walk(LazyLinearDP(aggressive_break=aggressive), route, request)
+def _assert_walk_equals_lazy(route, request, aggressive, backend):
+    oracle = _ORACLES[backend]
+    walk = _walk(LinearDPInsertion(aggressive_break=aggressive), route, request, oracle)
+    lazy = _walk(LazyLinearDP(aggressive_break=aggressive), route, request, oracle)
     assert walk == lazy  # delta, indices, distance_queries, oracle count
+    assert type(walk[0].delta) is float  # plain floats, no numpy scalar
 
 
 @pytest.mark.parametrize("aggressive", [False, True], ids=["conservative", "aggressive"])
+@pytest.mark.parametrize("backend", sorted(_ORACLES))
 class TestWalkEqualsLazyWalk:
     @given(walk_scenarios())
     @_SETTINGS
-    def test_results_and_query_counts(self, aggressive, scenario):
-        _assert_walk_equals_lazy(*scenario, aggressive)
+    def test_results_and_query_counts(self, backend, aggressive, scenario):
+        _assert_walk_equals_lazy(*scenario, aggressive, backend)
 
     @given(insertion_scenarios())
     @_SETTINGS
-    def test_insertion_scenarios(self, aggressive, scenario):
-        _assert_walk_equals_lazy(*scenario, aggressive)
+    def test_insertion_scenarios(self, backend, aggressive, scenario):
+        _assert_walk_equals_lazy(*scenario, aggressive, backend)
 
-    def test_deadline_on_every_boundary_of_a_long_route(self, aggressive):
+    def test_deadline_on_every_boundary_of_a_long_route(self, backend, aggressive):
         """A 10-stop route, the deadline swept across every ``arr[j]`` and
         ``arr[j] + L``, exactly on it and one tick either side."""
         worker = make_worker(location=_vertex(3), capacity=5)
@@ -190,14 +204,14 @@ class TestWalkEqualsLazyWalk:
                 for nudge in (-TIME_QUANTUM, 0.0, TIME_QUANTUM):
                     request = make_request(1000, origin=origin, destination=destination,
                                            deadline=boundary + nudge)
-                    _assert_walk_equals_lazy(route, request, aggressive)
+                    _assert_walk_equals_lazy(route, request, aggressive, backend)
 
-    def test_the_last_free_seat_takes_a_split_insertion(self, aggressive):
+    def test_the_last_free_seat_takes_a_split_insertion(self, backend, aggressive):
         """Line 0-1-...-11 (10 s edges): a two-seat vehicle at 0 carries a rider
         2 -> 6. A new rider 1 -> 4 rides along for free — picked up before the
         first stop, dropped after it, where the load leaves exactly one seat:
         ``picked[j] == free capacity`` must count as fitting."""
-        oracle = DistanceOracle(build_line_network(num_vertices=12), backend="apsp")
+        oracle = DistanceOracle(build_line_network(num_vertices=12), backend=backend)
         route = route_with_requests(
             make_worker(location=0, capacity=2), oracle,
             [make_request(1, origin=2, destination=6, deadline=500.0)],
@@ -208,6 +222,33 @@ class TestWalkEqualsLazyWalk:
         assert (walk.pickup_index, walk.dropoff_index, walk.delta) == (0, 1, 0.0)
         lazy = LazyLinearDP(aggressive_break=aggressive).best_insertion(route, request, oracle)
         assert walk == lazy
+
+
+@pytest.mark.parametrize("backend", sorted(_ORACLES))
+def test_the_walk_issues_one_endpoint_read(backend, monkeypatch):
+    """Whatever the route's length, the walk asks ``endpoint_distances`` once
+    and ``distance`` only for the stop after a cut with a branch open."""
+    oracle = _ORACLES[backend]
+    calls = {"endpoint_distances": 0, "distance": 0}
+    for name in calls:
+        original = getattr(DistanceOracle, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(DistanceOracle, name, counted)
+    for riders in range(4):
+        route = route_with_requests(make_worker(location=_vertex(3), capacity=4), oracle, [
+            make_request(index, origin=_vertex(9 * index + 5),
+                         destination=_vertex(13 * index + 20), deadline=50_000.0)
+            for index in range(riders)
+        ])
+        request = make_request(1000, origin=_vertex(15), destination=_vertex(33))
+        for name in calls:
+            calls[name] = 0
+        LinearDPInsertion().best_insertion(route, request, oracle, 100.0)
+        assert calls == {"endpoint_distances": 1, "distance": 0}
 
 
 def test_generators_reach_the_hard_cases():

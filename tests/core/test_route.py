@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.core.insertion.linear_dp import LinearDPInsertion
+from repro.core.insertion.naive_dp import NaiveDPInsertion
 from repro.core.route import Route, empty_route
 from repro.core.types import StopKind, dropoff_stop, pickup_stop
 from repro.exceptions import InfeasibleRouteError
@@ -181,3 +183,31 @@ class TestInsertionMechanics:
         second = route.direct_distance(request, line_oracle)
         assert first == second == pytest.approx(30.0)
         assert line_oracle.counters.distance_queries == before + 1
+
+
+class TestDirectDistanceMemoKey:
+    """``L`` is memoised per ``(request id, origin, destination)``: a reused id
+    with other endpoints must not read the first request's ``L``."""
+
+    def test_a_reused_id_with_other_endpoints_is_queried_again(self, line_oracle):
+        route = empty_route(make_worker(location=0))
+        first = route.direct_distance(make_request(9, origin=0, destination=1), line_oracle)
+        second = route.direct_distance(make_request(9, origin=0, destination=2), line_oracle)
+        assert (first, second) == (10.0, 20.0)
+
+    @pytest.mark.parametrize("operator", [LinearDPInsertion(), NaiveDPInsertion()],
+                             ids=["linear_dp", "naive_dp"])
+    def test_a_reused_id_gets_its_own_insertion(self, line_oracle, operator):
+        """Line 0-1-...-5 (10 s edges): a worker at 0 carries request 9 from 0
+        to 1. A second request 9, from 0 to 2, rides along at a detour of
+        10 s at ``(0, 2)``. Keyed by id alone, the memo handed the walk the
+        first request's 10 s as ``L``, and it answered ``(1, 1)``, whose
+        applied detour is 20 s."""
+        route = route_with_requests(make_worker(location=0), line_oracle,
+                                    [make_request(9, origin=0, destination=1)])
+        request = make_request(9, origin=0, destination=2)
+        found = operator.best_insertion(route, request, line_oracle)
+        assert (found.delta, found.pickup_index, found.dropoff_index) == (10.0, 0, 2)
+        applied = route.with_insertion(request, found.pickup_index, found.dropoff_index,
+                                       line_oracle)
+        assert applied.planned_cost(line_oracle) - route.planned_cost(line_oracle) == found.delta

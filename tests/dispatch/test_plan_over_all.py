@@ -118,7 +118,7 @@ class TestDirectDistanceMemo:
         service = _half_run_service(dispatcher_name)
         evaluated = 0
         for state in service.fleet.states.values():
-            memo = set(state.route._direct_distances)
+            memo = {request_id for request_id, _, _ in state.route._direct_distances}
             assert memo <= set(state.assigned_requests), (
                 f"worker {state.worker.id} remembers L of requests it only lost: "
                 f"{sorted(memo - set(state.assigned_requests))}"
@@ -142,7 +142,7 @@ class TestDirectDistanceMemo:
         }
         delta, worker_id, route = dispatcher.plan_over_all(probe, rows, direct)
         assert worker_id is not None and route is not None and delta < float("inf")
-        assert route._direct_distances[probe.id] == direct
+        assert route._direct_distances[(probe.id, probe.origin, probe.destination)] == direct
         assert route is not fleet.peek_state(worker_id).route
         for other_id, state in fleet.states.items():
             assert state.route._direct_distances == before[other_id]

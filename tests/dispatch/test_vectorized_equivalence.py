@@ -35,7 +35,8 @@ _NETWORK = build_network(_CONFIG)
 def _scalar_decision_bounds(self, request, candidate_rows, direct):
     """The decision phase as a per-candidate walk: materialise each candidate,
     take its scalar bound from the ``Route`` object, keep the finite ones and,
-    under Lemma 8, sort them (stable) in Python."""
+    under Lemma 8, sort them (stable) in Python. Every candidate is at the
+    clock afterwards, so none is reported idle."""
     table = self.fleet.table
     lower_bounds = []
     for row in candidate_rows.tolist():
@@ -48,6 +49,7 @@ def _scalar_decision_bounds(self, request, candidate_rows, direct):
     return (
         np.asarray([bound for bound, _ in lower_bounds], dtype=np.float64),
         np.asarray([row for _, row in lower_bounds], dtype=np.int64),
+        np.zeros(len(lower_bounds), dtype=bool),
     )
 
 

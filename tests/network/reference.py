@@ -2,8 +2,9 @@
 
 The seed's dict-of-dict Dijkstra searches (:func:`dijkstra_reference`,
 :func:`bidirectional_dijkstra_reference`) are the baselines the CSR searches
-of :mod:`repro.network.shortest_path` must equal exactly; the small wrappers
-below them answer one question each over a CSR Dijkstra,
+of :mod:`repro.network.shortest_path` must equal exactly; :func:`dijkstra`
+is the single-source CSR search, and the small wrappers below answer one
+question each over it,
 :func:`table_seconds` reads the APSP backend's raw table of ticks as seconds,
 and :class:`ReferenceBackend` is a distance backend that searches.
 """
@@ -19,9 +20,45 @@ import numpy as np
 from repro.core.timegrid import TIME_QUANTUM
 from repro.exceptions import DisconnectedError
 from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork, Vertex
-from repro.network.shortest_path import bidirectional_dijkstra, dijkstra
+from repro.network.shortest_path import _csr_dijkstra, bidirectional_dijkstra
 
 INFINITY = math.inf
+
+
+def dijkstra(
+    network: RoadNetwork,
+    source: Vertex,
+    targets: Iterable[Vertex] | None = None,
+    max_cost: float = INFINITY,
+) -> dict[Vertex, float]:
+    """Single-source Dijkstra on the CSR adjacency (the scan
+    :func:`~repro.network.shortest_path.check_tick_range` runs, kept here as
+    a test helper with targets and a cost bound).
+
+    Args:
+        network: the road network.
+        source: start vertex.
+        targets: optional set of targets; the search stops once all of them
+            are settled (or proven unreachable within ``max_cost``).
+        max_cost: do not settle vertices farther than this cost.
+
+    Returns:
+        Mapping ``vertex -> shortest travel time`` for every settled vertex.
+    """
+    csr = network.csr
+    src = csr.position_of(source)
+    remaining: set[int] | None = None
+    if targets is not None:
+        # unknown targets can never be settled; a sentinel keeps the search
+        # exhaustive, matching the dict reference behaviour
+        remaining = {csr.position.get(target, -1) for target in targets}
+    distances, settled = _csr_dijkstra(csr, src, remaining, max_cost)
+    vertex_ids = csr.vertex_ids_list
+    return {
+        vertex_ids[index]: distances[index]
+        for index in range(len(settled))
+        if settled[index]
+    }
 
 
 def dijkstra_reference(
@@ -212,9 +249,12 @@ class ReferenceBackend:
 
     def endpoint_distances(
         self, vertices: Sequence[Vertex], origin: Vertex, destination: Vertex
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[Sequence[float], Sequence[float]]:
         # the network is undirected: the row from an endpoint answers "to" it
-        return self.distances_many(origin, vertices), self.distances_many(destination, vertices)
+        found = self.distances_many(origin, vertices), self.distances_many(destination, vertices)
+        if isinstance(vertices, np.ndarray):
+            return found
+        return found[0].tolist(), found[1].tolist()
 
     def path(self, u: Vertex, v: Vertex) -> tuple[float, list[Vertex]]:
         return bidirectional_dijkstra(self._network, u, v)

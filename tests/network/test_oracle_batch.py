@@ -49,10 +49,12 @@ class TestBatchedDistances:
         stops = vertices[::5]
         origin, destination = vertices[3], vertices[-2]
         to_origin, to_destination = oracle.endpoint_distances(stops, origin, destination)
-        assert to_origin.tolist() == [oracle.distance(stop, origin) for stop in stops]
-        assert to_destination.tolist() == [
-            oracle.distance(stop, destination) for stop in stops
-        ]
+        assert to_origin == [oracle.distance(stop, origin) for stop in stops]
+        assert to_destination == [oracle.distance(stop, destination) for stop in stops]
+        assert all(type(value) is float for value in to_origin + to_destination)
+        # an array of vertices is answered in arrays, with the same values
+        as_arrays = oracle.endpoint_distances(np.asarray(stops), origin, destination)
+        assert [found.tolist() for found in as_arrays] == [to_origin, to_destination]
 
     def test_counters_match_scalar_loop(self, network, vertices):
         batched_oracle = DistanceOracle(network, backend="apsp")
@@ -90,9 +92,12 @@ class TestBatchedDistances:
         fresh = DistanceOracle(network, backend=oracle.backend_name)
         many = fresh.distances_many(vertices[0], [])
         pairs = fresh.distance_pairs([], [])
-        to_origin, to_destination = fresh.endpoint_distances([], vertices[1], vertices[2])
+        to_origin, to_destination = fresh.endpoint_distances(
+            np.empty(0, dtype=np.int64), vertices[1], vertices[2]
+        )
         for empty in (many, pairs, to_origin, to_destination):
             assert empty.dtype == np.float64 and empty.shape == (0,)
+        assert fresh.endpoint_distances([], vertices[1], vertices[2]) == ([], [])
         assert fresh.counters.distance_queries == 0
         assert fresh.counters.backend_queries == {}
 

@@ -6,10 +6,11 @@ import pytest
 
 from repro.exceptions import DisconnectedError
 from repro.network.graph import RoadNetwork
-from repro.network.shortest_path import bidirectional_dijkstra, dijkstra
+from repro.network.shortest_path import bidirectional_dijkstra
 from repro.utils.geometry import Point
 from tests.conftest import build_line_network
 from tests.network.reference import (
+    dijkstra,
     eccentricity,
     path_cost,
     shortest_distance,

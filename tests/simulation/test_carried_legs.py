@@ -1,11 +1,12 @@
-"""A partial advance re-times a route exactly, with one query.
+"""A partial advance re-times a route exactly, without a query.
 
 A stop completion shifts every array of the route by one entry; a partial
-move along the first leg asks the oracle for ``dis(position, l_1)`` only and
-shifts every later arrival by the same exact amount (``Route.moved_to``); a
-live network update re-plans every busy route onto a fresh one. Whatever the
-sequence, every array must equal a from-scratch ``refresh`` bit for bit, and
-a partial move must cost exactly one distance query.
+move along the first leg sets ``arr[0]`` to the new clock and keeps every
+later arrival (``Route.moved_to``): the worker stands on the recorded
+shortest path to ``l_1``, so ``dis(position, l_1)`` is exactly ``arr[1]``
+minus the clock. A live network update re-plans every busy route onto a
+fresh one. Whatever the sequence, every array must equal a from-scratch
+``refresh`` bit for bit, and no advance may ask the oracle a distance.
 
 The routes hold 0-14 stops, so both ``refresh`` walks run: the scalar one
 below four stops and the grouped ``distance_pairs`` call from four on. Both
@@ -50,18 +51,6 @@ def _assert_fresh(route: Route, oracle: DistanceOracle) -> None:
     assert len(route.arr) == route.num_stops + 1
 
 
-def _expected_queries(before: Route, after: Route) -> int:
-    """1 when the advance ended with a partial move, else 0: completions
-    shift arrays and ask nothing."""
-    served = before.num_stops - after.num_stops
-    if served == 0:
-        anchor = (before.origin, before.start_time)
-    else:
-        anchor = (before.stops[served - 1].vertex, before.arr[served])
-    moved = after.stops and (after.origin, after.start_time) != anchor
-    return 1 if moved else 0
-
-
 @st.composite
 def routes(draw):
     """Stops of 0-7 requests in a random precedence-respecting order; some
@@ -82,6 +71,32 @@ def routes(draw):
 
 
 @pytest.mark.parametrize("backend", ["ch", "apsp"])
+@given(route=routes(), start=st.integers(0, 5000), cut=st.integers(1, 20))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_moved_to_asks_nothing_and_equals_a_fresh_refresh(backend, route, start, cut):
+    """A worker part of the way along the shortest path to ``l_1``: the moved
+    route issues no query, keeps every arrival after ``l_0`` and equals a
+    fresh refresh of the moved route bit for bit."""
+    network = _city()
+    oracle = DistanceOracle(network, backend=backend)
+    origin, stops = route
+    if not stops:
+        return
+    worker = Worker(id=0, initial_location=origin, capacity=20)
+    timed = Route(worker=worker, origin=origin, start_time=float(start), stops=stops)
+    timed.refresh(oracle)
+    path = oracle.path(origin, stops[0].vertex)
+    passed = min(cut, len(path) - 1)
+    moved_cost = sum(network.edge_cost(u, v) for u, v in zip(path, path[1:passed + 1]))
+    queries = oracle.counters.distance_queries
+    moved = timed.moved_to(path[passed], timed.arr[0] + moved_cost, tuple(path[passed:]))
+    assert oracle.counters.distance_queries == queries
+    assert moved.arr[1:] == timed.arr[1:]
+    assert moved.concrete_path == tuple(path[passed:])
+    _assert_fresh(moved, oracle)
+
+
+@pytest.mark.parametrize("backend", ["ch", "apsp"])
 @given(
     route=routes(),
     steps=st.lists(st.sampled_from(_STEPS), min_size=1, max_size=14),
@@ -90,7 +105,7 @@ def routes(draw):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_every_advance_reads_like_a_fresh_refresh(backend, route, steps, closure):
     """Partial moves, stop completions and a closure that reopens: after each,
-    the route equals its fresh refresh; each partial move costs one query."""
+    the route equals its fresh refresh, and no advance costs a query."""
     network = _city()
     oracle = DistanceOracle(network, backend=backend)
     origin, stops = route
@@ -104,12 +119,9 @@ def test_every_advance_reads_like_a_fresh_refresh(backend, route, steps, closure
     clock = 0.0
     for index, step in enumerate(steps):
         clock += step
-        before = state.route
         queries = oracle.counters.distance_queries
         fleet.advance_all(clock)
-        assert oracle.counters.distance_queries - queries == _expected_queries(
-            before, state.route
-        )
+        assert oracle.counters.distance_queries == queries
         _assert_fresh(state.route, oracle)
         check_table(fleet)
         current = state.route
