@@ -5,7 +5,7 @@ Eleven sub-commands cover the common workflows::
     python -m repro simulate     --city chengdu-like --algorithm pruneGreedyDP
     python -m repro serve-replay --city chengdu-like --algorithm batch
     python -m repro compare      --city nyc-like --scale tiny
-    python -m repro sweep        --parameter num_workers --values 20 40 80 --jobs 4
+    python -m repro sweep        --parameter num_workers --values 20 40 80
     python -m repro figure       figure3 --scale tiny --output results/fig3.json
     python -m repro datasets     --scale small
     python -m repro ingest       extracts/manhattan.geojson --output cities/manhattan.json.gz
@@ -18,9 +18,10 @@ Eleven sub-commands cover the common workflows::
 same workload through the online :class:`~repro.service.facade.
 MatchingService` and prints every incremental decision; ``compare`` runs the
 paper's five algorithms on the same scenario and prints the comparison table;
-``sweep`` fans a parameter sweep out over a process pool (``--jobs``) with
-deterministic per-point seeds; ``figure`` reproduces one of Figures 3-7 and
-optionally writes the raw series to JSON/CSV/Markdown; ``datasets`` prints
+``sweep`` runs a parameter sweep of one scenario the way the figures do
+(:meth:`~repro.experiments.runner.ScenarioRunner.sweep`: the scenario's seed
+at every value); ``figure`` reproduces one of Figures 3-7 and optionally
+writes the raw series to JSON; ``datasets`` prints
 the Table 4 statistics of the synthetic cities; ``ingest`` normalises a real
 GeoJSON/CSV road extract into the repo's network schema; ``preprocess``
 builds (or lists) the content-addressed distance-backend artifacts of a
@@ -62,8 +63,7 @@ from repro.dispatch import DispatcherSpec, list_dispatchers
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig, PAPER_ALGORITHMS, SCALES
 from repro.experiments.figures import FIGURES
-from repro.experiments.io import figure_to_markdown, save_figure_csv, save_figure_json
-from repro.experiments.parallel import ParallelSweepRunner
+from repro.experiments.io import save_figure_json
 from repro.experiments.reporting import format_figure, format_results, format_table
 from repro.experiments.runner import ScenarioRunner
 from repro.experiments.tables import table4_datasets, table5_parameters
@@ -162,9 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--algorithms", nargs="*", default=PAPER_ALGORITHMS,
                          type=_algorithm_name)
 
-    sweep = subparsers.add_parser(
-        "sweep", help="run a parameter sweep over a process pool (--jobs)"
-    )
+    sweep = subparsers.add_parser("sweep", help="run a parameter sweep of one scenario")
     _add_scenario_arguments(sweep)
     sweep.add_argument("--parameter", default="num_workers",
                        choices=sorted(field.name for field in dataclasses.fields(ScenarioConfig)),
@@ -173,10 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="values of the swept parameter (coerced to the field type)")
     sweep.add_argument("--algorithms", nargs="*", default=["pruneGreedyDP"],
                        type=_algorithm_name)
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (1 = serial; results are identical either way)")
-    sweep.add_argument("--replicates", type=int, default=1,
-                       help="independent workload seeds per sweep value")
     sweep.add_argument("--output", type=Path, default=None,
                        help="write the per-run rows to this JSON file")
 
@@ -189,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                         type=_algorithm_name)
     figure.add_argument("--seed", type=int, default=2018)
     figure.add_argument("--output", type=Path, default=None,
-                        help="write the raw series to this path (.json, .csv or .md)")
+                        help="write the raw series to this JSON file")
 
     datasets = subparsers.add_parser("datasets", help="print Table 4 / Table 5 of the paper")
     datasets.add_argument("--scale", default="small", choices=sorted(SCALES))
@@ -503,26 +497,16 @@ def command_compare(args: argparse.Namespace) -> int:
 def command_sweep(args: argparse.Namespace) -> int:
     config = _scenario_from_args(args)
     values = [_coerce_sweep_value(args.parameter, raw) for raw in args.values]
-    runner = ParallelSweepRunner(platform=_platform_from_args(args), jobs=args.jobs)
+    runner = ScenarioRunner(platform=_platform_from_args(args))
     points = runner.sweep(
-        args.parameter, values, config, _sharded_names(args, args.algorithms),
-        replicates=args.replicates,
+        args.parameter, values, config, _sharded_names(args, args.algorithms)
     )
     rows: list[dict] = []
     for point in points:
-        label = f"-- {args.parameter} = {point.value}"
-        if args.replicates > 1:
-            label += f" (replicate {point.replicate})"
-        print(label + " --")
+        print(f"-- {args.parameter} = {point.value} --")
         print(format_results(point.results))
         for result in point.results:
-            row = result.as_row()
-            row.update({
-                "parameter": args.parameter,
-                "value": point.value,
-                "replicate": point.replicate,
-            })
-            rows.append(row)
+            rows.append({**result.as_row(), "parameter": args.parameter, "value": point.value})
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         args.output.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
@@ -553,22 +537,9 @@ def command_figure(args: argparse.Namespace) -> int:
     figure = FIGURES[args.name](experiment, ScenarioRunner())
     print(format_figure(figure))
     if args.output is not None:
-        _write_figure(figure, args.output)
+        save_figure_json(figure, args.output)
         print(f"\nwritten: {args.output}")
     return 0
-
-
-def _write_figure(figure, output: Path) -> None:
-    suffix = output.suffix.lower()
-    if suffix == ".json":
-        save_figure_json(figure, output)
-    elif suffix == ".csv":
-        save_figure_csv(figure, output)
-    elif suffix in (".md", ".markdown"):
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(figure_to_markdown(figure), encoding="utf-8")
-    else:
-        raise ValueError(f"unsupported output format {suffix!r}; use .json, .csv or .md")
 
 
 def command_datasets(args: argparse.Namespace) -> int:

@@ -60,7 +60,9 @@ class Route:
     # Cached direct origin->destination distances (the ``L`` of Lemma 7),
     # keyed by ``(request id, origin, destination)`` so that a reused id with
     # other endpoints never reads a stale ``L``; filled lazily so ddl[] can be
-    # recomputed without re-querying.
+    # recomputed without re-querying. ``refresh`` reads ``L`` only for a
+    # pickup stop, so a key leaves with its request's pickup (served or
+    # dropped): the memo holds the pending pickups and nothing else.
     _direct_distances: dict[tuple[int, Vertex, Vertex], float] = field(
         default_factory=dict, repr=False
     )
@@ -195,12 +197,13 @@ class Route:
         the result equals a fresh :meth:`refresh` without a single query
         (the served stop's deadline leaves with it: ``l_0`` has none).
         """
+        served = self.stops[0]
         route = Route(
             worker=self.worker,
-            origin=self.stops[0].vertex,
+            origin=served.vertex,
             start_time=self.arr[1],
             stops=self.stops[1:],
-            _direct_distances=dict(self._direct_distances),
+            _direct_distances=self._memo_without(served.request.id),
         )
         route.arr = self.arr[1:]
         route.ddl = [INFINITY, *self.ddl[2:]]
@@ -345,6 +348,22 @@ class Route:
             route.remember_direct_distance(request, direct)
         route.refresh(oracle)
         return route
+
+    def without(self, request_id: int) -> "Route":
+        """A new route without any stop of request ``request_id`` and without
+        its ``L``; its auxiliary arrays are left unfilled."""
+        return Route(
+            worker=self.worker,
+            origin=self.origin,
+            start_time=self.start_time,
+            stops=[stop for stop in self.stops if stop.request.id != request_id],
+            _direct_distances=self._memo_without(request_id),
+        )
+
+    def _memo_without(self, request_id: int) -> dict[tuple[int, Vertex, Vertex], float]:
+        return {
+            key: direct for key, direct in self._direct_distances.items() if key[0] != request_id
+        }
 
     def copy(self) -> "Route":
         """Shallow copy with fresh (unfilled) auxiliary arrays."""

@@ -58,18 +58,7 @@ def remove_request(route: Route, request_id: int, oracle: DistanceOracle) -> Rou
     )
     if not (pickup_present and dropoff_present):
         return None
-    remaining = [stop for stop in route.stops if stop.request.id != request_id]
-    stripped = Route(
-        worker=route.worker,
-        origin=route.origin,
-        start_time=route.start_time,
-        stops=remaining,
-        _direct_distances={
-            key: direct
-            for key, direct in route._direct_distances.items()
-            if key[0] != request_id
-        },
-    )
+    stripped = route.without(request_id)
     stripped.refresh(oracle)
     return stripped
 

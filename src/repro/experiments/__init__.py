@@ -20,20 +20,8 @@ from repro.experiments.figures import (
     figure6_deadline,
     figure7_penalty,
 )
-from repro.experiments.io import (
-    load_figure_json,
-    load_results_json,
-    save_figure_csv,
-    save_figure_json,
-    save_results_json,
-)
-from repro.experiments.reporting import (
-    figure_summary_rows,
-    format_figure,
-    format_results,
-    format_table,
-    render_series_chart,
-)
+from repro.experiments.io import save_figure_json
+from repro.experiments.reporting import format_figure, format_results, format_table
 from repro.experiments.runner import ScenarioRunner, SweepPoint
 from repro.experiments.tables import table4_datasets, table5_parameters
 
@@ -54,16 +42,10 @@ __all__ = [
     "figure5_grid_size",
     "figure6_deadline",
     "figure7_penalty",
-    "figure_summary_rows",
     "format_figure",
     "format_results",
     "format_table",
-    "render_series_chart",
-    "load_figure_json",
-    "load_results_json",
-    "save_figure_csv",
     "save_figure_json",
-    "save_results_json",
     "ScenarioRunner",
     "SweepPoint",
     "table4_datasets",

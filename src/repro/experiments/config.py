@@ -18,13 +18,13 @@ Fleet size ``|W|``              Chengdu: 2k,5k,10k,20k,30k       10k
 The synthetic cities are far smaller than the real datasets, so fleet sizes are
 scaled down proportionally while keeping the 1:2.5 ratio between the two cities
 and the relative spread of each sweep. Three scale presets are provided:
-``tiny`` (unit/integration tests), ``small`` (benchmark harness) and ``medium``
-(longer stand-alone runs).
+``tiny`` (unit/integration tests), ``small`` (the paper-claims gate,
+``tools/check_paper_claims.py``) and ``medium`` (longer stand-alone runs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.workloads.scenarios import ScenarioConfig
 
@@ -60,7 +60,6 @@ class ScalePreset:
     requests: dict[str, int]
     workers: dict[str, list[int]]
     default_workers: dict[str, int]
-    repetitions: int = 1
 
     def worker_sweep(self, city: str) -> list[int]:
         """Fleet-size sweep for ``city`` under this preset."""
@@ -117,7 +116,6 @@ class ExperimentConfig:
     worker_capacity: int = PAPER_DEFAULTS["worker_capacity"]
     penalty_factor: float = PAPER_DEFAULTS["penalty_factor"]
     alpha: float = PAPER_DEFAULTS["alpha"]
-    extra_scenario_fields: dict = field(default_factory=dict)
 
     def preset(self) -> ScalePreset:
         """The scale preset named by :attr:`scale`."""
@@ -136,7 +134,6 @@ class ExperimentConfig:
             alpha=self.alpha,
             grid_km=self.grid_km,
             seed=self.seed,
-            **self.extra_scenario_fields,
         )
 
     # ------------------------------------------------------------- sweeps

@@ -6,8 +6,8 @@ for every (city, parameter value, algorithm), the three metrics plotted in the
 paper: unified cost, served rate and response time (plus the auxiliary counters
 discussed in the text: saved shortest-distance queries and grid-index memory).
 
-The functions are shared by the benchmark harness in ``benchmarks/`` and by
-stand-alone scripts in ``examples/``.
+The functions are shared by ``repro figure``, the paper-claims gate
+(``tools/check_paper_claims.py``) and stand-alone scripts in ``examples/``.
 """
 
 from __future__ import annotations

@@ -1,29 +1,21 @@
-"""Persistence of experiment results: JSON, CSV and Markdown reports.
+"""Persistence of experiment results: one figure sweep as JSON.
 
-The benchmark harness prints its series to stdout; longer campaigns want the
-raw numbers on disk. This module serialises
-:class:`~repro.simulation.metrics.SimulationResult` objects and whole
-:class:`~repro.experiments.figures.FigureResult` sweeps to JSON or CSV, and can
-render the Markdown blocks used in ``EXPERIMENTS.md``.
+``repro figure --output`` writes the raw series of a
+:class:`~repro.experiments.figures.FigureResult` here, one
+:class:`~repro.simulation.metrics.SimulationResult` per (city, value,
+algorithm).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable
 
 from repro.experiments.figures import FigureResult
-from repro.experiments.reporting import FIGURE_METRICS, figure_summary_rows
-from repro.experiments.runner import SweepPoint
 from repro.simulation.metrics import SimulationResult
 
 SCHEMA_VERSION = 1
-
-
-# --------------------------------------------------------------------- results
 
 
 def result_to_dict(result: SimulationResult) -> dict:
@@ -32,36 +24,6 @@ def result_to_dict(result: SimulationResult) -> dict:
     payload["served_rate"] = result.served_rate
     payload["response_time_s"] = result.response_time_seconds
     return payload
-
-
-def result_from_dict(payload: dict) -> SimulationResult:
-    """Inverse of :func:`result_to_dict` (derived fields are recomputed)."""
-    known = {field: payload[field] for field in SimulationResult.__dataclass_fields__ if field in payload}
-    return SimulationResult(**known)
-
-
-def save_results_json(results: Iterable[SimulationResult], path: str | Path) -> None:
-    """Write a list of simulation results to a JSON file."""
-    destination = Path(path)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "results": [result_to_dict(result) for result in results],
-    }
-    with destination.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-
-
-def load_results_json(path: str | Path) -> list[SimulationResult]:
-    """Read simulation results previously written by :func:`save_results_json`."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported results schema version: {payload.get('schema_version')!r}")
-    return [result_from_dict(entry) for entry in payload.get("results", [])]
-
-
-# --------------------------------------------------------------------- figures
 
 
 def figure_to_dict(figure: FigureResult) -> dict:
@@ -81,75 +43,9 @@ def figure_to_dict(figure: FigureResult) -> dict:
     }
 
 
-def figure_from_dict(payload: dict) -> FigureResult:
-    """Inverse of :func:`figure_to_dict`."""
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported figure schema version: {payload.get('schema_version')!r}")
-    figure = FigureResult(figure=payload["figure"], parameter=payload["parameter"])
-    for entry in payload.get("points", []):
-        point = SweepPoint(parameter=figure.parameter, value=entry["value"], city=entry["city"])
-        point.results = [result_from_dict(item) for item in entry.get("results", [])]
-        figure.points.append(point)
-    return figure
-
-
 def save_figure_json(figure: FigureResult, path: str | Path) -> None:
     """Write a figure sweep to JSON."""
     destination = Path(path)
     destination.parent.mkdir(parents=True, exist_ok=True)
     with destination.open("w", encoding="utf-8") as handle:
         json.dump(figure_to_dict(figure), handle, indent=2, sort_keys=True)
-
-
-def load_figure_json(path: str | Path) -> FigureResult:
-    """Read a figure sweep previously written by :func:`save_figure_json`."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return figure_from_dict(json.load(handle))
-
-
-def save_figure_csv(figure: FigureResult, path: str | Path) -> None:
-    """Write the flattened figure rows (one per city/value/algorithm) as CSV."""
-    rows = figure_summary_rows(figure)
-    destination = Path(path)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
-        destination.write_text("", encoding="utf-8")
-        return
-    columns = list(rows[0].keys())
-    with destination.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-# ------------------------------------------------------------------- markdown
-
-
-def figure_to_markdown(figure: FigureResult) -> str:
-    """Render a figure sweep as the Markdown tables used in ``EXPERIMENTS.md``."""
-    lines: list[str] = [f"### {figure.figure} — sweep over `{figure.parameter}`", ""]
-    algorithms = figure.algorithms()
-    for city in figure.cities():
-        values = [point.value for point in figure.points if point.city == city]
-        for metric, label in FIGURE_METRICS:
-            lines.append(f"**{city} — {label}**")
-            lines.append("")
-            header = "| algorithm | " + " | ".join(str(value) for value in values) + " |"
-            separator = "|" + "---|" * (len(values) + 1)
-            lines.extend([header, separator])
-            for algorithm in algorithms:
-                series = dict(figure.series(city, algorithm, metric))
-                cells = [_format_markdown_value(series.get(value)) for value in values]
-                lines.append(f"| {algorithm} | " + " | ".join(cells) + " |")
-            lines.append("")
-    return "\n".join(lines)
-
-
-def _format_markdown_value(value: float | None) -> str:
-    if value is None:
-        return "—"
-    if abs(value) >= 10_000:
-        return f"{value:.3e}"
-    if abs(value) < 1:
-        return f"{value:.3f}"
-    return f"{value:.4g}"

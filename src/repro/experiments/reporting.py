@@ -1,8 +1,8 @@
 """Plain-text reporting of experiment results.
 
-The paper presents its evaluation as line plots (Figures 3-7); the benchmark
-harness prints the same series as aligned text tables so they can be eyeballed
-in a terminal or diffed between runs, and recorded in ``EXPERIMENTS.md``.
+The paper presents its evaluation as line plots (Figures 3-7); ``repro
+figure`` prints the same series as aligned text tables so they can be
+eyeballed in a terminal or diffed between runs.
 """
 
 from __future__ import annotations
@@ -112,48 +112,3 @@ def format_figure(figure: FigureResult) -> str:
             blocks.append(f"-- {city} / {label} --")
             blocks.append(format_table(rows))
     return "\n".join(blocks)
-
-
-def render_series_chart(
-    series: Mapping[str, Sequence[tuple[float | int | str, float]]],
-    width: int = 40,
-    title: str = "",
-) -> str:
-    """Render one metric of several algorithms as horizontal ASCII bars.
-
-    Args:
-        series: mapping ``algorithm -> [(parameter value, metric value), ...]``
-            as produced by :meth:`FigureResult.series`.
-        width: width of the longest bar in characters.
-        title: optional heading line.
-
-    The chart uses one row per (algorithm, parameter value) pair and scales all
-    bars to the global maximum, which makes relative comparisons (the thing the
-    paper's figures convey) readable directly in a terminal or log file.
-    """
-    rows: list[tuple[str, float]] = []
-    for algorithm, points in series.items():
-        for value, metric in points:
-            rows.append((f"{algorithm} @ {value}", float(metric)))
-    if not rows:
-        return "(no data)"
-    maximum = max(metric for _, metric in rows)
-    scale = (width / maximum) if maximum > 0 else 0.0
-    label_width = max(len(label) for label, _ in rows)
-    lines = [title] if title else []
-    for label, metric in rows:
-        bar = "#" * max(int(round(metric * scale)), 0)
-        lines.append(f"{label.ljust(label_width)} | {bar} {_format_value(metric)}")
-    return "\n".join(lines)
-
-
-def figure_summary_rows(figure: FigureResult) -> list[dict[str, object]]:
-    """Flatten a figure into one row per (city, value, algorithm) for EXPERIMENTS.md."""
-    rows: list[dict[str, object]] = []
-    for point in figure.points:
-        for result in point.results:
-            row = result.as_row()
-            row.update({"figure": figure.figure, "parameter": figure.parameter, "value": point.value,
-                        "city": point.city})
-            rows.append(row)
-    return rows

@@ -35,9 +35,6 @@ class SweepPoint:
     value: float | int | str
     city: str
     results: list[SimulationResult] = field(default_factory=list)
-    #: replicate index when the sweep runs each value under several workload
-    #: seeds (the parallel runner); single-seed sweeps leave it at 0.
-    replicate: int = 0
 
     def result_for(self, algorithm: str) -> SimulationResult | None:
         """Result of ``algorithm`` at this point, if present."""
@@ -64,10 +61,6 @@ class ScenarioRunner:
         self.platform = (platform or PlatformSpec()).validate()
         self._network_cache: dict[tuple[str, int], RoadNetwork] = {}
         self._oracle_cache: dict[tuple, DistanceOracle] = {}
-        #: how many times each (city, city seed) was actually *built* — sweeps
-        #: assert this stays at one build per distinct city.
-        self.network_builds: dict[tuple[str, int], int] = {}
-        self.oracle_builds: dict[tuple, int] = {}
 
     # --------------------------------------------------------------- caches
 
@@ -75,13 +68,12 @@ class ScenarioRunner:
         """Road network of the scenario's city, cached per (city, city seed).
 
         The key uses :attr:`ScenarioConfig.effective_city_seed`, so sweep
-        points that vary the workload seed while pinning ``city_seed`` (as
-        the parallel sweep planner does) share one network build.
+        points that vary the workload seed while pinning ``city_seed`` share
+        one network build.
         """
         key = (config.city, config.effective_city_seed)
         if key not in self._network_cache:
             self._network_cache[key] = build_network(config)
-            self.network_builds[key] = self.network_builds.get(key, 0) + 1
         return self._network_cache[key]
 
     def oracle_for(self, config: ScenarioConfig) -> DistanceOracle:
@@ -111,7 +103,6 @@ class ScenarioRunner:
         )
         if key not in self._oracle_cache:
             self._oracle_cache[key] = make_oracle(self.network_for(config), config)
-            self.oracle_builds[key] = self.oracle_builds.get(key, 0) + 1
         return self._oracle_cache[key]
 
     def instance_for(self, config: ScenarioConfig) -> URPSMInstance:

@@ -35,8 +35,9 @@ The meeting is set at the first relaxation whose cost plus the other side's
 tentative distance reaches ``D`` (``best_cost`` only drops on ``<``); for
 ``w`` that sum is ``D`` only once both sides hold ``w``'s final distance,
 i.e. at the later of the two sides' first tight relaxations of ``w`` —
-``E(w)``. A network with a zero-tick edge breaks the first step, and the
-backend keeps the search there.
+``E(w)``. A zero-tick edge would break the first step;
+:meth:`~repro.network.graph.RoadNetwork.add_edge` refuses the zero-length
+street that is the only way to get one.
 """
 
 from __future__ import annotations

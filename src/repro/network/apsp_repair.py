@@ -11,9 +11,11 @@ weigh their ``csr.ticks`` (clamped as the build clamps them). Row ``s`` of a
 from-scratch build (:func:`~repro.network.shortest_path.all_pairs_distances`)
 holds, for every ``t``, the least integer sum of edge ticks over all paths
 from ``s`` (the sentinel ``UNREACHABLE_TICKS`` where there is none). That row
-is the unique solution of ``d[s] = 0, d[t] = min_u d[u] + w(u, t)`` as long
-as every edge is at least one tick (checked by :func:`strictly_increasing`;
-otherwise the repair declines). Both passes below only ever write exact
+is the unique solution of ``d[s] = 0, d[t] = min_u d[u] + w(u, t)``, because
+every edge is at least one tick (:meth:`~repro.network.graph.RoadNetwork.add_edge`
+refuses a zero-length street, and every positive cost rounds up to a tick): a
+zero-tick edge would let two vertices vouch for each other's stale distance.
+Both passes below only ever write exact
 integer sums ``d[u] + w``, and leave a cell alone only when a predecessor
 that still supports its old value survives — hence the repaired table is
 **bit-identical** to a fresh build. The caller checks first that the new
@@ -86,16 +88,6 @@ def diff_csr(
     )
 
 
-def strictly_increasing(csr: CSRAdjacency) -> bool:
-    """Whether every edge is at least one tick.
-
-    The fixpoint argument needs each edge to strictly increase a path sum:
-    a zero-tick edge would let two vertices vouch for each other's stale
-    distance. Integer sums absorb nothing, so the smallest edge decides.
-    """
-    return csr.ticks.size == 0 or int(csr.ticks.min()) >= 1
-
-
 def repair_apsp(
     matrix: np.ndarray, old: CSRAdjacency, new: CSRAdjacency
 ) -> tuple[int, int] | None:
@@ -103,8 +95,8 @@ def repair_apsp(
 
     Returns ``(rows, cells)`` rewritten, or ``None`` — with ``matrix``
     untouched — when the delta is not covered and the caller has to build
-    from scratch: a different vertex set, a batch that both removes and adds
-    edges (a changed cost is such a batch), or an edge of zero ticks.
+    from scratch: a different vertex set, or a batch that both removes and
+    adds edges (a changed cost is such a batch).
     """
     if old is new:
         return 0, 0
@@ -113,8 +105,6 @@ def repair_apsp(
         return None
     removed, added = delta
     if removed and added:
-        return None
-    if not (strictly_increasing(old) and strictly_increasing(new)):
         return None
     if removed:
         return _repair_removed(matrix, new, _both_directions(removed))
@@ -241,4 +231,4 @@ def _propagate(
                 push(heap, (candidate, neighbour))
 
 
-__all__ = ["diff_csr", "repair_apsp", "strictly_increasing"]
+__all__ = ["diff_csr", "repair_apsp"]

@@ -69,7 +69,7 @@ import numpy as np
 from repro.core.timegrid import TIME_QUANTUM
 from repro.exceptions import ConfigurationError, DisconnectedError
 from repro.network.apsp_path import table_path
-from repro.network.apsp_repair import repair_apsp, strictly_increasing
+from repro.network.apsp_repair import repair_apsp
 from repro.network.ch import ContractionHierarchy, build_contraction_hierarchy
 from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork, Vertex
 from repro.network.shortest_path import (
@@ -172,9 +172,7 @@ class APSPBackend:
     def __init__(self, network: RoadNetwork, matrix: np.ndarray | None = None) -> None:
         started = time.perf_counter()
         csr = network.csr
-        self._network = network
         self._csr = csr
-        self._search_paths = not strictly_increasing(csr)
         if matrix is None:
             check_tick_range(network)
             matrix = self._build_matrix(network)
@@ -228,7 +226,6 @@ class APSPBackend:
             self.repaired_cells += cells
             self.repair_seconds = time.perf_counter() - started
         self._csr = csr
-        self._search_paths = not strictly_increasing(csr)
         self.vertex_index = csr.position
 
     @staticmethod
@@ -272,11 +269,7 @@ class APSPBackend:
     def path(self, u: Vertex, v: Vertex) -> tuple[float, list[Vertex]]:
         """The bidirectional Dijkstra's path, rebuilt from rows ``u`` and
         ``v`` of the table without a search
-        (:func:`~repro.network.apsp_path.table_path`). A network with a
-        zero-tick edge, outside that rule's exactness argument, keeps the
-        search."""
-        if self._search_paths:
-            return bidirectional_dijkstra(self._network, u, v)
+        (:func:`~repro.network.apsp_path.table_path`)."""
         found = table_path(self.matrix, self._csr, self.vertex_index[u], self.vertex_index[v])
         if found is None:
             raise DisconnectedError(f"no path between {u} and {v}")

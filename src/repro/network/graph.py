@@ -281,8 +281,9 @@ class RoadNetwork:
 
         Raises:
             RoadNetworkError: for unknown endpoints, self-loops, non-positive
-                speed, or a length shorter than the straight-line distance
-                (which would break Euclidean lower bounds).
+                speed, a zero length (two vertices at one spot), or a length
+                shorter than the straight-line distance (which would break
+                Euclidean lower bounds).
         """
         if u == v:
             raise RoadNetworkError(f"self-loop on vertex {u} is not allowed")
@@ -298,8 +299,11 @@ class RoadNetwork:
                 f"edge ({u}, {v}) length {length:.3f} m is shorter than the straight-line "
                 f"distance {straight:.3f} m; Euclidean lower bounds would be violated"
             )
-        if length < 0:
-            raise RoadNetworkError(f"edge ({u}, {v}) length must be non-negative")
+        if length <= 0:
+            raise RoadNetworkError(
+                f"edge ({u}, {v}) length must be positive, got {length}: every street "
+                f"costs at least one tick of the time grid"
+            )
         edge = Edge(u=u, v=v, length=float(length), speed=float(speed), road_class=road_class)
         cost = edge.cost
         previous = self._adjacency[u].get(v)

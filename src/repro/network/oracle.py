@@ -404,16 +404,6 @@ class DistanceOracle:
         self.counters = OracleCounters(path_cache=self._path_cache, backend=self._backend.name)
         self._path_cache.reset_statistics()
 
-    def clear_caches(self) -> None:
-        """Drop the path cache's contents (and zero its statistics).
-
-        Sweep tasks sharing one memoized oracle call this before each run so
-        reported cache hit rates do not depend on which tasks happened to
-        warm the cache earlier in the same process.
-        """
-        self._path_cache.clear()
-        self.reset_counters()
-
     def refresh_topology(self) -> None:
         """Bring the distance backend up to date after a road-network mutation.
 

@@ -220,19 +220,10 @@ class WorkerState:
         record = self.assigned_requests.get(request_id)
         if record is None or record.picked_up:
             return False
-        remaining = [stop for stop in self.route.stops if stop.request.id != request_id]
         del self.assigned_requests[request_id]
         if self._fleet is not None:
             self._fleet._assignment_hint.pop(request_id, None)
-        self.replace_route(
-            Route(
-                worker=self.worker,
-                origin=self.route.origin,
-                start_time=self.route.start_time,
-                stops=remaining,
-                _direct_distances=dict(self.route._direct_distances),
-            )
-        )
+        self.replace_route(self.route.without(request_id))
         return True
 
     # ------------------------------------------------------------- execution

@@ -55,9 +55,9 @@ def spawn_key(*labels: int | str) -> tuple[int, ...]:
 
     String labels are hashed with the same stable FNV-1a hash as
     :func:`derive_seed`, so the key is reproducible across processes and
-    Python hash-randomisation settings — the property the parallel sweep
-    runner relies on to give every (parameter, value, replicate) point the
-    same child seed no matter which worker process computes it.
+    Python hash-randomisation settings — the property the stress harness
+    and the cluster rely on to give every scenario or shard worker the same
+    child seed no matter which process computes it.
     """
     return tuple(
         (label & 0xFFFFFFFF) if isinstance(label, int) else _stable_string_hash(str(label))

@@ -11,7 +11,7 @@ contracts:
   per-request assignments and service times, ``unified_cost`` and
   ``served_requests``, bit for bit.
 * **No memo leak.** ``L = dis(o_r, d_r)`` is seeded on the winner's new route
-  only. The old loops seeded every *evaluated* route, and ``with_insertion`` /
+  only, and leaves it with the request's pickup. The old loops seeded every *evaluated* route, and ``with_insertion`` /
   ``advance_to`` / ``drop_request`` copy that dict onto every successor route
   for the rest of the run. The memo test runs every registry dispatcher, the
   planners that stop early included.
@@ -126,6 +126,26 @@ class TestDirectDistanceMemo:
             evaluated += len(state.assigned_requests)
         assert evaluated > 5
         service.drain()
+
+    @pytest.mark.parametrize("dispatcher_name", list_dispatchers())
+    def test_a_route_remembers_only_its_pending_pickups(self, dispatcher_name):
+        """``refresh`` reads ``L`` only for a pickup stop, so a served or
+        dropped pickup takes its key along: mid-run every route's memo keys
+        are its pending pickups, and after the replay every memo is empty."""
+        service = _half_run_service(dispatcher_name)
+        states = list(service.fleet)
+        for state in states:
+            pickups = {
+                (stop.request.id, stop.request.origin, stop.request.destination)
+                for stop in state.route.stops
+                if stop.is_pickup
+            }
+            assert set(state.route._direct_distances) == pickups, state.worker.id
+        served = sum(len(state.assigned_requests) for state in states)
+        service.drain()
+        assert served > 5
+        for state in service.fleet.states.values():
+            assert not state.route.stops and not state.route._direct_distances
 
     def test_rejected_plan_leaves_the_evaluated_routes_untouched(self):
         """``plan_over_all`` does not write to any live route — not even the

@@ -83,7 +83,7 @@ class TestCommands:
         exit_code = main([
             "sweep", "--city", "small-grid", "--requests", "10", "--seed", "3",
             "--parameter", "num_workers", "--values", "4", "6",
-            "--algorithms", "nearest", "--jobs", "1", "--output", str(output),
+            "--algorithms", "nearest", "--output", str(output),
         ])
         captured = capsys.readouterr().out
         assert exit_code == 0
@@ -110,16 +110,6 @@ class TestCommands:
         payload = json.loads(output.read_text(encoding="utf-8"))
         assert payload["figure"] == "figure3"
         assert len(payload["points"]) == 5
-
-    def test_figure_with_markdown_output(self, capsys, tmp_path):
-        output = tmp_path / "fig3.md"
-        exit_code = main([
-            "figure", "figure3", "--scale", "tiny", "--cities", "small-grid",
-            "--algorithms", "GreedyDP", "--output", str(output),
-        ])
-        capsys.readouterr()
-        assert exit_code == 0
-        assert "GreedyDP" in output.read_text(encoding="utf-8")
 
 
 class TestOnlineCommands:

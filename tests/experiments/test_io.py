@@ -1,22 +1,9 @@
-"""Tests for result/figure serialisation (JSON, CSV, Markdown)."""
+"""Tests for figure serialisation (the JSON ``repro figure --output`` writes)."""
 
 import json
 
-import pytest
-
 from repro.experiments.figures import FigureResult
-from repro.experiments.io import (
-    figure_from_dict,
-    figure_to_dict,
-    figure_to_markdown,
-    load_figure_json,
-    load_results_json,
-    result_from_dict,
-    result_to_dict,
-    save_figure_csv,
-    save_figure_json,
-    save_results_json,
-)
+from repro.experiments.io import SCHEMA_VERSION, figure_to_dict, result_to_dict, save_figure_json
 from repro.experiments.runner import SweepPoint
 from repro.simulation.metrics import SimulationResult
 
@@ -47,58 +34,29 @@ def _figure():
 
 
 class TestResultSerialisation:
-    def test_round_trip_preserves_fields(self):
+    def test_carries_fields_and_derived_metrics(self):
         original = _result()
-        restored = result_from_dict(result_to_dict(original))
-        assert restored.algorithm == original.algorithm
-        assert restored.unified_cost == original.unified_cost
-        assert restored.served_rate == pytest.approx(original.served_rate)
-        assert restored.distance_queries == original.distance_queries
-
-    def test_save_and_load_json(self, tmp_path):
-        path = tmp_path / "results.json"
-        save_results_json([_result(), _result("tshare")], path)
-        restored = load_results_json(path)
-        assert [result.algorithm for result in restored] == ["pruneGreedyDP", "tshare"]
-
-    def test_unknown_schema_rejected(self, tmp_path):
-        path = tmp_path / "results.json"
-        path.write_text(json.dumps({"schema_version": 99, "results": []}), encoding="utf-8")
-        with pytest.raises(ValueError, match="schema"):
-            load_results_json(path)
+        payload = result_to_dict(original)
+        assert payload["algorithm"] == original.algorithm
+        assert payload["unified_cost"] == original.unified_cost
+        assert payload["distance_queries"] == original.distance_queries
+        assert payload["served_rate"] == original.served_rate == 0.8
+        assert payload["response_time_s"] == original.response_time_seconds
 
 
 class TestFigureSerialisation:
-    def test_dict_round_trip(self):
-        figure = _figure()
-        restored = figure_from_dict(figure_to_dict(figure))
-        assert restored.figure == "figure3"
-        assert [point.value for point in restored.points] == [10, 20]
-        assert restored.series("chengdu-like", "pruneGreedyDP", "unified_cost") == [
-            (10, pytest.approx(10.0)),
-            (20, pytest.approx(5.0)),
+    def test_dict_layout(self):
+        payload = figure_to_dict(_figure())
+        assert payload["schema_version"] == SCHEMA_VERSION
+        assert payload["figure"] == "figure3" and payload["parameter"] == "num_workers"
+        assert [point["value"] for point in payload["points"]] == [10, 20]
+        assert [result["algorithm"] for result in payload["points"][0]["results"]] == [
+            "pruneGreedyDP", "tshare",
         ]
 
-    def test_json_file_round_trip(self, tmp_path):
-        path = tmp_path / "figure.json"
+    def test_json_file(self, tmp_path):
+        path = tmp_path / "nested" / "figure.json"
         save_figure_json(_figure(), path)
-        restored = load_figure_json(path)
-        assert restored.parameter == "num_workers"
-        assert len(restored.points) == 2
-
-    def test_csv_export(self, tmp_path):
-        path = tmp_path / "figure.csv"
-        save_figure_csv(_figure(), path)
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
-        assert len(lines) == 1 + 4  # header + 2 points x 2 algorithms
-        assert "algorithm" in lines[0]
-
-    def test_markdown_rendering(self):
-        text = figure_to_markdown(_figure())
-        assert "figure3" in text
-        assert "| pruneGreedyDP |" in text
-        assert "Unified cost" in text
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError, match="schema"):
-            figure_from_dict({"schema_version": 42, "figure": "x", "parameter": "y"})
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload == json.loads(json.dumps(figure_to_dict(_figure())))
+        assert payload["points"][1]["results"][0]["unified_cost"] == 5.0

@@ -13,12 +13,8 @@ from repro.dispatch import DispatcherConfig, make_dispatcher
 from repro.dispatch.registry import DispatcherSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FIGURES, figure3_workers, figure6_deadline
-from repro.experiments.reporting import (
-    figure_summary_rows,
-    format_figure,
-    format_results,
-    format_table,
-)
+from repro.experiments.reporting import format_figure, format_results, format_table
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import ScenarioRunner
 from repro.experiments.tables import table4_datasets, table5_parameters
 from repro.service import MatchingService, PlatformSpec
@@ -59,6 +55,53 @@ class TestScenarioRunner:
         assert all(point.parameter == "num_workers" for point in points)
         assert all(point.result_for("pruneGreedyDP") is not None for point in points)
         assert points[0].result_for("missing") is None
+
+
+_BASE = ScenarioConfig(city="small-grid", num_workers=6, num_requests=20, seed=5)
+
+
+class TestCityMemoization:
+    """One network and one oracle build per distinct (city, city seed)."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        counts = {"network": 0, "oracle": 0}
+
+        def counting(kind, build):
+            def wrapper(*args, **kwargs):
+                counts[kind] += 1
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(runner_module, "build_network",
+                            counting("network", runner_module.build_network))
+        monkeypatch.setattr(runner_module, "make_oracle",
+                            counting("oracle", runner_module.make_oracle))
+        return counts
+
+    def test_a_sweep_builds_its_city_once(self, builds):
+        ScenarioRunner().sweep("num_workers", [4, 6, 8], _BASE, ["nearest"])
+        assert builds == {"network": 1, "oracle": 1}
+
+    def test_one_build_per_distinct_city(self, builds):
+        runner = ScenarioRunner()
+        for city in ("small-grid", "random", "small-grid"):
+            runner.compare(_BASE.with_overrides(city=city, num_workers=4, num_requests=5),
+                           ["nearest"])
+        assert builds == {"network": 2, "oracle": 2}
+
+    def test_workload_seeds_share_a_pinned_city_build(self, builds):
+        runner = ScenarioRunner()
+        for seed in (5, 6, 7):
+            runner.compare(_BASE.with_overrides(seed=seed, city_seed=5, num_requests=5),
+                           ["nearest"])
+        assert builds == {"network": 1, "oracle": 1}
+
+    def test_distinct_city_seeds_rebuild(self, builds):
+        runner = ScenarioRunner()
+        for seed in (5, 99):
+            runner.compare(_BASE.with_overrides(seed=seed, num_requests=5), ["nearest"])
+        assert builds == {"network": 2, "oracle": 2}
 
 
 class TestConstruction:
@@ -102,6 +145,23 @@ class TestConstruction:
         )
         assert via_runner.mean_wait_seconds == direct.mean_wait_seconds
         assert via_runner.distance_queries == direct.distance_queries
+
+
+    def test_platform_collect_completions_reaches_every_run(self):
+        runner = ScenarioRunner(platform=PlatformSpec(collect_completions=False))
+        (result,) = runner.compare(_BASE, ["nearest"])
+        # completions were not collected: no waits / detours were recorded
+        assert result.served_requests > 0
+        assert result.mean_wait_seconds == 0.0 and result.mean_detour_ratio == 0.0
+
+    def test_platform_sharded_flag_reaches_every_run(self):
+        runner = ScenarioRunner(
+            platform=PlatformSpec(dispatcher=DispatcherSpec(sharded=True, num_shards=1))
+        )
+        (result,) = runner.compare(_BASE, ["nearest"])
+        # the exactness wrapper ran: sharding counters are reported
+        assert result.algorithm == "sharded:nearest"
+        assert result.extra["sharding_shards"] == 1.0
 
 
 class TestCompareSpecSemantics:
@@ -178,6 +238,3 @@ class TestTablesAndReporting:
         assert "Unified cost" in text and "Served rate" in text
         point = figure.points[0]
         assert "pruneGreedyDP" in format_results(point.results)
-        rows = figure_summary_rows(figure)
-        assert len(rows) == len(figure.points) * 2
-        assert {"figure", "value", "city"} <= set(rows[0])

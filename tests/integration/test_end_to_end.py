@@ -65,7 +65,7 @@ class TestPaperShapedClaims:
     def test_dp_algorithms_not_worse_than_tshare_on_unified_cost(self, results):
         # At this miniature scale tshare's lossy candidate search rarely fires,
         # so the costs are near-identical; the clear separation the paper reports
-        # emerges at the benchmark scale (see benchmarks/bench_fig3_workers.py).
+        # emerges at the ``small`` scale (see tools/check_paper_claims.py).
         assert results["pruneGreedyDP"].unified_cost <= results["tshare"].unified_cost * 1.05
         assert results["GreedyDP"].unified_cost <= results["tshare"].unified_cost * 1.05
 

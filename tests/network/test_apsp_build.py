@@ -6,11 +6,11 @@ table in one label-correcting sweep over all sources. Its contract is
 build it replaced, which lives on here as the test-side reference
 :func:`dijkstra_rows` — over the generator cities, the ingested riverton map,
 random geometric graphs with random closures, and the degenerate networks
-(disconnected, isolated vertex, zero-cost edge, one and zero vertices). The
-table counts int32 ticks of the time grid; :func:`table_seconds` reads it as
-seconds, and two networks with a street of ``2**30`` ticks pin the tick range:
-it fails typed without a detour (where ``"auto"`` takes the hierarchy), and
-is exact beside one.
+(disconnected, isolated vertex, a refused zero-length street, one and zero
+vertices). The table counts int32 ticks of the time grid; :func:`table_seconds`
+reads it as seconds, and two networks with a street of ``2**30`` ticks pin the
+tick range: it fails typed without a detour (where ``"auto"`` takes the
+hierarchy), and is exact beside one.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, RoadNetworkError
 from repro.network.backends import APSPBackend
 from repro.network.generators import random_geometric_city
 from repro.network.graph import UNREACHABLE_TICKS, RoadNetwork
@@ -91,12 +91,13 @@ def test_isolated_vertex():
     assert matrix[2].tolist() == [np.inf, np.inf, 0.0]
 
 
-def test_zero_cost_edge():
-    # two vertices at one spot: the street between them costs 0.0 seconds
-    network = _network([(0, 0), (0, 0), (300, 0), (300, 400)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+def test_a_zero_length_street_is_refused():
+    # two vertices at one spot: a street between them would cost 0.0 seconds
+    with pytest.raises(RoadNetworkError, match=r"edge \(0, 1\) length must be positive"):
+        _network([(0, 0), (0, 0), (300, 0), (300, 400)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+    network = _network([(0, 0), (0, 0), (300, 0), (300, 400)], [(1, 2), (2, 3), (0, 3)])
     matrix = _assert_exact(network)
-    assert matrix[0, 1] == 0.0
-    assert np.array_equal(matrix[0], matrix[1])
+    assert matrix[0, 1] > 0.0
 
 
 @pytest.mark.parametrize("size", [0, 1])

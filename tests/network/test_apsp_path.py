@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import DisconnectedError
+from repro.exceptions import DisconnectedError, RoadNetworkError
 from repro.network.backends import APSPBackend
 from repro.network.generators import cycle_network, random_geometric_city
 from repro.network.graph import RoadNetwork
@@ -110,15 +110,19 @@ def test_same_vertex_and_disconnected_pair():
     assert str(table.value) == str(search.value)
 
 
-def test_a_zero_tick_edge_keeps_the_search():
-    # two vertices at one spot: the street between them costs 0 ticks, where
-    # the search no longer pops each side in (distance, position) order
+def test_a_zero_length_street_is_refused():
+    # two vertices at one spot: a street between them would cost 0 ticks, where
+    # the search no longer pops each side in (distance, position) order; the
+    # network refuses it, so every table path stays inside the exact rule
     network = RoadNetwork(name="zero-tick")
     for vertex, (x, y) in enumerate([(0, 0), (0, 0), (300, 0), (300, 400), (0, 400)]):
         network.add_vertex(vertex, Point(float(x), float(y)))
-    for u, v in [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (1, 4)]:
+    with pytest.raises(RoadNetworkError, match=r"edge \(0, 1\) length must be positive"):
+        network.add_edge(0, 1)
+    for u, v in [(1, 2), (2, 3), (0, 4), (4, 3), (1, 4)]:
         network.add_edge(u, v)
-    assert network.csr.ticks.min() == 0
+    assert not network.has_edge(0, 1)
+    assert network.csr.ticks.min() >= 1
     _assert_paths_equal(network, itertools.permutations(range(5), 2))
 
 

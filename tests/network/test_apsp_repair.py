@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.artifacts.store import ArtifactStore
+from repro.exceptions import RoadNetworkError
 from repro.network.apsp_repair import diff_csr
 from repro.network.backends import APSPBackend
 from repro.network.generators import grid_city
@@ -166,21 +167,22 @@ class TestUncoveredDeltasTakeTheFullBuild:
         backend.refresh(network)
         self._assert_full_rebuild(backend, network)
 
-    def test_zero_cost_edge(self, network):
-        # two vertices at the same coordinates, joined later by a 0 m street
+    def test_a_zero_length_street_is_refused(self, network):
+        # two vertices at the same coordinates: a 0 m street between them
+        # would cost 0 ticks, outside the repair's fixpoint argument; the
+        # network refuses it, and the table is repaired as before
         anchor = max(network.vertices())
         network.add_vertex(anchor + 1, network.coordinates(anchor))
         network.add_edge(anchor - 1, anchor + 1)
         backend = APSPBackend(network)
-        network.add_edge(anchor, anchor + 1)
-        assert network.edge_cost(anchor, anchor + 1) == 0.0
-        backend.refresh(network)
-        self._assert_full_rebuild(backend, network)
-        # ... and while it is there, ordinary closures keep rebuilding too
+        with pytest.raises(RoadNetworkError, match=rf"edge \({anchor}, {anchor + 1}\)"):
+            network.add_edge(anchor, anchor + 1)
+        assert not network.has_edge(anchor, anchor + 1)
         edge = next(iter(network.edges()))
         network.remove_edge(edge.u, edge.v)
         backend.refresh(network)
-        self._assert_full_rebuild(backend, network, rebuilds=2)
+        assert (backend.repairs, backend.full_rebuilds) == (1, 0)
+        assert np.array_equal(backend.matrix, _fresh(network))
 
     def test_batch_mixing_a_closure_with_a_reopening(self, network):
         first, second = list(network.edges())[:2]

@@ -31,6 +31,7 @@ from repro.network.ch import (
     ContractionHierarchy,
     build_contraction_hierarchy,
 )
+from repro.exceptions import RoadNetworkError
 from repro.network.generators import random_geometric_city
 from repro.network.graph import RoadNetwork
 from repro.utils.geometry import Point
@@ -271,11 +272,12 @@ class TestContraction:
                                                 [(0, 1), (1, 2)]))
         assert hierarchy.up_indptr[4] == hierarchy.up_indptr[3]
 
-    def test_zero_cost_edge(self):
-        # two vertices at one spot: the street between them costs 0.0 seconds
+    def test_a_zero_length_street_is_refused(self):
+        # two vertices at one spot: a street between them would cost 0.0 seconds
+        with pytest.raises(RoadNetworkError, match=r"edge \(0, 1\) length must be positive"):
+            _network([(0, 0), (0, 0), (300, 0), (300, 400), (0, 400)], [(0, 1)])
         network = _network([(0, 0), (0, 0), (300, 0), (300, 400), (0, 400)],
-                           [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 0)])
-        assert network.edge_cost(0, 1) == 0.0
+                           [(1, 2), (2, 3), (0, 3), (3, 4), (4, 0)])
         _assert_same_build(network)
 
     def test_parallel_edges_with_different_costs(self):

@@ -5,7 +5,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, make_rng, spawn_rngs
+from repro.utils.rng import derive_seed, derive_spawned_seed, make_rng, spawn_key, spawn_rngs
 
 
 def choice_weighted(
@@ -75,3 +75,26 @@ class TestChoiceWeighted:
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             choice_weighted(make_rng(0), ["a", "b"], [0.0, 0.0])
+
+
+class TestSpawnKeys:
+    def test_spawn_key_is_stable_across_calls(self):
+        assert spawn_key("sweep", "num_workers", "10", 0) == spawn_key(
+            "sweep", "num_workers", "10", 0
+        )
+
+    def test_spawn_key_mixes_ints_and_strings(self):
+        key = spawn_key("a", 7, "b")
+        assert len(key) == 3 and all(isinstance(part, int) for part in key)
+
+    def test_derived_seeds_differ_per_label(self):
+        seeds = {
+            derive_spawned_seed(5, "stress", str(value), index)
+            for value in (10, 20)
+            for index in (0, 1)
+        }
+        assert len(seeds) == 4
+
+    def test_derived_seed_deterministic(self):
+        assert derive_spawned_seed(5, "x", 1) == derive_spawned_seed(5, "x", 1)
+        assert derive_spawned_seed(5, "x", 1) != derive_spawned_seed(6, "x", 1)
