@@ -47,6 +47,9 @@ if TYPE_CHECKING:  # imported lazily to avoid a dispatch <-> simulation cycle
 
 INFINITY = math.inf
 
+#: float headroom of the candidate filter's reach test, in metres
+REACH_MARGIN_METRES = 1.0
+
 
 @dataclass(frozen=True, slots=True)
 class DispatchOutcome:
@@ -276,42 +279,60 @@ class Dispatcher(abc.ABC):
             self.grid.update(worker_id, self.fleet.peek_state(worker_id).position)
 
     def candidate_worker_ids(self, request: Request, now: float) -> list[int]:
-        """Workers that could possibly reach the request's origin in time.
-
-        Uses the grid index with a Euclidean reachability radius derived from
-        the remaining time budget and the maximum network speed, so no feasible
-        worker is ever filtered out (the filter of Algorithm 5, line 3). Under
-        lazy fleet advancement the radius is widened by the fleet's position
-        staleness bound plus one grid cell, keeping the filter admissible when
-        grid entries lag behind workers' true progress. Off-shift workers are
-        excluded; the result is sorted by worker id so ties between equally
-        good candidates break deterministically regardless of grid iteration
-        order.
-        """
+        """:meth:`candidate_rows` as worker ids (ascending)."""
         assert self.fleet is not None
         return self.fleet.table.ids[self.candidate_rows(request, now)].tolist()
 
     def candidate_rows(self, request: Request, now: float) -> np.ndarray:
-        """:meth:`candidate_worker_ids` as ascending rows of the fleet's route
-        table — what the grid answers in, with no id in between."""
+        """The on-shift workers that can still deliver ``request`` by its
+        deadline (the filter of Algorithm 5, line 3), as ascending rows of the
+        fleet's route table — worker-id order, so ties between equally good
+        candidates break deterministically.
+
+        A row is kept when, read *as last written*,
+
+            euclid(l_0, o_r) + euclid(o_r, d_r) <= v_max * (e_r - t_0) + REACH_MARGIN_METRES
+
+        with ``t_0`` its ``arr[0]`` when busy and ``now`` when idle (an idle
+        worker waits at ``l_0``). The test is admissible: the worker was at
+        ``l_0`` at ``t_0`` and has since driven shortest paths, so for every
+        stop ``l_j`` of the route — fresh or not — ``arr[j] >= t_0 + dis(l_0,
+        l_j)``, and any insertion, exact or relaxed (Lemma 7), picks the
+        request up no earlier than ``t_0 + dis(l_0, o_r)`` and delivers it no
+        earlier than ``t_0 + dis(l_0, o_r) + dis(o_r, d_r)``; every
+        ``dis(u, v)`` is at least ``euclid(u, v) / v_max`` (and the relaxed DP's
+        sums reach ``o_r`` and ``d_r`` through stops, which the triangle
+        inequality bounds the same way). A row the test drops therefore has no
+        feasible insertion and an infinite Lemma 7 bound: every planner makes
+        the same decisions with or without it. The margin is float headroom
+        for those sums, in metres.
+
+        The grid answers a superset first: the disk of radius ``v_max (e_r -
+        now) - euclid(o_r, d_r)`` plus the margin, widened under lazy fleet
+        advancement by the fleet's position-staleness bound (how far a busy
+        row's ``t_0`` may lag ``now``, in metres) plus one grid cell.
+        """
         assert self.grid is not None and self.oracle is not None and self.fleet is not None
         table = self.fleet.table
         budget_seconds = request.deadline - now
-        if budget_seconds <= 0:
+        if budget_seconds < 0:
             return np.empty(0, dtype=np.int64)
         network = self.oracle.network
-        radius_metres = budget_seconds * network.max_speed
-        slack_metres = self.fleet.position_slack_metres(network.max_speed)
+        speed = network.max_speed
+        origin = network.coordinates(request.origin)
+        trip_metres = network.euclidean(request.origin, request.destination)
+        headroom_metres = REACH_MARGIN_METRES - trip_metres
+        radius_metres = budget_seconds * speed + headroom_metres
+        slack_metres = self.fleet.position_slack_metres(speed)
         if slack_metres > 0.0:
             radius_metres += slack_metres + self.grid.geometry.cell_metres
         rows = self.grid.members_near_vertex(request.origin, radius_metres)
         rows = rows[table.online[rows]]
-        if not rows.size:
-            # degenerate grids (single cell) or stale entries: fall back to all
-            rows = table.rows_of([state.worker.id for state in self.fleet])
-            rows = rows[table.online[rows]]
-            rows.sort()  # fleet order is not id order once workers join
-        return rows
+        start = np.where(table.count[rows] == 1, now, table.arr[0, rows])
+        reach = np.abs(table.xy[rows] - complex(origin.x, origin.y)) <= (
+            speed * (request.deadline - start) + headroom_metres
+        )
+        return rows[reach]
 
     def plan_over_all(
         self, request: Request, rows: np.ndarray, direct: float

@@ -21,10 +21,35 @@ insertion for every candidate — in one pass, through
 block kernel.
 
 Both phases work in rows of the fleet's route table: the decision phase
-hands the planning phase the finite bounds, their rows and which of them are
-idle, in scan order, as three arrays. ``pruneGreedyDP``'s Lemma 8 scan stops
-after a handful of candidates by design, so it keeps the scalar operator and
-reads the arrays one entry at a time.
+hands the planning phase the finite bounds and their rows, in scan order, as
+two arrays. ``pruneGreedyDP``'s Lemma 8 scan stops after a handful of
+candidates by design, so it keeps the scalar operator and reads the arrays
+one entry at a time.
+
+**pruneGreedyDP bounds rows as last written.** Under lazy advancement a busy
+row may lag the clock; its Lemma 7 bound is still a lower bound on the bound
+at the clock, so pruneGreedyDP brings no row to the clock to bound it:
+
+* a partial move changes only ``l_0`` and ``arr[0]`` (``Route.moved_to``
+  keeps ``arr[1:]``, ``slack`` and ``picked``). The worker drove from ``l_0``
+  to ``p`` along a shortest path, so ``t_p - t_0 = dis(l_0, p) >= lb(l_0,
+  p)`` and ``lb(p, o) >= lb(l_0, o) - (t_p - t_0)``: every ``j = 0`` term of
+  the relaxed DP — ``lb(l_0, o) - leg_0`` in the detours, ``arr[0] + lb(l_0,
+  o)`` in the deadline test — is no larger on the stale row, and every other
+  term is equal. The stale row passes every test the fresh row passes, at a
+  value no larger;
+* a reached stop (``Route.after_next_stop``) drops ``j = 0`` and shifts
+  every array by one: the stale row's ``j = k + 1`` is the fresh row's
+  ``j = k``, so the stale row offers a superset of the fresh row's
+  insertions at equal values (and a route that completed entirely reaches
+  the idle closed form at ``arr[n] <= clock``).
+
+Both compose, so stale ``<=`` fresh ``<=`` the exact increase: the Lemma 8
+cut on stale bounds stays admissible, and only the candidates the scan
+evaluates are brought to the clock (through ``state_of``). The decision
+rejection must still see the *fresh* minimum (:meth:`_GreedyDPBase.
+_decision_rejects`). GreedyDP materialises its candidates first and bounds
+them at the clock: its planning phase materialises every one of them anyway.
 """
 
 from __future__ import annotations
@@ -35,11 +60,11 @@ import numpy as np
 
 from repro.core.insertion.base import InsertionOperator
 from repro.core.insertion.linear_dp import LinearDPInsertion
-# all three bound functions stay importable from this module, where the
-# serving benchmark's tracer patches them (the scalar one is not called here)
+# all three bound functions are called through this module, where the
+# serving benchmark's tracer patches them
 from repro.core.insertion.lower_bound import (
     euclidean_idle_lower_bounds,
-    euclidean_insertion_lower_bound,  # noqa: F401
+    euclidean_insertion_lower_bound,
     euclidean_insertion_lower_bounds,
 )
 from repro.core.route import Route
@@ -86,12 +111,8 @@ class _GreedyDPBase(Dispatcher):
 
         # ---------------- decision phase (Algorithm 4)
         direct = self.oracle.distance(request.origin, request.destination)
-        bounds, rows, idle = self._decision_bounds(request, candidate_rows, direct)
-
-        # under Lemma 8 the bounds arrive pre-ordered: the first is the minimum
-        if not bounds.size or request.penalty < alpha * (
-            bounds.item(0) if self.use_pruning else bounds.min().item()
-        ):
+        bounds, rows = self._decision_bounds(request, candidate_rows, direct)
+        if self._decision_rejects(request, bounds, rows, direct, alpha):
             return DispatchOutcome(
                 request=request,
                 served=False,
@@ -102,7 +123,7 @@ class _GreedyDPBase(Dispatcher):
         # ---------------- planning phase (Algorithm 5, lines 5-11)
         if self.use_pruning:
             best_delta, best_worker_id, best_route, insertions = self._plan_pruned(
-                request, bounds, rows, idle, direct
+                request, bounds, rows, direct
             )
         else:
             # no cut to respect: every finite-bound candidate in one pass
@@ -143,7 +164,6 @@ class _GreedyDPBase(Dispatcher):
         request: Request,
         bounds: np.ndarray,
         rows: np.ndarray,
-        idle: np.ndarray,
         direct: float,
     ) -> tuple[float, int | None, Route | None, int]:
         """The Lemma 8 scan: candidates in bound order, one scalar insertion
@@ -152,15 +172,15 @@ class _GreedyDPBase(Dispatcher):
         ties the best is still evaluated, and the winner is the smallest
         ``(delta, worker id)``: the same worker GreedyDP picks.
 
-        The scan reads each busy candidate's route as it stands: the decision
-        phase's ``states_of`` brought those rows to the clock. An idle
-        candidate goes through ``state_of``, which only bumps its clock.
-        ``L`` goes to each walk as ``direct``, so no evaluated route's memo is
-        read or written, and the winner's new route alone is built, ``L``
-        seeded on it."""
+        The bounds are of rows as last written, no larger than at the clock
+        (module docstring), so the cut is admissible; each evaluated
+        candidate is brought to the clock by ``state_of`` — a no-op for a row
+        that is not due, a clock bump for an idle one. ``L`` goes to each walk
+        as ``direct``, so no evaluated route's memo is read or written, and
+        the winner's new route alone is built, ``L`` seeded on it."""
         assert self.fleet is not None and self.oracle is not None
         fleet, oracle, insertion = self.fleet, self.oracle, self.insertion
-        state_of, peek_state, ids = fleet.state_of, fleet.peek_state, fleet.table.ids
+        state_of, ids = fleet.state_of, fleet.table.ids
         best_key = (INFINITY, 0)
         best = None
         insertions = 0
@@ -168,7 +188,7 @@ class _GreedyDPBase(Dispatcher):
             if best_key[0] < bounds.item(index):
                 break  # Lemma 8: later candidates cannot beat the current best
             worker_id = ids.item(rows.item(index))
-            route = (state_of if idle.item(index) else peek_state)(worker_id).route
+            route = state_of(worker_id).route
             result = insertion.best_insertion(route, request, oracle, direct)
             insertions += 1
             if result.feasible and (result.delta, worker_id) < best_key:
@@ -186,24 +206,23 @@ class _GreedyDPBase(Dispatcher):
 
     def _decision_bounds(
         self, request: Request, candidate_rows: np.ndarray, direct: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """All candidate lower bounds as one numpy reduction (Algorithm 4).
 
         Reads the fleet's route table, not its ``Route`` objects. Idle
         candidates are answered straight from their rows (an idle worker
         waits in place — its materialisation is a pure clock bump, so the
         closed-form empty-route bound needs no state touch at all); busy
-        candidates are materialised — only those whose advance would change
-        anything, see :meth:`FleetState.states_of` — and their rows fed
-        through the padded-matrix DP. One batched oracle pass per group
-        answers every bound. Values equal the scalar
-        ``euclidean_insertion_lower_bound`` bit for bit.
+        candidates' rows go through the padded-matrix DP: as last written
+        under Lemma 8 (see the module docstring), brought to the clock first
+        (:meth:`FleetState.states_of`) for GreedyDP. One batched bound pass
+        per group answers every bound. Values equal the scalar
+        ``euclidean_insertion_lower_bound`` of the same rows bit for bit.
 
-        Returns the finite bounds, their rows and whether each row was idle
-        (the others are at the clock now), in scan order: under Lemma 8 one
-        stable argsort (ascending bound, ties in candidate order), otherwise
-        candidate order. No route's direct-distance memo is touched here or
-        in the planning phase.
+        Returns the finite bounds and their rows, in scan order: under
+        Lemma 8 one stable argsort (ascending bound, ties in candidate order),
+        otherwise candidate order. No route's direct-distance memo is touched
+        here or in the planning phase.
         """
         fleet = self.fleet
         assert fleet is not None and self.oracle is not None
@@ -222,14 +241,55 @@ class _GreedyDPBase(Dispatcher):
                 capacities=capacities,
             )
         if busy_rows.size:
-            fleet.states_of(busy_rows)  # brings their rows up to the clock
+            if not self.use_pruning:
+                fleet.states_of(busy_rows)  # brings their rows up to the clock
             bounds[~idle_mask] = euclidean_insertion_lower_bounds(
                 table.take(busy_rows), request, self.oracle, direct
             )
         finite = np.flatnonzero(bounds < INFINITY)
         if self.use_pruning and finite.size:
             finite = finite[np.argsort(bounds[finite], kind="stable")]
-        return bounds[finite], candidate_rows[finite], idle_mask[finite]
+        return bounds[finite], candidate_rows[finite]
+
+    def _decision_rejects(
+        self,
+        request: Request,
+        bounds: np.ndarray,
+        rows: np.ndarray,
+        direct: float,
+        alpha: float,
+    ) -> bool:
+        """Algorithm 4's rejection: ``p_r < alpha * min LB`` over the bounds
+        *at the clock*, or no finite bound at all.
+
+        GreedyDP's bounds are at the clock already. pruneGreedyDP's are of
+        rows as last written, in ascending order, each no larger than the
+        row's bound at the clock, so the walk visits them in that order while
+        ``alpha * bound <= p_r`` (a row past that point is rejected at the
+        clock too): an idle row, or a busy one that is not due, is at the
+        clock already and accepts; a due row is brought to the clock and
+        accepts if its fresh bound passes. The request is rejected only when
+        the walk ends without an accept — exactly when the fresh minimum
+        fails the test.
+        """
+        penalty = request.penalty
+        if not self.use_pruning:
+            return not bounds.size or penalty < alpha * bounds.min().item()
+        fleet = self.fleet
+        assert fleet is not None
+        table, clock = fleet.table, fleet.clock
+        for index in range(bounds.size):
+            if penalty < alpha * bounds.item(index):
+                return True
+            row = rows.item(index)
+            worker_id = table.ids.item(row)
+            if table.count.item(row) == 1 or not table.is_due(worker_id, clock):
+                return False
+            route = fleet.state_of(worker_id).route
+            fresh = euclidean_insertion_lower_bound(route, request, self.oracle, direct)
+            if not penalty < alpha * fresh:
+                return False
+        return True
 
 
 class GreedyDP(_GreedyDPBase):

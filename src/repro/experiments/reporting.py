@@ -54,9 +54,8 @@ def format_results(results: Iterable[SimulationResult]) -> str:
     """Render a flat comparison table of simulation results.
 
     The oracle cache statistics (surfaced into ``extra`` by the metrics
-    collector) are appended when present so the LRU effectiveness — doubled
-    by the symmetric ``(min, max)`` keys — is visible next to the query
-    counts.
+    collector) are appended when present so the LRU effectiveness is visible
+    next to the query counts.
     """
     rows = [result.as_row() for result in results]
     columns = [

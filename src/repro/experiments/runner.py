@@ -126,11 +126,16 @@ class ScenarioRunner:
         scenario-derived grid cell (the historical semantics); a full spec is
         taken as-is — its pinned ``grid_cell_metres`` wins, and only an
         unpinned (``None``) cell is filled from the scenario.
+
+        The runs share the memoised oracle, but each starts with a cold path
+        cache, so a run's ``dijkstra_runs`` and path-cache hit rate do not
+        depend on the algorithms that ran before it.
         """
         results: list[SimulationResult] = []
         cell_metres = grid_cell_metres if grid_cell_metres is not None else config.grid_km * 1000.0
         for algorithm in algorithms:
             instance = self.instance_for(config)
+            instance.oracle.clear_path_cache()
             if isinstance(algorithm, DispatcherSpec):
                 spec = algorithm
                 dispatcher_config = spec.to_config(default_grid_cell_metres=cell_metres)

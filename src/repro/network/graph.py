@@ -12,6 +12,7 @@ Vertices carry planar coordinates (metres) which the decision phase of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -396,6 +397,12 @@ class RoadNetwork:
         if cost is None:
             raise RoadNetworkError(f"no edge between {u} and {v}")
         return cost
+
+    def cheapest_exit_cost(self, vertex: Vertex) -> float:
+        """Travel time of the cheapest edge leaving ``vertex`` (``inf`` for a
+        vertex without one): no worker standing there passes another vertex
+        sooner. Read from the live adjacency, so it follows every mutation."""
+        return min(self._adjacency.get(vertex, {}).values(), default=math.inf)
 
     def euclidean(self, u: Vertex, v: Vertex) -> float:
         """Straight-line distance between two vertices in metres."""

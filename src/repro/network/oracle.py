@@ -24,10 +24,13 @@ bucket sweep on the contraction hierarchy. The batched calls return exactly
 the values (and bump exactly the ``distance_queries`` counters) of the
 equivalent scalar loops.
 
-Because the network is undirected, the path LRU uses symmetric ``(min,
-max)`` keys — a cached ``u -> v`` path answers the ``v -> u`` query
-reversed, doubling the effective cache capacity. Distances need no cache:
-both backends answer them from their precomputed structure.
+The path LRU is keyed by the direction asked: a cached ``u -> v`` path
+answers ``u -> v`` only. The reverse of a shortest path is a shortest path,
+but on equal-cost ties it need not be the one a ``v -> u`` search picks, and
+a worker's position must not depend on which direction some earlier caller
+asked first (a cluster replica and its front door keep separate caches).
+Distances need no cache: both backends answer them from their precomputed
+structure.
 
 The oracle also counts exact queries. The paper reports "tens of billions of
 shortest distance queries saved" by the pruning strategy of Lemma 8; our
@@ -272,10 +275,9 @@ class DistanceOracle:
     def path(self, u: Vertex, v: Vertex) -> list[Vertex]:
         """Exact shortest path (vertex sequence) from ``u`` to ``v``.
 
-        Paths are cached under symmetric ``(min, max)`` keys; a reversed
-        cached path answers the opposite direction (the network is
-        undirected), doubling the effective cache capacity. A miss asks the
-        backend (:meth:`~repro.network.backends.DistanceBackend.path`), and
+        Paths are cached under the ``(u, v)`` key asked: the opposite
+        direction is its own search (see the module docstring). A miss asks
+        the backend (:meth:`~repro.network.backends.DistanceBackend.path`), and
         every backend answers the path one bidirectional Dijkstra picks: on
         equal-cost ties that pick decides where workers stand. The ``"ch"``
         backend runs that search; the ``"apsp"`` backend rebuilds its path
@@ -286,14 +288,12 @@ class DistanceOracle:
         self.counters.path_queries += 1
         if u == v:
             return [u]
-        forward = u <= v
-        key = (u, v) if forward else (v, u)
-        cached = self._path_cache.get(key)
+        cached = self._path_cache.get((u, v))
         if cached is not None:
-            return list(cached) if forward else list(reversed(cached))
+            return list(cached)
         _cost, path = self._backend.path(u, v)
         self.counters.dijkstra_runs += 1
-        self._path_cache.put(key, tuple(path) if forward else tuple(reversed(path)))
+        self._path_cache.put((u, v), tuple(path))
         return path
 
     # ---------------------------------------------------------- lower bounds
@@ -398,6 +398,11 @@ class DistanceOracle:
             "path_cache_hit_rate": self._path_cache.statistics.hit_rate,
         }
 
+    def clear_path_cache(self) -> None:
+        """Drop every cached path, so the next run starts cold (its
+        ``dijkstra_runs`` and hit rate do not depend on earlier runs)."""
+        self._path_cache.clear()
+
     def reset_counters(self) -> None:
         """Zero the oracle counters and cache statistics (the cache keeps its
         contents), so every simulation run reports per-run numbers."""
@@ -446,5 +451,5 @@ class DistanceOracle:
         else:
             self._backend = rebuild()
             self.artifact_loaded = False
-        self._path_cache.clear()
+        self.clear_path_cache()
         self.counters.backend = self._backend.name

@@ -33,10 +33,14 @@ of every planned route, :attr:`FleetState.table`
 count, the padded ``vertex`` / ``arr`` / ``slack`` / ``picked`` arrays, the
 capacity, the shift flag and the *no-op window* of the recorded concrete path.
 The decision phase reads it instead of walking Python routes: candidate
-filtering by the ``online`` column, the idle/busy split by ``count == 1``,
-the position-staleness bound by the busy rows' ``arr[0]``, the relaxed DP by
-one fancy index per array, and :meth:`FleetState.states_of` /
-:meth:`FleetState.advance_rows` by the window.
+filtering by the ``online`` column and a reach test on ``xy`` (``l_0``'s
+coordinates) and ``arr[0]``, the idle/busy split by ``count == 1``, the
+position-staleness bound by the busy rows' ``arr[0]``, the relaxed DP by one
+fancy index per array, and :meth:`FleetState.states_of` /
+:meth:`FleetState.advance_rows` by the window. pruneGreedyDP reads busy rows
+*as last written*: a stale row's Lemma 7 bound is no larger than at the
+clock (``dispatch/greedy_dp.py``), so only the candidates its scan evaluates
+are brought to the clock, one ``state_of`` each.
 
 * **Single writer.** ``WorkerState.route`` stays authoritative; a row is
   rewritten by :meth:`FleetState._mirror` only, which ``replace_route`` (every
@@ -58,13 +62,16 @@ one fancy index per array, and :meth:`FleetState.states_of` /
   Every re-planning — including :meth:`FleetState.replan_busy` after a live
   network update — installs a fresh ``Route`` that ``refresh`` times again.
 * **Window invariant.** For every busy row, ``first_edge_cost`` is the live
-  cost of the first edge of ``route.concrete_path`` or ``-inf`` when no usable
-  path is recorded, and ``arr[0]``/``arr[1]`` equal the route's. Whenever
+  cost of the first edge of ``route.concrete_path``, or of the cheapest edge
+  leaving ``l_0`` when no usable path is recorded (``advance_to`` asks for a
+  path only once that edge fits the elapsed time), and ``arr[0]``/``arr[1]``
+  equal the route's. Whenever
   :meth:`RouteTable.due` reports a row as not due, ``advance_to(clock)`` on
   that worker returns without any side effect (no movement, no completion, no
   oracle query, no path recorded) — so lazy materialisation skips the call.
   Edge costs only change under a live network update, which re-plans every
-  busy route onto a fresh ``Route`` without a recorded path. For an *idle*
+  busy route onto a fresh ``Route`` without a recorded path (its row write
+  reads the cheapest exit from the updated network). For an *idle*
   row, ``arr[0]`` (equal to the route's ``start_time``) is a **lower bound**
   on the worker's clock until it is touched: ``arr[0] <= clock`` always, and
   a touch sets both to the clock — an idempotent write that accumulates no
@@ -291,6 +298,8 @@ class WorkerState:
                 and cached_path[-1] == next_stop
             ):
                 path = cached_path
+            elif oracle.network.cheapest_exit_cost(route.origin) > budget:
+                break  # no edge out of the origin fits: no path to ask for yet
             else:
                 path = oracle.path(route.origin, next_stop)
             moved_cost = 0.0
@@ -372,7 +381,7 @@ class FleetState:
             worker_id: place for place, worker_id in enumerate(self.states)
         }
         #: struct-of-arrays mirror of every route (see the module docstring).
-        self.table = RouteTable(workers)
+        self.table = RouteTable(workers, oracle.network)
 
     def __iter__(self):
         for state in self.states.values():

@@ -7,12 +7,15 @@ worker id), extended by the columns the decision phase filters on:
 * ``ids`` — the worker id of each row (ascending, so a candidate-id array
   maps to rows with one ``searchsorted``);
 * ``online`` — the shift flag;
+* ``xy`` — the coordinates of ``l_0`` as ``x + 1j * y`` metres, for the
+  candidate filter's reach test (``Dispatcher.candidate_rows``);
 * ``first_edge_cost`` — with ``arr[0]`` and ``arr[1]`` the *no-op
   window* of the worker: the cost of the first edge of the recorded
-  ``concrete_path`` towards the next stop, ``-inf`` while no such path is
-  recorded. :meth:`RouteTable.due` evaluates from these three numbers, in the
-  float expressions of :meth:`WorkerState.advance_to` itself, whether
-  advancing the worker to a clock would do anything at all.
+  ``concrete_path`` towards the next stop or, while no such path is
+  recorded, of the cheapest edge leaving ``l_0`` (no path leaves sooner).
+  :meth:`RouteTable.due` evaluates from these three numbers, in the float
+  expressions of :meth:`WorkerState.advance_to` itself, whether advancing
+  the worker to a clock would do anything at all.
 
 The table is a mirror, never a source of truth: ``WorkerState.route`` stays
 authoritative and :meth:`RouteTable.write` (called by the fleet wherever a
@@ -31,13 +34,14 @@ from repro.exceptions import DispatchError
 from repro.network.graph import RoadNetwork
 
 #: the per-worker vectors, grown together with the matrices by ``add_row``
-_VECTORS = ("ids", "capacity", "online", "count", "first_edge_cost")
+_VECTORS = ("ids", "capacity", "online", "count", "first_edge_cost", "xy")
 
 
 class RouteTable(RouteBlock):
-    """Route block of a whole fleet plus ``ids``, ``online`` and the window."""
+    """Route block of a whole fleet plus ``ids``, ``online``, ``xy`` and the
+    window."""
 
-    def __init__(self, workers: Sequence[Worker]) -> None:
+    def __init__(self, workers: Sequence[Worker], network: RoadNetwork) -> None:
         ordered = sorted(workers, key=lambda worker: worker.id)
         super().__init__([worker.capacity for worker in ordered])
         # every worker starts on the row of ``empty_route(worker)`` at time 0
@@ -46,6 +50,9 @@ class RouteTable(RouteBlock):
         self.ids = np.asarray([worker.id for worker in ordered], dtype=np.int64)
         self.online = np.ones(len(ordered), dtype=bool)
         self.first_edge_cost = np.full(len(ordered), -np.inf, dtype=np.float64)
+        self.xy = np.asarray(
+            [_xy(network, worker.initial_location) for worker in ordered], dtype=np.complex128
+        )
         self._row = {worker.id: row for row, worker in enumerate(ordered)}
 
     # ---------------------------------------------------------------- lookup
@@ -71,10 +78,11 @@ class RouteTable(RouteBlock):
     # --------------------------------------------------------------- writing
 
     def add_row(self, worker: Worker) -> int:
-        """Insert a row for a new worker, keeping rows ordered by id."""
+        """Insert a row for a new worker, keeping rows ordered by id (the
+        caller writes its route next)."""
         row = int(np.searchsorted(self.ids, worker.id))
         fresh = {"ids": worker.id, "capacity": worker.capacity, "online": True,
-                 "count": 1, "first_edge_cost": -np.inf}
+                 "count": 1, "first_edge_cost": -np.inf, "xy": 0j}
         for name in _VECTORS:
             setattr(self, name, np.insert(getattr(self, name), row, fresh[name]))
         for name in self.MATRICES:
@@ -85,14 +93,18 @@ class RouteTable(RouteBlock):
     def write(self, worker_id: int, route: Route, network: RoadNetwork) -> None:
         """Mirror ``route`` (fresh auxiliary arrays) into its worker's row.
 
-        Also resets the no-op window: the first edge is priced only when the
-        route records a concrete path that ``advance_to`` would accept
-        (from the route's origin to its next stop).
+        Also resets the no-op window: the first edge of the concrete path
+        when the route records one that ``advance_to`` would accept (from the
+        route's origin to its next stop), otherwise the cheapest edge leaving
+        the origin — ``advance_to`` asks for no path before that one fits.
         """
         row = self._row[worker_id]
         self.write_route(row, route)
+        self.xy[row] = _xy(network, route.origin)
         path = route.concrete_path
-        if (
+        if not route.stops:
+            self.first_edge_cost[row] = -np.inf  # an idle row has no window
+        elif (
             path is not None
             and len(path) > 1
             and path[0] == route.origin
@@ -100,7 +112,7 @@ class RouteTable(RouteBlock):
         ):
             self.first_edge_cost[row] = network.edge_cost(path[0], path[1])
         else:
-            self.first_edge_cost[row] = -np.inf
+            self.first_edge_cost[row] = network.cheapest_exit_cost(route.origin)
 
     def bump_idle(self, worker_id: int, clock: float) -> None:
         """An idle worker waited in place until ``clock``: move its ``arr[0]``."""
@@ -127,7 +139,8 @@ class RouteTable(RouteBlock):
         anchor or the first edge of its recorded path does not fit the
         elapsed budget — exactly the comparisons ``advance_to`` walks
         through before breaking without a side effect. With no recorded
-        path ``advance_to`` would query (and record) one, so the row is due.
+        path the cheapest edge leaving ``l_0`` stands in for the first edge:
+        ``advance_to`` breaks on the same comparison before asking for one.
         An idle worker is due when its clock lags: nothing about it can
         change but ``arr[0] = start_time = clock``, which whoever reads the
         row (the block kernels take an idle ``arr[0]`` from the table) must
@@ -159,3 +172,9 @@ class RouteTable(RouteBlock):
             self.arr.item(1, row) > clock
             and (budget <= 0.0 or self.first_edge_cost.item(row) > budget)
         )
+
+
+def _xy(network: RoadNetwork, vertex: int) -> complex:
+    """``vertex``'s coordinates as ``x + 1j * y`` metres."""
+    point = network.coordinates(vertex)
+    return complex(point.x, point.y)

@@ -30,17 +30,19 @@ class TestCandidateFiltering:
         assert len(dispatcher.grid) == len(small_instance.workers)
 
     def test_candidate_filter_never_drops_reachable_workers(self, small_instance, fleet):
-        """The grid filter is admissible: every worker that could physically reach
-        the origin before the deadline must survive the filter."""
+        """The filter is admissible: every worker that could drive to the
+        origin and on to the destination by the deadline survives it."""
         dispatcher = PruneGreedyDP(DispatcherConfig(grid_cell_metres=500.0))
         dispatcher.setup(small_instance, fleet)
         oracle = small_instance.oracle
-        request = small_instance.requests[0]
-        candidates = set(dispatcher.candidate_worker_ids(request, now=request.release_time))
-        for state in fleet:
-            reach = oracle.distance(state.position, request.origin)
-            if request.release_time + reach <= request.deadline:
-                assert state.worker.id in candidates
+        for request in small_instance.requests:
+            now = request.release_time
+            trip = oracle.distance(request.origin, request.destination)
+            candidates = set(dispatcher.candidate_worker_ids(request, now=now))
+            for state in fleet:
+                reach = oracle.distance(state.position, request.origin)
+                if now + reach + trip <= request.deadline:
+                    assert state.worker.id in candidates
 
     def test_expired_request_has_no_candidates(self, small_instance, fleet):
         dispatcher = PruneGreedyDP(DispatcherConfig(grid_cell_metres=500.0))

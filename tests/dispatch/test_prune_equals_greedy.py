@@ -13,7 +13,6 @@ test holds that after a worker joins between existing ids.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -73,8 +72,7 @@ def test_any_stress_program(index):
 
 def test_candidate_rows_ascend_by_worker_id_after_a_worker_joins(city_network, city_oracle):
     """Worker 5 joins between ids 4 and 6 of the fleet: its table row sits
-    between theirs, so every candidate set still ascends by id — through the
-    grid and through the fall-back to the whole fleet."""
+    between theirs, so the candidate set still ascends by id."""
     vertices = sorted(city_network.vertices())
     workers = [make_worker(worker_id, vertices[7 * worker_id]) for worker_id in (0, 4, 6, 9)]
     request = make_request(0, vertices[3], vertices[20], deadline=5000.0)
@@ -84,7 +82,4 @@ def test_candidate_rows_ascend_by_worker_id_after_a_worker_joins(city_network, c
     dispatcher = service.dispatcher
     dispatcher.sync_grid()
     assert dispatcher.fleet.table.ids.tolist() == [0, 4, 5, 6, 9]
-    assert dispatcher.candidate_worker_ids(request, now=0.0) == [0, 4, 5, 6, 9]
-    # a grid that answers nothing: the fleet-order fall-back is sorted too
-    dispatcher.grid.members_near_vertex = lambda vertex, radius: np.empty(0, dtype=np.int64)
     assert dispatcher.candidate_worker_ids(request, now=0.0) == [0, 4, 5, 6, 9]

@@ -33,14 +33,18 @@ _NETWORK = build_network(_CONFIG)
 
 
 def _scalar_decision_bounds(self, request, candidate_rows, direct):
-    """The decision phase as a per-candidate walk: materialise each candidate,
-    take its scalar bound from the ``Route`` object, keep the finite ones and,
-    under Lemma 8, sort them (stable) in Python. Every candidate is at the
-    clock afterwards, so none is reported idle."""
-    table = self.fleet.table
+    """The decision phase as a per-candidate walk: take each candidate's
+    scalar bound from its ``Route`` object, keep the finite ones and, under
+    Lemma 8, sort them (stable) in Python. pruneGreedyDP bounds a busy
+    candidate's route as last written (``peek_state``); GreedyDP brings it to
+    the clock first; an idle candidate is bounded at the clock."""
+    fleet = self.fleet
     lower_bounds = []
     for row in candidate_rows.tolist():
-        state = self.fleet.state_of(table.ids.item(row))
+        worker_id = fleet.table.ids.item(row)
+        state = fleet.peek_state(worker_id)
+        if state.is_idle or not self.use_pruning:
+            state = fleet.state_of(worker_id)
         bound = euclidean_insertion_lower_bound(state.route, request, self.oracle, direct)
         if bound < float("inf"):
             lower_bounds.append((bound, row))
@@ -49,7 +53,6 @@ def _scalar_decision_bounds(self, request, candidate_rows, direct):
     return (
         np.asarray([bound for bound, _ in lower_bounds], dtype=np.float64),
         np.asarray([row for _, row in lower_bounds], dtype=np.int64),
-        np.zeros(len(lower_bounds), dtype=bool),
     )
 
 

@@ -44,6 +44,17 @@ class TestScenarioRunner:
         for result in results:
             assert result.total_requests == 25
 
+    def test_each_compare_run_starts_with_a_cold_path_cache(self):
+        """The runs share one oracle but not its path cache: pruneGreedyDP
+        reports the same path work alone as after GreedyDP (a path-cache miss
+        is one ``dijkstra_runs``)."""
+        config = ScenarioConfig(city="small-grid", num_workers=6, num_requests=40, seed=5)
+        alone = ScenarioRunner().compare(config, ["pruneGreedyDP"])[0].extra
+        second = ScenarioRunner().compare(config, ["GreedyDP", "pruneGreedyDP"])[1].extra
+        assert alone["path_cache_misses"] > 0
+        for key in ("path_cache_misses", "path_cache_hits", "path_cache_hit_rate"):
+            assert second[key] == alone[key], key
+
     def test_network_cache_reused(self, runner):
         config = ScenarioConfig(city="small-grid", num_workers=6, num_requests=10, seed=5)
         assert runner.network_for(config) is runner.network_for(config.with_overrides(num_workers=9))

@@ -77,7 +77,7 @@ class TestMembership:
 
     def test_members_near_vertex_radius(self, index, network):
         vertices = sorted(network.vertices())
-        table = RouteTable([make_worker(0, vertices[0]), make_worker(1, vertices[-1])])
+        table = RouteTable([make_worker(0, vertices[0]), make_worker(1, vertices[-1])], network)
         index.align_rows(table)
         index.insert(0, vertices[0])
         index.insert(1, vertices[-1])
@@ -85,7 +85,7 @@ class TestMembership:
 
     def test_members_near_vertex_large_radius_returns_all(self, index, network):
         vertices = sorted(network.vertices())
-        table = RouteTable([make_worker(worker_id, 0) for worker_id in (3, 8, 9)])
+        table = RouteTable([make_worker(worker_id, 0) for worker_id in (3, 8, 9)], network)
         index.align_rows(table)
         index.insert(9, vertices[0])
         index.insert(3, vertices[-1])
@@ -94,7 +94,7 @@ class TestMembership:
     def test_rows_follow_moves_removals_and_new_table_rows(self, index, network):
         vertices = sorted(network.vertices())
         near, far = vertices[0], vertices[-1]
-        table = RouteTable([make_worker(worker_id, 0) for worker_id in (10, 20, 30)])
+        table = RouteTable([make_worker(worker_id, 0) for worker_id in (10, 20, 30)], network)
         index.align_rows(table)
         for worker_id in (10, 20, 30):
             index.insert(worker_id, near)

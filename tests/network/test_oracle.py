@@ -86,6 +86,7 @@ class TestCountersAndCaches:
     def test_cache_statistics_exposed(self, network):
         oracle = DistanceOracle(network)
         oracle.path(0, 5)
-        oracle.path(5, 0)
+        oracle.path(0, 5)
+        oracle.path(5, 0)  # the opposite direction is its own entry
         stats = oracle.cache_statistics()
-        assert stats == {"path_cache_size": 1.0, "path_cache_hit_rate": 0.5}
+        assert stats == {"path_cache_size": 2.0, "path_cache_hit_rate": 1 / 3}

@@ -2,8 +2,8 @@
 
 The batched calls (``distances_many``, ``distance_pairs``,
 ``endpoint_distances``, ``euclidean_lower_bounds``) must return the very same
-floats the scalar loop would, bump the same exact-query counters, and — for
-the symmetric path cache — answer a reversed query from one cached entry.
+floats the scalar loop would and bump the same exact-query counters. The
+path cache answers only the direction it searched.
 """
 
 import numpy as np
@@ -133,16 +133,30 @@ class TestBatchedLowerBounds:
         assert oracle.counters.lower_bound_queries == before + 12
 
 
-class TestSymmetricPathCache:
-    def test_reverse_path_served_from_cache(self, network, vertices):
+class TestDirectionalPathCache:
+    def test_reverse_direction_is_its_own_search(self, network, vertices):
         oracle = DistanceOracle(network)
         u, v = vertices[0], vertices[-1]
-        forward = oracle.path(u, v)
+        oracle.path(u, v)
         runs_after_forward = oracle.counters.dijkstra_runs
         backward = oracle.path(v, u)
-        assert backward == list(reversed(forward))
-        # the reversed lookup must not spend another Dijkstra
-        assert oracle.counters.dijkstra_runs == runs_after_forward
+        assert backward == oracle.backend.path(v, u)[1]
+        assert oracle.counters.dijkstra_runs == runs_after_forward + 1
+        assert oracle.path(v, u) == backward  # now a hit
+        assert oracle.counters.dijkstra_runs == runs_after_forward + 1
+
+    @pytest.mark.parametrize("backend", ["apsp", "ch"])
+    def test_asymmetric_pair_answers_the_backends_own_search(self, backend):
+        """On this grid the ``361 -> 149`` search ties onto a path that is not
+        the reverse of the ``149 -> 361`` one: asked second, it must still be
+        the search's own, whichever direction was cached first."""
+        network = grid_city(rows=20, columns=20, block_metres=260.0, seed=7)
+        oracle = DistanceOracle(network, backend=backend)
+        u, v = 149, 361
+        backward = oracle.backend.path(v, u)[1]
+        assert backward != list(reversed(oracle.backend.path(u, v)[1]))
+        oracle.path(u, v)
+        assert oracle.path(v, u) == backward
 
     def test_cache_statistics_in_counter_snapshot(self, network, vertices):
         oracle = DistanceOracle(network)

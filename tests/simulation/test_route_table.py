@@ -38,16 +38,19 @@ from tests.core.test_insertion_equivalence import _ORACLE, insertion_scenarios
 
 
 def expected_first_edge_cost(route, network) -> float:
-    """The window's edge cost, derived the way ``advance_to`` picks its path."""
+    """The window's edge cost, derived the way ``advance_to`` picks its path:
+    without a usable recorded path, the cheapest live edge leaving ``l_0``
+    (``-inf`` on an idle row, which has no window)."""
     path = route.concrete_path
+    if not route.stops:
+        return -math.inf
     if (
-        not route.stops
-        or path is None
+        path is None
         or len(path) < 2
         or path[0] != route.origin
         or path[-1] != route.stops[0].vertex
     ):
-        return -math.inf
+        return min(network.neighbours(route.origin).values(), default=math.inf)
     return network.edge_cost(path[0], path[1])
 
 
@@ -99,6 +102,8 @@ def check_table(fleet: FleetState, only: "set[int] | None" = None) -> None:
         assert table.arr[:count, row].tolist() == route.arr
         assert table.slack[:count, row].tolist() == route.slack
         assert table.picked[:count, row].tolist() == route.picked
+        point = network.coordinates(route.origin)
+        assert table.xy[row] == complex(point.x, point.y)
         assert table.first_edge_cost[row] == expected_first_edge_cost(route, network)
         assert table.is_due(worker_id, clock) == bool(due[row])
         if not due[row]:
@@ -210,10 +215,18 @@ class TestWindowBoundaries:
             route_with_requests(state.worker, line_oracle, [request], start_time=13.0),
             request=request,
         )
-        assert fleet.table.first_edge_cost[1] == -math.inf
+        # no recorded path: the window holds the cheapest edge out of l_0
+        assert fleet.table.first_edge_cost[1] == 10.0
         assert not fleet.table.is_due(1, 13.0)  # budget <= 0 breaks early
-        # one tick of budget: advance_to would query and record a path
-        assert fleet.table.is_due(1, 13.0 + TIME_QUANTUM)
+        # less budget than that edge: advance_to breaks before asking a path
+        assert not fleet.table.is_due(1, 13.0 + 10.0 - TIME_QUANTUM)
+        check_table(fleet)
+        queries = line_oracle.counters.path_queries
+        state.advance_to(13.0 + 10.0 - TIME_QUANTUM)
+        assert line_oracle.counters.path_queries == queries
+        assert state.route.concrete_path is None
+        # the edge fits: advance_to would query (and walk) the path
+        assert fleet.table.is_due(1, 13.0 + 10.0)
         check_table(fleet)
 
     def test_idle_worker_is_due_once_the_clock_moved(self, fleet):
@@ -364,7 +377,7 @@ class TestTableFedLowerBounds:
             dataclasses.replace(route, worker=dataclasses.replace(route.worker, id=3 * index))
             for index, (route, _) in enumerate(scenarios)
         ]
-        table = RouteTable([route.worker for route in routes])
+        table = RouteTable([route.worker for route in routes], _ORACLE.network)
         for route in reversed(routes):
             table.write(route.worker.id, route, _ORACLE.network)
         picked = random.sample(range(len(routes)), random.randint(1, len(routes)))
